@@ -110,21 +110,19 @@ fn spatial_of(failures: impl Iterator<Item = (TaskId, FailureKind)>) -> usize {
     infected.len()
 }
 
-/// Exhaustive classification of a recorded failure for the
-/// `node_loss_failures` counter. Written as a full `match` so adding a
-/// `FailureKind` variant forces a decision here (the V1 fault-vocab lint
-/// additionally requires every variant to be named in this file).
+/// Classification of a recorded failure for the `node_loss_failures`
+/// counter. A wildcard-free `match`, so adding a `FailureKind` variant
+/// forces a decision here.
 fn counts_as_node_loss(kind: FailureKind) -> bool {
+    debug_assert!(!kind.is_transient(), "transient kind {kind:?} recorded as a failure");
     match kind {
         FailureKind::NodeCrash => true,
-        FailureKind::TaskOom | FailureKind::FetchFailureLimit | FailureKind::TaskTimeout => false,
-        // Transients are absorbed upstream (parked fetches, checksummed
-        // re-fetches) and slow nodes stay alive: these kinds must never be
-        // *recorded* as failures at all, let alone counted as node losses.
-        FailureKind::SlowNode | FailureKind::NetworkPartition | FailureKind::DataCorruption => {
-            debug_assert!(false, "transient kind {kind:?} recorded as a failure");
-            false
-        }
+        FailureKind::TaskOom
+        | FailureKind::FetchFailureLimit
+        | FailureKind::TaskTimeout
+        | FailureKind::SlowNode
+        | FailureKind::NetworkPartition
+        | FailureKind::DataCorruption => false,
     }
 }
 
@@ -139,44 +137,81 @@ fn temporal_of(failures: impl Iterator<Item = TaskId>) -> usize {
 /// Analyze a simulator run of `scenario` under `mode`. `profile` is the
 /// lowering profile the run used; the injected-fault denominator is
 /// counted on the lowered plan so rack crashes weigh one per member node.
+///
+/// The report is destructured with no `..` (and unused bindings denied),
+/// so a new `SimReport` field fails the build here until it is either
+/// mapped into [`ScenarioOutcome`] — which `analyze_runtime` must then fill
+/// too — or bound `_` with the reason the validator does not consume it.
+#[deny(unused_variables)]
 pub fn analyze_sim(
     scenario: &ChaosScenario,
     mode: RecoveryMode,
     report: &SimReport,
     profile: &LoweringProfile,
 ) -> ScenarioOutcome {
+    let SimReport {
+        succeeded,
+        job_secs,
+        map_phase_secs: _, // figure-only phase marker
+        failures,
+        map_attempts,
+        // Reduce recovery is validated through fcm_attempts and the
+        // per-failure list, not raw attempt totals.
+        reduce_attempts: _,
+        fcm_attempts,
+        reduce_progress: _, // figure-only timeline samples
+        reduce_nodes: _,    // crash-targeting aid for experiments
+        // The runtime's ALG unit is records in its log stores; snapshots
+        // vs records are incommensurable, each engine asserts its own.
+        alg_snapshots: _,
+        corruption_refetches,
+        degraded_drops,
+        // The runtime reports truncation forensics structurally
+        // (log_recoveries → recoveries_bounded()), not as a scalar.
+        log_truncations: _,
+        uplink_bytes: _, // the runtime has no rack/uplink topology model
+        dfs_read_failovers,
+        dfs_repair_bytes,
+        dfs_corrupt_replicas,
+        resident_fetch_hits,
+        // The runtime tracks invalidations in the chain layer's
+        // ResidentStore stats, outside JobReport.
+        resident_invalidations: _,
+        events: _, // DES bookkeeping; the runtime has no event loop
+    } = report;
     ScenarioOutcome {
         scenario: scenario.name.clone(),
         engine: EngineKind::Simulator,
         mode,
-        succeeded: report.succeeded,
-        duration_secs: report.job_secs,
+        succeeded: *succeeded,
+        duration_secs: *job_secs,
         injected_faults: scenario.injected_failure_faults(profile),
-        total_failures: report.failures.len(),
-        spatial_amplification: spatial_of(report.failures.iter().map(|f| (f.task, f.kind))),
-        temporal_amplification: temporal_of(report.failures.iter().map(|f| f.task)),
-        fcm_attempts: report.fcm_attempts,
-        map_attempts: report.map_attempts,
-        node_loss_failures: report.failures.iter().filter(|f| counts_as_node_loss(f.kind)).count(),
-        corruption_refetches: report.corruption_refetches,
-        degraded_drops: report.degraded_drops,
+        total_failures: failures.len(),
+        spatial_amplification: spatial_of(failures.iter().map(|f| (f.task, f.kind))),
+        temporal_amplification: temporal_of(failures.iter().map(|f| f.task)),
+        fcm_attempts: *fcm_attempts,
+        map_attempts: *map_attempts,
+        node_loss_failures: failures.iter().filter(|f| counts_as_node_loss(f.kind)).count(),
+        corruption_refetches: *corruption_refetches,
+        degraded_drops: *degraded_drops,
         recoveries_bounded: None,
         output_verified: None,
         partitions_committed: None,
-        dfs_read_failovers: report.dfs_read_failovers,
-        dfs_repair_bytes: report.dfs_repair_bytes,
-        dfs_corrupt_replicas: report.dfs_corrupt_replicas,
+        dfs_read_failovers: *dfs_read_failovers,
+        dfs_repair_bytes: *dfs_repair_bytes,
+        dfs_corrupt_replicas: *dfs_corrupt_replicas,
         chain_iteration: 0,
-        resident_hits: report.resident_fetch_hits,
+        resident_hits: *resident_fetch_hits,
     }
 }
 
 /// Analyze a threaded-runtime run of `scenario` under `mode`.
-/// `output_verified` carries the caller's oracle comparison and
+/// `output_verified` carries the caller's oracle comparison,
 /// `partitions_committed` the caller's DFS commit-status count (see
-/// `RuntimeCampaign::committed_partitions`) — the report's own
-/// `output_records` map tracks record counts, not commit durability, and
-/// cannot see a committed file whose blocks were lost afterwards.
+/// `RuntimeCampaign::committed_partitions`) and `dfs` the replica counters
+/// the harness collects from `SimDfs` — the runtime counterparts of the
+/// sim report's `dfs_*` fields. Destructured like [`analyze_sim`].
+#[deny(unused_variables)]
 pub fn analyze_runtime(
     scenario: &ChaosScenario,
     mode: RecoveryMode,
@@ -186,21 +221,38 @@ pub fn analyze_runtime(
     partitions_committed: u32,
     dfs: DfsAudit,
 ) -> ScenarioOutcome {
+    let JobReport {
+        succeeded,
+        job_time_ms,
+        failures,
+        map_attempts,
+        reduce_attempts: _, // as in analyze_sim
+        fcm_attempts,
+        // Record counts, not commit durability: the map cannot see a
+        // committed file whose blocks were lost afterwards, hence the
+        // caller-supplied `partitions_committed`.
+        output_records: _,
+        reduce_timeline: _, // figure-only timeline samples
+        corruption_refetches,
+        degraded_drops,
+        resident_fetch_hits,
+        log_recoveries: _, // consumed through recoveries_bounded()
+    } = report;
     ScenarioOutcome {
         scenario: scenario.name.clone(),
         engine: EngineKind::Runtime,
         mode,
-        succeeded: report.succeeded,
-        duration_secs: report.job_time_ms as f64 / 1000.0,
+        succeeded: *succeeded,
+        duration_secs: *job_time_ms as f64 / 1000.0,
         injected_faults: scenario.injected_failure_faults(profile),
-        total_failures: report.failures.len(),
-        spatial_amplification: spatial_of(report.failures.iter().map(|f| (f.task, f.kind))),
-        temporal_amplification: temporal_of(report.failures.iter().map(|f| f.task)),
-        fcm_attempts: report.fcm_attempts,
-        map_attempts: report.map_attempts,
-        node_loss_failures: report.failures.iter().filter(|f| counts_as_node_loss(f.kind)).count(),
-        corruption_refetches: report.corruption_refetches,
-        degraded_drops: report.degraded_drops,
+        total_failures: failures.len(),
+        spatial_amplification: spatial_of(failures.iter().map(|f| (f.task, f.kind))),
+        temporal_amplification: temporal_of(failures.iter().map(|f| f.task)),
+        fcm_attempts: *fcm_attempts,
+        map_attempts: *map_attempts,
+        node_loss_failures: failures.iter().filter(|f| counts_as_node_loss(f.kind)).count(),
+        corruption_refetches: *corruption_refetches,
+        degraded_drops: *degraded_drops,
         recoveries_bounded: Some(report.recoveries_bounded()),
         output_verified: Some(output_verified),
         partitions_committed: Some(partitions_committed),
@@ -208,7 +260,7 @@ pub fn analyze_runtime(
         dfs_repair_bytes: dfs.repair_bytes,
         dfs_corrupt_replicas: dfs.corrupt_replicas,
         chain_iteration: 0,
-        resident_hits: report.resident_fetch_hits,
+        resident_hits: *resident_fetch_hits,
     }
 }
 

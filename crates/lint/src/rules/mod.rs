@@ -4,9 +4,6 @@
 //! [`Diagnostic`]s. Rules carry their scope/configuration as data so the
 //! fixture tests can re-point them at a corpus instead of the real tree.
 
-mod config_coverage;
-mod counter_parity;
-mod fault_vocab;
 mod golden_emission;
 mod lock_order;
 mod randomness;
@@ -14,9 +11,6 @@ mod rng_collision;
 mod unordered_iter;
 mod wall_clock;
 
-pub use config_coverage::ConfigCoverage;
-pub use counter_parity::CounterParity;
-pub use fault_vocab::{EnumCoverage, FaultVocab};
 pub use golden_emission::GoldenEmission;
 pub use lock_order::LockOrder;
 pub use randomness::Randomness;
@@ -44,21 +38,7 @@ pub fn default_rules() -> Vec<Box<dyn Rule>> {
         Box::new(UnorderedIter::default()),
         Box::new(WallClock::default()),
         Box::new(Randomness),
-        Box::new(FaultVocab::default()),
-        Box::new(ConfigCoverage::default()),
-        Box::new(ConfigCoverage::of(
-            "crates/sched/src/config.rs",
-            "SchedConfig",
-            &["validate", "scaled_for_tests"],
-        )),
-        Box::new(ConfigCoverage::of("crates/sched/src/config.rs", "TenantSpec", &["validate"])),
-        Box::new(ConfigCoverage::of(
-            "crates/types/src/config.rs",
-            "MemConfig",
-            &["validate", "scaled_for_tests"],
-        )),
         Box::new(LockOrder::default()),
-        Box::new(CounterParity::default()),
         Box::new(GoldenEmission::default()),
         Box::new(RngCollision),
     ]

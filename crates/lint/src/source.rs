@@ -63,11 +63,6 @@ impl SourceFile {
     pub fn allowed_in(&self, rule: &str, first: usize, last: usize) -> bool {
         (first..=last).any(|l| self.allowed(rule, l))
     }
-
-    /// Stripped line by 1-based number.
-    pub fn line(&self, line: usize) -> &str {
-        &self.code[line - 1]
-    }
 }
 
 // ---------------- literal/comment stripping ----------------

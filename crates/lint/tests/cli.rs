@@ -27,7 +27,7 @@ fn seeded_fixture_fails_check_with_every_rule_firing() {
     let out = lint(&fixture_root(), &["--check"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(!out.status.success(), "seeded violations must fail --check:\n{stdout}");
-    for code in ["D1", "D2", "D3", "V1", "C1", "L1", "A0", "P1", "G1", "R1"] {
+    for code in ["D1", "D2", "D3", "L1", "A0", "G1", "R1"] {
         assert!(stdout.contains(code), "code {code} missing from report:\n{stdout}");
     }
     // Each seed lands where it was planted.
@@ -35,17 +35,12 @@ fn seeded_fixture_fails_check_with_every_rule_firing() {
         "crates/sim/src/engine.rs",
         "crates/des/src/clock.rs",
         "crates/core/src/rng.rs",
-        "crates/types/src/failure.rs",
-        "crates/types/src/config.rs",
         "crates/runtime/src/am.rs",
-        "crates/sim/src/trace.rs",
         "crates/chaos/src/campaign.rs",
         "crates/sched/src/campaign.rs",
     ] {
         assert!(stdout.contains(site), "site {site} missing from report:\n{stdout}");
     }
-    // The cross-engine parity seed: a SimReport-only counter nobody reads.
-    assert!(stdout.contains("phantom_completions"), "seeded parity gap missing:\n{stdout}");
     // The golden-gate seed fires on the unguarded novel key, not on the
     // baseline keys and not on the guarded one.
     assert!(stdout.contains("stall_ratio"), "seeded emission gap missing:\n{stdout}");
@@ -53,19 +48,6 @@ fn seeded_fixture_fails_check_with_every_rule_firing() {
     // The RNG seeds: a label-shape collision and a loop-invariant label.
     assert!(stdout.contains("warehouse-jitter"), "seeded stream collision missing:\n{stdout}");
     assert!(stdout.contains("loop variable `t`"), "seeded loop-label gap missing:\n{stdout}");
-    // The gray-direction coverage fires precisely on the variant the
-    // seeded sampler omits, not on the ones it names.
-    assert!(stdout.contains("LinkDirection::BToA"), "seeded direction gap missing:\n{stdout}");
-    assert!(!stdout.contains("LinkDirection::AToB"), "named variants must not fire:\n{stdout}");
-    // The chain-mode coverage fires on the durable variant the seeded sim
-    // chain engine omits — and only there: the fixture runtime engine
-    // names both, and the replay variant is named by both groups.
-    assert!(stdout.contains("MemMode::AlgFcm"), "seeded chain-mode gap missing:\n{stdout}");
-    assert!(stdout.contains("sim chain engine"), "gap must point at the sim group:\n{stdout}");
-    assert!(!stdout.contains("MemMode::LineageReplay"), "named variants must not fire:\n{stdout}");
-    assert!(!stdout.contains("runtime chain engine"), "covered groups must not fire:\n{stdout}");
-    // The MemConfig coverage fires on the field scaled_for_tests() omits.
-    assert!(stdout.contains("mem_max_chain_iterations"), "seeded MemConfig gap missing:\n{stdout}");
 }
 
 #[test]
@@ -97,24 +79,30 @@ fn real_workspace_passes_check() {
 }
 
 #[test]
-fn list_rules_names_all_nine() {
+fn list_rules_names_exactly_the_six_coded_rules() {
     let out =
         Command::new(env!("CARGO_BIN_EXE_alm-lint")).arg("--list-rules").output().expect("run alm-lint");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success());
-    for id in [
-        "unordered-iter",
-        "wall-clock",
-        "rng-stream",
-        "fault-vocab",
-        "config-coverage",
-        "lock-order",
-        "counter-parity",
-        "golden-emission",
-        "rng-collision",
-    ] {
-        assert!(stdout.contains(id), "rule {id} missing:\n{stdout}");
-    }
+    let listed: Vec<(&str, &str)> = stdout
+        .lines()
+        .map(|l| {
+            let mut cols = l.split_whitespace();
+            (cols.next().unwrap_or(""), cols.next().unwrap_or(""))
+        })
+        .collect();
+    assert_eq!(
+        listed,
+        [
+            ("D1", "unordered-iter"),
+            ("D2", "wall-clock"),
+            ("D3", "rng-stream"),
+            ("L1", "lock-order"),
+            ("G1", "golden-emission"),
+            ("R1", "rng-collision"),
+        ],
+        "{stdout}"
+    );
 }
 
 #[test]

@@ -1,6 +1,5 @@
 //! Fixture: runtime engine. `requeue()` and `drain()` take the two locks in
-//! opposite orders — the seeded L1 cycle. Also names the runtime-side fault
-//! vocabulary for V1.
+//! opposite orders — the seeded L1 cycle.
 
 use parking_lot::Mutex;
 
@@ -21,14 +20,4 @@ impl Am {
         let st = self.state.lock();
         *st + q.len() as u64
     }
-}
-
-pub fn inject(f: Fault) {
-    match f {
-        Fault::CrashNode => {}
-    }
-}
-
-pub fn record(k: FailureKind) -> bool {
-    matches!(k, FailureKind::NodeCrash | FailureKind::TaskOom)
 }

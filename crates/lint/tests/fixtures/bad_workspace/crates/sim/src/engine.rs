@@ -12,14 +12,3 @@ impl Engine {
         self.atts.keys().copied().collect()
     }
 }
-
-pub fn classify(kind: FailureKind) -> u32 {
-    match kind {
-        FailureKind::NodeCrash => 0,
-        FailureKind::TaskOom => 1,
-    }
-}
-
-pub fn lowered() -> SimFault {
-    SimFault::Crash
-}

@@ -3,10 +3,7 @@
 //! library API on in-memory workspaces so the behavior is pinned at the
 //! precision of a single line.
 
-use alm_lint::rules::{
-    ConfigCoverage, CounterParity, EnumCoverage, FaultVocab, GoldenEmission, LockOrder, Randomness,
-    RngCollision, Rule, UnorderedIter, WallClock,
-};
+use alm_lint::rules::{GoldenEmission, LockOrder, Randomness, RngCollision, Rule, UnorderedIter, WallClock};
 use alm_lint::{Linter, Workspace};
 
 fn run(rule: Box<dyn Rule>, sources: &[(&str, &str)]) -> Vec<alm_lint::Diagnostic> {
@@ -164,123 +161,6 @@ fn d3_string_and_comment_mentions_are_not_findings() {
     let src = "// thread_rng is banned here\nfn f() -> &'static str {\n    \"use thread_rng\"\n}\n";
     let diags = run(Box::new(Randomness), &[("crates/core/src/a.rs", src)]);
     assert!(diags.is_empty(), "{diags:?}");
-}
-
-// ---------------- V1 fault-vocab ----------------
-
-fn v1_rule() -> Box<FaultVocab> {
-    Box::new(FaultVocab {
-        enums: vec![EnumCoverage {
-            enum_name: "Fault",
-            decl_file: "crates/types/src/failure.rs",
-            groups: vec![("engine", vec!["crates/sim/src/engine.rs"])],
-        }],
-    })
-}
-
-const V1_DECL: &str = "pub enum Fault {\n    Alpha,\n    Beta,\n}\n";
-
-#[test]
-fn v1_flags_variant_missing_from_group() {
-    let engine =
-        "fn lower(f: Fault) {\n    match f {\n        Fault::Alpha => {}\n        _ => {}\n    }\n}\n";
-    let diags =
-        run(v1_rule(), &[("crates/types/src/failure.rs", V1_DECL), ("crates/sim/src/engine.rs", engine)]);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].code, "V1");
-    assert!(diags[0].message.contains("Fault::Beta"));
-    assert_eq!(diags[0].line, 3, "reported at the variant declaration");
-}
-
-#[test]
-fn v1_prefix_of_longer_variant_does_not_count() {
-    // `Fault::AlphaExtra` must not satisfy `Fault::Alpha`.
-    let engine = "fn f() {\n    let _ = Fault::AlphaExtra;\n    let _ = Fault::Beta;\n}\n";
-    let diags =
-        run(v1_rule(), &[("crates/types/src/failure.rs", V1_DECL), ("crates/sim/src/engine.rs", engine)]);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert!(diags[0].message.contains("Fault::Alpha"));
-}
-
-#[test]
-fn v1_test_only_mentions_do_not_count() {
-    let engine = "fn f() {\n    let _ = Fault::Alpha;\n}\n\
-                  #[cfg(test)]\nmod tests {\n    fn g() {\n        let _ = Fault::Beta;\n    }\n}\n";
-    let diags =
-        run(v1_rule(), &[("crates/types/src/failure.rs", V1_DECL), ("crates/sim/src/engine.rs", engine)]);
-    assert_eq!(diags.len(), 1, "a variant only tests touch is still unhandled: {diags:?}");
-}
-
-#[test]
-fn v1_allow_at_variant_declaration_exempts() {
-    let decl = "pub enum Fault {\n    Alpha,\n    \
-                Beta, // alm-lint: allow(fault-vocab) — sim cannot express this\n}\n";
-    let engine = "fn f() {\n    let _ = Fault::Alpha;\n}\n";
-    let diags =
-        run(v1_rule(), &[("crates/types/src/failure.rs", decl), ("crates/sim/src/engine.rs", engine)]);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn v1_missing_anchor_file_is_itself_a_finding() {
-    // A rename must not silently disable the rule.
-    let diags = run(v1_rule(), &[("crates/sim/src/engine.rs", "fn f() {}\n")]);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert!(diags[0].message.contains("not found"));
-}
-
-// ---------------- C1 config-coverage ----------------
-
-fn c1_rule() -> Box<ConfigCoverage> {
-    Box::new(ConfigCoverage {
-        decl_file: "crates/types/src/config.rs".to_string(),
-        struct_name: "Cfg".to_string(),
-        fns: vec!["validate".to_string(), "scaled_for_tests".to_string()],
-    })
-}
-
-#[test]
-fn c1_flags_field_unnamed_in_one_fn() {
-    let src = "pub struct Cfg {\n    pub heap: u64,\n    pub delay_ms: u64,\n}\n\
-               impl Cfg {\n    pub fn validate(&self) {\n        \
-               assert!(self.heap > 0);\n        assert!(self.delay_ms > 0);\n    }\n    \
-               pub fn scaled_for_tests() -> Cfg {\n        \
-               Cfg { heap: 1, ..Default::default() }\n    }\n}\n";
-    let diags = run(c1_rule(), &[("crates/types/src/config.rs", src)]);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].code, "C1");
-    assert!(diags[0].message.contains("delay_ms"));
-    assert!(diags[0].message.contains("scaled_for_tests"));
-}
-
-#[test]
-fn c1_full_coverage_is_clean() {
-    let src = "pub struct Cfg {\n    pub heap: u64,\n    pub delay_ms: u64,\n}\n\
-               impl Cfg {\n    pub fn validate(&self) {\n        \
-               assert!(self.heap > 0);\n        assert!(self.delay_ms > 0);\n    }\n    \
-               pub fn scaled_for_tests() -> Cfg {\n        \
-               Cfg { heap: 1, delay_ms: 5 }\n    }\n}\n";
-    let diags = run(c1_rule(), &[("crates/types/src/config.rs", src)]);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn c1_allow_at_field_declaration_exempts() {
-    let src = "pub struct Cfg {\n    pub heap: u64,\n    \
-               pub label: String, // alm-lint: allow(config-coverage) — cosmetic, no behavior\n}\n\
-               impl Cfg {\n    pub fn validate(&self) {\n        assert!(self.heap > 0);\n    }\n    \
-               pub fn scaled_for_tests() -> Cfg {\n        Cfg { heap: 1, ..Default::default() }\n    }\n}\n";
-    let diags = run(c1_rule(), &[("crates/types/src/config.rs", src)]);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn c1_missing_fn_is_itself_a_finding() {
-    let src = "pub struct Cfg {\n    pub heap: u64,\n}\n\
-               impl Cfg {\n    pub fn validate(&self) {\n        assert!(self.heap > 0);\n    }\n}\n";
-    let diags = run(c1_rule(), &[("crates/types/src/config.rs", src)]);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert!(diags[0].message.contains("scaled_for_tests"));
 }
 
 // ---------------- L1 lock-order ----------------
@@ -445,83 +325,6 @@ fn l1_multiple_drops_on_one_line_all_release() {
     let diags = run(l1_rule(), &[("crates/runtime/src/a.rs", &src)]);
     assert!(!diags.is_empty(), "{diags:?}");
     assert!(diags.iter().all(|d| !d.message.contains("a -> a") && !d.message.contains("b -> b")));
-}
-
-// ---------------- P1 counter-parity ----------------
-
-fn p1_rule() -> Box<CounterParity> {
-    Box::new(CounterParity::default())
-}
-
-const P1_LEFT: &str = "pub struct JobReport {\n    pub succeeded: bool,\n    pub job_time_ms: u64,\n    pub map_attempts: u32,\n}\n";
-const P1_RIGHT: &str = "pub struct SimReport {\n    pub succeeded: bool,\n    pub job_secs: f64,\n    pub map_attempts: u32,\n}\n";
-const P1_CONSUMER: &str =
-    "pub fn compare(r: &JobReport, s: &SimReport) -> bool {\n    r.map_attempts == s.map_attempts && r.job_time_ms > 0\n}\n";
-
-fn p1_ws(left: &str, right: &str, consumer: &str) -> Vec<alm_lint::Diagnostic> {
-    run(
-        p1_rule(),
-        &[
-            ("crates/runtime/src/report.rs", left),
-            ("crates/sim/src/trace.rs", right),
-            ("crates/chaos/src/analyze.rs", consumer),
-        ],
-    )
-}
-
-#[test]
-fn p1_mirrored_consumed_and_aliased_counters_are_clean() {
-    let diags = p1_ws(P1_LEFT, P1_RIGHT, P1_CONSUMER);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn p1_flags_one_sided_counter() {
-    let right = P1_RIGHT.replace("}\n", "    pub phantom_completions: u32,\n}\n");
-    let diags = p1_ws(P1_LEFT, &right, P1_CONSUMER);
-    assert_eq!(diags.len(), 2, "no counterpart AND no validator read: {diags:?}");
-    assert!(diags.iter().all(|d| d.code == "P1"));
-    assert!(diags.iter().any(|d| d.message.contains("no counterpart")));
-    assert!(diags.iter().any(|d| d.message.contains("never read")));
-    assert!(diags.iter().all(|d| d.message.contains("phantom_completions")));
-}
-
-#[test]
-fn p1_flags_unconsumed_counter_present_on_both_sides() {
-    let left = P1_LEFT.replace("}\n", "    pub stalls: u32,\n}\n");
-    let right = P1_RIGHT.replace("}\n", "    pub stalls: u32,\n}\n");
-    let diags = p1_ws(&left, &right, P1_CONSUMER);
-    // Mirrored but never read: both declarations are flagged.
-    assert_eq!(diags.len(), 2, "{diags:?}");
-    assert!(diags.iter().all(|d| d.message.contains("never read")));
-}
-
-#[test]
-fn p1_consumer_reads_in_test_code_do_not_count() {
-    let right = P1_RIGHT.replace("}\n", "    pub stalls: u32,\n}\n");
-    let left = P1_LEFT.replace("}\n", "    pub stalls: u32,\n}\n");
-    let consumer = format!(
-        "{P1_CONSUMER}#[cfg(test)]\nmod tests {{\n    fn t(s: &SimReport) {{\n        let _ = s.stalls;\n    }}\n}}\n"
-    );
-    let diags = p1_ws(&left, &right, &consumer);
-    assert_eq!(diags.len(), 2, "a test-only read is not validation: {diags:?}");
-}
-
-#[test]
-fn p1_allow_at_declaration_exempts_both_checks() {
-    let right = P1_RIGHT.replace(
-        "}\n",
-        "    // alm-lint: allow(counter-parity) — DES-only diagnostic, nothing to mirror\n    pub phantom_completions: u32,\n}\n",
-    );
-    let diags = p1_ws(P1_LEFT, &right, P1_CONSUMER);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn p1_missing_anchor_files_are_findings() {
-    let diags = run(p1_rule(), &[("crates/chaos/src/analyze.rs", P1_CONSUMER)]);
-    assert_eq!(diags.len(), 2, "both report files missing: {diags:?}");
-    assert!(diags.iter().all(|d| d.message.contains("not found")));
 }
 
 // ---------------- G1 golden-emission ----------------

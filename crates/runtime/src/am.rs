@@ -251,17 +251,7 @@ impl JobRunner {
     }
 
     fn record_failure(&mut self, attempt: AttemptId, kind: FailureKind) {
-        // Transient kinds must be absorbed before reaching the report: slow
-        // nodes keep heartbeating, partitioned fetches park, corrupt chunks
-        // re-fetch against their checksum. A transient recorded here would
-        // skew every amplification count the campaigns compare.
-        debug_assert!(
-            !matches!(
-                kind,
-                FailureKind::SlowNode | FailureKind::NetworkPartition | FailureKind::DataCorruption
-            ),
-            "transient kind {kind:?} must not be recorded as an attempt failure"
-        );
+        debug_assert!(!kind.is_transient(), "transient kind {kind:?} recorded as an attempt failure");
         self.report.failures.push(FailureEvent {
             at_ms: self.now_ms(),
             task: attempt.task,

@@ -30,7 +30,6 @@ pub struct JobReport {
     pub failures: Vec<FailureEvent>,
     /// Total map / reduce attempts launched (first attempts included).
     pub map_attempts: u32,
-    // alm-lint: allow(counter-parity) — reduce recovery is validated through fcm_attempts and the per-failure list, not raw attempt totals
     pub reduce_attempts: u32,
     /// Attempts launched in FCM mode.
     pub fcm_attempts: u32,
@@ -38,9 +37,6 @@ pub struct JobReport {
     pub output_records: BTreeMap<u32, u64>,
     /// Reduce-phase progress samples per reduce index: `(ms, progress)`.
     pub reduce_timeline: BTreeMap<u32, Vec<(u64, f64)>>,
-    /// Analytics-log records written during the job (ALG activity).
-    // alm-lint: allow(counter-parity) — the sim's ALG unit is snapshots taken (alg_snapshots); records vs snapshots are incommensurable, each engine asserts its own
-    pub alg_records: u64,
     /// Checksum-mismatch fetches reported by reducers. Each one triggered
     /// a map regeneration + transparent re-fetch — never a fetch-failure
     /// report, never a `FetchFailureLimit` preemption.
@@ -57,32 +53,6 @@ pub struct JobReport {
 }
 
 impl JobReport {
-    /// Failures beyond the first `injected` ones — the paper's
-    /// "additional failures" column in Table II (amplification).
-    pub fn additional_failures(&self, injected: usize) -> usize {
-        self.failures.len().saturating_sub(injected)
-    }
-
-    /// Failures of *reduce* tasks other than those in `injected_tasks` —
-    /// spatial amplification victims.
-    pub fn infected_reduces(&self, injected_tasks: &[TaskId]) -> usize {
-        let mut victims: Vec<TaskId> = self
-            .failures
-            .iter()
-            .filter(|f| f.task.is_reduce() && !injected_tasks.contains(&f.task))
-            .map(|f| f.task)
-            .collect();
-        victims.sort_unstable();
-        victims.dedup();
-        victims.len()
-    }
-
-    /// Count of failures of the *same* reduce task after its first failure
-    /// — temporal amplification (repeated failed recoveries).
-    pub fn repeated_failures_of(&self, task: TaskId) -> usize {
-        self.failures.iter().filter(|f| f.task == task).count().saturating_sub(1)
-    }
-
     pub fn total_output_records(&self) -> u64 {
         self.output_records.values().sum()
     }
@@ -108,24 +78,6 @@ mod tests {
 
     fn fe(ms: u64, task: TaskId) -> FailureEvent {
         FailureEvent { at_ms: ms, task, attempt_number: 0, kind: FailureKind::NodeCrash }
-    }
-
-    #[test]
-    fn amplification_helpers() {
-        let j = JobId(0);
-        let r0 = TaskId::reduce(j, 0);
-        let r1 = TaskId::reduce(j, 1);
-        let r2 = TaskId::reduce(j, 2);
-        let report = JobReport {
-            failures: vec![fe(10, r0), fe(20, r1), fe(30, r1), fe(40, r2)],
-            ..JobReport::default()
-        };
-        assert_eq!(report.additional_failures(1), 3);
-        // r0 was the injected victim; r1 and r2 are infected.
-        assert_eq!(report.infected_reduces(&[r0]), 2);
-        assert_eq!(report.repeated_failures_of(r1), 1);
-        assert_eq!(report.repeated_failures_of(r0), 0);
-        assert_eq!(report.repeated_failures_of(TaskId::reduce(j, 9)), 0);
     }
 
     #[test]

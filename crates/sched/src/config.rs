@@ -2,10 +2,10 @@
 //!
 //! Like `YarnConfig`, these structs are an *experiment surface*: every
 //! field shifts which tenant wins a slot, and therefore how failure
-//! amplification spreads across tenants. The C1 `config-coverage` lint
-//! holds both structs to the same discipline as `YarnConfig`: every field
-//! must be named in `validate()` (and, for [`SchedConfig`], pinned
-//! explicitly in `scaled_for_tests()`).
+//! amplification spreads across tenants. Both structs follow the same
+//! discipline as `YarnConfig`, enforced by the compiler: `validate()`
+//! destructures `Self` with no `..`, and [`SchedConfig::scaled_for_tests`]
+//! is a full struct literal, so a new field breaks the build at both.
 
 use serde::{Deserialize, Serialize};
 
@@ -34,7 +34,7 @@ impl SchedPolicyKind {
     }
 }
 
-/// Scheduler knobs, validated and test-scaled under the C1 lint.
+/// Scheduler knobs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SchedConfig {
     pub policy: SchedPolicyKind,
@@ -71,8 +71,7 @@ impl SchedConfig {
 
     /// Test-scale configuration. Every field is pinned explicitly — no
     /// `..Default::default()` — so a drifting default cannot silently
-    /// change what the determinism tests and golden reports measure
-    /// (C1 `config-coverage`).
+    /// change what the determinism tests and golden reports measure.
     pub fn scaled_for_tests(policy: SchedPolicyKind) -> SchedConfig {
         SchedConfig {
             policy,
@@ -83,24 +82,28 @@ impl SchedConfig {
         }
     }
 
-    /// Every field checked, by name (C1 `config-coverage`).
+    /// Every field checked: the destructuring carries no `..`.
     pub fn validate(&self) -> Result<(), String> {
-        match self.policy {
+        let Self {
+            policy,
+            max_concurrent_jobs_per_tenant,
+            dispatch_quantum_ms,
+            capacity_spillover_pct,
+            fair_burst_slots,
+        } = *self;
+        match policy {
             SchedPolicyKind::Fifo | SchedPolicyKind::Capacity | SchedPolicyKind::Fair => {}
         }
-        if self.max_concurrent_jobs_per_tenant == 0 {
+        if max_concurrent_jobs_per_tenant == 0 {
             return Err("max_concurrent_jobs_per_tenant must be >= 1".into());
         }
-        if self.dispatch_quantum_ms == 0 {
+        if dispatch_quantum_ms == 0 {
             return Err("dispatch_quantum_ms must be >= 1".into());
         }
-        if self.capacity_spillover_pct > 100 {
-            return Err(format!(
-                "capacity_spillover_pct must be <= 100, got {}",
-                self.capacity_spillover_pct
-            ));
+        if capacity_spillover_pct > 100 {
+            return Err(format!("capacity_spillover_pct must be <= 100, got {capacity_spillover_pct}"));
         }
-        if self.fair_burst_slots == 0 {
+        if fair_burst_slots == 0 {
             return Err("fair_burst_slots must be >= 1".into());
         }
         Ok(())
@@ -123,16 +126,17 @@ impl TenantSpec {
         TenantSpec { name: name.into(), weight, guaranteed_share_pct }
     }
 
-    /// Every field checked, by name (C1 `config-coverage`).
+    /// Every field checked: the destructuring carries no `..`.
     pub fn validate(&self) -> Result<(), String> {
-        if self.name.is_empty() {
+        let Self { name, weight, guaranteed_share_pct } = self;
+        if name.is_empty() {
             return Err("tenant name must be non-empty".into());
         }
-        if self.weight == 0 {
-            return Err(format!("tenant {} weight must be >= 1", self.name));
+        if *weight == 0 {
+            return Err(format!("tenant {name} weight must be >= 1"));
         }
-        if self.guaranteed_share_pct > 100 {
-            return Err(format!("tenant {} guaranteed_share_pct must be <= 100", self.name));
+        if *guaranteed_share_pct > 100 {
+            return Err(format!("tenant {name} guaranteed_share_pct must be <= 100"));
         }
         Ok(())
     }

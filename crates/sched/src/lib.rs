@@ -10,8 +10,8 @@
 //!
 //! Layers:
 //!
-//! * [`config`] — [`SchedConfig`] / [`TenantSpec`], validated under the
-//!   same C1 config-coverage lint as `YarnConfig`.
+//! * [`config`] — [`SchedConfig`] / [`TenantSpec`], validated with the
+//!   same rest-free destructuring discipline as `YarnConfig`.
 //! * [`policy`] — the [`SchedPolicy`] trait and its three implementations:
 //!   global [`FifoPolicy`], guaranteed-share [`CapacityPolicy`], weighted
 //!   max-min [`FairPolicy`].

@@ -1371,17 +1371,7 @@ impl Simulation {
     }
 
     fn fail_attempt(&mut self, attempt: AttemptId, kind: FailureKind) {
-        // Transient kinds are absorbed before they can fail an attempt:
-        // slow nodes keep heartbeating, partitioned fetches park, corrupt
-        // chunks re-fetch against their checksum. Recording one here would
-        // corrupt every downstream amplification count.
-        debug_assert!(
-            !matches!(
-                kind,
-                FailureKind::SlowNode | FailureKind::NetworkPartition | FailureKind::DataCorruption
-            ),
-            "transient kind {kind:?} must not be recorded as an attempt failure"
-        );
+        debug_assert!(!kind.is_transient(), "transient kind {kind:?} recorded as an attempt failure");
         let node = if attempt.task.is_reduce() {
             self.red_atts.get(&attempt).map(|a| a.node)
         } else {

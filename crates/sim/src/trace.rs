@@ -23,7 +23,6 @@ pub struct SimReport {
     pub map_phase_secs: f64,
     pub failures: Vec<SimFailure>,
     pub map_attempts: u32,
-    // alm-lint: allow(counter-parity) — reduce recovery is validated through fcm_attempts and the per-failure list, not raw attempt totals
     pub reduce_attempts: u32,
     pub fcm_attempts: u32,
     /// Per reduce index: `(secs, overall progress)` samples.
@@ -32,7 +31,6 @@ pub struct SimReport {
     /// lets experiments target "the node hosting reducer r" for crashes.
     pub reduce_nodes: BTreeMap<u32, Vec<u32>>,
     /// Analytics-log snapshots taken.
-    // alm-lint: allow(counter-parity) — the runtime's ALG unit is records written (alg_records); snapshots vs records are incommensurable, each engine asserts its own
     pub alg_snapshots: u64,
     /// Fetched chunks that failed arrival checksum validation and were
     /// transparently re-fetched after MOF regeneration (never charged to
@@ -43,30 +41,23 @@ pub struct SimReport {
     pub degraded_drops: u32,
     /// ALG snapshots lost to record rot (recovery truncated at the bad
     /// record and fell back one logging interval).
-    // alm-lint: allow(counter-parity) — the runtime reports truncation forensics structurally (log_recoveries → recoveries_bounded()), not as a scalar
     pub log_truncations: u32,
     /// Bytes moved across rack uplinks (replication / cross-rack shuffle).
-    // alm-lint: allow(counter-parity) — the threaded runtime has no rack/uplink topology model to mirror this against
     pub uplink_bytes: u64,
     /// Rotten committed-output replicas a verified DFS read skipped over
     /// (each also queued the block for re-replication).
-    // alm-lint: allow(counter-parity) — the runtime counterpart is DfsAudit.read_failovers, collected by the campaign harness from SimDfs, not by JobReport
     pub dfs_read_failovers: u32,
     /// Payload bytes the DFS repair pipeline copied to restore the
     /// replication level (the Fig. 13 replica-management axis).
-    // alm-lint: allow(counter-parity) — the runtime counterpart is DfsAudit.repair_bytes, collected by the campaign harness from SimDfs, not by JobReport
     pub dfs_repair_bytes: u64,
     /// Corrupt committed-output replicas still un-repaired at end of run.
-    // alm-lint: allow(counter-parity) — the runtime counterpart is DfsAudit.corrupt_replicas, collected by the campaign harness from SimDfs, not by JobReport
     pub dfs_corrupt_replicas: u32,
     /// Shuffle fetches served from the resident in-memory MOF cache — the
     /// Stage-1 disk read is skipped entirely (chain-layer memory mode).
     pub resident_fetch_hits: u64,
     /// Resident MOF copies wiped by node crashes (RAM does not survive).
-    // alm-lint: allow(counter-parity) — the runtime tracks invalidations in the chain layer's ResidentStore stats, outside JobReport
     pub resident_invalidations: u32,
     /// Events processed (diagnostic).
-    // alm-lint: allow(counter-parity) — DES bookkeeping; the threaded runtime has no event loop to count
     pub events: u64,
 }
 
@@ -83,11 +74,6 @@ impl SimReport {
         v.sort_unstable();
         v.dedup();
         v.len()
-    }
-
-    /// Total failures beyond the first `injected` (Table II column).
-    pub fn additional_failures(&self, injected: usize) -> usize {
-        self.failures.len().saturating_sub(injected)
     }
 
     /// Repeated failures of one task after its first (temporal
@@ -140,7 +126,6 @@ mod tests {
             ..SimReport::default()
         };
         assert_eq!(rep.infected_reduces(&[r0]), 1);
-        assert_eq!(rep.additional_failures(1), 2);
         assert_eq!(rep.repeated_failures_of(r0), 1);
     }
 

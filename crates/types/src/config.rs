@@ -173,8 +173,8 @@ impl YarnConfig {
     /// Every field is pinned explicitly (no `..Default::default()`): the
     /// checked-in golden campaign reports were produced under these exact
     /// values, so a later change to a Table I default must not silently
-    /// leak into the test-scale profile. The C1 config-coverage lint
-    /// enforces this.
+    /// leak into the test-scale profile. A full struct literal makes the
+    /// compiler enforce this (E0063 on a new field).
     pub fn scaled_for_tests() -> Self {
         YarnConfig {
             map_heap_bytes: 4 * MB,
@@ -201,58 +201,83 @@ impl YarnConfig {
     }
 
     /// Basic sanity checks; returns a description of the first violation.
+    ///
+    /// The destructuring carries no `..`: a new field fails the build here
+    /// until `validate()` decides what to check about it.
     pub fn validate(&self) -> Result<(), String> {
-        if self.map_heap_bytes == 0 || self.reduce_heap_bytes == 0 {
+        let Self {
+            map_heap_bytes,
+            reduce_heap_bytes,
+            io_sort_factor,
+            dfs_replication,
+            dfs_block_size,
+            dfs_verify_on_read,
+            dfs_repair_concurrency,
+            io_file_buffer_size,
+            vmem_pmem_ratio,
+            min_allocation_bytes,
+            max_allocation_bytes,
+            heartbeat_interval_ms,
+            node_liveness_timeout_ms,
+            fetch_retries_per_source,
+            fetch_retry_delay_ms,
+            shuffle_wait_cap_ms,
+            reducer_fetch_failure_fraction,
+            max_task_attempts,
+            shuffle_buffer_fraction,
+            merge_spill_fraction,
+        } = *self;
+        if map_heap_bytes == 0 || reduce_heap_bytes == 0 {
             return Err("task heaps must be nonzero".into());
         }
-        if self.io_sort_factor < 2 {
+        if io_sort_factor < 2 {
             return Err("io.sort.factor must be >= 2".into());
         }
-        if self.dfs_replication == 0 {
+        if dfs_replication == 0 {
             return Err("dfs.replication must be >= 1".into());
         }
-        if self.dfs_block_size == 0 {
+        if dfs_block_size == 0 {
             return Err("dfs.block.size must be nonzero".into());
         }
-        if self.dfs_verify_on_read && self.dfs_repair_concurrency == 0 {
+        if dfs_verify_on_read && dfs_repair_concurrency == 0 {
             return Err(
                 "verify-on-read detects rot but a zero dfs repair concurrency can never heal it".into()
             );
         }
-        if self.io_file_buffer_size == 0 {
+        if io_file_buffer_size == 0 {
             return Err("io.file.buffer.size must be nonzero".into());
         }
-        if self.vmem_pmem_ratio < 1.0 {
+        if vmem_pmem_ratio < 1.0 {
             return Err("vmem-pmem ratio must be >= 1".into());
         }
-        if self.heartbeat_interval_ms == 0 {
+        if heartbeat_interval_ms == 0 {
             return Err("heartbeat interval must be nonzero".into());
         }
-        if self.fetch_retries_per_source == 0 {
+        if fetch_retries_per_source == 0 {
             return Err("fetch retries per source must be >= 1".into());
         }
-        if self.fetch_retry_delay_ms == 0 {
+        if fetch_retry_delay_ms == 0 {
             return Err("a zero fetch retry delay is a hot retry loop".into());
         }
-        if self.max_task_attempts == 0 {
+        if max_task_attempts == 0 {
             return Err("max task attempts must be >= 1".into());
         }
-        if !(0.0..=1.0).contains(&self.shuffle_buffer_fraction) {
+        if !(0.0..=1.0).contains(&shuffle_buffer_fraction) {
             return Err("shuffle_buffer_fraction must be in [0,1]".into());
         }
-        if !(0.0..=1.0).contains(&self.merge_spill_fraction) {
+        if !(0.0..=1.0).contains(&merge_spill_fraction) {
             return Err("merge_spill_fraction must be in [0,1]".into());
         }
-        if !(0.0..=1.0).contains(&self.reducer_fetch_failure_fraction) {
+        if !(0.0..=1.0).contains(&reducer_fetch_failure_fraction) {
             return Err("reducer_fetch_failure_fraction must be in [0,1]".into());
         }
-        if self.min_allocation_bytes > self.max_allocation_bytes {
+        if min_allocation_bytes > max_allocation_bytes {
             return Err("minimum allocation exceeds maximum allocation".into());
         }
-        if self.node_liveness_timeout_ms < self.heartbeat_interval_ms {
+        if node_liveness_timeout_ms < heartbeat_interval_ms {
             return Err("node liveness timeout shorter than heartbeat interval".into());
         }
-        if self.shuffle_wait_cap_ms <= self.node_liveness_timeout_ms {
+        if shuffle_wait_cap_ms <= node_liveness_timeout_ms {
             return Err("shuffle wait cap must exceed the node liveness timeout".into());
         }
         Ok(())
@@ -420,14 +445,22 @@ impl MemConfig {
         }
     }
 
+    /// Exhaustive destructuring, as in [`YarnConfig::validate`].
     pub fn validate(&self) -> Result<(), String> {
-        if self.mem_resident_capacity_bytes == 0 {
+        let Self {
+            mem_resident_capacity_bytes,
+            mem_mode,
+            mem_pin_hot_partitions,
+            mem_max_chain_iterations,
+            mem_convergence_epsilon_micro,
+        } = *self;
+        if mem_resident_capacity_bytes == 0 {
             return Err("mem_resident_capacity_bytes must be nonzero".into());
         }
-        if self.mem_max_chain_iterations == 0 {
+        if mem_max_chain_iterations == 0 {
             return Err("mem_max_chain_iterations must be >= 1".into());
         }
-        if self.mem_convergence_epsilon_micro == 0 && self.mem_max_chain_iterations > 1 {
+        if mem_convergence_epsilon_micro == 0 && mem_max_chain_iterations > 1 {
             return Err(
                 "mem_convergence_epsilon_micro must be nonzero (a zero threshold never converges)".into()
             );
@@ -435,10 +468,10 @@ impl MemConfig {
         // Pinning promises the next iteration its inputs stay resident;
         // an over-tight budget would turn that promise into put failures
         // on every partition, so require headroom for at least one frame.
-        if self.mem_pin_hot_partitions && self.mem_resident_capacity_bytes < KB {
+        if mem_pin_hot_partitions && mem_resident_capacity_bytes < KB {
             return Err("mem_pin_hot_partitions needs mem_resident_capacity_bytes >= 1 KB".into());
         }
-        match self.mem_mode {
+        match mem_mode {
             MemMode::LineageReplay | MemMode::AlgFcm => Ok(()),
         }
     }
