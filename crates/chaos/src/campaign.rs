@@ -205,11 +205,6 @@ impl CampaignReport {
         self
     }
 
-    pub fn extend_tenants(&mut self, rows: Vec<TenantImpactRow>) -> &mut Self {
-        self.tenant_rows.extend(rows);
-        self
-    }
-
     fn modes(&self) -> Vec<(EngineKind, RecoveryMode)> {
         let mut keys: Vec<(EngineKind, RecoveryMode)> =
             self.outcomes.iter().map(|o| (o.engine, o.mode)).collect();

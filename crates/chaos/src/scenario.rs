@@ -166,18 +166,6 @@ impl ChaosScenario {
         self.lower(JobId(0), profile).injected_count()
     }
 
-    /// Reduce indices this scenario kills *directly* (by task kill); node
-    /// crashes infect further tasks only through the engines' dynamics.
-    pub fn directly_killed_reduces(&self) -> Vec<u32> {
-        self.faults
-            .iter()
-            .filter_map(|f| match f {
-                ChaosFault::KillReduce { index, .. } => Some(*index),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Lower onto the shared [`FaultPlan`]: bind `job`, expand rack
     /// crashes, rescale scenario seconds via `profile`. Node/rack indices
     /// are clamped into the profile's worker range so randomly sampled
@@ -365,7 +353,6 @@ mod tests {
             .with(ChaosFault::KillMap { index: 1, at_progress: 0.5 })
             .with(ChaosFault::SlowNode { node: 0, at_secs: 0.0, factor: 4.0 });
         assert_eq!(s.injected_failure_faults(&profile()), 2);
-        assert_eq!(s.directly_killed_reduces(), vec![3]);
         let plan = s.lower(JobId(9), &profile());
         assert_eq!(plan.kill_point(TaskId::reduce(JobId(9), 3), 0), Some(0.8));
         assert_eq!(plan.kill_point(TaskId::map(JobId(9), 1), 0), Some(0.5));

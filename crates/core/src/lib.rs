@@ -35,4 +35,3 @@ pub use alg::recovery::{
 };
 pub use sfm::fcm::{collective_merge, spawn_participants, ChannelRun, FcmPipeline, FcmStats, Participant};
 pub use sfm::policy::{schedule_recovery, ExecMode, PolicyCtx, SchedAction};
-pub use sfm::FcmSession;

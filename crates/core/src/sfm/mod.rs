@@ -10,51 +10,3 @@
 
 pub mod fcm;
 pub mod policy;
-
-/// Book-keeping for one node's FCM participation (§IV-A.1): "When the
-/// participant nodes in FCM receive no request from a recovering
-/// ReduceTask after a timeout period, they then dismantle their
-/// Local-MPQs."
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FcmSession {
-    pub created_ms: u64,
-    pub last_request_ms: u64,
-}
-
-impl FcmSession {
-    pub fn new(now_ms: u64) -> FcmSession {
-        FcmSession { created_ms: now_ms, last_request_ms: now_ms }
-    }
-
-    /// Record a request from the recovering ReduceTask.
-    pub fn touch(&mut self, now_ms: u64) {
-        self.last_request_ms = self.last_request_ms.max(now_ms);
-    }
-
-    /// Whether the Local-MPQ should be dismantled.
-    pub fn should_teardown(&self, now_ms: u64, timeout_ms: u64) -> bool {
-        now_ms.saturating_sub(self.last_request_ms) >= timeout_ms
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn teardown_after_idle_timeout() {
-        let mut s = FcmSession::new(1000);
-        assert!(!s.should_teardown(1500, 1000));
-        assert!(s.should_teardown(2000, 1000));
-        s.touch(1800);
-        assert!(!s.should_teardown(2000, 1000));
-        assert!(s.should_teardown(2800, 1000));
-    }
-
-    #[test]
-    fn touch_never_goes_backwards() {
-        let mut s = FcmSession::new(1000);
-        s.touch(500);
-        assert_eq!(s.last_request_ms, 1000);
-    }
-}

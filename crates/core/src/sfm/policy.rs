@@ -34,6 +34,10 @@ pub enum SchedAction {
     LaunchSpeculativeReduce { task: TaskId, mode: ExecMode, avoid: Option<NodeId> },
 }
 
+/// Algorithm 1, line 14: a speculative recovery attempt is spawned only
+/// while the number of running attempts of the task is <= this.
+pub const MAX_RUNNING_FOR_SPECULATION: u32 = 2;
+
 /// Scheduler-side context the policy needs.
 #[derive(Debug, Clone)]
 pub struct PolicyCtx {
@@ -41,8 +45,6 @@ pub struct PolicyCtx {
     pub limit_local: u32,
     /// Line 16: `FCM_cap`.
     pub fcm_cap: usize,
-    /// Line 14: speculation threshold on running attempts (paper: 2).
-    pub max_running_for_speculation: u32,
     /// FCM-mode recovery tasks currently running in the job.
     pub fcm_tasks_running: usize,
     /// Per failed ReduceTask: attempts already made on the source node.
@@ -56,7 +58,6 @@ impl PolicyCtx {
         PolicyCtx {
             limit_local: config.limit_local,
             fcm_cap: config.fcm_cap,
-            max_running_for_speculation: config.max_running_attempts_for_speculation,
             fcm_tasks_running,
             attempts_on_source_node: BTreeMap::new(),
             running_attempts: BTreeMap::new(),
@@ -98,7 +99,7 @@ pub fn schedule_recovery(report: &FailureReport, ctx: &PolicyCtx) -> Vec<SchedAc
 
         // Line 14: spawn a speculative recovery attempt unless enough
         // attempts are already in flight.
-        if running <= ctx.max_running_for_speculation {
+        if running <= MAX_RUNNING_FOR_SPECULATION {
             // Lines 15–20: FCM mode while the job-wide cap allows.
             let mode = if fcm_running <= ctx.fcm_cap {
                 fcm_running += 1;

@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
+use alm_core::sfm::policy::MAX_RUNNING_FOR_SPECULATION;
 use alm_core::{schedule_recovery, ExecMode, PolicyCtx, SchedAction};
 use alm_types::{FailureKind, FailureReport, JobId, NodeId, TaskId};
 
@@ -42,7 +43,6 @@ fn arb_ctx(report: &FailureReport) -> impl Strategy<Value = PolicyCtx> {
             PolicyCtx {
                 limit_local,
                 fcm_cap,
-                max_running_for_speculation: 2,
                 fcm_tasks_running: fcm_running,
                 attempts_on_source_node,
                 running_attempts,
@@ -110,7 +110,7 @@ proptest! {
             let running = ctx.running_attempts[r]
                 + actions.iter().filter(|a| matches!(a, SchedAction::RelaunchReduceOnOrigin { task, .. } if task == r)).count() as u32;
             let has_spec = actions.iter().any(|a| matches!(a, SchedAction::LaunchSpeculativeReduce { task, .. } if task == r));
-            if running > ctx.max_running_for_speculation {
+            if running > MAX_RUNNING_FOR_SPECULATION {
                 prop_assert!(!has_spec, "speculation despite {running} running attempts of {r}");
             } else {
                 prop_assert!(has_spec, "missing speculation for {r} with {running} running attempts");

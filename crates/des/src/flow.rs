@@ -102,10 +102,6 @@ impl FlowPool {
         self.capacity
     }
 
-    pub fn active_flows(&self) -> usize {
-        self.flows.len()
-    }
-
     /// Bytes a flow present since `start` has received, capped at its size.
     fn served(&self, f: &FlowEntry) -> f64 {
         (self.service - f.start).clamp(0.0, f.target - f.start)
@@ -240,7 +236,7 @@ mod tests {
         p.advance_to(t(1000));
         let done = p.drain_completed();
         assert_eq!(done, vec![FlowId(7)]);
-        assert_eq!(p.active_flows(), 0);
+        assert!(p.flows.is_empty());
         assert!(p.next_completion().is_none());
     }
 
@@ -400,7 +396,7 @@ mod tests {
                     prop_assert_eq!(a2, b2);
                 }
             }
-            prop_assert_eq!(fast.active_flows(), naive.flows.len());
+            prop_assert_eq!(fast.flows.len(), naive.flows.len());
         }
     }
 }

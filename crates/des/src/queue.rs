@@ -125,23 +125,6 @@ impl<E> EventQueue<E> {
         payload
     }
 
-    /// Heap entries, live and dead (diagnostic; compaction keeps this
-    /// within 2x of `len()` once past the compaction floor).
-    pub fn heap_len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether a token is still pending.
-    pub fn is_pending(&self, token: EventToken) -> bool {
-        self.payloads.contains_key(&token.0)
-    }
-
-    /// Timestamp of the next live event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skip_cancelled();
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
     /// Pop the next event, advancing virtual time to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.skip_cancelled();
@@ -214,21 +197,10 @@ mod tests {
         let mut q = EventQueue::new();
         let t1 = q.schedule_at(SimTime::from_ms(1), 1);
         q.schedule_at(SimTime::from_ms(2), 2);
-        assert!(q.is_pending(t1));
         assert_eq!(q.cancel(t1), Some(1));
-        assert!(!q.is_pending(t1));
         assert_eq!(q.cancel(t1), None, "double cancel is a no-op");
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop().unwrap().1, 2);
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let t = q.schedule_at(SimTime::from_ms(1), 1);
-        q.schedule_at(SimTime::from_ms(9), 9);
-        q.cancel(t);
-        assert_eq!(q.peek_time(), Some(SimTime::from_ms(9)));
     }
 
     #[test]
@@ -253,9 +225,9 @@ mod tests {
         }
         assert_eq!(q.len(), 10);
         assert!(
-            q.heap_len() <= 2 * q.len() + COMPACT_MIN_DEAD as usize,
+            q.heap.len() <= 2 * q.len() + COMPACT_MIN_DEAD as usize,
             "heap={} live={}",
-            q.heap_len(),
+            q.heap.len(),
             q.len()
         );
         // The survivors still pop, in order.

@@ -81,22 +81,6 @@ impl SimDuration {
     pub fn as_secs_f64(&self) -> f64 {
         self.0 as f64 / 1e9
     }
-
-    /// Time to move `bytes` at `bytes_per_sec`; returns zero-duration for a
-    /// zero-byte transfer and `MAX`-like saturation for zero bandwidth.
-    pub fn for_transfer(bytes: u64, bytes_per_sec: f64) -> SimDuration {
-        if bytes == 0 {
-            return SimDuration::ZERO;
-        }
-        if bytes_per_sec <= 0.0 {
-            return SimDuration(u64::MAX);
-        }
-        SimDuration::from_secs_f64(bytes as f64 / bytes_per_sec)
-    }
-
-    pub fn saturating_mul_f64(&self, k: f64) -> SimDuration {
-        SimDuration(secs_to_nanos(self.as_secs_f64() * k))
-    }
 }
 
 fn secs_to_nanos(s: f64) -> u64 {
@@ -180,16 +164,6 @@ mod tests {
         assert_eq!(t.since(SimTime::from_ms(100)).as_millis(), 50);
         // since() saturates instead of underflowing.
         assert_eq!(SimTime::from_ms(10).since(SimTime::from_ms(99)).as_nanos(), 0);
-    }
-
-    #[test]
-    fn transfer_durations() {
-        // 1 MB at 1 MB/s = 1 s.
-        let d = SimDuration::for_transfer(1_000_000, 1_000_000.0);
-        assert!((d.as_secs_f64() - 1.0).abs() < 1e-9);
-        assert_eq!(SimDuration::for_transfer(0, 1.0), SimDuration::ZERO);
-        // Zero bandwidth never completes (saturated).
-        assert_eq!(SimDuration::for_transfer(1, 0.0).as_nanos(), u64::MAX);
     }
 
     #[test]

@@ -73,21 +73,6 @@ pub struct DfsFileMeta {
     pub replicas: Vec<Vec<NodeId>>,
 }
 
-impl DfsFileMeta {
-    /// Total bytes written across all replicas — the I/O amplification a
-    /// replication level costs (what Fig. 13 measures).
-    pub fn replicated_bytes(&self, block_size: u64) -> u64 {
-        let mut total = 0;
-        let mut remaining = self.len;
-        for reps in &self.replicas {
-            let this_block = remaining.min(block_size);
-            remaining -= this_block;
-            total += this_block * reps.len() as u64;
-        }
-        total
-    }
-}
-
 /// Repair and verified-read counters, for charging replica management to
 /// a scenario's cost ledger.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -386,7 +371,8 @@ impl DfsCluster {
     /// Total payload bytes stored across live, checksum-valid replicas
     /// (capacity accounting). A corrupt replica is repair-pending, not
     /// stored-healthy, so it does not count.
-    pub fn stored_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn stored_bytes(&self) -> u64 {
         let inner = self.inner.lock();
         inner
             .blocks
@@ -512,7 +498,8 @@ impl DfsCluster {
 
     /// Live, checksum-valid replica count of every block of `path`, in
     /// block order — what "replication restored" means concretely.
-    pub fn healthy_replica_counts(&self, path: &str) -> Option<Vec<usize>> {
+    #[cfg(test)]
+    fn healthy_replica_counts(&self, path: &str) -> Option<Vec<usize>> {
         let inner = self.inner.lock();
         let file = inner.files.get(path)?;
         Some(
@@ -623,9 +610,8 @@ mod tests {
     #[test]
     fn replicated_bytes_accounting() {
         let d = dfs(6, 2, 10);
-        let meta = d.write("/f", Bytes::from(vec![0u8; 25]), NodeId(0), ReplicationLevel::Rack).unwrap();
+        d.write("/f", Bytes::from(vec![0u8; 25]), NodeId(0), ReplicationLevel::Rack).unwrap();
         // 3 blocks (10+10+5), 2 replicas each.
-        assert_eq!(meta.replicated_bytes(10), 2 * 25);
         assert_eq!(d.stored_bytes(), 50);
     }
 

@@ -164,22 +164,14 @@ fn home_node(p: u32, alive: &[u32], total_nodes: u32) -> Option<u32> {
 fn put_state<E: ChainEngine>(engine: &mut E, spec: &IterativeSpec, generation: u32, state: &[u64]) {
     let alive = engine.alive_nodes();
     let total = alive.iter().copied().max().map_or(0, |m| m + 1);
-    if spec.mem.mem_pin_hot_partitions {
-        // Only the newest generation stays pinned; older stripes become
-        // ordinary reclaimable cache.
-        engine.store().unpin_all();
-    }
+    // Only the newest generation — the hot set the next iteration is
+    // guaranteed to read — stays pinned; older stripes become ordinary
+    // reclaimable cache.
+    engine.store().unpin_all();
     for p in 0..spec.num_reduces {
         let (lo, hi) = stripe_bounds(state.len(), p, spec.num_reduces);
         let Some(node) = home_node(p, &alive, total) else { continue };
-        engine.store().put(
-            NodeId(node),
-            STATE_JOB,
-            generation,
-            p,
-            &encode_state(&state[lo..hi]),
-            spec.mem.mem_pin_hot_partitions,
-        );
+        engine.store().put(NodeId(node), STATE_JOB, generation, p, &encode_state(&state[lo..hi]), true);
     }
 }
 
@@ -465,7 +457,6 @@ mod tests {
         // Too small for any state stripe: every load misses, every
         // generation restores from the ALG checkpoint.
         s_small.mem.mem_resident_capacity_bytes = 1024;
-        s_small.mem.mem_pin_hot_partitions = true;
         let mut e_big = LocalEngine::new(&s_big, 5);
         let mut e_small = LocalEngine::new(&s_small, 5);
         let r_big = run_chain(&mut e_big, &s_big, None);

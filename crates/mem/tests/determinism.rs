@@ -26,7 +26,6 @@ fn spec(seed: u64, capacity_bytes: u64, mode: MemMode, iterations: u32) -> Itera
     let mem = MemConfig {
         mem_resident_capacity_bytes: capacity_bytes,
         mem_mode: mode,
-        mem_pin_hot_partitions: true,
         mem_max_chain_iterations: iterations,
         // Tight threshold: the chain always runs its full iteration budget,
         // so every case exercises the same amount of work.

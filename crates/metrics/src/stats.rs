@@ -43,12 +43,6 @@ pub fn improvement_pct(baseline: f64, candidate: f64) -> f64 {
     }
 }
 
-/// Percentage slowdown of `candidate` relative to `baseline` (positive when
-/// candidate is slower).
-pub fn slowdown_pct(baseline: f64, candidate: f64) -> f64 {
-    -improvement_pct(baseline, candidate)
-}
-
 /// Nearest-rank percentile of `samples` (`p` in 0..=100). Sorts a copy —
 /// callers keep their ordering. Empty input yields 0; NaNs sort last.
 pub fn percentile(samples: &[f64], p: f64) -> f64 {
@@ -99,9 +93,8 @@ mod tests {
     fn improvement_direction() {
         // Candidate twice as fast: 50% improvement.
         assert!((improvement_pct(100.0, 50.0) - 50.0).abs() < 1e-12);
-        // Candidate slower: negative improvement, positive slowdown.
-        assert!(improvement_pct(100.0, 150.0) < 0.0);
-        assert!((slowdown_pct(100.0, 150.0) - 50.0).abs() < 1e-12);
+        // Candidate slower: negative improvement.
+        assert!((improvement_pct(100.0, 150.0) + 50.0).abs() < 1e-12);
         assert_eq!(improvement_pct(0.0, 5.0), 0.0);
     }
 

@@ -48,11 +48,6 @@ impl Timeline {
         self.samples.last().map_or(0.0, |&(t, _)| t)
     }
 
-    /// First time progress reached `p`, by linear scan.
-    pub fn time_to_progress(&self, p: f64) -> Option<f64> {
-        self.samples.iter().find(|&&(_, v)| v >= p).map(|&(t, _)| t)
-    }
-
     /// Longest interval during which progress did not increase — the
     /// "stall" the temporal-amplification analysis highlights.
     pub fn longest_stall_secs(&self) -> f64 {
@@ -108,8 +103,6 @@ mod tests {
         tl.sample(200.0, 1.0);
         tl.annotate(48.0, "node crash");
         assert_eq!(tl.end_secs(), 200.0);
-        assert_eq!(tl.time_to_progress(1.0), Some(200.0));
-        assert_eq!(tl.time_to_progress(0.5), Some(48.0));
         // The stall runs from the sample at 48 until progress rises at 180.
         assert!((tl.longest_stall_secs() - 132.0).abs() < 1e-9);
     }

@@ -331,7 +331,7 @@ impl JobRunner {
                 let doomed: Vec<AttemptId> =
                     st.running.iter().filter(|(_, (n, _, _))| *n == node).map(|(a, _)| *a).collect();
                 for a in doomed {
-                    let (_, mode, _) = st.running.remove(&a).unwrap();
+                    let (_, mode, _) = st.running.remove(&a).expect("key just listed from this map");
                     if !st.completed {
                         dead_attempts.push((a, mode));
                     }

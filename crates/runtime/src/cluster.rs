@@ -61,7 +61,8 @@ impl LinkTable {
 
     /// Number of currently-severed directed entries (a symmetric partition
     /// counts two).
-    pub fn severed_count(&self) -> usize {
+    #[cfg(test)]
+    fn severed_count(&self) -> usize {
         self.severed.lock().len()
     }
 

@@ -367,7 +367,10 @@ fn build_participants(ctx: &ReduceCtx) -> Option<Vec<Participant>> {
     Some(
         nodes
             .into_iter()
-            .map(|n| Participant { node: alm_types::NodeId(n), segments: by_node.remove(&n).unwrap() })
+            .map(|n| Participant {
+                node: alm_types::NodeId(n),
+                segments: by_node.remove(&n).expect("key just listed from this map"),
+            })
             .collect(),
     )
 }

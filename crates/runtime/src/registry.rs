@@ -53,10 +53,6 @@ impl MofRegistry {
         self.inner.lock().get(&map_index).cloned()
     }
 
-    pub fn registered_count(&self) -> usize {
-        self.inner.lock().len()
-    }
-
     /// Map indices whose registered MOF lives on `node`.
     pub fn mofs_on_node(&self, node: NodeId) -> Vec<u32> {
         let mut v: Vec<u32> =

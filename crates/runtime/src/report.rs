@@ -53,10 +53,6 @@ pub struct JobReport {
 }
 
 impl JobReport {
-    pub fn total_output_records(&self) -> u64 {
-        self.output_records.values().sum()
-    }
-
     /// True when every observed analytics-log recovery redid at most one
     /// logging interval of work — the bounded-recovery guarantee that must
     /// hold even when log records were corrupted.
@@ -104,13 +100,5 @@ mod tests {
         report.failures.push(fe(5, TaskId::reduce(JobId(0), 2)));
         assert_eq!(report.failures_of_kind(FailureKind::NodeCrash), 1);
         assert_eq!(report.failures_of_kind(FailureKind::FetchFailureLimit), 0);
-    }
-
-    #[test]
-    fn output_totals() {
-        let mut report = JobReport::default();
-        report.output_records.insert(0, 10);
-        report.output_records.insert(1, 32);
-        assert_eq!(report.total_output_records(), 42);
     }
 }

@@ -24,7 +24,9 @@ fn committed_outputs(cluster: &MiniCluster, job: &JobDef) -> Vec<Vec<Record>> {
                 .unwrap_or_else(|e| panic!("partition {r} missing: {e}"));
             let mut out = Vec::new();
             let mut off = 0;
-            while let Some((k, v, next)) = alm_shuffle::codec::decode_at(&data, off).unwrap() {
+            while let Some((k, v, next)) =
+                alm_shuffle::codec::decode_at(&data, off).expect("committed output decodes")
+            {
                 out.push(Record::new(k.to_vec(), v.to_vec()));
                 off = next;
             }

@@ -17,7 +17,7 @@ pub enum SchedPolicyKind {
     /// cluster — the baseline the other two policies are judged against.
     Fifo,
     /// Per-tenant guaranteed shares (`TenantSpec::guaranteed_share_pct`)
-    /// with bounded work-conserving spillover of surplus slots.
+    /// with work-conserving spillover of surplus slots.
     Capacity,
     /// Weighted max-min fairness on held slots: each free slot goes to the
     /// tenant with the smallest `running_slots / weight` ratio.
@@ -43,13 +43,6 @@ pub struct SchedConfig {
     /// Periodic dispatch tick (virtual ms): bounds how long free slots sit
     /// idle when no completion/arrival event happens to trigger dispatch.
     pub dispatch_quantum_ms: u64,
-    /// Capacity policy only: percentage of a tenant's *surplus* demand
-    /// that may spill over its guaranteed share when other queues leave
-    /// slots idle (0 = strict shares, 100 = fully work-conserving).
-    pub capacity_spillover_pct: u32,
-    /// Fair policy only: slots granted to the currently most-deficient
-    /// tenant per dispatch round before deficits are re-evaluated.
-    pub fair_burst_slots: u32,
 }
 
 impl Default for SchedConfig {
@@ -58,8 +51,6 @@ impl Default for SchedConfig {
             policy: SchedPolicyKind::Fair,
             max_concurrent_jobs_per_tenant: 8,
             dispatch_quantum_ms: 3_000,
-            capacity_spillover_pct: 100,
-            fair_burst_slots: 1,
         }
     }
 }
@@ -73,24 +64,12 @@ impl SchedConfig {
     /// `..Default::default()` — so a drifting default cannot silently
     /// change what the determinism tests and golden reports measure.
     pub fn scaled_for_tests(policy: SchedPolicyKind) -> SchedConfig {
-        SchedConfig {
-            policy,
-            max_concurrent_jobs_per_tenant: 4,
-            dispatch_quantum_ms: 500,
-            capacity_spillover_pct: 100,
-            fair_burst_slots: 1,
-        }
+        SchedConfig { policy, max_concurrent_jobs_per_tenant: 4, dispatch_quantum_ms: 500 }
     }
 
     /// Every field checked: the destructuring carries no `..`.
     pub fn validate(&self) -> Result<(), String> {
-        let Self {
-            policy,
-            max_concurrent_jobs_per_tenant,
-            dispatch_quantum_ms,
-            capacity_spillover_pct,
-            fair_burst_slots,
-        } = *self;
+        let Self { policy, max_concurrent_jobs_per_tenant, dispatch_quantum_ms } = *self;
         match policy {
             SchedPolicyKind::Fifo | SchedPolicyKind::Capacity | SchedPolicyKind::Fair => {}
         }
@@ -99,12 +78,6 @@ impl SchedConfig {
         }
         if dispatch_quantum_ms == 0 {
             return Err("dispatch_quantum_ms must be >= 1".into());
-        }
-        if capacity_spillover_pct > 100 {
-            return Err(format!("capacity_spillover_pct must be <= 100, got {capacity_spillover_pct}"));
-        }
-        if fair_burst_slots == 0 {
-            return Err("fair_burst_slots must be >= 1".into());
         }
         Ok(())
     }
@@ -182,10 +155,6 @@ mod tests {
         let c = SchedConfig { max_concurrent_jobs_per_tenant: 0, ..SchedConfig::default() };
         assert!(c.validate().is_err());
         let c = SchedConfig { dispatch_quantum_ms: 0, ..SchedConfig::default() };
-        assert!(c.validate().is_err());
-        let c = SchedConfig { capacity_spillover_pct: 101, ..SchedConfig::default() };
-        assert!(c.validate().is_err());
-        let c = SchedConfig { fair_burst_slots: 0, ..SchedConfig::default() };
         assert!(c.validate().is_err());
     }
 

@@ -752,7 +752,7 @@ impl Warehouse {
 
     fn dispatch(&mut self) {
         self.admit();
-        let mut policy = policy_for(&self.spec.sched);
+        let policy = policy_for(&self.spec.sched);
         for kind in [SlotKind::Map, SlotKind::Reduce] {
             loop {
                 let view = self.view_for(kind);

@@ -4,15 +4,16 @@
 //! slot: *which tenant gets it?* The policy sees a per-tenant view
 //! (runnable work, held slots, weight, guaranteed share, oldest waiting
 //! job) and answers with a [`TenantId`] or `None` (leave the slot idle —
-//! only the strict capacity policy ever does). Job selection *within* the
-//! winning tenant is the engine's job and is always oldest-job-first, so
-//! policies stay engine-agnostic and trivially deterministic: every
-//! tie breaks on the lower tenant id.
+//! only the capacity policy ever does, once every tenant with work holds
+//! its guarantee plus the whole unguaranteed pool). Job selection
+//! *within* the winning tenant is the engine's job and is always
+//! oldest-job-first, so policies stay engine-agnostic and trivially
+//! deterministic: every tie breaks on the lower tenant id.
 //!
 //! The three policies span the design space mapped in "MapReduce
 //! Scheduler: A 360-degree view": global FIFO (one elephant starves the
-//! cluster), guaranteed capacity shares with bounded spillover, and
-//! weighted max-min fair sharing.
+//! cluster), guaranteed capacity shares with work-conserving spillover,
+//! and weighted max-min fair sharing.
 
 use std::collections::BTreeMap;
 
@@ -48,11 +49,11 @@ pub struct SchedView<'a> {
 }
 
 /// A slot-arbitration policy. Implementations must be deterministic pure
-/// functions of the view plus their own (deterministically updated) state.
+/// functions of the view.
 pub trait SchedPolicy {
     fn kind(&self) -> SchedPolicyKind;
     /// Tenant to receive the next free slot; `None` leaves it idle.
-    fn pick(&mut self, view: &SchedView) -> Option<TenantId>;
+    fn pick(&self, view: &SchedView) -> Option<TenantId>;
 }
 
 /// Global arrival order: the tenant owning the globally oldest admitted
@@ -65,7 +66,7 @@ impl SchedPolicy for FifoPolicy {
         SchedPolicyKind::Fifo
     }
 
-    fn pick(&mut self, view: &SchedView) -> Option<TenantId> {
+    fn pick(&self, view: &SchedView) -> Option<TenantId> {
         view.tenants
             .iter()
             .filter(|(_, t)| t.runnable_tasks > 0)
@@ -74,13 +75,9 @@ impl SchedPolicy for FifoPolicy {
     }
 }
 
-/// Guaranteed per-tenant shares with bounded work-conserving spillover.
-#[derive(Debug)]
-pub struct CapacityPolicy {
-    /// Percentage of the unguaranteed slot pool one tenant may absorb
-    /// beyond its guarantee (0 = strict, 100 = fully work-conserving).
-    pub spillover_pct: u32,
-}
+/// Guaranteed per-tenant shares with work-conserving spillover.
+#[derive(Debug, Default)]
+pub struct CapacityPolicy;
 
 impl CapacityPolicy {
     fn guaranteed(total: u64, pct: u32) -> u64 {
@@ -93,7 +90,7 @@ impl SchedPolicy for CapacityPolicy {
         SchedPolicyKind::Capacity
     }
 
-    fn pick(&mut self, view: &SchedView) -> Option<TenantId> {
+    fn pick(&self, view: &SchedView) -> Option<TenantId> {
         // Pass 1: the most-deficient tenant still under its guarantee,
         // deficits compared as fractions of the guarantee (cross-
         // multiplied to stay in integers).
@@ -114,16 +111,15 @@ impl SchedPolicy for CapacityPolicy {
             return under;
         }
         // Pass 2: spillover. The unguaranteed pool is what no tenant's
-        // guarantee covers; each tenant may hold at most `spillover_pct`
-        // of it beyond its own guarantee.
+        // guarantee covers; each tenant may hold all of it beyond its own
+        // guarantee.
         let guaranteed_total: u64 =
             view.tenants.values().map(|t| Self::guaranteed(view.total_slots, t.guaranteed_share_pct)).sum();
         let pool = view.total_slots.saturating_sub(guaranteed_total);
-        let allowed_extra = pool * self.spillover_pct as u64 / 100;
         view.tenants
             .iter()
             .filter(|(_, t)| {
-                let cap = Self::guaranteed(view.total_slots, t.guaranteed_share_pct) + allowed_extra;
+                let cap = Self::guaranteed(view.total_slots, t.guaranteed_share_pct) + pool;
                 t.runnable_tasks > 0 && t.running_slots < cap
             })
             .min_by_key(|(id, t)| {
@@ -137,37 +133,17 @@ impl SchedPolicy for CapacityPolicy {
 }
 
 /// Weighted max-min fairness on held slots: each slot goes to the tenant
-/// with the smallest `running_slots / weight`, granted in bursts of
-/// `fair_burst_slots` before the deficit is re-evaluated.
-#[derive(Debug)]
-pub struct FairPolicy {
-    pub burst: u32,
-    burst_left: u32,
-    last: Option<TenantId>,
-}
-
-impl FairPolicy {
-    pub fn new(burst: u32) -> FairPolicy {
-        FairPolicy { burst: burst.max(1), burst_left: 0, last: None }
-    }
-}
+/// with the smallest `running_slots / weight`, re-evaluated per slot.
+#[derive(Debug, Default)]
+pub struct FairPolicy;
 
 impl SchedPolicy for FairPolicy {
     fn kind(&self) -> SchedPolicyKind {
         SchedPolicyKind::Fair
     }
 
-    fn pick(&mut self, view: &SchedView) -> Option<TenantId> {
-        if self.burst_left > 0 {
-            if let Some(last) = self.last {
-                if view.tenants.get(&last).is_some_and(|t| t.runnable_tasks > 0) {
-                    self.burst_left -= 1;
-                    return Some(last);
-                }
-            }
-        }
-        let winner = view
-            .tenants
+    fn pick(&self, view: &SchedView) -> Option<TenantId> {
+        view.tenants
             .iter()
             .filter(|(_, t)| t.runnable_tasks > 0)
             .min_by(|(ida, a), (idb, b)| {
@@ -176,10 +152,7 @@ impl SchedPolicy for FairPolicy {
                 let lb = b.running_slots as u128 * a.weight as u128;
                 la.cmp(&lb).then(ida.cmp(idb))
             })
-            .map(|(id, _)| *id)?;
-        self.last = Some(winner);
-        self.burst_left = self.burst - 1;
-        Some(winner)
+            .map(|(id, _)| *id)
     }
 }
 
@@ -187,10 +160,8 @@ impl SchedPolicy for FairPolicy {
 pub fn policy_for(config: &SchedConfig) -> Box<dyn SchedPolicy> {
     match config.policy {
         SchedPolicyKind::Fifo => Box::new(FifoPolicy),
-        SchedPolicyKind::Capacity => {
-            Box::new(CapacityPolicy { spillover_pct: config.capacity_spillover_pct })
-        }
-        SchedPolicyKind::Fair => Box::new(FairPolicy::new(config.fair_burst_slots)),
+        SchedPolicyKind::Capacity => Box::new(CapacityPolicy),
+        SchedPolicyKind::Fair => Box::new(FairPolicy),
     }
 }
 
@@ -218,7 +189,7 @@ mod tests {
     #[test]
     fn fifo_picks_globally_oldest_job() {
         let tenants = view_of(&[(0, 4, 10, 1, 0, 7), (1, 4, 0, 1, 0, 3), (2, 0, 0, 1, 0, 1)]);
-        let mut p = FifoPolicy;
+        let p = FifoPolicy;
         // Tenant 2 has the oldest seq but no runnable work.
         assert_eq!(p.pick(&SchedView { tenants: &tenants, total_slots: 100 }), Some(TenantId(1)));
     }
@@ -227,36 +198,25 @@ mod tests {
     fn capacity_serves_deficit_first_then_spills_over() {
         // Tenant 0 is under its 50% guarantee; tenant 1 is over its 10%.
         let tenants = view_of(&[(0, 5, 10, 1, 50, 0), (1, 5, 30, 1, 10, 1)]);
-        let mut p = CapacityPolicy { spillover_pct: 100 };
+        let p = CapacityPolicy;
         assert_eq!(p.pick(&SchedView { tenants: &tenants, total_slots: 100 }), Some(TenantId(0)));
         // Both over guarantee: least-over tenant wins the spillover.
         let tenants = view_of(&[(0, 5, 60, 1, 50, 0), (1, 5, 30, 1, 10, 1)]);
         assert_eq!(p.pick(&SchedView { tenants: &tenants, total_slots: 100 }), Some(TenantId(0)));
-        // Strict shares: nobody under guarantee, slot stays idle.
-        let mut strict = CapacityPolicy { spillover_pct: 0 };
-        assert_eq!(strict.pick(&SchedView { tenants: &tenants, total_slots: 100 }), None);
+        // Both hold their guarantee plus the whole 40-slot pool: idle.
+        let tenants = view_of(&[(0, 5, 90, 1, 50, 0), (1, 5, 50, 1, 10, 1)]);
+        assert_eq!(p.pick(&SchedView { tenants: &tenants, total_slots: 100 }), None);
     }
 
     #[test]
     fn fair_is_weighted_max_min_with_id_ties() {
         // slots/weight: a=10/1=10, b=15/2=7.5 -> b wins.
         let tenants = view_of(&[(0, 5, 10, 1, 0, 0), (1, 5, 15, 2, 0, 1)]);
-        let mut p = FairPolicy::new(1);
+        let p = FairPolicy;
         assert_eq!(p.pick(&SchedView { tenants: &tenants, total_slots: 100 }), Some(TenantId(1)));
         // Exact tie on the ratio: lower id wins.
         let tenants = view_of(&[(0, 5, 10, 1, 0, 0), (1, 5, 20, 2, 0, 1)]);
         assert_eq!(p.pick(&SchedView { tenants: &tenants, total_slots: 100 }), Some(TenantId(0)));
-    }
-
-    #[test]
-    fn fair_burst_sticks_to_the_winner() {
-        let tenants = view_of(&[(0, 5, 0, 1, 0, 0), (1, 5, 1, 1, 0, 1)]);
-        let mut p = FairPolicy::new(3);
-        let view = SchedView { tenants: &tenants, total_slots: 100 };
-        assert_eq!(p.pick(&view), Some(TenantId(0)));
-        // The view is stale (slots unchanged) but the burst sticks anyway.
-        assert_eq!(p.pick(&view), Some(TenantId(0)));
-        assert_eq!(p.pick(&view), Some(TenantId(0)));
     }
 
     #[test]

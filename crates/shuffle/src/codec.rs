@@ -30,8 +30,8 @@ pub fn decode_at(data: &Bytes, offset: usize) -> Result<Option<(Bytes, Bytes, us
     if offset + 8 > data.len() {
         return Err(ShuffleError::Corrupt(format!("truncated header at offset {offset}")));
     }
-    let klen = u32::from_be_bytes(data[offset..offset + 4].try_into().unwrap()) as usize;
-    let vlen = u32::from_be_bytes(data[offset + 4..offset + 8].try_into().unwrap()) as usize;
+    let klen = u32::from_be_bytes(data[offset..offset + 4].try_into().expect("4-byte slice")) as usize;
+    let vlen = u32::from_be_bytes(data[offset + 4..offset + 8].try_into().expect("4-byte slice")) as usize;
     let key_start = offset + 8;
     let val_start = key_start + klen;
     let end = val_start + vlen;

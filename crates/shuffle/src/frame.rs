@@ -103,11 +103,6 @@ pub fn unframe(buf: &Bytes) -> Result<Bytes> {
     Ok(buf.slice(FRAME_HEADER_LEN..))
 }
 
-/// Verify a frame without keeping the payload.
-pub fn validate_frame(buf: &Bytes) -> Result<()> {
-    unframe(buf).map(|_| ())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,7 +121,6 @@ mod tests {
             let framed = Bytes::from(frame(payload));
             assert_eq!(framed.len(), framed_len(payload.len()));
             assert_eq!(&unframe(&framed).unwrap()[..], payload);
-            validate_frame(&framed).unwrap();
         }
     }
 

@@ -148,23 +148,6 @@ impl MapOutputBuffer {
     }
 }
 
-/// Convenience for tests and the simulator's calibration harness: run a
-/// whole map-side pipeline over records in memory.
-pub fn map_side_sort(
-    cmp: &KeyCmp,
-    combiner: Option<&Combiner>,
-    num_partitions: u32,
-    records: Vec<(u32, Vec<u8>, Vec<u8>)>,
-) -> Result<Vec<bytes::Bytes>> {
-    let fs = crate::localfs::MemFs::new();
-    let mut buf = MapOutputBuffer::new(cmp.clone(), combiner.cloned(), num_partitions, u64::MAX, "m/");
-    for (p, k, v) in records {
-        buf.collect(&fs, p, k, v)?;
-    }
-    let mof = buf.finish(&fs)?;
-    (0..num_partitions).map(|p| mof.read_partition(&fs, p)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

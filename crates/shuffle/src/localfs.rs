@@ -46,12 +46,6 @@ impl MemFs {
         *self.dead.lock() = true;
     }
 
-    /// Bring a replacement node up on the same identity (fresh, empty store).
-    pub fn revive(&self) {
-        self.files.lock().clear();
-        *self.dead.lock() = false;
-    }
-
     pub fn is_dead(&self) -> bool {
         *self.dead.lock()
     }
@@ -143,9 +137,5 @@ mod tests {
         assert!(fs.write("new", Bytes::new()).is_err());
         assert!(!fs.exists("mof/1"));
         assert!(fs.list("").is_empty());
-        fs.revive();
-        assert!(!fs.is_dead());
-        assert_eq!(fs.file_count(), 0, "revival does not resurrect data");
-        fs.write("new", Bytes::new()).unwrap();
     }
 }

@@ -147,7 +147,11 @@ impl<R: SortedRun> MergeQueue<R> {
     /// The minimum record without consuming it.
     pub fn peek(&self) -> Option<(&[u8], &[u8])> {
         let &i = self.heap.first()?;
-        Some((self.readers[i].key().unwrap(), self.readers[i].value().unwrap()))
+        let reader = &self.readers[i];
+        Some((
+            reader.key().expect("a reader on the heap holds a record"),
+            reader.value().expect("a reader on the heap holds a record"),
+        ))
     }
 
     /// Pop the minimum record and advance its reader.

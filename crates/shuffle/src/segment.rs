@@ -33,11 +33,6 @@ impl SegmentSource {
             SegmentSource::Dfs { path } => format!("dfs:{path}"),
         }
     }
-
-    /// Whether this source survives the death of the hosting task's node.
-    pub fn survives_node_crash(&self) -> bool {
-        matches!(self, SegmentSource::Dfs { .. })
-    }
 }
 
 /// A streaming reader over one segment.
@@ -185,13 +180,6 @@ mod tests {
         let r = SegmentReader::new(src(), Bytes::new()).unwrap();
         assert!(r.is_exhausted());
         assert_eq!(r.key(), None);
-    }
-
-    #[test]
-    fn source_durability() {
-        assert!(!SegmentSource::Memory { id: 1 }.survives_node_crash());
-        assert!(!SegmentSource::LocalFile { path: "x".into() }.survives_node_crash());
-        assert!(SegmentSource::Dfs { path: "x".into() }.survives_node_crash());
     }
 
     #[test]

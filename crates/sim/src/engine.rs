@@ -38,6 +38,9 @@ const SAMPLE_EVERY_NS: u64 = 1_000_000_000;
 /// FCM synchronisation overhead before the pipeline starts (§V-B notes the
 /// extra coordination cost of FCM).
 const FCM_SYNC_SECS: f64 = 1.5;
+/// §IV-A.1: an FCM attempt stops waiting for MOFs, and its participants
+/// dismantle their Local-MPQs, after this long without progress.
+const FCM_TEARDOWN_MS: u64 = 60_000;
 /// Hard cap on simulated events (runaway guard).
 const MAX_EVENTS: u64 = 50_000_000;
 
@@ -816,7 +819,7 @@ impl Simulation {
                 let gen = att.gen;
                 // Give up waiting for MOFs after the FCM teardown window:
                 // the AM then re-executes the missing maps and retries.
-                let d = SimDuration::from_ms(self.env.alm.fcm_teardown_timeout_ms);
+                let d = SimDuration::from_ms(FCM_TEARDOWN_MS);
                 self.q.schedule_after(d, Ev::FcmWaitTimeout { attempt, gen });
                 self.try_start_fcm(attempt);
             }
@@ -1460,6 +1463,15 @@ impl Simulation {
             return;
         }
         self.nodes[node as usize].alive = false;
+        if !self.nodes.iter().any(|n| n.alive) {
+            // No worker is left to place anything on: fail the job here
+            // rather than tick `Ev::Sample` up to `MAX_EVENTS`. The
+            // zero-delay event makes `run` see the failure at this instant
+            // instead of at whichever stale timer happens to fire next.
+            self.failed = true;
+            self.q.schedule_after(SimDuration::ZERO, Ev::Sample);
+            return;
+        }
 
         // RAM does not survive a crash: wipe the node's resident MOF
         // copies so later fetches fall back to disk / regeneration.
@@ -2319,6 +2331,43 @@ mod tests {
                 f.at_secs >= 30.0 + 69.0,
                 "detection at {:.1}s must wait for the 70s liveness timeout",
                 f.at_secs
+            );
+        }
+    }
+
+    #[test]
+    fn losing_every_worker_fails_the_job_at_once() {
+        // Three workers, all crashed: nothing can be placed again, so the
+        // job must fail at the last crash, not tick to MAX_EVENTS.
+        let small = |mode| {
+            let mut env = ExperimentEnv::paper(mode);
+            env.cluster.nodes = 4;
+            env
+        };
+        let spec = || SimJobSpec::new(WorkloadKind::Terasort, GB, 2, 7);
+        for mode in [RecoveryMode::Baseline, RecoveryMode::SfmAlg] {
+            let timed =
+                (0..3).map(|n| SimFault::CrashNodeAtSecs { node: n, at_secs: 3.0 + n as f64 }).collect();
+            let r = Simulation::new(spec(), small(mode), timed).run();
+            assert!(!r.succeeded, "{mode:?}: {r:?}");
+            assert!(r.events < MAX_EVENTS / 1000, "{mode:?}: {} events", r.events);
+            assert!((5.0..=7.0).contains(&r.job_secs), "{mode:?}: failed at {:.1}s", r.job_secs);
+
+            let on_progress = (0..3)
+                .map(|n| SimFault::CrashNodeAtReduceProgress { node: n, reduce_index: 0, at_progress: 0.1 })
+                .collect();
+            let r = Simulation::new(spec(), small(mode), on_progress).run();
+            assert!(!r.succeeded, "{mode:?}: {r:?}");
+            assert!(r.events < MAX_EVENTS / 1000, "{mode:?}: {} events", r.events);
+            let crashed_at = r.reduce_progress[&0]
+                .iter()
+                .find(|(_, p)| *p >= 0.1)
+                .map(|(t, _)| *t)
+                .expect("reduce 0 reached the trigger");
+            assert!(
+                (crashed_at..=crashed_at + 2.0).contains(&r.job_secs),
+                "{mode:?}: crashed at {crashed_at:.1}s, failed at {:.1}s",
+                r.job_secs
             );
         }
     }

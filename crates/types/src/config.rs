@@ -1,7 +1,7 @@
 //! Configuration surface.
 //!
 //! [`YarnConfig`] carries the cluster/framework parameters of Table I of the
-//! paper plus the failure-detection knobs the amplification analysis depends
+//! paper that an engine reads, plus the failure-detection knobs the amplification analysis depends
 //! on (node liveness timeout, shuffle fetch retry limits). [`AlmConfig`]
 //! carries the knobs of the paper's contribution: logging frequency and log
 //! replication level for ALG (§III), and the scheduling limits of
@@ -62,14 +62,18 @@ impl ReplicationLevel {
     }
 }
 
-/// Cluster and framework configuration (Table I plus detection knobs).
+/// Cluster and framework configuration: the Table I parameters an engine
+/// reads, plus detection knobs. Table I's `io.file.buffer.size`,
+/// vmem-pmem ratio and min/max container allocation are not modelled, and
+/// the 3 s heartbeat is folded into `node_liveness_timeout_ms` (DESIGN.md
+/// has the full mapping).
 ///
 /// Time quantities are in milliseconds so the same struct drives both the
 /// simulator (virtual ms) and the threaded runtime (real ms, usually scaled
 /// down by the test harness).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct YarnConfig {
-    // ---- Table I ----
+    // ---- Table I (the modelled subset) ----
     /// `mapreduce.map.java.opts`: MapTask heap, bytes.
     pub map_heap_bytes: u64,
     /// `mapreduce.reduce.java.opts`: ReduceTask heap, bytes.
@@ -92,20 +96,11 @@ pub struct YarnConfig {
     /// death or detected rot, trading repair traffic against recovery
     /// latency.
     pub dfs_repair_concurrency: u32,
-    /// `io.file.buffer.size`, bytes.
-    pub io_file_buffer_size: u64,
-    /// `yarn.nodemanager.vmem-pmem-ratio`.
-    pub vmem_pmem_ratio: f64,
-    /// `yarn.scheduler.minimum-allocation-mb`, bytes.
-    pub min_allocation_bytes: u64,
-    /// `yarn.scheduler.maximum-allocation-mb`, bytes.
-    pub max_allocation_bytes: u64,
 
     // ---- failure detection / shuffle robustness ----
-    /// Heartbeat interval NodeManager -> ResourceManager / task -> AM.
-    pub heartbeat_interval_ms: u64,
-    /// Time without heartbeats after which a node is declared lost. The
-    /// paper measures ~70 s between crash and detection (Fig. 3).
+    /// Time from a node's crash to the AM declaring it lost — missed
+    /// heartbeats and the expiry timer as one delay. The paper measures
+    /// ~70 s between crash and detection (Fig. 3).
     pub node_liveness_timeout_ms: u64,
     /// Consecutive fetch failures against one MOF source before the fetch is
     /// reported to the AM.
@@ -119,10 +114,6 @@ pub struct YarnConfig {
     /// the node liveness timeout, or a reducer could abandon a source
     /// before the cluster has even decided whether the source is dead.
     pub shuffle_wait_cap_ms: u64,
-    /// Fraction of a reducer's pending sources that must be failing before
-    /// the AM preempts (kills) the reducer as faulty — the mechanism behind
-    /// spatial amplification.
-    pub reducer_fetch_failure_fraction: f64,
     /// Maximum attempts per task before the job is failed.
     pub max_task_attempts: u32,
     /// Share of reduce-side heap usable as shuffle buffer.
@@ -143,16 +134,10 @@ impl Default for YarnConfig {
             dfs_block_size: 128 * MB,
             dfs_verify_on_read: true,
             dfs_repair_concurrency: 2,
-            io_file_buffer_size: 8 * MB,
-            vmem_pmem_ratio: 2.1,
-            min_allocation_bytes: 1024 * MB,
-            max_allocation_bytes: 6144 * MB,
-            heartbeat_interval_ms: 3_000,
             node_liveness_timeout_ms: 70_000,
             fetch_retries_per_source: 4,
             fetch_retry_delay_ms: 5_000,
             shuffle_wait_cap_ms: 1_400_000,
-            reducer_fetch_failure_fraction: 0.5,
             max_task_attempts: 4,
             shuffle_buffer_fraction: 0.70,
             merge_spill_fraction: 0.66,
@@ -184,16 +169,10 @@ impl YarnConfig {
             dfs_block_size: 256 * KB,
             dfs_verify_on_read: true,
             dfs_repair_concurrency: 2,
-            io_file_buffer_size: 8 * KB,
-            vmem_pmem_ratio: 2.1,
-            min_allocation_bytes: 1024 * MB,
-            max_allocation_bytes: 6144 * MB,
-            heartbeat_interval_ms: 10,
             node_liveness_timeout_ms: 250,
             fetch_retries_per_source: 3,
             fetch_retry_delay_ms: 20,
             shuffle_wait_cap_ms: 5_000,
-            reducer_fetch_failure_fraction: 0.5,
             max_task_attempts: 8,
             shuffle_buffer_fraction: 0.70,
             merge_spill_fraction: 0.66,
@@ -213,16 +192,10 @@ impl YarnConfig {
             dfs_block_size,
             dfs_verify_on_read,
             dfs_repair_concurrency,
-            io_file_buffer_size,
-            vmem_pmem_ratio,
-            min_allocation_bytes,
-            max_allocation_bytes,
-            heartbeat_interval_ms,
             node_liveness_timeout_ms,
             fetch_retries_per_source,
             fetch_retry_delay_ms,
             shuffle_wait_cap_ms,
-            reducer_fetch_failure_fraction,
             max_task_attempts,
             shuffle_buffer_fraction,
             merge_spill_fraction,
@@ -244,15 +217,6 @@ impl YarnConfig {
                 "verify-on-read detects rot but a zero dfs repair concurrency can never heal it".into()
             );
         }
-        if io_file_buffer_size == 0 {
-            return Err("io.file.buffer.size must be nonzero".into());
-        }
-        if vmem_pmem_ratio < 1.0 {
-            return Err("vmem-pmem ratio must be >= 1".into());
-        }
-        if heartbeat_interval_ms == 0 {
-            return Err("heartbeat interval must be nonzero".into());
-        }
         if fetch_retries_per_source == 0 {
             return Err("fetch retries per source must be >= 1".into());
         }
@@ -267,15 +231,6 @@ impl YarnConfig {
         }
         if !(0.0..=1.0).contains(&merge_spill_fraction) {
             return Err("merge_spill_fraction must be in [0,1]".into());
-        }
-        if !(0.0..=1.0).contains(&reducer_fetch_failure_fraction) {
-            return Err("reducer_fetch_failure_fraction must be in [0,1]".into());
-        }
-        if min_allocation_bytes > max_allocation_bytes {
-            return Err("minimum allocation exceeds maximum allocation".into());
-        }
-        if node_liveness_timeout_ms < heartbeat_interval_ms {
-            return Err("node liveness timeout shorter than heartbeat interval".into());
         }
         if shuffle_wait_cap_ms <= node_liveness_timeout_ms {
             return Err("shuffle wait cap must exceed the node liveness timeout".into());
@@ -301,16 +256,10 @@ pub struct AlmConfig {
     /// Algorithm 1, line 16: cap on concurrently running FCM-mode recovery
     /// tasks per job (default 10 in the paper).
     pub fcm_cap: usize,
-    /// Algorithm 1, line 14: a speculative recovery attempt is spawned only
-    /// while the number of running attempts of the task is <= this.
-    pub max_running_attempts_for_speculation: u32,
     /// §IV-B: proactively re-execute MapTasks from a failed node so MOFs are
     /// regenerated before reducers stall. Disabling this re-introduces
     /// temporal amplification (ablation for Fig. 10).
     pub proactive_map_regen: bool,
-    /// §IV-A.1: participant nodes dismantle their Local-MPQs when no request
-    /// arrives from a recovering ReduceTask within this period.
-    pub fcm_teardown_timeout_ms: u64,
 }
 
 impl Default for AlmConfig {
@@ -321,9 +270,7 @@ impl Default for AlmConfig {
             log_replication: ReplicationLevel::Rack,
             limit_local: 1,
             fcm_cap: 10,
-            max_running_attempts_for_speculation: 2,
             proactive_map_regen: true,
-            fcm_teardown_timeout_ms: 60_000,
         }
     }
 }
@@ -410,9 +357,6 @@ pub struct MemConfig {
     pub mem_resident_capacity_bytes: u64,
     /// How resident state lost to a node crash is recovered.
     pub mem_mode: MemMode,
-    /// Pin the latest iteration's state partitions against eviction (the
-    /// hot set the next iteration is guaranteed to read).
-    pub mem_pin_hot_partitions: bool,
     /// Hard iteration cap for a chain (convergence may stop it earlier).
     pub mem_max_chain_iterations: u32,
     /// Convergence threshold in fixed-point micro-units: the chain stops
@@ -425,7 +369,6 @@ impl Default for MemConfig {
         MemConfig {
             mem_resident_capacity_bytes: 8 * GB,
             mem_mode: MemMode::AlgFcm,
-            mem_pin_hot_partitions: true,
             mem_max_chain_iterations: 50,
             mem_convergence_epsilon_micro: 1_000,
         }
@@ -439,7 +382,6 @@ impl MemConfig {
         MemConfig {
             mem_resident_capacity_bytes: 256 * KB,
             mem_mode: MemMode::AlgFcm,
-            mem_pin_hot_partitions: true,
             mem_max_chain_iterations: 8,
             mem_convergence_epsilon_micro: 1_000,
         }
@@ -450,13 +392,9 @@ impl MemConfig {
         let Self {
             mem_resident_capacity_bytes,
             mem_mode,
-            mem_pin_hot_partitions,
             mem_max_chain_iterations,
             mem_convergence_epsilon_micro,
         } = *self;
-        if mem_resident_capacity_bytes == 0 {
-            return Err("mem_resident_capacity_bytes must be nonzero".into());
-        }
         if mem_max_chain_iterations == 0 {
             return Err("mem_max_chain_iterations must be >= 1".into());
         }
@@ -468,8 +406,8 @@ impl MemConfig {
         // Pinning promises the next iteration its inputs stay resident;
         // an over-tight budget would turn that promise into put failures
         // on every partition, so require headroom for at least one frame.
-        if mem_pin_hot_partitions && mem_resident_capacity_bytes < KB {
-            return Err("mem_pin_hot_partitions needs mem_resident_capacity_bytes >= 1 KB".into());
+        if mem_resident_capacity_bytes < KB {
+            return Err("pinned state needs mem_resident_capacity_bytes >= 1 KB".into());
         }
         match mem_mode {
             MemMode::LineageReplay | MemMode::AlgFcm => Ok(()),
@@ -495,8 +433,6 @@ pub struct ClusterSpec {
     pub reduce_slots_per_node: u32,
     /// Container/JVM launch latency, ms.
     pub container_launch_ms: u64,
-    /// CPU cores per node (4 x hex-core Xeon X5650 in the testbed).
-    pub cores_per_node: u32,
     /// Aggregate cross-rack uplink bandwidth per rack, bytes/second.
     /// Oversubscribed relative to the sum of node NICs, which is what makes
     /// cluster-level replication expensive (Fig. 13).
@@ -514,7 +450,6 @@ impl Default for ClusterSpec {
             map_slots_per_node: 8,
             reduce_slots_per_node: 4,
             container_launch_ms: 2_500,
-            cores_per_node: 24,
             rack_uplink_bandwidth: (3 * GB) / 4,
         }
     }
@@ -540,10 +475,6 @@ mod tests {
         assert_eq!(c.io_sort_factor, 100);
         assert_eq!(c.dfs_replication, 2);
         assert_eq!(c.dfs_block_size, 128 * MB);
-        assert_eq!(c.io_file_buffer_size, 8 * MB);
-        assert!((c.vmem_pmem_ratio - 2.1).abs() < 1e-9);
-        assert_eq!(c.min_allocation_bytes, 1024 * MB);
-        assert_eq!(c.max_allocation_bytes, 6144 * MB);
         c.validate().expect("Table I config must validate");
     }
 
@@ -551,21 +482,12 @@ mod tests {
     fn scaled_config_validates_and_preserves_structure() {
         let c = YarnConfig::scaled_for_tests();
         c.validate().unwrap();
-        assert!(c.node_liveness_timeout_ms >= c.heartbeat_interval_ms);
         assert!(c.io_sort_factor >= 2);
     }
 
     #[test]
     fn validation_rejects_bad_configs() {
         let c = YarnConfig { io_sort_factor: 1, ..YarnConfig::default() };
-        assert!(c.validate().is_err());
-
-        let mut c = YarnConfig::default();
-        c.min_allocation_bytes = c.max_allocation_bytes + 1;
-        assert!(c.validate().is_err());
-
-        let mut c = YarnConfig::default();
-        c.node_liveness_timeout_ms = c.heartbeat_interval_ms - 1;
         assert!(c.validate().is_err());
 
         let mut c = YarnConfig::default();
@@ -581,9 +503,6 @@ mod tests {
             |c: &mut YarnConfig| c.reduce_heap_bytes = 0,
             |c: &mut YarnConfig| c.dfs_replication = 0,
             |c: &mut YarnConfig| c.dfs_repair_concurrency = 0,
-            |c: &mut YarnConfig| c.io_file_buffer_size = 0,
-            |c: &mut YarnConfig| c.vmem_pmem_ratio = 0.5,
-            |c: &mut YarnConfig| c.heartbeat_interval_ms = 0,
             |c: &mut YarnConfig| c.fetch_retries_per_source = 0,
             |c: &mut YarnConfig| c.fetch_retry_delay_ms = 0,
             |c: &mut YarnConfig| c.max_task_attempts = 0,
@@ -600,10 +519,6 @@ mod tests {
         // fields that happen to coincide with Table I must stay pinned even
         // if the Table I defaults later change.
         let c = YarnConfig::scaled_for_tests();
-        assert!((c.vmem_pmem_ratio - 2.1).abs() < 1e-9);
-        assert_eq!(c.min_allocation_bytes, 1024 * MB);
-        assert_eq!(c.max_allocation_bytes, 6144 * MB);
-        assert!((c.reducer_fetch_failure_fraction - 0.5).abs() < 1e-9);
         assert!((c.shuffle_buffer_fraction - 0.70).abs() < 1e-9);
         assert!((c.merge_spill_fraction - 0.66).abs() < 1e-9);
         assert!(c.dfs_verify_on_read, "golden reports assume verified DFS reads");
@@ -643,7 +558,6 @@ mod tests {
     fn alm_defaults_match_paper() {
         let a = AlmConfig::default();
         assert_eq!(a.fcm_cap, 10, "paper: FCM cap defaults to 10");
-        assert_eq!(a.max_running_attempts_for_speculation, 2);
         assert_eq!(a.log_replication, ReplicationLevel::Rack);
         assert!(a.proactive_map_regen);
         a.validate().unwrap();
@@ -687,7 +601,6 @@ mod tests {
         // is exercised, but big enough to hold at least one pinned frame.
         assert_eq!(t.mem_resident_capacity_bytes, 256 * KB);
         assert_eq!(t.mem_mode, MemMode::AlgFcm);
-        assert!(t.mem_pin_hot_partitions);
         assert_eq!(t.mem_max_chain_iterations, 8);
         assert_eq!(t.mem_convergence_epsilon_micro, 1_000);
     }
@@ -698,10 +611,7 @@ mod tests {
             |c: &mut MemConfig| c.mem_resident_capacity_bytes = 0,
             |c: &mut MemConfig| c.mem_max_chain_iterations = 0,
             |c: &mut MemConfig| c.mem_convergence_epsilon_micro = 0,
-            |c: &mut MemConfig| {
-                c.mem_pin_hot_partitions = true;
-                c.mem_resident_capacity_bytes = 100;
-            },
+            |c: &mut MemConfig| c.mem_resident_capacity_bytes = 100,
         ] {
             let mut c = MemConfig::default();
             breakage(&mut c);

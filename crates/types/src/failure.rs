@@ -171,11 +171,6 @@ impl FailureReport {
         }
     }
 
-    /// Total number of task failures carried by the report.
-    pub fn failure_count(&self) -> usize {
-        self.failed_reduces.len() + self.failed_maps.len()
-    }
-
     /// Internal consistency: reduces are reduces, maps are maps, no dups.
     pub fn validate(&self) -> Result<(), String> {
         if let Some(t) = self.failed_reduces.iter().find(|t| !t.is_reduce()) {
@@ -582,18 +577,6 @@ impl FaultPlan {
         })
     }
 
-    /// Tasks directly targeted by kill faults (the injected victims for
-    /// spatial-amplification accounting).
-    pub fn kill_targets(&self) -> Vec<TaskId> {
-        self.faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::KillTask { task, .. } => Some(*task),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Number of directly injected failure-producing faults (the divisor in
     /// the paper's "additional failures" amplification accounting). Slow
     /// nodes are perturbations, not failures, and are excluded.
@@ -685,7 +668,6 @@ mod tests {
         assert!(!r.node_alive);
         assert_eq!(r.failed_reduces, vec![TaskId::reduce(job(), 2)]);
         assert_eq!(r.failed_maps.len(), 2, "map 1 deduplicated");
-        assert_eq!(r.failure_count(), 3);
         r.validate().unwrap();
     }
 
@@ -724,7 +706,6 @@ mod tests {
         let plan = FaultPlan::kill_task(t, 0.1).and(FaultPlan::crash_node_at_ms(NodeId(2), 100));
         assert_eq!(plan.faults.len(), 2);
         assert_eq!(plan.injected_count(), 2);
-        assert_eq!(plan.kill_targets(), vec![t]);
     }
 
     #[test]

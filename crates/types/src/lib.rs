@@ -1,8 +1,8 @@
 //! Shared vocabulary for the ALM MapReduce reproduction.
 //!
 //! This crate holds the types every other crate speaks: task/job/node
-//! identifiers, the task and job state machines, the YARN configuration
-//! surface (Table I of the paper), failure descriptions (the input of the
+//! identifiers, task kinds and reduce phases, the YARN configuration
+//! surface (the modelled part of the paper's Table I), failure descriptions (the input of the
 //! enhanced recovery scheduling policy, Algorithm 1), and progress values.
 //!
 //! Nothing in here performs I/O or simulation; it is pure data so that the
@@ -25,4 +25,4 @@ pub use failure::{
 };
 pub use id::{AttemptId, JobId, NodeId, RackId, TaskId};
 pub use progress::Progress;
-pub use state::{JobState, ReducePhase, TaskKind, TaskState};
+pub use state::{ReducePhase, TaskKind};

@@ -38,10 +38,6 @@ impl Progress {
         self.0
     }
 
-    pub fn is_done(&self) -> bool {
-        self.0 >= 1.0
-    }
-
     /// Percentage in `[0, 100]`.
     pub fn percent(&self) -> f64 {
         self.0 * 100.0
@@ -81,8 +77,8 @@ mod tests {
     #[test]
     fn ratio_constructor() {
         assert_eq!(Progress::of(5, 10).value(), 0.5);
-        assert!(Progress::of(0, 0).is_done(), "empty work counts as done");
-        assert!(Progress::of(20, 10).is_done());
+        assert_eq!(Progress::of(0, 0).value(), 1.0, "empty work counts as done");
+        assert_eq!(Progress::of(20, 10).value(), 1.0);
     }
 
     #[test]
@@ -91,7 +87,7 @@ mod tests {
         let p =
             Progress::weighted(&[(Progress::DONE, 1.0), (Progress::new(0.5), 1.0), (Progress::ZERO, 1.0)]);
         assert!((p.value() - 0.5).abs() < 1e-12);
-        assert!(Progress::weighted(&[]).is_done());
+        assert_eq!(Progress::weighted(&[]).value(), 1.0);
     }
 
     #[test]

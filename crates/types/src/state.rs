@@ -1,10 +1,4 @@
-//! Task and job state machines.
-//!
-//! The transitions encoded here are the ones the paper's failure analysis
-//! depends on: a task attempt can fail (transient fault), be killed
-//! (preempted by the scheduler, e.g. after repeated fetch failures — the
-//! trigger of spatial failure amplification), or succeed. A *task* succeeds
-//! when any attempt succeeds.
+//! Task kinds and the phases of a running ReduceTask.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -23,61 +17,6 @@ impl fmt::Display for TaskKind {
             TaskKind::Reduce => write!(f, "reduce"),
         }
     }
-}
-
-/// Lifecycle of one task attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TaskState {
-    /// Created, not yet given a container.
-    New,
-    /// Container granted, waiting to start.
-    Scheduled,
-    /// Executing.
-    Running,
-    /// Finished successfully; output committed.
-    Succeeded,
-    /// Died with an error (OOM, fetch-failure limit, node crash, timeout).
-    Failed,
-    /// Preempted/killed by the scheduler; not an error of the attempt itself.
-    Killed,
-}
-
-impl TaskState {
-    /// Whether this state is terminal (no further transitions).
-    pub fn is_terminal(&self) -> bool {
-        matches!(self, TaskState::Succeeded | TaskState::Failed | TaskState::Killed)
-    }
-
-    /// Whether a transition `self -> next` is legal.
-    ///
-    /// Legal paths: `New -> Scheduled -> Running -> {Succeeded, Failed,
-    /// Killed}`; in addition `Scheduled -> {Failed, Killed}` (container lost
-    /// before launch) and `New -> Killed` (job aborted before scheduling).
-    pub fn can_transition_to(&self, next: TaskState) -> bool {
-        use TaskState::*;
-        matches!(
-            (self, next),
-            (New, Scheduled)
-                | (New, Killed)
-                | (Scheduled, Running)
-                | (Scheduled, Failed)
-                | (Scheduled, Killed)
-                | (Running, Succeeded)
-                | (Running, Failed)
-                | (Running, Killed)
-        )
-    }
-}
-
-/// Lifecycle of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum JobState {
-    Setup,
-    /// Map phase running (reduces may already be launched and shuffling —
-    /// the paper's "overlapping the reduce phase with the map phase").
-    Running,
-    Succeeded,
-    Failed,
 }
 
 /// The internal phase of a running ReduceTask.
@@ -123,37 +62,6 @@ impl ReducePhase {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn legal_happy_path() {
-        use TaskState::*;
-        assert!(New.can_transition_to(Scheduled));
-        assert!(Scheduled.can_transition_to(Running));
-        assert!(Running.can_transition_to(Succeeded));
-    }
-
-    #[test]
-    fn terminal_states_have_no_exits() {
-        use TaskState::*;
-        for from in [Succeeded, Failed, Killed] {
-            assert!(from.is_terminal());
-            for to in [New, Scheduled, Running, Succeeded, Failed, Killed] {
-                assert!(!from.can_transition_to(to), "{from:?} -> {to:?} must be illegal");
-            }
-        }
-    }
-
-    #[test]
-    fn cannot_skip_scheduling() {
-        assert!(!TaskState::New.can_transition_to(TaskState::Running));
-        assert!(!TaskState::New.can_transition_to(TaskState::Succeeded));
-    }
-
-    #[test]
-    fn scheduled_can_fail_before_launch() {
-        assert!(TaskState::Scheduled.can_transition_to(TaskState::Failed));
-        assert!(TaskState::Scheduled.can_transition_to(TaskState::Killed));
-    }
 
     #[test]
     fn reduce_phases_progress_in_order() {

@@ -1,4 +1,4 @@
-//! Byte-size and time constants/helpers shared across crates.
+//! Byte-size constants shared across crates.
 
 /// One kibibyte... in this codebase we follow Hadoop's loose convention and
 /// use power-of-two "KB/MB/GB" since block and buffer sizes are specified
@@ -6,24 +6,6 @@
 pub const KB: u64 = 1024;
 pub const MB: u64 = 1024 * KB;
 pub const GB: u64 = 1024 * MB;
-
-/// Render a byte count human-readably ("1.5 GB", "340 MB", "12 KB").
-pub fn fmt_bytes(bytes: u64) -> String {
-    if bytes >= GB {
-        format!("{:.2} GB", bytes as f64 / GB as f64)
-    } else if bytes >= MB {
-        format!("{:.1} MB", bytes as f64 / MB as f64)
-    } else if bytes >= KB {
-        format!("{:.0} KB", bytes as f64 / KB as f64)
-    } else {
-        format!("{bytes} B")
-    }
-}
-
-/// Render milliseconds as seconds with one decimal ("129.0 s").
-pub fn fmt_ms_as_secs(ms: u64) -> String {
-    format!("{:.1} s", ms as f64 / 1000.0)
-}
 
 #[cfg(test)]
 mod tests {
@@ -34,14 +16,5 @@ mod tests {
         assert_eq!(KB, 1024);
         assert_eq!(MB, 1024 * 1024);
         assert_eq!(GB, 1024 * 1024 * 1024);
-    }
-
-    #[test]
-    fn formatting() {
-        assert_eq!(fmt_bytes(512), "512 B");
-        assert_eq!(fmt_bytes(4 * KB), "4 KB");
-        assert_eq!(fmt_bytes(100 * MB), "100.0 MB");
-        assert_eq!(fmt_bytes(3 * GB + GB / 2), "3.50 GB");
-        assert_eq!(fmt_ms_as_secs(129_000), "129.0 s");
     }
 }

@@ -47,17 +47,6 @@ impl WorkloadKind {
         }
     }
 
-    /// Instantiate the executable workload sized for in-process runs.
-    pub fn instantiate_small(&self) -> Box<dyn Workload> {
-        match self {
-            WorkloadKind::Terasort => Box::new(Terasort::small()),
-            WorkloadKind::Wordcount => Box::new(Wordcount::small()),
-            WorkloadKind::SecondarySort => Box::new(SecondarySort::small()),
-            WorkloadKind::Pagerank => Box::new(Pagerank::small()),
-            WorkloadKind::KMeans => Box::new(KMeans::small()),
-        }
-    }
-
     /// The analytic model for the simulator.
     pub fn model(&self) -> WorkloadModel {
         match self {
@@ -158,9 +147,8 @@ mod tests {
     }
 
     #[test]
-    fn instantiation_matches_kind() {
+    fn model_matches_kind() {
         for k in WorkloadKind::ALL.into_iter().chain(WorkloadKind::ITERATIVE) {
-            assert_eq!(k.instantiate_small().name(), k.name());
             assert_eq!(k.model().name, k.name());
         }
     }

@@ -8,6 +8,10 @@
 #   new YarnConfig field             -> E0063 / E0027 (literal / destructuring)
 #   new JobReport / SimReport counter -> E0027 in crates/chaos/src/analyze.rs
 #
+# The rest-free `validate()` destructurings list only fields an engine reads
+# (YarnConfig 14, MemConfig 4, SchedConfig 3); the YarnConfig mutation
+# anchors on the struct header, not on any one field.
+#
 # CI-only (not tier-1). Usage: scripts/contract_mutations.sh
 set -euo pipefail
 
