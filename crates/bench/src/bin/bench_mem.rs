@@ -55,8 +55,9 @@ fn run_once() -> ChainReport {
 }
 
 /// One timed run: (elapsed microseconds, resident hits, iterations).
+#[allow(clippy::disallowed_methods, reason = "perf harness measures host time by design")]
 fn timed_run() -> (u64, u64, u64) {
-    let start = std::time::Instant::now(); // alm-lint: allow(wall-clock) — perf harness measures host time by design
+    let start = std::time::Instant::now();
     let report = run_once();
     let elapsed_us = start.elapsed().as_micros() as u64;
     assert!(report.runs.iter().all(|r| r.succeeded), "bench chain must complete every job");

@@ -95,7 +95,7 @@ proptest! {
 
         // 4. At most one speculative attempt per failed reduce, always
         //    avoiding the failure's source node; none for maps.
-        let mut spec_seen = std::collections::HashSet::new();
+        let mut spec_seen = std::collections::BTreeSet::new();
         for a in &actions {
             if let SchedAction::LaunchSpeculativeReduce { task, avoid, .. } = a {
                 prop_assert!(task.is_reduce());

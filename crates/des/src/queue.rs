@@ -14,7 +14,7 @@
 //! and invisible to event order.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -44,10 +44,12 @@ impl PartialOrd for Entry {
 /// A virtual-time priority queue of events of type `E`.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry>>,
-    // Lookup-only by sequence number (insert/remove/contains): the map is
-    // never iterated, so hash order cannot reach the event schedule. D1
-    // (alm-lint unordered-iter) will flag any future iteration added here.
-    payloads: HashMap<u64, E>,
+    #[allow(
+        clippy::disallowed_types,
+        reason = "lookup-only by sequence number (insert/remove/len): never iterated, so hash order \
+                  cannot reach the event schedule, and O(1) removal is what `cancel` is measured on"
+    )]
+    payloads: std::collections::HashMap<u64, E>,
     now: SimTime,
     next_seq: u64,
     popped: u64,
@@ -69,7 +71,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            payloads: HashMap::new(),
+            payloads: Default::default(),
             now: SimTime::ZERO,
             next_seq: 0,
             popped: 0,

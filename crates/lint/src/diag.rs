@@ -5,9 +5,9 @@ use alm_metrics::TextTable;
 /// One finding: rule code + id, site, and a human-actionable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Short code, e.g. `D1`.
+    /// Short code, e.g. `L1`.
     pub code: &'static str,
-    /// Rule id as used in `allow(...)` annotations, e.g. `unordered-iter`.
+    /// Rule id as used in `allow(...)` annotations, e.g. `lock-order`.
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub file: String,
@@ -87,19 +87,13 @@ mod tests {
     fn json_is_sorted_escaped_and_key_stable() {
         let diags = vec![
             Diagnostic {
-                code: "D2",
-                rule: "wall-clock",
+                code: "R1",
+                rule: "rng-collision",
                 file: "b.rs".into(),
                 line: 9,
                 message: "say \"hi\"".into(),
             },
-            Diagnostic {
-                code: "D1",
-                rule: "unordered-iter",
-                file: "a.rs".into(),
-                line: 3,
-                message: "n".into(),
-            },
+            Diagnostic { code: "L1", rule: "lock-order", file: "a.rs".into(), line: 3, message: "n".into() },
         ];
         let s = render_json(&diags);
         assert!(s.find("a.rs").unwrap() < s.find("b.rs").unwrap(), "sorted by site");
@@ -116,14 +110,14 @@ mod tests {
     #[test]
     fn render_sorts_by_site() {
         let diags = vec![
-            Diagnostic { code: "D2", rule: "wall-clock", file: "b.rs".into(), line: 9, message: "m".into() },
             Diagnostic {
-                code: "D1",
-                rule: "unordered-iter",
-                file: "a.rs".into(),
-                line: 3,
-                message: "n".into(),
+                code: "R1",
+                rule: "rng-collision",
+                file: "b.rs".into(),
+                line: 9,
+                message: "m".into(),
             },
+            Diagnostic { code: "L1", rule: "lock-order", file: "a.rs".into(), line: 3, message: "n".into() },
         ];
         let s = render(&diags);
         assert!(s.find("a.rs:3").unwrap() < s.find("b.rs:9").unwrap());

@@ -2,17 +2,19 @@
 //! the test suite can only sample.
 //!
 //! The repo's correctness story rests on properties that are global and
-//! structural rather than local and behavioral: hash-order never reaching
-//! deterministic state (D1), virtual time staying virtual (D2), every RNG
-//! draw being a named seeded stream (D3), named RNG streams actually being
+//! structural rather than local and behavioral. This crate keeps the three
+//! that only a cross-file scan can state: named RNG streams actually being
 //! distinct (R1), lock acquisition staying acyclic through the transitive
 //! call graph (L1), and canonical_json emissions staying golden-gate safe
 //! (G1). Each is enforced here as a line/token-level scan over stripped
 //! source — no `syn`, because the workspace bans new external
-//! dependencies. What the type system *can* say — both engines covering
-//! the whole fault vocabulary, every config field validated and pinned,
-//! every report counter consumed by the validator — is left to `rustc`
-//! (wildcard-free matches and rest-free destructuring; see DESIGN.md).
+//! dependencies. What the toolchain *can* say is left to it (DESIGN.md,
+//! "Enforced by the compiler"): both engines covering the whole fault
+//! vocabulary, every config field validated, every report counter consumed
+//! (`rustc`: wildcard-free matches, rest-free destructuring); no hash
+//! container and no host-clock read outside `crates/runtime` (clippy's
+//! `disallowed-types` / `disallowed-methods`, root `clippy.toml`); no
+//! unseeded generator (the in-repo `rand` has no entropy source).
 //!
 //! Escape hatch: `// alm-lint: allow(<rule-id>) — <reason>`. The reason is
 //! mandatory; the linter reports annotations with unknown rule ids or
@@ -153,22 +155,29 @@ mod tests {
 
     #[test]
     fn annotation_hygiene_reports_unknown_rule_and_missing_reason() {
-        // counter-parity / fault-vocab / config-coverage are contracts the
-        // compiler carries, not rules: annotations naming them are unknown.
-        let ws = Workspace::from_sources(&[(
-            "crates/x/src/a.rs",
-            "// alm-lint: allow(no-such-rule) — because\nfn a() {}\n\
-             // alm-lint: allow(wall-clock)\nfn b() {}\n\
-             // alm-lint: allow(counter-parity) — retired\nfn c() {}\n\
-             // alm-lint: allow(fault-vocab) — retired\nfn d() {}\n\
-             // alm-lint: allow(config-coverage) — retired\nfn e() {}\n",
-        )]);
+        // The retired ids name contracts rustc, clippy and the `rand` shim
+        // now carry, not rules: annotations naming them are unknown.
+        let retired = [
+            "counter-parity",
+            "fault-vocab",
+            "config-coverage",
+            "unordered-iter",
+            "wall-clock",
+            "rng-stream",
+        ];
+        let mut src = "// alm-lint: allow(no-such-rule) — because\nfn a() {}\n\
+                       // alm-lint: allow(lock-order)\nfn b() {}\n"
+            .to_string();
+        for id in retired {
+            src.push_str(&format!("// alm-lint: allow({id}) — retired\nfn f() {{}}\n"));
+        }
+        let ws = Workspace::from_sources(&[("crates/x/src/a.rs", &src)]);
         let diags = Linter::new().run(&ws);
         let a0: Vec<_> = diags.iter().filter(|d| d.code == "A0").collect();
-        assert_eq!(a0.len(), 5, "{diags:?}");
+        assert_eq!(a0.len(), 2 + retired.len(), "{diags:?}");
         assert!(a0[0].message.contains("no-such-rule"));
         assert!(a0[1].message.contains("no reason"));
-        for (d, retired) in a0[2..].iter().zip(["counter-parity", "fault-vocab", "config-coverage"]) {
+        for (d, retired) in a0[2..].iter().zip(retired) {
             assert!(d.message.contains(&format!("unknown rule `{retired}`")), "{d:?}");
         }
     }

@@ -113,7 +113,7 @@ fn usage(err: &str) -> ExitCode {
          --check        exit nonzero when any diagnostic is produced (CI mode)\n\
          --json         machine-readable report on stdout (stable key order)\n\
          --root <dir>   workspace root (default: nearest [workspace] Cargo.toml)\n\
-         --rule <id>    run only the named rule(s); accepts ids or codes (D1, L1, ...)\n\
+         --rule <id>    run only the named rule(s); accepts ids or codes (L1, G1, ...)\n\
          --list-rules   print the rule table and exit"
     );
     if err.is_empty() {

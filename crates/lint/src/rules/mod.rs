@@ -6,26 +6,20 @@
 
 mod golden_emission;
 mod lock_order;
-mod randomness;
 mod rng_collision;
-mod unordered_iter;
-mod wall_clock;
 
 pub use golden_emission::GoldenEmission;
 pub use lock_order::LockOrder;
-pub use randomness::Randomness;
 pub use rng_collision::RngCollision;
-pub use unordered_iter::UnorderedIter;
-pub use wall_clock::WallClock;
 
 use crate::diag::Diagnostic;
 use crate::Workspace;
 
 /// One machine-checked invariant.
 pub trait Rule {
-    /// Rule id as written in `allow(...)` annotations, e.g. `unordered-iter`.
+    /// Rule id as written in `allow(...)` annotations, e.g. `lock-order`.
     fn id(&self) -> &'static str;
-    /// Short code used in reports, e.g. `D1`.
+    /// Short code used in reports, e.g. `L1`.
     fn code(&self) -> &'static str;
     /// One-line description of the bug class the rule prevents.
     fn description(&self) -> &'static str;
@@ -34,12 +28,5 @@ pub trait Rule {
 
 /// The full default rule set in report order.
 pub fn default_rules() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(UnorderedIter::default()),
-        Box::new(WallClock::default()),
-        Box::new(Randomness),
-        Box::new(LockOrder::default()),
-        Box::new(GoldenEmission::default()),
-        Box::new(RngCollision),
-    ]
+    vec![Box::new(LockOrder::default()), Box::new(GoldenEmission::default()), Box::new(RngCollision)]
 }

@@ -1,6 +1,7 @@
 //! R1 `rng-collision`: named RNG streams must actually be distinct.
 //!
-//! D3 forces every draw through `alm_des::rng::stream(seed, label)`, but a
+//! Every generator is seeded (the in-repo `rand` has no entropy source) and
+//! engine draws go through `alm_des::rng::stream(seed, label)`, but a
 //! named stream is only as independent as its name: two call sites deriving
 //! the same (seed, label) silently consume *one* stream — correlated
 //! "independent" randomness that poisons differential comparisons — and a

@@ -20,7 +20,7 @@ pub struct Allow {
     /// 1-based line the annotation covers: the same line for a trailing
     /// comment, the next code line for a whole-line comment.
     pub applies_to: usize,
-    /// Rule id inside `allow(...)`, e.g. `unordered-iter`.
+    /// Rule id inside `allow(...)`, e.g. `lock-order`.
     pub rule: String,
     /// Free-text justification after the closing parenthesis. Mandatory:
     /// an empty reason is itself reported by the linter.
@@ -57,11 +57,6 @@ impl SourceFile {
     /// Whether `rule` is allowed at 1-based `line` by an annotation.
     pub fn allowed(&self, rule: &str, line: usize) -> bool {
         self.allows.iter().any(|a| a.rule == rule && a.applies_to == line && !a.reason.is_empty())
-    }
-
-    /// Whether `rule` is allowed anywhere in the 1-based inclusive range.
-    pub fn allowed_in(&self, rule: &str, first: usize, last: usize) -> bool {
-        (first..=last).any(|l| self.allowed(rule, l))
     }
 }
 
@@ -375,15 +370,15 @@ mod tests {
 
     #[test]
     fn allow_parsing_trailing_and_standalone() {
-        let src = "let x = m.iter(); // alm-lint: allow(unordered-iter) — order folded by max\n\
-                   // alm-lint: allow(wall-clock) — harness timing only\n\
-                   let t = now();\n\
-                   // alm-lint: allow(rng-stream)\n\
+        let src = "let g = a.lock(); // alm-lint: allow(lock-order) — b is never held here\n\
+                   // alm-lint: allow(golden-emission) — re-bless lands with this change\n\
+                   let t = field();\n\
+                   // alm-lint: allow(rng-collision)\n\
                    let r = f();\n";
         let f = SourceFile::parse("x/src/a.rs", src);
-        assert!(f.allowed("unordered-iter", 1));
-        assert!(f.allowed("wall-clock", 3));
-        assert!(!f.allowed("rng-stream", 5), "missing reason never suppresses");
+        assert!(f.allowed("lock-order", 1));
+        assert!(f.allowed("golden-emission", 3));
+        assert!(!f.allowed("rng-collision", 5), "missing reason never suppresses");
         assert_eq!(f.allows.len(), 3);
         assert!(f.allows[2].reason.is_empty());
     }

@@ -20,6 +20,11 @@ const EXCLUDED_PREFIXES: &[&str] = &[
     "crates/bench/golden/",
     // The lint's fixture corpus: deliberately violating sources.
     "crates/lint/tests/fixtures/",
+    // The benchmark package: a cargo workspace of its own that neither
+    // `cargo clippy --workspace` nor this scan covers. It is frozen between
+    // benchmark-defining changes, and its one `allow(wall-clock)` annotation
+    // names a rule clippy's `disallowed-methods` has since replaced.
+    "benchmark/",
 ];
 
 /// Recursively collect workspace-relative paths of `.rs` sources under
@@ -109,6 +114,7 @@ mod tests {
         mk("crates/bench/golden/x.rs", "");
         mk("crates/lint/tests/fixtures/f.rs", "");
         mk("shims/rand/src/lib.rs", "");
+        mk("benchmark/src/main.rs", "");
         mk("target/debug/build.rs", "");
         mk("src/lib.rs", "");
         mk("notes.md", "");

@@ -27,13 +27,11 @@ fn seeded_fixture_fails_check_with_every_rule_firing() {
     let out = lint(&fixture_root(), &["--check"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(!out.status.success(), "seeded violations must fail --check:\n{stdout}");
-    for code in ["D1", "D2", "D3", "L1", "A0", "G1", "R1"] {
+    for code in ["L1", "A0", "G1", "R1"] {
         assert!(stdout.contains(code), "code {code} missing from report:\n{stdout}");
     }
     // Each seed lands where it was planted.
     for site in [
-        "crates/sim/src/engine.rs",
-        "crates/des/src/clock.rs",
         "crates/core/src/rng.rs",
         "crates/runtime/src/am.rs",
         "crates/chaos/src/campaign.rs",
@@ -60,11 +58,11 @@ fn without_check_the_fixture_still_reports_but_exits_zero() {
 
 #[test]
 fn rule_filter_restricts_the_report() {
-    let out = lint(&fixture_root(), &["--check", "--rule", "D2"]);
+    let out = lint(&fixture_root(), &["--check", "--rule", "L1"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(!out.status.success());
-    assert!(stdout.contains("wall-clock"), "{stdout}");
-    assert!(!stdout.contains("unordered-iter"), "only the selected rule runs:\n{stdout}");
+    assert!(stdout.contains("lock-order"), "{stdout}");
+    assert!(!stdout.contains("golden-emission"), "only the selected rule runs:\n{stdout}");
 }
 
 #[test]
@@ -75,11 +73,11 @@ fn real_workspace_passes_check() {
         out.status.success(),
         "the workspace must stay lint-clean — fix the finding or annotate with a reason:\n{stdout}"
     );
-    assert!(stdout.contains("files clean"), "{stdout}");
+    assert!(stdout.contains("files clean (4 invariants)"), "{stdout}");
 }
 
 #[test]
-fn list_rules_names_exactly_the_six_coded_rules() {
+fn list_rules_names_exactly_the_three_coded_rules() {
     let out =
         Command::new(env!("CARGO_BIN_EXE_alm-lint")).arg("--list-rules").output().expect("run alm-lint");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -93,14 +91,7 @@ fn list_rules_names_exactly_the_six_coded_rules() {
         .collect();
     assert_eq!(
         listed,
-        [
-            ("D1", "unordered-iter"),
-            ("D2", "wall-clock"),
-            ("D3", "rng-stream"),
-            ("L1", "lock-order"),
-            ("G1", "golden-emission"),
-            ("R1", "rng-collision"),
-        ],
+        [("L1", "lock-order"), ("G1", "golden-emission"), ("R1", "rng-collision")],
         "{stdout}"
     );
 }

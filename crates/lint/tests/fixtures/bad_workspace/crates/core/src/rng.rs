@@ -1,10 +1,4 @@
-//! Fixture: the seeded D3 violation (ambient entropy) plus a rotted
-//! annotation (unknown rule id) for A0.
-
-pub fn jitter() -> f64 {
-    let mut rng = rand::thread_rng();
-    rng.gen()
-}
+//! Fixture: a rotted annotation (unknown rule id) for A0.
 
 // alm-lint: allow(no-such-rule) — typo'd rule id, must be reported
 pub fn seeded() -> u64 {

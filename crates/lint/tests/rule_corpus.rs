@@ -3,7 +3,7 @@
 //! library API on in-memory workspaces so the behavior is pinned at the
 //! precision of a single line.
 
-use alm_lint::rules::{GoldenEmission, LockOrder, Randomness, RngCollision, Rule, UnorderedIter, WallClock};
+use alm_lint::rules::{GoldenEmission, LockOrder, RngCollision, Rule};
 use alm_lint::{Linter, Workspace};
 
 fn run(rule: Box<dyn Rule>, sources: &[(&str, &str)]) -> Vec<alm_lint::Diagnostic> {
@@ -12,155 +12,6 @@ fn run(rule: Box<dyn Rule>, sources: &[(&str, &str)]) -> Vec<alm_lint::Diagnosti
 
 fn run_aux(rule: Box<dyn Rule>, sources: &[(&str, &str)], aux: &[(&str, &str)]) -> Vec<alm_lint::Diagnostic> {
     Linter::with_rules(vec![rule]).run(&Workspace::from_sources_with_aux(sources, aux))
-}
-
-// ---------------- D1 unordered-iter ----------------
-
-const D1_STRUCT: &str = "use std::collections::HashMap;\n\
-                         pub struct S {\n    pub m: HashMap<u32, u32>,\n}\n";
-
-#[test]
-fn d1_flags_hash_order_escaping() {
-    let src = format!(
-        "{D1_STRUCT}impl S {{\n    pub fn order(&self) -> Vec<u32> {{\n        \
-         self.m.keys().copied().collect()\n    }}\n}}\n"
-    );
-    let diags = run(Box::new(UnorderedIter::default()), &[("crates/sim/src/a.rs", &src)]);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].code, "D1");
-    assert!(diags[0].message.contains('m'));
-}
-
-#[test]
-fn d1_ignores_out_of_scope_crates() {
-    let src = format!(
-        "{D1_STRUCT}impl S {{\n    pub fn order(&self) -> Vec<u32> {{\n        \
-         self.m.keys().copied().collect()\n    }}\n}}\n"
-    );
-    // crates/metrics is not a deterministic crate.
-    let diags = run(Box::new(UnorderedIter::default()), &[("crates/metrics/src/a.rs", &src)]);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn d1_sorted_collect_is_clean() {
-    let src = format!(
-        "{D1_STRUCT}impl S {{\n    pub fn sorted(&self) -> Vec<u32> {{\n        \
-         let mut ks: Vec<u32> = self.m.keys().copied().collect();\n        \
-         ks.sort_unstable();\n        ks\n    }}\n}}\n"
-    );
-    let diags = run(Box::new(UnorderedIter::default()), &[("crates/des/src/a.rs", &src)]);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn d1_order_insensitive_tail_is_clean() {
-    let src = format!(
-        "{D1_STRUCT}impl S {{\n    pub fn total(&self) -> usize {{\n        \
-         self.m.keys().count()\n    }}\n    pub fn peak(&self) -> Option<u32> {{\n        \
-         self.m.values().copied().max()\n    }}\n}}\n"
-    );
-    let diags = run(Box::new(UnorderedIter::default()), &[("crates/core/src/a.rs", &src)]);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn d1_btree_collect_is_clean() {
-    let src = format!(
-        "{D1_STRUCT}impl S {{\n    pub fn stable(&self) -> std::collections::BTreeSet<u32> {{\n        \
-         self.m.keys().copied().collect::<BTreeSet<u32>>()\n    }}\n}}\n"
-    );
-    let diags = run(Box::new(UnorderedIter::default()), &[("crates/chaos/src/a.rs", &src)]);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn d1_for_loop_over_hash_collection_is_flagged() {
-    let src = format!(
-        "{D1_STRUCT}impl S {{\n    pub fn visit(&self) {{\n        \
-         for k in &self.m {{\n            observe(k);\n        }}\n    }}\n}}\n"
-    );
-    let diags = run(Box::new(UnorderedIter::default()), &[("crates/types/src/a.rs", &src)]);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-}
-
-#[test]
-fn d1_allow_with_reason_suppresses_without_reason_does_not() {
-    let with_reason = format!(
-        "{D1_STRUCT}impl S {{\n    pub fn order(&self) -> Vec<u32> {{\n        \
-         // alm-lint: allow(unordered-iter) — order folded into a set downstream\n        \
-         self.m.keys().copied().collect()\n    }}\n}}\n"
-    );
-    let diags = run(Box::new(UnorderedIter::default()), &[("crates/sim/src/a.rs", &with_reason)]);
-    assert!(diags.is_empty(), "{diags:?}");
-
-    let without = with_reason.replace(" — order folded into a set downstream", "");
-    let diags = run(Box::new(UnorderedIter::default()), &[("crates/sim/src/a.rs", &without)]);
-    // A reasonless allow suppresses nothing AND is itself a hygiene finding.
-    assert_eq!(diags.len(), 2, "{diags:?}");
-    assert!(diags.iter().any(|d| d.code == "A0"));
-    assert!(diags.iter().any(|d| d.code == "D1"));
-}
-
-#[test]
-fn d1_skips_test_code() {
-    let src = format!(
-        "{D1_STRUCT}#[cfg(test)]\nmod tests {{\n    fn order(s: &super::S) -> Vec<u32> {{\n        \
-         s.m.keys().copied().collect()\n    }}\n}}\n"
-    );
-    let diags = run(Box::new(UnorderedIter::default()), &[("crates/sim/src/a.rs", &src)]);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-// ---------------- D2 wall-clock ----------------
-
-const D2_SRC: &str = "pub fn elapsed() -> u64 {\n    let t = std::time::Instant::now();\n    \
-                      t.elapsed().as_millis() as u64\n}\n";
-
-#[test]
-fn d2_flags_wall_clock_outside_runtime() {
-    let diags = run(Box::new(WallClock::default()), &[("crates/des/src/a.rs", D2_SRC)]);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].code, "D2");
-    assert_eq!(diags[0].line, 2);
-}
-
-#[test]
-fn d2_runtime_engine_is_exempt() {
-    let diags = run(Box::new(WallClock::default()), &[("crates/runtime/src/a.rs", D2_SRC)]);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn d2_test_code_may_time_itself() {
-    let src = format!("#[cfg(test)]\nmod tests {{\n{D2_SRC}}}\n");
-    let diags = run(Box::new(WallClock::default()), &[("crates/des/src/a.rs", &src)]);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-// ---------------- D3 rng-stream ----------------
-
-#[test]
-fn d3_flags_ambient_entropy_even_in_tests() {
-    let src = "fn jitter() -> f64 {\n    rand::thread_rng().gen()\n}\n";
-    let diags = run(Box::new(Randomness), &[("crates/sim/tests/a.rs", src)]);
-    assert_eq!(diags.len(), 1, "unreplayable tests are still a finding: {diags:?}");
-    assert_eq!(diags[0].code, "D3");
-}
-
-#[test]
-fn d3_allow_with_reason_suppresses() {
-    let src = "fn port() -> u16 {\n    \
-               OsRng.next_u32() as u16 // alm-lint: allow(rng-stream) — ephemeral port pick, not replayed\n}\n";
-    let diags = run(Box::new(Randomness), &[("crates/runtime/src/a.rs", src)]);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn d3_string_and_comment_mentions_are_not_findings() {
-    let src = "// thread_rng is banned here\nfn f() -> &'static str {\n    \"use thread_rng\"\n}\n";
-    let diags = run(Box::new(Randomness), &[("crates/core/src/a.rs", src)]);
-    assert!(diags.is_empty(), "{diags:?}");
 }
 
 // ---------------- L1 lock-order ----------------

@@ -23,8 +23,7 @@ use alm_core::{schedule_recovery, ExecMode, LogPaths, PolicyCtx, SchedAction};
 use alm_shuffle::frame::FRAME_HEADER_LEN;
 use alm_shuffle::LocalFs;
 use alm_types::{
-    AttemptId, CorruptTarget, FailureKind, FailureReport, LinkDegradation, LinkDirection, NodeId,
-    ReplicationLevel, TaskId,
+    AttemptId, CorruptTarget, FailureKind, FailureReport, LinkDirection, NodeId, ReplicationLevel, TaskId,
 };
 use bytes::Bytes;
 
@@ -60,6 +59,15 @@ impl TaskState {
     }
 }
 
+/// What a due `pending_link_ops` entry does to its link.
+#[derive(Debug, Clone, Copy)]
+enum LinkOp {
+    Sever,
+    Heal,
+    Degrade { factor: f64, loss: f64 },
+    ClearDegrade,
+}
+
 /// Drives one job to completion (or failure) on a mini-cluster.
 pub struct JobRunner {
     cluster: Arc<MiniCluster>,
@@ -81,14 +89,12 @@ pub struct JobRunner {
     pending_crashes_ms: Vec<(NodeId, u64)>,
     pending_crashes_progress: Vec<(NodeId, u32, f64)>,
     pending_slow_ms: Vec<(NodeId, u64, f64)>,
-    /// Link severs and heals due at their timestamps (transient
-    /// partitions, one entry per expanded flap window), with the direction
-    /// each cut applies to.
-    pending_severs: Vec<(NodeId, NodeId, LinkDirection, u64)>,
-    pending_heals: Vec<(NodeId, NodeId, LinkDirection, u64)>,
-    /// Degraded-link activations and restorations due at their timestamps.
-    pending_degrades: Vec<LinkDegradation>,
-    pending_undegrades: Vec<(NodeId, NodeId, LinkDirection, u64)>,
+    /// Link changes due at their timestamps as `(at_ms, a, b, direction,
+    /// op)` — a sever and a heal per partition window (flap windows come
+    /// expanded), a degrade and a clear per gray link — in time order.
+    /// Equal timestamps keep plan order (a window's sever, then its heal),
+    /// so a zero-length window nets healed.
+    pending_link_ops: Vec<(u64, NodeId, NodeId, LinkDirection, LinkOp)>,
     /// Data corruptions due at their timestamps. A corruption whose target
     /// has not materialised yet (MOF not committed, log record not written)
     /// stays pending and is retried each scheduling tick.
@@ -103,18 +109,21 @@ impl JobRunner {
         let mut pending_crashes_ms = Vec::new();
         let mut pending_crashes_progress = Vec::new();
         let mut pending_slow_ms = Vec::new();
-        let mut pending_severs = Vec::new();
-        let mut pending_heals = Vec::new();
-        let mut pending_degrades = Vec::new();
-        let mut pending_undegrades = Vec::new();
+        let mut pending_link_ops = Vec::new();
         let mut pending_corruptions = Vec::new();
         // Partition windows (flap schedules included) come pre-expanded by
         // the shared plan helper, so this engine and the simulator lower
         // the exact same sever/heal timeline.
         for w in faults.partition_windows() {
-            pending_severs.push((w.a, w.b, w.direction, w.from_ms));
-            pending_heals.push((w.a, w.b, w.direction, w.heal_ms));
+            pending_link_ops.push((w.from_ms, w.a, w.b, w.direction, LinkOp::Sever));
+            pending_link_ops.push((w.heal_ms, w.a, w.b, w.direction, LinkOp::Heal));
         }
+        for d in faults.degradations() {
+            let op = LinkOp::Degrade { factor: d.factor, loss: d.loss };
+            pending_link_ops.push((d.from_ms, d.a, d.b, d.direction, op));
+            pending_link_ops.push((d.heal_ms, d.a, d.b, d.direction, LinkOp::ClearDegrade));
+        }
+        pending_link_ops.sort_by_key(|(at, ..)| *at); // stable: ties keep plan order
         for f in &faults.faults {
             match f {
                 Fault::CrashNodeAtMs { node, at_ms } => pending_crashes_ms.push((*node, *at_ms)),
@@ -122,17 +131,13 @@ impl JobRunner {
                     pending_crashes_progress.push((*node, *reduce_index, *at_progress))
                 }
                 Fault::SlowNode { node, at_ms, factor } => pending_slow_ms.push((*node, *at_ms, *factor)),
-                Fault::PartitionLink { .. } => {} // expanded above
-                Fault::DegradedLink { a, b, direction, heal_ms, .. } => {
-                    pending_undegrades.push((*a, *b, *direction, *heal_ms));
-                }
+                Fault::PartitionLink { .. } | Fault::DegradedLink { .. } => {} // expanded above
                 Fault::CorruptData { node, target, at_ms } => {
                     pending_corruptions.push((*node, *target, *at_ms))
                 }
                 Fault::KillTask { .. } => {}
             }
         }
-        pending_degrades.extend(faults.degradations());
         JobRunner {
             cluster,
             job: Arc::new(job),
@@ -151,10 +156,7 @@ impl JobRunner {
             pending_crashes_ms,
             pending_crashes_progress,
             pending_slow_ms,
-            pending_severs,
-            pending_heals,
-            pending_degrades,
-            pending_undegrades,
+            pending_link_ops,
             pending_corruptions,
         }
     }
@@ -428,48 +430,22 @@ impl JobRunner {
         for (n, f) in due_slow {
             self.cluster.node(n).set_slow(f);
         }
-        // Sever due links, then apply due heals — so a zero-length
-        // partition (from_ms == heal_ms) nets out healed. Flap schedules
-        // guarantee every heal lands strictly before the same link's next
-        // sever, so a heal here can never erase a later window's cut; a
-        // heal of an already-healed link is LinkTable's explicit no-op.
-        let due_severs: Vec<(NodeId, NodeId, LinkDirection)> = self
-            .pending_severs
-            .iter()
-            .filter(|(_, _, _, at)| *at <= now)
-            .map(|(a, b, d, _)| (*a, *b, *d))
-            .collect();
-        self.pending_severs.retain(|(_, _, _, at)| *at > now);
-        for (a, b, d) in due_severs {
-            self.cluster.links.sever(a, b, d);
-        }
-        let due_heals: Vec<(NodeId, NodeId, LinkDirection)> = self
-            .pending_heals
-            .iter()
-            .filter(|(_, _, _, at)| *at <= now)
-            .map(|(a, b, d, _)| (*a, *b, *d))
-            .collect();
-        self.pending_heals.retain(|(_, _, _, at)| *at > now);
-        for (a, b, d) in due_heals {
-            self.cluster.links.heal(a, b, d);
-        }
-        // Activate due link degradations, then lift the expired ones (a
-        // zero-length degradation nets out healthy).
-        let due_deg: Vec<LinkDegradation> =
-            self.pending_degrades.iter().filter(|d| d.from_ms <= now).copied().collect();
-        self.pending_degrades.retain(|d| d.from_ms > now);
-        for d in due_deg {
-            self.cluster.links.degrade(d.a, d.b, d.direction, d.factor, d.loss);
-        }
-        let due_undeg: Vec<(NodeId, NodeId, LinkDirection)> = self
-            .pending_undegrades
-            .iter()
-            .filter(|(_, _, _, at)| *at <= now)
-            .map(|(a, b, d, _)| (*a, *b, *d))
-            .collect();
-        self.pending_undegrades.retain(|(_, _, _, at)| *at > now);
-        for (a, b, d) in due_undeg {
-            self.cluster.links.clear_degrade(a, b, d);
+        // Apply the due link changes in time order. A flap's up-span can be
+        // shorter than one AM poll, so a window's heal and the next window's
+        // sever of the same link may both be due here: replayed in order the
+        // link ends severed, where sever-all-then-heal-all would erase the
+        // later window. A heal of an already-healed link is LinkTable's
+        // explicit no-op.
+        let due = self.pending_link_ops.partition_point(|(at, ..)| *at <= now);
+        for (_, a, b, d, op) in self.pending_link_ops.drain(..due) {
+            match op {
+                LinkOp::Sever => self.cluster.links.sever(a, b, d),
+                LinkOp::Heal => {
+                    self.cluster.links.heal(a, b, d);
+                }
+                LinkOp::Degrade { factor, loss } => self.cluster.links.degrade(a, b, d, factor, loss),
+                LinkOp::ClearDegrade => self.cluster.links.clear_degrade(a, b, d),
+            }
         }
         // Flip bytes for due corruptions; targets that have not
         // materialised yet stay pending for the next tick.

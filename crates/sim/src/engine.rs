@@ -15,7 +15,7 @@
 //!   at high priority, resumes reducers from logged progress, and migrates
 //!   with in-memory fast collective merging.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use alm_core::{schedule_recovery, ExecMode, PolicyCtx, SchedAction};
 use alm_des::{EventQueue, EventToken, FlowId, FlowPool, SimDuration};
@@ -44,7 +44,7 @@ const FCM_TEARDOWN_MS: u64 = 60_000;
 /// Hard cap on simulated events (runaway guard).
 const MAX_EVENTS: u64 = 50_000_000;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PoolRef {
     Disk(u32),
     NicIn(u32),
@@ -88,6 +88,15 @@ enum Purpose {
     FcmNet {
         source: u32,
     },
+}
+
+/// What a due `faults_link` entry does to its directed link.
+#[derive(Debug, Clone, Copy)]
+enum LinkOp {
+    Sever,
+    Heal,
+    Degrade { factor: f64, loss: f64 },
+    ClearDegrade,
 }
 
 struct FlowInfo {
@@ -139,7 +148,8 @@ struct RedTask {
     completed: bool,
     attempts: u32,
     kill_at: Option<f64>,
-    attempts_on_node: HashMap<u32, u32>,
+    /// Attempts launched per node, indexed by node id.
+    attempts_on_node: Vec<u32>,
     running: Vec<AttemptId>,
     /// Last ALG-logged snapshot (None until first log).
     logged: Option<LoggedState>,
@@ -163,13 +173,13 @@ struct RedAtt {
     mode: ExecMode,
     phase: RedPhase,
     pending: BTreeSet<u32>,
-    active_fetches: HashMap<FlowId, u32>,
+    active_fetches: BTreeMap<FlowId, u32>,
     fetched: BTreeSet<u32>,
-    retry: HashMap<u32, u32>,
+    retry: BTreeMap<u32, u32>,
     /// Per map index: deterministic loss-draw counter for gray links (the
     /// RNG stream label includes it so every draw is fresh but replayable).
-    loss_draws: HashMap<u32, u32>,
-    flows: HashSet<FlowId>,
+    loss_draws: BTreeMap<u32, u32>,
+    flows: BTreeSet<FlowId>,
     spill_debt: u64,
     spill_emitted: u64,
     spill_outstanding: usize,
@@ -193,8 +203,8 @@ struct RedAtt {
     dead: bool,
 }
 
-/// A reduce attempt's live flows (own + active fetches) in deterministic
-/// (FlowId) order; the backing containers are hashed.
+/// A reduce attempt's live flows (own + active fetches) merged into one
+/// FlowId order.
 fn sorted_flows(att: &RedAtt) -> Vec<FlowId> {
     let mut v: Vec<FlowId> = att.flows.iter().chain(att.active_fetches.keys()).copied().collect();
     v.sort_unstable();
@@ -214,19 +224,21 @@ enum RedPhase {
 /// One simulated job run.
 pub struct Simulation {
     q: EventQueue<Ev>,
-    pools: HashMap<PoolRef, (FlowPool, Option<EventToken>)>,
-    flows: HashMap<FlowId, FlowInfo>,
+    /// Every pool with its pending wake-up, at `pool_slot(PoolRef)`.
+    pools: Vec<(FlowPool, Option<EventToken>)>,
+    flows: BTreeMap<FlowId, FlowInfo>,
     next_flow: u64,
     nodes: Vec<SimNode>,
     env: ExperimentEnv,
     qty: Quantities,
     maps: Vec<MapTask>,
     reduces: Vec<RedTask>,
-    map_atts: HashMap<AttemptId, MapAtt>,
-    red_atts: HashMap<AttemptId, RedAtt>,
-    mof_loc: HashMap<u32, u32>,
-    regenerating: HashSet<u32>,
-    fetch_reports: HashMap<u32, u32>,
+    map_atts: BTreeMap<AttemptId, MapAtt>,
+    red_atts: BTreeMap<AttemptId, RedAtt>,
+    /// Per map index: the node holding its registered MOF, if any.
+    mof_loc: Vec<Option<u32>>,
+    /// Per map index: whether a re-execution of the map is queued or running.
+    regenerating: Vec<bool>,
     queued_maps: VecDeque<TaskId>,
     queued_reduces: VecDeque<QueuedReduce>,
     reduces_dispatched: bool,
@@ -235,15 +247,14 @@ pub struct Simulation {
     faults_time: Vec<(u32, f64)>,
     faults_progress: Vec<(u32, u32, f64)>,
     faults_slow: Vec<(u32, f64, f64)>,
-    /// Pending severs/heals as *directed* `(from, to, at_secs)` entries —
-    /// expanded from each fault's `LinkDirection` via the shared
-    /// `directed_keys` helper, exactly like the runtime's `LinkTable`.
-    faults_sever: Vec<(u32, u32, f64)>,
-    faults_heal: Vec<(u32, u32, f64)>,
-    /// Pending gray-link activations: directed
-    /// `(from, to, at_secs, factor, loss)`.
-    faults_degrade: Vec<(u32, u32, f64, f64, f64)>,
-    faults_undegrade: Vec<(u32, u32, f64)>,
+    /// Pending link changes as *directed* `(at_secs, from, to, op)` entries
+    /// — expanded from each fault's `LinkDirection` via the shared
+    /// `directed_keys` helper, exactly like the runtime's `LinkTable` — in
+    /// time order. Entries due in the same sample tick are applied in that
+    /// order, so a heal never erases a later window's sever; equal
+    /// timestamps keep plan order (a window's sever, then its heal), so a
+    /// zero-length window nets healed.
+    faults_link: Vec<(f64, u32, u32, LinkOp)>,
     faults_corrupt: Vec<(u32, CorruptTarget, f64)>,
     /// Currently severed directed links: `(from, to)` means `from` cannot
     /// open a fetch to `to`; an asymmetric partition leaves the reverse
@@ -288,14 +299,15 @@ impl Simulation {
                 slow: 1.0,
             })
             .collect();
-        let mut pools = HashMap::new();
-        for n in 0..workers {
-            pools.insert(PoolRef::Disk(n), (FlowPool::new(env.cluster.disk_read_bandwidth), None));
-            pools.insert(PoolRef::NicIn(n), (FlowPool::new(env.cluster.nic_bandwidth), None));
-            pools.insert(PoolRef::NicOut(n), (FlowPool::new(env.cluster.nic_bandwidth), None));
+        // Layout must match `pool_slot`.
+        let mut pools = Vec::new();
+        for _ in 0..workers {
+            pools.push((FlowPool::new(env.cluster.disk_read_bandwidth), None));
+            pools.push((FlowPool::new(env.cluster.nic_bandwidth), None));
+            pools.push((FlowPool::new(env.cluster.nic_bandwidth), None));
         }
-        for r in 0..racks {
-            pools.insert(PoolRef::Uplink(r), (FlowPool::new(env.cluster.rack_uplink_bandwidth), None));
+        for _ in 0..racks {
+            pools.push((FlowPool::new(env.cluster.rack_uplink_bandwidth), None));
         }
 
         let mut maps: Vec<MapTask> = (0..qty.num_maps)
@@ -306,7 +318,7 @@ impl Simulation {
                 completed: false,
                 attempts: 0,
                 kill_at: None,
-                attempts_on_node: HashMap::new(),
+                attempts_on_node: vec![0; workers as usize],
                 running: Vec::new(),
                 logged: None,
                 logged_prev: None,
@@ -316,10 +328,7 @@ impl Simulation {
         let mut faults_time = Vec::new();
         let mut faults_progress = Vec::new();
         let mut faults_slow = Vec::new();
-        let mut faults_sever = Vec::new();
-        let mut faults_heal = Vec::new();
-        let mut faults_degrade = Vec::new();
-        let mut faults_undegrade = Vec::new();
+        let mut faults_link = Vec::new();
         let mut faults_corrupt = Vec::new();
         for f in &faults {
             match f {
@@ -342,14 +351,15 @@ impl Simulation {
                 }
                 SimFault::PartitionLinkAtSecs { a, b, direction, from_secs, heal_secs } => {
                     for (from, to) in direction.directed_keys(*a, *b) {
-                        faults_sever.push((from, to, *from_secs));
-                        faults_heal.push((from, to, heal_secs.max(*from_secs)));
+                        faults_link.push((*from_secs, from, to, LinkOp::Sever));
+                        faults_link.push((heal_secs.max(*from_secs), from, to, LinkOp::Heal));
                     }
                 }
                 SimFault::DegradedLinkAtSecs { a, b, direction, from_secs, heal_secs, factor, loss } => {
                     for (from, to) in direction.directed_keys(*a, *b) {
-                        faults_degrade.push((from, to, *from_secs, factor.max(1.0), loss.clamp(0.0, 1.0)));
-                        faults_undegrade.push((from, to, heal_secs.max(*from_secs)));
+                        let op = LinkOp::Degrade { factor: factor.max(1.0), loss: loss.clamp(0.0, 1.0) };
+                        faults_link.push((*from_secs, from, to, op));
+                        faults_link.push((heal_secs.max(*from_secs), from, to, LinkOp::ClearDegrade));
                     }
                 }
                 SimFault::CorruptDataAtSecs { node, target, at_secs } => {
@@ -357,22 +367,23 @@ impl Simulation {
                 }
             }
         }
+        faults_link.sort_by(|a, b| a.0.total_cmp(&b.0)); // stable: ties keep plan order
 
+        let num_maps = qty.num_maps as usize;
         Simulation {
             q: EventQueue::new(),
             pools,
-            flows: HashMap::new(),
+            flows: BTreeMap::new(),
             next_flow: 0,
             nodes,
             env,
             qty,
             maps,
             reduces,
-            map_atts: HashMap::new(),
-            red_atts: HashMap::new(),
-            mof_loc: HashMap::new(),
-            regenerating: HashSet::new(),
-            fetch_reports: HashMap::new(),
+            map_atts: BTreeMap::new(),
+            red_atts: BTreeMap::new(),
+            mof_loc: vec![None; num_maps],
+            regenerating: vec![false; num_maps],
             queued_maps: VecDeque::new(),
             queued_reduces: VecDeque::new(),
             reduces_dispatched: false,
@@ -381,10 +392,7 @@ impl Simulation {
             faults_time,
             faults_progress,
             faults_slow,
-            faults_sever,
-            faults_heal,
-            faults_degrade,
-            faults_undegrade,
+            faults_link,
             faults_corrupt,
             severed: BTreeSet::new(),
             degraded: BTreeMap::new(),
@@ -445,8 +453,20 @@ impl Simulation {
 
     // ---------------- pools and flows ----------------
 
+    /// Index of `p` in `pools`: three pools per worker, then one uplink per
+    /// rack.
+    fn pool_slot(&self, p: PoolRef) -> usize {
+        match p {
+            PoolRef::Disk(n) => 3 * n as usize,
+            PoolRef::NicIn(n) => 3 * n as usize + 1,
+            PoolRef::NicOut(n) => 3 * n as usize + 2,
+            PoolRef::Uplink(r) => 3 * self.nodes.len() + r as usize,
+        }
+    }
+
     fn reschedule_pool(&mut self, p: PoolRef) {
-        let (pool, wake) = self.pools.get_mut(&p).expect("pool exists");
+        let slot = self.pool_slot(p);
+        let (pool, wake) = &mut self.pools[slot];
         if let Some(tok) = wake.take() {
             self.q.cancel(tok);
         }
@@ -459,11 +479,10 @@ impl Simulation {
         let id = FlowId(self.next_flow);
         self.next_flow += 1;
         let now = self.q.now();
-        {
-            let (pool, _) = self.pools.get_mut(&p).expect("pool exists");
-            pool.advance_to(now);
-            pool.add(id, bytes);
-        }
+        let slot = self.pool_slot(p);
+        let (pool, _) = &mut self.pools[slot];
+        pool.advance_to(now);
+        pool.add(id, bytes);
         self.flows.insert(id, FlowInfo { attempt, purpose, pool: p });
         self.reschedule_pool(p);
         if matches!(p, PoolRef::Uplink(_)) {
@@ -476,7 +495,8 @@ impl Simulation {
     fn abort_flow(&mut self, id: FlowId) -> Option<u64> {
         let info = self.flows.remove(&id)?;
         let now = self.q.now();
-        let (pool, _) = self.pools.get_mut(&info.pool).expect("pool exists");
+        let slot = self.pool_slot(info.pool);
+        let (pool, _) = &mut self.pools[slot];
         pool.advance_to(now);
         let remaining = pool.remove(id);
         self.reschedule_pool(info.pool);
@@ -485,12 +505,11 @@ impl Simulation {
 
     fn pool_wake(&mut self, p: PoolRef) {
         let now = self.q.now();
-        let done = {
-            let (pool, wake) = self.pools.get_mut(&p).expect("pool exists");
-            *wake = None;
-            pool.advance_to(now);
-            pool.drain_completed()
-        };
+        let slot = self.pool_slot(p);
+        let (pool, wake) = &mut self.pools[slot];
+        *wake = None;
+        pool.advance_to(now);
+        let done = pool.drain_completed();
         for id in done {
             if let Some(info) = self.flows.remove(&id) {
                 self.flow_done(id, info);
@@ -605,7 +624,7 @@ impl Simulation {
         let st = &mut self.reduces[task.index as usize];
         let attempt = task.attempt(st.attempts);
         st.attempts += 1;
-        *st.attempts_on_node.entry(node).or_insert(0) += 1;
+        st.attempts_on_node[node as usize] += 1;
         st.running.push(attempt);
         self.report.reduce_attempts += 1;
         if mode == ExecMode::Fcm {
@@ -641,11 +660,11 @@ impl Simulation {
                 mode,
                 phase: RedPhase::Launching,
                 pending,
-                active_fetches: HashMap::new(),
+                active_fetches: BTreeMap::new(),
                 fetched,
-                retry: HashMap::new(),
-                loss_draws: HashMap::new(),
-                flows: HashSet::new(),
+                retry: BTreeMap::new(),
+                loss_draws: BTreeMap::new(),
+                flows: BTreeSet::new(),
                 spill_debt: 0,
                 spill_emitted: 0,
                 spill_outstanding: 0,
@@ -743,11 +762,11 @@ impl Simulation {
         let first = !task.ever_completed;
         task.completed = true;
         task.ever_completed = true;
-        self.mof_loc.insert(attempt.task.index, att.node);
+        self.mof_loc[attempt.task.index as usize] = Some(att.node);
         if self.mem_resident {
             self.resident_mofs.insert(attempt.task.index);
         }
-        self.regenerating.remove(&attempt.task.index);
+        self.regenerating[attempt.task.index as usize] = false;
         if first {
             self.maps_done_once += 1;
             if self.maps_done_once == self.qty.num_maps {
@@ -756,7 +775,7 @@ impl Simulation {
         }
         // Wake reducers waiting on this MOF.
         let m = attempt.task.index;
-        let mut waiting: Vec<AttemptId> = self
+        let waiting: Vec<AttemptId> = self
             .red_atts
             .iter()
             .filter(|(_, a)| {
@@ -766,7 +785,6 @@ impl Simulation {
             })
             .map(|(id, _)| *id)
             .collect();
-        waiting.sort_unstable(); // hash order must not leak into flow scheduling
         for r in waiting {
             match self.red_atts[&r].phase {
                 RedPhase::Shuffle => self.pump_fetches(r),
@@ -839,29 +857,28 @@ impl Simulation {
                 }
                 // First pending map whose MOF is registered and not already
                 // being retried on a timer.
-                let candidate = att.pending.iter().copied().find(|m| {
-                    self.mof_loc.contains_key(m) && !att.retry.contains_key(m) && {
-                        let src = self.mof_loc[m];
-                        if self.nodes[src as usize].alive {
+                let candidate = att.pending.iter().find_map(|&m| {
+                    let src = self.mof_loc[m as usize]?;
+                    let fetchable = !att.retry.contains_key(&m)
+                        && if self.nodes[src as usize].alive {
                             // A severed link parks the fetch: the source
                             // still heartbeats, so charging the wait to the
                             // retry budget would be §II-C's amplification
                             // mistake. The heal event re-pumps us.
                             !self.link_severed(att.node, src)
                         } else {
-                            !self.regenerating.contains(m)
-                        }
-                    }
+                            !self.regenerating[m as usize]
+                        };
+                    fetchable.then_some((m, src))
                 });
                 (att.node, candidate)
             };
-            let Some(m) = candidate else {
+            let Some((m, src)) = candidate else {
                 self.maybe_finish_shuffle(attempt);
                 return;
             };
-            let src = self.mof_loc[&m];
             if !self.nodes[src as usize].alive {
-                if self.regenerating.contains(&m) {
+                if self.regenerating[m as usize] {
                     // Wait for the high-priority regeneration; the map
                     // completion will re-pump us.
                     return;
@@ -931,12 +948,11 @@ impl Simulation {
     }
 
     fn fetch_failed(&mut self, attempt: AttemptId, m: u32, src: u32) {
-        *self.fetch_reports.entry(m).or_insert(0) += 1;
         if self.env.alm.mode.sfm_enabled() {
             // SFM: the AM knows the cause; regenerate at high priority and
             // have the reducer wait (no retry treadmill, no preemption).
-            if !self.regenerating.contains(&m) && !self.nodes[src as usize].alive {
-                self.regenerating.insert(m);
+            if !self.regenerating[m as usize] && !self.nodes[src as usize].alive {
+                self.regenerating[m as usize] = true;
                 self.maps[m as usize].completed = false;
                 self.enqueue_map(TaskId::map(self.job, m), true);
                 self.dispatch();
@@ -953,16 +969,15 @@ impl Simulation {
             // running ReduceTasks to detect the lost MOFs", §II-C): the
             // maps this attempt was stuck on are finally re-executed.
             if !self.env.alm.mode.sfm_enabled() {
-                let mut stuck: Vec<u32> = att
+                let stuck: Vec<u32> = att
                     .retry
                     .keys()
                     .copied()
-                    .filter(|m| self.mof_loc.get(m).is_some_and(|&s| !self.nodes[s as usize].alive))
+                    .filter(|&m| self.mof_loc[m as usize].is_some_and(|s| !self.nodes[s as usize].alive))
                     .collect();
-                stuck.sort_unstable(); // deterministic re-execution order
                 for m in stuck {
-                    if !self.regenerating.contains(&m) {
-                        self.regenerating.insert(m);
+                    if !self.regenerating[m as usize] {
+                        self.regenerating[m as usize] = true;
                         self.maps[m as usize].completed = false;
                         self.enqueue_map(TaskId::map(self.job, m), false);
                     }
@@ -981,7 +996,7 @@ impl Simulation {
         if att.dead || att.phase != RedPhase::Shuffle || !att.pending.contains(&m) {
             return;
         }
-        let Some(&src) = self.mof_loc.get(&m) else {
+        let Some(src) = self.mof_loc[m as usize] else {
             // MOF unregistered (regenerating): clear the retry state and
             // wait for the map completion.
             self.red_atts.get_mut(&attempt).expect("fetch retry for dead attempt").retry.remove(&m);
@@ -990,7 +1005,7 @@ impl Simulation {
         if self.nodes[src as usize].alive {
             self.red_atts.get_mut(&attempt).expect("fetch retry for dead attempt").retry.remove(&m);
             self.pump_fetches(attempt);
-        } else if self.regenerating.contains(&m) {
+        } else if self.regenerating[m as usize] {
             self.red_atts.get_mut(&attempt).expect("fetch retry for dead attempt").retry.remove(&m);
         } else {
             self.fetch_failed(attempt, m, src);
@@ -1054,9 +1069,9 @@ impl Simulation {
             }
             self.corrupt_mofs.remove(&(m, attempt.task.index));
             self.report.corruption_refetches += 1;
-            if !self.regenerating.contains(&m) {
-                self.regenerating.insert(m);
-                self.mof_loc.remove(&m); // unregistered until regenerated
+            if !self.regenerating[m as usize] {
+                self.regenerating[m as usize] = true;
+                self.mof_loc[m as usize] = None; // unregistered until regenerated
                 self.maps[m as usize].completed = false;
                 self.enqueue_map(TaskId::map(self.job, m), true);
                 self.dispatch();
@@ -1258,8 +1273,7 @@ impl Simulation {
     // ---------------- FCM ----------------
 
     fn try_start_fcm(&mut self, attempt: AttemptId) {
-        let ready = (0..self.qty.num_maps)
-            .all(|m| self.mof_loc.get(&m).is_some_and(|&n| self.nodes[n as usize].alive));
+        let ready = self.mof_loc.iter().all(|loc| loc.is_some_and(|n| self.nodes[n as usize].alive));
         if !ready {
             return;
         }
@@ -1286,11 +1300,11 @@ impl Simulation {
             }
         }
         let missing: Vec<u32> = (0..self.qty.num_maps)
-            .filter(|m| !self.mof_loc.get(m).is_some_and(|&n| self.nodes[n as usize].alive))
+            .filter(|&m| !self.mof_loc[m as usize].is_some_and(|n| self.nodes[n as usize].alive))
             .collect();
         for m in missing {
-            if !self.regenerating.contains(&m) {
-                self.regenerating.insert(m);
+            if !self.regenerating[m as usize] {
+                self.regenerating[m as usize] = true;
                 self.maps[m as usize].completed = false;
                 self.enqueue_map(TaskId::map(self.job, m), false);
             }
@@ -1309,10 +1323,8 @@ impl Simulation {
         };
         // Bytes per source node for this partition.
         let mut per_node: BTreeMap<u32, u64> = BTreeMap::new();
-        for m in 0..self.qty.num_maps {
-            if let Some(&src) = self.mof_loc.get(&m) {
-                *per_node.entry(src).or_insert(0) += self.qty.chunk_bytes;
-            }
+        for src in self.mof_loc.iter().flatten() {
+            *per_node.entry(*src).or_insert(0) += self.qty.chunk_bytes;
         }
         let frac = (1.0 - resume).clamp(0.0, 1.0);
         let mut flows = Vec::new();
@@ -1342,13 +1354,9 @@ impl Simulation {
 
     // ---------------- failures & recovery ----------------
 
-    /// Flows owned by `attempt`, in deterministic (FlowId) order — the
-    /// backing map is hashed, and abort order must not vary across runs.
+    /// Flows owned by `attempt`, in FlowId order.
     fn flows_of(&self, attempt: AttemptId) -> Vec<FlowId> {
-        let mut v: Vec<FlowId> =
-            self.flows.iter().filter(|(_, i)| i.attempt == attempt).map(|(f, _)| *f).collect();
-        v.sort_unstable();
-        v
+        self.flows.iter().filter(|(_, i)| i.attempt == attempt).map(|(f, _)| *f).collect()
     }
 
     fn kill_attempt_silently(&mut self, attempt: AttemptId) {
@@ -1409,8 +1417,7 @@ impl Simulation {
             let mut ctx = PolicyCtx::new(&self.env.alm, self.fcm_running());
             if task.is_reduce() {
                 let st = &self.reduces[task.index as usize];
-                ctx.attempts_on_source_node
-                    .insert(task, st.attempts_on_node.get(&node).copied().unwrap_or(0));
+                ctx.attempts_on_source_node.insert(task, st.attempts_on_node[node as usize]);
                 ctx.running_attempts.insert(task, st.running.len() as u32);
             }
             let actions = schedule_recovery(&report, &ctx);
@@ -1443,7 +1450,7 @@ impl Simulation {
         for a in actions {
             match a {
                 SchedAction::LaunchMap { task, .. } => {
-                    self.regenerating.insert(task.index);
+                    self.regenerating[task.index as usize] = true;
                     self.maps[task.index as usize].completed = false;
                     self.enqueue_map(task, true);
                 }
@@ -1476,15 +1483,17 @@ impl Simulation {
         // RAM does not survive a crash: wipe the node's resident MOF
         // copies so later fetches fall back to disk / regeneration.
         let lost: Vec<u32> =
-            self.resident_mofs.iter().copied().filter(|m| self.mof_loc.get(m) == Some(&node)).collect();
+            self.resident_mofs.iter().copied().filter(|&m| self.mof_loc[m as usize] == Some(node)).collect();
         for m in lost {
             self.resident_mofs.remove(&m);
             self.report.resident_invalidations += 1;
         }
 
         // All flows touching this node die: flows on its pools, and fetch /
-        // FCM flows sourced from it (pooled elsewhere).
-        let mut doomed: Vec<(FlowId, AttemptId, Purpose)> = self
+        // FCM flows sourced from it (pooled elsewhere). They are processed
+        // in FlowId order: re-pipelined replica writes allocate fresh
+        // FlowIds and interrupted fetches queue retries as they go.
+        let doomed: Vec<(FlowId, AttemptId, Purpose)> = self
             .flows
             .iter()
             .filter(|(_, i)| {
@@ -1495,10 +1504,6 @@ impl Simulation {
             })
             .map(|(f, i)| (*f, i.attempt, i.purpose))
             .collect();
-        // Deterministic processing order: re-pipelined replica writes
-        // allocate fresh FlowIds and interrupted fetches queue retries, so
-        // hash order here would make otherwise-identical runs diverge.
-        doomed.sort_unstable_by_key(|(f, _, _)| *f);
 
         let mut interrupted_fetches: Vec<(AttemptId, u32, u32)> = Vec::new();
         let mut interrupted_fcm: BTreeSet<AttemptId> = BTreeSet::new();
@@ -1547,12 +1552,10 @@ impl Simulation {
         }
 
         // Attempts hosted on the node die silently; the AM learns later.
-        let mut dead_reds: Vec<AttemptId> =
+        let dead_reds: Vec<AttemptId> =
             self.red_atts.iter().filter(|(_, a)| a.node == node && !a.dead).map(|(id, _)| *id).collect();
-        dead_reds.sort_unstable();
-        let mut dead_maps: Vec<AttemptId> =
+        let dead_maps: Vec<AttemptId> =
             self.map_atts.iter().filter(|(_, a)| a.node == node && !a.dead).map(|(id, _)| *id).collect();
-        dead_maps.sort_unstable();
         for &a in &dead_reds {
             let att = self.red_atts.get_mut(&a).expect("attempt vanished mid-crash");
             att.dead = true;
@@ -1582,8 +1585,7 @@ impl Simulation {
                 if att.dead {
                     continue;
                 }
-                let mut drained: Vec<FlowId> = att.flows.drain().collect();
-                drained.sort_unstable();
+                let drained = std::mem::take(&mut att.flows);
                 att.phase = RedPhase::FcmWait;
                 att.gen += 1; // invalidate the in-flight CPU timer
                 att.cpu_done = false;
@@ -1634,9 +1636,8 @@ impl Simulation {
             }
         }
 
-        let mut lost_mofs: Vec<u32> =
-            self.mof_loc.iter().filter(|(_, n)| **n == node).map(|(m, _)| *m).collect();
-        lost_mofs.sort_unstable(); // report/regeneration order must not be hash order
+        let lost_mofs: Vec<u32> =
+            (0..self.qty.num_maps).filter(|&m| self.mof_loc[m as usize] == Some(node)).collect();
 
         if self.env.alm.mode.sfm_enabled() {
             let lost_tasks: Vec<TaskId> = if self.env.alm.proactive_map_regen {
@@ -1652,7 +1653,7 @@ impl Simulation {
             let mut ctx = PolicyCtx::new(&self.env.alm, self.fcm_running());
             for r in &report.failed_reduces {
                 let st = &self.reduces[r.index as usize];
-                ctx.attempts_on_source_node.insert(*r, st.attempts_on_node.get(&node).copied().unwrap_or(0));
+                ctx.attempts_on_source_node.insert(*r, st.attempts_on_node[node as usize]);
                 ctx.running_attempts.insert(*r, st.running.len() as u32);
             }
             let over_budget = report
@@ -1716,13 +1717,12 @@ impl Simulation {
         let now = self.now_secs();
         // Progress per reduce task = best running attempt (0 if none).
         let mut progress: BTreeMap<u32, f64> = BTreeMap::new();
-        let mut atts: Vec<(AttemptId, f64, u32)> = self
+        let atts: Vec<(AttemptId, f64, u32)> = self
             .red_atts
             .iter()
             .filter(|(_, a)| !a.dead)
             .map(|(id, a)| (*id, self.red_progress(*id, a), a.node))
             .collect();
-        atts.sort_unstable_by_key(|(id, _, _)| *id); // kill-trigger order must not be hash order
         for (id, p, _) in &atts {
             let e = progress.entry(id.task.index).or_insert(0.0);
             *e = e.max(*p);
@@ -1757,11 +1757,7 @@ impl Simulation {
                 }
             }
         }
-        let mut live_map_ids: Vec<AttemptId> =
-            self.map_atts.iter().filter(|(id, a)| id.number == 0 && !a.dead).map(|(id, _)| *id).collect();
-        live_map_ids.sort_unstable();
-        for id in live_map_ids {
-            let att = &self.map_atts[&id];
+        for (&id, att) in self.map_atts.iter().filter(|(id, a)| id.number == 0 && !a.dead) {
             if let Some(k) = self.maps[id.task.index as usize].kill_at {
                 let p = match att.phase {
                     MapPhase::Launching => 0.0,
@@ -1774,7 +1770,7 @@ impl Simulation {
                 }
             }
         }
-        to_kill.sort_unstable(); // reduce triggers collected above are unsorted
+        to_kill.sort_unstable(); // merges the reduce and map triggers into one order
         for id in to_kill {
             // Clear the trigger so recovery attempts are not re-killed.
             if id.task.is_reduce() {
@@ -1806,8 +1802,6 @@ impl Simulation {
                     )
                 })
                 .collect();
-            let mut snapshots = snapshots;
-            snapshots.sort_unstable_by_key(|(id, _)| *id);
             for (id, snap) in snapshots {
                 self.red_atts.get_mut(&id).expect("snapshot for dead attempt").last_log_secs = now;
                 let task = &mut self.reduces[id.task.index as usize];
@@ -1823,55 +1817,39 @@ impl Simulation {
             }
         }
 
-        // Transient partitions: sever due links, then heal due ones (a
-        // window that opened and closed within one tick nets healed), then
-        // re-pump the shuffles a heal may have unparked.
-        let due: Vec<(u32, u32)> =
-            self.faults_sever.iter().filter(|(.., at)| *at <= now).map(|(f, t, _)| (*f, *t)).collect();
-        self.faults_sever.retain(|(.., at)| *at > now);
-        for (from, to) in due {
-            if from != to {
-                self.severed.insert((from, to));
+        // Transient partitions and gray links: apply the due link changes
+        // in time order, then re-pump the shuffles a heal may have
+        // unparked. Degraded links never park a fetch (bytes still flow),
+        // so they need no re-pump.
+        let due = self.faults_link.partition_point(|(at, ..)| *at <= now);
+        let mut healed = false;
+        for (_, from, to, op) in self.faults_link.drain(..due) {
+            match op {
+                LinkOp::Sever => {
+                    self.severed.insert((from, to));
+                }
+                LinkOp::Degrade { factor, loss } => {
+                    self.degraded.insert((from, to), (factor, loss));
+                }
+                LinkOp::Heal => {
+                    // Healing an already-healed (or never-severed) direction
+                    // is an explicit no-op, same as the runtime's
+                    // `LinkTable::heal`.
+                    self.severed.remove(&(from, to));
+                    healed = true;
+                }
+                LinkOp::ClearDegrade => {
+                    self.degraded.remove(&(from, to));
+                }
             }
-        }
-        let due: Vec<(u32, u32)> =
-            self.faults_heal.iter().filter(|(.., at)| *at <= now).map(|(f, t, _)| (*f, *t)).collect();
-        self.faults_heal.retain(|(.., at)| *at > now);
-        let healed = !due.is_empty();
-        for (from, to) in due {
-            // Healing an already-healed (or never-severed) direction is an
-            // explicit no-op, same as the runtime's `LinkTable::heal`.
-            self.severed.remove(&(from, to));
-        }
-
-        // Gray-link activations and clears. Degraded links never park a
-        // fetch (bytes still flow), so no re-pump is needed here.
-        let due: Vec<(u32, u32, f64, f64)> = self
-            .faults_degrade
-            .iter()
-            .filter(|(.., at, _, _)| *at <= now)
-            .map(|(f, t, _, fac, loss)| (*f, *t, *fac, *loss))
-            .collect();
-        self.faults_degrade.retain(|(.., at, _, _)| *at > now);
-        for (from, to, factor, loss) in due {
-            if from != to {
-                self.degraded.insert((from, to), (factor, loss));
-            }
-        }
-        let due: Vec<(u32, u32)> =
-            self.faults_undegrade.iter().filter(|(.., at)| *at <= now).map(|(f, t, _)| (*f, *t)).collect();
-        self.faults_undegrade.retain(|(.., at)| *at > now);
-        for (from, to) in due {
-            self.degraded.remove(&(from, to));
         }
         if healed {
-            let mut stuck: Vec<AttemptId> = self
+            let stuck: Vec<AttemptId> = self
                 .red_atts
                 .iter()
                 .filter(|(_, a)| !a.dead && a.phase == RedPhase::Shuffle)
                 .map(|(id, _)| *id)
                 .collect();
-            stuck.sort_unstable(); // hash order must not leak into flow scheduling
             for id in stuck {
                 self.pump_fetches(id);
             }
@@ -1931,10 +1909,10 @@ impl Simulation {
                 let blocked_by_link = idle && {
                     let mut saw_severed = false;
                     for m in &a.pending {
-                        match self.mof_loc.get(m) {
-                            None => {}                                          // map not finished yet: a normal wait
-                            Some(&src) if !self.nodes[src as usize].alive => {} // regeneration wait
-                            Some(&src) if self.link_severed(a.node, src) => saw_severed = true,
+                        match self.mof_loc[*m as usize] {
+                            None => {}                                         // map not finished yet: a normal wait
+                            Some(src) if !self.nodes[src as usize].alive => {} // regeneration wait
+                            Some(src) if self.link_severed(a.node, src) => saw_severed = true,
                             Some(_) => return (*id, false), // a fetchable source exists
                         }
                     }
@@ -1955,7 +1933,6 @@ impl Simulation {
                 att.parked_since = None;
             }
         }
-        timed_out.sort_unstable();
         for id in timed_out {
             self.fail_attempt(id, FailureKind::TaskTimeout);
         }
@@ -1979,22 +1956,21 @@ impl Simulation {
         }
     }
 
-    /// Diagnostic dump of live state (enabled via `ALM_SIM_DEBUG`).
+    /// Diagnostic dump of live state, printed when the `MAX_EVENTS` guard
+    /// trips.
     fn dump_state(&self, why: &str) {
         eprintln!("--- sim stall dump ({why}) at t={:.1}s ---", self.now_secs());
         eprintln!("queued maps: {}, queued reduces: {:?}", self.queued_maps.len(), self.queued_reduces);
-        eprintln!("regenerating: {:?}", self.regenerating);
-        let mut reds: Vec<_> = self.red_atts.iter().collect();
-        reds.sort_unstable_by_key(|(id, _)| **id);
-        for (id, a) in reds {
+        let regenerating: Vec<usize> =
+            self.regenerating.iter().enumerate().filter(|(_, r)| **r).map(|(m, _)| m).collect();
+        eprintln!("regenerating: {regenerating:?}");
+        for (id, a) in &self.red_atts {
             eprintln!(
                 "  red {id}: node={} mode={:?} phase={:?} pending={} active={} retry={:?} flows={} spill_out={} cpu_done={} dead={}",
                 a.node, a.mode, a.phase, a.pending.len(), a.active_fetches.len(), a.retry, a.flows.len(), a.spill_outstanding, a.cpu_done, a.dead
             );
         }
-        let mut maps: Vec<_> = self.map_atts.iter().collect();
-        maps.sort_unstable_by_key(|(id, _)| **id);
-        for (id, a) in maps {
+        for (id, a) in &self.map_atts {
             eprintln!("  map {id}: node={} phase={:?} dead={}", a.node, a.phase, a.dead);
         }
         let incomplete_m = self.maps.iter().filter(|m| !m.completed).count();
@@ -2071,13 +2047,10 @@ impl Simulation {
         self.dispatch();
         self.q.schedule_after(SimDuration::from_nanos(SAMPLE_EVERY_NS), Ev::Sample);
 
-        let debug_stall = std::env::var_os("ALM_SIM_DEBUG").is_some();
         while let Some((_, ev)) = self.q.pop() {
             self.report.events += 1;
-            if debug_stall && self.report.events == 2_000_000 {
-                self.dump_state("2M events");
-            }
             if self.report.events > MAX_EVENTS {
+                self.dump_state("MAX_EVENTS reached");
                 break;
             }
             if self.report.succeeded || self.failed {
@@ -2421,6 +2394,34 @@ mod tests {
                 clean.job_secs
             );
         }
+    }
+
+    #[test]
+    fn heal_does_not_erase_a_later_window_due_in_the_same_tick() {
+        // Window 1 heals at 2.3 s and window 2 severs the same link at
+        // 2.6 s: both fall due in the 3 s sample tick. Applied in time
+        // order the link stays cut until window 2 heals, so the run must
+        // match one that only ever had window 2 (window 1 closes before
+        // any reducer exists).
+        let mode = RecoveryMode::Baseline;
+        let clean = run(WorkloadKind::Terasort, 10, 8, mode, vec![]);
+        let red_node = clean.reduce_nodes[&0][0];
+        let other = (red_node + 1) % ExperimentEnv::paper(mode).cluster.worker_nodes();
+        let window = |from_secs, heal_secs| SimFault::PartitionLinkAtSecs {
+            a: red_node,
+            b: other,
+            direction: LinkDirection::Both,
+            from_secs,
+            heal_secs,
+        };
+        let heal = clean.map_phase_secs + 30.0;
+        let both = run(WorkloadKind::Terasort, 10, 8, mode, vec![window(0.5, 2.3), window(2.6, heal)]);
+        let second_only = run(WorkloadKind::Terasort, 10, 8, mode, vec![window(2.6, heal)]);
+        assert!(both.job_secs > clean.job_secs, "window 2 must park the shuffle: {:.1}s", both.job_secs);
+        assert_eq!(both, second_only);
+        // A zero-length window still nets healed.
+        let blip = run(WorkloadKind::Terasort, 10, 8, mode, vec![window(2.0, 2.0)]);
+        assert_eq!(blip, clean);
     }
 
     #[test]

@@ -179,7 +179,7 @@ impl FailureReport {
         if let Some(t) = self.failed_maps.iter().find(|t| !t.is_map()) {
             return Err(format!("{t} listed in failed_maps but is not a map"));
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for t in self.failed_reduces.iter().chain(self.failed_maps.iter()) {
             if !seen.insert(*t) {
                 return Err(format!("duplicate task {t} in failure report"));
@@ -610,7 +610,7 @@ mod tests {
     /// cannot silently miss report labeling.
     #[test]
     fn failure_kind_exhaustive_as_str_and_serde_round_trip() {
-        let mut labels = std::collections::HashSet::new();
+        let mut labels = std::collections::BTreeSet::new();
         for kind in FailureKind::ALL {
             // Exhaustiveness: if a new variant is added without extending
             // ALL, this match stops compiling.
@@ -751,7 +751,7 @@ mod tests {
         assert_eq!(LinkDirection::AToB.directed_keys(1u32, 2u32), vec![(1, 2)]);
         assert_eq!(LinkDirection::BToA.directed_keys(1u32, 2u32), vec![(2, 1)]);
         // Exhaustiveness + label sanity, mirroring the FailureKind test.
-        let mut labels = std::collections::HashSet::new();
+        let mut labels = std::collections::BTreeSet::new();
         for d in LinkDirection::ALL {
             match d {
                 LinkDirection::Both | LinkDirection::AToB | LinkDirection::BToA => {}

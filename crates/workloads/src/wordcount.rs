@@ -160,7 +160,7 @@ mod tests {
         // The most common word should appear far more often than the median.
         let w = Wordcount::new(20_000, 50);
         let recs = w.gen_split(0, 3);
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for r in &recs {
             let mut emit = |rec: Record| {
                 *counts.entry(rec.key).or_insert(0u64) += 1;
@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn partitioner_covers_range() {
         let w = Wordcount::small();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..1000 {
             seen.insert(w.partition(&Wordcount::word(i), 8));
         }

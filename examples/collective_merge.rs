@@ -14,6 +14,7 @@ use alm_mapreduce::shuffle::segment::{build_segment, SegmentReader, SegmentSourc
 use alm_mapreduce::shuffle::{bytewise_cmp, MergeQueue};
 use rand::{rngs::SmallRng, RngCore, SeedableRng};
 
+#[allow(clippy::disallowed_methods, reason = "the demo times two real merges on host threads")]
 fn main() {
     // 4 participants, 8 sorted segments each, 100-byte records.
     let mut rng = SmallRng::seed_from_u64(5);

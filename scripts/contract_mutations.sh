@@ -1,12 +1,20 @@
 #!/usr/bin/env bash
-# The cross-engine contract is carried by the compiler (DESIGN.md, "Enforced
-# by the compiler"). This script proves it still is: copy the workspace,
-# apply one-line mutations in turn, and require `cargo check` to FAIL each
-# one with the expected error code — and to pass on the unmutated copy.
+# The cross-engine contract and the determinism guards are carried by the
+# toolchain (DESIGN.md, "Enforced by the compiler"). This script proves they
+# still are: copy the workspace, apply one-line mutations in turn, and
+# require the named command to FAIL each one with the expected error — and
+# to pass on the unmutated copy.
 #
-#   new FailureKind / Fault variant  -> E0004 (non-exhaustive match)
-#   new YarnConfig field             -> E0063 / E0027 (literal / destructuring)
-#   new JobReport / SimReport counter -> E0027 in crates/chaos/src/analyze.rs
+#   cargo check
+#     new FailureKind / Fault variant   -> E0004 (non-exhaustive match)
+#     new YarnConfig field              -> E0063 / E0027 (literal / destructuring)
+#     new JobReport / SimReport counter -> E0027 in crates/chaos/src/analyze.rs
+#   cargo clippy --workspace --all-targets -- -D warnings   (root clippy.toml)
+#     a HashMap field iterated in crates/sim -> clippy::disallowed_types
+#     an Instant::now() in crates/des        -> clippy::disallowed_methods
+#   cargo check --tests
+#     SmallRng::from_entropy() in a chaos test -> E0599 (the in-repo `rand`
+#                                                 has no entropy source)
 #
 # The rest-free `validate()` destructurings list only fields an engine reads
 # (YarnConfig 14, MemConfig 4, SchedConfig 3); the YarnConfig mutation
@@ -18,66 +26,94 @@ set -euo pipefail
 root="$(cd "$(dirname "$0")/.." && pwd)"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
-# One target dir across all copies: only the mutated crate and its
-# dependents re-check between mutations.
+# One copy and one target dir for the whole run: only the mutated crate and
+# its dependents rebuild between mutations.
 export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$work/target}"
-
-fresh_copy() {
-    rm -rf "$work/ws"
-    mkdir "$work/ws"
-    (cd "$root" && tar -cf - --exclude=./target --exclude=./benchmark --exclude=./.git .) | tar -xf - -C "$work/ws"
-}
+mkdir "$work/ws"
+(cd "$root" && tar -cf - --exclude=./target --exclude=./benchmark --exclude=./.git .) | tar -xf - -C "$work/ws"
 
 check() {
     (cd "$work/ws" && cargo check --offline --workspace 2>&1)
 }
 
-# expect_fail <label> <file> <anchor line (fixed string)> <line inserted after it> <codes (egrep)> [<path the error must name>]
+check_tests() {
+    (cd "$work/ws" && cargo check --offline --workspace --tests 2>&1)
+}
+
+clippy() {
+    (cd "$work/ws" && cargo clippy --offline --workspace --all-targets -- -D warnings 2>&1)
+}
+
+# expect_fail <label> <runner> <file> <anchor line (fixed string)> <line inserted after it> <error (egrep)> [<path the error must name>]
 expect_fail() {
-    local label="$1" file="$2" anchor="$3" insert="$4" codes="$5" site="${6:-}"
-    fresh_copy
+    local label="$1" runner="$2" file="$3" anchor="$4" insert="$5" want="$6" site="${7:-}"
     local target="$work/ws/$file"
     if [ "$(grep -cxF -- "$anchor" "$target")" != 1 ]; then
         echo "FAIL [$label]: anchor '$anchor' not found exactly once in $file" >&2
         exit 1
     fi
-    awk -v a="$anchor" -v i="$insert" '{ print } $0 == a { print i }' "$target" > "$target.mut"
-    mv "$target.mut" "$target"
+    cp "$target" "$target.orig"
+    awk -v a="$anchor" -v i="$insert" '{ print } $0 == a { print i }' "$target.orig" > "$target"
     local out
-    if out="$(check)"; then
-        echo "FAIL [$label]: cargo check passed on the mutated tree" >&2
+    if out="$($runner)"; then
+        echo "FAIL [$label]: $runner passed on the mutated tree" >&2
         exit 1
     fi
-    if ! grep -Eq "error\[($codes)\]" <<<"$out"; then
-        echo "FAIL [$label]: build broke, but not with $codes:" >&2
+    if ! grep -Eq "$want" <<<"$out"; then
+        echo "FAIL [$label]: $runner failed, but not with $want:" >&2
         echo "$out" >&2
         exit 1
     fi
-    if [ -n "$site" ] && ! grep -A4 -E "error\[($codes)\]" <<<"$out" | grep -qF -- "$site"; then
-        echo "FAIL [$label]: no $codes error points at $site:" >&2
+    if [ -n "$site" ] && ! grep -A4 -E "$want" <<<"$out" | grep -qF -- "$site"; then
+        echo "FAIL [$label]: no $want error points at $site:" >&2
         echo "$out" >&2
         exit 1
     fi
-    echo "ok   [$label]: rejected with $(grep -Eo "error\[($codes)\]" <<<"$out" | sort -u | tr '\n' ' ')"
+    echo "ok   [$label]: $runner rejected it with $(grep -Eo "$want" <<<"$out" | sort -u | tr '\n' ' ')"
+    # Undo, with a fresh mtime: cargo only rebuilds what is newer than its
+    # last artifact, and a crate downstream of the error compiled the mutant.
+    mv "$target.orig" "$target"
+    touch "$target"
 }
 
-fresh_copy
-if ! out="$(check)"; then
-    echo "FAIL [unmutated]: the pristine copy does not build:" >&2
-    echo "$out" >&2
-    exit 1
-fi
-echo "ok   [unmutated]: cargo check passes"
+# Before the mutations, and again after the last one is undone (which also
+# leaves a shared CARGO_TARGET_DIR holding no mutant artifact).
+expect_pass() {
+    local runner out
+    for runner in check check_tests clippy; do
+        if ! out="$($runner)"; then
+            echo "FAIL [$1]: $runner fails on the unmutated copy:" >&2
+            echo "$out" >&2
+            exit 1
+        fi
+        echo "ok   [$1]: $runner passes"
+    done
+}
 
-expect_fail "FailureKind variant" crates/types/src/failure.rs \
-    "pub enum FailureKind {" "    RackLoss," "E0004"
-expect_fail "Fault variant" crates/types/src/failure.rs \
-    "pub enum Fault {" "    DrainNode { node: NodeId }," "E0004"
-expect_fail "YarnConfig field" crates/types/src/config.rs \
-    "pub struct YarnConfig {" "    pub speculative_slots: u32," "E0063|E0027" crates/types/src/config.rs
-expect_fail "JobReport counter" crates/runtime/src/report.rs \
-    "pub struct JobReport {" "    pub phantom_completions: u32," "E0027" crates/chaos/src/analyze.rs
-expect_fail "SimReport counter" crates/sim/src/trace.rs \
-    "pub struct SimReport {" "    pub phantom_completions: u32," "E0027" crates/chaos/src/analyze.rs
+expect_pass "unmutated"
 
-echo "contract_mutations: all mutations rejected by the compiler"
+expect_fail "FailureKind variant" check crates/types/src/failure.rs \
+    "pub enum FailureKind {" "    RackLoss," "error\[E0004\]"
+expect_fail "Fault variant" check crates/types/src/failure.rs \
+    "pub enum Fault {" "    DrainNode { node: NodeId }," "error\[E0004\]"
+expect_fail "YarnConfig field" check crates/types/src/config.rs \
+    "pub struct YarnConfig {" "    pub speculative_slots: u32," "error\[(E0063|E0027)\]" crates/types/src/config.rs
+expect_fail "JobReport counter" check crates/runtime/src/report.rs \
+    "pub struct JobReport {" "    pub phantom_completions: u32," "error\[E0027\]" crates/chaos/src/analyze.rs
+expect_fail "SimReport counter" check crates/sim/src/trace.rs \
+    "pub struct SimReport {" "    pub phantom_completions: u32," "error\[E0027\]" crates/chaos/src/analyze.rs
+
+expect_fail "HashMap field iterated in the sim" clippy crates/sim/src/engine.rs \
+    "use crate::trace::{SimFailure, SimReport};" \
+    "pub struct Leak { pub m: std::collections::HashMap<u32, u32> } impl Leak { pub fn order(&self) -> Vec<u32> { self.m.keys().copied().collect() } }" \
+    "use of a disallowed type" crates/sim/src/engine.rs
+expect_fail "Instant::now() in the DES kernel" clippy crates/des/src/queue.rs \
+    "    pub fn now(&self) -> SimTime {" "        let _host = std::time::Instant::now();" \
+    "use of a disallowed method" crates/des/src/queue.rs
+expect_fail "from_entropy() in a chaos test" check_tests crates/chaos/tests/determinism.rs \
+    "use alm_sim::experiment::run_one;" \
+    "#[test] fn ambient() { use rand::SeedableRng; let _ = rand::rngs::SmallRng::from_entropy(); }" \
+    "error\[E0599\]" crates/chaos/tests/determinism.rs
+
+expect_pass "mutations undone"
+echo "contract_mutations: all mutations rejected by the toolchain"

@@ -160,6 +160,10 @@ pub mod channel {
             }
         }
 
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "a receive deadline is host time by definition; only the threaded runtime calls this"
+        )]
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
             let deadline = Instant::now() + timeout;
             let mut st = self.0.state.lock().unwrap();

@@ -42,19 +42,12 @@ impl<R: RngCore + ?Sized> RngCore for &mut R {
     }
 }
 
-/// Construction of a generator from seeds.
+/// Construction of a generator from seeds — the only way to get one. The
+/// real crate's ambient sources (`from_entropy`, `from_os_rng`,
+/// `thread_rng`, `OsRng`, `rand::random`) are deliberately absent, so an
+/// unseeded draw anywhere in the workspace is a compile error (E0599/E0425).
 pub trait SeedableRng: Sized {
     fn seed_from_u64(seed: u64) -> Self;
-
-    /// Seed from system entropy — this offline shim derives it from the
-    /// current time instead; prefer `seed_from_u64` for reproducibility.
-    fn from_entropy() -> Self {
-        let t = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0x9e3779b97f4a7c15);
-        Self::seed_from_u64(t)
-    }
 }
 
 /// Types samplable from a generator's raw output ("standard" distribution).

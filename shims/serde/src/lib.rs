@@ -13,7 +13,7 @@
 
 pub use serde_derive::{Deserialize, Serialize};
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A JSON-shaped value tree: the single data model of this shim.
@@ -388,27 +388,6 @@ impl<K: JsonKey + Ord, V: Serialize> Serialize for BTreeMap<K, V> {
 
 impl<K: JsonKey + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
     fn from_value(v: &Value) -> Result<BTreeMap<K, V>, DeError> {
-        match v {
-            Value::Object(entries) => {
-                entries.iter().map(|(k, v)| Ok((K::from_key(k)?, V::from_value(v)?))).collect()
-            }
-            other => Err(DeError::new(format!("expected object, got {}", other.kind()))),
-        }
-    }
-}
-
-impl<K: JsonKey + std::hash::Hash + Eq, V: Serialize> Serialize for HashMap<K, V> {
-    fn to_value(&self) -> Value {
-        // Deterministic key order so serialisation is reproducible.
-        let mut entries: Vec<(String, Value)> =
-            self.iter().map(|(k, v)| (k.to_key(), v.to_value())).collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Object(entries)
-    }
-}
-
-impl<K: JsonKey + std::hash::Hash + Eq, V: Deserialize> Deserialize for HashMap<K, V> {
-    fn from_value(v: &Value) -> Result<HashMap<K, V>, DeError> {
         match v {
             Value::Object(entries) => {
                 entries.iter().map(|(k, v)| Ok((K::from_key(k)?, V::from_value(v)?))).collect()
