@@ -10,7 +10,10 @@
 //!   shuffled data) — the paper's "temporary in-memory merging thread".
 //! * **reduce** — records go to the DFS at the configured replication
 //!   level, together with the asynchronously-flushed partial reduce output,
-//!   so recovery works even when the whole node is gone.
+//!   so recovery works even when the whole node is gone. The output is an
+//!   append-only chain of delta segments ([`PartialOutput`]): a snapshot
+//!   costs the bytes produced since the previous one, not the bytes
+//!   produced so far.
 
 use alm_dfs::DfsCluster;
 use alm_shuffle::{LocalFs, MpqEntry, ReduceBuffers, ShuffleError};
@@ -42,8 +45,18 @@ impl LogPaths {
         format!("{}log-{seq:08}", self.dfs_prefix)
     }
 
-    pub fn dfs_partial_output(&self) -> String {
-        format!("{}partial-output", self.dfs_prefix)
+    /// Common prefix of the partial-output segments. Not `log-`, so
+    /// record scans never mistake a segment for a record.
+    pub fn dfs_segment_prefix(&self) -> String {
+        format!("{}out-", self.dfs_prefix)
+    }
+
+    /// The segment that starts at byte `offset` of the task's reduce-output
+    /// stream. Zero-padded to `u64::MAX`'s width: `DfsCluster::list`
+    /// returns segments in stream order and "every segment from `offset`
+    /// on" is a string comparison.
+    pub fn dfs_segment(&self, offset: u64) -> String {
+        format!("{}out-{offset:020}", self.dfs_prefix)
     }
 }
 
@@ -182,8 +195,7 @@ impl AnalyticsLogger {
         let rec = LogRecord::new(self.attempt, self.seq, now_ms, stage);
         let encoded = rec.encode();
         self.bytes_written += encoded.len() as u64;
-        dfs.write(&self.paths.dfs_record(self.seq), encoded, node, self.replication)
-            .map_err(|e| ShuffleError::FetchFailed { source: "dfs".into(), reason: e.to_string() })?;
+        dfs.write(&self.paths.dfs_record(self.seq), encoded, node, self.replication).map_err(dfs_failed)?;
         self.seq += 1;
         self.records_written += 1;
         self.last_log_ms = Some(now_ms);
@@ -191,38 +203,87 @@ impl AnalyticsLogger {
     }
 }
 
+fn dfs_failed(e: alm_dfs::DfsError) -> ShuffleError {
+    ShuffleError::FetchFailed { source: "dfs".into(), reason: e.to_string() }
+}
+
 /// The asynchronously-flushed partial reduce output (§III-B): completed
 /// `reduce()` results accumulate here and are written to the DFS at each
 /// reduce-stage log point, "without stalling the execution of the
-/// ReduceTask". A recovered attempt reloads the flushed bytes and appends.
+/// ReduceTask".
+///
+/// On the DFS the output is a chain of delta segments under the task's
+/// prefix, each named by the stream byte offset it starts at
+/// ([`LogPaths::dfs_segment`]) and holding whole records. A flush writes
+/// only the bytes appended since the previous flush. Naming by offset
+/// rather than by a counter is what makes two attempts of one task safe
+/// under one prefix: the reduce stream is deterministic, so whichever
+/// attempt wrote the segment found at offset `n`, following the chain from
+/// offset 0 can only ever read a prefix of the one true stream.
 pub struct PartialOutput {
-    dfs_path: String,
+    paths: LogPaths,
     buf: Vec<u8>,
     records: u64,
-    flushed_records: u64,
+    /// End offsets of the chain's segments, ascending; the last one is how
+    /// much of `buf` is durable and where the next segment will start.
+    chain: Vec<usize>,
 }
 
 impl PartialOutput {
     pub fn new(paths: &LogPaths) -> PartialOutput {
-        PartialOutput {
-            dfs_path: paths.dfs_partial_output(),
-            buf: Vec::new(),
-            records: 0,
-            flushed_records: 0,
+        PartialOutput { paths: paths.clone(), buf: Vec::new(), records: 0, chain: Vec::new() }
+    }
+
+    /// Reload everything a previous attempt flushed: follow the chain from
+    /// offset 0 until a segment is missing. A missing segment ends the
+    /// chain (none at offset 0: nothing was ever flushed); a segment that
+    /// exists but cannot be read or decoded is an error — the caller must
+    /// not mistake lost output for no output.
+    pub fn restore(paths: &LogPaths, dfs: &DfsCluster) -> Result<PartialOutput, ShuffleError> {
+        let mut out = PartialOutput::new(paths);
+        loop {
+            let data = match dfs.read(&paths.dfs_segment(out.buf.len() as u64)) {
+                Ok(data) => data,
+                Err(alm_dfs::DfsError::NotFound(_)) => return Ok(out),
+                Err(e) => return Err(dfs_failed(e)),
+            };
+            if data.is_empty() {
+                return Err(ShuffleError::Corrupt("empty partial-output segment".into()));
+            }
+            out.records += alm_shuffle::codec::validate_stream(&data)? as u64;
+            out.buf.extend_from_slice(&data);
+            out.chain.push(out.buf.len());
         }
     }
 
-    /// Reload previously flushed output during recovery.
-    pub fn restore(paths: &LogPaths, dfs: &DfsCluster) -> Result<PartialOutput, ShuffleError> {
-        let path = paths.dfs_partial_output();
-        let (buf, records) = match dfs.read(&path) {
-            Ok(data) => {
-                let n = alm_shuffle::codec::validate_stream(&data)? as u64;
-                (data.to_vec(), n)
+    /// Cut the output back to its first `records` records — the extent a
+    /// reduce-stage log record vouches for — and delete every segment
+    /// that reaches past that point, before anything new is flushed.
+    /// Returns false, changing nothing, when fewer records are held.
+    /// Crate-private: [`super::recovery::recover_attempt`] is the only
+    /// supported way for a recovering attempt to obtain its output, so
+    /// that state and output cannot be combined unbound.
+    pub(crate) fn truncate(&mut self, dfs: &DfsCluster, records: u64) -> bool {
+        let mut extent = 0;
+        for _ in 0..records {
+            match alm_shuffle::codec::record_bounds(&self.buf, extent) {
+                Ok(Some((_, _, end))) => extent = end,
+                _ => return false,
             }
-            Err(_) => (Vec::new(), 0),
-        };
-        Ok(PartialOutput { dfs_path: path, records, flushed_records: records, buf })
+        }
+        self.buf.truncate(extent);
+        self.records = records;
+        // A segment straddling the extent (only possible when another
+        // attempt flushed at different points) goes too; its leading bytes
+        // stay in `buf` and ride in the next flush.
+        self.chain.retain(|&end| end <= extent);
+        let first_stale = self.paths.dfs_segment(self.durable_bytes() as u64);
+        for p in dfs.list(&self.paths.dfs_segment_prefix()) {
+            if p >= first_stale {
+                dfs.delete(&p);
+            }
+        }
+        true
     }
 
     /// Append one reduce-output record.
@@ -239,35 +300,43 @@ impl PartialOutput {
         self.buf.len() as u64
     }
 
-    /// Flush the cumulative output to the DFS (overwrite-in-place, which on
-    /// real HDFS is an append + rename; the visible result is the same).
-    /// Returns `(path, records_flushed)`.
+    fn durable_bytes(&self) -> usize {
+        self.chain.last().copied().unwrap_or(0)
+    }
+
+    /// Make everything appended so far durable: write the bytes past the
+    /// last segment as one new segment (nothing new, no segment). Returns
+    /// `(segment prefix, records durable)`.
     pub fn flush(
         &mut self,
         dfs: &DfsCluster,
         node: NodeId,
         replication: ReplicationLevel,
     ) -> Result<(String, u64), ShuffleError> {
-        if self.records > self.flushed_records {
-            dfs.write(&self.dfs_path, Bytes::from(self.buf.clone()), node, replication)
-                .map_err(|e| ShuffleError::FetchFailed { source: "dfs".into(), reason: e.to_string() })?;
-            self.flushed_records = self.records;
+        let durable = self.durable_bytes();
+        if self.buf.len() > durable {
+            let tail = Bytes::copy_from_slice(&self.buf[durable..]);
+            dfs.write(&self.paths.dfs_segment(durable as u64), tail, node, replication)
+                .map_err(dfs_failed)?;
+            self.chain.push(self.buf.len());
         }
-        Ok((self.dfs_path.clone(), self.flushed_records))
+        Ok((self.paths.dfs_segment_prefix(), self.records))
     }
 
-    /// Commit the final output to its job-visible path and drop the
-    /// partial file.
+    /// Commit the final output to its job-visible path — the one write a
+    /// job without logging pays too — and drop every segment under the
+    /// task's prefix, whichever attempt wrote it.
     pub fn commit(
-        mut self,
+        self,
         dfs: &DfsCluster,
         node: NodeId,
         replication: ReplicationLevel,
         final_path: &str,
     ) -> Result<u64, ShuffleError> {
-        dfs.write(final_path, Bytes::from(std::mem::take(&mut self.buf)), node, replication)
-            .map_err(|e| ShuffleError::FetchFailed { source: "dfs".into(), reason: e.to_string() })?;
-        dfs.delete(&self.dfs_path);
+        dfs.write(final_path, Bytes::from(self.buf), node, replication).map_err(dfs_failed)?;
+        for p in dfs.list(&self.paths.dfs_segment_prefix()) {
+            dfs.delete(&p);
+        }
         Ok(self.records)
     }
 }
@@ -340,7 +409,7 @@ mod tests {
             StageLog::Reduce { records_processed, output_records, output_path, .. } => {
                 assert_eq!(*records_processed, 2);
                 assert_eq!(*output_records, 2);
-                assert!(d.is_available(output_path), "flushed output must be durable");
+                assert_eq!(d.list(output_path), vec![lg.paths().dfs_segment(0)], "flushed output is durable");
             }
             other => panic!("expected reduce log, got {other:?}"),
         }
@@ -359,24 +428,91 @@ mod tests {
         let restored = PartialOutput::restore(&paths, &d).unwrap();
         assert_eq!(restored.records(), 1, "only flushed records survive");
 
-        // Committing writes the final path and removes the partial file.
+        // Committing writes the final path and removes every segment.
         let mut restored = restored;
         restored.append(b"b", b"2");
         let n = restored.commit(&d, NodeId(0), ReplicationLevel::Rack, "/out/part-0").unwrap();
         assert_eq!(n, 2);
         assert!(d.is_available("/out/part-0"));
-        assert!(!d.exists(&paths.dfs_partial_output()));
+        assert!(d.list(&paths.dfs_prefix).is_empty());
     }
 
     #[test]
-    fn flush_is_idempotent_without_new_records() {
+    fn each_flush_writes_only_the_new_tail() {
         let d = dfs();
         let paths = LogPaths::for_task(attempt().task);
         let mut out = PartialOutput::new(&paths);
         out.append(b"a", b"1");
-        let (_, n1) = out.flush(&d, NodeId(0), ReplicationLevel::Node).unwrap();
+        let (prefix, n1) = out.flush(&d, NodeId(0), ReplicationLevel::Node).unwrap();
+        let first = out.bytes();
+        // Nothing new: no segment, no bytes.
         let (_, n2) = out.flush(&d, NodeId(0), ReplicationLevel::Node).unwrap();
         assert_eq!((n1, n2), (1, 1));
+        assert_eq!(d.stats().bytes_written, first);
+        out.append(b"bb", b"22");
+        out.flush(&d, NodeId(0), ReplicationLevel::Node).unwrap();
+        assert_eq!(d.list(&prefix), vec![paths.dfs_segment(0), paths.dfs_segment(first)]);
+        assert_eq!(d.stats().bytes_written, out.bytes(), "every byte crossed the DFS once");
+        assert_eq!(d.read(&paths.dfs_segment(first)).unwrap().len() as u64, out.bytes() - first);
+    }
+
+    #[test]
+    fn truncate_cuts_memory_and_chain_to_the_vouched_extent() {
+        let d = dfs();
+        let paths = LogPaths::for_task(attempt().task);
+        let mut out = PartialOutput::new(&paths);
+        for (i, rec) in [b"a", b"b", b"c"].into_iter().enumerate() {
+            out.append(rec, &[i as u8]);
+            out.flush(&d, NodeId(0), ReplicationLevel::Node).unwrap();
+        }
+        let mut restored = PartialOutput::restore(&paths, &d).unwrap();
+        assert!(!restored.truncate(&d, 4), "a chain shorter than the record vouches for is refused");
+        assert_eq!(restored.records(), 3, "and a refusal changes nothing");
+        assert!(restored.truncate(&d, 1));
+        assert_eq!((restored.records(), restored.bytes()), (1, 10));
+        assert_eq!(d.list(&paths.dfs_segment_prefix()), vec![paths.dfs_segment(0)]);
+        assert_eq!(PartialOutput::restore(&paths, &d).unwrap().records(), 1);
+    }
+
+    #[test]
+    fn truncate_inside_a_segment_drops_it_and_reflushes_its_head() {
+        // Another attempt's segment straddles the extent this one resumes at.
+        let d = dfs();
+        let paths = LogPaths::for_task(attempt().task);
+        let mut theirs = PartialOutput::new(&paths);
+        theirs.append(b"a", b"1");
+        theirs.flush(&d, NodeId(0), ReplicationLevel::Node).unwrap();
+        theirs.append(b"b", b"2");
+        theirs.append(b"c", b"3");
+        theirs.flush(&d, NodeId(0), ReplicationLevel::Node).unwrap();
+
+        let mut ours = PartialOutput::restore(&paths, &d).unwrap();
+        assert!(ours.truncate(&d, 2));
+        assert_eq!(d.list(&paths.dfs_segment_prefix()), vec![paths.dfs_segment(0)]);
+        ours.append(b"x", b"9");
+        ours.flush(&d, NodeId(0), ReplicationLevel::Node).unwrap();
+        let chained = PartialOutput::restore(&paths, &d).unwrap();
+        assert_eq!((chained.records(), chained.bytes()), (3, ours.bytes()), "a, b, x — and no c");
+    }
+
+    #[test]
+    fn unreadable_segment_is_an_error_not_an_empty_output() {
+        let d = dfs();
+        let paths = LogPaths::for_task(attempt().task);
+        assert_eq!(
+            PartialOutput::restore(&paths, &d).unwrap().records(),
+            0,
+            "nothing flushed is not an error"
+        );
+        let mut out = PartialOutput::new(&paths);
+        out.append(b"a", b"1");
+        out.flush(&d, NodeId(1), ReplicationLevel::Node).unwrap();
+        d.corrupt_replica(&paths.dfs_segment(0), 0, None);
+        assert!(PartialOutput::restore(&paths, &d).is_err(), "rotten everywhere");
+        out.append(b"b", b"2");
+        out.flush(&d, NodeId(1), ReplicationLevel::Node).unwrap();
+        d.set_node_alive(NodeId(1), false);
+        assert!(PartialOutput::restore(&paths, &d).is_err(), "no live replica");
     }
 
     #[test]

@@ -18,12 +18,20 @@
 //! redone work instead of a restart from zero. [`RecoveryReport`]
 //! records where the truncation happened so harnesses can assert that
 //! bound.
+//!
+//! A reduce-stage record *vouches for* an extent of the partial output —
+//! its first `output_records` records. [`recover_attempt`] makes that
+//! binding: the attempt resumes with exactly that extent (whatever was
+//! flushed past it is deleted), or — when the chain of segments is
+//! missing, unreadable or shorter than the extent — from scratch, with
+//! nothing skipped. Output ahead of the skip count would be committed
+//! twice; output behind it would be silently lost.
 
 use alm_dfs::DfsCluster;
 use alm_shuffle::{LocalFs, ShuffleError};
 use serde::{Deserialize, Serialize};
 
-use super::logger::LogPaths;
+use super::logger::{LogPaths, PartialOutput};
 use super::record::{LogRecord, MpqLogEntry, StageLog};
 
 /// What recovery managed to restore.
@@ -104,12 +112,20 @@ pub struct RecoveryReport {
     /// How many of the discards were *detected* checksum mismatches (bit
     /// rot inside an intact frame) as opposed to torn/truncated writes.
     pub checksum_mismatches: usize,
+    /// A reduce-stage record was found but the partial output it vouches
+    /// for was missing, unreadable or short: the attempt restarted from
+    /// scratch and every snapshot of the previous attempt was redone.
+    pub output_lost: bool,
 }
 
 impl RecoveryReport {
-    /// True when a truncation happened but cost at most one snapshot: the
-    /// resume point is exactly the record before the first bad one.
+    /// True when recovery cost at most one snapshot: the output the resume
+    /// point vouches for was there, and the resume point is exactly the
+    /// record before the first bad one (if any was bad).
     pub fn bounded_by_one_snapshot(&self) -> bool {
+        if self.output_lost {
+            return false;
+        }
         match (self.truncated_at_seq, self.resumed_seq) {
             (Some(bad), Some(resumed)) => bad == resumed + 1,
             (Some(bad), None) => bad == 0,
@@ -211,6 +227,7 @@ pub fn find_latest_log_with_report(
         },
         discarded_records: dfs_report.discarded_records + local_report.discarded_records,
         checksum_mismatches: dfs_report.checksum_mismatches + local_report.checksum_mismatches,
+        output_lost: false,
     };
     (rec, merged)
 }
@@ -228,6 +245,40 @@ pub fn recover_state_with_report(
 ) -> (RecoveredState, RecoveryReport) {
     let (rec, report) = find_latest_log_with_report(local_fs, dfs, paths);
     (rec.map_or(RecoveredState::Fresh, RecoveredState::from_record), report)
+}
+
+/// What a recovering reduce attempt starts from: the state its newest
+/// trustworthy record describes, and exactly the output that record
+/// vouches for. One of three outcomes:
+///
+/// * **resume** — a reduce-stage record whose extent is the whole chain;
+/// * **truncate** — the chain runs past the extent (the record that
+///   vouched for the rest is rotten, torn or was never written): the
+///   excess segments are deleted before the attempt flushes anything;
+/// * **scratch** — no reduce-stage record, or one whose extent the chain
+///   cannot supply (reported as [`RecoveryReport::output_lost`], state
+///   [`RecoveredState::Fresh`]): nothing under the task's DFS prefix is
+///   vouched for by anything any more, so all of it is deleted and the
+///   output starts empty.
+pub fn recover_attempt(
+    local_fs: Option<&dyn LocalFs>,
+    dfs: &DfsCluster,
+    paths: &LogPaths,
+) -> (RecoveredState, PartialOutput, RecoveryReport) {
+    let (mut state, mut report) = recover_state_with_report(local_fs, dfs, paths);
+    if let RecoveredState::ReduceStage { output_records, .. } = state {
+        if let Ok(mut output) = PartialOutput::restore(paths, dfs) {
+            if output.truncate(dfs, output_records) {
+                return (state, output, report);
+            }
+        }
+        report.output_lost = true;
+        state = RecoveredState::Fresh;
+    }
+    for p in dfs.list(&paths.dfs_prefix) {
+        dfs.delete(&p);
+    }
+    (state, PartialOutput::new(paths), report)
 }
 
 #[cfg(test)]
@@ -398,17 +449,90 @@ mod tests {
     }
 
     #[test]
-    fn partial_output_file_is_not_mistaken_for_a_record() {
+    fn output_segment_is_not_mistaken_for_a_record() {
         let d = dfs();
         let p = paths();
         d.write(
-            &p.dfs_partial_output(),
+            &p.dfs_segment(0),
             Bytes::from_static(b"raw output bytes"),
             NodeId(0),
             ReplicationLevel::Rack,
         )
         .unwrap();
         assert!(recover_state(None, &d, &p).is_fresh());
+    }
+
+    /// A previous attempt that flushed and logged after 1, 2 and 3 records.
+    fn three_snapshots(d: &DfsCluster, p: &LogPaths) {
+        let mut out = PartialOutput::new(p);
+        for seq in 0..3u64 {
+            out.append(&[b'k', seq as u8], b"v");
+            let (output_path, output_records) = out.flush(d, NodeId(0), ReplicationLevel::Rack).unwrap();
+            let stage =
+                StageLog::Reduce { records_processed: seq + 1, mpq: vec![], output_path, output_records };
+            let rec = LogRecord::new(attempt(), seq, 0, stage);
+            d.write(&p.dfs_record(seq), rec.encode(), NodeId(0), ReplicationLevel::Rack).unwrap();
+        }
+    }
+
+    #[test]
+    fn recover_attempt_resumes_with_exactly_the_vouched_output() {
+        let (d, p) = (dfs(), paths());
+        three_snapshots(&d, &p);
+        let (state, out, report) = recover_attempt(None, &d, &p);
+        assert!(matches!(state, RecoveredState::ReduceStage { records_processed: 3, .. }));
+        assert_eq!(out.records(), 3);
+        assert!(report.bounded_by_one_snapshot());
+        assert_eq!(d.list(&p.dfs_segment_prefix()).len(), 3, "a clean resume deletes nothing");
+    }
+
+    #[test]
+    fn recover_attempt_truncates_output_ahead_of_the_record() {
+        let (d, p) = (dfs(), paths());
+        three_snapshots(&d, &p);
+        // The newest record is torn: its segment is flushed but unvouched.
+        let torn = d.read(&p.dfs_record(2)).unwrap();
+        d.write(&p.dfs_record(2), torn.slice(0..torn.len() - 2), NodeId(0), ReplicationLevel::Rack).unwrap();
+        let (state, out, report) = recover_attempt(None, &d, &p);
+        assert!(matches!(state, RecoveredState::ReduceStage { records_processed: 2, .. }));
+        assert_eq!(out.records(), 2, "output never runs ahead of the skip count");
+        assert!(report.bounded_by_one_snapshot());
+        assert_eq!(d.list(&p.dfs_segment_prefix()).len(), 2, "the unvouched segment is gone");
+    }
+
+    #[test]
+    fn recover_attempt_restarts_from_scratch_when_the_chain_is_lost() {
+        for damage in ["missing", "rotten", "short"] {
+            let d = DfsCluster::new(Topology::even(4, 2), 1024, 1);
+            let p = paths();
+            three_snapshots(&d, &p);
+            match damage {
+                "missing" => assert!(d.delete(&p.dfs_segment(0))),
+                "rotten" => assert!(d.corrupt_replica(&p.dfs_segment(0), 0, None)),
+                _ => assert!(d.delete(&d.list(&p.dfs_segment_prefix())[2])),
+            }
+            let (state, out, report) = recover_attempt(None, &d, &p);
+            assert!(state.is_fresh(), "{damage}: nothing may be skipped");
+            assert_eq!(out.records(), 0, "{damage}");
+            assert!(report.output_lost && !report.bounded_by_one_snapshot(), "{damage}: {report:?}");
+            assert!(d.list(&p.dfs_prefix).is_empty(), "{damage}: records vouching for lost output go too");
+        }
+    }
+
+    #[test]
+    fn recover_attempt_without_a_reduce_record_starts_with_empty_output() {
+        let (d, p) = (dfs(), paths());
+        let fs = MemFs::new();
+        fs.write(&p.local_record(0), shuffle_rec(0).encode()).unwrap();
+        // Flushed, but the attempt died before the record was written.
+        let mut out = PartialOutput::new(&p);
+        out.append(b"k", b"v");
+        out.flush(&d, NodeId(0), ReplicationLevel::Rack).unwrap();
+        let (state, out, report) = recover_attempt(Some(&fs), &d, &p);
+        assert!(matches!(state, RecoveredState::ShuffleStage { .. }));
+        assert_eq!(out.records(), 0);
+        assert!(!report.output_lost, "no record vouched for that output");
+        assert!(d.list(&p.dfs_prefix).is_empty());
     }
 
     #[test]

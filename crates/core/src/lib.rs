@@ -30,8 +30,8 @@ pub use alg::logger::PartialOutput;
 pub use alg::logger::{AnalyticsLogger, LogPaths};
 pub use alg::record::{LogRecord, MpqLogEntry, StageLog};
 pub use alg::recovery::{
-    find_latest_log, find_latest_log_with_report, recover_state, recover_state_with_report, RecoveredState,
-    RecoveryReport,
+    find_latest_log, find_latest_log_with_report, recover_attempt, recover_state, recover_state_with_report,
+    RecoveredState, RecoveryReport,
 };
 pub use sfm::fcm::{collective_merge, spawn_participants, ChannelRun, FcmPipeline, FcmStats, Participant};
 pub use sfm::policy::{schedule_recovery, ExecMode, PolicyCtx, SchedAction};

@@ -77,6 +77,9 @@ pub struct DfsFileMeta {
 /// a scenario's cost ledger.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DfsStats {
+    /// Payload bytes accepted by successful `write` calls, before
+    /// replication — what callers handed the DFS, not what it stored.
+    pub bytes_written: u64,
     /// Rotten replicas skipped over by verified reads.
     pub read_failovers: u64,
     /// Blocks the repair pipeline re-replicated.
@@ -219,28 +222,34 @@ impl DfsCluster {
         writer: NodeId,
         level: ReplicationLevel,
     ) -> Result<DfsFileMeta, DfsError> {
+        // Checksum outside the lock: framing is the only per-byte work of a
+        // write, and under the lock it would serialise every task's writes.
+        let len = data.len() as u64;
+        let nblocks = (len.div_ceil(self.block_size)).max(1) as usize;
+        let framed: Vec<(u64, Bytes)> = (0..nblocks)
+            .map(|i| {
+                let start = (i as u64 * self.block_size) as usize;
+                let end = (((i + 1) as u64 * self.block_size) as usize).min(data.len());
+                ((end - start) as u64, Bytes::from(frame(&data[start..end])))
+            })
+            .collect();
+
         let mut inner = self.inner.lock();
         if inner.alive.is_empty() {
             return Err(DfsError::NoLiveReplicaTarget);
         }
-        let len = data.len() as u64;
-        let nblocks = (len.div_ceil(self.block_size)).max(1) as usize;
         let mut staged: Vec<(u64, Block)> = Vec::with_capacity(nblocks);
         let mut replicas_meta = Vec::with_capacity(nblocks);
-        for i in 0..nblocks {
-            let start = (i as u64 * self.block_size) as usize;
-            let end = (((i + 1) as u64 * self.block_size) as usize).min(data.len());
-            let chunk = data.slice(start..end);
+        for (block_len, framed) in framed {
             let id = self.next_block.fetch_add(1, Ordering::Relaxed);
             let nodes = choose_replicas(&self.topo, writer, level, self.replication, &inner.alive, id);
             if nodes.is_empty() {
                 // Nothing committed yet: the old version (if any) is intact.
                 return Err(DfsError::NoLiveReplicaTarget);
             }
-            let framed = Bytes::from(frame(&chunk));
             let replicas = nodes.iter().map(|&node| Replica { node, framed: framed.clone() }).collect();
             replicas_meta.push(nodes);
-            staged.push((id, Block { len: chunk.len() as u64, level, replicas }));
+            staged.push((id, Block { len: block_len, level, replicas }));
         }
         // Every block placed — now swap: drop the previous version's blocks
         // and commit the staged ones.
@@ -256,6 +265,7 @@ impl DfsCluster {
             blocks.push(id);
         }
         inner.files.insert(path.to_string(), DfsFile { blocks, len });
+        inner.stats.bytes_written += len;
         Ok(DfsFileMeta { path: path.to_string(), len, num_blocks: nblocks, replicas: replicas_meta })
     }
 
@@ -329,6 +339,16 @@ impl DfsCluster {
 
     pub fn exists(&self, path: &str) -> bool {
         self.inner.lock().files.contains_key(path)
+    }
+
+    /// Whether `path` exists and every block of it still has a replica on
+    /// a live node — the NameNode's view from block reports: no byte is
+    /// read, so rot is not seen, only loss.
+    pub fn has_live_replicas(&self, path: &str) -> bool {
+        let inner = self.inner.lock();
+        inner.files.get(path).is_some_and(|f| {
+            f.blocks.iter().all(|b| inner.blocks[b].replicas.iter().any(|r| inner.alive.contains(&r.node)))
+        })
     }
 
     pub fn delete(&self, path: &str) -> bool {
@@ -585,6 +605,31 @@ mod tests {
         d.write("/f", Bytes::from_static(b"bb"), NodeId(0), ReplicationLevel::Node).unwrap();
         assert_eq!(&d.read("/f").unwrap()[..], b"bb");
         assert!(d.stored_bytes() < before);
+    }
+
+    #[test]
+    fn bytes_written_counts_payload_accepted_not_replicas_stored() {
+        let d = dfs(6, 2, 10);
+        d.write("/f", Bytes::from(vec![0u8; 25]), NodeId(0), ReplicationLevel::Rack).unwrap();
+        d.write("/f", Bytes::from(vec![1u8; 5]), NodeId(0), ReplicationLevel::Node).unwrap();
+        assert_eq!(d.stats().bytes_written, 30, "an overwrite is written again; replication is not");
+        d.set_node_alive(NodeId(1), false);
+        assert!(d.write("/g", Bytes::from_static(b"lost"), NodeId(1), ReplicationLevel::Node).is_err());
+        assert_eq!(d.stats().bytes_written, 30, "a refused write wrote nothing");
+    }
+
+    #[test]
+    fn has_live_replicas_sees_loss_but_not_rot() {
+        let d = dfs(6, 2, 10);
+        assert!(!d.has_live_replicas("/f"), "no such file");
+        let meta = d.write("/f", Bytes::from(vec![7u8; 25]), NodeId(0), ReplicationLevel::Cluster).unwrap();
+        d.corrupt_replica("/f", 0, None);
+        assert!(d.has_live_replicas("/f"), "metadata only: rot is the verified read's business");
+        let holders = &meta.replicas[2];
+        d.set_node_alive(holders[0], false);
+        assert!(d.has_live_replicas("/f"), "one replica of the last block survives");
+        d.set_node_alive(holders[1], false);
+        assert!(!d.has_live_replicas("/f"), "the last block has no live replica");
     }
 
     #[test]

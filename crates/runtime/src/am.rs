@@ -345,6 +345,7 @@ impl JobRunner {
         }
 
         let lost_mofs: Vec<u32> = self.registry.mofs_on_node(node);
+        self.rerun_reduces_with_lost_output();
 
         if self.alm_enabled() {
             let running_tasks: Vec<TaskId> = dead_attempts.iter().map(|(a, _)| a.task).collect();
@@ -398,6 +399,27 @@ impl JobRunner {
             self.maps[map_index as usize].completed = false;
             self.launch_map(self.job.map_task(map_index), None);
         }
+    }
+
+    /// Re-open every completed reduce whose committed partition has lost a
+    /// block's last live replica, and launch it again. A `Cluster`-level
+    /// file keeps one replica per rack, so crashes in two racks can take
+    /// both copies of an early finisher's output; a job that reported
+    /// success over that would be missing a partition. The re-run starts
+    /// from scratch — `commit` deleted the segments any surviving
+    /// reduce-stage record vouches for, which ALG recovery reports as
+    /// `output_lost`. Returns whether anything was lost.
+    fn rerun_reduces_with_lost_output(&mut self) -> bool {
+        let lost: Vec<u32> = (0..self.job.num_reduces)
+            .filter(|&r| self.reduces[r as usize].completed)
+            .filter(|&r| !self.cluster.dfs.has_live_replicas(&self.job.output_path(r)))
+            .collect();
+        for &r in &lost {
+            self.reduces[r as usize].completed = false;
+            self.report.output_records.remove(&r);
+            self.launch_reduce(self.job.reduce_task(r), None, None, ExecMode::Regular);
+        }
+        !lost.is_empty()
     }
 
     /// Cancel every running attempt of a task except `keep`.
@@ -645,7 +667,10 @@ impl JobRunner {
                     }
                     st.running.remove(&attempt);
                     self.cancel_others(attempt.task, attempt);
-                    if self.reduces.iter().all(|t| t.completed) {
+                    // A crash the liveness timeout has not surfaced yet may
+                    // already have taken a committed partition: look before
+                    // declaring the job done.
+                    if self.reduces.iter().all(|t| t.completed) && !self.rerun_reduces_with_lost_output() {
                         succeeded = true;
                         break;
                     }

@@ -15,8 +15,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use alm_core::{
-    recover_state_with_report, spawn_participants, AnalyticsLogger, ExecMode, LogPaths, PartialOutput,
-    Participant, RecoveredState, RecoveryReport,
+    recover_attempt, spawn_participants, AnalyticsLogger, ExecMode, LogPaths, PartialOutput, Participant,
+    RecoveredState, RecoveryReport,
 };
 use alm_dfs::DfsCluster;
 use alm_shuffle::mpq::SortedRun;
@@ -121,8 +121,9 @@ enum StartState {
     Shuffle(ReduceBuffers),
     /// All data local (merge-stage log): buffers with everything fetched.
     MergeReady(ReduceBuffers),
-    /// Reduce-stage log with all MPQ files readable here: direct resume.
-    MpqResume(Vec<SegmentReader>),
+    /// Reduce-stage log with all MPQ files readable here: direct resume
+    /// from the logged offsets, `records_processed` records in.
+    MpqResume(Vec<SegmentReader>, u64),
     /// Reduce-stage log but the files are gone (migrated): replay the data
     /// path and skip the first `records_processed` records.
     SkipReplay(u64),
@@ -136,32 +137,25 @@ pub fn run_reduce(ctx: ReduceCtx) {
     let prefix = format!("reduce/{}/", ctx.attempt);
 
     // ---- Recovery: what did a previous attempt leave us? ----
-    let recovered = if logs_enabled {
-        let (state, rec_report) = recover_state_with_report(Some(&ctx.node.fs), &ctx.dfs, &paths);
+    // The state and the partial output come back bound together: the
+    // output holds exactly what the resumed record vouches for, and is
+    // empty whenever nothing will be skipped.
+    let (recovered, mut output) = if logs_enabled {
+        let (state, output, rec_report) = recover_attempt(Some(&ctx.node.fs), &ctx.dfs, &paths);
         if rec_report != RecoveryReport::default() {
             // Surface the forensics (resume point, truncated/corrupt
-            // records) so reports can assert bounded recovery.
+            // records, lost output) so reports can assert bounded recovery.
             let _ = ctx.events.send(TaskEvent::LogRecovered { attempt: ctx.attempt, report: rec_report });
         }
-        state
+        (state, output)
     } else {
-        RecoveredState::Fresh
+        (RecoveredState::Fresh, PartialOutput::new(&paths))
     };
 
     let mut logger = logs_enabled.then(|| AnalyticsLogger::new(&ctx.job.alm, ctx.attempt));
     if let (Some(lg), Some(seq)) = (logger.as_mut(), recovered.seq()) {
         lg.resume_after(seq);
     }
-
-    // Restored (or fresh) partial output.
-    let mut output = if logs_enabled {
-        match PartialOutput::restore(&paths, &ctx.dfs) {
-            Ok(o) => o,
-            Err(_) => PartialOutput::new(&paths),
-        }
-    } else {
-        PartialOutput::new(&paths)
-    };
 
     let mem_budget = ctx.config.shuffle_buffer_bytes().max(1024);
 
@@ -216,7 +210,7 @@ pub fn run_reduce(ctx: ReduceCtx) {
                 }
             }
             if ok {
-                StartState::MpqResume(readers)
+                StartState::MpqResume(readers, records_processed)
             } else {
                 StartState::SkipReplay(records_processed)
             }
@@ -238,7 +232,7 @@ fn run_regular(
     output: &mut PartialOutput,
 ) {
     let (readers, skip) = match start {
-        StartState::MpqResume(readers) => (readers, 0),
+        StartState::MpqResume(readers, _) => (readers, 0),
         StartState::Fresh => {
             let mut buffers = ReduceBuffers::new(
                 cmp.clone(),
@@ -302,12 +296,11 @@ fn run_fcm(
     output: &mut PartialOutput,
 ) {
     // FCM replays the whole partition stream; the only usable recovery
-    // state is the reduce-stage skip count (plus the restored output).
+    // state is the reduce-stage skip count (plus the output it vouches
+    // for — every other start state comes with an empty output).
     let skip = match start {
-        StartState::SkipReplay(n) => n,
-        StartState::MpqResume(_) | StartState::Fresh | StartState::Shuffle(_) | StartState::MergeReady(_) => {
-            0
-        }
+        StartState::SkipReplay(n) | StartState::MpqResume(_, n) => n,
+        StartState::Fresh | StartState::Shuffle(_) | StartState::MergeReady(_) => 0,
     };
 
     // Wait until every MOF is present on a live node (the AM is

@@ -88,6 +88,7 @@ mod tests {
                 truncated_at_seq: Some(2),
                 discarded_records: 3,
                 checksum_mismatches: 1,
+                output_lost: false,
             },
         });
         assert!(report.recoveries_bounded(), "truncating right after the resume point is bounded");

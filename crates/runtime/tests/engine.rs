@@ -2,10 +2,13 @@
 //! *liveness* (the job completes despite injected faults) and *safety*
 //! (committed output is byte-identical to the reference oracle's).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use alm_core::LogPaths;
 use alm_runtime::am::run_job;
 use alm_runtime::{FaultPlan, JobDef, MiniCluster};
+use alm_shuffle::LocalFs;
 use alm_types::{AlmConfig, CorruptTarget, JobId, NodeId, RecoveryMode, TaskId};
 use alm_workloads::reference::{canonicalize, reference_output};
 use alm_workloads::{Record, SecondarySort, Terasort, Wordcount, Workload};
@@ -148,13 +151,20 @@ fn reduce_oom_all_workloads_sfm_alg() {
 fn node_crash_baseline_recovers_with_amplification() {
     let cluster = Arc::new(MiniCluster::for_tests(5));
     let jd = job(20, Arc::new(Terasort::new(900)), 5, 3, RecoveryMode::Baseline);
-    // Crash node 1 once reduce 0 is mid-shuffle; its MOFs are lost.
-    let plan = FaultPlan::crash_node_at_reduce_progress(NodeId(1), 0, 0.05);
+    // Crash node 1 mid-shuffle with its MOF certainly unserved: the node is
+    // cut off from t = 0 — the AM severs the links before it registers any
+    // MOF — so however fast the data plane, no other reducer can have
+    // fetched map 1's output when the node dies, and reducer 1 (which
+    // round-robin placed on node 1) cannot have finished its shuffle.
+    let plan = [0, 2, 3, 4].into_iter().fold(FaultPlan::crash_node_at_ms(NodeId(1), 10), |plan, peer| {
+        plan.and(FaultPlan::partition_link(NodeId(1), NodeId(peer), 0, 60_000))
+    });
     let report = run_job(cluster.clone(), jd.clone(), plan);
     assert!(report.succeeded, "{report:?}");
-    // Losing a node's MOFs must have caused at least one observable failure
-    // (fetch-failure preemptions and/or node-crash task deaths).
-    assert!(!report.failures.is_empty(), "baseline cannot hide a node loss");
+    // Baseline cannot hide the loss: reducer 1 died with the node, and map
+    // 1's stranded output had to be produced again.
+    assert!(report.failures_of_kind(alm_types::FailureKind::NodeCrash) >= 1, "{:?}", report.failures);
+    assert!(report.map_attempts > jd.num_maps, "the stranded MOF was regenerated: {report:?}");
     assert_output_matches(&cluster, &jd);
 }
 
@@ -195,11 +205,54 @@ fn node_crash_sfm_alg_single_reducer_temporal_case() {
 fn multiple_concurrent_node_crashes_sfm() {
     let cluster = Arc::new(MiniCluster::for_tests(6));
     let jd = job(23, Arc::new(Terasort::new(600)), 4, 4, RecoveryMode::SfmAlg);
+    // One victim per rack: a reducer that has already committed can lose
+    // both replicas of its partition, and the AM must then run it again.
     let plan = FaultPlan::crash_node_at_reduce_progress(NodeId(1), 0, 0.05)
         .and(FaultPlan::crash_node_at_reduce_progress(NodeId(2), 1, 0.05));
     let report = run_job(cluster.clone(), jd.clone(), plan);
     assert!(report.succeeded, "{report:?}");
     assert_output_matches(&cluster, &jd);
+}
+
+#[test]
+fn committed_partition_that_loses_every_replica_is_reduced_again() {
+    for (id, mode) in [(27, RecoveryMode::Baseline), (28, RecoveryMode::SfmAlg)] {
+        let cluster = Arc::new(MiniCluster::for_tests(6));
+        let jd = job(id, Arc::new(Terasort::new(1500)), 4, 2, mode);
+        let lost_path = jd.output_path(0);
+        let done = Arc::new(AtomicBool::new(false));
+        // The moment reducer 0 has committed, crash nodes until its
+        // partition has no live replica left: its writer (round-robin put
+        // reducer 0 on node 4, after the four maps), then the other rack
+        // until the second copy is hit.
+        let watcher = std::thread::spawn({
+            let (cluster, done, path) = (cluster.clone(), done.clone(), lost_path.clone());
+            move || {
+                while !done.load(Ordering::Acquire) {
+                    if cluster.dfs.exists(&path) {
+                        for n in [4, 1, 3, 5] {
+                            cluster.crash_node(NodeId(n));
+                            if !cluster.dfs.has_live_replicas(&path) {
+                                return true;
+                            }
+                        }
+                        return false;
+                    }
+                    std::thread::yield_now();
+                }
+                false
+            }
+        });
+        // Reducer 1 (node 5) crawls, so the job is still running when
+        // reducer 0's output goes.
+        let report = run_job(cluster.clone(), jd.clone(), FaultPlan::slow_node(NodeId(5), 0, 11.0));
+        done.store(true, Ordering::Release);
+        assert!(watcher.join().expect("watcher"), "{mode:?}: partition 0 lost every replica mid-job");
+        assert!(report.succeeded, "{mode:?}: {report:?}");
+        assert!(report.reduce_attempts > jd.num_reduces, "{mode:?}: reducer 0 ran again: {report:?}");
+        assert!(cluster.dfs.has_live_replicas(&lost_path), "{mode:?}");
+        assert_output_matches(&cluster, &jd);
+    }
 }
 
 #[test]
@@ -213,6 +266,83 @@ fn fcm_attempts_launched_on_node_failure_sfm() {
     if report.failures.iter().any(|f| f.task.is_reduce()) {
         assert!(report.fcm_attempts > 0, "reduce recovery under SFM uses FCM mode");
     }
+    assert_output_matches(&cluster, &jd);
+}
+
+// ---------- late failures: recovery from reduce-stage logs ----------
+
+/// Every node throttled so that consecutive reduce-stage safe points are
+/// at least one (1 ms) logging interval apart: every safe point snapshots,
+/// and the reduce stage lasts a few hundred snapshots.
+fn throttled(nodes: u32, plan: FaultPlan) -> FaultPlan {
+    (0..nodes).fold(plan, |plan, n| plan.and(FaultPlan::slow_node(NodeId(n), 0, 6.0)))
+}
+
+fn eager_sfm_alg(id: u32) -> JobDef {
+    let mut alm = AlmConfig::with_mode(RecoveryMode::SfmAlg);
+    alm.logging_interval_ms = 1;
+    JobDef::new(JobId(id), Arc::new(Terasort::new(1500)), 4, 1, 42, alm)
+}
+
+fn reduce_stage_records(cluster: &MiniCluster) -> usize {
+    cluster.dfs.list("/alg/").iter().filter(|p| p.contains("/log-")).count()
+}
+
+#[test]
+fn late_reducer_kill_resumes_from_reduce_stage_logs() {
+    let cluster = Arc::new(MiniCluster::for_tests(4));
+    let jd = eager_sfm_alg(25);
+    // Self-kill 85 % into the reduce stage: a hundred-odd snapshots in.
+    let plan = throttled(4, FaultPlan::kill_task(jd.reduce_task(0), 0.95));
+    let report = run_job(cluster.clone(), jd.clone(), plan);
+    assert!(report.succeeded, "{report:?}");
+    assert!(reduce_stage_records(&cluster) > 0, "the reducer logged its reduce stage");
+    assert!(
+        report.log_recoveries.iter().any(|e| e.report.resumed_seq.is_some()),
+        "the relaunch resumed from a record: {:?}",
+        report.log_recoveries
+    );
+    assert!(report.recoveries_bounded(), "{:?}", report.log_recoveries);
+    assert_output_matches(&cluster, &jd);
+}
+
+#[test]
+fn late_node_crash_resumes_from_reduce_stage_logs() {
+    let cluster = Arc::new(MiniCluster::for_tests(4));
+    let jd = eager_sfm_alg(26);
+    let paths = LogPaths::for_task(jd.reduce_task(0));
+    let done = Arc::new(AtomicBool::new(false));
+    // Crash the reducer's node the moment its first reduce-stage record is
+    // on the DFS. The node is the one holding the task's shuffle-stage
+    // records on its local store.
+    let watcher = std::thread::spawn({
+        let (cluster, done) = (cluster.clone(), done.clone());
+        move || {
+            while !done.load(Ordering::Acquire) {
+                if reduce_stage_records(&cluster) > 0 {
+                    let home = cluster.nodes.iter().find(|n| !n.fs.list(&paths.local_prefix).is_empty());
+                    let home = home.expect("the reducer logged its shuffle stage locally").id;
+                    cluster.crash_node(home);
+                    return Some(home);
+                }
+                std::thread::yield_now();
+            }
+            None
+        }
+    });
+    let report = run_job(cluster.clone(), jd.clone(), throttled(4, FaultPlan::none()));
+    done.store(true, Ordering::Release);
+    let crashed =
+        watcher.join().expect("watcher").expect("a reduce-stage record appeared before the job ended");
+    assert!(report.succeeded, "{report:?}");
+    assert!(report.failures_of_kind(alm_types::FailureKind::NodeCrash) >= 1, "node {crashed}: {report:?}");
+    // The node's local logs died with it: a resumed record is a DFS one.
+    assert!(
+        report.log_recoveries.iter().any(|e| e.report.resumed_seq.is_some()),
+        "the migrated attempt resumed from a reduce-stage record: {:?}",
+        report.log_recoveries
+    );
+    assert!(report.recoveries_bounded(), "{:?}", report.log_recoveries);
     assert_output_matches(&cluster, &jd);
 }
 

@@ -21,9 +21,10 @@ pub fn encode_into(out: &mut Vec<u8>, key: &[u8], value: &[u8]) {
     out.extend_from_slice(value);
 }
 
-/// Decode the record starting at `offset`. Returns `(key, value,
-/// next_offset)`; `Ok(None)` at end-of-stream; `Err` on truncation.
-pub fn decode_at(data: &Bytes, offset: usize) -> Result<Option<(Bytes, Bytes, usize)>> {
+/// Where the record starting at `offset` lies: `(key_start, value_start,
+/// end)`. `Ok(None)` at end-of-stream; `Err` on truncation. The one place
+/// that reads the header layout.
+pub fn record_bounds(data: &[u8], offset: usize) -> Result<Option<(usize, usize, usize)>> {
     if offset == data.len() {
         return Ok(None);
     }
@@ -41,7 +42,15 @@ pub fn decode_at(data: &Bytes, offset: usize) -> Result<Option<(Bytes, Bytes, us
             data.len() - key_start
         )));
     }
-    Ok(Some((data.slice(key_start..val_start), data.slice(val_start..end), end)))
+    Ok(Some((key_start, val_start, end)))
+}
+
+/// Decode the record starting at `offset`. Returns `(key, value,
+/// next_offset)`; `Ok(None)` at end-of-stream; `Err` on truncation.
+pub fn decode_at(data: &Bytes, offset: usize) -> Result<Option<(Bytes, Bytes, usize)>> {
+    Ok(record_bounds(data, offset)?.map(|(key_start, val_start, end)| {
+        (data.slice(key_start..val_start), data.slice(val_start..end), end)
+    }))
 }
 
 /// Count records and verify structural integrity of a whole stream.

@@ -28,8 +28,12 @@ use crate::error::{Result, ShuffleError};
 /// Bytes of frame overhead preceding the payload.
 pub const FRAME_HEADER_LEN: usize = 8;
 
-const fn make_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table,
+/// `CRC_TABLES[k][b]` the CRC of byte `b` followed by `k` zero bytes, so
+/// eight input bytes fold into the state with eight independent lookups
+/// instead of eight dependent ones.
+const fn make_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -38,19 +42,44 @@ const fn make_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let c = tables[t - 1][i];
+            tables[t][i] = tables[0][(c & 0xFF) as usize] ^ (c >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = make_table();
+static CRC_TABLES: [[u32; 256]; 8] = make_tables();
 
-/// IEEE CRC-32 (the polynomial used by zip/zlib/Ethernet).
+/// IEEE CRC-32 (the polynomial used by zip/zlib/Ethernet), eight bytes a
+/// step; the tail shorter than eight goes a byte at a time.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -115,6 +144,31 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The textbook bit-at-a-time CRC-32, sharing nothing with the tables.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc32_matches_reference_at_every_short_length_and_alignment() {
+        // Every (body, tail) split of the eight-byte step, from every start
+        // offset within an eight-byte word.
+        let buf: Vec<u8> = (0..80u32).map(|i| (i.wrapping_mul(167) ^ (i >> 2)) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "start {start}, len {len}");
+            }
+        }
+    }
+
     #[test]
     fn round_trip() {
         for payload in [&b""[..], b"x", b"hello shuffle", &[0u8; 1024][..]] {
@@ -153,6 +207,15 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn crc32_matches_reference_on_random_buffers(
+            data in proptest::collection::vec(0u8..=255, 0..2048),
+            start in 0usize..8,
+        ) {
+            let s = &data[start.min(data.len())..];
+            prop_assert_eq!(crc32(s), crc32_bitwise(s));
+        }
+
         /// Any single-byte flip is detected, and flips strictly inside the
         /// payload always classify as a checksum mismatch (header flips may
         /// surface as framing corruption instead — both are detections).
