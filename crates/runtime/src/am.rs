@@ -507,13 +507,13 @@ impl JobRunner {
     fn apply_corruption(&mut self, node: NodeId, target: CorruptTarget) -> bool {
         match target {
             CorruptTarget::MofPartition { map_index, partition } => {
-                let Some((host, mof)) = self.registry.lookup(map_index) else {
+                let Some(registered) = self.registry.lookup(map_index) else {
                     return false; // map not committed yet; retry
                 };
                 // `node` names the intended victim, but re-execution may
                 // have moved the MOF: rot the bytes where they now live.
                 let _ = node;
-                self.corrupt_mof_blob(host, &mof, partition);
+                self.corrupt_mof_blob(registered.node, &registered.mof, partition);
                 true
             }
             CorruptTarget::DfsBlock { reduce_index, block } => {
@@ -681,14 +681,14 @@ impl JobRunner {
                 TaskEvent::FetchFailure { reducer, map_index, source } => {
                     self.handle_fetch_failure(reducer, map_index, source);
                 }
-                TaskEvent::FetchCorruption { reducer: _, map_index, source: _ } => {
+                TaskEvent::FetchCorruption { reducer: _, map_index, source: _, generation } => {
                     // Detected corruption is unambiguous in every mode (the
                     // source heartbeats; its data failed the checksum):
                     // regenerate the MOF at once while reducers re-fetch —
-                    // no fetch-failure budget is charged.
+                    // no fetch-failure budget is charged. A report about a
+                    // copy already replaced regenerates nothing.
                     self.report.corruption_refetches += 1;
-                    if !self.registry.is_regenerating(map_index) {
-                        self.registry.mark_regenerating(map_index);
+                    if self.registry.claim_regeneration(map_index, generation) {
                         self.maps[map_index as usize].completed = false;
                         self.launch_map(self.job.map_task(map_index), None);
                     }

@@ -21,8 +21,10 @@ pub enum TaskEvent {
     /// A reducer fetched map `map_index`'s partition from a *healthy*
     /// `source` but the bytes failed the CRC32 frame check. The AM
     /// regenerates the MOF and the reducer transparently re-fetches; this
-    /// never counts toward the fetch-failure limit.
-    FetchCorruption { reducer: AttemptId, map_index: u32, source: NodeId },
+    /// never counts toward the fetch-failure limit. `generation` names the
+    /// registration the bytes came from, so a report that arrives after
+    /// the fresh MOF registered starts nothing.
+    FetchCorruption { reducer: AttemptId, map_index: u32, source: NodeId, generation: u64 },
     /// A reducer's transfer of map `map_index`'s partition from a healthy
     /// `source` was dropped by a degraded (gray) link. The reducer backs
     /// off and transparently re-fetches; this never counts toward the

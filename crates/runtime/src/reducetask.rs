@@ -29,7 +29,7 @@ use rand::Rng;
 use crate::cluster::{LinkTable, NodeHandle};
 use crate::events::TaskEvent;
 use crate::job::JobDef;
-use crate::registry::{try_fetch, FetchOutcome, MofRegistry};
+use crate::registry::{try_fetch, FetchOutcome, MofRegistry, RegisteredMof};
 
 /// Everything a reduce attempt thread needs.
 pub struct ReduceCtx {
@@ -337,7 +337,7 @@ fn build_participants(ctx: &ReduceCtx) -> Option<Vec<Participant>> {
     let mut by_node: HashMap<u32, Vec<SegmentReader>> = HashMap::new();
     let mut seg_id = 0u64;
     for m in 0..ctx.job.num_maps {
-        let (node_id, mof) = ctx.registry.lookup(m)?;
+        let RegisteredMof { node: node_id, mof, .. } = ctx.registry.lookup(m)?;
         let node = &ctx.nodes[node_id.0 as usize];
         if !node.is_alive() {
             return None;
@@ -477,13 +477,14 @@ fn shuffle_phase(
                     backing_off = true;
                     i += 1;
                 }
-                FetchOutcome::CorruptData { node } => {
+                FetchOutcome::CorruptData { node, generation } => {
                     // Healthy source, rotted bytes: ask the AM to
                     // regenerate and keep polling for the fresh MOF.
                     let _ = ctx.events.send(TaskEvent::FetchCorruption {
                         reducer: ctx.attempt,
                         map_index: m,
                         source: node,
+                        generation,
                     });
                     i += 1;
                 }

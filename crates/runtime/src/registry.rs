@@ -30,10 +30,22 @@ use std::sync::Arc;
 use crate::cluster::{LinkTable, NodeHandle};
 use crate::resident::ResidentCache;
 
+/// One map's registered MOF: where it lives, and which registration of
+/// that map it is.
+#[derive(Debug, Clone)]
+pub struct RegisteredMof {
+    pub node: NodeId,
+    pub mof: MofData,
+    /// Bumped by every [`MofRegistry::register`] of the map, so a report
+    /// about bytes read from this copy can be told apart from one about
+    /// the copy that replaced it.
+    pub generation: u64,
+}
+
 /// Shared MOF location table.
 #[derive(Default)]
 pub struct MofRegistry {
-    inner: Mutex<HashMap<u32, (NodeId, MofData)>>,
+    inner: Mutex<HashMap<u32, RegisteredMof>>,
     /// Map indices whose MOFs are being proactively regenerated (SFM).
     regenerating: Mutex<HashSet<u32>>,
 }
@@ -45,18 +57,22 @@ impl MofRegistry {
 
     /// Register (or replace, after re-execution) a map's MOF location.
     pub fn register(&self, map_index: u32, node: NodeId, mof: MofData) {
-        self.inner.lock().insert(map_index, (node, mof));
+        {
+            let mut inner = self.inner.lock();
+            let generation = inner.get(&map_index).map_or(0, |r| r.generation + 1);
+            inner.insert(map_index, RegisteredMof { node, mof, generation });
+        }
         self.regenerating.lock().remove(&map_index);
     }
 
-    pub fn lookup(&self, map_index: u32) -> Option<(NodeId, MofData)> {
+    pub fn lookup(&self, map_index: u32) -> Option<RegisteredMof> {
         self.inner.lock().get(&map_index).cloned()
     }
 
     /// Map indices whose registered MOF lives on `node`.
     pub fn mofs_on_node(&self, node: NodeId) -> Vec<u32> {
         let mut v: Vec<u32> =
-            self.inner.lock().iter().filter(|(_, (n, _))| *n == node).map(|(i, _)| *i).collect();
+            self.inner.lock().iter().filter(|(_, r)| r.node == node).map(|(i, _)| *i).collect();
         v.sort_unstable();
         v
     }
@@ -69,6 +85,16 @@ impl MofRegistry {
 
     pub fn is_regenerating(&self, map_index: u32) -> bool {
         self.regenerating.lock().contains(&map_index)
+    }
+
+    /// Start regenerating map `map_index` because a reducer found the copy
+    /// registered as `generation` corrupt. `false` — nothing to do — when
+    /// a regeneration is already underway, or when that copy has since
+    /// been replaced: the reducer read the rotten bytes before the fresh
+    /// MOF registered, and its re-fetch will find the fresh one.
+    pub fn claim_regeneration(&self, map_index: u32, generation: u64) -> bool {
+        let current = self.inner.lock().get(&map_index).is_some_and(|r| r.generation == generation);
+        current && self.regenerating.lock().insert(map_index)
     }
 }
 
@@ -94,9 +120,10 @@ pub enum FetchOutcome {
     /// (no fetch-failure report, no retry-budget burn) until it heals.
     Unreachable { node: NodeId },
     /// The bytes arrived but failed the frame checksum: the source is
-    /// healthy, the data is not. Report for regeneration and re-fetch;
-    /// never charged against the fetch-failure budget.
-    CorruptData { node: NodeId },
+    /// healthy, the data is not. Report for regeneration (naming the
+    /// registration read) and re-fetch; never charged against the
+    /// fetch-failure budget.
+    CorruptData { node: NodeId, generation: u64 },
 }
 
 /// Fetch `partition` of map `map_index` of `job` for the reducer running
@@ -125,7 +152,7 @@ pub fn try_fetch(
             }
         }
     }
-    let Some((node_id, mof)) = registry.lookup(map_index) else {
+    let Some(RegisteredMof { node: node_id, mof, generation }) = registry.lookup(map_index) else {
         return FetchOutcome::NotReady;
     };
     let node = &nodes[node_id.0 as usize];
@@ -153,7 +180,7 @@ pub fn try_fetch(
             if registry.is_regenerating(map_index) {
                 FetchOutcome::NotReady
             } else {
-                FetchOutcome::CorruptData { node: node_id }
+                FetchOutcome::CorruptData { node: node_id, generation }
             }
         }
         Err(_) => {
@@ -174,6 +201,15 @@ mod tests {
     use alm_shuffle::mof::write_mof;
     use alm_shuffle::LocalFs;
     use alm_types::LinkDirection;
+
+    /// Flip one payload byte inside partition 0's stored frame.
+    fn rot(c: &MiniCluster, host: NodeId, mof: &MofData) {
+        let fs = &c.node(host).fs;
+        let (off, _) = mof.frame_range(0).unwrap();
+        let mut blob = fs.read(&mof.path).unwrap().to_vec();
+        blob[off as usize + alm_shuffle::frame::FRAME_HEADER_LEN] ^= 0x55;
+        fs.write(&mof.path, Bytes::from(blob)).unwrap();
+    }
 
     fn mini() -> (MiniCluster, MofData) {
         let c = MiniCluster::for_tests(3);
@@ -272,17 +308,12 @@ mod tests {
     fn rotted_partition_is_corrupt_data_until_regeneration() {
         let (c, mof) = mini();
         let reg = MofRegistry::new();
-        let fs = &c.node(NodeId(1)).fs;
-        // Flip one payload byte inside the stored frame.
-        let (off, _) = mof.frame_range(0).unwrap();
-        let mut blob = fs.read(&mof.path).unwrap().to_vec();
-        blob[off as usize + alm_shuffle::frame::FRAME_HEADER_LEN] ^= 0x55;
-        fs.write(&mof.path, Bytes::from(blob)).unwrap();
+        rot(&c, NodeId(1), &mof);
         reg.register(0, NodeId(1), mof);
         // Healthy source, bad bytes: distinct from SourceDead.
         assert!(matches!(
             try_fetch(&c.nodes, &c.links, &reg, None, NodeId(0), JobId(0),0, 0),
-            FetchOutcome::CorruptData { node } if node == NodeId(1)
+            FetchOutcome::CorruptData { node, .. } if node == NodeId(1)
         ));
         // Once regeneration is underway, the reducer just waits.
         reg.mark_regenerating(0);
@@ -290,6 +321,44 @@ mod tests {
             try_fetch(&c.nodes, &c.links, &reg, None, NodeId(0), JobId(0), 0, 0),
             FetchOutcome::NotReady
         ));
+    }
+
+    #[test]
+    fn stale_corruption_report_starts_no_second_regeneration() {
+        let (c, mof) = mini();
+        let reg = MofRegistry::new();
+        rot(&c, NodeId(1), &mof);
+        reg.register(0, NodeId(1), mof);
+        let corrupt_generation =
+            |fetcher| match try_fetch(&c.nodes, &c.links, &reg, None, fetcher, JobId(0), 0, 0) {
+                FetchOutcome::CorruptData { generation, .. } => generation,
+                other => panic!("expected CorruptData, got {other:?}"),
+            };
+        // Two reducers read the rotten copy before the AM hears from either.
+        let (first, second) = (corrupt_generation(NodeId(0)), corrupt_generation(NodeId(2)));
+        // The first report starts the regeneration; a repeat while it runs
+        // does not start another.
+        assert!(reg.claim_regeneration(0, first));
+        assert!(!reg.claim_regeneration(0, first));
+        // The fresh MOF registers before the AM gets to the second report.
+        let mut p0 = Vec::new();
+        alm_shuffle::codec::encode_into(&mut p0, b"k", b"v");
+        let fresh = write_mof(&c.node(NodeId(2)).fs, "mof/m0r1", vec![p0]).unwrap();
+        reg.register(0, NodeId(2), fresh.clone());
+        assert!(!reg.is_regenerating(0));
+        // That report names the replaced copy: nothing to regenerate, and
+        // the reducer's re-fetch finds the fresh bytes.
+        assert!(!reg.claim_regeneration(0, second));
+        assert!(!reg.is_regenerating(0));
+        assert!(matches!(
+            try_fetch(&c.nodes, &c.links, &reg, None, NodeId(2), JobId(0), 0, 0),
+            FetchOutcome::Data { .. }
+        ));
+        // Rot in the fresh copy is news: its report claims again.
+        rot(&c, NodeId(2), &fresh);
+        let third = corrupt_generation(NodeId(0));
+        assert_ne!(third, second);
+        assert!(reg.claim_regeneration(0, third));
     }
 
     #[test]
@@ -309,11 +378,7 @@ mod tests {
 
         // Rot the on-disk frame: the resident copy shields the fetch, and
         // the outcome is marked resident so the AM can count the hit.
-        let fs = &c.node(NodeId(1)).fs;
-        let (off, _) = mof.frame_range(0).unwrap();
-        let mut blob = fs.read(&mof.path).unwrap().to_vec();
-        blob[off as usize + alm_shuffle::frame::FRAME_HEADER_LEN] ^= 0x55;
-        fs.write(&mof.path, Bytes::from(blob)).unwrap();
+        rot(&c, NodeId(1), &mof);
         assert!(matches!(
             try_fetch(&c.nodes, &c.links, &reg, Some(&cache), NodeId(0), job, 0, 0),
             FetchOutcome::Data { resident: true, .. }
@@ -332,7 +397,7 @@ mod tests {
         cache.invalidate_node(NodeId(1));
         assert!(matches!(
             try_fetch(&c.nodes, &c.links, &reg, Some(&cache), NodeId(0), job, 0, 0),
-            FetchOutcome::CorruptData { node } if node == NodeId(1)
+            FetchOutcome::CorruptData { node, .. } if node == NodeId(1)
         ));
     }
 

@@ -24,6 +24,15 @@
 //!   amplification, now *cross-tenant visible* through slot contention)
 //!   and only then do the lost maps re-queue. ALG restarts the preempted
 //!   reducers from their logged progress; baseline restarts from zero.
+//!
+//! Cost does not grow with the number of jobs submitted. Only admitted,
+//! unfinished jobs hold or want slots, and there are at most tenants ×
+//! `max_concurrent_jobs_per_tenant` of them. The engine keeps them as a
+//! job-index-ordered set, with dense per-tenant counters beside it, and
+//! dispatch (run on every event) and crash handling walk only that set.
+//! Per-event work is O(tenants × admission cap) plus the event queue;
+//! per-crash work is O(admitted jobs). An in-crate proptest recomputes the
+//! bookkeeping from the job table after every event.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -33,7 +42,7 @@ use alm_types::{ClusterSpec, FailureKind, RecoveryMode, YarnConfig};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{validate_tenants, SchedConfig, TenantSpec};
-use crate::policy::{policy_for, SchedView, TenantId, TenantView};
+use crate::policy::{policy_for, SchedPolicy, SchedView, TenantId, TenantView};
 use crate::report::{JobOutcome, WarehouseReport};
 
 /// Runaway guard: no warehouse campaign at the scales this crate targets
@@ -257,14 +266,24 @@ enum Ev {
 pub struct Warehouse {
     spec: WarehouseSpec,
     seed: u64,
+    policy: Box<dyn SchedPolicy>,
     q: EventQueue<Ev>,
     jobs: Vec<JobState>,
     arrivals: Vec<f64>,
     nodes: Vec<NodeState>,
+    /// Admitted, unfinished jobs in job-index order — the only jobs that
+    /// hold or want slots, so the only ones dispatch and crash handling
+    /// walk. At most tenants × `max_concurrent_jobs_per_tenant`.
+    active: BTreeSet<u32>,
+    /// Jobs not yet finished, admitted or not.
+    unfinished: usize,
     /// Per-tenant arrival queues awaiting admission, in arrival order.
-    waiting: BTreeMap<TenantId, VecDeque<u32>>,
-    running_jobs: BTreeMap<TenantId, u32>,
-    held_slots: BTreeMap<TenantId, u64>,
+    /// This and the two below are indexed by `TenantId`.
+    waiting: Vec<VecDeque<u32>>,
+    /// Admitted, unfinished jobs per tenant.
+    running_jobs: Vec<u32>,
+    /// Slots (map + reduce, parked reducers included) held per tenant.
+    held_slots: Vec<u64>,
     total_map_slots: u64,
     total_reduce_slots: u64,
     rr_cursor: u32,
@@ -362,13 +381,16 @@ impl Warehouse {
             }
         }
         q.schedule_after(SimDuration::from_ms(spec.sched.dispatch_quantum_ms), Ev::Tick);
-        let tenant_ids: Vec<TenantId> = (0..spec.tenants.len() as u32).map(TenantId).collect();
+        let tenants = spec.tenants.len();
         Ok(Warehouse {
             total_map_slots: workers as u64 * spec.cluster.map_slots_per_node as u64,
             total_reduce_slots: workers as u64 * spec.cluster.reduce_slots_per_node as u64,
-            waiting: tenant_ids.iter().map(|t| (*t, VecDeque::new())).collect(),
-            running_jobs: tenant_ids.iter().map(|t| (*t, 0)).collect(),
-            held_slots: tenant_ids.iter().map(|t| (*t, 0)).collect(),
+            active: BTreeSet::new(),
+            unfinished: states.len(),
+            waiting: vec![VecDeque::new(); tenants],
+            running_jobs: vec![0; tenants],
+            held_slots: vec![0; tenants],
+            policy: policy_for(&spec.sched),
             spec,
             seed,
             q,
@@ -381,32 +403,43 @@ impl Warehouse {
 
     /// Run to completion and reduce to a [`WarehouseReport`].
     pub fn run(mut self) -> WarehouseReport {
-        while let Some((_, ev)) = self.q.pop() {
-            if self.q.popped_count() > MAX_EVENTS {
-                break;
-            }
-            match ev {
-                Ev::Arrive(j) => self.on_arrive(j),
-                Ev::MapDone { job, index } => self.on_map_done(job, index),
-                Ev::ReduceDone { job, index } => self.on_reduce_done(job, index),
-                Ev::Crash(n) => self.on_crash(n),
-                Ev::Detect(n) => self.on_detect(n),
-                Ev::SourceLoss { job } => self.on_source_loss(job),
-                Ev::Tick => self.on_tick(),
-            }
-        }
+        while self.step() {}
         self.report()
+    }
+
+    /// Handle the next event; `false` once the queue has drained or the
+    /// runaway guard trips.
+    fn step(&mut self) -> bool {
+        let Some((_, ev)) = self.q.pop() else { return false };
+        if self.q.popped_count() > MAX_EVENTS {
+            return false;
+        }
+        match ev {
+            Ev::Arrive(j) => self.on_arrive(j),
+            Ev::MapDone { job, index } => self.on_map_done(job, index),
+            Ev::ReduceDone { job, index } => self.on_reduce_done(job, index),
+            Ev::Crash(n) => self.on_crash(n),
+            Ev::Detect(n) => self.on_detect(n),
+            Ev::SourceLoss { job } => self.on_source_loss(job),
+            Ev::Tick => self.on_tick(),
+        }
+        true
+    }
+
+    /// The admitted, unfinished jobs, in job-index order.
+    fn active_jobs(&self) -> impl Iterator<Item = (u32, &JobState)> + '_ {
+        self.active.iter().map(|&j| (j, &self.jobs[j as usize]))
     }
 
     fn on_arrive(&mut self, j: u32) {
         let tenant = self.jobs[j as usize].tenant;
-        self.waiting.entry(tenant).or_default().push_back(j);
+        self.waiting[tenant.0 as usize].push_back(j);
         self.dispatch();
     }
 
     fn on_tick(&mut self) {
         self.dispatch();
-        let work_left = self.jobs.iter().any(|j| !j.is_finished());
+        let work_left = self.unfinished > 0;
         let capacity_left = self.total_map_slots > 0 && self.total_reduce_slots > 0;
         if work_left && capacity_left {
             self.q.schedule_after(SimDuration::from_ms(self.spec.sched.dispatch_quantum_ms), Ev::Tick);
@@ -472,9 +505,10 @@ impl Warehouse {
         self.jobs[job_idx].reduces_done += 1;
         if self.jobs[job_idx].reduces_done == self.jobs[job_idx].model.num_reduces {
             self.jobs[job_idx].finished = Some(self.q.now());
-            if let Some(r) = self.running_jobs.get_mut(&tenant) {
-                *r = r.saturating_sub(1);
-            }
+            self.active.remove(&job);
+            self.unfinished -= 1;
+            let r = &mut self.running_jobs[tenant.0 as usize];
+            *r = r.saturating_sub(1);
         }
         self.dispatch();
     }
@@ -488,15 +522,13 @@ impl Warehouse {
         // holding dies at *detection*, one liveness window later.
         self.total_map_slots -= (self.nodes[n].free_map_slots
             + self
-                .jobs
-                .iter()
-                .map(|j| j.running_maps.values().filter(|t| t.node == node).count() as u32)
+                .active_jobs()
+                .map(|(_, j)| j.running_maps.values().filter(|t| t.node == node).count() as u32)
                 .sum::<u32>()) as u64;
         self.total_reduce_slots -= (self.nodes[n].free_reduce_slots
             + self
-                .jobs
-                .iter()
-                .map(|j| {
+                .active_jobs()
+                .map(|(_, j)| {
                     j.running_reduces.values().filter(|t| t.node == node).count() as u32
                         + j.suspended_reduces.values().filter(|(sn, _)| *sn == node).count() as u32
                 })
@@ -517,8 +549,11 @@ impl Warehouse {
         let sfm = self.spec.mode.sfm_enabled();
         let logs = self.spec.mode.logs_enabled();
         let treadmill_secs = self.spec.yarn.node_liveness_timeout_ms as f64 / 1000.0;
-        for job_idx in 0..self.jobs.len() {
-            let job = job_idx as u32;
+        // Job-index order: the `SourceLoss` events scheduled below tie on
+        // time, so their order is observable.
+        let active: Vec<u32> = self.active.iter().copied().collect();
+        for job in active {
+            let job_idx = job as usize;
             let tenant = self.jobs[job_idx].tenant;
             // Running maps on the dead node: relaunch from the front of
             // the queue (recovery work preempts fresh work).
@@ -534,9 +569,7 @@ impl Warehouse {
                 let st = &mut self.jobs[job_idx];
                 st.failures.push((now_secs, FailureKind::NodeCrash));
                 st.pending_maps.push_front(i);
-                if let Some(h) = self.held_slots.get_mut(&tenant) {
-                    *h = h.saturating_sub(1);
-                }
+                self.release_slot(node, SlotKind::Map, tenant);
             }
             // Running/suspended reduces on the dead node: relaunch, from
             // logged progress when ALG is on, from zero otherwise.
@@ -569,12 +602,7 @@ impl Warehouse {
                 if sfm {
                     st.fcm_attempts += 1;
                 }
-                if let Some(h) = self.held_slots.get_mut(&tenant) {
-                    *h = h.saturating_sub(1);
-                }
-            }
-            if self.jobs[job_idx].is_finished() {
-                continue;
+                self.release_slot(node, SlotKind::Reduce, tenant);
             }
             // Orphaned MOFs: completed maps that lived on the dead node
             // and are still needed by unfinished reducers.
@@ -648,6 +676,8 @@ impl Warehouse {
         self.dispatch();
     }
 
+    /// `tenant` gives up a slot of `kind` on `node`; a dead node's slot is
+    /// gone with it.
     fn release_slot(&mut self, node: u32, kind: SlotKind, tenant: TenantId) {
         let n = node as usize;
         if self.nodes[n].alive() {
@@ -656,9 +686,8 @@ impl Warehouse {
                 SlotKind::Reduce => self.nodes[n].free_reduce_slots += 1,
             }
         }
-        if let Some(h) = self.held_slots.get_mut(&tenant) {
-            *h = h.saturating_sub(1);
-        }
+        let h = &mut self.held_slots[tenant.0 as usize];
+        *h = h.saturating_sub(1);
     }
 
     /// Round-robin placement over alive nodes with a free slot of `kind`.
@@ -682,30 +711,22 @@ impl Warehouse {
 
     fn admit(&mut self) {
         let cap = self.spec.sched.max_concurrent_jobs_per_tenant;
-        let tenants: Vec<TenantId> = self.waiting.keys().copied().collect();
-        for t in tenants {
-            loop {
-                let running = self.running_jobs.get(&t).copied().unwrap_or(0);
-                if running >= cap {
-                    break;
-                }
-                let Some(j) = self.waiting.get_mut(&t).and_then(|q| q.pop_front()) else { break };
+        for t in 0..self.waiting.len() {
+            while self.running_jobs[t] < cap {
+                let Some(j) = self.waiting[t].pop_front() else { break };
                 let st = &mut self.jobs[j as usize];
+                debug_assert!(!st.admitted, "job {j} admitted twice");
                 st.admitted = true;
                 st.pending_maps = (0..st.model.num_maps).collect();
-                if let Some(r) = self.running_jobs.get_mut(&t) {
-                    *r += 1;
-                }
+                self.active.insert(j);
+                self.running_jobs[t] += 1;
             }
         }
     }
 
     fn view_for(&self, kind: SlotKind) -> BTreeMap<TenantId, TenantView> {
         let mut view: BTreeMap<TenantId, TenantView> = BTreeMap::new();
-        for st in &self.jobs {
-            if !st.admitted || st.is_finished() {
-                continue;
-            }
+        for (_, st) in self.active_jobs() {
             // A reduce is only runnable when every map output it will
             // fetch exists; launching it against lost sources would just
             // feed the fetch treadmill.
@@ -720,7 +741,7 @@ impl Warehouse {
             let spec = &self.spec.tenants[st.tenant.0 as usize];
             let entry = view.entry(st.tenant).or_insert_with(|| TenantView {
                 runnable_tasks: 0,
-                running_slots: self.held_slots.get(&st.tenant).copied().unwrap_or(0),
+                running_slots: self.held_slots[st.tenant.0 as usize],
                 weight: spec.weight,
                 guaranteed_share_pct: spec.guaranteed_share_pct,
                 head_arrival_seq: u64::MAX,
@@ -734,25 +755,20 @@ impl Warehouse {
     /// The earliest-arrived admitted job of `tenant` with pending work of
     /// `kind`.
     fn next_job_of(&self, tenant: TenantId, kind: SlotKind) -> Option<u32> {
-        self.jobs
-            .iter()
-            .enumerate()
+        self.active_jobs()
             .filter(|(_, st)| {
-                st.admitted
-                    && !st.is_finished()
-                    && st.tenant == tenant
+                st.tenant == tenant
                     && match kind {
                         SlotKind::Map => !st.pending_maps.is_empty(),
                         SlotKind::Reduce => st.maps_done() && !st.pending_reduces.is_empty(),
                     }
             })
             .min_by_key(|(_, st)| st.seq)
-            .map(|(i, _)| i as u32)
+            .map(|(j, _)| j)
     }
 
     fn dispatch(&mut self) {
         self.admit();
-        let policy = policy_for(&self.spec.sched);
         for kind in [SlotKind::Map, SlotKind::Reduce] {
             loop {
                 let view = self.view_for(kind);
@@ -763,7 +779,9 @@ impl Warehouse {
                     SlotKind::Map => self.total_map_slots,
                     SlotKind::Reduce => self.total_reduce_slots,
                 };
-                let Some(winner) = policy.pick(&SchedView { tenants: &view, total_slots }) else { break };
+                let Some(winner) = self.policy.pick(&SchedView { tenants: &view, total_slots }) else {
+                    break;
+                };
                 let Some(job) = self.next_job_of(winner, kind) else { break };
                 let Some(node) = self.place(kind) else { break };
                 let now = self.q.now();
@@ -801,9 +819,7 @@ impl Warehouse {
                 if st.started.is_none() {
                     st.started = Some(now);
                 }
-                if let Some(h) = self.held_slots.get_mut(&winner) {
-                    *h += 1;
-                }
+                self.held_slots[winner.0 as usize] += 1;
             }
         }
     }
@@ -862,6 +878,87 @@ impl Warehouse {
             jobs: outcomes,
             events: self.q.popped_count(),
             horizon_secs: self.q.now().as_secs_f64(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::campaign::WarehouseCampaign;
+    use crate::config::SchedPolicyKind;
+    use proptest::prelude::*;
+
+    /// Recompute the incremental bookkeeping from `jobs` alone and compare.
+    fn check_bookkeeping(w: &Warehouse) -> Result<(), String> {
+        let tenants = w.spec.tenants.len();
+        let mut active = BTreeSet::new();
+        let mut running_jobs = vec![0u32; tenants];
+        let mut held_slots = vec![0u64; tenants];
+        for (j, st) in w.jobs.iter().enumerate() {
+            let t = st.tenant.0 as usize;
+            let holds = st.running_maps.len() + st.running_reduces.len() + st.suspended_reduces.len();
+            held_slots[t] += holds as u64;
+            if st.admitted && !st.is_finished() {
+                active.insert(j as u32);
+                running_jobs[t] += 1;
+            } else {
+                prop_assert!(
+                    holds == 0
+                        && st.pending_maps.is_empty()
+                        && st.pending_reduces.is_empty()
+                        && st.deferred_maps.is_empty(),
+                    "job {j} (admitted {}, finished {}) holds or awaits tasks",
+                    st.admitted,
+                    st.is_finished()
+                );
+            }
+        }
+        let unfinished = w.jobs.iter().filter(|st| !st.is_finished()).count();
+        prop_assert_eq!(w.active, active, "active set");
+        prop_assert_eq!(w.unfinished, unfinished, "unfinished count");
+        prop_assert_eq!(w.running_jobs, running_jobs, "running jobs per tenant");
+        prop_assert_eq!(w.held_slots, held_slots, "held slots per tenant");
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After every event, the active set, the unfinished count and the
+        /// per-tenant counters equal a recomputation over `jobs`.
+        #[test]
+        fn incremental_bookkeeping_matches_a_recomputation(
+            (nodes, tenants, cap, seed) in (20u32..=60, 1u32..=4, 1u32..=8, 0u64..1_000_000),
+            counts in proptest::collection::vec(1u32..=12, 4),
+            (policy, mode) in (0usize..3, 0usize..4),
+            faults in proptest::collection::vec((proptest::bool::ANY, 0u32..60, 0.0f64..400.0), 0..=2),
+        ) {
+            let policy = [SchedPolicyKind::Fifo, SchedPolicyKind::Capacity, SchedPolicyKind::Fair][policy];
+            let mode = [RecoveryMode::Baseline, RecoveryMode::Alg, RecoveryMode::Sfm, RecoveryMode::SfmAlg][mode];
+            let mut c = WarehouseCampaign::synthetic(nodes, tenants, 12, policy, mode, seed);
+            c.spec.sched.max_concurrent_jobs_per_tenant = cap;
+            let mut kept = [0u32; 4];
+            c.jobs.retain(|j| {
+                let t = j.tenant as usize;
+                kept[t] += 1;
+                kept[t] <= counts[t]
+            });
+            c.faults = faults
+                .into_iter()
+                .map(|(rack, target, at_secs)| {
+                    if rack {
+                        WarehouseFault::CrashRack { rack: target, at_secs }
+                    } else {
+                        WarehouseFault::CrashNode { node: target, at_secs }
+                    }
+                })
+                .collect();
+            let mut w = Warehouse::new(c.spec, seed, &c.jobs, &c.faults)?;
+            check_bookkeeping(&w)?;
+            while w.step() {
+                check_bookkeeping(&w)?;
+            }
         }
     }
 }
