@@ -5,6 +5,24 @@
 //! the experiment seed and a component label, so adding randomness to one
 //! component never perturbs another — a standard DES reproducibility
 //! technique (common random numbers).
+//!
+//! A stream is only as independent as its label: two call sites deriving
+//! the same `(seed, label)` share one stream, and a label built in a loop
+//! that leaves out the loop index replays one stream every iteration. The
+//! convention is therefore that a label is a component prefix followed by
+//! every index the draw depends on. The production streams are:
+//!
+//! | label | drawn by |
+//! |---|---|
+//! | `sim-fetch-backoff/{attempt}/{map}/{round}` | `alm-sim`, dead-source fetch back-off jitter |
+//! | `sim-degraded-loss/{attempt}/{map}/{draw}` | `alm-sim`, gray-link transfer drops |
+//! | `fetch-backoff/{attempt}` | `alm-runtime`, a reducer's fetch back-off jitter |
+//! | `degraded-loss/{attempt}` | `alm-runtime`, a reducer's gray-link transfer drops |
+//! | `warehouse-input-sizes` | `alm-sched`, campaign job input sizes |
+//! | `warehouse-arrival-gaps` | `alm-sched`, campaign job arrival gaps |
+//!
+//! A new stream takes a prefix not in this table and joins it. Tests may
+//! reuse a label on purpose (replay checks).
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

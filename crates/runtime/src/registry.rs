@@ -24,7 +24,7 @@ use alm_shuffle::{MofData, ShuffleError};
 use alm_types::{JobId, NodeId};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use crate::cluster::{LinkTable, NodeHandle};
@@ -42,12 +42,18 @@ pub struct RegisteredMof {
     pub generation: u64,
 }
 
-/// Shared MOF location table.
+/// Shared MOF location table. One lock over both maps, so a registration
+/// and a regeneration claim each see and change them atomically.
 #[derive(Default)]
 pub struct MofRegistry {
-    inner: Mutex<HashMap<u32, RegisteredMof>>,
+    inner: Mutex<Registry>,
+}
+
+#[derive(Default)]
+struct Registry {
+    mofs: BTreeMap<u32, RegisteredMof>,
     /// Map indices whose MOFs are being proactively regenerated (SFM).
-    regenerating: Mutex<HashSet<u32>>,
+    regenerating: BTreeSet<u32>,
 }
 
 impl MofRegistry {
@@ -57,34 +63,29 @@ impl MofRegistry {
 
     /// Register (or replace, after re-execution) a map's MOF location.
     pub fn register(&self, map_index: u32, node: NodeId, mof: MofData) {
-        {
-            let mut inner = self.inner.lock();
-            let generation = inner.get(&map_index).map_or(0, |r| r.generation + 1);
-            inner.insert(map_index, RegisteredMof { node, mof, generation });
-        }
-        self.regenerating.lock().remove(&map_index);
+        let mut inner = self.inner.lock();
+        let generation = inner.mofs.get(&map_index).map_or(0, |r| r.generation + 1);
+        inner.mofs.insert(map_index, RegisteredMof { node, mof, generation });
+        inner.regenerating.remove(&map_index);
     }
 
     pub fn lookup(&self, map_index: u32) -> Option<RegisteredMof> {
-        self.inner.lock().get(&map_index).cloned()
+        self.inner.lock().mofs.get(&map_index).cloned()
     }
 
     /// Map indices whose registered MOF lives on `node`.
     pub fn mofs_on_node(&self, node: NodeId) -> Vec<u32> {
-        let mut v: Vec<u32> =
-            self.inner.lock().iter().filter(|(_, r)| r.node == node).map(|(i, _)| *i).collect();
-        v.sort_unstable();
-        v
+        self.inner.lock().mofs.iter().filter(|(_, r)| r.node == node).map(|(i, _)| *i).collect()
     }
 
     /// Mark a map's MOF as being regenerated; fetches return NotReady
     /// instead of SourceDead until the new MOF registers.
     pub fn mark_regenerating(&self, map_index: u32) {
-        self.regenerating.lock().insert(map_index);
+        self.inner.lock().regenerating.insert(map_index);
     }
 
     pub fn is_regenerating(&self, map_index: u32) -> bool {
-        self.regenerating.lock().contains(&map_index)
+        self.inner.lock().regenerating.contains(&map_index)
     }
 
     /// Start regenerating map `map_index` because a reducer found the copy
@@ -93,8 +94,9 @@ impl MofRegistry {
     /// been replaced: the reducer read the rotten bytes before the fresh
     /// MOF registered, and its re-fetch will find the fresh one.
     pub fn claim_regeneration(&self, map_index: u32, generation: u64) -> bool {
-        let current = self.inner.lock().get(&map_index).is_some_and(|r| r.generation == generation);
-        current && self.regenerating.lock().insert(map_index)
+        let mut inner = self.inner.lock();
+        inner.mofs.get(&map_index).is_some_and(|r| r.generation == generation)
+            && inner.regenerating.insert(map_index)
     }
 }
 
@@ -359,6 +361,37 @@ mod tests {
         let third = corrupt_generation(NodeId(0));
         assert_ne!(third, second);
         assert!(reg.claim_regeneration(0, third));
+    }
+
+    #[test]
+    fn no_generation_is_claimed_twice_while_registrations_race() {
+        let (_c, mof) = mini();
+        let reg = MofRegistry::new();
+        reg.register(0, NodeId(1), mof.clone());
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let claimed: Vec<u64> = std::thread::scope(|s| {
+            let claimers: Vec<_> = (0..3)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut won = Vec::new();
+                        while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                            let generation = reg.lookup(0).expect("registered").generation;
+                            if reg.claim_regeneration(0, generation) {
+                                won.push(generation);
+                            }
+                        }
+                        won
+                    })
+                })
+                .collect();
+            for _ in 0..20_000 {
+                reg.register(0, NodeId(1), mof.clone());
+            }
+            done.store(true, std::sync::atomic::Ordering::Relaxed);
+            claimers.into_iter().flat_map(|h| h.join().expect("claimer panicked")).collect()
+        });
+        let distinct: BTreeSet<u64> = claimed.iter().copied().collect();
+        assert_eq!(distinct.len(), claimed.len(), "a generation was claimed twice");
     }
 
     #[test]

@@ -28,11 +28,17 @@ pub trait LocalFs: Send + Sync {
 }
 
 /// In-memory [`LocalFs`].
-#[derive(Default)]
 pub struct MemFs {
-    files: Mutex<BTreeMap<String, Bytes>>,
-    /// When true, all operations fail — models a crashed node's store.
-    dead: Mutex<bool>,
+    /// `None` once the node has crashed: the store holds nothing and every
+    /// operation fails. One lock for data and liveness, so a write can
+    /// never land in a store that a concurrent [`MemFs::wipe`] emptied.
+    files: Mutex<Option<BTreeMap<String, Bytes>>>,
+}
+
+impl Default for MemFs {
+    fn default() -> MemFs {
+        MemFs { files: Mutex::new(Some(BTreeMap::new())) }
+    }
 }
 
 impl MemFs {
@@ -42,61 +48,63 @@ impl MemFs {
 
     /// Simulate the node crashing: drop all data and refuse future I/O.
     pub fn wipe(&self) {
-        self.files.lock().clear();
-        *self.dead.lock() = true;
+        *self.files.lock() = None;
     }
 
     pub fn is_dead(&self) -> bool {
-        *self.dead.lock()
+        self.files.lock().is_none()
     }
 
     pub fn file_count(&self) -> usize {
-        self.files.lock().len()
+        self.live(|files| files.len()).unwrap_or(0)
     }
 
-    fn check_alive(&self) -> Result<()> {
-        if self.is_dead() {
-            Err(ShuffleError::FetchFailed { source: "local".into(), reason: "node store is dead".into() })
-        } else {
-            Ok(())
-        }
+    /// Run `f` on the files of a live store; `None` once it is dead.
+    fn live<R>(&self, f: impl FnOnce(&mut BTreeMap<String, Bytes>) -> R) -> Option<R> {
+        let mut files = self.files.lock();
+        files.as_mut().map(f)
     }
+}
+
+fn dead() -> ShuffleError {
+    ShuffleError::FetchFailed { source: "local".into(), reason: "node store is dead".into() }
 }
 
 impl LocalFs for MemFs {
     fn write(&self, path: &str, data: Bytes) -> Result<()> {
-        self.check_alive()?;
-        self.files.lock().insert(path.to_string(), data);
-        Ok(())
+        self.live(|files| {
+            files.insert(path.to_string(), data);
+        })
+        .ok_or_else(dead)
     }
 
     fn read(&self, path: &str) -> Result<Bytes> {
-        self.check_alive()?;
-        self.files.lock().get(path).cloned().ok_or_else(|| ShuffleError::NotFound(path.to_string()))
+        self.live(|files| files.get(path).cloned())
+            .ok_or_else(dead)?
+            .ok_or_else(|| ShuffleError::NotFound(path.to_string()))
     }
 
     fn delete(&self, path: &str) -> bool {
-        !self.is_dead() && self.files.lock().remove(path).is_some()
+        self.live(|files| files.remove(path).is_some()).unwrap_or(false)
     }
 
     fn exists(&self, path: &str) -> bool {
-        !self.is_dead() && self.files.lock().contains_key(path)
+        self.live(|files| files.contains_key(path)).unwrap_or(false)
     }
 
     fn list(&self, prefix: &str) -> Vec<String> {
-        if self.is_dead() {
-            return Vec::new();
-        }
-        self.files
-            .lock()
-            .range(prefix.to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, _)| k.clone())
-            .collect()
+        self.live(|files| {
+            files
+                .range(prefix.to_string()..)
+                .take_while(|(k, _)| k.starts_with(prefix))
+                .map(|(k, _)| k.clone())
+                .collect()
+        })
+        .unwrap_or_default()
     }
 
     fn total_bytes(&self) -> u64 {
-        self.files.lock().values().map(|b| b.len() as u64).sum()
+        self.live(|files| files.values().map(|b| b.len() as u64).sum()).unwrap_or(0)
     }
 }
 
@@ -137,5 +145,29 @@ mod tests {
         assert!(fs.write("new", Bytes::new()).is_err());
         assert!(!fs.exists("mof/1"));
         assert!(fs.list("").is_empty());
+    }
+
+    #[test]
+    fn wipe_racing_writers_leaves_a_dead_empty_store() {
+        for _ in 0..100 {
+            let fs = MemFs::new();
+            let writing = std::sync::Barrier::new(4);
+            std::thread::scope(|s| {
+                for w in 0..3 {
+                    let (fs, writing) = (&fs, &writing);
+                    s.spawn(move || {
+                        writing.wait();
+                        let mut i = 0u32;
+                        while fs.write(&format!("w{w}/{i}"), Bytes::from_static(b"x")).is_ok() {
+                            i += 1;
+                        }
+                    });
+                }
+                writing.wait();
+                fs.wipe();
+            });
+            assert!(fs.is_dead());
+            assert_eq!((fs.file_count(), fs.total_bytes()), (0, 0), "a crashed node kept bytes");
+        }
     }
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# The cross-engine contract and the determinism guards are carried by the
-# toolchain (DESIGN.md, "Enforced by the compiler"). This script proves they
-# still are: copy the workspace, apply one-line mutations in turn, and
+# The cross-engine contract, the determinism guards, the lock discipline and
+# golden-gate emission safety are carried by the toolchain and the test suite
+# (DESIGN.md, "Enforced by the compiler"). This script proves they still
+# are: copy the workspace, apply one-line mutations in turn, and
 # require the named command to FAIL each one with the expected error — and
 # to pass on the unmutated copy.
 #
@@ -15,6 +16,10 @@
 #   cargo check --tests
 #     SmallRng::from_entropy() in a chaos test -> E0599 (the in-repo `rand`
 #                                                 has no entropy source)
+#   cargo test -p alm-shuffle   (debug: the parking_lot shim's lock check is on)
+#     a lock taken while MemFs holds its own  -> "nested lock" panic
+#   cargo test -p alm-bench --test campaign_gate
+#     an unconditional canonical_json key     -> golden key-set assertion
 #
 # The rest-free `validate()` destructurings list only fields an engine reads
 # (YarnConfig 14, MemConfig 4, SchedConfig 3); the YarnConfig mutation
@@ -42,6 +47,14 @@ check_tests() {
 
 clippy() {
     (cd "$work/ws" && cargo clippy --offline --workspace --all-targets -- -D warnings 2>&1)
+}
+
+test_shuffle() {
+    (cd "$work/ws" && cargo test --offline -p alm-shuffle 2>&1)
+}
+
+test_gate() {
+    (cd "$work/ws" && cargo test --offline -p alm-bench --test campaign_gate 2>&1)
 }
 
 # expect_fail <label> <runner> <file> <anchor line (fixed string)> <line inserted after it> <error (egrep)> [<path the error must name>]
@@ -80,7 +93,7 @@ expect_fail() {
 # leaves a shared CARGO_TARGET_DIR holding no mutant artifact).
 expect_pass() {
     local runner out
-    for runner in check check_tests clippy; do
+    for runner in check check_tests clippy test_shuffle test_gate; do
         if ! out="$($runner)"; then
             echo "FAIL [$1]: $runner fails on the unmutated copy:" >&2
             echo "$out" >&2
@@ -115,5 +128,13 @@ expect_fail "from_entropy() in a chaos test" check_tests crates/chaos/tests/dete
     "#[test] fn ambient() { use rand::SeedableRng; let _ = rand::rngs::SmallRng::from_entropy(); }" \
     "error\[E0599\]" crates/chaos/tests/determinism.rs
 
+expect_fail "nested lock in MemFs" test_shuffle crates/shuffle/src/localfs.rs \
+    "        let mut files = self.files.lock();" "        let _ = self.total_bytes();" \
+    "nested lock: this thread already holds a parking_lot::Mutex"
+expect_fail "unconditional canonical_json key" test_gate crates/chaos/src/campaign.rs \
+    '                    ("corruption_refetches", Value::U64(o.corruption_refetches as u64)),' \
+    '                    ("phantom_counter", Value::U64(0)),' \
+    "per-outcome keys differ from the golden baseline"
+
 expect_pass "mutations undone"
-echo "contract_mutations: all mutations rejected by the toolchain"
+echo "contract_mutations: all mutations rejected"

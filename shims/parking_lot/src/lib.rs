@@ -1,71 +1,70 @@
 //! Offline stand-in for `parking_lot`, backed by `std::sync` primitives.
 //!
-//! Matches the `parking_lot` API shape this workspace uses: `lock()` /
-//! `read()` / `write()` return guards directly (no poisoning `Result`).
-//! A poisoned std lock is recovered transparently — panicking while
-//! holding a lock is already a bug the tests would surface.
+//! Matches the `parking_lot` API shape this workspace uses: `lock()`
+//! returns a guard directly (no poisoning `Result`). A poisoned std lock is
+//! recovered transparently — panicking while holding a lock is already a
+//! bug the tests would surface.
+//!
+//! Debug builds also check the workspace's lock discipline: a thread holds
+//! at most one `Mutex` at a time. A nested `lock()` panics with a named
+//! message instead of risking a lock-order deadlock (or, on the same mutex,
+//! a self-deadlock). Release builds compile the check out.
 
+use std::ops::{Deref, DerefMut};
 use std::sync::{self, PoisonError};
 
-pub use sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+#[cfg(debug_assertions)]
+thread_local! {
+    /// Whether this thread holds a shim `Mutex` guard.
+    static HOLDING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
 
 /// A mutual exclusion primitive with parking_lot's non-poisoning API.
 #[derive(Debug, Default)]
 pub struct Mutex<T: ?Sized>(sync::Mutex<T>);
 
+/// The guard [`Mutex::lock`] returns; the lock is released on drop.
+pub struct MutexGuard<'a, T: ?Sized>(sync::MutexGuard<'a, T>);
+
 impl<T> Mutex<T> {
     pub const fn new(value: T) -> Mutex<T> {
         Mutex(sync::Mutex::new(value))
     }
-
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
+        #[cfg(debug_assertions)]
+        HOLDING.with(|holding| {
+            assert!(
+                !holding.replace(true),
+                "nested lock: this thread already holds a parking_lot::Mutex \
+                 (the workspace takes one lock at a time)"
+            );
+        });
+        MutexGuard(self.0.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
-/// A reader-writer lock with parking_lot's non-poisoning API.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
+impl<T: ?Sized> Deref for MutexGuard<'_, T> {
+    type Target = T;
 
-impl<T> RwLock<T> {
-    pub const fn new(value: T) -> RwLock<T> {
-        RwLock(sync::RwLock::new(value))
-    }
-
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
+    fn deref(&self) -> &T {
+        &self.0
     }
 }
 
-impl<T: ?Sized> RwLock<T> {
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(PoisonError::into_inner)
+impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.0
     }
+}
 
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
+#[cfg(debug_assertions)]
+impl<T: ?Sized> Drop for MutexGuard<'_, T> {
+    fn drop(&mut self) {
+        HOLDING.with(|holding| holding.set(false));
     }
 }
 
@@ -78,14 +77,14 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert!(m.try_lock().is_some());
     }
 
     #[test]
-    fn rwlock_basic() {
-        let l = RwLock::new(5);
-        assert_eq!(*l.read(), 5);
-        *l.write() = 7;
-        assert_eq!(*l.read(), 7);
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "nested lock")]
+    fn nested_lock_panics_in_debug() {
+        let (a, b) = (Mutex::new(0), Mutex::new(0));
+        let _held = a.lock();
+        let _ = b.lock();
     }
 }
