@@ -144,9 +144,8 @@ fn run_local_mpq(cmp: KeyCmp, segments: Vec<SegmentReader>, chunk_bytes: usize, 
     let mut q = MergeQueue::new(cmp, segments);
     let mut buf = Vec::with_capacity(chunk_bytes + 256);
     loop {
-        match q.pop() {
-            Ok(Some((k, v))) => {
-                codec::encode_into(&mut buf, &k, &v);
+        match q.pop_with(|k, v| codec::encode_into(&mut buf, k, v)) {
+            Ok(Some(())) => {
                 if buf.len() >= chunk_bytes {
                     // Record-aligned flush; a closed channel means the
                     // recovery attempt died — just stop (FCM teardown).

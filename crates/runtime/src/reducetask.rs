@@ -589,8 +589,8 @@ fn reduce_phase<R: SortedRun>(
     // computation" of §IV/Fig. 15.
     let mut processed: u64 = 0;
     while processed < skip {
-        match q.pop() {
-            Ok(Some(_)) => processed += 1,
+        match q.pop_with(|_, _| ()) {
+            Ok(Some(())) => processed += 1,
             Ok(None) => break,
             Err(_) => return Err(Exit::Silent),
         }
@@ -598,24 +598,24 @@ fn reduce_phase<R: SortedRun>(
 
     let initial_remaining = (q.remaining_bytes().max(1)) as f64;
     let mut groups: u64 = 0;
+    // The group's first key and its values, reused from group to group.
+    let mut gk: Vec<u8> = Vec::new();
+    let mut vals: Vec<Vec<u8>> = Vec::new();
     loop {
-        let (gk, gv) = match q.pop() {
-            Ok(Some(r)) => r,
+        vals.clear();
+        let first = q.pop_with(|k, v| {
+            gk.clear();
+            gk.extend_from_slice(k);
+            vals.push(v.to_vec());
+        });
+        match first {
+            Ok(Some(())) => {}
             Ok(None) => break,
             Err(_) => return Err(Exit::Silent),
-        };
-        let mut vals: Vec<Vec<u8>> = vec![gv.to_vec()];
-        loop {
-            let same = match q.peek() {
-                Some((nk, _)) => ctx.job.workload.same_group(&gk, nk),
-                None => false,
-            };
-            if !same {
-                break;
-            }
-            match q.pop() {
-                Ok(Some((_, v))) => vals.push(v.to_vec()),
-                _ => break,
+        }
+        while q.peek().is_some_and(|(nk, _)| ctx.job.workload.same_group(&gk, nk)) {
+            if q.pop_with(|_, v| vals.push(v.to_vec())).is_err() {
+                return Err(Exit::Silent);
             }
         }
         processed += vals.len() as u64;

@@ -217,7 +217,7 @@ mod tests {
         let c = MiniCluster::for_tests(3);
         let mut p0 = Vec::new();
         alm_shuffle::codec::encode_into(&mut p0, b"k", b"v");
-        let mof = write_mof(&c.node(NodeId(1)).fs, "mof/m0", vec![p0]).unwrap();
+        let mof = write_mof(&c.node(NodeId(1)).fs, "mof/m0", &[p0]).unwrap();
         (c, mof)
     }
 
@@ -290,7 +290,7 @@ mod tests {
         reg.register(0, NodeId(1), mof);
         let mut p0 = Vec::new();
         alm_shuffle::codec::encode_into(&mut p0, b"k2", b"v2");
-        let mof0 = write_mof(&c.node(NodeId(0)).fs, "mof/m1", vec![p0]).unwrap();
+        let mof0 = write_mof(&c.node(NodeId(0)).fs, "mof/m1", &[p0]).unwrap();
         reg.register(1, NodeId(0), mof0);
         c.links.sever(NodeId(0), NodeId(1), LinkDirection::AToB);
         assert!(matches!(
@@ -345,7 +345,7 @@ mod tests {
         // The fresh MOF registers before the AM gets to the second report.
         let mut p0 = Vec::new();
         alm_shuffle::codec::encode_into(&mut p0, b"k", b"v");
-        let fresh = write_mof(&c.node(NodeId(2)).fs, "mof/m0r1", vec![p0]).unwrap();
+        let fresh = write_mof(&c.node(NodeId(2)).fs, "mof/m0r1", &[p0]).unwrap();
         reg.register(0, NodeId(2), fresh.clone());
         assert!(!reg.is_regenerating(0));
         // That report names the replaced copy: nothing to regenerate, and
@@ -445,7 +445,7 @@ mod tests {
         // Re-executed map commits on node 2.
         let mut p0 = Vec::new();
         alm_shuffle::codec::encode_into(&mut p0, b"k", b"v");
-        let mof2 = write_mof(&c.node(NodeId(2)).fs, "mof/m0r1", vec![p0]).unwrap();
+        let mof2 = write_mof(&c.node(NodeId(2)).fs, "mof/m0r1", &[p0]).unwrap();
         reg.register(0, NodeId(2), mof2);
         assert!(!reg.is_regenerating(0));
         assert!(matches!(

@@ -8,9 +8,12 @@ use bytes::Bytes;
 
 use crate::error::{Result, ShuffleError};
 
+/// Bytes of the `[klen][vlen]` header preceding each record's key.
+pub const HEADER_LEN: usize = 8;
+
 /// Encoded size of a record with the given key/value lengths.
 pub fn encoded_len(key_len: usize, value_len: usize) -> usize {
-    8 + key_len + value_len
+    HEADER_LEN + key_len + value_len
 }
 
 /// Append one record to `out`.
@@ -28,12 +31,12 @@ pub fn record_bounds(data: &[u8], offset: usize) -> Result<Option<(usize, usize,
     if offset == data.len() {
         return Ok(None);
     }
-    if offset + 8 > data.len() {
+    if offset + HEADER_LEN > data.len() {
         return Err(ShuffleError::Corrupt(format!("truncated header at offset {offset}")));
     }
     let klen = u32::from_be_bytes(data[offset..offset + 4].try_into().expect("4-byte slice")) as usize;
     let vlen = u32::from_be_bytes(data[offset + 4..offset + 8].try_into().expect("4-byte slice")) as usize;
-    let key_start = offset + 8;
+    let key_start = offset + HEADER_LEN;
     let val_start = key_start + klen;
     let end = val_start + vlen;
     if end > data.len() {

@@ -179,6 +179,13 @@ mod tests {
     }
 
     #[test]
+    fn unframe_returns_the_payload_in_place() {
+        let framed = Bytes::from(frame(b"payload that stays where it is"));
+        let payload = unframe(&framed).unwrap();
+        assert_eq!(payload.as_ptr(), framed.as_ptr().wrapping_add(FRAME_HEADER_LEN));
+    }
+
+    #[test]
     fn truncation_is_corrupt_not_mismatch() {
         let framed = frame(b"some payload worth keeping");
         for cut in 0..framed.len() {

@@ -125,6 +125,15 @@ mod tests {
     }
 
     #[test]
+    fn a_read_returns_the_written_allocation() {
+        let fs = MemFs::new();
+        let data = vec![9u8; 4096];
+        let ptr = data.as_ptr();
+        fs.write("spill0/part0", Bytes::from(data)).unwrap();
+        assert_eq!(fs.read("spill0/part0").unwrap().as_ptr(), ptr, "neither the write nor the read copies");
+    }
+
+    #[test]
     fn list_is_prefix_scoped_and_sorted() {
         let fs = MemFs::new();
         for p in ["spill_2", "spill_10", "mof/x", "spill_1"] {

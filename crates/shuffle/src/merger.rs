@@ -16,6 +16,7 @@ use crate::{Combiner, KeyCmp};
 
 /// Merge sorted segments into one encoded stream. When a combiner is given,
 /// runs of *byte-equal* keys are folded through it (map-side semantics).
+/// Records are copied straight from the input segments' slices.
 pub fn merge_readers(
     cmp: &KeyCmp,
     readers: Vec<SegmentReader>,
@@ -25,34 +26,29 @@ pub fn merge_readers(
     let mut out = Vec::new();
     match combiner {
         None => {
-            while let Some((k, v)) = q.pop()? {
-                codec::encode_into(&mut out, &k, &v);
-            }
+            // Without a combiner the output is exactly the input.
+            out.reserve_exact(q.remaining_bytes());
+            while q.pop_with(|k, v| codec::encode_into(&mut out, k, v))?.is_some() {}
         }
         Some(c) => {
-            let mut group_key: Option<Bytes> = None;
-            let mut group_vals: Vec<Vec<u8>> = Vec::new();
-            let flush = |key: &Option<Bytes>, vals: &mut Vec<Vec<u8>>, out: &mut Vec<u8>| {
-                if let Some(k) = key {
-                    match c(k, vals) {
-                        Some(combined) => codec::encode_into(out, k, &combined),
-                        None => {
-                            for v in vals.iter() {
-                                codec::encode_into(out, k, v);
-                            }
+            let mut key: Vec<u8> = Vec::new();
+            let mut vals: Vec<Vec<u8>> = Vec::new();
+            while let Some((k, _)) = q.peek() {
+                key.clear();
+                key.extend_from_slice(k);
+                vals.clear();
+                while q.peek().is_some_and(|(k, _)| k == key) {
+                    q.pop_with(|_, v| vals.push(v.to_vec()))?;
+                }
+                match c(&key, &vals) {
+                    Some(combined) => codec::encode_into(&mut out, &key, &combined),
+                    None => {
+                        for v in &vals {
+                            codec::encode_into(&mut out, &key, v);
                         }
                     }
-                    vals.clear();
                 }
-            };
-            while let Some((k, v)) = q.pop()? {
-                if group_key.as_deref() != Some(&k[..]) {
-                    flush(&group_key, &mut group_vals, &mut out);
-                    group_key = Some(k);
-                }
-                group_vals.push(v.to_vec());
             }
-            flush(&group_key, &mut group_vals, &mut out);
         }
     }
     Ok(out)

@@ -75,10 +75,12 @@ impl MofData {
 
 /// Assemble and commit a MOF from per-partition encoded sorted runs, each
 /// wrapped in a CRC32 frame.
-pub fn write_mof(fs: &dyn LocalFs, path: &str, partitions: Vec<Vec<u8>>) -> Result<MofData> {
-    let mut blob = Vec::with_capacity(partitions.iter().map(|p| frame::framed_len(p.len())).sum::<usize>());
+pub fn write_mof<P: AsRef<[u8]>>(fs: &dyn LocalFs, path: &str, partitions: &[P]) -> Result<MofData> {
+    let mut blob =
+        Vec::with_capacity(partitions.iter().map(|p| frame::framed_len(p.as_ref().len())).sum::<usize>());
     let mut index = Vec::with_capacity(partitions.len());
-    for part in &partitions {
+    for part in partitions {
+        let part = part.as_ref();
         index.push((blob.len() as u64, part.len() as u64));
         frame::frame_into(&mut blob, part);
     }
@@ -106,7 +108,7 @@ mod tests {
         let p0 = encoded(&[("a", "1")]);
         let p1 = Vec::new(); // empty partition
         let p2 = encoded(&[("b", "2"), ("c", "3")]);
-        let mof = write_mof(&fs, "mof/m0", vec![p0.clone(), p1, p2.clone()]).unwrap();
+        let mof = write_mof(&fs, "mof/m0", &[p0.clone(), p1, p2.clone()]).unwrap();
         assert_eq!(mof.num_partitions(), 3);
         assert_eq!(mof.partition_len(1), 0);
         assert_eq!(mof.total_bytes(), (p0.len() + p2.len()) as u64);
@@ -116,9 +118,22 @@ mod tests {
     }
 
     #[test]
+    fn a_partition_read_is_a_slice_of_the_stored_blob() {
+        let fs = MemFs::new();
+        let mof = write_mof(&fs, "mof/m0", &[encoded(&[("a", "1")]), encoded(&[("b", "2")])]).unwrap();
+        let blob = fs.read("mof/m0").unwrap();
+        for part in 0..2 {
+            let (off, _) = mof.frame_range(part).unwrap();
+            let payload = mof.read_partition(&fs, part).unwrap();
+            let at = blob.as_ptr().wrapping_add(off as usize + crate::frame::FRAME_HEADER_LEN);
+            assert_eq!(payload.as_ptr(), at, "partition {part} must be read in place");
+        }
+    }
+
+    #[test]
     fn out_of_range_partition_rejected() {
         let fs = MemFs::new();
-        let mof = write_mof(&fs, "mof/m0", vec![encoded(&[("a", "1")])]).unwrap();
+        let mof = write_mof(&fs, "mof/m0", &[encoded(&[("a", "1")])]).unwrap();
         assert!(matches!(mof.read_partition(&fs, 5), Err(ShuffleError::Invalid(_))));
         assert_eq!(mof.partition_len(5), 0);
     }
@@ -126,7 +141,7 @@ mod tests {
     #[test]
     fn node_crash_loses_mof() {
         let fs = MemFs::new();
-        let mof = write_mof(&fs, "mof/m0", vec![encoded(&[("a", "1")])]).unwrap();
+        let mof = write_mof(&fs, "mof/m0", &[encoded(&[("a", "1")])]).unwrap();
         fs.wipe();
         assert!(mof.read_partition(&fs, 0).is_err());
     }
@@ -135,7 +150,7 @@ mod tests {
     fn flipped_partition_byte_is_a_checksum_mismatch() {
         let fs = MemFs::new();
         let p0 = encoded(&[("a", "1"), ("b", "2")]);
-        let mof = write_mof(&fs, "mof/m0", vec![p0]).unwrap();
+        let mof = write_mof(&fs, "mof/m0", &[p0]).unwrap();
         // Flip one payload byte inside partition 0's stored frame.
         let (off, framed) = mof.frame_range(0).unwrap();
         let mut blob = fs.read("mof/m0").unwrap().to_vec();

@@ -39,6 +39,11 @@ pub trait SortedRun {
     /// Consume the current record and move to the next. May block
     /// (streaming implementations) until the next record is available.
     fn advance(&mut self) -> Result<Option<(Bytes, Bytes)>>;
+    /// [`SortedRun::advance`] for a caller that has already read the
+    /// current record through [`SortedRun::key`] and [`SortedRun::value`].
+    fn skip(&mut self) -> Result<()> {
+        self.advance().map(drop)
+    }
     fn is_exhausted(&self) -> bool {
         self.key().is_none()
     }
@@ -64,6 +69,9 @@ impl SortedRun for SegmentReader {
     }
     fn advance(&mut self) -> Result<Option<(Bytes, Bytes)>> {
         SegmentReader::advance(self)
+    }
+    fn skip(&mut self) -> Result<()> {
+        SegmentReader::skip(self)
     }
     fn is_exhausted(&self) -> bool {
         SegmentReader::is_exhausted(self)
@@ -156,24 +164,37 @@ impl<R: SortedRun> MergeQueue<R> {
 
     /// Pop the minimum record and advance its reader.
     pub fn pop(&mut self) -> Result<Option<(Bytes, Bytes)>> {
-        if self.heap.is_empty() {
-            return Ok(None);
-        }
-        let i = self.heap[0];
-        let rec = self.readers[i].advance()?;
-        if self.readers[i].is_exhausted() {
-            let last = self.heap.len() - 1;
-            self.heap.swap(0, last);
-            self.heap.pop();
+        let Some(&i) = self.heap.first() else { return Ok(None) };
+        let rec = self.readers[i].advance();
+        self.top_advanced();
+        rec
+    }
+
+    /// Pop the minimum record, handing its key and value to `f` as slices
+    /// of the run: no `Bytes` handle is built. `pop_with(|_, _| ())` skips
+    /// a record.
+    pub fn pop_with<T>(&mut self, f: impl FnOnce(&[u8], &[u8]) -> T) -> Result<Option<T>> {
+        let Some((k, v)) = self.peek() else { return Ok(None) };
+        let out = f(k, v);
+        let moved = self.readers[self.heap[0]].skip();
+        self.top_advanced();
+        moved.map(|()| Some(out))
+    }
+
+    /// Restore the heap after the minimum's reader moved on. A reader that
+    /// failed to decode its next record holds none, and leaves the heap
+    /// like an exhausted one.
+    fn top_advanced(&mut self) {
+        if self.readers[self.heap[0]].is_exhausted() {
+            self.heap.swap_remove(0);
         }
         if !self.heap.is_empty() {
             self.sift_down(0);
         }
-        Ok(rec)
     }
 
     /// Drain everything into a vector (test convenience; production paths
-    /// stream via [`MergeQueue::pop`]).
+    /// stream via [`MergeQueue::pop_with`]).
     pub fn drain(&mut self) -> Result<Vec<(Bytes, Bytes)>> {
         let mut out = Vec::new();
         while let Some(r) = self.pop()? {
@@ -243,6 +264,20 @@ mod tests {
     }
 
     #[test]
+    fn a_run_that_fails_to_decode_leaves_the_queue() {
+        let mut torn =
+            build_segment(&[(b"a".to_vec(), b"1".to_vec()), (b"c".to_vec(), b"3".to_vec())]).to_vec();
+        torn.pop();
+        let r1 = SegmentReader::new(SegmentSource::Memory { id: 1 }, Bytes::from(torn)).unwrap();
+        let r2 = reader(2, &[(b"b", b"2")]);
+        let mut q = MergeQueue::new(bytewise_cmp(), vec![r1, r2]);
+        assert!(q.pop().is_err(), "the torn record is reported");
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_with(|k, _| k.to_vec()).unwrap(), Some(b"b".to_vec()));
+        assert!(q.is_empty());
+    }
+
+    #[test]
     fn snapshot_reflects_consumption_and_restores() {
         let data1 = build_segment(&[(b"a".to_vec(), b"1".to_vec()), (b"c".to_vec(), b"3".to_vec())]);
         let data2 = build_segment(&[(b"b".to_vec(), b"2".to_vec()), (b"d".to_vec(), b"4".to_vec())]);
@@ -291,11 +326,14 @@ mod tests {
     }
 
     proptest! {
-        /// Merging arbitrary sorted segments equals sorting the multiset.
+        /// Merging arbitrary sorted segments equals a stable sort of their
+        /// concatenation (equal keys pop in reader order), whether records
+        /// leave through `pop` or `pop_with`.
         #[test]
         fn merge_equals_global_sort(segs in proptest::collection::vec(
             proptest::collection::vec((proptest::collection::vec(0u8..=255, 0..8), proptest::collection::vec(0u8..=255, 0..8)), 0..30),
-            1..6)) {
+            1..6),
+            pattern in proptest::collection::vec(proptest::bool::ANY, 1..8)) {
             let mut expected: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
             let mut readers = Vec::new();
             for (i, mut seg) in segs.into_iter().enumerate() {
@@ -305,9 +343,19 @@ mod tests {
             }
             expected.sort_by(|a, b| a.0.cmp(&b.0));
             let mut q = MergeQueue::new(bytewise_cmp(), readers);
-            let merged: Vec<Vec<u8>> = q.drain().unwrap().into_iter().map(|(k, _)| k.to_vec()).collect();
-            let expected_keys: Vec<Vec<u8>> = expected.into_iter().map(|(k, _)| k).collect();
-            prop_assert_eq!(merged, expected_keys);
+            let mut merged = Vec::new();
+            for with in pattern.iter().cycle() {
+                let rec = if *with {
+                    q.pop_with(|k, v| (k.to_vec(), v.to_vec())).unwrap()
+                } else {
+                    q.pop().unwrap().map(|(k, v)| (k.to_vec(), v.to_vec()))
+                };
+                match rec {
+                    Some(r) => merged.push(r),
+                    None => break,
+                }
+            }
+            prop_assert_eq!(merged, expected);
         }
 
         /// A snapshot taken after consuming m records resumes to exactly

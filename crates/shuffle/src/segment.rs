@@ -36,15 +36,23 @@ impl SegmentSource {
 }
 
 /// A streaming reader over one segment.
+///
+/// The reader holds only the *offsets* of its current record: [`key`] and
+/// [`value`] are slices of the segment, and a merge that compares keys and
+/// copies records out never touches a reference count. [`advance`] builds
+/// `Bytes` handles for callers that keep the record.
+///
+/// [`key`]: SegmentReader::key
+/// [`value`]: SegmentReader::value
+/// [`advance`]: SegmentReader::advance
 #[derive(Debug, Clone)]
 pub struct SegmentReader {
     source: SegmentSource,
     data: Bytes,
-    /// Byte offset of the current record (valid while `current.is_some()`).
+    /// Byte offset of the current record (the segment's end once exhausted).
     current_offset: usize,
-    /// Offset of the record after the current one.
-    next_offset: usize,
-    current: Option<(Bytes, Bytes)>,
+    /// `(key_start, value_start, end)` of the current record.
+    current: Option<(usize, usize, usize)>,
 }
 
 impl SegmentReader {
@@ -56,22 +64,8 @@ impl SegmentReader {
     /// Open a segment at a byte offset previously obtained from
     /// [`SegmentReader::current_offset`] — the log-resume path.
     pub fn resume(source: SegmentSource, data: Bytes, offset: usize) -> Result<SegmentReader> {
-        let mut r =
-            SegmentReader { source, data, current_offset: offset, next_offset: offset, current: None };
-        r.decode_current()?;
-        Ok(r)
-    }
-
-    fn decode_current(&mut self) -> Result<()> {
-        self.current_offset = self.next_offset;
-        match codec::decode_at(&self.data, self.next_offset)? {
-            Some((k, v, next)) => {
-                self.current = Some((k, v));
-                self.next_offset = next;
-            }
-            None => self.current = None,
-        }
-        Ok(())
+        let current = codec::record_bounds(&data, offset)?;
+        Ok(SegmentReader { source, data, current_offset: offset, current })
     }
 
     pub fn source(&self) -> &SegmentSource {
@@ -80,11 +74,11 @@ impl SegmentReader {
 
     /// Key of the current record; `None` when exhausted.
     pub fn key(&self) -> Option<&[u8]> {
-        self.current.as_ref().map(|(k, _)| &k[..])
+        self.current.map(|(k, v, _)| &self.data[k..v])
     }
 
     pub fn value(&self) -> Option<&[u8]> {
-        self.current.as_ref().map(|(_, v)| &v[..])
+        self.current.map(|(_, v, end)| &self.data[v..end])
     }
 
     /// Byte offset of the current record — what ALG logs for the MPQ.
@@ -101,12 +95,19 @@ impl SegmentReader {
         self.data.len().saturating_sub(self.current_offset)
     }
 
+    /// Move to the next record without materialising the current one.
+    pub fn skip(&mut self) -> Result<()> {
+        if let Some((_, _, end)) = self.current.take() {
+            self.current_offset = end;
+            self.current = codec::record_bounds(&self.data, end)?;
+        }
+        Ok(())
+    }
+
     /// Move to the next record; returns the record that was current.
     pub fn advance(&mut self) -> Result<Option<(Bytes, Bytes)>> {
-        let out = self.current.take();
-        if out.is_some() {
-            self.decode_current()?;
-        }
+        let out = self.current.map(|(k, v, end)| (self.data.slice(k..v), self.data.slice(v..end)));
+        self.skip()?;
         Ok(out)
     }
 }
@@ -147,6 +148,21 @@ mod tests {
         r.advance().unwrap();
         r.advance().unwrap();
         assert!(r.is_exhausted());
+        assert_eq!(r.advance().unwrap(), None);
+    }
+
+    #[test]
+    fn skip_moves_like_advance_and_reads_in_place() {
+        let data = seg();
+        let mut r = SegmentReader::new(src(), data.clone()).unwrap();
+        assert_eq!(r.key().unwrap().as_ptr(), data.as_ptr().wrapping_add(codec::HEADER_LEN));
+        r.skip().unwrap();
+        assert_eq!((r.key().unwrap(), r.value().unwrap()), (&b"b"[..], &b"2"[..]));
+        r.skip().unwrap();
+        r.skip().unwrap();
+        assert!(r.is_exhausted());
+        assert_eq!(r.current_offset(), data.len());
+        r.skip().unwrap(); // a no-op once exhausted
         assert_eq!(r.advance().unwrap(), None);
     }
 

@@ -3,7 +3,15 @@
 //! The workspace vendors its own minimal implementation because the build
 //! environment has no registry access. Only the surface this repository
 //! uses is provided: [`Bytes`] as a cheaply cloneable, sliceable,
-//! immutable byte buffer backed by an `Arc<[u8]>`.
+//! immutable byte buffer.
+//!
+//! The backing is an `Arc<Box<[u8]>>`: the reference count lives beside,
+//! not in front of, the bytes, so an owned allocation is adopted as it is.
+//! As in the real crate, `From<Vec<u8>>`, `From<Box<[u8]>>` and
+//! `From<String>` copy no payload byte (a `Vec` with spare capacity is
+//! shrunk to its length first, in place), and `clone` and `slice` are O(1)
+//! and share the allocation. `copy_from_slice`, `From<&[u8]>` and
+//! `from_static` copy (the real crate borrows a static slice instead).
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -14,7 +22,7 @@ use std::sync::Arc;
 /// A cheaply cloneable, contiguous, immutable slice of memory.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Box<[u8]>>,
     start: usize,
     end: usize,
 }
@@ -28,12 +36,12 @@ impl Bytes {
     /// Wrap a static slice. This implementation copies (the real crate
     /// borrows), which preserves semantics at a small constant cost.
     pub fn from_static(data: &'static [u8]) -> Bytes {
-        Bytes { data: Arc::from(data), start: 0, end: data.len() }
+        Bytes::copy_from_slice(data)
     }
 
     /// Copy a slice into a new buffer.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes { data: Arc::from(data), start: 0, end: data.len() }
+        Bytes::from(Box::<[u8]>::from(data))
     }
 
     pub fn len(&self) -> usize {
@@ -99,8 +107,7 @@ impl Borrow<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        let len = v.len();
-        Bytes { data: Arc::from(v.into_boxed_slice()), start: 0, end: len }
+        Bytes::from(v.into_boxed_slice())
     }
 }
 
@@ -113,7 +120,7 @@ impl From<&[u8]> for Bytes {
 impl From<Box<[u8]>> for Bytes {
     fn from(v: Box<[u8]>) -> Bytes {
         let len = v.len();
-        Bytes { data: Arc::from(v), start: 0, end: len }
+        Bytes { data: Arc::new(v), start: 0, end: len }
     }
 }
 
@@ -197,6 +204,24 @@ mod tests {
         assert_eq!(s.len(), 3);
         let ss = s.slice(1..);
         assert_eq!(&ss[..], &[3, 4]);
+    }
+
+    #[test]
+    fn owned_conversions_adopt_the_allocation() {
+        let v: Vec<u8> = (0..=255).collect();
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), ptr, "From<Vec<u8>> must not copy");
+        assert_eq!(b.slice(10..20).as_ptr(), ptr.wrapping_add(10), "slice shares the allocation");
+        assert_eq!(b.clone().as_ptr(), ptr, "clone shares the allocation");
+
+        let boxed: Box<[u8]> = vec![7u8; 64].into_boxed_slice();
+        let ptr = boxed.as_ptr();
+        assert_eq!(Bytes::from(boxed).as_ptr(), ptr, "From<Box<[u8]>> must not copy");
+
+        let s = String::from("shuffled bytes");
+        let ptr = s.as_ptr();
+        assert_eq!(Bytes::from(s).as_ptr(), ptr, "From<String> must not copy");
     }
 
     #[test]
