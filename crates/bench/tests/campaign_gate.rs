@@ -57,7 +57,7 @@ fn outcomes(v: &Value) -> &[Value] {
 fn emitted(outcome: ScenarioOutcome) -> Value {
     let mut report = CampaignReport::new("campaign-gate", 42);
     report.extend(vec![outcome]);
-    serde_json::from_str(&report.canonical_json()).expect("canonical_json emits JSON")
+    serde_json::parse_value_complete(&report.canonical_json()).expect("canonical_json emits JSON")
 }
 
 /// An outcome whose guarded fields are all zero or `None` emits exactly the
@@ -67,8 +67,8 @@ fn emitted(outcome: ScenarioOutcome) -> Value {
 /// only the scenarios that exercise it.
 #[test]
 fn canonical_keys_are_the_golden_keys_plus_only_the_guarded_fields_set() {
-    let golden: Value =
-        serde_json::from_str(include_str!("../golden/campaign_gate.json")).expect("golden baseline parses");
+    let golden = serde_json::parse_value_complete(include_str!("../golden/campaign_gate.json"))
+        .expect("golden baseline parses");
     let golden_keys = keys(&outcomes(&golden)[0]);
     assert!(outcomes(&golden).iter().all(|o| keys(o) == golden_keys), "golden outcomes disagree on keys");
 

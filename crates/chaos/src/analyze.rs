@@ -5,20 +5,25 @@
 //!
 //! * **temporal amplification** (Figs. 3/10): repeated failures of the
 //!   *same* task — the longest repeat chain beyond a task's first failure;
-//! * **spatial amplification** (Fig. 4 / Table II): healthy reducers
-//!   preempted through `FetchFailureLimit` after losing a shuffle source —
-//!   failures "infecting" tasks the fault never touched.
+//! * **spatial amplification** (Fig. 4 / Table II): the distinct reduce
+//!   tasks with at least one `FetchFailureLimit` failure — reducers
+//!   preempted after losing a shuffle source. Every such task counts,
+//!   including one the scenario itself injected a fault into (a killed
+//!   reducer whose relaunch is then preempted). Table II's "additional
+//!   failures" (`SimReport::infected_reduces`) differs on both axes: it
+//!   counts reduce tasks that failed for *any* reason, and excludes the
+//!   injected ones.
 
 use alm_runtime::JobReport;
 use alm_sim::SimReport;
 use alm_types::{FailureKind, RecoveryMode, TaskId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 use crate::scenario::{ChaosScenario, LoweringProfile};
 
 /// Which engine produced an outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum EngineKind {
     Simulator,
     Runtime,
@@ -34,7 +39,7 @@ impl std::fmt::Display for EngineKind {
 }
 
 /// One (scenario, engine, mode) run, reduced to the campaign's metrics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ScenarioOutcome {
     pub scenario: String,
     pub engine: EngineKind,
@@ -46,7 +51,10 @@ pub struct ScenarioOutcome {
     /// the lowered plan (a rack crash contributes one per member node).
     pub injected_faults: usize,
     pub total_failures: usize,
-    /// Distinct reduce tasks preempted via `FetchFailureLimit`.
+    /// Distinct reduce tasks with at least one `FetchFailureLimit`
+    /// failure, injected tasks included — not Table II's "additional
+    /// failures", which count any reduce failure outside the injected tasks
+    /// (module doc).
     pub spatial_amplification: usize,
     /// Longest repeated-failure chain of one task (count beyond first).
     pub temporal_amplification: usize,
@@ -93,7 +101,7 @@ pub struct ScenarioOutcome {
 
 /// DFS replica-management counters for one runtime run, collected by the
 /// campaign harness after its verification reads and `repair()` pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct DfsAudit {
     pub read_failovers: u32,
     pub repair_bytes: u64,
@@ -279,7 +287,13 @@ mod tests {
             (TaskId::reduce(j, 3), FailureKind::TaskOom),
             (TaskId::map(j, 0), FailureKind::FetchFailureLimit),
         ];
-        assert_eq!(spatial_of(failures.into_iter()), 2);
+        assert_eq!(spatial_of(failures.clone().into_iter()), 2);
+        // Reduce 3 was the injected task (its OOM); its relaunch is then
+        // preempted by fetch failures. That counts: spatial amplification
+        // does not exclude injected tasks, unlike Table II's count.
+        let relaunch_preempted =
+            failures.into_iter().chain([(TaskId::reduce(j, 3), FailureKind::FetchFailureLimit)]);
+        assert_eq!(spatial_of(relaunch_preempted), 3);
     }
 
     #[test]

@@ -30,13 +30,13 @@
 //! are documented with the raw measurements in `EXPERIMENTS.md`.
 
 use alm_types::RecoveryMode;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::differential::{matched_campaigns, DifferentialReport, Invariant, MatchedScale};
 use crate::scenario::{ChaosFault, ChaosScenario};
 
 /// Per-mode tolerance on the normalized-slowdown gap between engines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ToleranceBands {
     /// Mode-specific bands; modes not listed fall back to `default_band`.
     pub bands: Vec<(RecoveryMode, f64)>,
@@ -101,7 +101,7 @@ impl ToleranceBands {
 }
 
 /// One scenario's normalized slowdown on each engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SlowdownPoint {
     pub scenario: String,
     /// Simulator: scenario virtual-secs / fault-free virtual-secs.
@@ -118,7 +118,7 @@ impl SlowdownPoint {
 }
 
 /// One recovery mode's slowdown curve across the calibration suite.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ModeCurve {
     pub mode: RecoveryMode,
     /// Fault-free baseline durations in each engine's native clock.
@@ -141,7 +141,7 @@ impl ModeCurve {
 }
 
 /// The full calibration: per-mode curves at one matched scale.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CalibrationReport {
     pub scale: MatchedScale,
     /// Runtime repeats per scenario (min taken over them).
@@ -403,17 +403,6 @@ mod tests {
         assert!(inv[1].detail.contains("band 0.50"), "{}", inv[1].detail);
         let text = report.render_text();
         assert!(text.contains("magnitude") || text.contains("gap"), "{text}");
-    }
-
-    #[test]
-    fn calibration_report_serde_round_trips() {
-        let report = CalibrationReport {
-            scale: MatchedScale::default(),
-            repeats: 2,
-            curves: vec![curve(RecoveryMode::Sfm, &[(1.3, 1.4)])],
-        };
-        let back: CalibrationReport = serde_json::from_str(&report.to_json()).unwrap();
-        assert_eq!(back, report);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use alm_mem::{run_chain, ChainReport, CrashPlan, IterativeSpec, RuntimeChainEngine, SimChainEngine};
 use alm_types::{MemConfig, MemMode};
 use alm_workloads::{Pagerank, WorkloadKind};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 use crate::analyze::{EngineKind, ScenarioOutcome};
@@ -29,7 +29,7 @@ use crate::differential::Invariant;
 
 /// One fixed-seed iterative chain, crashed mid-flight, on both engines
 /// under both memory modes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ChainCampaign {
     pub num_reduces: u32,
     pub seed: u64,
@@ -52,7 +52,7 @@ impl Default for ChainCampaign {
 }
 
 /// Per (engine, mode) summary — one row of the iterations-lost table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ChainModeRow {
     pub engine: EngineKind,
     pub mode: MemMode,
@@ -67,7 +67,7 @@ pub struct ChainModeRow {
 }
 
 /// Verdict of one chain campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ChainDifferentialReport {
     pub crash_node: u32,
     pub crash_iteration: u32,

@@ -21,14 +21,14 @@ use std::sync::Arc;
 use alm_sim::SimJobSpec;
 use alm_types::{ClusterSpec, RecoveryMode, YarnConfig};
 use alm_workloads::{Terasort, WorkloadKind};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::analyze::{EngineKind, ScenarioOutcome};
 use crate::campaign::{RuntimeCampaign, SimCampaign};
 use crate::scenario::ChaosScenario;
 
 /// The matched small scale both engines run at.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MatchedScale {
     /// Worker nodes (runtime cluster size; simulator gets workers + 1
     /// master). 2 racks in both, `worker % 2` placement in both.
@@ -56,7 +56,7 @@ impl Default for MatchedScale {
 }
 
 /// One named invariant check.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Invariant {
     pub name: String,
     pub passed: bool,
@@ -64,7 +64,7 @@ pub struct Invariant {
 }
 
 /// The verdict of one differential validation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DifferentialReport {
     pub scenario: String,
     pub modes: Vec<RecoveryMode>,
@@ -484,9 +484,6 @@ mod tests {
         let report = validate_scenario(&scenario, &[RecoveryMode::Baseline, RecoveryMode::SfmAlg]);
         assert!(report.ok(), "{}", report.render_text());
         assert_eq!(report.outcomes.len(), 4);
-        let json = report.to_json();
-        let back: DifferentialReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, report);
     }
 
     #[test]

@@ -10,13 +10,13 @@
 //! `alm_sim::SimFault::lower_plan`, the threaded runtime directly).
 
 use alm_types::{CorruptTarget, Fault, FaultPlan, FlapSchedule, JobId, LinkDirection, NodeId, TaskId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A flapping-link schedule in scenario seconds: `cycles` bounded
 /// sever→heal windows starting `period_secs` apart, each staying down a
 /// seeded, jittered fraction of `down_secs`. Lowered to the engine-neutral
 /// [`FlapSchedule`] (milliseconds) by [`ChaosScenario::lower`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ChaosFlap {
     pub seed: u64,
     pub cycles: u32,
@@ -26,7 +26,7 @@ pub struct ChaosFlap {
 
 /// One declarative fault. Times are in scenario seconds; the lowering
 /// profile decides what a scenario second means to each engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum ChaosFault {
     /// Injected OOM in attempt 0 of a map task at a fraction of its input.
     KillMap { index: u32, at_progress: f64 },
@@ -99,7 +99,7 @@ impl ChaosFault {
 }
 
 /// How a scenario maps onto one engine's cluster and clock.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LoweringProfile {
     /// Worker count (simulator: `ClusterSpec::worker_nodes()`; threaded
     /// runtime: the `MiniCluster` node count — every node hosts tasks).
@@ -139,7 +139,7 @@ impl LoweringProfile {
 
 /// A named, self-contained fault campaign scenario (serde round-trippable,
 /// so campaigns can be written as JSON and replayed).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ChaosScenario {
     pub name: String,
     pub faults: Vec<ChaosFault>,
@@ -409,39 +409,6 @@ mod tests {
         assert_eq!(s.injected_failure_faults(&profile()), 3);
         let narrow = LoweringProfile { workers: 2, racks: 2, ms_per_scenario_sec: 1000.0 };
         assert_eq!(s.injected_failure_faults(&narrow), 1, "1 member per rack on 2 workers");
-    }
-
-    #[test]
-    fn scenario_serde_round_trip() {
-        let s = ChaosScenario::new("mixed")
-            .with(ChaosFault::CrashNodeAtReduceProgress { node: 1, reduce_index: 5, at_progress: 0.1 })
-            .with(ChaosFault::CrashRack { rack: 0, at_secs: 12.5 })
-            .with(ChaosFault::SlowNode { node: 2, at_secs: 3.0, factor: 2.5 })
-            .with(ChaosFault::PartitionLink {
-                a: 0,
-                b: 3,
-                direction: LinkDirection::AToB,
-                from_secs: 2.0,
-                heal_secs: 9.0,
-                flap: Some(ChaosFlap { seed: 5, cycles: 3, period_secs: 4.0, down_secs: 2.0 }),
-            })
-            .with(ChaosFault::DegradedLink {
-                a: 2,
-                b: 5,
-                direction: LinkDirection::Both,
-                from_secs: 1.0,
-                heal_secs: 8.0,
-                factor: 3.0,
-                loss: 0.25,
-            })
-            .with(ChaosFault::CorruptData {
-                node: 4,
-                target: CorruptTarget::AlgRecord { reduce_index: 1, seq: 2 },
-                at_secs: 6.0,
-            });
-        let json = serde_json::to_string(&s).unwrap();
-        let back: ChaosScenario = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
     }
 
     #[test]

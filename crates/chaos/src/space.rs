@@ -10,14 +10,14 @@
 use alm_types::CorruptTarget;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use alm_types::LinkDirection;
 
 use crate::scenario::{ChaosFault, ChaosFlap, ChaosScenario};
 
 /// Relative weights of each fault kind (0 disables a kind).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultWeights {
     pub kill_map: u32,
     pub kill_reduce: u32,
@@ -64,7 +64,7 @@ impl FaultWeights {
 }
 
 /// The sampling distribution of one randomized campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultSpace {
     /// Worker-node count faults may target.
     pub workers: u32,

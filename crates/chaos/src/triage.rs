@@ -13,13 +13,13 @@
 //! "job-stuck" even if it also shows amplification, because the most
 //! severe symptom is the one to chase first.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 use crate::analyze::ScenarioOutcome;
 
 /// Triage severity, ordered so `Critical` sorts above `Info`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum Severity {
     Info,
     Low,
@@ -144,7 +144,7 @@ pub fn classify(o: &ScenarioOutcome) -> (&'static str, Severity, &'static str) {
 }
 
 /// One signature group: every run that classified into `category`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TriageGroup {
     pub category: String,
     pub severity: Severity,
@@ -163,7 +163,7 @@ pub struct TriageGroup {
 
 /// Ranked triage over a set of outcomes: groups sorted by severity, then
 /// blast radius (run count), then name for determinism.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TriageReport {
     /// Total runs triaged.
     pub runs: usize,
@@ -356,7 +356,5 @@ mod tests {
 
         let md = report.render_markdown();
         assert!(md.contains("| 1 | critical | job-stuck |"), "{md}");
-        let back: TriageReport = serde_json::from_str(&report.to_json()).unwrap();
-        assert_eq!(back, report);
     }
 }

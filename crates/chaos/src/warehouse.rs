@@ -15,7 +15,7 @@
 
 use alm_sched::{SchedPolicyKind, WarehouseCampaign, WarehouseFault, WarehouseReport};
 use alm_types::RecoveryMode;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::scenario::{ChaosFault, ChaosScenario};
 
@@ -49,7 +49,7 @@ pub fn lower_warehouse(scenario: &ChaosScenario) -> (Vec<WarehouseFault>, usize)
 
 /// One tenant's fate in one faulted warehouse scenario, against its clean
 /// baseline on the identical campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TenantImpactRow {
     pub scenario: String,
     pub mode: RecoveryMode,
@@ -85,7 +85,7 @@ impl TenantImpactRow {
 
 /// A multi-tenant campaign: one synthetic warehouse per `(scenario, mode)`
 /// pair, plus one clean run per mode for the slowdown baselines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WarehouseChaosCampaign {
     pub nodes: u32,
     pub tenants: u32,

@@ -29,7 +29,7 @@
 
 use alm_dfs::DfsCluster;
 use alm_shuffle::{LocalFs, ShuffleError};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use super::logger::{LogPaths, PartialOutput};
 use super::record::{LogRecord, MpqLogEntry, StageLog};
@@ -101,7 +101,7 @@ impl RecoveredState {
 /// record truncates the log *at that seq*, so the resume point is the
 /// immediately preceding snapshot and redone work is at most one logging
 /// interval.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct RecoveryReport {
     /// Seq of the snapshot recovery resumed from, if any.
     pub resumed_seq: Option<u64>,

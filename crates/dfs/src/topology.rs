@@ -1,11 +1,11 @@
 //! Cluster rack topology.
 
 use alm_types::{NodeId, RackId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Node ⟷ rack mapping.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Topology {
     node_rack: BTreeMap<NodeId, RackId>,
 }

@@ -21,13 +21,13 @@ use alm_shuffle::frame::{frame, unframe};
 use alm_types::{JobId, NodeId};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Counters the store accumulates over its lifetime. `bytes_used` is the
 /// current framed footprint across all nodes; everything else is monotonic.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct StoreStats {
     /// Lookups served from RAM (frame verified).
     pub hits: u64,

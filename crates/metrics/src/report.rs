@@ -1,6 +1,6 @@
 //! Whole-experiment reports.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 use crate::series::Series;
@@ -10,7 +10,7 @@ use crate::timeline::Timeline;
 /// Everything one figure/table reproduction produced: parameterisation,
 /// series/tables/timelines, and free-form observations. Renders as text for
 /// the console and serialises to JSON for EXPERIMENTS.md bookkeeping.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct ExperimentReport {
     /// Experiment id, e.g. "fig8" or "table2".
     pub id: String,
@@ -80,19 +80,6 @@ impl ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_trip_json() {
-        let mut r = ExperimentReport::new("fig8", "ALG vs YARN");
-        r.param("workload", "terasort").param("seed", 42);
-        let mut s = Series::new("yarn", "progress (%)", "time (s)");
-        s.push(10.0, 100.0);
-        r.series.push(s);
-        r.note("avg improvement 15.4%");
-        let json = r.to_json();
-        let back: ExperimentReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(r, back);
-    }
 
     #[test]
     fn render_includes_everything() {

@@ -1,10 +1,10 @@
 //! Named data series — the unit a "figure" is made of.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A named sequence of `(x, y)` points, e.g. "YARN execution time vs
 /// failure-injection progress".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Series {
     pub name: String,
     /// Axis labels for rendering ("progress (%)", "time (s)").

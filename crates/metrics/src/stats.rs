@@ -4,10 +4,10 @@
 //! is that aggregation, with enough extra (std-dev, min/max) to judge run
 //! stability.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Aggregate of a set of samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Summary {
     pub n: usize,
     pub mean: f64,

@@ -1,9 +1,9 @@
 //! Aligned text tables — the unit a paper "table" is made of.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A simple column-aligned table with a header row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TextTable {
     pub title: String,
     pub headers: Vec<String>,

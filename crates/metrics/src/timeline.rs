@@ -6,17 +6,17 @@
 //! [`Timeline`] captures both the sampled progress curve and the discrete
 //! annotations.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A discrete annotated moment on a timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Annotation {
     pub at_secs: f64,
     pub label: String,
 }
 
 /// Progress-over-time with annotations.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct Timeline {
     pub name: String,
     /// `(seconds, progress in [0,1])` samples, in time order.

@@ -7,10 +7,10 @@
 //! destructures `Self` with no `..`, and [`SchedConfig::scaled_for_tests`]
 //! is a full struct literal, so a new field breaks the build at both.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which scheduling policy arbitrates free slots between tenant queues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum SchedPolicyKind {
     /// Global arrival order: the tenant whose head job arrived first gets
     /// every slot until that job drains. One elephant job starves the
@@ -35,7 +35,7 @@ impl SchedPolicyKind {
 }
 
 /// Scheduler knobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SchedConfig {
     pub policy: SchedPolicyKind,
     /// Hard admission cap on concurrently running jobs of one tenant.
@@ -84,7 +84,7 @@ impl SchedConfig {
 }
 
 /// One tenant of the shared cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TenantSpec {
     pub name: String,
     /// Weight for the fair policy's max-min arbitration (>= 1).
@@ -175,12 +175,5 @@ mod tests {
         assert!(validate_tenants(&over).is_err());
         let ok = vec![TenantSpec::new("a", 1, 60), TenantSpec::new("b", 2, 40)];
         assert_eq!(validate_tenants(&ok), Ok(()));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let c = SchedConfig::scaled_for_tests(SchedPolicyKind::Capacity);
-        let back: SchedConfig = serde_json::from_str(&serde_json::to_string(&c).unwrap()).unwrap();
-        assert_eq!(back, c);
     }
 }

@@ -39,7 +39,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use alm_des::{EventQueue, EventToken, SimDuration, SimTime};
 use alm_sim::{Quantities, SimJobSpec};
 use alm_types::{ClusterSpec, FailureKind, RecoveryMode, YarnConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::config::{validate_tenants, SchedConfig, TenantSpec};
 use crate::policy::{policy_for, SchedPolicy, SchedView, TenantId, TenantView};
@@ -50,7 +50,7 @@ use crate::report::{JobOutcome, WarehouseReport};
 const MAX_EVENTS: u64 = 20_000_000;
 
 /// The shared cluster, its tenants, and the scheduler between them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WarehouseSpec {
     pub cluster: ClusterSpec,
     pub yarn: YarnConfig,
@@ -86,7 +86,7 @@ impl WarehouseSpec {
 }
 
 /// One job submission: which tenant, when, and what job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WarehouseJob {
     /// Index into the spec's tenant list.
     pub tenant: u32,
@@ -97,7 +97,7 @@ pub struct WarehouseJob {
 /// Faults at warehouse granularity. Task-level kills and transient faults
 /// live in the single-job engines; what crosses tenants is node and rack
 /// loss, so that is the vocabulary here.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum WarehouseFault {
     CrashNode {
         node: u32,

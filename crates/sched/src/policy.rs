@@ -17,12 +17,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::config::{SchedConfig, SchedPolicyKind};
 
 /// Identifier of a tenant: its index in the campaign's tenant list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct TenantId(pub u32);
 
 /// One tenant's scheduling inputs for a single dispatch decision.

@@ -14,11 +14,11 @@
 
 use alm_metrics::{p50, p99, TextTable};
 use alm_types::RecoveryMode;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 use serde_json::to_string_pretty;
 
 /// Outcome of one job submission.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct JobOutcome {
     /// Index in the submitted job list.
     pub job: u32,
@@ -52,7 +52,7 @@ pub struct JobOutcome {
 }
 
 /// Per-tenant aggregation of a warehouse run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TenantRow {
     pub tenant: String,
     pub jobs: u32,
@@ -67,7 +67,7 @@ pub struct TenantRow {
 }
 
 /// Result of one multi-tenant warehouse simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WarehouseReport {
     /// `SchedPolicyKind::as_str()` of the arbitrating policy.
     pub policy: String,

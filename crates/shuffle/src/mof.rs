@@ -8,7 +8,7 @@
 //! chain of the paper's failure amplification.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::{Result, ShuffleError};
 use crate::frame;
@@ -20,7 +20,7 @@ use crate::localfs::LocalFs;
 /// ([`crate::frame`]) so that on-disk corruption of a partition is caught
 /// at fetch time as [`ShuffleError::ChecksumMismatch`] instead of being
 /// shuffled into a reducer silently.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct MofData {
     /// Path of the data blob on the producing node's local store.
     pub path: String,

@@ -8,13 +8,13 @@
 //! ReduceTask re-opens the segment mid-stream.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::codec;
 use crate::error::Result;
 
 /// Where a segment's bytes live — recorded in analytics logs.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub enum SegmentSource {
     /// An in-memory shuffle segment (lost on task death; ALG's in-memory
     /// merge flush exists to evacuate these before logging).

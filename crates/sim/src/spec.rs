@@ -4,10 +4,10 @@ use alm_types::{
     AlmConfig, ClusterSpec, CorruptTarget, Fault, FaultPlan, LinkDirection, RecoveryMode, YarnConfig,
 };
 use alm_workloads::WorkloadKind;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The job to simulate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SimJobSpec {
     pub workload: WorkloadKind,
     pub input_bytes: u64,
@@ -36,7 +36,7 @@ impl SimJobSpec {
 }
 
 /// A fault to inject, in virtual time or at a progress trigger.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum SimFault {
     /// Fail attempt 0 of the given reduce task with an injected OOM once
     /// its overall progress reaches the fraction.
@@ -147,7 +147,7 @@ impl SimFault {
 }
 
 /// The full environment of one simulated run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExperimentEnv {
     pub cluster: ClusterSpec,
     pub yarn: YarnConfig,

@@ -2,11 +2,11 @@
 
 use alm_metrics::Timeline;
 use alm_types::{FailureKind, TaskId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// One failure observed by the simulated AM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SimFailure {
     pub at_secs: f64,
     pub task: TaskId,
@@ -15,7 +15,7 @@ pub struct SimFailure {
 }
 
 /// Everything one simulated run produced.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct SimReport {
     pub succeeded: bool,
     pub job_secs: f64,

@@ -7,12 +7,12 @@
 //! replication level for ALG (§III), and the scheduling limits of
 //! Algorithm 1 for SFM (§IV).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::units::{GB, KB, MB};
 
 /// How the framework recovers from failures. The four evaluation modes of §V.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum RecoveryMode {
     /// Stock YARN task re-execution: restart failed tasks from scratch,
     /// rely on running ReduceTasks to discover lost MOFs.
@@ -40,7 +40,7 @@ impl RecoveryMode {
 
 /// Replication level for HDFS writes of reduce outputs and reduce-stage
 /// analytics logs (§III-B, Fig. 13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum ReplicationLevel {
     /// Local replica only.
     Node,
@@ -71,7 +71,7 @@ impl ReplicationLevel {
 /// Time quantities are in milliseconds so the same struct drives both the
 /// simulator (virtual ms) and the threaded runtime (real ms, usually scaled
 /// down by the test harness).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct YarnConfig {
     // ---- Table I (the modelled subset) ----
     /// `mapreduce.map.java.opts`: MapTask heap, bytes.
@@ -240,7 +240,7 @@ impl YarnConfig {
 }
 
 /// Configuration of the ALM framework itself (§III, §IV).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AlmConfig {
     pub mode: RecoveryMode,
     /// Interval between analytics-log snapshots of a running ReduceTask.
@@ -303,7 +303,7 @@ impl AlmConfig {
 /// memory-speed iteration, but a node crash then destroys state for
 /// *every* iteration whose partitions lived there — the paper's failure
 /// amplification, sharpened. The two modes are the two answers:
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum MemMode {
     /// Pure in-memory chains (M3R): nothing durable survives a crash, so
     /// lost partitions are recomputed by replaying the whole upstream
@@ -348,7 +348,7 @@ impl std::fmt::Display for MemMode {
 
 /// Knobs of the in-memory iterative engine mode (`alm-mem`): the resident
 /// store budget and the chain's failure/termination semantics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MemConfig {
     /// Per-node capacity of the resident store, bytes. Entries beyond the
     /// budget are evicted deterministically (LRU over unpinned entries);
@@ -417,7 +417,7 @@ impl MemConfig {
 
 /// Hardware profile of the evaluation testbed (§V-A): 21 nodes, 10 GbE,
 /// hex-core Xeons, one SATA SSD each. Used by the simulator's cost models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClusterSpec {
     pub nodes: u32,
     pub racks: u32,
@@ -624,14 +624,5 @@ mod tests {
             ..MemConfig::default()
         };
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn mem_config_serde_round_trip() {
-        for mode in [MemMode::LineageReplay, MemMode::AlgFcm] {
-            let c = MemConfig { mem_mode: mode, ..MemConfig::scaled_for_tests() };
-            let back: MemConfig = serde_json::from_str(&serde_json::to_string(&c).unwrap()).unwrap();
-            assert_eq!(back, c);
-        }
     }
 }

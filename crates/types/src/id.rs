@@ -5,13 +5,13 @@
 //! be passed around freely inside both the threaded runtime and the
 //! discrete-event simulator.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 use crate::state::TaskKind;
 
 /// Identifier of one MapReduce job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct JobId(pub u32);
 
 impl fmt::Display for JobId {
@@ -24,7 +24,7 @@ impl fmt::Display for JobId {
 ///
 /// A task identity is stable across re-executions; individual executions are
 /// [`AttemptId`]s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct TaskId {
     pub job: JobId,
     pub kind: TaskKind,
@@ -66,7 +66,7 @@ impl fmt::Display for TaskId {
 }
 
 /// Identifier of one execution attempt of a task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct AttemptId {
     pub task: TaskId,
     /// Zero-based attempt number; re-executions and speculative copies get
@@ -88,7 +88,7 @@ impl fmt::Display for AttemptId {
 }
 
 /// Identifier of a compute node (a NodeManager host in YARN terms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct NodeId(pub u32);
 
 impl fmt::Display for NodeId {
@@ -99,7 +99,7 @@ impl fmt::Display for NodeId {
 
 /// Identifier of a rack; used by the DFS placement policy and by the
 /// rack-level log replication experiments (Fig. 13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct RackId(pub u32);
 
 // Maps keyed by id types serialise with the numeric id as the JSON object
@@ -109,12 +109,6 @@ macro_rules! impl_json_key_id {
         impl serde::JsonKey for $t {
             fn to_key(&self) -> String {
                 self.0.to_string()
-            }
-
-            fn from_key(s: &str) -> Result<$t, serde::DeError> {
-                s.parse().map($t).map_err(|_| {
-                    serde::DeError::new(format!(concat!("invalid ", stringify!($t), " key: {:?}"), s))
-                })
             }
         }
     )+};
@@ -166,13 +160,5 @@ mod tests {
         let m = TaskId::map(JobId(1), 9);
         let r = TaskId::reduce(JobId(1), 0);
         assert!(m < r);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let a = TaskId::reduce(JobId(3), 14).attempt(2);
-        let json = serde_json::to_string(&a).unwrap();
-        let back: AttemptId = serde_json::from_str(&json).unwrap();
-        assert_eq!(a, back);
     }
 }

@@ -4,12 +4,12 @@
 //! percentage of progress" (Fig. 2, 8, 9) — [`Progress`] is the value those
 //! triggers compare against, and the value heartbeats report to the AM.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A fraction of completed work in `[0, 1]`. Construction clamps, so a
 /// `Progress` is always valid by construction.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize)]
 pub struct Progress(f64);
 
 impl Progress {

@@ -1,10 +1,10 @@
 //! Task kinds and the phases of a running ReduceTask.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Map or reduce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum TaskKind {
     Map,
     Reduce,
@@ -25,7 +25,7 @@ impl fmt::Display for TaskKind {
 /// the shuffle stage logs MOF ids plus intermediate file paths, the merge
 /// stage only intermediate file paths, the reduce stage the MPQ structure
 /// (file paths + offsets) with the record stored on HDFS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum ReducePhase {
     /// Fetching MOF partitions from map-side nodes; background merging.
     Shuffle,

@@ -6,10 +6,10 @@
 //! the derivation helpers compute per-map / per-partition byte counts the
 //! same way the real engine's partitioner would.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Size ratios and cost coefficients of one workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WorkloadModel {
     pub name: &'static str,
     /// Map output bytes per input byte, *after* combining. Terasort ≈ 1.0

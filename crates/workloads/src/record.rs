@@ -1,10 +1,10 @@
 //! Key/value records.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One `<k, v>` pair. Keys and values are raw bytes; ordering semantics are
 /// supplied by the owning [`crate::Workload`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct Record {
     pub key: Vec<u8>,
     pub value: Vec<u8>,

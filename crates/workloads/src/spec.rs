@@ -1,6 +1,6 @@
 //! Job specifications: which workload, how much input, how many reducers.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::model::WorkloadModel;
 use crate::{KMeans, Pagerank, SecondarySort, Terasort, Wordcount, Workload};
@@ -8,7 +8,7 @@ use crate::{KMeans, Pagerank, SecondarySort, Terasort, Wordcount, Workload};
 /// The evaluation workloads, as a value (for configs/CLI): the paper's
 /// three single-job workloads plus the two iterative shapes the in-memory
 /// chain layer (`alm-mem`) drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum WorkloadKind {
     Terasort,
     Wordcount,
@@ -80,7 +80,7 @@ impl std::fmt::Display for WorkloadKind {
 }
 
 /// One job to run: the unit of the experiment runners.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct JobSpec {
     pub workload: WorkloadKind,
     pub input_bytes: u64,

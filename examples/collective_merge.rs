@@ -91,6 +91,6 @@ fn main() {
         fcm_t.as_secs_f64() / single_t.as_secs_f64()
     );
     println!(
-        "(in-process, both merges share one machine's cores; the paper's FCM win comes from\n distributing the pre-merge I/O and CPU across cluster nodes — see `cargo run -p alm-bench\n --release --bin fig14` for the cluster-scale comparison)"
+        "(in-process, both merges share one machine's cores; the paper's FCM win comes from\n distributing the pre-merge I/O and CPU across cluster nodes — see `cargo run -p alm-bench\n --release --bin all_figures -- fig14` for the cluster-scale comparison)"
     );
 }

@@ -1,7 +1,8 @@
-//! Offline stand-in for `serde_derive`.
+//! Offline stand-in for `serde_derive`: `derive(Serialize)` only —
+//! serialisation in this workspace is output-only.
 //!
-//! `syn`/`quote` are unavailable (no registry), so these derives parse the
-//! item declaration directly from the `proc_macro` token stream and emit
+//! `syn`/`quote` are unavailable (no registry), so the derive parses the
+//! item declaration directly from the `proc_macro` token stream and emits
 //! generated code as text. Supported shapes — which cover every derived
 //! type in this workspace:
 //!
@@ -182,7 +183,7 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
         if p.as_char() == '<' {
             return Err(format!(
                 "the in-repo serde_derive shim does not support generic type `{name}` — \
-                 implement Serialize/Deserialize by hand"
+                 implement Serialize by hand"
             ));
         }
     }
@@ -301,116 +302,10 @@ fn gen_serialize(item: &Item) -> String {
     }
 }
 
-// ----------------------------------------------------------- Deserialize
-
-fn named_fields_ctor(path: &str, fields: &[String], source: &str) -> String {
-    let inits: Vec<String> = fields
-        .iter()
-        .map(|f| {
-            format!(
-                "{f}: ::serde::Deserialize::from_value({source}.field({f:?}))\
-                 .map_err(|e| ::serde::DeError::new(::std::format!(\"{path}.{f}: {{e}}\")))?"
-            )
-        })
-        .collect();
-    format!("{path} {{ {} }}", inits.join(", "))
-}
-
-fn gen_deserialize(item: &Item) -> String {
-    match item {
-        Item::Struct { name, fields } => {
-            let body = match fields {
-                Fields::Named(fs) => {
-                    format!("::std::result::Result::Ok({})", named_fields_ctor(name, fs, "v"))
-                }
-                Fields::Tuple(1) => {
-                    format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))")
-                }
-                Fields::Tuple(n) => {
-                    let items: Vec<String> =
-                        (0..*n).map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?")).collect();
-                    format!(
-                        "match v {{\n\
-                            ::serde::Value::Array(items) if items.len() == {n} => \
-                              ::std::result::Result::Ok({name}({})),\n\
-                            other => ::std::result::Result::Err(::serde::DeError::new(\
-                              ::std::format!(\"{name}: expected {n}-element array, got {{}}\", other.kind()))),\n\
-                         }}",
-                        items.join(", ")
-                    )
-                }
-                Fields::Unit => format!("::std::result::Result::Ok({name})"),
-            };
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                        {body}\n\
-                     }}\n\
-                 }}"
-            )
-        }
-        Item::Enum { name, variants } => {
-            let arms: Vec<String> = variants
-                .iter()
-                .map(|v| {
-                    let vn = &v.name;
-                    match &v.fields {
-                        Fields::Unit => format!("{vn:?} => ::std::result::Result::Ok({name}::{vn})"),
-                        Fields::Named(fs) => format!(
-                            "{vn:?} => ::std::result::Result::Ok({})",
-                            named_fields_ctor(&format!("{name}::{vn}"), fs, "inner")
-                        ),
-                        Fields::Tuple(1) => format!(
-                            "{vn:?} => ::std::result::Result::Ok(\
-                             {name}::{vn}(::serde::Deserialize::from_value(inner)?))"
-                        ),
-                        Fields::Tuple(n) => {
-                            let items: Vec<String> = (0..*n)
-                                .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?"))
-                                .collect();
-                            format!(
-                                "{vn:?} => match inner {{\n\
-                                    ::serde::Value::Array(items) if items.len() == {n} => \
-                                      ::std::result::Result::Ok({name}::{vn}({})),\n\
-                                    other => ::std::result::Result::Err(::serde::DeError::new(\
-                                      ::std::format!(\"{name}::{vn}: expected {n}-element array, got {{}}\", other.kind()))),\n\
-                                 }}",
-                                items.join(", ")
-                            )
-                        }
-                    }
-                })
-                .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                        let (tag, inner) = v.enum_parts()?;\n\
-                        let _ = inner;\n\
-                        match tag {{\n\
-                            {},\n\
-                            other => ::std::result::Result::Err(::serde::DeError::new(\
-                                ::std::format!(\"unknown {name} variant: {{other:?}}\"))),\n\
-                        }}\n\
-                     }}\n\
-                 }}",
-                arms.join(",\n")
-            )
-        }
-    }
-}
-
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     match parse_item(input) {
         Ok(item) => gen_serialize(&item).parse().unwrap(),
         Err(e) => compile_error(&format!("derive(Serialize): {e}")),
-    }
-}
-
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    match parse_item(input) {
-        Ok(item) => gen_deserialize(&item).parse().unwrap(),
-        Err(e) => compile_error(&format!("derive(Deserialize): {e}")),
     }
 }

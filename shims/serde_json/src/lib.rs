@@ -1,15 +1,17 @@
 //! Offline stand-in for `serde_json`, paired with the in-repo `serde`
 //! shim: serialisation renders the shim's [`Value`] tree as JSON text,
-//! deserialisation parses JSON into a [`Value`] tree and rebuilds the
-//! target type from it.
+//! and [`parse_value_complete`] parses JSON text back into a [`Value`]
+//! tree. Serialisation is output-only — nothing rebuilds a typed value
+//! from the tree; a reader walks it with [`Value::field`].
 //!
-//! JSON compatibility notes: non-finite floats serialise as `null`
-//! (deserialised back to NaN by the `f64` impl), integers round-trip
-//! exactly through `i64`/`u64`, and floats use Rust's shortest
-//! round-trip `Display` form.
+//! JSON compatibility notes: non-finite floats serialise as `null`,
+//! integers are exact through `i64`/`u64` (the parser yields `U64` only
+//! above `i64::MAX`), and floats use Rust's shortest round-trip
+//! `Display` form, so an integral float renders as an integer (`3.0` as
+//! `3`).
 
+use serde::Serialize;
 pub use serde::Value;
-use serde::{DeError, Deserialize, Serialize};
 
 use std::fmt;
 
@@ -29,12 +31,6 @@ impl fmt::Display for Error {
 }
 
 impl std::error::Error for Error {}
-
-impl From<DeError> for Error {
-    fn from(e: DeError) -> Error {
-        Error(e.0)
-    }
-}
 
 pub type Result<T> = std::result::Result<T, Error>;
 
@@ -65,10 +61,9 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
         Value::U64(u) => out.push_str(&u.to_string()),
         Value::F64(f) => {
             if f.is_finite() {
-                // `{}` is Rust's shortest round-trip form; ensure a `.0`
-                // so the value re-parses as a float-compatible number
-                // (integral floats re-parse as integers, which the f64
-                // deserialiser accepts).
+                // `{}` is Rust's shortest round-trip form; an integral
+                // float renders without a fraction and parses back as an
+                // integer.
                 out.push_str(&f.to_string());
             } else {
                 out.push_str("null");
@@ -145,16 +140,6 @@ fn write_string(out: &mut String, s: &str) {
 }
 
 // ----------------------------------------------------------------- decode
-
-pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
-    let value = parse_value_complete(s)?;
-    Ok(T::from_value(&value)?)
-}
-
-pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T> {
-    let s = std::str::from_utf8(bytes).map_err(|e| Error::new(format!("invalid utf-8: {e}")))?;
-    from_str(s)
-}
 
 /// Parse a complete JSON document into a [`Value`].
 pub fn parse_value_complete(s: &str) -> Result<Value> {
@@ -377,66 +362,60 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn scalars_round_trip() {
-        assert_eq!(to_string(&42u64).unwrap(), "42");
-        assert_eq!(from_str::<u64>("42").unwrap(), 42);
-        assert_eq!(to_string(&-7i32).unwrap(), "-7");
-        assert_eq!(to_string(&true).unwrap(), "true");
-        assert_eq!(to_string(&0.5f64).unwrap(), "0.5");
-        assert_eq!(from_str::<f64>("0.5").unwrap(), 0.5);
-        assert_eq!(from_str::<f64>("1e3").unwrap(), 1000.0);
-        let big = u64::MAX;
-        assert_eq!(from_str::<u64>(&to_string(&big).unwrap()).unwrap(), big);
+    fn parse(s: &str) -> Value {
+        parse_value_complete(s).unwrap()
     }
 
     #[test]
-    fn integral_floats_round_trip() {
-        // 3.0 renders as "3"; the f64 deserialiser accepts integers back.
-        let s = to_string(&3.0f64).unwrap();
-        assert_eq!(from_str::<f64>(&s).unwrap(), 3.0);
+    fn scalars_render_and_parse() {
+        assert_eq!(to_string(&42u64).unwrap(), "42");
+        assert_eq!(to_string(&-7i32).unwrap(), "-7");
+        assert_eq!(to_string(&true).unwrap(), "true");
+        assert_eq!(to_string(&0.5f64).unwrap(), "0.5");
+        assert_eq!(parse("0.5"), Value::F64(0.5));
+        assert_eq!(parse("1e3"), Value::F64(1000.0));
+        assert_eq!(parse("-7"), Value::I64(-7));
+        let big = to_string(&u64::MAX).unwrap();
+        assert_eq!(parse(&big), Value::U64(u64::MAX));
+    }
+
+    #[test]
+    fn integral_floats_render_as_integers() {
+        assert_eq!(to_string(&3.0f64).unwrap(), "3");
+        assert_eq!(parse("3"), Value::I64(3));
     }
 
     #[test]
     fn non_finite_floats_become_null() {
         assert_eq!(to_string(&f64::INFINITY).unwrap(), "null");
-        assert!(from_str::<f64>("null").unwrap().is_nan());
+        assert_eq!(to_string(&f64::NAN).unwrap(), "null");
     }
 
     #[test]
     fn strings_escape_and_unescape() {
         let s = "a\"b\\c\nd\te\u{1}é😀";
-        let json = to_string(&s).unwrap();
-        assert_eq!(from_str::<String>(&json).unwrap(), s);
-        assert_eq!(from_str::<String>(r#""Aé😀""#).unwrap(), "Aé😀");
+        assert_eq!(parse(&to_string(&s).unwrap()), Value::Str(s.into()));
+        assert_eq!(parse(r#""\u0041é\ud83d\ude00""#), Value::Str("Aé😀".into()));
     }
 
     #[test]
-    fn containers_round_trip() {
-        let v = vec![(1u32, "one".to_string()), (2, "two".to_string())];
-        let json = to_string(&v).unwrap();
-        assert_eq!(from_str::<Vec<(u32, String)>>(&json).unwrap(), v);
-
+    fn containers_render_and_parse() {
+        let v = vec![(1u32, "one".to_string())];
+        assert_eq!(to_string(&v).unwrap(), r#"[[1,"one"]]"#);
         let mut m = std::collections::BTreeMap::new();
-        m.insert("k".to_string(), vec![1u64, 2, 3]);
+        m.insert("k".to_string(), vec![1u64, 2]);
         let json = to_string_pretty(&m).unwrap();
-        assert!(json.contains('\n'));
-        assert_eq!(from_str::<std::collections::BTreeMap<String, Vec<u64>>>(&json).unwrap(), m);
-    }
-
-    #[test]
-    fn bytes_round_trip() {
-        let v = vec![1u8, 2, 3];
-        let bytes = to_vec(&v).unwrap();
-        assert_eq!(from_slice::<Vec<u8>>(&bytes).unwrap(), v);
+        assert_eq!(json, "{\n  \"k\": [\n    1,\n    2\n  ]\n}");
+        assert_eq!(parse(&json), m.to_value());
+        assert_eq!(to_vec(&v).unwrap(), to_string(&v).unwrap().into_bytes());
     }
 
     #[test]
     fn whitespace_and_errors() {
-        assert_eq!(from_str::<Vec<u64>>(" [ 1 , 2 ] ").unwrap(), vec![1, 2]);
-        assert!(from_str::<u64>("12 34").is_err());
-        assert!(from_str::<u64>("").is_err());
-        assert!(from_str::<Vec<u64>>("[1,").is_err());
-        assert!(from_str::<String>("\"abc").is_err());
+        assert_eq!(parse(" [ 1 , 2 ] "), Value::Array(vec![Value::I64(1), Value::I64(2)]));
+        assert!(parse_value_complete("12 34").is_err());
+        assert!(parse_value_complete("").is_err());
+        assert!(parse_value_complete("[1,").is_err());
+        assert!(parse_value_complete("\"abc").is_err());
     }
 }
