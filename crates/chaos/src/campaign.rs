@@ -14,7 +14,7 @@ use alm_metrics::TextTable;
 use alm_runtime::am::run_job;
 use alm_runtime::{JobDef, MiniCluster};
 use alm_sim::experiment::run_one;
-use alm_sim::{ExperimentEnv, SimFault, SimJobSpec};
+use alm_sim::{ExperimentEnv, SimJobSpec};
 use alm_types::{AlmConfig, ClusterSpec, JobId, RecoveryMode, YarnConfig};
 use alm_workloads::reference::{canonicalize, reference_output};
 use alm_workloads::{Record, Workload};
@@ -73,8 +73,7 @@ impl SimCampaign {
             alm: AlmConfig::with_mode(mode),
         };
         let profile = self.profile();
-        let plan = scenario.lower(JobId(0), &profile);
-        let report = run_one(&self.spec, &env, SimFault::lower_plan(&plan));
+        let report = run_one(&self.spec, &env, scenario.lower(JobId(0), &profile));
         analyze_sim(scenario, mode, &report, &profile)
     }
 

@@ -6,8 +6,8 @@
 //! lowering pass ([`ChaosScenario::lower`]) binds a job id, expands
 //! correlated rack crashes into their member-node crashes, and rescales
 //! scenario seconds to engine-native milliseconds — producing the shared
-//! [`FaultPlan`] both engines consume (the simulator via
-//! `alm_sim::SimFault::lower_plan`, the threaded runtime directly).
+//! [`FaultPlan`] both engines consume directly (`alm_sim::Simulation::new`
+//! and the threaded runtime's `JobRunner` arm their triggers from it).
 
 use alm_types::{CorruptTarget, Fault, FaultPlan, FlapSchedule, JobId, LinkDirection, NodeId, TaskId};
 use serde::Serialize;
@@ -42,8 +42,8 @@ pub enum ChaosFault {
     /// time on. The node keeps heartbeating: faulty-but-alive (§IV-B).
     SlowNode { node: u32, at_secs: f64, factor: f64 },
     /// Correlated failure: crash *every* worker in the rack at once.
-    /// Expanded at lowering time using the shared `worker % racks`
-    /// placement both engines inherit from `Topology::even`.
+    /// Expanded at lowering time through [`alm_types::rack_members`], the
+    /// placement both engines and `Topology::even` share.
     CrashRack { rack: u32, at_secs: f64 },
     /// Sever the data-plane link between two *alive, heartbeating* workers
     /// from one scenario time until another, in the given direction(s). The
@@ -126,10 +126,9 @@ impl LoweringProfile {
         LoweringProfile { workers: nodes, racks, ms_per_scenario_sec }
     }
 
-    /// Workers in a rack, under the shared `worker % racks` placement.
+    /// Workers in a rack, under the shared [`alm_types::rack_of`] placement.
     pub fn rack_members(&self, rack: u32) -> Vec<u32> {
-        let racks = self.racks.max(1);
-        (0..self.workers).filter(|w| w % racks == rack % racks).collect()
+        alm_types::rack_members(self.workers, self.racks, rack).collect()
     }
 
     fn to_ms(self, secs: f64) -> u64 {
@@ -306,13 +305,6 @@ mod tests {
 
     fn profile() -> LoweringProfile {
         LoweringProfile { workers: 6, racks: 2, ms_per_scenario_sec: 1000.0 }
-    }
-
-    #[test]
-    fn rack_membership_follows_modulo_placement() {
-        let p = profile();
-        assert_eq!(p.rack_members(0), vec![0, 2, 4]);
-        assert_eq!(p.rack_members(1), vec![1, 3, 5]);
     }
 
     #[test]

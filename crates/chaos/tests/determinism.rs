@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use alm_chaos::{ChaosScenario, FaultSpace, LoweringProfile};
 use alm_sim::experiment::run_one;
-use alm_sim::{ExperimentEnv, SimFault, SimJobSpec};
+use alm_sim::{ExperimentEnv, SimJobSpec};
 use alm_types::units::GB;
 use alm_types::{ClusterSpec, JobId, RecoveryMode};
 use alm_workloads::WorkloadKind;
@@ -18,7 +18,7 @@ fn trace_of(scenario: &ChaosScenario, mode: RecoveryMode) -> String {
     env.cluster = ClusterSpec { nodes: 9, ..ClusterSpec::default() };
     let spec = SimJobSpec::new(WorkloadKind::Terasort, 2 * GB, 6, 17);
     let plan = scenario.lower(JobId(0), &LoweringProfile::simulator(&env.cluster));
-    let report = run_one(&spec, &env, SimFault::lower_plan(&plan));
+    let report = run_one(&spec, &env, plan);
     serde_json::to_string(&report).expect("SimReport serialises")
 }
 

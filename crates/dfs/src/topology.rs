@@ -1,6 +1,6 @@
 //! Cluster rack topology.
 
-use alm_types::{NodeId, RackId};
+use alm_types::{rack_of, NodeId, RackId};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -15,8 +15,7 @@ impl Topology {
     /// even-racks layout; the paper's testbed is one or two racks of
     /// identical machines).
     pub fn even(nodes: u32, racks: u32) -> Topology {
-        let racks = racks.max(1);
-        let node_rack = (0..nodes).map(|n| (NodeId(n), RackId(n % racks))).collect();
+        let node_rack = (0..nodes).map(|n| (NodeId(n), RackId(rack_of(n, racks)))).collect();
         Topology { node_rack }
     }
 

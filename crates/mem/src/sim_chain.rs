@@ -21,8 +21,8 @@
 use crate::chain::{ChainEngine, EngineRun, IterativeSpec};
 use crate::store::ResidentStore;
 use alm_runtime::ResidentCache;
-use alm_sim::{ExperimentEnv, SimFault, SimJobSpec, Simulation};
-use alm_types::{MemMode, NodeId};
+use alm_sim::{ExperimentEnv, SimJobSpec, Simulation};
+use alm_types::{FaultPlan, MemMode, NodeId};
 use alm_workloads::reference::reference_output;
 use alm_workloads::{Workload, WorkloadKind};
 use std::collections::{BTreeMap, BTreeSet};
@@ -78,10 +78,12 @@ impl ChainEngine for SimChainEngine {
     ) -> EngineRun {
         // The chain's cluster outlives any one sim run: nodes that died in
         // earlier iterations start this job dead.
-        let mut faults: Vec<SimFault> =
-            self.dead.iter().map(|&node| SimFault::CrashNodeAtSecs { node, at_secs: 0.0 }).collect();
+        let mut faults = self
+            .dead
+            .iter()
+            .fold(FaultPlan::none(), |p, &node| p.and(FaultPlan::crash_node_at_ms(NodeId(node), 0)));
         if let Some(node) = crash {
-            faults.push(SimFault::CrashNodeAtReduceProgress { node, reduce_index: 0, at_progress: 0.5 });
+            faults = faults.and(FaultPlan::crash_node_at_reduce_progress(NodeId(node), 0, 0.5));
         }
         let seed = self.seed ^ u64::from(iteration);
         let job = SimJobSpec::new(self.kind, self.input_bytes, self.num_reduces, seed);

@@ -38,7 +38,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use alm_des::{EventQueue, EventToken, SimDuration, SimTime};
 use alm_sim::{Quantities, SimJobSpec};
-use alm_types::{ClusterSpec, FailureKind, RecoveryMode, YarnConfig};
+use alm_types::{rack_members, ClusterSpec, FailureKind, RecoveryMode, YarnConfig};
 use serde::Serialize;
 
 use crate::config::{validate_tenants, SchedConfig, TenantSpec};
@@ -103,8 +103,8 @@ pub enum WarehouseFault {
         node: u32,
         at_secs: f64,
     },
-    /// Correlated loss: every node with `index % racks == rack` (the same
-    /// placement convention `alm-chaos` lowers rack faults with).
+    /// Correlated loss: every node [`alm_types::rack_members`] places in
+    /// `rack` (the placement `alm-chaos` lowers rack faults with).
     CrashRack {
         rack: u32,
         at_secs: f64,
@@ -359,9 +359,8 @@ impl Warehouse {
                 }
             })
             .collect();
-        // Expand rack faults with the shared `node % racks` placement and
+        // Expand rack faults with the shared `rack_members` placement and
         // dedupe coinciding crash targets, mirroring chaos lowering.
-        let racks = spec.cluster.racks.max(1);
         let mut seen: BTreeSet<(u32, u64)> = BTreeSet::new();
         for f in faults {
             let mut crash = |node: u32, at_secs: f64, q: &mut EventQueue<Ev>| {
@@ -374,7 +373,7 @@ impl Warehouse {
             match f {
                 WarehouseFault::CrashNode { node, at_secs } => crash(*node, *at_secs, &mut q),
                 WarehouseFault::CrashRack { rack, at_secs } => {
-                    for n in (0..workers).filter(|n| n % racks == rack % racks) {
+                    for n in rack_members(workers, spec.cluster.racks, *rack) {
                         crash(n, *at_secs, &mut q);
                     }
                 }

@@ -19,11 +19,13 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use alm_core::{schedule_recovery, ExecMode, PolicyCtx, SchedAction};
 use alm_des::{EventQueue, EventToken, FlowId, FlowPool, SimDuration};
-use alm_types::{AttemptId, CorruptTarget, FailureKind, FailureReport, JobId, NodeId, TaskId};
+use alm_types::{
+    rack_of, AttemptId, CorruptTarget, FailureKind, FailureReport, Fault, FaultPlan, JobId, NodeId, TaskId,
+};
 use rand::Rng;
 
 use crate::quantities::Quantities;
-use crate::spec::{ExperimentEnv, SimFault, SimJobSpec};
+use crate::spec::{ExperimentEnv, SimJobSpec};
 use crate::trace::{SimFailure, SimReport};
 
 /// Hadoop's `mapreduce.reduce.shuffle.parallelcopies`.
@@ -117,7 +119,7 @@ struct SimNode {
     map_slots_free: u32,
     reduce_slots_free: u32,
     /// Compute-slowdown factor (1.0 = healthy). Raised by an activated
-    /// `SimFault::SlowNodeAtSecs`; scales CPU phases started afterwards.
+    /// `Fault::SlowNode`; scales CPU phases started afterwards.
     slow: f64,
 }
 
@@ -284,7 +286,11 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    pub fn new(spec: SimJobSpec, env: ExperimentEnv, faults: Vec<SimFault>) -> Simulation {
+    /// Arm `faults` on a fresh run of `spec`. Millisecond triggers become
+    /// virtual seconds (`at_ms / 1000`) where each is armed. A kill of an
+    /// attempt other than 0 has no simulator equivalent (the kill triggers
+    /// fire once, on the first attempt) and arms nothing.
+    pub fn new(spec: SimJobSpec, env: ExperimentEnv, faults: FaultPlan) -> Simulation {
         let model = spec.workload.model();
         let seed = spec.seed;
         let qty = Quantities::derive(&spec, &model, &env.yarn);
@@ -293,7 +299,7 @@ impl Simulation {
         let nodes: Vec<SimNode> = (0..workers)
             .map(|n| SimNode {
                 alive: true,
-                rack: n % racks,
+                rack: rack_of(n, racks),
                 map_slots_free: env.cluster.map_slots_per_node,
                 reduce_slots_free: env.cluster.reduce_slots_per_node,
                 slow: 1.0,
@@ -330,40 +336,46 @@ impl Simulation {
         let mut faults_slow = Vec::new();
         let mut faults_link = Vec::new();
         let mut faults_corrupt = Vec::new();
-        for f in &faults {
+        let secs = |ms: u64| ms as f64 / 1000.0;
+        for f in &faults.faults {
             match f {
-                SimFault::KillReduceAtProgress { reduce_index, at_progress } => {
-                    if let Some(r) = reduces.get_mut(*reduce_index as usize) {
-                        r.kill_at = Some(*at_progress);
+                Fault::KillTask { task, attempt_number: 0, at_progress } => {
+                    let kill_at = if task.is_reduce() {
+                        reduces.get_mut(task.index as usize).map(|r| &mut r.kill_at)
+                    } else {
+                        maps.get_mut(task.index as usize).map(|m| &mut m.kill_at)
+                    };
+                    if let Some(kill_at) = kill_at {
+                        *kill_at = Some(*at_progress);
                     }
                 }
-                SimFault::KillMapAtProgress { map_index, at_progress } => {
-                    if let Some(m) = maps.get_mut(*map_index as usize) {
-                        m.kill_at = Some(*at_progress);
+                Fault::KillTask { attempt_number: 1.., .. } => {}
+                Fault::CrashNodeAtMs { node, at_ms } => faults_time.push((node.0, secs(*at_ms))),
+                Fault::CrashNodeAtReduceProgress { node, reduce_index, at_progress } => {
+                    faults_progress.push((node.0, *reduce_index, *at_progress))
+                }
+                Fault::SlowNode { node, at_ms, factor } => {
+                    faults_slow.push((node.0, secs(*at_ms), factor.max(1.0)))
+                }
+                Fault::PartitionLink { .. } => {
+                    for w in f.partition_windows() {
+                        let (from_secs, heal_secs) = (secs(w.from_ms), secs(w.heal_ms.max(w.from_ms)));
+                        for (from, to) in w.direction.directed_keys(w.a.0, w.b.0) {
+                            faults_link.push((from_secs, from, to, LinkOp::Sever));
+                            faults_link.push((heal_secs, from, to, LinkOp::Heal));
+                        }
                     }
                 }
-                SimFault::CrashNodeAtSecs { node, at_secs } => faults_time.push((*node, *at_secs)),
-                SimFault::CrashNodeAtReduceProgress { node, reduce_index, at_progress } => {
-                    faults_progress.push((*node, *reduce_index, *at_progress))
-                }
-                SimFault::SlowNodeAtSecs { node, at_secs, factor } => {
-                    faults_slow.push((*node, *at_secs, factor.max(1.0)))
-                }
-                SimFault::PartitionLinkAtSecs { a, b, direction, from_secs, heal_secs } => {
-                    for (from, to) in direction.directed_keys(*a, *b) {
-                        faults_link.push((*from_secs, from, to, LinkOp::Sever));
-                        faults_link.push((heal_secs.max(*from_secs), from, to, LinkOp::Heal));
-                    }
-                }
-                SimFault::DegradedLinkAtSecs { a, b, direction, from_secs, heal_secs, factor, loss } => {
-                    for (from, to) in direction.directed_keys(*a, *b) {
+                Fault::DegradedLink { a, b, direction, from_ms, heal_ms, factor, loss } => {
+                    let (from_secs, heal_secs) = (secs(*from_ms), secs(*heal_ms));
+                    for (from, to) in direction.directed_keys(a.0, b.0) {
                         let op = LinkOp::Degrade { factor: factor.max(1.0), loss: loss.clamp(0.0, 1.0) };
-                        faults_link.push((*from_secs, from, to, op));
-                        faults_link.push((heal_secs.max(*from_secs), from, to, LinkOp::ClearDegrade));
+                        faults_link.push((from_secs, from, to, op));
+                        faults_link.push((heal_secs.max(from_secs), from, to, LinkOp::ClearDegrade));
                     }
                 }
-                SimFault::CorruptDataAtSecs { node, target, at_secs } => {
-                    faults_corrupt.push((*node, *target, *at_secs))
+                Fault::CorruptData { node, target, at_ms } => {
+                    faults_corrupt.push((node.0, *target, secs(*at_ms)))
                 }
             }
         }
@@ -2102,23 +2114,31 @@ impl Simulation {
 mod tests {
     use super::*;
     use alm_types::units::GB;
-    use alm_types::{LinkDirection, RecoveryMode};
+    use alm_types::{FlapSchedule, LinkDirection, RecoveryMode};
     use alm_workloads::WorkloadKind;
 
-    fn run(
-        kind: WorkloadKind,
-        gb: u64,
-        reduces: u32,
-        mode: RecoveryMode,
-        faults: Vec<SimFault>,
-    ) -> SimReport {
+    fn run(kind: WorkloadKind, gb: u64, reduces: u32, mode: RecoveryMode, faults: FaultPlan) -> SimReport {
         let spec = SimJobSpec::new(kind, gb * GB, reduces, 7);
         Simulation::new(spec, ExperimentEnv::paper(mode), faults).run()
     }
 
+    fn kill_reduce(index: u32, at_progress: f64) -> FaultPlan {
+        FaultPlan::kill_task(TaskId::reduce(JobId(0), index), at_progress)
+    }
+
+    fn crash_at_reduce_progress(node: u32, reduce_index: u32, at_progress: f64) -> FaultPlan {
+        FaultPlan::crash_node_at_reduce_progress(NodeId(node), reduce_index, at_progress)
+    }
+
+    /// Whole milliseconds of a virtual time, for triggers placed relative
+    /// to a measured run.
+    fn ms(secs: f64) -> u64 {
+        (secs * 1000.0) as u64
+    }
+
     #[test]
     fn clean_terasort_completes() {
-        let r = run(WorkloadKind::Terasort, 10, 8, RecoveryMode::Baseline, vec![]);
+        let r = run(WorkloadKind::Terasort, 10, 8, RecoveryMode::Baseline, FaultPlan::none());
         assert!(r.succeeded, "{r:?}");
         assert!(r.failures.is_empty());
         assert!(r.job_secs > 1.0 && r.job_secs < 10_000.0, "time {}", r.job_secs);
@@ -2128,7 +2148,7 @@ mod tests {
 
     #[test]
     fn clean_wordcount_single_reducer() {
-        let r = run(WorkloadKind::Wordcount, 10, 1, RecoveryMode::Baseline, vec![]);
+        let r = run(WorkloadKind::Wordcount, 10, 1, RecoveryMode::Baseline, FaultPlan::none());
         assert!(r.succeeded, "{r:?}");
         // Map phase strictly precedes job completion.
         assert!(r.map_phase_secs > 0.0 && r.map_phase_secs < r.job_secs);
@@ -2136,8 +2156,8 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        let a = run(WorkloadKind::Terasort, 5, 4, RecoveryMode::SfmAlg, vec![]);
-        let b = run(WorkloadKind::Terasort, 5, 4, RecoveryMode::SfmAlg, vec![]);
+        let a = run(WorkloadKind::Terasort, 5, 4, RecoveryMode::SfmAlg, FaultPlan::none());
+        let b = run(WorkloadKind::Terasort, 5, 4, RecoveryMode::SfmAlg, FaultPlan::none());
         assert_eq!(a, b, "the simulation must be fully deterministic");
     }
 
@@ -2146,7 +2166,7 @@ mod tests {
         gb: u64,
         reduces: u32,
         mode: RecoveryMode,
-        faults: Vec<SimFault>,
+        faults: FaultPlan,
     ) -> SimReport {
         let spec = SimJobSpec::new(kind, gb * GB, reduces, 7);
         Simulation::new(spec, ExperimentEnv::paper(mode), faults).with_resident_mofs().run()
@@ -2154,8 +2174,8 @@ mod tests {
 
     #[test]
     fn resident_mofs_skip_disk_and_speed_up_shuffle() {
-        let disk = run(WorkloadKind::Terasort, 10, 8, RecoveryMode::Baseline, vec![]);
-        let resident = run_resident(WorkloadKind::Terasort, 10, 8, RecoveryMode::Baseline, vec![]);
+        let disk = run(WorkloadKind::Terasort, 10, 8, RecoveryMode::Baseline, FaultPlan::none());
+        let resident = run_resident(WorkloadKind::Terasort, 10, 8, RecoveryMode::Baseline, FaultPlan::none());
         assert!(resident.succeeded, "{resident:?}");
         assert_eq!(disk.resident_fetch_hits, 0, "residency is opt-in");
         assert!(resident.resident_fetch_hits > 0, "clean-run fetches must all hit RAM");
@@ -2170,7 +2190,7 @@ mod tests {
 
     #[test]
     fn node_crash_wipes_resident_copies() {
-        let fault = vec![SimFault::CrashNodeAtReduceProgress { node: 1, reduce_index: 0, at_progress: 0.3 }];
+        let fault = crash_at_reduce_progress(1, 0, 0.3);
         let r = run_resident(WorkloadKind::Terasort, 10, 8, RecoveryMode::SfmAlg, fault);
         assert!(r.succeeded, "{:?}", r.failures);
         assert!(r.resident_invalidations > 0, "the crashed node held resident MOFs");
@@ -2179,7 +2199,7 @@ mod tests {
 
     #[test]
     fn resident_mode_is_deterministic_for_iterative_kinds() {
-        let fault = vec![SimFault::CrashNodeAtReduceProgress { node: 2, reduce_index: 1, at_progress: 0.5 }];
+        let fault = crash_at_reduce_progress(2, 1, 0.5);
         let a = run_resident(WorkloadKind::Pagerank, 10, 8, RecoveryMode::SfmAlg, fault.clone());
         let b = run_resident(WorkloadKind::Pagerank, 10, 8, RecoveryMode::SfmAlg, fault);
         assert!(a.succeeded, "{:?}", a.failures);
@@ -2188,14 +2208,8 @@ mod tests {
 
     #[test]
     fn reduce_oom_baseline_restarts_and_delays() {
-        let clean = run(WorkloadKind::Terasort, 10, 8, RecoveryMode::Baseline, vec![]);
-        let faulty = run(
-            WorkloadKind::Terasort,
-            10,
-            8,
-            RecoveryMode::Baseline,
-            vec![SimFault::KillReduceAtProgress { reduce_index: 0, at_progress: 0.8 }],
-        );
+        let clean = run(WorkloadKind::Terasort, 10, 8, RecoveryMode::Baseline, FaultPlan::none());
+        let faulty = run(WorkloadKind::Terasort, 10, 8, RecoveryMode::Baseline, kill_reduce(0, 0.8));
         assert!(faulty.succeeded, "{faulty:?}");
         assert_eq!(faulty.failures.len(), 1);
         assert!(faulty.job_secs > clean.job_secs, "a late reduce failure must delay the job");
@@ -2207,21 +2221,15 @@ mod tests {
         // Fig. 1's core claim, reproduced in virtual time at paper scale
         // (100 GB Terasort, 20 reducers): a late failure of one ReduceTask
         // costs far more recovery time than a MapTask failure.
-        let clean = run(WorkloadKind::Terasort, 100, 20, RecoveryMode::Baseline, vec![]);
+        let clean = run(WorkloadKind::Terasort, 100, 20, RecoveryMode::Baseline, FaultPlan::none());
         let map_fault = run(
             WorkloadKind::Terasort,
             100,
             20,
             RecoveryMode::Baseline,
-            vec![SimFault::KillMapAtProgress { map_index: 0, at_progress: 0.5 }],
+            FaultPlan::kill_task(TaskId::map(JobId(0), 0), 0.5),
         );
-        let red_fault = run(
-            WorkloadKind::Terasort,
-            100,
-            20,
-            RecoveryMode::Baseline,
-            vec![SimFault::KillReduceAtProgress { reduce_index: 0, at_progress: 0.9 }],
-        );
+        let red_fault = run(WorkloadKind::Terasort, 100, 20, RecoveryMode::Baseline, kill_reduce(0, 0.9));
         let map_delay = map_fault.job_secs - clean.job_secs;
         let red_delay = red_fault.job_secs - clean.job_secs;
         assert!(
@@ -2232,7 +2240,7 @@ mod tests {
 
     #[test]
     fn alg_resume_beats_baseline_restart() {
-        let kill = vec![SimFault::KillReduceAtProgress { reduce_index: 0, at_progress: 0.9 }];
+        let kill = kill_reduce(0, 0.9);
         let yarn = run(WorkloadKind::Terasort, 20, 8, RecoveryMode::Baseline, kill.clone());
         let alg = run(WorkloadKind::Terasort, 20, 8, RecoveryMode::Alg, kill);
         assert!(yarn.succeeded && alg.succeeded);
@@ -2249,7 +2257,7 @@ mod tests {
     fn node_crash_baseline_amplifies_sfm_does_not() {
         // Paper-scale Terasort (100 GB, 20 reducers): crash a node once
         // reduce 0 reaches 30% overall progress.
-        let fault = vec![SimFault::CrashNodeAtReduceProgress { node: 1, reduce_index: 0, at_progress: 0.3 }];
+        let fault = crash_at_reduce_progress(1, 0, 0.3);
         let yarn = run(WorkloadKind::Terasort, 100, 20, RecoveryMode::Baseline, fault.clone());
         let sfm = run(WorkloadKind::Terasort, 100, 20, RecoveryMode::Sfm, fault);
         assert!(yarn.succeeded, "{:?}", yarn.failures);
@@ -2274,13 +2282,13 @@ mod tests {
 
     #[test]
     fn slow_node_straggles_without_failing() {
-        let clean = run(WorkloadKind::Terasort, 10, 8, RecoveryMode::Baseline, vec![]);
+        let clean = run(WorkloadKind::Terasort, 10, 8, RecoveryMode::Baseline, FaultPlan::none());
         let slowed = run(
             WorkloadKind::Terasort,
             10,
             8,
             RecoveryMode::Baseline,
-            vec![SimFault::SlowNodeAtSecs { node: 0, at_secs: 0.0, factor: 40.0 }],
+            FaultPlan::slow_node(NodeId(0), 0, 40.0),
         );
         assert!(slowed.succeeded, "{slowed:?}");
         assert!(slowed.failures.is_empty(), "a slow node degrades, it never fails: {:?}", slowed.failures);
@@ -2296,7 +2304,7 @@ mod tests {
     fn node_crash_detection_honours_timeout() {
         // Crash at a fixed time; the first NodeCrash failure is recorded
         // only after the 70 s liveness timeout.
-        let fault = vec![SimFault::CrashNodeAtSecs { node: 0, at_secs: 30.0 }];
+        let fault = FaultPlan::crash_node_at_ms(NodeId(0), 30_000);
         let r = run(WorkloadKind::Terasort, 20, 16, RecoveryMode::Sfm, fault);
         assert!(r.succeeded, "{r:?}");
         if let Some(f) = r.failures.iter().find(|f| f.kind == FailureKind::NodeCrash) {
@@ -2319,16 +2327,18 @@ mod tests {
         };
         let spec = || SimJobSpec::new(WorkloadKind::Terasort, GB, 2, 7);
         for mode in [RecoveryMode::Baseline, RecoveryMode::SfmAlg] {
-            let timed =
-                (0..3).map(|n| SimFault::CrashNodeAtSecs { node: n, at_secs: 3.0 + n as f64 }).collect();
+            let timed = FaultPlan {
+                faults: (0..3)
+                    .map(|n| Fault::CrashNodeAtMs { node: NodeId(n), at_ms: 3_000 + 1_000 * u64::from(n) })
+                    .collect(),
+            };
             let r = Simulation::new(spec(), small(mode), timed).run();
             assert!(!r.succeeded, "{mode:?}: {r:?}");
             assert!(r.events < MAX_EVENTS / 1000, "{mode:?}: {} events", r.events);
             assert!((5.0..=7.0).contains(&r.job_secs), "{mode:?}: failed at {:.1}s", r.job_secs);
 
-            let on_progress = (0..3)
-                .map(|n| SimFault::CrashNodeAtReduceProgress { node: n, reduce_index: 0, at_progress: 0.1 })
-                .collect();
+            let on_progress =
+                (0..3).fold(FaultPlan::none(), |p, n| p.and(crash_at_reduce_progress(n, 0, 0.1)));
             let r = Simulation::new(spec(), small(mode), on_progress).run();
             assert!(!r.succeeded, "{mode:?}: {r:?}");
             assert!(r.events < MAX_EVENTS / 1000, "{mode:?}: {} events", r.events);
@@ -2347,7 +2357,7 @@ mod tests {
 
     #[test]
     fn fcm_attempts_used_for_migration() {
-        let fault = vec![SimFault::CrashNodeAtReduceProgress { node: 0, reduce_index: 0, at_progress: 0.2 }];
+        let fault = crash_at_reduce_progress(0, 0, 0.2);
         let r = run(WorkloadKind::Terasort, 20, 16, RecoveryMode::Sfm, fault);
         assert!(r.succeeded);
         if r.failures.iter().any(|f| f.task.is_reduce()) {
@@ -2361,23 +2371,17 @@ mod tests {
         // endpoints keep heartbeating) must park fetches — never burn retry
         // budget, never preempt a reducer, never re-execute a map.
         for mode in [RecoveryMode::Baseline, RecoveryMode::SfmAlg] {
-            let clean = run(WorkloadKind::Terasort, 10, 8, mode, vec![]);
+            let clean = run(WorkloadKind::Terasort, 10, 8, mode, FaultPlan::none());
             let red_node = clean.reduce_nodes[&0][0];
             let workers = ExperimentEnv::paper(mode).cluster.worker_nodes();
             let other = (red_node + 1) % workers;
-            let heal = clean.map_phase_secs + 30.0;
+            let heal = ms(clean.map_phase_secs) + 30_000;
             let faulty = run(
                 WorkloadKind::Terasort,
                 10,
                 8,
                 mode,
-                vec![SimFault::PartitionLinkAtSecs {
-                    a: red_node,
-                    b: other,
-                    direction: LinkDirection::Both,
-                    from_secs: 0.0,
-                    heal_secs: heal,
-                }],
+                FaultPlan::partition_link(NodeId(red_node), NodeId(other), 0, heal),
             );
             assert!(faulty.succeeded, "{mode:?}: {faulty:?}");
             assert!(
@@ -2404,23 +2408,18 @@ mod tests {
         // match one that only ever had window 2 (window 1 closes before
         // any reducer exists).
         let mode = RecoveryMode::Baseline;
-        let clean = run(WorkloadKind::Terasort, 10, 8, mode, vec![]);
+        let clean = run(WorkloadKind::Terasort, 10, 8, mode, FaultPlan::none());
         let red_node = clean.reduce_nodes[&0][0];
         let other = (red_node + 1) % ExperimentEnv::paper(mode).cluster.worker_nodes();
-        let window = |from_secs, heal_secs| SimFault::PartitionLinkAtSecs {
-            a: red_node,
-            b: other,
-            direction: LinkDirection::Both,
-            from_secs,
-            heal_secs,
-        };
-        let heal = clean.map_phase_secs + 30.0;
-        let both = run(WorkloadKind::Terasort, 10, 8, mode, vec![window(0.5, 2.3), window(2.6, heal)]);
-        let second_only = run(WorkloadKind::Terasort, 10, 8, mode, vec![window(2.6, heal)]);
+        let window =
+            |from_ms, heal_ms| FaultPlan::partition_link(NodeId(red_node), NodeId(other), from_ms, heal_ms);
+        let heal = ms(clean.map_phase_secs) + 30_000;
+        let both = run(WorkloadKind::Terasort, 10, 8, mode, window(500, 2_300).and(window(2_600, heal)));
+        let second_only = run(WorkloadKind::Terasort, 10, 8, mode, window(2_600, heal));
         assert!(both.job_secs > clean.job_secs, "window 2 must park the shuffle: {:.1}s", both.job_secs);
         assert_eq!(both, second_only);
         // A zero-length window still nets healed.
-        let blip = run(WorkloadKind::Terasort, 10, 8, mode, vec![window(2.0, 2.0)]);
+        let blip = run(WorkloadKind::Terasort, 10, 8, mode, window(2_000, 2_000));
         assert_eq!(blip, clean);
     }
 
@@ -2430,25 +2429,14 @@ mod tests {
         // hosted on red_node, so the slowdown must be strictly smaller than
         // under the symmetric cut — and nothing may fail in either case.
         let mode = RecoveryMode::Baseline;
-        let clean = run(WorkloadKind::Terasort, 10, 8, mode, vec![]);
+        let clean = run(WorkloadKind::Terasort, 10, 8, mode, FaultPlan::none());
         let red_node = clean.reduce_nodes[&0][0];
         let workers = ExperimentEnv::paper(mode).cluster.worker_nodes();
         let other = (red_node + 1) % workers;
-        let heal = clean.map_phase_secs + 30.0;
+        let heal = ms(clean.map_phase_secs) + 30_000;
         let part = |direction| {
-            run(
-                WorkloadKind::Terasort,
-                10,
-                8,
-                mode,
-                vec![SimFault::PartitionLinkAtSecs {
-                    a: red_node,
-                    b: other,
-                    direction,
-                    from_secs: 0.0,
-                    heal_secs: heal,
-                }],
-            )
+            let cut = FaultPlan::partition_link_directed(NodeId(red_node), NodeId(other), direction, 0, heal);
+            run(WorkloadKind::Terasort, 10, 8, mode, cut)
         };
         let asym = part(LinkDirection::AToB);
         let sym = part(LinkDirection::Both);
@@ -2469,22 +2457,21 @@ mod tests {
         // the job completes, drops are observed and transparently
         // re-fetched, and the retry budget is never charged.
         let mode = RecoveryMode::Baseline;
-        let clean = run(WorkloadKind::Terasort, 10, 8, mode, vec![]);
+        let clean = run(WorkloadKind::Terasort, 10, 8, mode, FaultPlan::none());
         let red_node = clean.reduce_nodes[&0][0];
         let workers = ExperimentEnv::paper(mode).cluster.worker_nodes();
         // Gray NIC on red_node: every fetch it issues is slow and lossy.
-        let faults = (0..workers)
-            .filter(|n| *n != red_node)
-            .map(|other| SimFault::DegradedLinkAtSecs {
-                a: red_node,
-                b: other,
-                direction: LinkDirection::AToB,
-                from_secs: 0.0,
-                heal_secs: 1.0e9,
-                factor: 4.0,
-                loss: 0.5,
-            })
-            .collect();
+        let faults = (0..workers).filter(|n| *n != red_node).fold(FaultPlan::none(), |plan, other| {
+            plan.and(FaultPlan::degraded_link(
+                NodeId(red_node),
+                NodeId(other),
+                LinkDirection::AToB,
+                0,
+                1_000_000_000_000,
+                4.0,
+                0.5,
+            ))
+        });
         let faulty = run(WorkloadKind::Terasort, 10, 8, mode, faults);
         assert!(faulty.succeeded, "{faulty:?}");
         assert!(faulty.degraded_drops >= 1, "gray loss must be observed: {faulty:?}");
@@ -2500,14 +2487,12 @@ mod tests {
 
     #[test]
     fn flapping_partition_is_deterministic_and_harmless() {
-        use alm_types::{FaultPlan, FlapSchedule, NodeId};
         let mode = RecoveryMode::SfmAlg;
         let flap = FlapSchedule { seed: 7, cycles: 3, period_ms: 15_000, down_ms: 10_000 };
         let plan = FaultPlan::flapping_link(NodeId(0), NodeId(1), LinkDirection::Both, 5_000, flap);
-        let faults = SimFault::lower_plan(&plan);
-        assert_eq!(faults.len(), 3, "one window per cycle");
-        let a = run(WorkloadKind::Terasort, 5, 4, mode, faults.clone());
-        let b = run(WorkloadKind::Terasort, 5, 4, mode, faults);
+        assert_eq!(plan.partition_windows().len(), 3, "one window per cycle");
+        let a = run(WorkloadKind::Terasort, 5, 4, mode, plan.clone());
+        let b = run(WorkloadKind::Terasort, 5, 4, mode, plan);
         assert_eq!(a, b, "flap windows must preserve full determinism");
         assert!(a.succeeded, "{a:?}");
         assert!(
@@ -2518,18 +2503,43 @@ mod tests {
     }
 
     #[test]
+    fn flapping_partition_arms_one_window_per_cycle() {
+        // A flap schedule is armed through the shared window expansion, so
+        // it must run exactly like its cycles given as separate partitions.
+        let mode = RecoveryMode::SfmAlg;
+        let flap = FlapSchedule { seed: 9, cycles: 3, period_ms: 20_000, down_ms: 10_000 };
+        let plan = FaultPlan::flapping_link(NodeId(1), NodeId(4), LinkDirection::BToA, 5_000, flap);
+        let cycles = plan.partition_windows().into_iter().fold(FaultPlan::none(), |p, w| {
+            p.and(FaultPlan::partition_link_directed(w.a, w.b, w.direction, w.from_ms, w.heal_ms))
+        });
+        assert_eq!(cycles.faults.len(), 3);
+        let flapping = run(WorkloadKind::Terasort, 5, 4, mode, plan);
+        let separate = run(WorkloadKind::Terasort, 5, 4, mode, cycles);
+        assert_eq!(flapping.job_secs.to_bits(), separate.job_secs.to_bits());
+        assert_eq!(flapping, separate);
+    }
+
+    #[test]
+    fn later_attempt_kills_arm_nothing() {
+        // The kill triggers fire on attempt 0 only; a kill of attempt 1
+        // has no simulator equivalent and must leave the run untouched.
+        let later =
+            Fault::KillTask { task: TaskId::reduce(JobId(0), 0), attempt_number: 1, at_progress: 0.5 };
+        let clean = run(WorkloadKind::Terasort, 5, 4, RecoveryMode::Baseline, FaultPlan::none());
+        let r = run(WorkloadKind::Terasort, 5, 4, RecoveryMode::Baseline, FaultPlan { faults: vec![later] });
+        assert_eq!(r.job_secs.to_bits(), clean.job_secs.to_bits());
+        assert_eq!(r, clean);
+    }
+
+    #[test]
     fn corrupted_mof_chunk_refetches_without_preemption() {
-        let clean = run(WorkloadKind::Terasort, 10, 8, RecoveryMode::Baseline, vec![]);
+        let clean = run(WorkloadKind::Terasort, 10, 8, RecoveryMode::Baseline, FaultPlan::none());
         let faulty = run(
             WorkloadKind::Terasort,
             10,
             8,
             RecoveryMode::Baseline,
-            vec![SimFault::CorruptDataAtSecs {
-                node: 0,
-                target: CorruptTarget::MofPartition { map_index: 1, partition: 2 },
-                at_secs: 0.0,
-            }],
+            FaultPlan::corrupt_data(NodeId(0), CorruptTarget::MofPartition { map_index: 1, partition: 2 }, 0),
         );
         assert!(faulty.succeeded, "{faulty:?}");
         assert!(faulty.corruption_refetches >= 1, "the rot must be observed on arrival: {faulty:?}");
@@ -2539,14 +2549,9 @@ mod tests {
 
     #[test]
     fn corrupted_alg_record_falls_back_one_snapshot() {
-        let faults = vec![
-            SimFault::CorruptDataAtSecs {
-                node: 0,
-                target: CorruptTarget::AlgRecord { reduce_index: 0, seq: 0 },
-                at_secs: 0.0,
-            },
-            SimFault::KillReduceAtProgress { reduce_index: 0, at_progress: 0.9 },
-        ];
+        let faults =
+            FaultPlan::corrupt_data(NodeId(0), CorruptTarget::AlgRecord { reduce_index: 0, seq: 0 }, 0)
+                .and(kill_reduce(0, 0.9));
         let r = run(WorkloadKind::Terasort, 10, 8, RecoveryMode::Alg, faults);
         assert!(r.succeeded, "{r:?}");
         assert_eq!(r.log_truncations, 1, "the rot must cost exactly one snapshot interval: {r:?}");
@@ -2557,21 +2562,13 @@ mod tests {
     fn deterministic_with_transient_faults() {
         // Partition + corruption + a crash: jitter comes from the engine
         // RNG stream, so two runs must still be bit-identical.
-        let faults = vec![
-            SimFault::PartitionLinkAtSecs {
-                a: 0,
-                b: 1,
-                direction: LinkDirection::Both,
-                from_secs: 10.0,
-                heal_secs: 60.0,
-            },
-            SimFault::CorruptDataAtSecs {
-                node: 0,
-                target: CorruptTarget::MofPartition { map_index: 3, partition: 1 },
-                at_secs: 5.0,
-            },
-            SimFault::CrashNodeAtReduceProgress { node: 2, reduce_index: 0, at_progress: 0.3 },
-        ];
+        let faults = FaultPlan::partition_link(NodeId(0), NodeId(1), 10_000, 60_000)
+            .and(FaultPlan::corrupt_data(
+                NodeId(0),
+                CorruptTarget::MofPartition { map_index: 3, partition: 1 },
+                5_000,
+            ))
+            .and(crash_at_reduce_progress(2, 0, 0.3));
         let a = run(WorkloadKind::Terasort, 5, 4, RecoveryMode::SfmAlg, faults.clone());
         let b = run(WorkloadKind::Terasort, 5, 4, RecoveryMode::SfmAlg, faults);
         assert_eq!(a, b, "transient faults must preserve full determinism");
@@ -2579,7 +2576,7 @@ mod tests {
 
     #[test]
     fn progress_timelines_are_sampled() {
-        let r = run(WorkloadKind::Wordcount, 10, 1, RecoveryMode::Baseline, vec![]);
+        let r = run(WorkloadKind::Wordcount, 10, 1, RecoveryMode::Baseline, FaultPlan::none());
         let tl = r.reduce_progress.get(&0).expect("reduce 0 sampled");
         assert!(tl.len() > 3);
         assert!(tl.last().unwrap().1 >= 1.0 - 1e-9);

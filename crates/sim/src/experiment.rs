@@ -8,27 +8,39 @@
 
 use alm_metrics::{stats::improvement_pct, ExperimentReport, Series, TextTable};
 use alm_types::units::GB;
-use alm_types::{RecoveryMode, ReplicationLevel, TaskId};
+use alm_types::{FaultPlan, JobId, NodeId, RecoveryMode, ReplicationLevel, TaskId};
 use alm_workloads::WorkloadKind;
 
 use crate::engine::Simulation;
-use crate::spec::{ExperimentEnv, SimFault, SimJobSpec};
+use crate::spec::{ExperimentEnv, SimJobSpec};
 use crate::trace::SimReport;
 
 /// Run one simulation.
-pub fn run_one(spec: &SimJobSpec, env: &ExperimentEnv, faults: Vec<SimFault>) -> SimReport {
+pub fn run_one(spec: &SimJobSpec, env: &ExperimentEnv, faults: FaultPlan) -> SimReport {
     Simulation::new(spec.clone(), env.clone(), faults).run()
 }
 
 /// Discover which node hosts attempt 0 of `reduce_index` (deterministic
 /// given the spec), by running the failure-free job once.
 pub fn node_of_reduce(spec: &SimJobSpec, env: &ExperimentEnv, reduce_index: u32) -> u32 {
-    let clean = run_one(spec, env, vec![]);
+    let clean = run_one(spec, env, FaultPlan::none());
     clean.reduce_nodes.get(&reduce_index).and_then(|v| v.first()).copied().unwrap_or(0)
 }
 
 fn env(mode: RecoveryMode) -> ExperimentEnv {
     ExperimentEnv::paper(mode)
+}
+
+fn kill_map(index: u32, at_progress: f64) -> FaultPlan {
+    FaultPlan::kill_task(TaskId::map(JobId(0), index), at_progress)
+}
+
+fn kill_reduce(index: u32, at_progress: f64) -> FaultPlan {
+    FaultPlan::kill_task(TaskId::reduce(JobId(0), index), at_progress)
+}
+
+fn crash_at_reduce_progress(node: u32, reduce_index: u32, at_progress: f64) -> FaultPlan {
+    FaultPlan::crash_node_at_reduce_progress(NodeId(node), reduce_index, at_progress)
 }
 
 /// Fig. 1 — recovery time of N MapTask failures vs one ReduceTask failure.
@@ -38,16 +50,15 @@ pub fn fig1(seed: u64) -> ExperimentReport {
     let e = env(RecoveryMode::Baseline);
     rep.param("workload", "terasort").param("input", "100 GB").param("mode", "baseline").param("seed", seed);
 
-    let clean = run_one(&spec, &e, vec![]).job_secs;
+    let clean = run_one(&spec, &e, FaultPlan::none()).job_secs;
     let mut maps = Series::new("map-failures", "failed MapTasks", "recovery time (s)");
     for n in [1u32, 50, 100, 150, 200] {
-        let faults: Vec<SimFault> =
-            (0..n).map(|i| SimFault::KillMapAtProgress { map_index: i * 3, at_progress: 0.5 }).collect();
+        let faults = (0..n).fold(FaultPlan::none(), |p, i| p.and(kill_map(i * 3, 0.5)));
         let r = run_one(&spec, &e, faults);
         maps.push(n as f64, (r.job_secs - clean).max(0.0));
     }
     let mut reduce = Series::new("one-reduce-failure", "failed ReduceTasks", "recovery time (s)");
-    let r = run_one(&spec, &e, vec![SimFault::KillReduceAtProgress { reduce_index: 0, at_progress: 0.9 }]);
+    let r = run_one(&spec, &e, kill_reduce(0, 0.9));
     reduce.push(1.0, (r.job_secs - clean).max(0.0));
 
     let map200 = maps.y_at(200.0).unwrap_or(0.0);
@@ -74,15 +85,14 @@ pub fn fig2(seed: u64) -> ExperimentReport {
     let e = env(RecoveryMode::Baseline);
     for kind in [WorkloadKind::Terasort, WorkloadKind::Wordcount] {
         let spec = SimJobSpec::paper(kind, seed);
-        let clean = run_one(&spec, &e, vec![]).job_secs;
+        let clean = run_one(&spec, &e, FaultPlan::none()).job_secs;
         let mut map_s = Series::new(format!("{kind}-map-failure"), "injection progress (%)", "slowdown (%)");
         let mut red_s =
             Series::new(format!("{kind}-reduce-failure"), "injection progress (%)", "slowdown (%)");
         for p in [0.1, 0.3, 0.5, 0.7, 0.9] {
-            let rm = run_one(&spec, &e, vec![SimFault::KillMapAtProgress { map_index: 0, at_progress: p }]);
+            let rm = run_one(&spec, &e, kill_map(0, p));
             map_s.push(p * 100.0, (rm.job_secs / clean - 1.0) * 100.0);
-            let rr =
-                run_one(&spec, &e, vec![SimFault::KillReduceAtProgress { reduce_index: 0, at_progress: p }]);
+            let rr = run_one(&spec, &e, kill_reduce(0, p));
             red_s.push(p * 100.0, (rr.job_secs / clean - 1.0) * 100.0);
         }
         rep.note(format!(
@@ -104,11 +114,7 @@ pub fn fig3(seed: u64) -> ExperimentReport {
     let e = env(RecoveryMode::Baseline);
     rep.param("workload", "wordcount").param("reduces", 1).param("seed", seed);
     let victim = node_of_reduce(&spec, &e, 0);
-    let r = run_one(
-        &spec,
-        &e,
-        vec![SimFault::CrashNodeAtReduceProgress { node: victim, reduce_index: 0, at_progress: 0.4 }],
-    );
+    let r = run_one(&spec, &e, crash_at_reduce_progress(victim, 0, 0.4));
     let reduce0 = TaskId::reduce(alm_types::JobId(0), 0);
     let repeats = r.repeated_failures_of(reduce0);
     let mut tl = r.timeline_of(0, "wordcount reduce progress");
@@ -135,11 +141,7 @@ pub fn fig4(seed: u64) -> ExperimentReport {
     rep.param("workload", "terasort").param("reduces", spec.num_reduces).param("seed", seed);
     // Crash early in the reduce phase so healthy reducers are still
     // shuffling and depend on the lost MOFs.
-    let r = run_one(
-        &spec,
-        &e,
-        vec![SimFault::CrashNodeAtReduceProgress { node: 1, reduce_index: 5, at_progress: 0.05 }],
-    );
+    let r = run_one(&spec, &e, crash_at_reduce_progress(1, 5, 0.05));
     let injected: Vec<TaskId> =
         r.failures.iter().filter(|f| f.kind == alm_types::FailureKind::NodeCrash).map(|f| f.task).collect();
     let infected = r.infected_reduces(&injected);
@@ -165,12 +167,12 @@ pub fn fig8(seed: u64) -> ExperimentReport {
     let points: Vec<f64> = (1..=9).map(|i| i as f64 / 10.0).collect();
     for kind in WorkloadKind::ALL {
         let spec = SimJobSpec::paper(kind, seed);
-        let clean = run_one(&spec, &env(RecoveryMode::Baseline), vec![]).job_secs;
+        let clean = run_one(&spec, &env(RecoveryMode::Baseline), FaultPlan::none()).job_secs;
         let mut yarn_s = Series::new(format!("{kind}-yarn"), "injection progress (%)", "execution time (s)");
         let mut alg_s = Series::new(format!("{kind}-alg"), "injection progress (%)", "execution time (s)");
         let mut gains = Vec::new();
         for &p in &points {
-            let fault = vec![SimFault::KillReduceAtProgress { reduce_index: 0, at_progress: p }];
+            let fault = kill_reduce(0, p);
             let yarn = run_one(&spec, &env(RecoveryMode::Baseline), fault.clone());
             let alg = run_one(&spec, &env(RecoveryMode::Alg), fault);
             yarn_s.push(p * 100.0, yarn.job_secs);
@@ -209,8 +211,7 @@ pub fn fig9(seed: u64) -> ExperimentReport {
             Series::new(format!("{kind}-sfm"), "reduce progress at crash (%)", "execution time (s)");
         let mut gains = Vec::new();
         for &p in &points {
-            let fault =
-                vec![SimFault::CrashNodeAtReduceProgress { node: victim, reduce_index: 0, at_progress: p }];
+            let fault = crash_at_reduce_progress(victim, 0, p);
             let yarn = run_one(&spec, &env(RecoveryMode::Baseline), fault.clone());
             let sfm = run_one(&spec, &env(RecoveryMode::Sfm), fault);
             yarn_s.push(p * 100.0, yarn.job_secs);
@@ -241,11 +242,7 @@ pub fn fig10(seed: u64, proactive: bool) -> ExperimentReport {
     e.alm.proactive_map_regen = proactive;
     rep.param("workload", "wordcount").param("proactive_map_regen", proactive).param("seed", seed);
     let victim = node_of_reduce(&spec, &e, 0);
-    let r = run_one(
-        &spec,
-        &e,
-        vec![SimFault::CrashNodeAtReduceProgress { node: victim, reduce_index: 0, at_progress: 0.4 }],
-    );
+    let r = run_one(&spec, &e, crash_at_reduce_progress(victim, 0, 0.4));
     let reduce0 = TaskId::reduce(alm_types::JobId(0), 0);
     rep.note(format!(
         "repeated failures of the reducer: {} (0 means temporal amplification eliminated); job {:.1}s",
@@ -267,11 +264,7 @@ pub fn table2(seed: u64) -> ExperimentReport {
     );
     for p in [0.05, 0.10, 0.15] {
         for (name, mode) in [("YARN", RecoveryMode::Baseline), ("SFM", RecoveryMode::Sfm)] {
-            let r = run_one(
-                &spec,
-                &env(mode),
-                vec![SimFault::CrashNodeAtReduceProgress { node: 1, reduce_index: 5, at_progress: p }],
-            );
+            let r = run_one(&spec, &env(mode), crash_at_reduce_progress(1, 5, p));
             let injected: Vec<TaskId> = r
                 .failures
                 .iter()
@@ -303,8 +296,8 @@ pub fn fig11(seed: u64, sizes_gb: &[u64]) -> ExperimentReport {
     let mut worst: f64 = 0.0;
     for &gb in sizes_gb {
         let spec = SimJobSpec::new(WorkloadKind::Terasort, gb * GB, 20, seed);
-        let y = run_one(&spec, &env(RecoveryMode::Baseline), vec![]);
-        let a = run_one(&spec, &env(RecoveryMode::Alg), vec![]);
+        let y = run_one(&spec, &env(RecoveryMode::Baseline), FaultPlan::none());
+        let a = run_one(&spec, &env(RecoveryMode::Alg), FaultPlan::none());
         yarn_s.push(gb as f64, y.job_secs);
         alg_s.push(gb as f64, a.job_secs);
         worst = worst.max((a.job_secs / y.job_secs - 1.0) * 100.0);
@@ -325,7 +318,7 @@ pub fn fig12(seed: u64) -> ExperimentReport {
     for interval_s in [1u64, 2, 5, 10, 30, 60] {
         let mut e = env(RecoveryMode::Alg);
         e.alm.logging_interval_ms = interval_s * 1000;
-        let r = run_one(&spec, &e, vec![]);
+        let r = run_one(&spec, &e, FaultPlan::none());
         s.push(interval_s as f64, r.job_secs);
         snaps.push(interval_s as f64, r.alg_snapshots as f64);
     }
@@ -347,7 +340,7 @@ pub fn fig13(seed: u64, sizes_gb: &[u64]) -> ExperimentReport {
             let spec = SimJobSpec::new(WorkloadKind::Terasort, gb * GB, 20, seed);
             let mut e = env(RecoveryMode::Alg);
             e.alm.log_replication = level;
-            let r = run_one(&spec, &e, vec![]);
+            let r = run_one(&spec, &e, FaultPlan::none());
             s.push(gb as f64, (r.job_secs - r.map_phase_secs).max(0.0));
         }
         rep.series.push(s);
@@ -383,13 +376,8 @@ pub fn fig14(seed: u64, fcm_cap: Option<usize>) -> ExperimentReport {
             let spec =
                 SimJobSpec::new(WorkloadKind::Terasort, per_red_gb * reduces as u64 * GB, reduces, seed);
             // Crash `concurrent` nodes once reduce 0 is mid-reduce.
-            let faults: Vec<SimFault> = (0..concurrent)
-                .map(|i| SimFault::CrashNodeAtReduceProgress {
-                    node: (1 + i as u32) % 20,
-                    reduce_index: 0,
-                    at_progress: 0.75,
-                })
-                .collect();
+            let faults = (0..concurrent as u32)
+                .fold(FaultPlan::none(), |p, i| p.and(crash_at_reduce_progress((1 + i) % 20, 0, 0.75)));
             let mk_env = |mode| {
                 let mut e = env(mode);
                 if let Some(cap) = fcm_cap {
@@ -397,7 +385,7 @@ pub fn fig14(seed: u64, fcm_cap: Option<usize>) -> ExperimentReport {
                 }
                 e
             };
-            let clean = run_one(&spec, &mk_env(RecoveryMode::Baseline), vec![]).job_secs;
+            let clean = run_one(&spec, &mk_env(RecoveryMode::Baseline), FaultPlan::none()).job_secs;
             let yarn = run_one(&spec, &mk_env(RecoveryMode::Baseline), faults.clone());
             let sfm = run_one(&spec, &mk_env(RecoveryMode::Sfm), faults);
             let (ry, rs) = ((yarn.job_secs - clean).max(0.0), (sfm.job_secs - clean).max(0.0));
@@ -430,8 +418,7 @@ pub fn fig15(seed: u64) -> ExperimentReport {
         let spec = SimJobSpec::paper(kind, seed);
         let victim = node_of_reduce(&spec, &env(RecoveryMode::Sfm), 0);
         // Crash mid-reduce so reduce-stage logs exist on the DFS.
-        let fault =
-            vec![SimFault::CrashNodeAtReduceProgress { node: victim, reduce_index: 0, at_progress: 0.8 }];
+        let fault = crash_at_reduce_progress(victim, 0, 0.8);
         let sfm = run_one(&spec, &env(RecoveryMode::Sfm), fault.clone());
         let both = run_one(&spec, &env(RecoveryMode::SfmAlg), fault);
         let gain = improvement_pct(sfm.job_secs, both.job_secs);

@@ -11,7 +11,7 @@
 //!
 //! | module | role |
 //! |---|---|
-//! | [`spec`] | experiment inputs: job spec, fault specs, mode matrix |
+//! | [`spec`] | experiment inputs: job spec and environment (faults arrive as `alm_types::FaultPlan`) |
 //! | [`quantities`] | derived byte/cost quantities from the workload model |
 //! | [`engine`] | the simulation itself: nodes, tasks, AM, failure handling |
 //! | [`trace`] | outputs: completion times, failures, progress timelines |

@@ -4,9 +4,9 @@
 
 use proptest::prelude::*;
 
-use alm_sim::{ExperimentEnv, SimFault, SimJobSpec, Simulation};
+use alm_sim::{ExperimentEnv, SimJobSpec, Simulation};
 use alm_types::units::GB;
-use alm_types::{FailureKind, RecoveryMode};
+use alm_types::{FailureKind, Fault, FaultPlan, JobId, NodeId, RecoveryMode, TaskId};
 use alm_workloads::WorkloadKind;
 
 fn arb_mode() -> impl Strategy<Value = RecoveryMode> {
@@ -26,15 +26,14 @@ fn arb_workload() -> impl Strategy<Value = WorkloadKind> {
     ]
 }
 
-fn arb_fault(reduces: u32) -> impl Strategy<Value = SimFault> {
+fn arb_fault(reduces: u32) -> impl Strategy<Value = Fault> {
+    let kill = |task, at_progress| Fault::KillTask { task, attempt_number: 0, at_progress };
     prop_oneof![
-        (0..reduces, 0.01f64..0.99)
-            .prop_map(|(r, p)| SimFault::KillReduceAtProgress { reduce_index: r, at_progress: p }),
-        (0u32..40, 0.01f64..0.99)
-            .prop_map(|(m, p)| SimFault::KillMapAtProgress { map_index: m, at_progress: p }),
-        (0u32..20, 1.0f64..300.0).prop_map(|(n, t)| SimFault::CrashNodeAtSecs { node: n, at_secs: t }),
-        (0u32..20, 0..reduces, 0.01f64..0.99).prop_map(|(n, r, p)| SimFault::CrashNodeAtReduceProgress {
-            node: n,
+        (0..reduces, 0.01f64..0.99).prop_map(move |(r, p)| kill(TaskId::reduce(JobId(0), r), p)),
+        (0u32..40, 0.01f64..0.99).prop_map(move |(m, p)| kill(TaskId::map(JobId(0), m), p)),
+        (0u32..20, 1_000u64..300_000).prop_map(|(n, ms)| Fault::CrashNodeAtMs { node: NodeId(n), at_ms: ms }),
+        (0u32..20, 0..reduces, 0.01f64..0.99).prop_map(|(n, r, p)| Fault::CrashNodeAtReduceProgress {
+            node: NodeId(n),
             reduce_index: r,
             at_progress: p
         }),
@@ -56,22 +55,25 @@ proptest! {
         reduces in 1u32..16,
         faults in proptest::collection::vec(arb_fault(16), 0..3),
     ) {
-        let faults: Vec<SimFault> = faults
+        let faults: Vec<Fault> = faults
             .into_iter()
             .map(|f| match f {
-                SimFault::KillReduceAtProgress { reduce_index, at_progress } =>
-                    SimFault::KillReduceAtProgress { reduce_index: reduce_index % reduces, at_progress },
-                SimFault::CrashNodeAtReduceProgress { node, reduce_index, at_progress } =>
-                    SimFault::CrashNodeAtReduceProgress { node, reduce_index: reduce_index % reduces, at_progress },
+                Fault::KillTask { task, attempt_number, at_progress } if task.is_reduce() => Fault::KillTask {
+                    task: TaskId::reduce(task.job, task.index % reduces),
+                    attempt_number,
+                    at_progress,
+                },
+                Fault::CrashNodeAtReduceProgress { node, reduce_index, at_progress } =>
+                    Fault::CrashNodeAtReduceProgress { node, reduce_index: reduce_index % reduces, at_progress },
                 other => other,
             })
             .collect();
         let crash_count = faults
             .iter()
-            .filter(|f| matches!(f, SimFault::CrashNodeAtSecs { .. } | SimFault::CrashNodeAtReduceProgress { .. }))
+            .filter(|f| matches!(f, Fault::CrashNodeAtMs { .. } | Fault::CrashNodeAtReduceProgress { .. }))
             .count();
         let spec = SimJobSpec::new(kind, gb * GB, reduces, 7);
-        let report = Simulation::new(spec, ExperimentEnv::paper(mode), faults).run();
+        let report = Simulation::new(spec, ExperimentEnv::paper(mode), FaultPlan { faults }).run();
 
         // Termination with a bounded event count (no livelock).
         prop_assert!(report.events < 10_000_000, "event explosion: {}", report.events);
@@ -111,17 +113,17 @@ proptest! {
     fn sfm_never_amplifies_under_single_crash(
         node in 0u32..20,
         at in prop_oneof![
-            (1.0f64..200.0).prop_map(|t| (true, t, 0.0)),
-            (0.05f64..0.95).prop_map(|p| (false, 0.0, p)),
+            (1_000u64..200_000).prop_map(|ms| (true, ms, 0.0)),
+            (0.05f64..0.95).prop_map(|p| (false, 0, p)),
         ],
         mode in prop_oneof![Just(RecoveryMode::Sfm), Just(RecoveryMode::SfmAlg)],
     ) {
         let fault = match at {
-            (true, t, _) => SimFault::CrashNodeAtSecs { node, at_secs: t },
-            (false, _, p) => SimFault::CrashNodeAtReduceProgress { node, reduce_index: 0, at_progress: p },
+            (true, ms, _) => FaultPlan::crash_node_at_ms(NodeId(node), ms),
+            (false, _, p) => FaultPlan::crash_node_at_reduce_progress(NodeId(node), 0, p),
         };
         let spec = SimJobSpec::new(WorkloadKind::Terasort, 20 * GB, 8, 3);
-        let report = Simulation::new(spec, ExperimentEnv::paper(mode), vec![fault]).run();
+        let report = Simulation::new(spec, ExperimentEnv::paper(mode), fault).run();
         prop_assert!(report.succeeded, "{:?}", report.failures);
         let fetch_deaths = report
             .failures

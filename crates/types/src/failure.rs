@@ -423,6 +423,21 @@ impl Fault {
                 | Fault::CorruptData { .. }
         )
     }
+
+    /// A link partition expanded to concrete sever→heal windows: one
+    /// window for a plain partition, one per flap cycle for a flapping one,
+    /// none for any other fault. Both engines arm partitions from exactly
+    /// this expansion.
+    pub fn partition_windows(&self) -> Vec<PartitionWindow> {
+        let Fault::PartitionLink { a, b, direction, from_ms, heal_ms, flap } = *self else {
+            return Vec::new();
+        };
+        let window = |(from_ms, heal_ms)| PartitionWindow { a, b, direction, from_ms, heal_ms };
+        match flap {
+            Some(schedule) => schedule.windows(from_ms).into_iter().map(window).collect(),
+            None => vec![window((from_ms, heal_ms))],
+        }
+    }
 }
 
 /// The set of faults to inject into one job run.
@@ -525,30 +540,10 @@ impl FaultPlan {
         })
     }
 
-    /// Planned link partitions expanded to concrete sever→heal windows:
-    /// one window per plain partition, one per flap cycle for flapping
-    /// partitions. Both engines lower from exactly this expansion.
+    /// Planned link partitions expanded to concrete sever→heal windows, in
+    /// plan order (see [`Fault::partition_windows`]).
     pub fn partition_windows(&self) -> Vec<PartitionWindow> {
-        let mut out = Vec::new();
-        for f in &self.faults {
-            if let Fault::PartitionLink { a, b, direction, from_ms, heal_ms, flap } = f {
-                match flap {
-                    Some(schedule) => {
-                        out.extend(schedule.windows(*from_ms).into_iter().map(|(from_ms, heal_ms)| {
-                            PartitionWindow { a: *a, b: *b, direction: *direction, from_ms, heal_ms }
-                        }))
-                    }
-                    None => out.push(PartitionWindow {
-                        a: *a,
-                        b: *b,
-                        direction: *direction,
-                        from_ms: *from_ms,
-                        heal_ms: *heal_ms,
-                    }),
-                }
-            }
-        }
-        out
+        self.faults.iter().flat_map(Fault::partition_windows).collect()
     }
 
     /// Planned degraded-link activations.

@@ -122,6 +122,20 @@ impl fmt::Display for RackId {
     }
 }
 
+/// The rack of `worker` under the shared round-robin placement, `worker %
+/// racks` (a rack count of 0 counts as 1). Every engine, the DFS topology
+/// and the chaos lowering place workers through this one rule.
+pub fn rack_of(worker: u32, racks: u32) -> u32 {
+    worker % racks.max(1)
+}
+
+/// Workers `0..workers` placed in `rack` by [`rack_of`]; a rack index past
+/// the rack count wraps onto `rack_of(rack, racks)`.
+pub fn rack_members(workers: u32, racks: u32, rack: u32) -> impl Iterator<Item = u32> {
+    let rack = rack_of(rack, racks);
+    (0..workers).filter(move |&w| rack_of(w, racks) == rack)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,6 +149,16 @@ mod tests {
         assert_eq!(m.to_string(), "task_0007_m_000042");
         assert_eq!(r.to_string(), "task_0007_r_000003");
         assert_eq!(m.attempt(0).to_string(), "attempt_task_0007_m_000042_0");
+    }
+
+    #[test]
+    fn racks_follow_modulo_placement() {
+        assert_eq!(rack_of(5, 2), 1);
+        assert_eq!(rack_of(5, 0), 0, "a rack count of 0 counts as 1");
+        assert_eq!(rack_members(6, 2, 0).collect::<Vec<_>>(), vec![0, 2, 4]);
+        assert_eq!(rack_members(6, 2, 1).collect::<Vec<_>>(), vec![1, 3, 5]);
+        assert_eq!(rack_members(6, 2, 2).collect::<Vec<_>>(), vec![0, 2, 4], "rack 2 wraps onto rack 0");
+        assert_eq!(rack_members(3, 0, 7).collect::<Vec<_>>(), vec![0, 1, 2]);
     }
 
     #[test]

@@ -23,6 +23,6 @@ pub use failure::{
     CorruptTarget, FailureKind, FailureReport, Fault, FaultPlan, FlapSchedule, LinkDegradation,
     LinkDirection, PartitionWindow,
 };
-pub use id::{AttemptId, JobId, NodeId, RackId, TaskId};
+pub use id::{rack_members, rack_of, AttemptId, JobId, NodeId, RackId, TaskId};
 pub use progress::Progress;
 pub use state::{ReducePhase, TaskKind};

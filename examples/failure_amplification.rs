@@ -22,11 +22,7 @@ fn main() {
         // Crash the node hosting the single reducer (and some of the MOFs
         // it still needs) at 40% of its progress.
         let victim = node_of_reduce(&spec, &env, 0);
-        let report = run_one(
-            &spec,
-            &env,
-            vec![SimFault::CrashNodeAtReduceProgress { node: victim, reduce_index: 0, at_progress: 0.4 }],
-        );
+        let report = run_one(&spec, &env, FaultPlan::crash_node_at_reduce_progress(NodeId(victim), 0, 0.4));
 
         println!("===== {mode:?} =====");
         println!(

@@ -18,13 +18,13 @@
 use alm_mapreduce::chaos::{self, ChaosFlap, FaultWeights};
 use alm_mapreduce::prelude::*;
 use alm_mapreduce::sim::experiment::run_one;
-use alm_mapreduce::types::{FaultPlan as TypesFaultPlan, FlapSchedule, LinkDirection};
+use alm_mapreduce::types::{FlapSchedule, LinkDirection};
 
 fn main() {
     let seed: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(42);
     let spec = SimJobSpec::paper(WorkloadKind::Terasort, seed);
     let env = ExperimentEnv::paper(RecoveryMode::Baseline);
-    let clean = run_one(&spec, &env, vec![]);
+    let clean = run_one(&spec, &env, FaultPlan::none());
     let red_node = clean.reduce_nodes[&0][0];
     let partner = (red_node + 1) % env.cluster.worker_nodes();
 
@@ -34,19 +34,16 @@ fn main() {
     //    ordered between the cut shapes: severing a link also removes its
     //    flows from the shared-bandwidth pools, which can shift the whole
     //    schedule either way. The invariant is the failure accounting.)
-    let window = (clean.map_phase_secs, clean.map_phase_secs + 30.0);
+    let from_ms = (clean.map_phase_secs * 1000.0) as u64;
     let dir_run = |direction: LinkDirection| {
-        run_one(
-            &spec,
-            &env,
-            vec![alm_mapreduce::sim::SimFault::PartitionLinkAtSecs {
-                a: red_node,
-                b: partner,
-                direction,
-                from_secs: window.0,
-                heal_secs: window.1,
-            }],
-        )
+        let cut = FaultPlan::partition_link_directed(
+            NodeId(red_node),
+            NodeId(partner),
+            direction,
+            from_ms,
+            from_ms + 30_000,
+        );
+        run_one(&spec, &env, cut)
     };
     let sym = dir_run(LinkDirection::Both);
     let asym = dir_run(LinkDirection::AToB);
@@ -63,7 +60,7 @@ fn main() {
     //    deterministically by the shared FaultPlan lowering. Every heal
     //    re-pumps parked fetches; exponential backoff (capped at half the
     //    liveness window) keeps the retry budget intact across cycles.
-    let plan = TypesFaultPlan::flapping_link(
+    let plan = FaultPlan::flapping_link(
         NodeId(red_node),
         NodeId(partner),
         LinkDirection::Both,
@@ -72,7 +69,7 @@ fn main() {
     );
     let windows = plan.partition_windows();
     assert_eq!(windows.len(), 3, "one severed window per cycle");
-    let flap = run_one(&spec, &env, alm_mapreduce::sim::SimFault::lower_plan(&plan));
+    let flap = run_one(&spec, &env, plan);
     assert!(flap.succeeded && flap.failures.is_empty(), "flapping link must be absorbed");
     println!(
         "flapping link (3 seeded cycles): windows {:?} -> {:.0}s, zero failures, budget intact",
@@ -83,18 +80,19 @@ fn main() {
     // 3. Degraded link: the canonical gray failure — the link is *up* but
     //    slow (4x) and lossy (30%). Dropped transfers are re-fetched
     //    without ever charging the FetchFailureLimit budget.
-    let degrade: Vec<alm_mapreduce::sim::SimFault> = (0..env.cluster.worker_nodes())
-        .filter(|n| *n != red_node)
-        .map(|n| alm_mapreduce::sim::SimFault::DegradedLinkAtSecs {
-            a: red_node,
-            b: n,
-            direction: LinkDirection::AToB,
-            from_secs: 0.0,
-            heal_secs: clean.job_secs * 3.0,
-            factor: 4.0,
-            loss: 0.3,
-        })
-        .collect();
+    let heal_ms = (clean.job_secs * 3000.0) as u64;
+    let degrade =
+        (0..env.cluster.worker_nodes()).filter(|n| *n != red_node).fold(FaultPlan::none(), |p, n| {
+            p.and(FaultPlan::degraded_link(
+                NodeId(red_node),
+                NodeId(n),
+                LinkDirection::AToB,
+                0,
+                heal_ms,
+                4.0,
+                0.3,
+            ))
+        });
     let gray = run_one(&spec, &env, degrade);
     assert!(gray.succeeded && gray.failures.is_empty(), "degraded links must be absorbed");
     assert!(gray.degraded_drops >= 1, "a 30% lossy link must drop at least one transfer");

@@ -30,20 +30,12 @@ fn main() {
     println!("healed partition at paper scale ({:?}, seed {seed}):", spec.workload);
     for mode in [RecoveryMode::Baseline, RecoveryMode::SfmAlg] {
         let env = ExperimentEnv::paper(mode);
-        let clean = run_one(&spec, &env, vec![]);
+        let clean = run_one(&spec, &env, FaultPlan::none());
         let red_node = clean.reduce_nodes[&0][0];
         let partner = (red_node + 1) % env.cluster.worker_nodes();
-        let rep = run_one(
-            &spec,
-            &env,
-            vec![SimFault::PartitionLinkAtSecs {
-                a: red_node,
-                b: partner,
-                direction: LinkDirection::Both,
-                from_secs: clean.map_phase_secs,
-                heal_secs: clean.map_phase_secs + 30.0,
-            }],
-        );
+        let from_ms = (clean.map_phase_secs * 1000.0) as u64;
+        let cut = FaultPlan::partition_link(NodeId(red_node), NodeId(partner), from_ms, from_ms + 30_000);
+        let rep = run_one(&spec, &env, cut);
         assert!(rep.succeeded, "{mode:?}: job must complete through a healed partition");
         assert!(rep.failures.is_empty(), "{mode:?}: a healed partition must not record failures");
         assert_eq!(rep.map_attempts, clean.map_attempts, "{mode:?}: no map re-execution");
@@ -61,15 +53,11 @@ fn main() {
     //    the map regenerates, the reducer transparently re-fetches — the
     //    retry budget (and so FetchFailureLimit) is never touched.
     let env = ExperimentEnv::paper(RecoveryMode::Baseline);
-    let clean = run_one(&spec, &env, vec![]);
+    let clean = run_one(&spec, &env, FaultPlan::none());
     let rep = run_one(
         &spec,
         &env,
-        vec![SimFault::CorruptDataAtSecs {
-            node: 0,
-            target: CorruptTarget::MofPartition { map_index: 1, partition: 0 },
-            at_secs: 0.0,
-        }],
+        FaultPlan::corrupt_data(NodeId(0), CorruptTarget::MofPartition { map_index: 1, partition: 0 }, 0),
     );
     assert!(rep.succeeded && rep.failures.is_empty());
     assert!(rep.corruption_refetches >= 1, "the corrupted chunk must be detected and re-fetched");
@@ -87,14 +75,8 @@ fn main() {
     let rep = run_one(
         &spec,
         &env,
-        vec![
-            SimFault::CorruptDataAtSecs {
-                node: 0,
-                target: CorruptTarget::AlgRecord { reduce_index: 0, seq: 0 },
-                at_secs: 0.0,
-            },
-            SimFault::KillReduceAtProgress { reduce_index: 0, at_progress: 0.9 },
-        ],
+        FaultPlan::corrupt_data(NodeId(0), CorruptTarget::AlgRecord { reduce_index: 0, seq: 0 }, 0)
+            .and(FaultPlan::kill_task(TaskId::reduce(JobId(0), 0), 0.9)),
     );
     assert!(rep.succeeded);
     assert_eq!(rep.log_truncations, 1, "exactly one snapshot lost to the bad record");

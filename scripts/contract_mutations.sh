@@ -8,6 +8,12 @@
 #
 #   cargo check
 #     new FailureKind / Fault variant   -> E0004 (non-exhaustive match)
+#   cargo check -p alm-sim
+#     new Fault variant                 -> E0004 in crates/sim/src/engine.rs
+#                                          (the simulator arms FaultPlan with
+#                                          a wildcard-free match; the
+#                                          workspace-wide case may stop at
+#                                          whichever crate errors first)
 #     new YarnConfig field              -> E0063 / E0027 (literal / destructuring)
 #     new JobReport / SimReport counter -> E0027 in crates/chaos/src/analyze.rs
 #   cargo clippy --workspace --all-targets -- -D warnings   (root clippy.toml)
@@ -39,6 +45,10 @@ mkdir "$work/ws"
 
 check() {
     (cd "$work/ws" && cargo check --offline --workspace 2>&1)
+}
+
+check_sim() {
+    (cd "$work/ws" && cargo check --offline -p alm-sim 2>&1)
 }
 
 check_tests() {
@@ -109,6 +119,8 @@ expect_fail "FailureKind variant" check crates/types/src/failure.rs \
     "pub enum FailureKind {" "    RackLoss," "error\[E0004\]"
 expect_fail "Fault variant" check crates/types/src/failure.rs \
     "pub enum Fault {" "    DrainNode { node: NodeId }," "error\[E0004\]"
+expect_fail "Fault variant armed by the sim" check_sim crates/types/src/failure.rs \
+    "pub enum Fault {" "    DrainNode { node: NodeId }," "error\[E0004\]" crates/sim/src/engine.rs
 expect_fail "YarnConfig field" check crates/types/src/config.rs \
     "pub struct YarnConfig {" "    pub speculative_slots: u32," "error\[(E0063|E0027)\]" crates/types/src/config.rs
 expect_fail "JobReport counter" check crates/runtime/src/report.rs \

@@ -93,7 +93,7 @@ pub mod prelude {
         run_seeds, SchedConfig, SchedPolicyKind, TenantSpec, WarehouseCampaign, WarehouseFault,
         WarehouseReport,
     };
-    pub use alm_sim::{ExperimentEnv, SimFault, SimJobSpec, Simulation};
+    pub use alm_sim::{ExperimentEnv, SimJobSpec, Simulation};
     pub use alm_types::{
         AlmConfig, AttemptId, ClusterSpec, FailureKind, JobId, MemConfig, MemMode, NodeId, RecoveryMode,
         ReplicationLevel, TaskId, YarnConfig,

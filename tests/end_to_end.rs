@@ -53,7 +53,7 @@ fn alm_framework_cracks_down_amplification_at_paper_scale() {
     let baseline_env = ExperimentEnv::paper(RecoveryMode::Baseline);
     let alm_env = ExperimentEnv::paper(RecoveryMode::SfmAlg);
     let victim = node_of_reduce(&spec, &baseline_env, 0);
-    let fault = vec![SimFault::CrashNodeAtReduceProgress { node: victim, reduce_index: 0, at_progress: 0.5 }];
+    let fault = FaultPlan::crash_node_at_reduce_progress(NodeId(victim), 0, 0.5);
 
     let yarn = run_one(&spec, &baseline_env, fault.clone());
     let alm = run_one(&spec, &alm_env, fault);
@@ -75,12 +75,9 @@ fn engines_agree_reduce_failures_dominate() {
     // Simulator, paper scale.
     let spec = SimJobSpec::paper(WorkloadKind::Terasort, 5);
     let e = ExperimentEnv::paper(RecoveryMode::Baseline);
-    let clean = run_one(&spec, &e, vec![]).job_secs;
-    let map_f =
-        run_one(&spec, &e, vec![SimFault::KillMapAtProgress { map_index: 0, at_progress: 0.5 }]).job_secs;
-    let red_f =
-        run_one(&spec, &e, vec![SimFault::KillReduceAtProgress { reduce_index: 0, at_progress: 0.9 }])
-            .job_secs;
+    let clean = run_one(&spec, &e, FaultPlan::none()).job_secs;
+    let map_f = run_one(&spec, &e, FaultPlan::kill_task(TaskId::map(JobId(0), 0), 0.5)).job_secs;
+    let red_f = run_one(&spec, &e, FaultPlan::kill_task(TaskId::reduce(JobId(0), 0), 0.9)).job_secs;
     assert!(red_f - clean > (map_f - clean).max(1.0) * 2.0, "sim: {clean:.0}/{map_f:.0}/{red_f:.0}");
 
     // Threaded engine, test scale. Wall-clock deltas at this scale are
@@ -149,7 +146,7 @@ fn alg_logs_survive_node_loss_and_resume() {
 fn simulator_is_deterministic_through_facade() {
     let spec = SimJobSpec::new(WorkloadKind::Wordcount, 5 * alm_mapreduce::types::units::GB, 1, 77);
     let env = ExperimentEnv::paper(RecoveryMode::SfmAlg);
-    let fault = vec![SimFault::CrashNodeAtSecs { node: 3, at_secs: 40.0 }];
+    let fault = FaultPlan::crash_node_at_ms(NodeId(3), 40_000);
     let a = Simulation::new(spec.clone(), env.clone(), fault.clone()).run();
     let b = Simulation::new(spec, env, fault).run();
     assert_eq!(a, b);
