@@ -23,7 +23,6 @@ use serde::Serialize;
 use crate::analyze::{analyze_runtime, analyze_sim, DfsAudit, EngineKind, ScenarioOutcome};
 use crate::scenario::{ChaosScenario, LoweringProfile};
 use crate::space::FaultSpace;
-use crate::warehouse::TenantImpactRow;
 
 /// Simulator-side campaign configuration.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -189,14 +188,11 @@ pub struct CampaignReport {
     pub name: String,
     pub seed: u64,
     pub outcomes: Vec<ScenarioOutcome>,
-    /// Per-tenant impact rows from warehouse-scale runs (empty for
-    /// single-job campaigns; see [`crate::warehouse`]).
-    pub tenant_rows: Vec<TenantImpactRow>,
 }
 
 impl CampaignReport {
     pub fn new(name: impl Into<String>, seed: u64) -> CampaignReport {
-        CampaignReport { name: name.into(), seed, outcomes: Vec::new(), tenant_rows: Vec::new() }
+        CampaignReport { name: name.into(), seed, outcomes: Vec::new() }
     }
 
     pub fn extend(&mut self, outcomes: Vec<ScenarioOutcome>) -> &mut Self {
@@ -259,46 +255,6 @@ impl CampaignReport {
             .collect()
     }
 
-    /// Per-tenant impact table from warehouse-scale runs. `None` when the
-    /// campaign had no multi-tenant component.
-    pub fn tenant_table(&self) -> Option<TextTable> {
-        if self.tenant_rows.is_empty() {
-            return None;
-        }
-        let mut t = TextTable::new(
-            format!("campaign {} per-tenant impact (seed {})", self.name, self.seed),
-            &[
-                "scenario",
-                "mode",
-                "policy",
-                "tenant",
-                "jobs",
-                "ok",
-                "failures",
-                "fetch>0",
-                "slowdown",
-                "clean",
-                "amplification",
-            ],
-        );
-        for r in &self.tenant_rows {
-            t.row(&[
-                r.scenario.clone(),
-                format!("{:?}", r.mode),
-                r.policy.clone(),
-                r.tenant.clone(),
-                r.jobs.to_string(),
-                r.finished.to_string(),
-                r.failures.to_string(),
-                r.fetch_failures.to_string(),
-                format!("{:.2}", r.mean_slowdown),
-                format!("{:.2}", r.clean_mean_slowdown),
-                format!("{:.2}", r.amplification()),
-            ]);
-        }
-        Some(t)
-    }
-
     /// Ranked root-cause triage over every outcome in the campaign (see
     /// [`crate::triage`]): failure signatures grouped and ordered by
     /// severity × blast radius, each with a remediation.
@@ -307,21 +263,11 @@ impl CampaignReport {
     }
 
     pub fn render_text(&self) -> String {
-        let mut out = self.mode_table().render_text();
-        if let Some(t) = self.tenant_table() {
-            out.push('\n');
-            out.push_str(&t.render_text());
-        }
-        out
+        self.mode_table().render_text()
     }
 
     pub fn render_markdown(&self) -> String {
-        let mut out = self.mode_table().render_markdown();
-        if let Some(t) = self.tenant_table() {
-            out.push('\n');
-            out.push_str(&t.render_markdown());
-        }
-        out
+        self.mode_table().render_markdown()
     }
 
     pub fn to_json(&self) -> String {
@@ -396,42 +342,11 @@ impl CampaignReport {
                 Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
             })
             .collect();
-        let mut root = vec![
+        let root = vec![
             ("name".to_string(), Value::Str(self.name.clone())),
             ("seed".to_string(), Value::U64(self.seed)),
             ("outcomes".to_string(), Value::Array(outcomes)),
         ];
-        // Emitted only when present, so single-job golden files (and their
-        // byte layout) are untouched by the warehouse extension. Slowdowns
-        // quantize to milli-units like the sched reports.
-        if !self.tenant_rows.is_empty() {
-            let milli = |v: f64| Value::I64(if v < 0.0 { -1 } else { (v * 1000.0).round() as i64 });
-            let rows: Vec<Value> = self
-                .tenant_rows
-                .iter()
-                .map(|r| {
-                    Value::Object(
-                        vec![
-                            ("scenario", Value::Str(r.scenario.clone())),
-                            ("mode", Value::Str(format!("{:?}", r.mode))),
-                            ("policy", Value::Str(r.policy.clone())),
-                            ("tenant", Value::Str(r.tenant.clone())),
-                            ("jobs", Value::U64(r.jobs as u64)),
-                            ("finished", Value::U64(r.finished as u64)),
-                            ("failures", Value::U64(r.failures as u64)),
-                            ("fetch_failures", Value::U64(r.fetch_failures as u64)),
-                            ("slowdown_milli", milli(r.mean_slowdown)),
-                            ("clean_slowdown_milli", milli(r.clean_mean_slowdown)),
-                            ("amplification_milli", milli(r.amplification())),
-                        ]
-                        .into_iter()
-                        .map(|(k, v)| (k.to_string(), v))
-                        .collect(),
-                    )
-                })
-                .collect();
-            root.push(("tenants".to_string(), Value::Array(rows)));
-        }
         serde_json::to_string_pretty(&Value::Object(root))
             .expect("canonical report serialisation cannot fail")
     }

@@ -13,7 +13,6 @@
 //! | [`analyze`]  | amplification analyzer: temporal (repeated-failure chains, Figs. 3/10) and spatial (fetch-failure-infected reducers, Fig. 4 / Table II) metrics, JSON + text reports |
 //! | [`differential`] | differential validator: the same scenario on both engines at matched scale, asserting invariant agreement |
 //! | [`calibrate`]    | magnitude calibration: per-mode normalized-slowdown curves across engines, checked against recorded tolerance bands |
-//! | [`warehouse`]    | warehouse-scale bridge: scenarios lowered onto the `alm-sched` multi-tenant engine, per-tenant impact rows (faulted vs clean slowdown) and cross-tenant amplification |
 //! | [`triage`]       | ranked root-cause triage: outcomes grouped by failure signature (stuck → amplified → absorbed), ranked by severity × blast radius, each with a remediation |
 //! | [`chain`]        | in-memory chain campaigns: the `alm-mem` iterative mode crashed mid-chain on both engines, `mem-amplification-bounded` differential invariant, iterations-lost table |
 
@@ -27,7 +26,6 @@ pub mod differential;
 pub mod scenario;
 pub mod space;
 pub mod triage;
-pub mod warehouse;
 
 pub use analyze::{analyze_runtime, analyze_sim, DfsAudit, EngineKind, ScenarioOutcome};
 pub use calibrate::{
@@ -40,4 +38,3 @@ pub use differential::{validate_at, validate_scenario, DifferentialReport, Invar
 pub use scenario::{ChaosFault, ChaosFlap, ChaosScenario, LoweringProfile};
 pub use space::{FaultSpace, FaultWeights};
 pub use triage::{triage, Severity, TriageGroup, TriageReport};
-pub use warehouse::{lower_warehouse, TenantImpactRow, WarehouseChaosCampaign};

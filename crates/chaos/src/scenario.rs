@@ -7,7 +7,8 @@
 //! correlated rack crashes into their member-node crashes, and rescales
 //! scenario seconds to engine-native milliseconds — producing the shared
 //! [`FaultPlan`] both engines consume directly (`alm_sim::Simulation::new`
-//! and the threaded runtime's `JobRunner` arm their triggers from it).
+//! and the threaded runtime's `JobRunner` each arm it through
+//! [`FaultPlan::arm`]).
 
 use alm_types::{CorruptTarget, Fault, FaultPlan, FlapSchedule, JobId, LinkDirection, NodeId, TaskId};
 use serde::Serialize;
@@ -345,10 +346,10 @@ mod tests {
             .with(ChaosFault::KillMap { index: 1, at_progress: 0.5 })
             .with(ChaosFault::SlowNode { node: 0, at_secs: 0.0, factor: 4.0 });
         assert_eq!(s.injected_failure_faults(&profile()), 2);
-        let plan = s.lower(JobId(9), &profile());
-        assert_eq!(plan.kill_point(TaskId::reduce(JobId(9), 3), 0), Some(0.8));
-        assert_eq!(plan.kill_point(TaskId::map(JobId(9), 1), 0), Some(0.5));
-        assert_eq!(plan.slow_nodes().count(), 1);
+        let armed = s.lower(JobId(9), &profile()).arm();
+        assert_eq!(armed.kills[&TaskId::reduce(JobId(9), 3).attempt(0)], 0.8);
+        assert_eq!(armed.kills[&TaskId::map(JobId(9), 1).attempt(0)], 0.5);
+        assert_eq!(armed.slowdowns.len(), 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   relaunches, and speculative FCM-mode migration.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -23,13 +23,14 @@ use alm_core::{schedule_recovery, ExecMode, LogPaths, PolicyCtx, SchedAction};
 use alm_shuffle::frame::FRAME_HEADER_LEN;
 use alm_shuffle::LocalFs;
 use alm_types::{
-    AttemptId, CorruptTarget, FailureKind, FailureReport, LinkDirection, NodeId, ReplicationLevel, TaskId,
+    AttemptId, CorruptTarget, FailureKind, FailureReport, FaultTimeline, LinkChange, LinkOp, NodeId,
+    ReplicationLevel, TaskId,
 };
 use bytes::Bytes;
 
 use crate::cluster::MiniCluster;
 use crate::events::TaskEvent;
-use crate::faults::{Fault, FaultPlan};
+use crate::faults::FaultPlan;
 use crate::job::JobDef;
 use crate::maptask::{run_map, MapCtx};
 use crate::reducetask::{run_reduce, ReduceCtx};
@@ -59,20 +60,10 @@ impl TaskState {
     }
 }
 
-/// What a due `pending_link_ops` entry does to its link.
-#[derive(Debug, Clone, Copy)]
-enum LinkOp {
-    Sever,
-    Heal,
-    Degrade { factor: f64, loss: f64 },
-    ClearDegrade,
-}
-
 /// Drives one job to completion (or failure) on a mini-cluster.
 pub struct JobRunner {
     cluster: Arc<MiniCluster>,
     job: Arc<JobDef>,
-    faults: FaultPlan,
     registry: Arc<MofRegistry>,
     events_tx: Sender<TaskEvent>,
     events_rx: Receiver<TaskEvent>,
@@ -86,19 +77,19 @@ pub struct JobRunner {
     threads: Vec<std::thread::JoinHandle<()>>,
     report: JobReport,
     rr_next: u32,
-    pending_crashes_ms: Vec<(NodeId, u64)>,
-    pending_crashes_progress: Vec<(NodeId, u32, f64)>,
-    pending_slow_ms: Vec<(NodeId, u64, f64)>,
-    /// Link changes due at their timestamps as `(at_ms, a, b, direction,
-    /// op)` — a sever and a heal per partition window (flap windows come
-    /// expanded), a degrade and a clear per gray link — in time order.
-    /// Equal timestamps keep plan order (a window's sever, then its heal),
-    /// so a zero-length window nets healed.
-    pending_link_ops: Vec<(u64, NodeId, NodeId, LinkDirection, LinkOp)>,
-    /// Data corruptions due at their timestamps. A corruption whose target
-    /// has not materialised yet (MOF not committed, log record not written)
-    /// stays pending and is retried each scheduling tick.
-    pending_corruptions: Vec<(NodeId, CorruptTarget, u64)>,
+    /// The armed plan's pending triggers (see [`FaultTimeline`]). A kill
+    /// is taken when its attempt launches; the rest drain on the AM's
+    /// millisecond clock or on reduce progress events.
+    kills: BTreeMap<AttemptId, f64>,
+    crashes: Vec<(u64, NodeId)>,
+    crashes_at_progress: Vec<(NodeId, u32, f64)>,
+    slowdowns: Vec<(u64, NodeId, f64)>,
+    /// In time order; the changes due in one tick apply in list order.
+    links: Vec<(u64, LinkChange)>,
+    /// A corruption whose target has not materialised yet (MOF not
+    /// committed, log record not written) stays pending and is retried
+    /// each scheduling tick.
+    corruptions: Vec<(u64, NodeId, CorruptTarget)>,
 }
 
 impl JobRunner {
@@ -106,42 +97,11 @@ impl JobRunner {
         let (events_tx, events_rx) = unbounded();
         let maps = (0..job.num_maps).map(|_| TaskState::new()).collect();
         let reduces = (0..job.num_reduces).map(|_| TaskState::new()).collect();
-        let mut pending_crashes_ms = Vec::new();
-        let mut pending_crashes_progress = Vec::new();
-        let mut pending_slow_ms = Vec::new();
-        let mut pending_link_ops = Vec::new();
-        let mut pending_corruptions = Vec::new();
-        // Partition windows (flap schedules included) come pre-expanded by
-        // the shared plan helper, so this engine and the simulator lower
-        // the exact same sever/heal timeline.
-        for w in faults.partition_windows() {
-            pending_link_ops.push((w.from_ms, w.a, w.b, w.direction, LinkOp::Sever));
-            pending_link_ops.push((w.heal_ms, w.a, w.b, w.direction, LinkOp::Heal));
-        }
-        for d in faults.degradations() {
-            let op = LinkOp::Degrade { factor: d.factor, loss: d.loss };
-            pending_link_ops.push((d.from_ms, d.a, d.b, d.direction, op));
-            pending_link_ops.push((d.heal_ms, d.a, d.b, d.direction, LinkOp::ClearDegrade));
-        }
-        pending_link_ops.sort_by_key(|(at, ..)| *at); // stable: ties keep plan order
-        for f in &faults.faults {
-            match f {
-                Fault::CrashNodeAtMs { node, at_ms } => pending_crashes_ms.push((*node, *at_ms)),
-                Fault::CrashNodeAtReduceProgress { node, reduce_index, at_progress } => {
-                    pending_crashes_progress.push((*node, *reduce_index, *at_progress))
-                }
-                Fault::SlowNode { node, at_ms, factor } => pending_slow_ms.push((*node, *at_ms, *factor)),
-                Fault::PartitionLink { .. } | Fault::DegradedLink { .. } => {} // expanded above
-                Fault::CorruptData { node, target, at_ms } => {
-                    pending_corruptions.push((*node, *target, *at_ms))
-                }
-                Fault::KillTask { .. } => {}
-            }
-        }
+        let FaultTimeline { kills, crashes, crashes_at_progress, slowdowns, links, corruptions } =
+            faults.arm();
         JobRunner {
             cluster,
             job: Arc::new(job),
-            faults,
             registry: Arc::new(MofRegistry::new()),
             events_tx,
             events_rx,
@@ -153,11 +113,12 @@ impl JobRunner {
             threads: Vec::new(),
             report: JobReport::default(),
             rr_next: 0,
-            pending_crashes_ms,
-            pending_crashes_progress,
-            pending_slow_ms,
-            pending_link_ops,
-            pending_corruptions,
+            kills,
+            crashes,
+            crashes_at_progress,
+            slowdowns,
+            links,
+            corruptions,
         }
     }
 
@@ -207,7 +168,7 @@ impl JobRunner {
             node: self.cluster.node(node_id).clone(),
             events: self.events_tx.clone(),
             config: self.cluster.config.clone(),
-            kill_at: self.faults.kill_point(task, attempt.number),
+            kill_at: self.kills.remove(&attempt),
             cancelled,
         };
         self.threads.push(std::thread::spawn(move || run_map(ctx)));
@@ -244,7 +205,7 @@ impl JobRunner {
             resident: self.cluster.resident(),
             events: self.events_tx.clone(),
             config: self.cluster.config.clone(),
-            kill_at: self.faults.kill_point(task, attempt.number),
+            kill_at: self.kills.remove(&attempt),
             mode,
             cancelled,
             epoch: self.epoch,
@@ -439,18 +400,14 @@ impl JobRunner {
 
     fn check_time_faults(&mut self) {
         let now = self.now_ms();
-        let due: Vec<NodeId> =
-            self.pending_crashes_ms.iter().filter(|(_, at)| *at <= now).map(|(n, _)| *n).collect();
-        self.pending_crashes_ms.retain(|(_, at)| *at > now);
-        for n in due {
+        for (_, n) in self.crashes.extract_if(.., |(at, _)| *at <= now) {
             self.cluster.crash_node(n);
         }
-        // Activate due slow-node degradations (the node stays alive).
-        let due_slow: Vec<(NodeId, f64)> =
-            self.pending_slow_ms.iter().filter(|(_, at, _)| *at <= now).map(|(n, _, f)| (*n, *f)).collect();
-        self.pending_slow_ms.retain(|(_, at, _)| *at > now);
-        for (n, f) in due_slow {
-            self.cluster.node(n).set_slow(f);
+        // Activate due slow-node degradations (the node stays alive). A
+        // node slowed twice keeps the larger factor, as in the simulator.
+        for (_, n, factor) in self.slowdowns.extract_if(.., |(at, ..)| *at <= now) {
+            let node = self.cluster.node(n);
+            node.set_slow(node.slow_factor().max(factor));
         }
         // Apply the due link changes in time order. A flap's up-span can be
         // shorter than one AM poll, so a window's heal and the next window's
@@ -458,27 +415,24 @@ impl JobRunner {
         // link ends severed, where sever-all-then-heal-all would erase the
         // later window. A heal of an already-healed link is LinkTable's
         // explicit no-op.
-        let due = self.pending_link_ops.partition_point(|(at, ..)| *at <= now);
-        for (_, a, b, d, op) in self.pending_link_ops.drain(..due) {
+        let links = &self.cluster.links;
+        for (_, LinkChange { a, b, direction, op }) in self.links.extract_if(.., |(at, _)| *at <= now) {
             match op {
-                LinkOp::Sever => self.cluster.links.sever(a, b, d),
+                LinkOp::Sever => links.sever(a, b, direction),
                 LinkOp::Heal => {
-                    self.cluster.links.heal(a, b, d);
+                    links.heal(a, b, direction);
                 }
-                LinkOp::Degrade { factor, loss } => self.cluster.links.degrade(a, b, d, factor, loss),
-                LinkOp::ClearDegrade => self.cluster.links.clear_degrade(a, b, d),
+                LinkOp::Degrade { factor, loss } => links.degrade(a, b, direction, factor, loss),
+                LinkOp::ClearDegrade => links.clear_degrade(a, b, direction),
             }
         }
         // Flip bytes for due corruptions; targets that have not
         // materialised yet stay pending for the next tick.
-        let due_cor: Vec<(NodeId, CorruptTarget, u64)> =
-            self.pending_corruptions.iter().filter(|(_, _, at)| *at <= now).copied().collect();
-        self.pending_corruptions.retain(|(_, _, at)| *at > now);
-        for (n, t, at) in due_cor {
-            if !self.apply_corruption(n, t) {
-                self.pending_corruptions.push((n, t, at));
-            }
-        }
+        let mut pending = std::mem::take(&mut self.corruptions);
+        pending
+            .extract_if(.., |&mut (at, node, target)| at <= now && self.apply_corruption(node, target))
+            .for_each(drop);
+        self.corruptions = pending;
     }
 
     /// Flip a byte of `partition` inside `mof`'s stored CRC32 frame on
@@ -501,10 +455,10 @@ impl JobRunner {
         }
     }
 
-    /// Inject one `Fault::CorruptData`: flip a payload byte inside the
+    /// Inject one armed corruption: flip a payload byte inside the
     /// target's CRC32 frame so the next read classifies as a checksum
     /// mismatch. Returns `false` when the target does not exist yet.
-    fn apply_corruption(&mut self, node: NodeId, target: CorruptTarget) -> bool {
+    fn apply_corruption(&self, node: NodeId, target: CorruptTarget) -> bool {
         match target {
             CorruptTarget::MofPartition { map_index, partition } => {
                 let Some(registered) = self.registry.lookup(map_index) else {
@@ -565,14 +519,9 @@ impl JobRunner {
     }
 
     fn check_progress_faults(&mut self, reduce_index: u32, progress: f64) {
-        let due: Vec<NodeId> = self
-            .pending_crashes_progress
-            .iter()
-            .filter(|(_, r, p)| *r == reduce_index && progress >= *p)
-            .map(|(n, _, _)| *n)
-            .collect();
-        self.pending_crashes_progress.retain(|(_, r, p)| !(*r == reduce_index && progress >= *p));
-        for n in due {
+        for (n, _, _) in
+            self.crashes_at_progress.extract_if(.., |&mut (_, r, p)| r == reduce_index && progress >= p)
+        {
             self.cluster.crash_node(n);
         }
     }
@@ -634,27 +583,19 @@ impl JobRunner {
                     // becomes fetchable, so reducers can never race the
                     // injection to a clean read.
                     let now = self.now_ms();
-                    let due_rot: Vec<u32> = self
-                        .pending_corruptions
-                        .iter()
-                        .filter_map(|(_, t, at)| match t {
+                    let mut pending = std::mem::take(&mut self.corruptions);
+                    pending
+                        .extract_if(.., |&mut (at, _, target)| match target {
                             CorruptTarget::MofPartition { map_index: mi, partition }
-                                if *mi == map_index && *at <= now =>
+                                if mi == map_index && at <= now =>
                             {
-                                Some(*partition)
+                                self.corrupt_mof_blob(node, &mof, partition);
+                                true
                             }
-                            _ => None,
+                            _ => false,
                         })
-                        .collect();
-                    if !due_rot.is_empty() {
-                        self.pending_corruptions.retain(|(_, t, at)| {
-                            !matches!(t, CorruptTarget::MofPartition { map_index: mi, .. }
-                                if *mi == map_index && *at <= now)
-                        });
-                        for p in due_rot {
-                            self.corrupt_mof_blob(node, &mof, p);
-                        }
-                    }
+                        .for_each(drop);
+                    self.corruptions = pending;
                     self.registry.register(map_index, node, mof);
                     self.cancel_others(attempt.task, attempt);
                 }
@@ -728,15 +669,10 @@ impl JobRunner {
         // pending — flush those now (and only those: firing leftover
         // crash/partition faults after the job ended would change
         // outcomes the job itself already decided).
-        let leftover: Vec<(NodeId, CorruptTarget, u64)> = self
-            .pending_corruptions
-            .iter()
-            .filter(|(_, t, _)| matches!(t, CorruptTarget::DfsBlock { .. }))
-            .copied()
-            .collect();
-        self.pending_corruptions.retain(|(_, t, _)| !matches!(t, CorruptTarget::DfsBlock { .. }));
-        for (n, t, _) in leftover {
-            let _ = self.apply_corruption(n, t);
+        for (_, node, target) in std::mem::take(&mut self.corruptions) {
+            if matches!(target, CorruptTarget::DfsBlock { .. }) {
+                let _ = self.apply_corruption(node, target);
+            }
         }
 
         // Tear down: cancel all still-running attempts and reap threads.

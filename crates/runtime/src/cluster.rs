@@ -67,11 +67,12 @@ impl LinkTable {
     }
 
     /// Degrade the link between `a` and `b` across `direction`: transfers
-    /// run `factor`× slower and each is dropped with probability `loss`.
+    /// run `factor`× slower and each is dropped with probability `loss`
+    /// (`FaultPlan::arm` has clamped both).
     pub fn degrade(&self, a: NodeId, b: NodeId, direction: LinkDirection, factor: f64, loss: f64) {
         let mut degraded = self.degraded.lock();
         for key in direction.directed_keys(a, b) {
-            degraded.insert(key, (factor.max(1.0), loss.clamp(0.0, 1.0)));
+            degraded.insert(key, (factor, loss));
         }
     }
 
@@ -120,9 +121,10 @@ impl NodeHandle {
         self.alive.load(Ordering::Acquire)
     }
 
-    /// Degrade (or restore, with 1.0) the node's compute speed.
+    /// Degrade (or restore, with 1.0) the node's compute speed
+    /// (`FaultPlan::arm` has clamped `factor` to >= 1).
     pub fn set_slow(&self, factor: f64) {
-        self.slow_factor.store(factor.max(1.0).to_bits(), Ordering::Release);
+        self.slow_factor.store(factor.to_bits(), Ordering::Release);
     }
 
     pub fn slow_factor(&self) -> f64 {
@@ -255,13 +257,13 @@ mod tests {
     }
 
     #[test]
-    fn slow_factor_defaults_healthy_and_clamps() {
+    fn slow_factor_defaults_healthy() {
         let c = MiniCluster::for_tests(2);
         let n = c.node(NodeId(0));
         assert_eq!(n.slow_factor(), 1.0);
         n.set_slow(3.5);
         assert_eq!(n.slow_factor(), 3.5);
-        n.set_slow(0.2); // cannot make a node faster than healthy
+        n.set_slow(1.0);
         assert_eq!(n.slow_factor(), 1.0);
     }
 
@@ -330,10 +332,9 @@ mod tests {
         assert_eq!(c.links.degradation(NodeId(0), NodeId(1)), Some((3.0, 0.25)));
         assert_eq!(c.links.degradation(NodeId(1), NodeId(0)), None, "reverse direction healthy");
         assert_eq!(c.links.degradation(NodeId(0), NodeId(0)), None, "self-fetch never degraded");
-        // Factor clamps to >= 1, loss to [0, 1].
-        c.links.degrade(NodeId(1), NodeId(2), LinkDirection::Both, 0.5, 2.0);
-        assert_eq!(c.links.degradation(NodeId(1), NodeId(2)), Some((1.0, 1.0)));
-        assert_eq!(c.links.degradation(NodeId(2), NodeId(1)), Some((1.0, 1.0)));
+        c.links.degrade(NodeId(1), NodeId(2), LinkDirection::Both, 2.0, 1.0);
+        assert_eq!(c.links.degradation(NodeId(1), NodeId(2)), Some((2.0, 1.0)));
+        assert_eq!(c.links.degradation(NodeId(2), NodeId(1)), Some((2.0, 1.0)));
         c.links.clear_degrade(NodeId(0), NodeId(1), LinkDirection::AToB);
         c.links.clear_degrade(NodeId(1), NodeId(2), LinkDirection::Both);
         assert_eq!(c.links.degradation(NodeId(0), NodeId(1)), None);

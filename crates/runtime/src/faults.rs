@@ -2,11 +2,12 @@
 //!
 //! The vocabulary itself lives in `alm_types::failure` so that this engine
 //! and the discrete-event simulator inject from one shared plan type; this
-//! module re-exports it under the runtime's historical path. The runtime
-//! consumes the plan directly: `at_ms` triggers fire against the job's
-//! real-time clock, progress triggers are polled by the task threads, and
-//! [`Fault::SlowNode`] throttles a node's task threads at their safe
-//! points.
+//! module re-exports it under the runtime's historical path. The AM arms
+//! the plan through `FaultPlan::arm`, the same call the simulator makes,
+//! and drains the resulting `FaultTimeline`: `at_ms` triggers fire against
+//! the job's real-time clock, progress triggers on reduce progress events,
+//! kills when their attempt launches, and [`Fault::SlowNode`] throttles a
+//! node's task threads at their safe points.
 
 pub use alm_types::failure::{Fault, FaultPlan};
 
@@ -22,7 +23,7 @@ mod tests {
         let t = TaskId::reduce(JobId(0), 1);
         let plan: alm_types::FaultPlan =
             FaultPlan::kill_task(t, 0.5).and(FaultPlan::crash_node_at_ms(NodeId(2), 100));
-        assert_eq!(plan.kill_point(t, 0), Some(0.5));
+        assert_eq!(plan.arm().kills[&t.attempt(0)], 0.5);
         assert_eq!(plan.injected_count(), 2);
     }
 }

@@ -394,6 +394,37 @@ fn partition_healing_before_liveness_causes_no_node_loss() {
 }
 
 #[test]
+fn inverted_partition_window_is_zero_length() {
+    let cluster = Arc::new(MiniCluster::for_tests(5));
+    let jd = job(45, Arc::new(Terasort::new(900)), 5, 3, RecoveryMode::Baseline);
+    // Node 1 cut from every peer by windows that heal before they sever.
+    // Armed, each heal lands on its sever, so the link never stays cut;
+    // replayed raw, the heal would fire first and the cut would outlive
+    // the job, parking every fetch across it until the shuffle wait cap.
+    let plan = [0, 2, 3, 4].into_iter().fold(FaultPlan::none(), |plan, peer| {
+        plan.and(FaultPlan::partition_link(NodeId(1), NodeId(peer), 1, 0))
+    });
+    let report = run_job(cluster.clone(), jd.clone(), plan);
+    assert!(report.succeeded, "{report:?}");
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    assert_eq!(report.map_attempts, jd.num_maps, "{report:?}");
+    assert_output_matches(&cluster, &jd);
+}
+
+#[test]
+fn repeated_slow_faults_keep_the_largest_factor() {
+    let cluster = Arc::new(MiniCluster::for_tests(4));
+    let jd = job(46, Arc::new(Terasort::new(300)), 2, 1, RecoveryMode::Baseline);
+    // Two slowdowns of one node due at once: the simulator keeps the max,
+    // and so must the runtime, whatever the plan order.
+    let plan = FaultPlan::slow_node(NodeId(3), 0, 6.0).and(FaultPlan::slow_node(NodeId(3), 0, 2.0));
+    let report = run_job(cluster.clone(), jd.clone(), plan);
+    assert!(report.succeeded, "{report:?}");
+    assert_eq!(cluster.node(NodeId(3)).slow_factor(), 6.0);
+    assert_output_matches(&cluster, &jd);
+}
+
+#[test]
 fn corrupted_mof_partition_is_refetched_without_preemption() {
     for (id, mode) in [(42, RecoveryMode::Baseline), (43, RecoveryMode::SfmAlg)] {
         let cluster = Arc::new(MiniCluster::for_tests(4));

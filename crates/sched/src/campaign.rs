@@ -1,16 +1,10 @@
-//! Multi-tenant campaign construction and the parallel seed executor.
+//! Multi-tenant campaign construction.
 //!
 //! A [`WarehouseCampaign`] bundles a [`WarehouseSpec`] with a concrete job
 //! mix and fault plan; [`WarehouseCampaign::synthetic`] generates the
 //! standard mix deterministically from a seed via labelled RNG streams, so
 //! the same `(topology, seed)` pair names the same campaign everywhere —
 //! tests, benches, CI gates.
-//!
-//! [`run_seeds`] is the deterministic parallel executor: seeds are
-//! partitioned over scoped threads, each runs its campaign independently
-//! (campaigns share no state), and the merged result is sorted by seed —
-//! so the output is a pure function of the seed list, byte-identical at
-//! any thread count.
 
 use alm_des::rng;
 use alm_types::RecoveryMode;
@@ -103,35 +97,6 @@ impl WarehouseCampaign {
     }
 }
 
-/// Run one campaign per seed on `threads` scoped threads and return the
-/// reports **sorted by seed**. Campaigns share no state, so the merged
-/// output is a pure function of the seed list — byte-identical whether
-/// `threads` is 1 or 16. Per-campaign errors surface in seed order too.
-pub fn run_seeds<F>(make: F, seeds: &[u64], threads: usize) -> Result<Vec<WarehouseReport>, String>
-where
-    F: Fn(u64) -> WarehouseCampaign + Sync,
-{
-    let threads = threads.max(1);
-    let mut results: Vec<(u64, Result<WarehouseReport, String>)> = std::thread::scope(|scope| {
-        let make = &make;
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                // Static round-robin partition: seed i goes to thread
-                // i % threads. The partition choice only affects who
-                // computes what, never the merged order.
-                let mine: Vec<u64> = seeds.iter().copied().skip(w).step_by(threads).collect();
-                scope.spawn(move || mine.into_iter().map(|s| (s, make(s).run())).collect::<Vec<_>>())
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().unwrap_or_default()).collect()
-    });
-    results.sort_by_key(|(seed, _)| *seed);
-    if results.len() != seeds.len() {
-        return Err(format!("worker panic: {} of {} campaigns returned", results.len(), seeds.len()));
-    }
-    results.into_iter().map(|(_, r)| r).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,22 +119,6 @@ mod tests {
         for j in &c.jobs {
             assert!(j.job.input_bytes >= gb && j.job.input_bytes <= 64 * gb);
             assert!(j.arrival_secs > 0.0);
-        }
-    }
-
-    #[test]
-    fn run_seeds_merges_in_seed_order_at_any_thread_count() {
-        let make = |seed| {
-            WarehouseCampaign::synthetic(30, 2, 2, SchedPolicyKind::Fifo, RecoveryMode::Baseline, seed)
-        };
-        let seeds = [11u64, 3, 7, 5];
-        let one = run_seeds(make, &seeds, 1).expect("run");
-        let four = run_seeds(make, &seeds, 4).expect("run");
-        assert_eq!(one.len(), 4);
-        let got: Vec<u64> = one.iter().map(|r| r.seed).collect();
-        assert_eq!(got, vec![3, 5, 7, 11]);
-        for (a, b) in one.iter().zip(&four) {
-            assert_eq!(a.canonical_json(), b.canonical_json());
         }
     }
 }

@@ -20,8 +20,7 @@
 //!   [`alm_types::RecoveryMode`].
 //! * [`report`] — per-job and per-tenant results, cross-tenant
 //!   amplification, byte-stable canonical JSON.
-//! * [`campaign`] — reproducible synthetic campaigns and the
-//!   deterministic parallel seed executor [`run_seeds`].
+//! * [`campaign`] — reproducible synthetic campaigns.
 
 #![forbid(unsafe_code)]
 
@@ -31,7 +30,7 @@ pub mod engine;
 pub mod policy;
 pub mod report;
 
-pub use campaign::{run_seeds, WarehouseCampaign};
+pub use campaign::WarehouseCampaign;
 pub use config::{validate_tenants, SchedConfig, SchedPolicyKind, TenantSpec};
 pub use engine::{Warehouse, WarehouseFault, WarehouseJob, WarehouseSpec};
 pub use policy::{CapacityPolicy, FairPolicy, FifoPolicy, SchedPolicy, SchedView, TenantId, TenantView};

@@ -20,7 +20,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use alm_core::{schedule_recovery, ExecMode, PolicyCtx, SchedAction};
 use alm_des::{EventQueue, EventToken, FlowId, FlowPool, SimDuration};
 use alm_types::{
-    rack_of, AttemptId, CorruptTarget, FailureKind, FailureReport, Fault, FaultPlan, JobId, NodeId, TaskId,
+    rack_of, AttemptId, CorruptTarget, FailureKind, FailureReport, FaultPlan, FaultTimeline, JobId,
+    LinkChange, LinkOp, NodeId, TaskId,
 };
 use rand::Rng;
 
@@ -92,13 +93,10 @@ enum Purpose {
     },
 }
 
-/// What a due `faults_link` entry does to its directed link.
-#[derive(Debug, Clone, Copy)]
-enum LinkOp {
-    Sever,
-    Heal,
-    Degrade { factor: f64, loss: f64 },
-    ClearDegrade,
+/// Whether a timeline trigger at `at_ms` is due at virtual time `now`
+/// (seconds).
+fn is_due(at_ms: u64, now: f64) -> bool {
+    at_ms as f64 / 1000.0 <= now
 }
 
 struct FlowInfo {
@@ -119,7 +117,7 @@ struct SimNode {
     map_slots_free: u32,
     reduce_slots_free: u32,
     /// Compute-slowdown factor (1.0 = healthy). Raised by an activated
-    /// `Fault::SlowNode`; scales CPU phases started afterwards.
+    /// timeline slowdown; scales CPU phases started afterwards.
     slow: f64,
 }
 
@@ -246,18 +244,18 @@ pub struct Simulation {
     reduces_dispatched: bool,
     maps_done_once: u32,
     dead_pending: Vec<(u32, Vec<AttemptId>)>,
-    faults_time: Vec<(u32, f64)>,
-    faults_progress: Vec<(u32, u32, f64)>,
-    faults_slow: Vec<(u32, f64, f64)>,
-    /// Pending link changes as *directed* `(at_secs, from, to, op)` entries
-    /// — expanded from each fault's `LinkDirection` via the shared
-    /// `directed_keys` helper, exactly like the runtime's `LinkTable` — in
-    /// time order. Entries due in the same sample tick are applied in that
-    /// order, so a heal never erases a later window's sever; equal
-    /// timestamps keep plan order (a window's sever, then its heal), so a
-    /// zero-length window nets healed.
-    faults_link: Vec<(f64, u32, u32, LinkOp)>,
-    faults_corrupt: Vec<(u32, CorruptTarget, f64)>,
+    /// The armed plan's pending triggers (see [`FaultTimeline`]), drained
+    /// by `sample`.
+    crashes: Vec<(u64, NodeId)>,
+    crashes_at_progress: Vec<(NodeId, u32, f64)>,
+    slowdowns: Vec<(u64, NodeId, f64)>,
+    /// In time order. Each change applies its `direction.directed_keys` —
+    /// the runtime's `LinkTable` stores the same directed pairs — and the
+    /// changes due in one sample tick apply in list order, so a heal never
+    /// erases a later window's sever.
+    links: Vec<(u64, LinkChange)>,
+    /// A corruption whose target does not exist yet stays pending.
+    corruptions: Vec<(u64, NodeId, CorruptTarget)>,
     /// Currently severed directed links: `(from, to)` means `from` cannot
     /// open a fetch to `to`; an asymmetric partition leaves the reverse
     /// entry absent so heartbeats and reverse fetches stay healthy.
@@ -286,10 +284,11 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Arm `faults` on a fresh run of `spec`. Millisecond triggers become
-    /// virtual seconds (`at_ms / 1000`) where each is armed. A kill of an
-    /// attempt other than 0 has no simulator equivalent (the kill triggers
-    /// fire once, on the first attempt) and arms nothing.
+    /// Arm `faults` through [`FaultPlan::arm`] on a fresh run of `spec`.
+    /// The timeline's millisecond triggers are read as virtual seconds
+    /// (`at_ms / 1000`) where `sample` drains them. A kill of an attempt
+    /// other than 0 has no simulator equivalent (the kill triggers fire
+    /// once, on the first attempt) and arms nothing.
     pub fn new(spec: SimJobSpec, env: ExperimentEnv, faults: FaultPlan) -> Simulation {
         let model = spec.workload.model();
         let seed = spec.seed;
@@ -331,55 +330,19 @@ impl Simulation {
             })
             .collect();
 
-        let mut faults_time = Vec::new();
-        let mut faults_progress = Vec::new();
-        let mut faults_slow = Vec::new();
-        let mut faults_link = Vec::new();
-        let mut faults_corrupt = Vec::new();
-        let secs = |ms: u64| ms as f64 / 1000.0;
-        for f in &faults.faults {
-            match f {
-                Fault::KillTask { task, attempt_number: 0, at_progress } => {
-                    let kill_at = if task.is_reduce() {
-                        reduces.get_mut(task.index as usize).map(|r| &mut r.kill_at)
-                    } else {
-                        maps.get_mut(task.index as usize).map(|m| &mut m.kill_at)
-                    };
-                    if let Some(kill_at) = kill_at {
-                        *kill_at = Some(*at_progress);
-                    }
-                }
-                Fault::KillTask { attempt_number: 1.., .. } => {}
-                Fault::CrashNodeAtMs { node, at_ms } => faults_time.push((node.0, secs(*at_ms))),
-                Fault::CrashNodeAtReduceProgress { node, reduce_index, at_progress } => {
-                    faults_progress.push((node.0, *reduce_index, *at_progress))
-                }
-                Fault::SlowNode { node, at_ms, factor } => {
-                    faults_slow.push((node.0, secs(*at_ms), factor.max(1.0)))
-                }
-                Fault::PartitionLink { .. } => {
-                    for w in f.partition_windows() {
-                        let (from_secs, heal_secs) = (secs(w.from_ms), secs(w.heal_ms.max(w.from_ms)));
-                        for (from, to) in w.direction.directed_keys(w.a.0, w.b.0) {
-                            faults_link.push((from_secs, from, to, LinkOp::Sever));
-                            faults_link.push((heal_secs, from, to, LinkOp::Heal));
-                        }
-                    }
-                }
-                Fault::DegradedLink { a, b, direction, from_ms, heal_ms, factor, loss } => {
-                    let (from_secs, heal_secs) = (secs(*from_ms), secs(*heal_ms));
-                    for (from, to) in direction.directed_keys(a.0, b.0) {
-                        let op = LinkOp::Degrade { factor: factor.max(1.0), loss: loss.clamp(0.0, 1.0) };
-                        faults_link.push((from_secs, from, to, op));
-                        faults_link.push((heal_secs.max(from_secs), from, to, LinkOp::ClearDegrade));
-                    }
-                }
-                Fault::CorruptData { node, target, at_ms } => {
-                    faults_corrupt.push((node.0, *target, secs(*at_ms)))
-                }
+        let FaultTimeline { kills, crashes, crashes_at_progress, slowdowns, links, corruptions } =
+            faults.arm();
+        for (attempt, at_progress) in kills.into_iter().filter(|(attempt, _)| attempt.number == 0) {
+            let index = attempt.task.index as usize;
+            let kill_at = if attempt.task.is_reduce() {
+                reduces.get_mut(index).map(|r| &mut r.kill_at)
+            } else {
+                maps.get_mut(index).map(|m| &mut m.kill_at)
+            };
+            if let Some(kill_at) = kill_at {
+                *kill_at = Some(at_progress);
             }
         }
-        faults_link.sort_by(|a, b| a.0.total_cmp(&b.0)); // stable: ties keep plan order
 
         let num_maps = qty.num_maps as usize;
         Simulation {
@@ -401,11 +364,11 @@ impl Simulation {
             reduces_dispatched: false,
             maps_done_once: 0,
             dead_pending: Vec::new(),
-            faults_time,
-            faults_progress,
-            faults_slow,
-            faults_link,
-            faults_corrupt,
+            crashes,
+            crashes_at_progress,
+            slowdowns,
+            links,
+            corruptions,
             severed: BTreeSet::new(),
             degraded: BTreeMap::new(),
             corrupt_mofs: BTreeSet::new(),
@@ -1744,18 +1707,17 @@ impl Simulation {
             self.report.reduce_progress.entry(r).or_default().push((now, p));
         }
 
-        // Progress-triggered node crashes.
-        let due: Vec<u32> = self
-            .faults_progress
-            .iter()
-            .filter(|(_, r, p)| {
+        // Progress-triggered node crashes. A fired entry removes only
+        // itself: a later one for the same node finds it down, and
+        // `crash_node` on a dead node returns at once (no node revives).
+        let due: Vec<(NodeId, u32, f64)> = self
+            .crashes_at_progress
+            .extract_if(.., |(_, r, p)| {
                 progress.get(r).copied().unwrap_or(0.0) >= *p || self.reduces[*r as usize].completed
             })
-            .map(|(n, _, _)| *n)
             .collect();
-        self.faults_progress.retain(|(n, _, _)| !due.contains(n));
-        for n in due {
-            self.crash_node(n);
+        for (n, _, _) in due {
+            self.crash_node(n.0);
         }
 
         // Kill triggers (injected OOMs) on attempt 0.
@@ -1833,25 +1795,26 @@ impl Simulation {
         // in time order, then re-pump the shuffles a heal may have
         // unparked. Degraded links never park a fetch (bytes still flow),
         // so they need no re-pump.
-        let due = self.faults_link.partition_point(|(at, ..)| *at <= now);
         let mut healed = false;
-        for (_, from, to, op) in self.faults_link.drain(..due) {
-            match op {
-                LinkOp::Sever => {
-                    self.severed.insert((from, to));
-                }
-                LinkOp::Degrade { factor, loss } => {
-                    self.degraded.insert((from, to), (factor, loss));
-                }
-                LinkOp::Heal => {
-                    // Healing an already-healed (or never-severed) direction
-                    // is an explicit no-op, same as the runtime's
-                    // `LinkTable::heal`.
-                    self.severed.remove(&(from, to));
-                    healed = true;
-                }
-                LinkOp::ClearDegrade => {
-                    self.degraded.remove(&(from, to));
+        for (_, LinkChange { a, b, direction, op }) in self.links.extract_if(.., |(at, _)| is_due(*at, now)) {
+            for key in direction.directed_keys(a.0, b.0) {
+                match op {
+                    LinkOp::Sever => {
+                        self.severed.insert(key);
+                    }
+                    LinkOp::Degrade { factor, loss } => {
+                        self.degraded.insert(key, (factor, loss));
+                    }
+                    LinkOp::Heal => {
+                        // Healing an already-healed (or never-severed)
+                        // direction is an explicit no-op, same as the
+                        // runtime's `LinkTable::heal`.
+                        self.severed.remove(&key);
+                        healed = true;
+                    }
+                    LinkOp::ClearDegrade => {
+                        self.degraded.remove(&key);
+                    }
                 }
             }
         }
@@ -1870,41 +1833,44 @@ impl Simulation {
         // Data corruption: arm MOF rot for arrival-time checksum failures;
         // an ALG-record rot truncates the newest snapshot (recovery falls
         // back one logging interval). Corruptions of records that do not
-        // exist yet stay pending and retry next tick, like the runtime's.
-        let mut keep = Vec::new();
-        for (node, target, at) in std::mem::take(&mut self.faults_corrupt) {
-            if at > now {
-                keep.push((node, target, at));
-                continue;
-            }
-            match target {
-                CorruptTarget::MofPartition { map_index, partition } => {
-                    let _ = node; // the artifact's host is implied by mof_loc
-                    self.corrupt_mofs.insert((map_index, partition));
+        // exist yet stay pending and retry next tick, like the runtime's:
+        // the filter applies each due corruption and extracts it once
+        // applied. The MOF's host is implied by `mof_loc`.
+        self.corruptions
+            .extract_if(.., |&mut (at, _, target)| {
+                if !is_due(at, now) {
+                    return false;
                 }
-                CorruptTarget::AlgRecord { reduce_index, .. } => {
-                    match self.reduces.get_mut(reduce_index as usize) {
-                        Some(r) if r.logged.is_some() => {
-                            r.logged = r.logged_prev.take();
-                            self.report.log_truncations += 1;
+                match target {
+                    CorruptTarget::MofPartition { map_index, partition } => {
+                        self.corrupt_mofs.insert((map_index, partition));
+                        true
+                    }
+                    CorruptTarget::AlgRecord { reduce_index, .. } => {
+                        match self.reduces.get_mut(reduce_index as usize) {
+                            Some(r) if r.logged.is_some() => {
+                                r.logged = r.logged_prev.take();
+                                self.report.log_truncations += 1;
+                                true
+                            }
+                            Some(_) => false,
+                            None => true,
                         }
-                        Some(_) => keep.push((node, target, at)),
-                        None => {}
+                    }
+                    CorruptTarget::DfsBlock { reduce_index, block } => {
+                        match self.reduces.get(reduce_index as usize) {
+                            // The output exists only once the reduce committed.
+                            Some(r) if r.completed => {
+                                self.corrupt_dfs_blocks.insert((reduce_index, block));
+                                true
+                            }
+                            Some(_) => false,
+                            None => true,
+                        }
                     }
                 }
-                CorruptTarget::DfsBlock { reduce_index, block } => {
-                    match self.reduces.get(reduce_index as usize) {
-                        // The output exists only once the reduce committed.
-                        Some(r) if r.completed => {
-                            self.corrupt_dfs_blocks.insert((reduce_index, block));
-                        }
-                        Some(_) => keep.push((node, target, at)),
-                        None => {}
-                    }
-                }
-            }
-        }
-        self.faults_corrupt = keep;
+            })
+            .for_each(drop);
 
         // Shuffles fully parked behind severed links time out at the
         // shuffle wait cap — the bound on never-healing partitions.
@@ -1950,20 +1916,16 @@ impl Simulation {
         }
 
         // Time-based crash faults.
-        let due: Vec<u32> = self.faults_time.iter().filter(|(_, at)| *at <= now).map(|(n, _)| *n).collect();
-        self.faults_time.retain(|(_, at)| *at > now);
-        for n in due {
-            self.crash_node(n);
+        let due: Vec<(u64, NodeId)> = self.crashes.extract_if(.., |(at, _)| is_due(*at, now)).collect();
+        for (_, n) in due {
+            self.crash_node(n.0);
         }
 
         // Slow-node degradations: activate once due; CPU phases scheduled
         // from then on are stretched by the factor.
-        let due_slow: Vec<(u32, f64)> =
-            self.faults_slow.iter().filter(|(_, at, _)| *at <= now).map(|(n, _, f)| (*n, *f)).collect();
-        self.faults_slow.retain(|(_, at, _)| *at > now);
-        for (n, f) in due_slow {
-            if let Some(node) = self.nodes.get_mut(n as usize) {
-                node.slow = node.slow.max(f);
+        for (_, n, factor) in self.slowdowns.extract_if(.., |(at, ..)| is_due(*at, now)) {
+            if let Some(node) = self.nodes.get_mut(n.0 as usize) {
+                node.slow = node.slow.max(factor);
             }
         }
     }
@@ -2016,7 +1978,7 @@ impl Simulation {
     /// to, so its rotten copy stays corrupt and unrepaired. Background
     /// work after job end: `job_secs` is never touched.
     fn settle_dfs_corruption(&mut self) {
-        for (_, target, _) in std::mem::take(&mut self.faults_corrupt) {
+        for (_, _, target) in std::mem::take(&mut self.corruptions) {
             if let CorruptTarget::DfsBlock { reduce_index, block } = target {
                 if self.reduces.get(reduce_index as usize).is_some_and(|r| r.completed) {
                     self.corrupt_dfs_blocks.insert((reduce_index, block));
@@ -2114,7 +2076,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use alm_types::units::GB;
-    use alm_types::{FlapSchedule, LinkDirection, RecoveryMode};
+    use alm_types::{Fault, FlapSchedule, LinkDirection, RecoveryMode};
     use alm_workloads::WorkloadKind;
 
     fn run(kind: WorkloadKind, gb: u64, reduces: u32, mode: RecoveryMode, faults: FaultPlan) -> SimReport {

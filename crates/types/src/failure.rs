@@ -8,15 +8,18 @@
 //!
 //! [`Fault`] and [`FaultPlan`] are the *input* side of the same story: one
 //! declarative description of the faults to inject into a run, shared by
-//! the threaded runtime (which consumes it directly, on its real-time
-//! millisecond clock) and the discrete-event simulator (which lowers it to
-//! per-task/per-node triggers in virtual seconds). Scenario tooling such as
+//! the threaded runtime (real-time millisecond clock) and the
+//! discrete-event simulator (virtual seconds). [`FaultPlan::arm`] is the
+//! one place a fault becomes a trigger: it turns the plan into a
+//! [`FaultTimeline`] of per-kind trigger lists, which both engines
+//! destructure and drain on their own clocks. Scenario tooling such as
 //! `alm-chaos` speaks only this vocabulary and stays engine-agnostic.
 
 use serde::Serialize;
+use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::id::{NodeId, TaskId};
+use crate::id::{AttemptId, NodeId, TaskId};
 
 /// Root cause of a task or node failure, mirroring the fault classes the
 /// paper injects (§II-B, §V-A) and the cascades it analyses (§II-C).
@@ -294,7 +297,7 @@ impl FlapSchedule {
 }
 
 /// One concrete sever→heal window of a (possibly flapping, possibly
-/// asymmetric) link partition, as consumed by the engines' lowering.
+/// asymmetric) link partition, as [`FaultPlan::arm`] expands it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionWindow {
     pub a: NodeId,
@@ -304,20 +307,51 @@ pub struct PartitionWindow {
     pub heal_ms: u64,
 }
 
-/// One planned degraded-link activation, as consumed by the engines'
-/// lowering.
+/// What a due [`LinkChange`] does to its link.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkDegradation {
+pub enum LinkOp {
+    Sever,
+    /// Healing an already-healed (or never-severed) link is a no-op.
+    Heal,
+    /// Transfers run `factor`× slower (>= 1) and each is dropped with
+    /// probability `loss` (in `[0, 1]`), transparently re-fetched.
+    Degrade {
+        factor: f64,
+        loss: f64,
+    },
+    ClearDegrade,
+}
+
+/// One armed link change: `op` applied to the directed keys
+/// `direction.directed_keys(a, b)`, in that order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinkChange {
     pub a: NodeId,
     pub b: NodeId,
     pub direction: LinkDirection,
-    pub from_ms: u64,
-    pub heal_ms: u64,
-    /// Transfer slowdown factor (>= 1; 2.0 = fetches take twice as long).
-    pub factor: f64,
-    /// Probability in `[0, 1)` that one fetch transfer is dropped and must
-    /// be transparently retried (never charged to the retry budget).
-    pub loss: f64,
+    pub op: LinkOp,
+}
+
+/// A [`FaultPlan`] armed as per-kind trigger lists, all times in the
+/// plan's milliseconds. Each engine destructures it without `..` and
+/// drains each list on its own clock, so a list added here fails to
+/// compile in both engines until each one fires it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FaultTimeline {
+    /// Self-kill progress point per attempt; the last `KillTask` in plan
+    /// order wins.
+    pub kills: BTreeMap<AttemptId, f64>,
+    /// `(at_ms, node)` in plan order.
+    pub crashes: Vec<(u64, NodeId)>,
+    /// `(node, reduce_index, at_progress)` in plan order.
+    pub crashes_at_progress: Vec<(NodeId, u32, f64)>,
+    /// `(at_ms, node, factor >= 1)` in plan order.
+    pub slowdowns: Vec<(u64, NodeId, f64)>,
+    /// `(at_ms, change)`, stable-sorted by time: equal times keep plan
+    /// order, so a window's sever comes before its heal.
+    pub links: Vec<(u64, LinkChange)>,
+    /// `(at_ms, node, target)` in plan order.
+    pub corruptions: Vec<(u64, NodeId, CorruptTarget)>,
 }
 
 /// What a [`Fault::CorruptData`] injection flips bytes in: the durable
@@ -426,8 +460,8 @@ impl Fault {
 
     /// A link partition expanded to concrete sever→heal windows: one
     /// window for a plain partition, one per flap cycle for a flapping one,
-    /// none for any other fault. Both engines arm partitions from exactly
-    /// this expansion.
+    /// none for any other fault. [`FaultPlan::arm`] arms partitions from
+    /// exactly this expansion.
     pub fn partition_windows(&self) -> Vec<PartitionWindow> {
         let Fault::PartitionLink { a, b, direction, from_ms, heal_ms, flap } = *self else {
             return Vec::new();
@@ -520,56 +554,47 @@ impl FaultPlan {
         self
     }
 
-    /// The self-kill progress point for a given attempt, if planned.
-    pub fn kill_point(&self, task: TaskId, attempt_number: u32) -> Option<f64> {
-        self.faults.iter().find_map(|f| match f {
-            Fault::KillTask { task: t, attempt_number: a, at_progress }
-                if *t == task && *a == attempt_number =>
-            {
-                Some(*at_progress)
-            }
-            _ => None,
-        })
-    }
-
-    /// Planned slow-node degradations as `(node, at_ms, factor)` triples.
-    pub fn slow_nodes(&self) -> impl Iterator<Item = (NodeId, u64, f64)> + '_ {
-        self.faults.iter().filter_map(|f| match f {
-            Fault::SlowNode { node, at_ms, factor } => Some((*node, *at_ms, *factor)),
-            _ => None,
-        })
-    }
-
     /// Planned link partitions expanded to concrete sever→heal windows, in
     /// plan order (see [`Fault::partition_windows`]).
     pub fn partition_windows(&self) -> Vec<PartitionWindow> {
         self.faults.iter().flat_map(Fault::partition_windows).collect()
     }
 
-    /// Planned degraded-link activations.
-    pub fn degradations(&self) -> impl Iterator<Item = LinkDegradation> + '_ {
-        self.faults.iter().filter_map(|f| match f {
-            Fault::DegradedLink { a, b, direction, from_ms, heal_ms, factor, loss } => {
-                Some(LinkDegradation {
-                    a: *a,
-                    b: *b,
-                    direction: *direction,
-                    from_ms: *from_ms,
-                    heal_ms: *heal_ms,
-                    factor: *factor,
-                    loss: *loss,
-                })
+    /// Arm the plan: the one place a [`Fault`] becomes a trigger, and the
+    /// workspace's one wildcard-free `match` over it, so a new variant
+    /// fails to compile here until it is armed. Every clamp lives here:
+    /// heals land no earlier than their sever, slow and degrade factors
+    /// are at least 1, and loss is a probability.
+    pub fn arm(&self) -> FaultTimeline {
+        let mut t = FaultTimeline::default();
+        for fault in &self.faults {
+            match *fault {
+                Fault::KillTask { task, attempt_number, at_progress } => {
+                    t.kills.insert(task.attempt(attempt_number), at_progress);
+                }
+                Fault::CrashNodeAtMs { node, at_ms } => t.crashes.push((at_ms, node)),
+                Fault::CrashNodeAtReduceProgress { node, reduce_index, at_progress } => {
+                    t.crashes_at_progress.push((node, reduce_index, at_progress))
+                }
+                Fault::SlowNode { node, at_ms, factor } => t.slowdowns.push((at_ms, node, factor.max(1.0))),
+                Fault::PartitionLink { .. } => {
+                    for w in fault.partition_windows() {
+                        let change = |op| LinkChange { a: w.a, b: w.b, direction: w.direction, op };
+                        t.links.push((w.from_ms, change(LinkOp::Sever)));
+                        t.links.push((w.heal_ms.max(w.from_ms), change(LinkOp::Heal)));
+                    }
+                }
+                Fault::DegradedLink { a, b, direction, from_ms, heal_ms, factor, loss } => {
+                    let change = |op| LinkChange { a, b, direction, op };
+                    let op = LinkOp::Degrade { factor: factor.max(1.0), loss: loss.clamp(0.0, 1.0) };
+                    t.links.push((from_ms, change(op)));
+                    t.links.push((heal_ms.max(from_ms), change(LinkOp::ClearDegrade)));
+                }
+                Fault::CorruptData { node, target, at_ms } => t.corruptions.push((at_ms, node, target)),
             }
-            _ => None,
-        })
-    }
-
-    /// Planned data corruptions as `(node, target, at_ms)` triples.
-    pub fn corruptions(&self) -> impl Iterator<Item = (NodeId, CorruptTarget, u64)> + '_ {
-        self.faults.iter().filter_map(|f| match f {
-            Fault::CorruptData { node, target, at_ms } => Some((*node, *target, *at_ms)),
-            _ => None,
-        })
+        }
+        t.links.sort_by_key(|&(at_ms, _)| at_ms); // stable: ties keep plan order
+        t
     }
 
     /// Number of directly injected failure-producing faults (the divisor in
@@ -684,12 +709,65 @@ mod tests {
     }
 
     #[test]
-    fn kill_point_matches_task_and_attempt() {
+    fn arm_clamps_orders_and_expands_in_one_place() {
+        let (n0, n1, n2) = (NodeId(0), NodeId(1), NodeId(2));
         let t = TaskId::reduce(JobId(0), 1);
-        let plan = FaultPlan::kill_task(t, 0.5);
-        assert_eq!(plan.kill_point(t, 0), Some(0.5));
-        assert_eq!(plan.kill_point(t, 1), None, "recovery attempts are not re-killed");
-        assert_eq!(plan.kill_point(TaskId::reduce(JobId(0), 2), 0), None);
+        let kill = |attempt_number, at_progress| FaultPlan {
+            faults: vec![Fault::KillTask { task: t, attempt_number, at_progress }],
+        };
+        let rot = |reduce_index| CorruptTarget::DfsBlock { reduce_index, block: 0 };
+        let flap = FlapSchedule { seed: 5, cycles: 2, period_ms: 40, down_ms: 20 };
+        let plan = kill(0, 0.3)
+            .and(kill(0, 0.7))
+            .and(kill(1, 0.2))
+            .and(FaultPlan::crash_node_at_ms(n2, 200))
+            .and(FaultPlan::crash_node_at_ms(n1, 100))
+            .and(FaultPlan::crash_node_at_reduce_progress(n0, 3, 0.5))
+            .and(FaultPlan::slow_node(n1, 90, 0.5))
+            .and(FaultPlan::slow_node(n0, 10, 4.0))
+            .and(FaultPlan::corrupt_data(n2, rot(1), 80))
+            .and(FaultPlan::corrupt_data(n1, rot(0), 20))
+            .and(FaultPlan::partition_link(n0, n1, 50, 30))
+            .and(FaultPlan::degraded_link(n1, n2, LinkDirection::AToB, 60, 10, 0.5, 2.0))
+            .and(FaultPlan::degraded_link(n0, n2, LinkDirection::BToA, 0, 50, 3.0, -1.0))
+            .and(FaultPlan::flapping_link(n0, n2, LinkDirection::Both, 200, flap));
+        let armed = plan.arm();
+
+        // The last kill per attempt wins; recovery attempts are keyed
+        // apart, and unplanned tasks arm nothing.
+        assert_eq!(armed.kills.len(), 2);
+        assert_eq!(armed.kills[&t.attempt(0)], 0.7);
+        assert_eq!(armed.kills[&t.attempt(1)], 0.2);
+        assert!(!armed.kills.contains_key(&TaskId::reduce(JobId(0), 2).attempt(0)));
+
+        // Crashes, slowdowns and corruptions keep plan order, not time order.
+        assert_eq!(armed.crashes, vec![(200, n2), (100, n1)]);
+        assert_eq!(armed.crashes_at_progress, vec![(n0, 3, 0.5)]);
+        assert_eq!(armed.slowdowns, vec![(90, n1, 1.0), (10, n0, 4.0)], "factor clamps to >= 1");
+        assert_eq!(armed.corruptions, vec![(80, n2, rot(1)), (20, n1, rot(0))]);
+
+        // Links sort by time, ties in plan order; every heal lands no
+        // earlier than its sever, so an inverted window is zero-length.
+        let change = |a, b, direction, op| LinkChange { a, b, direction, op };
+        let both = LinkDirection::Both;
+        let mut want = vec![
+            (0, change(n0, n2, LinkDirection::BToA, LinkOp::Degrade { factor: 3.0, loss: 0.0 })),
+            (50, change(n0, n1, both, LinkOp::Sever)),
+            (50, change(n0, n1, both, LinkOp::Heal)),
+            (50, change(n0, n2, LinkDirection::BToA, LinkOp::ClearDegrade)),
+            (60, change(n1, n2, LinkDirection::AToB, LinkOp::Degrade { factor: 1.0, loss: 1.0 })),
+            (60, change(n1, n2, LinkDirection::AToB, LinkOp::ClearDegrade)),
+        ];
+        // Flap cycles expand through `partition_windows`, one sever/heal
+        // pair per cycle.
+        let windows = flap.windows(200);
+        assert_eq!(windows.len(), 2);
+        for (sever, heal) in windows {
+            want.push((sever, change(n0, n2, both, LinkOp::Sever)));
+            want.push((heal, change(n0, n2, both, LinkOp::Heal)));
+        }
+        assert_eq!(armed.links, want);
+        assert_eq!(FaultPlan::none().arm(), FaultTimeline::default());
     }
 
     #[test]
@@ -704,8 +782,6 @@ mod tests {
     fn slow_nodes_perturb_but_do_not_count_as_failures() {
         let plan = FaultPlan::slow_node(NodeId(1), 50, 3.0).and(FaultPlan::crash_node_at_ms(NodeId(2), 100));
         assert_eq!(plan.injected_count(), 1, "only the crash produces failures");
-        let slows: Vec<_> = plan.slow_nodes().collect();
-        assert_eq!(slows, vec![(NodeId(1), 50, 3.0)]);
     }
 
     #[test]
@@ -768,14 +844,6 @@ mod tests {
                 heal_ms: 90
             }]
         );
-        let degs: Vec<_> = plan.degradations().collect();
-        assert_eq!(degs.len(), 1);
-        assert_eq!((degs[0].factor, degs[0].loss), (2.0, 0.1));
-        let corr: Vec<_> = plan.corruptions().collect();
-        assert_eq!(corr.len(), 1);
-        assert_eq!(corr[0].0, NodeId(2));
-        assert_eq!(corr[0].2, 50);
-        assert!(matches!(corr[0].1, CorruptTarget::AlgRecord { reduce_index: 0, seq: 3 }));
     }
 
     #[test]

@@ -20,8 +20,8 @@ pub mod units;
 
 pub use config::{AlmConfig, ClusterSpec, MemConfig, MemMode, RecoveryMode, ReplicationLevel, YarnConfig};
 pub use failure::{
-    CorruptTarget, FailureKind, FailureReport, Fault, FaultPlan, FlapSchedule, LinkDegradation,
-    LinkDirection, PartitionWindow,
+    CorruptTarget, FailureKind, FailureReport, Fault, FaultPlan, FaultTimeline, FlapSchedule, LinkChange,
+    LinkDirection, LinkOp, PartitionWindow,
 };
 pub use id::{rack_members, rack_of, AttemptId, JobId, NodeId, RackId, TaskId};
 pub use progress::Progress;

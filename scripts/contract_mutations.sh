@@ -8,14 +8,19 @@
 #
 #   cargo check
 #     new FailureKind / Fault variant   -> E0004 (non-exhaustive match)
-#   cargo check -p alm-sim
-#     new Fault variant                 -> E0004 in crates/sim/src/engine.rs
-#                                          (the simulator arms FaultPlan with
-#                                          a wildcard-free match; the
-#                                          workspace-wide case may stop at
-#                                          whichever crate errors first)
 #     new YarnConfig field              -> E0063 / E0027 (literal / destructuring)
 #     new JobReport / SimReport counter -> E0027 in crates/chaos/src/analyze.rs
+#   cargo check -p alm-types
+#     new Fault variant                 -> E0004 in crates/types/src/failure.rs
+#                                          (`FaultPlan::arm`, the one place a
+#                                          fault becomes a trigger; the
+#                                          workspace-wide case may stop at
+#                                          whichever crate errors first)
+#   cargo check -p alm-sim / cargo check -p alm-runtime
+#     new FaultTimeline list            -> E0027 in crates/sim/src/engine.rs /
+#                                          crates/runtime/src/am.rs (each
+#                                          engine destructures the armed
+#                                          timeline with no `..`)
 #   cargo clippy --workspace --all-targets -- -D warnings   (root clippy.toml)
 #     a HashMap field iterated in crates/sim -> clippy::disallowed_types
 #     an Instant::now() in crates/des        -> clippy::disallowed_methods
@@ -47,8 +52,16 @@ check() {
     (cd "$work/ws" && cargo check --offline --workspace 2>&1)
 }
 
+check_types() {
+    (cd "$work/ws" && cargo check --offline -p alm-types 2>&1)
+}
+
 check_sim() {
     (cd "$work/ws" && cargo check --offline -p alm-sim 2>&1)
+}
+
+check_runtime() {
+    (cd "$work/ws" && cargo check --offline -p alm-runtime 2>&1)
 }
 
 check_tests() {
@@ -119,8 +132,12 @@ expect_fail "FailureKind variant" check crates/types/src/failure.rs \
     "pub enum FailureKind {" "    RackLoss," "error\[E0004\]"
 expect_fail "Fault variant" check crates/types/src/failure.rs \
     "pub enum Fault {" "    DrainNode { node: NodeId }," "error\[E0004\]"
-expect_fail "Fault variant armed by the sim" check_sim crates/types/src/failure.rs \
-    "pub enum Fault {" "    DrainNode { node: NodeId }," "error\[E0004\]" crates/sim/src/engine.rs
+expect_fail "Fault variant armed once" check_types crates/types/src/failure.rs \
+    "pub enum Fault {" "    DrainNode { node: NodeId }," "error\[E0004\]" crates/types/src/failure.rs
+expect_fail "FaultTimeline list drained by the sim" check_sim crates/types/src/failure.rs \
+    "pub struct FaultTimeline {" "    pub drains: Vec<(u64, NodeId)>," "error\[E0027\]" crates/sim/src/engine.rs
+expect_fail "FaultTimeline list drained by the runtime" check_runtime crates/types/src/failure.rs \
+    "pub struct FaultTimeline {" "    pub drains: Vec<(u64, NodeId)>," "error\[E0027\]" crates/runtime/src/am.rs
 expect_fail "YarnConfig field" check crates/types/src/config.rs \
     "pub struct YarnConfig {" "    pub speculative_slots: u32," "error\[(E0063|E0027)\]" crates/types/src/config.rs
 expect_fail "JobReport counter" check crates/runtime/src/report.rs \

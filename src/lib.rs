@@ -90,8 +90,7 @@ pub mod prelude {
     pub use alm_runtime::am::run_job;
     pub use alm_runtime::{FaultPlan, JobDef, JobReport, MiniCluster};
     pub use alm_sched::{
-        run_seeds, SchedConfig, SchedPolicyKind, TenantSpec, WarehouseCampaign, WarehouseFault,
-        WarehouseReport,
+        SchedConfig, SchedPolicyKind, TenantSpec, WarehouseCampaign, WarehouseFault, WarehouseReport,
     };
     pub use alm_sim::{ExperimentEnv, SimJobSpec, Simulation};
     pub use alm_types::{
