@@ -7,13 +7,19 @@
 //! cargo run --release -p alm-chaos --example calibration
 //! ```
 
-use alm_chaos::{validate_calibrated, MatchedScale, ToleranceBands};
+use alm_chaos::{calibration_suite, validate_calibrated, MatchedScale, ToleranceBands};
 use alm_types::RecoveryMode;
 
 fn main() {
     let modes = [RecoveryMode::Baseline, RecoveryMode::Alg, RecoveryMode::Sfm, RecoveryMode::SfmAlg];
-    let (report, calibration) =
-        validate_calibrated(&modes, &MatchedScale::default(), &ToleranceBands::measured(), 3);
+    let (report, calibration) = validate_calibrated(
+        &calibration_suite(),
+        "calibration-suite",
+        &modes,
+        &MatchedScale::default(),
+        &ToleranceBands::measured(),
+        3,
+    );
     print!("{}", calibration.render_text());
     print!("{}", report.render_text());
     std::process::exit(if report.ok() { 0 } else { 1 });

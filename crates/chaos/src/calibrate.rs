@@ -312,39 +312,24 @@ pub fn calibrate(
     CalibrationReport { scale: scale.clone(), repeats, curves }
 }
 
-/// Calibrated differential validation: run [`calibration_suite`] at
-/// `scale` and fold the per-mode magnitude invariants into a
-/// [`DifferentialReport`] — the cardinal companion to
-/// `crate::differential::validate_at`'s ordinal checks.
+/// Calibrated differential validation: run `suite` at `scale` and fold
+/// the per-mode magnitude invariants into a [`DifferentialReport`] named
+/// `name` — the cardinal companion to `crate::differential::validate_at`'s
+/// ordinal checks. [`calibration_suite`] is checked against
+/// [`ToleranceBands::measured`], and the *absorbed* fault classes of
+/// [`transient_calibration_suite`] against
+/// [`ToleranceBands::transient_measured`].
 pub fn validate_calibrated(
+    suite: &[ChaosScenario],
+    name: &str,
     modes: &[RecoveryMode],
     scale: &MatchedScale,
     bands: &ToleranceBands,
     repeats: u32,
 ) -> (DifferentialReport, CalibrationReport) {
-    let calibration = calibrate(&calibration_suite(), modes, scale, repeats);
+    let calibration = calibrate(suite, modes, scale, repeats);
     let report = DifferentialReport {
-        scenario: "calibration-suite".into(),
-        modes: modes.to_vec(),
-        invariants: calibration.check(bands),
-        outcomes: Vec::new(),
-    };
-    (report, calibration)
-}
-
-/// Calibrated magnitude validation of the *absorbed* fault classes: run
-/// [`transient_calibration_suite`] at `scale` and check each mode's worst
-/// cross-engine overhead gap against `bands` (typically
-/// [`ToleranceBands::transient_measured`]).
-pub fn validate_calibrated_transient(
-    modes: &[RecoveryMode],
-    scale: &MatchedScale,
-    bands: &ToleranceBands,
-    repeats: u32,
-) -> (DifferentialReport, CalibrationReport) {
-    let calibration = calibrate(&transient_calibration_suite(), modes, scale, repeats);
-    let report = DifferentialReport {
-        scenario: "transient-calibration-suite".into(),
+        scenario: name.into(),
         modes: modes.to_vec(),
         invariants: calibration.check(bands),
         outcomes: Vec::new(),

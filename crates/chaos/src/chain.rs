@@ -221,35 +221,32 @@ impl ChainCampaign {
                     .then(|| format!("{engine} (alg-fcm lost {alg}, lineage-replay lost {lineage})"))
             })
             .collect();
-        invariants.push(Invariant {
-            name: "mem-amplification-bounded".into(),
-            passed: bad.is_empty(),
-            detail: if bad.is_empty() {
-                format!(
-                    "crash at iteration {} of {}: alg-fcm loses 0 iterations, lineage-replay loses {} (sim) / {} (runtime)",
-                    self.crash_iteration,
-                    self.iterations,
-                    lost(EngineKind::Simulator, MemMode::LineageReplay),
-                    lost(EngineKind::Runtime, MemMode::LineageReplay),
-                )
-            } else {
-                format!("amplification not bounded under: {}", bad.join("; "))
-            },
-        });
+        invariants.push(Invariant::new(
+            "mem-amplification-bounded",
+            &bad,
+            format!(
+                "crash at iteration {} of {}: alg-fcm loses 0 iterations, lineage-replay loses {} (sim) / {} (runtime)",
+                self.crash_iteration,
+                self.iterations,
+                lost(EngineKind::Simulator, MemMode::LineageReplay),
+                lost(EngineKind::Runtime, MemMode::LineageReplay),
+            ),
+            format!("amplification not bounded under: {}", bad.join("; ")),
+        ));
 
         // Recovery path must not change the math: every (engine, mode)
-        // chain ends in the same final state, byte for byte.
-        let states: Vec<&Vec<u64>> = reports.iter().map(|(_, r)| &r.final_state).collect();
-        let agree = states.windows(2).all(|w| w[0] == w[1]);
-        invariants.push(Invariant {
-            name: "chain-state-identical".into(),
-            passed: agree,
-            detail: if agree {
-                "all engine x mode chains converge to byte-identical final state".into()
-            } else {
-                "final states diverge across engines/modes".into()
-            },
-        });
+        // chain ends in the same final state as the first, byte for byte.
+        let diverged: Vec<String> = reports
+            .iter()
+            .filter(|(_, r)| r.final_state != reports[0].1.final_state)
+            .map(|(engine, r)| format!("{engine}/{:?}", r.mode))
+            .collect();
+        invariants.push(Invariant::new(
+            "chain-state-identical",
+            &diverged,
+            "all engine x mode chains converge to byte-identical final state",
+            "final states diverge across engines/modes".into(),
+        ));
 
         // Every engine run in every chain — including replays on a cluster
         // already missing the crashed node — must complete.
@@ -258,15 +255,12 @@ impl ChainCampaign {
             .filter(|o| !o.succeeded)
             .map(|o| format!("{}/{}", o.engine, o.scenario))
             .collect();
-        invariants.push(Invariant {
-            name: "chain-completes".into(),
-            passed: stuck.is_empty(),
-            detail: if stuck.is_empty() {
-                format!("all {} engine job runs completed", outcomes.len())
-            } else {
-                format!("did not complete: {}", stuck.join(", "))
-            },
-        });
+        invariants.push(Invariant::new(
+            "chain-completes",
+            &stuck,
+            format!("all {} engine job runs completed", outcomes.len()),
+            format!("did not complete: {}", stuck.join(", ")),
+        ));
 
         ChainDifferentialReport {
             crash_node: self.crash_node,

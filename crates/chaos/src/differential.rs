@@ -63,6 +63,15 @@ pub struct Invariant {
     pub detail: String,
 }
 
+impl Invariant {
+    /// An invariant that holds when nothing in `violations` broke it; its
+    /// detail is `ok` when it holds and `fail` when it does not.
+    pub(crate) fn new(name: &str, violations: &[String], ok: impl Into<String>, fail: String) -> Invariant {
+        let passed = violations.is_empty();
+        Invariant { name: name.into(), passed, detail: if passed { ok.into() } else { fail } }
+    }
+}
+
 /// The verdict of one differential validation.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DifferentialReport {
@@ -159,30 +168,24 @@ pub fn validate_at(
 
     let stuck: Vec<String> =
         outcomes.iter().filter(|o| !o.succeeded).map(|o| format!("{}/{:?}", o.engine, o.mode)).collect();
-    invariants.push(Invariant {
-        name: "completes".into(),
-        passed: stuck.is_empty(),
-        detail: if stuck.is_empty() {
-            format!("all {} engine x mode runs completed", outcomes.len())
-        } else {
-            format!("did not complete: {}", stuck.join(", "))
-        },
-    });
+    invariants.push(Invariant::new(
+        "completes",
+        &stuck,
+        format!("all {} engine x mode runs completed", outcomes.len()),
+        format!("did not complete: {}", stuck.join(", ")),
+    ));
 
     let unverified: Vec<String> = outcomes
         .iter()
         .filter(|o| o.engine == EngineKind::Runtime && o.output_verified != Some(true))
         .map(|o| format!("{:?}", o.mode))
         .collect();
-    invariants.push(Invariant {
-        name: "output-oracle".into(),
-        passed: unverified.is_empty(),
-        detail: if unverified.is_empty() {
-            "every runtime run committed byte-identical oracle output".into()
-        } else {
-            format!("oracle mismatch under: {}", unverified.join(", "))
-        },
-    });
+    invariants.push(Invariant::new(
+        "output-oracle",
+        &unverified,
+        "every runtime run committed byte-identical oracle output",
+        format!("oracle mismatch under: {}", unverified.join(", ")),
+    ));
 
     let mut contradictions = Vec::new();
     for (i, &a) in modes.iter().enumerate() {
@@ -200,15 +203,12 @@ pub fn validate_at(
             }
         }
     }
-    invariants.push(Invariant {
-        name: "amplification-ordering".into(),
-        passed: contradictions.is_empty(),
-        detail: if contradictions.is_empty() {
-            "engines agree on how modes order by spatial amplification".into()
-        } else {
-            format!("engines contradict on: {}", contradictions.join("; "))
-        },
-    });
+    invariants.push(Invariant::new(
+        "amplification-ordering",
+        &contradictions,
+        "engines agree on how modes order by spatial amplification",
+        format!("engines contradict on: {}", contradictions.join("; ")),
+    ));
 
     let mof_loss: Vec<String> = outcomes
         .iter()
@@ -218,15 +218,12 @@ pub fn validate_at(
         })
         .map(|o| format!("{}/{:?}", o.engine, o.mode))
         .collect();
-    invariants.push(Invariant {
-        name: "no-mof-loss".into(),
-        passed: mof_loss.is_empty(),
-        detail: if mof_loss.is_empty() {
-            format!("all {} reduce partitions recovered and committed everywhere", scale.num_reduces)
-        } else {
-            format!("unrecovered output loss under: {}", mof_loss.join(", "))
-        },
-    });
+    invariants.push(Invariant::new(
+        "no-mof-loss",
+        &mof_loss,
+        format!("all {} reduce partitions recovered and committed everywhere", scale.num_reduces),
+        format!("unrecovered output loss under: {}", mof_loss.join(", ")),
+    ));
 
     // Correlated rack loss is the paper's hardest recovery case: when the
     // scenario takes out a whole rack, surviving replicas must carry the
@@ -243,15 +240,12 @@ pub fn validate_at(
             })
             .map(|o| format!("{}/{:?}", o.engine, o.mode))
             .collect();
-        invariants.push(Invariant {
-            name: "correlated-crash-recovery".into(),
-            passed: bad.is_empty(),
-            detail: if bad.is_empty() {
-                "rack loss recovered: runtime output oracle-identical and fully committed, simulator completes under SfmAlg".into()
-            } else {
-                format!("rack loss not recovered under: {}", bad.join(", "))
-            },
-        });
+        invariants.push(Invariant::new(
+            "correlated-crash-recovery",
+            &bad,
+            "rack loss recovered: runtime output oracle-identical and fully committed, simulator completes under SfmAlg",
+            format!("rack loss not recovered under: {}", bad.join(", ")),
+        ));
     }
 
     // A network partition that heals inside the liveness window is the
@@ -295,19 +289,16 @@ pub fn validate_at(
                 )
             })
             .collect();
-        invariants.push(Invariant {
-            name: "transient-no-node-loss".into(),
-            passed: bad.is_empty(),
-            detail: if bad.is_empty() {
-                if transient_only {
-                    "healed partition absorbed: zero node-lost declarations, zero map re-executions, zero failures in both engines".into()
-                } else {
-                    "healed partition absorbed: zero node-lost declarations in both engines".into()
-                }
+        invariants.push(Invariant::new(
+            "transient-no-node-loss",
+            &bad,
+            if transient_only {
+                "healed partition absorbed: zero node-lost declarations, zero map re-executions, zero failures in both engines"
             } else {
-                format!("partition mistaken for node loss under: {}", bad.join(", "))
+                "healed partition absorbed: zero node-lost declarations in both engines"
             },
-        });
+            format!("partition mistaken for node loss under: {}", bad.join(", ")),
+        ));
     }
 
     // An *asymmetric* partition is the half-open gray link: one direction
@@ -333,15 +324,12 @@ pub fn validate_at(
                 )
             })
             .collect();
-        invariants.push(Invariant {
-            name: "asymmetric-partition-no-node-loss".into(),
-            passed: bad.is_empty(),
-            detail: if bad.is_empty() {
-                "half-open link absorbed: both engines complete with zero node-lost declarations".into()
-            } else {
-                format!("asymmetric partition mistaken for node loss under: {}", bad.join(", "))
-            },
-        });
+        invariants.push(Invariant::new(
+            "asymmetric-partition-no-node-loss",
+            &bad,
+            "half-open link absorbed: both engines complete with zero node-lost declarations",
+            format!("asymmetric partition mistaken for node loss under: {}", bad.join(", ")),
+        ));
     }
 
     // A flapping link (bounded sever→heal cycles) is the backoff stress
@@ -365,15 +353,12 @@ pub fn validate_at(
                 )
             })
             .collect();
-        invariants.push(Invariant {
-            name: "flap-backoff-budget".into(),
-            passed: bad.is_empty(),
-            detail: if bad.is_empty() {
-                "flap cycles absorbed: retry budget intact across every heal, zero preemptions and zero failures in both engines".into()
-            } else {
-                format!("flap cycles exhausted the retry budget under: {}", bad.join(", "))
-            },
-        });
+        invariants.push(Invariant::new(
+            "flap-backoff-budget",
+            &bad,
+            "flap cycles absorbed: retry budget intact across every heal, zero preemptions and zero failures in both engines",
+            format!("flap cycles exhausted the retry budget under: {}", bad.join(", ")),
+        ));
     }
 
     // Checksummed corruption recovery must stay bounded and invisible to
@@ -403,15 +388,12 @@ pub fn validate_at(
                 )
             })
             .collect();
-        invariants.push(Invariant {
-            name: "corruption-bounded-recovery".into(),
-            passed: bad.is_empty(),
-            detail: if bad.is_empty() {
-                "corruption absorbed: both engines complete, runtime recoveries bounded by one logging interval, no FetchFailureLimit preemption".into()
-            } else {
-                format!("corruption recovery violated under: {}", bad.join(", "))
-            },
-        });
+        invariants.push(Invariant::new(
+            "corruption-bounded-recovery",
+            &bad,
+            "corruption absorbed: both engines complete, runtime recoveries bounded by one logging interval, no FetchFailureLimit preemption",
+            format!("corruption recovery violated under: {}", bad.join(", ")),
+        ));
     }
 
     // Committed-output rot must be invisible to consumers: with up to
@@ -456,17 +438,14 @@ pub fn validate_at(
                 )
             })
             .collect();
-        invariants.push(Invariant {
-            name: "dfs-verified-read".into(),
-            passed: bad.is_empty(),
-            detail: if bad.is_empty() {
-                format!(
-                    "committed-output rot absorbed: ≥{want_failovers} read failover(s) served clean bytes and repair restored replication in both engines"
-                )
-            } else {
-                format!("rotten bytes surfaced or replication unrepaired under: {}", bad.join(", "))
-            },
-        });
+        invariants.push(Invariant::new(
+            "dfs-verified-read",
+            &bad,
+            format!(
+                "committed-output rot absorbed: ≥{want_failovers} read failover(s) served clean bytes and repair restored replication in both engines"
+            ),
+            format!("rotten bytes surfaced or replication unrepaired under: {}", bad.join(", ")),
+        ));
     }
 
     DifferentialReport { scenario: scenario.name.clone(), modes: modes.to_vec(), invariants, outcomes }

@@ -29,8 +29,8 @@ pub mod triage;
 
 pub use analyze::{analyze_runtime, analyze_sim, DfsAudit, EngineKind, ScenarioOutcome};
 pub use calibrate::{
-    calibrate, calibration_suite, transient_calibration_suite, validate_calibrated,
-    validate_calibrated_transient, CalibrationReport, ModeCurve, SlowdownPoint, ToleranceBands,
+    calibrate, calibration_suite, transient_calibration_suite, validate_calibrated, CalibrationReport,
+    ModeCurve, SlowdownPoint, ToleranceBands,
 };
 pub use campaign::{CampaignReport, RuntimeCampaign, SimCampaign};
 pub use chain::{ChainCampaign, ChainDifferentialReport, ChainModeRow};

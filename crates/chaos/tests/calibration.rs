@@ -4,8 +4,8 @@
 //! differentially end to end.
 
 use alm_chaos::{
-    calibrate, calibration_suite, transient_calibration_suite, validate_calibrated,
-    validate_calibrated_transient, ChaosFault, ChaosScenario, MatchedScale, ToleranceBands,
+    calibrate, calibration_suite, transient_calibration_suite, validate_calibrated, ChaosFault,
+    ChaosScenario, MatchedScale, ToleranceBands,
 };
 use alm_types::RecoveryMode;
 
@@ -17,8 +17,14 @@ const ALL_MODES: [RecoveryMode; 4] =
 /// `ToleranceBands::measured` / EXPERIMENTS.md.
 #[test]
 fn magnitude_invariants_hold_at_default_scale_for_all_modes() {
-    let (report, calibration) =
-        validate_calibrated(&ALL_MODES, &MatchedScale::default(), &ToleranceBands::measured(), 3);
+    let (report, calibration) = validate_calibrated(
+        &calibration_suite(),
+        "calibration-suite",
+        &ALL_MODES,
+        &MatchedScale::default(),
+        &ToleranceBands::measured(),
+        3,
+    );
     assert_eq!(report.invariants.len(), ALL_MODES.len());
     for inv in &report.invariants {
         assert!(inv.name.starts_with("magnitude-"), "{inv:?}");
@@ -49,7 +55,9 @@ fn magnitude_invariants_hold_at_default_scale_for_all_modes() {
 /// / EXPERIMENTS.md.
 #[test]
 fn transient_magnitude_invariants_hold_at_default_scale_for_all_modes() {
-    let (report, calibration) = validate_calibrated_transient(
+    let (report, calibration) = validate_calibrated(
+        &transient_calibration_suite(),
+        "transient-calibration-suite",
         &ALL_MODES,
         &MatchedScale::default(),
         &ToleranceBands::transient_measured(),

@@ -1,12 +1,16 @@
-//! Property-based tests of Algorithm 1: for arbitrary failure reports and
-//! scheduler contexts, the policy's invariants hold.
+//! Property-based tests of the recovery policy: for arbitrary failure
+//! reports, scheduler contexts and recovery modes, the policy's
+//! invariants hold.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 use alm_core::sfm::policy::MAX_RUNNING_FOR_SPECULATION;
 use alm_core::{schedule_recovery, ExecMode, PolicyCtx, SchedAction};
-use alm_types::{FailureKind, FailureReport, JobId, NodeId, TaskId};
+use alm_types::{FailureReport, JobId, NodeId, RecoveryMode, TaskId};
+
+const MODES: [RecoveryMode; 4] =
+    [RecoveryMode::Baseline, RecoveryMode::Alg, RecoveryMode::Sfm, RecoveryMode::SfmAlg];
 
 fn arb_report() -> impl Strategy<Value = FailureReport> {
     (
@@ -14,38 +18,46 @@ fn arb_report() -> impl Strategy<Value = FailureReport> {
         proptest::bool::ANY,
         proptest::collection::btree_set(0u32..40, 0..12),
         proptest::collection::btree_set(0u32..200, 0..30),
+        proptest::collection::btree_set(0u32..200, 0..30),
     )
-        .prop_map(|(node, alive, reduces, maps)| FailureReport {
+        .prop_map(|(node, alive, reduces, maps, lost)| FailureReport {
             source_node: NodeId(node),
             node_alive: alive,
-            kind: if alive { FailureKind::TaskOom } else { FailureKind::NodeCrash },
             failed_reduces: reduces.into_iter().map(|i| TaskId::reduce(JobId(0), i)).collect(),
             failed_maps: maps.into_iter().map(|i| TaskId::map(JobId(0), i)).collect(),
+            lost_mofs: lost.into_iter().map(|i| TaskId::map(JobId(0), i)).collect(),
         })
 }
 
 fn arb_ctx(report: &FailureReport) -> impl Strategy<Value = PolicyCtx> {
     let reduces = report.failed_reduces.clone();
     (
+        (0usize..MODES.len(), proptest::bool::ANY),
         0u32..3,
         1usize..20,
         0usize..25,
-        proptest::collection::vec(0u32..4, reduces.len()),
-        proptest::collection::vec(0u32..4, reduces.len()),
+        proptest::collection::vec((0u32..4, 0u32..4, proptest::bool::ANY, 0u32..30), reduces.len()),
     )
-        .prop_map(move |(limit_local, fcm_cap, fcm_running, on_node, running)| {
+        .prop_map(move |((mode, proactive_map_regen), limit_local, fcm_cap, fcm_running, per_reduce)| {
             let mut attempts_on_source_node = BTreeMap::new();
             let mut running_attempts = BTreeMap::new();
-            for (i, r) in reduces.iter().enumerate() {
-                attempts_on_source_node.insert(*r, on_node[i]);
-                running_attempts.insert(*r, running[i]);
+            let mut resume_node = BTreeMap::new();
+            for (r, (on_node, running, logged, log_node)) in reduces.iter().zip(per_reduce) {
+                attempts_on_source_node.insert(*r, on_node);
+                running_attempts.insert(*r, running);
+                if logged {
+                    resume_node.insert(*r, NodeId(log_node));
+                }
             }
             PolicyCtx {
+                mode: MODES[mode],
+                proactive_map_regen,
                 limit_local,
                 fcm_cap,
                 fcm_tasks_running: fcm_running,
                 attempts_on_source_node,
                 running_attempts,
+                resume_node,
             }
         })
 }
@@ -59,9 +71,16 @@ proptest! {
         let (report, ctx) = report;
         report.validate().unwrap();
         let actions = schedule_recovery(&report, &ctx);
+        let sfm = matches!(ctx.mode, RecoveryMode::Sfm | RecoveryMode::SfmAlg);
 
-        // 1. Every failed map / lost MOF gets exactly one high-priority
-        //    re-execution; nothing else launches maps.
+        // 1. Every failed map runs again exactly once, in report order; a
+        //    lost MOF runs again only under SFM with proactive regeneration
+        //    (once, after the failed maps). SFM's map launches are high
+        //    priority, the others normal; nothing else launches maps.
+        let mut want_maps = report.failed_maps.clone();
+        if sfm && ctx.proactive_map_regen {
+            want_maps.extend(report.lost_mofs.iter().filter(|m| !report.failed_maps.contains(m)));
+        }
         let map_launches: Vec<TaskId> = actions
             .iter()
             .filter_map(|a| match a {
@@ -70,11 +89,37 @@ proptest! {
             })
             .map(|(task, high_priority)| {
                 assert!(task.is_map());
-                assert!(high_priority, "map regeneration must be high priority");
+                assert_eq!(high_priority, sfm, "map priority under {:?}", ctx.mode);
                 task
             })
             .collect();
-        prop_assert_eq!(map_launches, report.failed_maps.clone());
+        prop_assert_eq!(map_launches, want_maps);
+
+        if !sfm {
+            // 2. Outside SFM every failed reduce is relaunched exactly once
+            //    as a plain attempt, pinned only under ALG to its live log
+            //    node; nothing is speculative, origin-pinned or FCM.
+            let relaunched: Vec<TaskId> = actions
+                .iter()
+                .filter_map(|a| match a {
+                    SchedAction::LaunchMap { .. } => None,
+                    SchedAction::RelaunchReduce { task, prefer } => {
+                        let want = match ctx.mode {
+                            RecoveryMode::Alg if report.node_alive => ctx.resume_node.get(task).copied(),
+                            _ => None,
+                        };
+                        assert_eq!(*prefer, want, "{task} under {:?}", ctx.mode);
+                        Some(*task)
+                    }
+                    other => panic!("{other:?} issued under {:?}", ctx.mode),
+                })
+                .collect();
+            prop_assert_eq!(relaunched, report.failed_reduces.clone());
+            return Ok(());
+        }
+
+        // Under SFM, Algorithm 1's invariants.
+        prop_assert!(!actions.iter().any(|a| matches!(a, SchedAction::RelaunchReduce { .. })));
 
         // 2. Local relaunches only when the node lives and the budget allows.
         for a in &actions {

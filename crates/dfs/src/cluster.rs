@@ -460,8 +460,8 @@ impl DfsCluster {
     /// blocks. Returns the number of queue entries processed (including
     /// currently-unrepairable ones, which are dropped — a block whose
     /// every replica is dead or rotten has no healthy source to copy
-    /// from). Call from a maintenance tick for background-style repair.
-    pub fn repair_step(&self) -> usize {
+    /// from).
+    fn repair_step(&self) -> usize {
         let mut inner = self.inner.lock();
         let take: Vec<u64> =
             inner.repair_queue.iter().copied().take(self.repair_concurrency as usize).collect();

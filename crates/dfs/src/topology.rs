@@ -32,10 +32,6 @@ impl Topology {
         self.node_rack.keys().copied()
     }
 
-    pub fn num_nodes(&self) -> usize {
-        self.node_rack.len()
-    }
-
     pub fn num_racks(&self) -> usize {
         let mut racks: Vec<RackId> = self.node_rack.values().copied().collect();
         racks.sort_unstable();
@@ -76,7 +72,6 @@ mod tests {
     #[test]
     fn even_layout() {
         let t = Topology::even(6, 2);
-        assert_eq!(t.num_nodes(), 6);
         assert_eq!(t.num_racks(), 2);
         assert_eq!(t.rack_of(NodeId(0)), Some(RackId(0)));
         assert_eq!(t.rack_of(NodeId(1)), Some(RackId(1)));

@@ -43,15 +43,6 @@ impl Series {
         self.points.iter().map(|&(_, y)| y).fold(None, |acc, y| Some(acc.map_or(y, |m: f64| m.min(y))))
     }
 
-    /// Mean of y values (used to report "on average X% improvement").
-    pub fn mean_y(&self) -> f64 {
-        if self.points.is_empty() {
-            0.0
-        } else {
-            self.points.iter().map(|&(_, y)| y).sum::<f64>() / self.points.len() as f64
-        }
-    }
-
     /// Render as aligned two-column text.
     pub fn render_text(&self) -> String {
         let mut out = format!("# {}  [{} vs {}]\n", self.name, self.y_label, self.x_label);
@@ -82,7 +73,6 @@ mod tests {
         assert_eq!(s.y_at(51.0), None);
         assert_eq!(s.max_y(), Some(160.0));
         assert_eq!(s.min_y(), Some(100.0));
-        assert!((s.mean_y() - 130.0).abs() < 1e-12);
     }
 
     #[test]
@@ -90,7 +80,6 @@ mod tests {
         let s = Series::new("e", "x", "y");
         assert!(s.is_empty());
         assert_eq!(s.max_y(), None);
-        assert_eq!(s.mean_y(), 0.0);
     }
 
     #[test]

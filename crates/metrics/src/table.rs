@@ -26,11 +26,6 @@ impl TextTable {
         self.rows.push(cells.to_vec());
     }
 
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells);
-    }
-
     /// Render as a GitHub-flavoured markdown table (title as a heading),
     /// for reports destined for READMEs / PR bodies rather than consoles.
     pub fn render_markdown(&self) -> String {
@@ -104,12 +99,5 @@ mod tests {
         assert!(md.contains("| Type | Additional Failures |"));
         assert!(md.contains("| --- | --- |"));
         assert!(md.contains("| SFM\\|ALG | 0 |"), "pipes must be escaped: {md}");
-    }
-
-    #[test]
-    fn row_display_converts() {
-        let mut t = TextTable::new("t", &["a", "b"]);
-        t.row_display(&[&1.5f64, &"x"]);
-        assert_eq!(t.rows[0], vec!["1.5".to_string(), "x".to_string()]);
     }
 }

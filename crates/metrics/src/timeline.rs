@@ -43,11 +43,6 @@ impl Timeline {
         self.annotations.push(Annotation { at_secs, label: label.into() });
     }
 
-    /// Time of the last sample.
-    pub fn end_secs(&self) -> f64 {
-        self.samples.last().map_or(0.0, |&(t, _)| t)
-    }
-
     /// Longest interval during which progress did not increase — the
     /// "stall" the temporal-amplification analysis highlights.
     pub fn longest_stall_secs(&self) -> f64 {
@@ -102,7 +97,6 @@ mod tests {
         tl.sample(180.0, 0.8);
         tl.sample(200.0, 1.0);
         tl.annotate(48.0, "node crash");
-        assert_eq!(tl.end_secs(), 200.0);
         // The stall runs from the sample at 48 until progress rises at 180.
         assert!((tl.longest_stall_secs() - 132.0).abs() < 1e-9);
     }

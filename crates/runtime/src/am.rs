@@ -1,15 +1,19 @@
 //! The ApplicationMaster: scheduling, failure detection, and recovery.
 //!
 //! One `JobRunner` drives one job: it launches map/reduce attempts as
-//! threads, consumes their events, injects planned faults, detects node
-//! failures after the liveness timeout, and recovers according to the
-//! configured [`alm_types::RecoveryMode`]:
+//! threads, consumes their events, injects planned faults, and detects
+//! node failures after the liveness timeout. On a task or node failure it
+//! records the failures, builds one [`FailureReport`], and executes the
+//! actions `alm_core::schedule_recovery` decides for the configured
+//! [`alm_types::RecoveryMode`]:
 //!
 //! * **Baseline** (stock YARN): failed tasks are re-launched from scratch;
 //!   lost MOFs are only re-executed after enough reducers *report* fetch
 //!   failures — which is exactly how a single node crash snowballs into
 //!   temporal and spatial failure amplification.
-//! * **ALG/SFM/SFM+ALG**: Algorithm 1 — proactive high-priority map
+//! * **ALG**: as Baseline, but a reducer that failed on a live node is
+//!   re-launched there, to resume from its local logs.
+//! * **SFM/SFM+ALG**: Algorithm 1 — proactive high-priority map
 //!   regeneration (reducers wait instead of failing), local log-resume
 //!   relaunches, and speculative FCM-mode migration.
 
@@ -228,14 +232,38 @@ impl JobRunner {
         self.reduces.iter().flat_map(|t| t.running.values()).filter(|(_, m, _)| *m == ExecMode::Fcm).count()
     }
 
+    /// Recover per the policy.
+    fn recover(&mut self, report: &FailureReport) {
+        let actions = schedule_recovery(report, &self.policy_ctx(report));
+        self.execute_actions(actions);
+    }
+
+    /// What the policy needs to know about the report's failed reduces.
+    /// A live source node holds the failed attempt's newest local log.
+    fn policy_ctx(&self, report: &FailureReport) -> PolicyCtx {
+        let mut ctx = PolicyCtx::new(&self.job.alm, self.fcm_running());
+        let source = report.source_node;
+        for &r in &report.failed_reduces {
+            let st = &self.reduces[r.index as usize];
+            ctx.attempts_on_source_node.insert(r, st.attempts_on_node.get(&source).copied().unwrap_or(0));
+            ctx.running_attempts.insert(r, st.running.len() as u32);
+            if report.node_alive {
+                ctx.resume_node.insert(r, source);
+            }
+        }
+        ctx
+    }
+
     fn execute_actions(&mut self, actions: Vec<SchedAction>) {
         for a in actions {
             match a {
-                SchedAction::LaunchMap { task, high_priority: _ } => {
-                    // High priority in this engine = launched immediately
-                    // (threads start at once) and marked regenerating so
-                    // reducers wait instead of failing.
-                    self.registry.mark_regenerating(task.index);
+                SchedAction::LaunchMap { task, high_priority } => {
+                    // Every launch starts at once in this engine; high
+                    // priority marks the MOF regenerating, so reducers wait
+                    // instead of failing.
+                    if high_priority {
+                        self.registry.mark_regenerating(task.index);
+                    }
                     self.maps[task.index as usize].completed = false;
                     self.launch_map(task, None);
                 }
@@ -244,6 +272,9 @@ impl JobRunner {
                 }
                 SchedAction::LaunchSpeculativeReduce { task, mode, avoid } => {
                     self.launch_reduce(task, None, avoid, mode);
+                }
+                SchedAction::RelaunchReduce { task, prefer } => {
+                    self.launch_reduce(task, prefer, None, ExecMode::Regular);
                 }
             }
         }
@@ -262,82 +293,33 @@ impl JobRunner {
         if state.completed {
             return;
         }
-
-        if self.alm_enabled() {
-            let mut report = FailureReport::task_failure(node, kind, task);
-            report.node_alive = self.cluster.node(node).is_alive();
-            let mut ctx = PolicyCtx::new(&self.job.alm, self.fcm_running());
-            if task.is_reduce() {
-                let st = &self.reduces[task.index as usize];
-                ctx.attempts_on_source_node
-                    .insert(task, st.attempts_on_node.get(&node).copied().unwrap_or(0));
-                ctx.running_attempts.insert(task, st.running.len() as u32);
-            }
-            let actions = schedule_recovery(&report, &ctx);
-            self.execute_actions(actions);
-        } else {
-            // Baseline: plain re-execution on some healthy node.
-            if task.is_map() {
-                self.launch_map(task, None);
-            } else {
-                self.launch_reduce(task, None, None, ExecMode::Regular);
-            }
-        }
+        self.recover(&FailureReport::task_failure(node, self.cluster.node(node).is_alive(), task));
     }
 
     fn handle_node_failure(&mut self, node: NodeId) {
         self.handled_node_failures.push(node);
         // Attempts running on the dead node died silently; fail them now.
-        let mut dead_attempts: Vec<(AttemptId, ExecMode)> = Vec::new();
+        let mut dead_attempts: Vec<AttemptId> = Vec::new();
         for table in [&mut self.maps, &mut self.reduces] {
             for st in table.iter_mut() {
                 let doomed: Vec<AttemptId> =
                     st.running.iter().filter(|(_, (n, _, _))| *n == node).map(|(a, _)| *a).collect();
                 for a in doomed {
-                    let (_, mode, _) = st.running.remove(&a).expect("key just listed from this map");
+                    st.running.remove(&a);
                     if !st.completed {
-                        dead_attempts.push((a, mode));
+                        dead_attempts.push(a);
                     }
                 }
             }
         }
-        for (a, _) in &dead_attempts {
-            self.record_failure(*a, FailureKind::NodeCrash);
+        for &a in &dead_attempts {
+            self.record_failure(a, FailureKind::NodeCrash);
         }
 
-        let lost_mofs: Vec<u32> = self.registry.mofs_on_node(node);
+        let lost_mofs: Vec<TaskId> =
+            self.registry.mofs_on_node(node).into_iter().map(|m| self.job.map_task(m)).collect();
         self.rerun_reduces_with_lost_output();
-
-        if self.alm_enabled() {
-            let running_tasks: Vec<TaskId> = dead_attempts.iter().map(|(a, _)| a.task).collect();
-            let lost_map_tasks: Vec<TaskId> = if self.job.alm.proactive_map_regen {
-                lost_mofs.iter().map(|&m| self.job.map_task(m)).collect()
-            } else {
-                // Ablation: only maps that were actually *running* there.
-                Vec::new()
-            };
-            let report = FailureReport::node_crash(node, running_tasks, lost_map_tasks);
-            let mut ctx = PolicyCtx::new(&self.job.alm, self.fcm_running());
-            for r in &report.failed_reduces {
-                let st = &self.reduces[r.index as usize];
-                ctx.attempts_on_source_node.insert(*r, st.attempts_on_node.get(&node).copied().unwrap_or(0));
-                ctx.running_attempts.insert(*r, st.running.len() as u32);
-            }
-            let actions = schedule_recovery(&report, &ctx);
-            self.execute_actions(actions);
-        } else {
-            // Baseline YARN: relaunch only the tasks that were *running* on
-            // the node. Lost MOFs are rediscovered the painful way, through
-            // reducers' fetch-failure reports.
-            for (a, _) in dead_attempts {
-                if a.task.is_map() {
-                    self.maps[a.task.index as usize].completed = false;
-                    self.launch_map(a.task, None);
-                } else {
-                    self.launch_reduce(a.task, None, None, ExecMode::Regular);
-                }
-            }
-        }
+        self.recover(&FailureReport::node_crash(node, dead_attempts.iter().map(|a| a.task), lost_mofs));
     }
 
     fn handle_fetch_failure(&mut self, _reducer: AttemptId, map_index: u32, source: NodeId) {

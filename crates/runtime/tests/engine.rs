@@ -127,6 +127,30 @@ fn reduce_oom_resumes_from_logs_alg() {
 }
 
 #[test]
+fn alg_relaunch_resumes_shuffle_stage_logs_on_the_logging_node() {
+    // Five maps and three reduces on five nodes: round-robin puts reducer 0
+    // on node 0 and points at node 3 next. ALG must relaunch it on node 0
+    // anyway, where its shuffle-stage records and spill files are.
+    let cluster = Arc::new(MiniCluster::for_tests(5));
+    let mut alm = AlmConfig::with_mode(RecoveryMode::Alg);
+    alm.logging_interval_ms = 1;
+    let jd = JobDef::new(JobId(16), Arc::new(Terasort::new(900)), 5, 3, 42, alm);
+    // Self-kill 60 % into the shuffle, after its first record was logged.
+    let plan = throttled(5, FaultPlan::kill_task(jd.reduce_task(0), 0.2));
+    let report = run_job(cluster.clone(), jd.clone(), plan);
+    assert!(report.succeeded, "{report:?}");
+    assert!(
+        report
+            .log_recoveries
+            .iter()
+            .any(|e| e.task == jd.reduce_task(0) && e.attempt_number == 1 && e.report.resumed_seq.is_some()),
+        "the relaunch resumed from its local logs: {:?}",
+        report.log_recoveries
+    );
+    assert_output_matches(&cluster, &jd);
+}
+
+#[test]
 fn reduce_oom_all_workloads_sfm_alg() {
     let workloads: Vec<(u32, Arc<dyn Workload>)> = vec![
         (13, Arc::new(Terasort::new(700))),

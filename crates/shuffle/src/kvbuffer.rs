@@ -53,7 +53,6 @@ pub struct MapOutputBuffer {
     /// Per partition: the spill-file paths produced so far.
     spilled: Vec<Vec<String>>,
     spill_count: u32,
-    total_records: u64,
 }
 
 impl MapOutputBuffer {
@@ -74,7 +73,6 @@ impl MapOutputBuffer {
             kvmeta: Vec::new(),
             spilled: vec![Vec::new(); num_partitions.max(1) as usize],
             spill_count: 0,
-            total_records: 0,
         }
     }
 
@@ -89,7 +87,6 @@ impl MapOutputBuffer {
             offset,
             len: self.kvbuffer.len() - offset,
         });
-        self.total_records += 1;
         if self.kvbuffer.len() as u64 >= self.spill_threshold {
             self.spill(fs)?;
         }
@@ -99,10 +96,6 @@ impl MapOutputBuffer {
     /// Number of spills performed so far (observability/tests).
     pub fn spill_count(&self) -> u32 {
         self.spill_count
-    }
-
-    pub fn total_records(&self) -> u64 {
-        self.total_records
     }
 
     /// Sort the metadata and write one sorted run per non-empty partition.

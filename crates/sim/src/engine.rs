@@ -1371,69 +1371,68 @@ impl Simulation {
             attempt_number: attempt.number,
             kind,
         });
-        self.recover(attempt.task, node, kind, self.nodes[node as usize].alive);
+        let report = FailureReport::task_failure(NodeId(node), self.nodes[node as usize].alive, attempt.task);
+        self.recover(&report, &[attempt.task]);
     }
 
-    fn recover(&mut self, task: TaskId, node: u32, kind: FailureKind, node_alive: bool) {
-        // Attempt budget.
-        let attempts = if task.is_reduce() {
-            self.reduces[task.index as usize].attempts
-        } else {
-            self.maps[task.index as usize].attempts
+    /// Recover per the policy, unless a task in `charged` has used up its
+    /// attempt budget, which fails the job.
+    fn recover(&mut self, report: &FailureReport, charged: &[TaskId]) {
+        let spent = |t: &TaskId| {
+            let attempts = if t.is_reduce() {
+                self.reduces[t.index as usize].attempts
+            } else {
+                self.maps[t.index as usize].attempts
+            };
+            attempts >= self.env.yarn.max_task_attempts
         };
-        if attempts >= self.env.yarn.max_task_attempts {
+        if charged.iter().any(spent) {
             self.failed = true;
             return;
         }
+        let actions = schedule_recovery(report, &self.policy_ctx(report));
+        self.execute_actions(actions);
+    }
 
-        if self.env.alm.mode.sfm_enabled() {
-            let mut report = FailureReport::task_failure(NodeId(node), kind, task);
-            report.node_alive = node_alive;
-            let mut ctx = PolicyCtx::new(&self.env.alm, self.fcm_running());
-            if task.is_reduce() {
-                let st = &self.reduces[task.index as usize];
-                ctx.attempts_on_source_node.insert(task, st.attempts_on_node[node as usize]);
-                ctx.running_attempts.insert(task, st.running.len() as u32);
+    /// What the policy needs to know about the report's failed reduces.
+    /// ALG resumes a reduce where its newest logged snapshot lives.
+    fn policy_ctx(&self, report: &FailureReport) -> PolicyCtx {
+        let mut ctx = PolicyCtx::new(&self.env.alm, self.fcm_running());
+        let source = report.source_node.0 as usize;
+        for &r in &report.failed_reduces {
+            let st = &self.reduces[r.index as usize];
+            ctx.attempts_on_source_node.insert(r, st.attempts_on_node[source]);
+            ctx.running_attempts.insert(r, st.running.len() as u32);
+            if let Some(l) = st.logged.as_ref().filter(|l| self.nodes[l.node as usize].alive) {
+                ctx.resume_node.insert(r, NodeId(l.node));
             }
-            let actions = schedule_recovery(&report, &ctx);
-            self.execute_actions(actions, node);
-        } else if task.is_map() {
-            self.maps[task.index as usize].completed = false;
-            self.enqueue_map(task, false);
-        } else {
-            // ALG (without SFM): "re-launch the same ReduceTask on the
-            // original node to resume from the logs" when that node lives.
-            let pin = if self.env.alm.mode.logs_enabled() {
-                self.reduces[task.index as usize]
-                    .logged
-                    .as_ref()
-                    .filter(|l| self.nodes[l.node as usize].alive)
-                    .map(|l| l.node)
-            } else {
-                None
-            };
-            self.queued_reduces.push_back((task, pin, None, ExecMode::Regular, false));
         }
-        self.dispatch();
+        ctx
     }
 
     fn fcm_running(&self) -> usize {
         self.red_atts.values().filter(|a| a.mode == ExecMode::Fcm && !a.dead).count()
     }
 
-    fn execute_actions(&mut self, actions: Vec<SchedAction>, _source: u32) {
+    fn execute_actions(&mut self, actions: Vec<SchedAction>) {
         for a in actions {
             match a {
-                SchedAction::LaunchMap { task, .. } => {
-                    self.regenerating[task.index as usize] = true;
+                SchedAction::LaunchMap { task, high_priority } => {
+                    self.regenerating[task.index as usize] |= high_priority;
                     self.maps[task.index as usize].completed = false;
-                    self.enqueue_map(task, true);
+                    self.enqueue_map(task, high_priority);
                 }
                 SchedAction::RelaunchReduceOnOrigin { task, node } => {
                     self.queued_reduces.push_front((task, Some(node.0), None, ExecMode::Regular, true));
                 }
                 SchedAction::LaunchSpeculativeReduce { task, mode, avoid } => {
                     self.queued_reduces.push_back((task, None, avoid.map(|n| n.0), mode, false));
+                }
+                // A pinned relaunch whose node is gone or busy falls back
+                // to any node (see `dispatch`).
+                SchedAction::RelaunchReduce { task, prefer } => {
+                    let pin = prefer.map(|n| n.0);
+                    self.queued_reduces.push_back((task, pin, None, ExecMode::Regular, false));
                 }
             }
         }
@@ -1580,8 +1579,7 @@ impl Simulation {
         let Some(pos) = self.dead_pending.iter().position(|(n, _)| *n == node) else { return };
         let (_, dead) = self.dead_pending.remove(pos);
 
-        let mut failed_reduces = Vec::new();
-        let mut failed_maps = Vec::new();
+        let mut failed = Vec::new();
         for a in dead {
             let done = if a.task.is_reduce() {
                 self.reduces[a.task.index as usize].completed
@@ -1604,57 +1602,15 @@ impl Simulation {
                 attempt_number: a.number,
                 kind: FailureKind::NodeCrash,
             });
-            if a.task.is_reduce() {
-                failed_reduces.push(a.task);
-            } else {
-                failed_maps.push(a.task);
-            }
+            failed.push(a.task);
         }
 
-        let lost_mofs: Vec<u32> =
-            (0..self.qty.num_maps).filter(|&m| self.mof_loc[m as usize] == Some(node)).collect();
-
-        if self.env.alm.mode.sfm_enabled() {
-            let lost_tasks: Vec<TaskId> = if self.env.alm.proactive_map_regen {
-                lost_mofs.iter().map(|&m| TaskId::map(self.job, m)).collect()
-            } else {
-                Vec::new()
-            };
-            let report = FailureReport::node_crash(
-                NodeId(node),
-                failed_reduces.iter().chain(failed_maps.iter()).copied(),
-                lost_tasks,
-            );
-            let mut ctx = PolicyCtx::new(&self.env.alm, self.fcm_running());
-            for r in &report.failed_reduces {
-                let st = &self.reduces[r.index as usize];
-                ctx.attempts_on_source_node.insert(*r, st.attempts_on_node[node as usize]);
-                ctx.running_attempts.insert(*r, st.running.len() as u32);
-            }
-            let over_budget = report
-                .failed_reduces
-                .iter()
-                .any(|r| self.reduces[r.index as usize].attempts >= self.env.yarn.max_task_attempts);
-            if over_budget {
-                self.failed = true;
-                return;
-            }
-            let actions = schedule_recovery(&report, &ctx);
-            self.execute_actions(actions, node);
-        } else {
-            for t in failed_maps {
-                self.maps[t.index as usize].completed = false;
-                self.enqueue_map(t, false);
-            }
-            for t in failed_reduces {
-                if self.reduces[t.index as usize].attempts >= self.env.yarn.max_task_attempts {
-                    self.failed = true;
-                    return;
-                }
-                self.queued_reduces.push_back((t, None, None, ExecMode::Regular, false));
-            }
-            self.dispatch();
-        }
+        let lost_mofs = (0..self.qty.num_maps)
+            .filter(|&m| self.mof_loc[m as usize] == Some(node))
+            .map(|m| TaskId::map(self.job, m));
+        let report = FailureReport::node_crash(NodeId(node), failed, lost_mofs);
+        // Only a reduce lost with its node is charged an attempt.
+        self.recover(&report, &report.failed_reduces);
     }
 
     // ---------------- progress / sampling / logging ----------------

@@ -332,12 +332,6 @@ impl MemMode {
             MemMode::AlgFcm => RecoveryMode::SfmAlg,
         }
     }
-
-    /// Whether iteration state is durably logged (and therefore
-    /// restorable without lineage replay).
-    pub fn durable_state(&self) -> bool {
-        matches!(self, MemMode::AlgFcm)
-    }
 }
 
 impl std::fmt::Display for MemMode {
@@ -586,8 +580,6 @@ mod tests {
     fn mem_mode_semantics() {
         assert_eq!(MemMode::LineageReplay.recovery_mode(), RecoveryMode::Baseline);
         assert_eq!(MemMode::AlgFcm.recovery_mode(), RecoveryMode::SfmAlg);
-        assert!(!MemMode::LineageReplay.durable_state());
-        assert!(MemMode::AlgFcm.durable_state());
         assert_eq!(MemMode::LineageReplay.to_string(), "lineage-replay");
         assert_eq!(MemMode::AlgFcm.to_string(), "alg-fcm");
     }

@@ -1,10 +1,11 @@
 //! Failure descriptions and the engine-neutral fault-injection vocabulary.
 //!
-//! [`FailureReport`] is exactly the input of the paper's Algorithm 1
-//! ("Enhanced Failure Recovery Scheduling Policy"): the set of failed
-//! ReduceTasks, the set of failed MapTasks *plus* MapTasks whose output
-//! files (MOFs) were lost, and the source node of the report with its
-//! liveness. Both the baseline scheduler and the SFM policy consume it.
+//! [`FailureReport`] is the input of the recovery policy
+//! (`alm_core::schedule_recovery`), whose SFM branch is the paper's
+//! Algorithm 1 ("Enhanced Failure Recovery Scheduling Policy"): the failed
+//! ReduceTasks, the failed MapTasks, the MapTasks whose output files (MOFs)
+//! were lost, and the source node of the report with its liveness. Every
+//! recovery mode consumes the same report.
 //!
 //! [`Fault`] and [`FaultPlan`] are the *input* side of the same story: one
 //! declarative description of the faults to inject into a run, shared by
@@ -78,20 +79,6 @@ impl FailureKind {
         }
     }
 
-    /// Whether recovery may re-use the same node (the node is believed
-    /// healthy). Algorithm 1 line 9's "N is still alive" check. Transient
-    /// kinds (partition, corruption) leave the node healthy by definition.
-    pub fn node_presumed_alive(&self) -> bool {
-        matches!(
-            self,
-            FailureKind::TaskOom
-                | FailureKind::TaskTimeout
-                | FailureKind::SlowNode
-                | FailureKind::NetworkPartition
-                | FailureKind::DataCorruption
-        )
-    }
-
     /// Transient kinds are absorbed upstream — slow nodes keep
     /// heartbeating, partitioned fetches park, corrupt chunks re-fetch
     /// against their checksum — and must never be *recorded* as an attempt
@@ -110,77 +97,57 @@ impl FailureKind {
     }
 }
 
-/// A failure report `R` as consumed by Algorithm 1.
+/// A failure report `R` as consumed by the recovery policy: what failed
+/// and what was lost, never what to do about it.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FailureReport {
     /// The node the report concerns (Algorithm 1's `N`).
     pub source_node: NodeId,
-    /// Whether `N` is still alive (heartbeating) at report time.
+    /// Whether `N` is still alive (heartbeating) at report time, as the
+    /// engine observed it.
     pub node_alive: bool,
-    /// Why the report was raised.
-    pub kind: FailureKind,
     /// Failed ReduceTasks in `R` (`T_reduces`).
     pub failed_reduces: Vec<TaskId>,
-    /// Failed MapTasks in `R` *and* maps whose MOFs were lost (`T_maps`).
+    /// MapTasks that were running on `N` when they failed.
     pub failed_maps: Vec<TaskId>,
+    /// Completed MapTasks whose output files (MOFs) `N` held. Algorithm 1
+    /// adds them to `T_maps` when regeneration is proactive; stock YARN
+    /// leaves them to be discovered through fetch failures.
+    pub lost_mofs: Vec<TaskId>,
 }
 
 impl FailureReport {
-    /// A report for a single transient task failure on a live node.
-    pub fn task_failure(node: NodeId, kind: FailureKind, task: TaskId) -> Self {
-        let mut r = FailureReport {
-            source_node: node,
-            node_alive: kind.node_presumed_alive(),
-            kind,
-            failed_reduces: Vec::new(),
-            failed_maps: Vec::new(),
-        };
-        if task.is_reduce() {
-            r.failed_reduces.push(task);
-        } else {
-            r.failed_maps.push(task);
-        }
-        r
+    /// A report for a single task failure on `node`, whose liveness the
+    /// engine observed.
+    pub fn task_failure(node: NodeId, node_alive: bool, task: TaskId) -> Self {
+        FailureReport { node_alive, ..FailureReport::node_crash(node, [task], []) }
     }
 
-    /// A report for a crashed node: every running task on it fails and
+    /// A report for a crashed node: every task running on it fails, and
     /// every MOF it hosted is lost.
     pub fn node_crash(
         node: NodeId,
         running_tasks: impl IntoIterator<Item = TaskId>,
-        lost_mof_maps: impl IntoIterator<Item = TaskId>,
+        lost_mofs: impl IntoIterator<Item = TaskId>,
     ) -> Self {
-        let mut failed_reduces = Vec::new();
-        let mut failed_maps: Vec<TaskId> = Vec::new();
-        for t in running_tasks {
-            if t.is_reduce() {
-                failed_reduces.push(t);
-            } else {
-                failed_maps.push(t);
-            }
-        }
-        for m in lost_mof_maps {
-            debug_assert!(m.is_map(), "lost MOFs belong to map tasks");
-            if !failed_maps.contains(&m) {
-                failed_maps.push(m);
-            }
-        }
+        let (failed_reduces, failed_maps) = running_tasks.into_iter().partition(|t| t.is_reduce());
         FailureReport {
             source_node: node,
             node_alive: false,
-            kind: FailureKind::NodeCrash,
             failed_reduces,
             failed_maps,
+            lost_mofs: lost_mofs.into_iter().collect(),
         }
     }
 
-    /// Internal consistency: reduces are reduces, maps are maps, no dups.
+    /// Internal consistency: reduces are reduces, maps are maps, and no
+    /// task fails twice. A lost MOF may belong to a map that also failed.
     pub fn validate(&self) -> Result<(), String> {
         if let Some(t) = self.failed_reduces.iter().find(|t| !t.is_reduce()) {
             return Err(format!("{t} listed in failed_reduces but is not a reduce"));
         }
-        if let Some(t) = self.failed_maps.iter().find(|t| !t.is_map()) {
-            return Err(format!("{t} listed in failed_maps but is not a map"));
+        if let Some(t) = self.failed_maps.iter().chain(&self.lost_mofs).find(|t| !t.is_map()) {
+            return Err(format!("{t} listed as a failed map or lost MOF but is not a map"));
         }
         let mut seen = std::collections::BTreeSet::new();
         for t in self.failed_reduces.iter().chain(self.failed_maps.iter()) {
@@ -614,17 +581,6 @@ mod tests {
         JobId(1)
     }
 
-    #[test]
-    fn liveness_presumption_per_kind() {
-        assert!(FailureKind::TaskOom.node_presumed_alive());
-        assert!(FailureKind::SlowNode.node_presumed_alive());
-        assert!(FailureKind::TaskTimeout.node_presumed_alive());
-        assert!(!FailureKind::NodeCrash.node_presumed_alive());
-        assert!(!FailureKind::FetchFailureLimit.node_presumed_alive());
-        assert!(FailureKind::NetworkPartition.node_presumed_alive());
-        assert!(FailureKind::DataCorruption.node_presumed_alive());
-    }
-
     /// Satellite: every variant must appear in `ALL`, label uniquely via
     /// `as_str`, and survive a serde round trip — so adding a variant
     /// cannot silently miss report labeling.
@@ -659,39 +615,44 @@ mod tests {
         }
         for kind in [SlowNode, NetworkPartition, DataCorruption] {
             assert!(kind.is_transient(), "{kind} is absorbed upstream");
-            assert!(kind.node_presumed_alive(), "{kind}: transient faults leave the node healthy");
         }
     }
 
     #[test]
-    fn task_failure_sorts_into_right_bucket() {
-        let r = FailureReport::task_failure(NodeId(3), FailureKind::TaskOom, TaskId::reduce(job(), 0));
+    fn task_failure_sorts_into_right_bucket_with_observed_liveness() {
+        let r = FailureReport::task_failure(NodeId(3), true, TaskId::reduce(job(), 0));
         assert_eq!(r.failed_reduces.len(), 1);
-        assert!(r.failed_maps.is_empty());
+        assert!(r.failed_maps.is_empty() && r.lost_mofs.is_empty());
         assert!(r.node_alive);
         r.validate().unwrap();
 
-        let r = FailureReport::task_failure(NodeId(3), FailureKind::TaskOom, TaskId::map(job(), 7));
-        assert_eq!(r.failed_maps.len(), 1);
+        let r = FailureReport::task_failure(NodeId(3), false, TaskId::map(job(), 7));
+        assert_eq!(r.failed_maps, vec![TaskId::map(job(), 7)]);
         assert!(r.failed_reduces.is_empty());
+        assert!(!r.node_alive, "the engine's observation, whatever the failure's kind");
     }
 
     #[test]
-    fn node_crash_merges_running_and_lost_mofs() {
+    fn node_crash_keeps_running_maps_and_lost_mofs_apart() {
         let running = vec![TaskId::map(job(), 1), TaskId::reduce(job(), 2)];
         // Map 1 both runs there and has a (previous attempt) MOF there.
         let lost = vec![TaskId::map(job(), 1), TaskId::map(job(), 5)];
-        let r = FailureReport::node_crash(NodeId(9), running, lost);
+        let r = FailureReport::node_crash(NodeId(9), running, lost.clone());
         assert!(!r.node_alive);
         assert_eq!(r.failed_reduces, vec![TaskId::reduce(job(), 2)]);
-        assert_eq!(r.failed_maps.len(), 2, "map 1 deduplicated");
+        assert_eq!(r.failed_maps, vec![TaskId::map(job(), 1)]);
+        assert_eq!(r.lost_mofs, lost, "the policy, not the report, decides what a lost MOF costs");
         r.validate().unwrap();
     }
 
     #[test]
     fn validation_catches_misfiled_tasks() {
-        let mut r = FailureReport::task_failure(NodeId(0), FailureKind::TaskOom, TaskId::map(job(), 0));
+        let mut r = FailureReport::task_failure(NodeId(0), true, TaskId::map(job(), 0));
         r.failed_reduces.push(TaskId::map(job(), 1));
+        assert!(r.validate().is_err());
+
+        let mut r = FailureReport::task_failure(NodeId(0), true, TaskId::map(job(), 0));
+        r.lost_mofs.push(TaskId::reduce(job(), 1));
         assert!(r.validate().is_err());
     }
 
@@ -701,9 +662,9 @@ mod tests {
         let r = FailureReport {
             source_node: NodeId(0),
             node_alive: true,
-            kind: FailureKind::TaskOom,
             failed_reduces: vec![t, t],
             failed_maps: vec![],
+            lost_mofs: vec![],
         };
         assert!(r.validate().is_err());
     }

@@ -21,6 +21,13 @@
 #                                          crates/runtime/src/am.rs (each
 #                                          engine destructures the armed
 #                                          timeline with no `..`)
+#     new SchedAction variant           -> E0004 in crates/sim/src/engine.rs /
+#                                          crates/runtime/src/am.rs (each
+#                                          engine's one `execute_actions`)
+#   cargo check -p alm-core
+#     new RecoveryMode variant          -> E0004 in crates/core/src/sfm/policy.rs
+#                                          (`schedule_recovery`, the one place
+#                                          a mode decides recovery)
 #   cargo clippy --workspace --all-targets -- -D warnings   (root clippy.toml)
 #     a HashMap field iterated in crates/sim -> clippy::disallowed_types
 #     an Instant::now() in crates/des        -> clippy::disallowed_methods
@@ -62,6 +69,10 @@ check_sim() {
 
 check_runtime() {
     (cd "$work/ws" && cargo check --offline -p alm-runtime 2>&1)
+}
+
+check_core() {
+    (cd "$work/ws" && cargo check --offline -p alm-core 2>&1)
 }
 
 check_tests() {
@@ -138,6 +149,12 @@ expect_fail "FaultTimeline list drained by the sim" check_sim crates/types/src/f
     "pub struct FaultTimeline {" "    pub drains: Vec<(u64, NodeId)>," "error\[E0027\]" crates/sim/src/engine.rs
 expect_fail "FaultTimeline list drained by the runtime" check_runtime crates/types/src/failure.rs \
     "pub struct FaultTimeline {" "    pub drains: Vec<(u64, NodeId)>," "error\[E0027\]" crates/runtime/src/am.rs
+expect_fail "SchedAction variant executed by the sim" check_sim crates/core/src/sfm/policy.rs \
+    "pub enum SchedAction {" "    SuspendReduce { task: TaskId }," "error\[E0004\]" crates/sim/src/engine.rs
+expect_fail "SchedAction variant executed by the runtime" check_runtime crates/core/src/sfm/policy.rs \
+    "pub enum SchedAction {" "    SuspendReduce { task: TaskId }," "error\[E0004\]" crates/runtime/src/am.rs
+expect_fail "RecoveryMode variant decided once" check_core crates/types/src/config.rs \
+    "pub enum RecoveryMode {" "    Lineage," "error\[E0004\]" crates/core/src/sfm/policy.rs
 expect_fail "YarnConfig field" check crates/types/src/config.rs \
     "pub struct YarnConfig {" "    pub speculative_slots: u32," "error\[(E0063|E0027)\]" crates/types/src/config.rs
 expect_fail "JobReport counter" check crates/runtime/src/report.rs \
