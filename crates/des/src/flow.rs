@@ -21,13 +21,11 @@
 //! which it started and the value at which it finishes
 //! (`target = start + bytes`); its remaining bytes are `target - service`.
 //! Since `remaining` differs from `target` by the same global offset for
-//! every flow, an index ordered by `(target, id)` *is* an index ordered by
-//! `(remaining, id)`: completion lookup is an O(1) peek and add/remove are
-//! O(log n), instead of the O(n) per-event scans the previous
-//! representation paid — the difference between minutes and seconds for
-//! warehouse-scale campaigns with thousands of concurrent flows.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! every flow, a list sorted by `(target, id)` *is* a list sorted by
+//! `(remaining, id)`: completion lookup reads its head, the completed flows
+//! are a prefix, and `add` binary-searches its slot. The flows live in one
+//! such sorted `Vec`: a pool holds a handful of flows, where shifting a
+//! short array is cheaper than any tree, and `remove` scans for the id.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -35,49 +33,32 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowId(pub u64);
 
-/// Total-order f64 key (`f64::total_cmp`) so finish targets can live in a
-/// `BTreeSet`. Targets are finite by construction (sums of byte counts and
-/// bounded service), where `total_cmp` agrees with the usual `<`.
-#[derive(Debug, Clone, Copy)]
-struct TotalF64(f64);
-
-impl PartialEq for TotalF64 {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.total_cmp(&other.0).is_eq()
-    }
-}
-
-impl Eq for TotalF64 {}
-
-impl PartialOrd for TotalF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TotalF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct FlowEntry {
+    id: FlowId,
     /// Global service counter when the flow started.
     start: f64,
     /// Global service counter at which the flow is fully delivered.
     target: f64,
 }
 
+impl FlowEntry {
+    /// Whether this flow completes before one finishing at `target` with
+    /// `id`. Targets are finite by construction (sums of byte counts and
+    /// bounded service), where `total_cmp` agrees with the usual `<`.
+    fn before(&self, target: f64, id: FlowId) -> bool {
+        self.target.total_cmp(&target).then(self.id.cmp(&id)).is_lt()
+    }
+}
+
 /// A shared-bandwidth resource with equal-share scheduling.
 #[derive(Debug, Clone)]
 pub struct FlowPool {
     capacity: f64, // bytes per second
-    flows: BTreeMap<FlowId, FlowEntry>,
-    /// Completion index: ordered by `(target, id)`, which equals
+    /// Active flows ordered by `(target, id)`, which equals
     /// `(remaining, id)` order because `remaining = target - service`
     /// uniformly across flows.
-    by_target: BTreeSet<(TotalF64, FlowId)>,
+    flows: Vec<FlowEntry>,
     /// Bytes an always-active flow would have received so far.
     service: f64,
     last_advance: SimTime,
@@ -90,16 +71,11 @@ impl FlowPool {
     pub fn new(capacity_bytes_per_sec: u64) -> FlowPool {
         FlowPool {
             capacity: capacity_bytes_per_sec as f64,
-            flows: BTreeMap::new(),
-            by_target: BTreeSet::new(),
+            flows: Vec::new(),
             service: 0.0,
             last_advance: SimTime::ZERO,
             delivered_completed: 0.0,
         }
-    }
-
-    pub fn capacity(&self) -> f64 {
-        self.capacity
     }
 
     /// Bytes a flow present since `start` has received, capped at its size.
@@ -108,9 +84,12 @@ impl FlowPool {
     }
 
     /// Total bytes fully delivered by this pool (diagnostic/metrics).
-    /// O(active flows); the hot path never calls it.
+    /// O(active flows · log); the hot path never calls it. Active flows are
+    /// summed in id order, which fixes the float result.
     pub fn total_delivered(&self) -> f64 {
-        self.delivered_completed + self.flows.values().map(|f| self.served(f)).sum::<f64>()
+        let mut by_id: Vec<(FlowId, f64)> = self.flows.iter().map(|f| (f.id, self.served(f))).collect();
+        by_id.sort_unstable_by_key(|&(id, _)| id);
+        self.delivered_completed + by_id.iter().map(|&(_, served)| served).sum::<f64>()
     }
 
     /// Per-flow rate right now (bytes/second).
@@ -141,34 +120,31 @@ impl FlowPool {
     /// Start a flow of `bytes`. The caller must have advanced the pool to
     /// the current time first. Returns the predicted next completion.
     pub fn add(&mut self, id: FlowId, bytes: u64) -> Option<(FlowId, SimTime)> {
-        let entry = FlowEntry { start: self.service, target: self.service + bytes as f64 };
-        let prev = self.flows.insert(id, entry);
-        debug_assert!(prev.is_none(), "flow id {id:?} reused while active");
-        self.by_target.insert((TotalF64(entry.target), id));
+        debug_assert!(self.flows.iter().all(|f| f.id != id), "flow id {id:?} reused while active");
+        let entry = FlowEntry { id, start: self.service, target: self.service + bytes as f64 };
+        let at = self.flows.partition_point(|f| f.before(entry.target, id));
+        self.flows.insert(at, entry);
         self.next_completion()
     }
 
     /// Remove a flow (completed or aborted), returning its remaining bytes.
     pub fn remove(&mut self, id: FlowId) -> Option<u64> {
-        let f = self.flows.remove(&id)?;
-        self.by_target.remove(&(TotalF64(f.target), id));
+        let at = self.flows.iter().position(|f| f.id == id)?;
+        let f = self.flows.remove(at);
         self.delivered_completed += self.served(&f);
         Some((f.target - self.service).max(0.0).ceil() as u64)
     }
 
     /// Flows that are (numerically) finished right now, in id order.
     pub fn drain_completed(&mut self) -> Vec<FlowId> {
-        let mut done = Vec::new();
         // Sub-byte residue counts as done: remaining = target - service < 1.
-        while let Some(&(TotalF64(target), id)) = self.by_target.iter().next() {
-            if target >= self.service + 1.0 {
-                break;
-            }
-            self.by_target.remove(&(TotalF64(target), id));
-            if let Some(f) = self.flows.remove(&id) {
-                self.delivered_completed += self.served(&f);
-            }
-            done.push(id);
+        let k = self.flows.partition_point(|f| f.target < self.service + 1.0);
+        let mut done = Vec::with_capacity(k);
+        for f in self.flows.drain(..k) {
+            // `served`, inlined: the drain borrows `flows`. Summed in
+            // completion order, which fixes the float result.
+            self.delivered_completed += (self.service - f.start).clamp(0.0, f.target - f.start);
+            done.push(f.id);
         }
         done.sort_unstable();
         done
@@ -176,22 +152,23 @@ impl FlowPool {
 
     /// Predicted time the *earliest* remaining flow completes, assuming the
     /// current flow set stays fixed. `None` when idle. O(1): the head of
-    /// the target index is the flow with the least remaining (ties to the
-    /// smallest id).
+    /// the list is the flow with the least remaining (ties to the smallest
+    /// id).
     pub fn next_completion(&self) -> Option<(FlowId, SimTime)> {
-        let &(TotalF64(target), id) = self.by_target.iter().next()?;
+        let head = self.flows.first()?;
         let rate = self.rate_per_flow();
         // Predict from the fractional remainder directly, with a 1 ns floor
         // so the driver's wake event always advances virtual time (a zero
         // -duration prediction would livelock the event loop).
-        let remaining = (target - self.service).max(0.0);
+        let remaining = (head.target - self.service).max(0.0);
         let d = SimDuration::from_secs_f64(remaining / rate).max(SimDuration::from_nanos(1));
-        Some((id, self.last_advance + d))
+        Some((head.id, self.last_advance + d))
     }
 
     /// Remaining bytes of one flow.
-    pub fn remaining(&self, id: FlowId) -> Option<u64> {
-        self.flows.get(&id).map(|f| (f.target - self.service).max(0.0).ceil() as u64)
+    #[cfg(test)]
+    fn remaining(&self, id: FlowId) -> Option<u64> {
+        self.flows.iter().find(|f| f.id == id).map(|f| (f.target - self.service).max(0.0).ceil() as u64)
     }
 }
 
@@ -199,6 +176,7 @@ impl FlowPool {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_ms(ms)
@@ -317,6 +295,143 @@ mod tests {
         }
     }
 
+    /// Total-order f64 key (`f64::total_cmp`) so finish targets can live in
+    /// a `BTreeSet`.
+    #[derive(Debug, Clone, Copy)]
+    struct TotalF64(f64);
+
+    impl PartialEq for TotalF64 {
+        fn eq(&self, other: &Self) -> bool {
+            self.0.total_cmp(&other.0).is_eq()
+        }
+    }
+
+    impl Eq for TotalF64 {}
+
+    impl PartialOrd for TotalF64 {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for TotalF64 {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.0.total_cmp(&other.0)
+        }
+    }
+
+    /// The previous cumulative-service representation — a flow map plus a
+    /// `(target, id)` completion index, both B-trees — kept as the oracle
+    /// of the sorted-`Vec` pool's arithmetic contract: the same
+    /// expressions in the same order, so every observable matches to the
+    /// bit.
+    struct TreePool {
+        capacity: f64,
+        /// `id → (start, target)`.
+        flows: BTreeMap<FlowId, (f64, f64)>,
+        by_target: BTreeSet<(TotalF64, FlowId)>,
+        service: f64,
+        last_advance: SimTime,
+        delivered_completed: f64,
+    }
+
+    impl TreePool {
+        fn new(capacity_bytes_per_sec: u64) -> TreePool {
+            TreePool {
+                capacity: capacity_bytes_per_sec as f64,
+                flows: BTreeMap::new(),
+                by_target: BTreeSet::new(),
+                service: 0.0,
+                last_advance: SimTime::ZERO,
+                delivered_completed: 0.0,
+            }
+        }
+
+        fn served(&self, (start, target): (f64, f64)) -> f64 {
+            (self.service - start).clamp(0.0, target - start)
+        }
+
+        fn total_delivered(&self) -> f64 {
+            self.delivered_completed + self.flows.values().map(|f| self.served(*f)).sum::<f64>()
+        }
+
+        fn advance_to(&mut self, now: SimTime) {
+            if now <= self.last_advance {
+                return;
+            }
+            let dt = now.since(self.last_advance).as_secs_f64();
+            self.last_advance = now;
+            if self.flows.is_empty() {
+                return;
+            }
+            self.service += self.capacity / self.flows.len() as f64 * dt;
+        }
+
+        fn add(&mut self, id: FlowId, bytes: u64) -> Option<(FlowId, SimTime)> {
+            let entry = (self.service, self.service + bytes as f64);
+            self.flows.insert(id, entry);
+            self.by_target.insert((TotalF64(entry.1), id));
+            self.next_completion()
+        }
+
+        fn remove(&mut self, id: FlowId) -> Option<u64> {
+            let f = self.flows.remove(&id)?;
+            self.by_target.remove(&(TotalF64(f.1), id));
+            self.delivered_completed += self.served(f);
+            Some((f.1 - self.service).max(0.0).ceil() as u64)
+        }
+
+        fn drain_completed(&mut self) -> Vec<FlowId> {
+            let mut done = Vec::new();
+            while let Some(&(TotalF64(target), id)) = self.by_target.iter().next() {
+                if target >= self.service + 1.0 {
+                    break;
+                }
+                self.by_target.remove(&(TotalF64(target), id));
+                if let Some(f) = self.flows.remove(&id) {
+                    self.delivered_completed += self.served(f);
+                }
+                done.push(id);
+            }
+            done.sort_unstable();
+            done
+        }
+
+        fn next_completion(&self) -> Option<(FlowId, SimTime)> {
+            let &(TotalF64(target), id) = self.by_target.iter().next()?;
+            let rate =
+                if self.flows.is_empty() { self.capacity } else { self.capacity / self.flows.len() as f64 };
+            let remaining = (target - self.service).max(0.0);
+            let d = SimDuration::from_secs_f64(remaining / rate).max(SimDuration::from_nanos(1));
+            Some((id, self.last_advance + d))
+        }
+
+        fn remaining(&self, id: FlowId) -> Option<u64> {
+            self.flows.get(&id).map(|f| (f.1 - self.service).max(0.0).ceil() as u64)
+        }
+    }
+
+    /// One step of a random pool workout.
+    #[derive(Debug, Clone)]
+    enum PoolOp {
+        Add(u64),
+        /// Remove the live flow at this position (modulo the live count).
+        Remove(usize),
+        AdvanceNs(u64),
+        Drain,
+    }
+
+    fn arb_pool_op() -> impl Strategy<Value = PoolOp> {
+        prop_oneof![
+            // Equal small sizes tie on target, so the id tie-break is hit.
+            (0u64..4).prop_map(|k| PoolOp::Add(k * 1_000)),
+            (1u64..50_000_000).prop_map(PoolOp::Add),
+            (0usize..64).prop_map(PoolOp::Remove),
+            (1u64..50_000_000).prop_map(PoolOp::AdvanceNs),
+            Just(PoolOp::Drain),
+        ]
+    }
+
     proptest! {
         /// Conservation: however we interleave advances, the pool never
         /// delivers more than capacity * elapsed bytes in total.
@@ -397,6 +512,46 @@ mod tests {
                 }
             }
             prop_assert_eq!(fast.flows.len(), naive.flows.len());
+        }
+
+        /// Bit-exact equivalence with the B-tree representation under any
+        /// add / remove / advance / drain sequence: the same completions,
+        /// predictions, remaining bytes and delivered total after every
+        /// step.
+        #[test]
+        fn matches_tree_pool_bit_for_bit(ops in proptest::collection::vec(arb_pool_op(), 1..120)) {
+            let cap = 1_250_000_000u64;
+            let mut pool = FlowPool::new(cap);
+            let mut tree = TreePool::new(cap);
+            let mut now = SimTime::ZERO;
+            let mut next_id = 0u64;
+            for op in ops {
+                match op {
+                    PoolOp::Add(bytes) => {
+                        let id = FlowId(next_id);
+                        next_id += 1;
+                        prop_assert_eq!(pool.add(id, bytes), tree.add(id, bytes));
+                    }
+                    PoolOp::Remove(k) => {
+                        if let Some(&id) = tree.flows.keys().nth(k % tree.flows.len().max(1)) {
+                            prop_assert_eq!(pool.remove(id), tree.remove(id));
+                        }
+                        prop_assert_eq!(pool.remove(FlowId(next_id)), None);
+                    }
+                    PoolOp::AdvanceNs(ns) => {
+                        now += SimDuration::from_nanos(ns);
+                        pool.advance_to(now);
+                        tree.advance_to(now);
+                    }
+                    PoolOp::Drain => prop_assert_eq!(pool.drain_completed(), tree.drain_completed()),
+                }
+                prop_assert_eq!(pool.next_completion(), tree.next_completion());
+                prop_assert_eq!(pool.total_delivered().to_bits(), tree.total_delivered().to_bits());
+                for &id in tree.flows.keys() {
+                    prop_assert_eq!(pool.remaining(id), tree.remaining(id));
+                }
+                prop_assert_eq!(pool.flows.len(), tree.flows.len());
+            }
         }
     }
 }

@@ -21,7 +21,7 @@ use alm_core::{schedule_recovery, ExecMode, PolicyCtx, SchedAction};
 use alm_des::{EventQueue, EventToken, FlowId, FlowPool, SimDuration};
 use alm_types::{
     rack_of, AttemptId, CorruptTarget, FailureKind, FailureReport, FaultPlan, FaultTimeline, JobId,
-    LinkChange, LinkOp, NodeId, TaskId,
+    LinkChange, LinkOp, NodeId, TaskId, TaskKind,
 };
 use rand::Rng;
 
@@ -162,7 +162,7 @@ struct RedTask {
 #[derive(Debug, Clone)]
 struct LoggedState {
     node: u32,
-    fetched: BTreeSet<u32>,
+    fetched: MapSet,
     merge_done: bool,
     /// Fraction of reduce-stage work whose results are durable on the DFS.
     reduce_frac: f64,
@@ -172,14 +172,19 @@ struct RedAtt {
     node: u32,
     mode: ExecMode,
     phase: RedPhase,
-    pending: BTreeSet<u32>,
-    active_fetches: BTreeMap<FlowId, u32>,
-    fetched: BTreeSet<u32>,
+    pending: MapSet,
+    /// `(flow, map)` of the fetches in flight, at most
+    /// `MAX_PARALLEL_FETCHES`, in FlowId order (ids are pushed as
+    /// allocated, so increasing).
+    active_fetches: Vec<(FlowId, u32)>,
+    fetched: MapSet,
     retry: BTreeMap<u32, u32>,
     /// Per map index: deterministic loss-draw counter for gray links (the
     /// RNG stream label includes it so every draw is fresh but replayable).
     loss_draws: BTreeMap<u32, u32>,
-    flows: BTreeSet<FlowId>,
+    /// The attempt's own merge / reduce / FCM flows, in FlowId order (ids
+    /// are pushed as allocated).
+    flows: Vec<FlowId>,
     spill_debt: u64,
     spill_emitted: u64,
     spill_outstanding: usize,
@@ -206,7 +211,8 @@ struct RedAtt {
 /// A reduce attempt's live flows (own + active fetches) merged into one
 /// FlowId order.
 fn sorted_flows(att: &RedAtt) -> Vec<FlowId> {
-    let mut v: Vec<FlowId> = att.flows.iter().chain(att.active_fetches.keys()).copied().collect();
+    let mut v: Vec<FlowId> =
+        att.flows.iter().copied().chain(att.active_fetches.iter().map(|&(f, _)| f)).collect();
     v.sort_unstable();
     v
 }
@@ -221,20 +227,185 @@ enum RedPhase {
     Fcm,
 }
 
+/// A set of map indices: one bit per map, with a kept count. It iterates
+/// in ascending index order, which fetch order depends on, and a clone (an
+/// ALG snapshot) copies `num_maps / 64` words.
+#[derive(Debug, Clone)]
+struct MapSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl MapSet {
+    /// The empty set over map indices `0..n`.
+    fn empty(n: u32) -> MapSet {
+        MapSet { words: vec![0; n.div_ceil(64) as usize], len: 0 }
+    }
+
+    /// Every map index in `0..n`.
+    fn full(n: u32) -> MapSet {
+        let mut set = MapSet::empty(n);
+        for m in 0..n {
+            set.insert(m);
+        }
+        set
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn contains(&self, m: u32) -> bool {
+        self.words.get(m as usize / 64).is_some_and(|&w| (w >> (m % 64)) & 1 == 1)
+    }
+
+    /// Add `m`; whether it was absent.
+    fn insert(&mut self, m: u32) -> bool {
+        let (word, bit) = (&mut self.words[m as usize / 64], 1u64 << (m % 64));
+        let absent = *word & bit == 0;
+        *word |= bit;
+        self.len += usize::from(absent);
+        absent
+    }
+
+    /// Drop `m`; whether it was present.
+    fn remove(&mut self, m: u32) -> bool {
+        let (word, bit) = (&mut self.words[m as usize / 64], 1u64 << (m % 64));
+        let present = *word & bit != 0;
+        *word &= !bit;
+        self.len -= usize::from(present);
+        present
+    }
+
+    /// The members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.words.iter().zip(0u32..).flat_map(|(&word, i)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let bit = rest.trailing_zeros();
+                (rest != 0).then(|| {
+                    rest &= rest - 1;
+                    i * 64 + bit
+                })
+            })
+        })
+    }
+}
+
+/// Live attempts of one job's tasks of one kind, indexed by task index,
+/// then attempt number. That is `AttemptId` order, so iteration is in key
+/// order, which the engine's event order depends on; a lookup is two
+/// indexings.
+struct AttemptTable<T> {
+    job: JobId,
+    kind: TaskKind,
+    tasks: Vec<Vec<Option<T>>>,
+}
+
+impl<T> AttemptTable<T> {
+    fn new(job: JobId, kind: TaskKind) -> AttemptTable<T> {
+        AttemptTable { job, kind, tasks: Vec::new() }
+    }
+
+    /// `(task index, attempt number)` of `id`, which must belong here.
+    fn slot(&self, id: &AttemptId) -> (usize, usize) {
+        debug_assert!(id.task.job == self.job && id.task.kind == self.kind, "{id} belongs to another table");
+        (id.task.index as usize, id.number as usize)
+    }
+
+    fn get(&self, id: &AttemptId) -> Option<&T> {
+        let (task, number) = self.slot(id);
+        self.tasks.get(task)?.get(number)?.as_ref()
+    }
+
+    fn get_mut(&mut self, id: &AttemptId) -> Option<&mut T> {
+        let (task, number) = self.slot(id);
+        self.tasks.get_mut(task)?.get_mut(number)?.as_mut()
+    }
+
+    fn insert(&mut self, id: AttemptId, attempt: T) {
+        let (task, number) = self.slot(&id);
+        if self.tasks.len() <= task {
+            self.tasks.resize_with(task + 1, Vec::new);
+        }
+        let attempts = &mut self.tasks[task];
+        if attempts.len() <= number {
+            attempts.resize_with(number + 1, || None);
+        }
+        attempts[number] = Some(attempt);
+    }
+
+    fn remove(&mut self, id: &AttemptId) -> Option<T> {
+        let (task, number) = self.slot(id);
+        self.tasks.get_mut(task)?.get_mut(number)?.take()
+    }
+
+    /// Live attempts in `AttemptId` order.
+    fn iter(&self) -> impl Iterator<Item = (AttemptId, &T)> + '_ {
+        self.tasks.iter().zip(0..).flat_map(move |(attempts, index)| {
+            let task = TaskId { job: self.job, kind: self.kind, index };
+            attempts.iter().zip(0..).filter_map(move |(a, number)| Some((task.attempt(number), a.as_ref()?)))
+        })
+    }
+
+    fn values(&self) -> impl Iterator<Item = &T> + '_ {
+        self.iter().map(|(_, a)| a)
+    }
+}
+
+/// Live flows by `FlowId`. The window allocates the ids, monotonically,
+/// and keeps one slot per id from the oldest live flow on: `push` appends,
+/// `remove` empties a slot and trims empty slots off the front, so it never
+/// holds a slot per id ever allocated (a paper-scale job allocates tens of
+/// thousands). Iteration is in `FlowId` order, which crash handling's
+/// event order depends on.
+#[derive(Default)]
+struct FlowWindow {
+    /// The id of `slots[0]`.
+    front: u64,
+    slots: VecDeque<Option<FlowInfo>>,
+}
+
+impl FlowWindow {
+    /// Register a flow under the next id.
+    fn push(&mut self, info: FlowInfo) -> FlowId {
+        self.slots.push_back(Some(info));
+        FlowId(self.front + self.slots.len() as u64 - 1)
+    }
+
+    fn remove(&mut self, id: FlowId) -> Option<FlowInfo> {
+        let slot = usize::try_from(id.0.checked_sub(self.front)?).ok()?;
+        let info = self.slots.get_mut(slot)?.take()?;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.front += 1;
+        }
+        Some(info)
+    }
+
+    /// Live flows in `FlowId` order.
+    fn iter(&self) -> impl Iterator<Item = (FlowId, &FlowInfo)> + '_ {
+        self.slots.iter().zip(self.front..).filter_map(|(info, id)| Some((FlowId(id), info.as_ref()?)))
+    }
+}
+
 /// One simulated job run.
 pub struct Simulation {
     q: EventQueue<Ev>,
     /// Every pool with its pending wake-up, at `pool_slot(PoolRef)`.
     pools: Vec<(FlowPool, Option<EventToken>)>,
-    flows: BTreeMap<FlowId, FlowInfo>,
-    next_flow: u64,
+    flows: FlowWindow,
     nodes: Vec<SimNode>,
     env: ExperimentEnv,
     qty: Quantities,
     maps: Vec<MapTask>,
     reduces: Vec<RedTask>,
-    map_atts: BTreeMap<AttemptId, MapAtt>,
-    red_atts: BTreeMap<AttemptId, RedAtt>,
+    map_atts: AttemptTable<MapAtt>,
+    red_atts: AttemptTable<RedAtt>,
     /// Per map index: the node holding its registered MOF, if any.
     mof_loc: Vec<Option<u32>>,
     /// Per map index: whether a re-execution of the map is queued or running.
@@ -275,7 +446,7 @@ pub struct Simulation {
     /// RAM on the producing node, so fetches skip the Stage-1 disk read.
     mem_resident: bool,
     /// Map indices whose MOF is currently resident (on `mof_loc[m]`).
-    resident_mofs: BTreeSet<u32>,
+    resident_mofs: MapSet,
     seed: u64,
     report: SimReport,
     rr: u32,
@@ -345,18 +516,19 @@ impl Simulation {
         }
 
         let num_maps = qty.num_maps as usize;
+        let resident_mofs = MapSet::empty(qty.num_maps);
+        let job = JobId(0);
         Simulation {
             q: EventQueue::new(),
             pools,
-            flows: BTreeMap::new(),
-            next_flow: 0,
+            flows: FlowWindow::default(),
             nodes,
             env,
             qty,
             maps,
             reduces,
-            map_atts: BTreeMap::new(),
-            red_atts: BTreeMap::new(),
+            map_atts: AttemptTable::new(job, TaskKind::Map),
+            red_atts: AttemptTable::new(job, TaskKind::Reduce),
             mof_loc: vec![None; num_maps],
             regenerating: vec![false; num_maps],
             queued_maps: VecDeque::new(),
@@ -374,12 +546,12 @@ impl Simulation {
             corrupt_mofs: BTreeSet::new(),
             corrupt_dfs_blocks: BTreeSet::new(),
             mem_resident: false,
-            resident_mofs: BTreeSet::new(),
+            resident_mofs,
             seed,
             report: SimReport::default(),
             rr: 0,
             failed: false,
-            job: JobId(0),
+            job,
         }
     }
 
@@ -451,14 +623,12 @@ impl Simulation {
     }
 
     fn start_flow(&mut self, p: PoolRef, bytes: u64, attempt: AttemptId, purpose: Purpose) -> FlowId {
-        let id = FlowId(self.next_flow);
-        self.next_flow += 1;
+        let id = self.flows.push(FlowInfo { attempt, purpose, pool: p });
         let now = self.q.now();
         let slot = self.pool_slot(p);
         let (pool, _) = &mut self.pools[slot];
         pool.advance_to(now);
         pool.add(id, bytes);
-        self.flows.insert(id, FlowInfo { attempt, purpose, pool: p });
         self.reschedule_pool(p);
         if matches!(p, PoolRef::Uplink(_)) {
             self.report.uplink_bytes += bytes;
@@ -468,7 +638,7 @@ impl Simulation {
 
     /// Abort a flow, returning its remaining bytes (None if unknown).
     fn abort_flow(&mut self, id: FlowId) -> Option<u64> {
-        let info = self.flows.remove(&id)?;
+        let info = self.flows.remove(id)?;
         let now = self.q.now();
         let slot = self.pool_slot(info.pool);
         let (pool, _) = &mut self.pools[slot];
@@ -486,7 +656,7 @@ impl Simulation {
         pool.advance_to(now);
         let done = pool.drain_completed();
         for id in done {
-            if let Some(info) = self.flows.remove(&id) {
+            if let Some(info) = self.flows.remove(id) {
                 self.flow_done(id, info);
             }
         }
@@ -560,12 +730,9 @@ impl Simulation {
             match self.pick_node(true, avoid, pin) {
                 Some(node) => self.launch_reduce(task, node, mode),
                 None => match pin {
-                    Some(p) if drop_on_pin_fail => {
-                        // SFM local resume with its node gone/busy: drop it;
-                        // the speculative attempt covers recovery.
-                        let _ = p;
-                        continue;
-                    }
+                    // SFM local resume with its node gone/busy: drop it;
+                    // the speculative attempt covers recovery.
+                    Some(_) if drop_on_pin_fail => continue,
                     Some(_) => {
                         // ALG relaunch: fall back to any node (losing the
                         // local files but keeping DFS-logged progress).
@@ -611,20 +778,23 @@ impl Simulation {
         // Recovery state from logs, if any and usable from `node`.
         let logs = self.env.alm.mode.logs_enabled();
         let logged = self.reduces[task.index as usize].logged.clone();
+        let n = self.qty.num_maps;
         let (pending, fetched, merge_done, resume_frac) = match (logs, logged) {
             (true, Some(l)) => {
                 if l.node == node {
                     // Local resume: shuffle/merge state on the local store
                     // plus DFS reduce-stage progress.
-                    let pending: BTreeSet<u32> =
-                        (0..self.qty.num_maps).filter(|m| !l.fetched.contains(m)).collect();
+                    let mut pending = MapSet::full(n);
+                    for m in l.fetched.iter() {
+                        pending.remove(m);
+                    }
                     (pending, l.fetched, l.merge_done, l.reduce_frac)
                 } else {
                     // Migrated: only the DFS-held reduce-stage progress.
-                    ((0..self.qty.num_maps).collect(), BTreeSet::new(), false, l.reduce_frac)
+                    (MapSet::full(n), MapSet::empty(n), false, l.reduce_frac)
                 }
             }
-            _ => ((0..self.qty.num_maps).collect(), BTreeSet::new(), false, 0.0),
+            _ => (MapSet::full(n), MapSet::empty(n), false, 0.0),
         };
 
         let reduce_cpu_secs = self.qty.reduce_cpu_secs + self.qty.reduce_deser_secs;
@@ -635,11 +805,11 @@ impl Simulation {
                 mode,
                 phase: RedPhase::Launching,
                 pending,
-                active_fetches: BTreeMap::new(),
+                active_fetches: Vec::new(),
                 fetched,
                 retry: BTreeMap::new(),
                 loss_draws: BTreeMap::new(),
-                flows: BTreeSet::new(),
+                flows: Vec::new(),
                 spill_debt: 0,
                 spill_emitted: 0,
                 spill_outstanding: 0,
@@ -718,7 +888,7 @@ impl Simulation {
     fn start_reduce_cpu(&mut self, attempt: AttemptId, frac: f64) {
         let (gen, dur) = {
             let slow = {
-                let node = self.red_atts[&attempt].node;
+                let node = self.red_atts.get(&attempt).expect("attempt exists").node;
                 self.nodes[node as usize].slow
             };
             let att = self.red_atts.get_mut(&attempt).expect("attempt exists");
@@ -755,13 +925,13 @@ impl Simulation {
             .iter()
             .filter(|(_, a)| {
                 !a.dead
-                    && ((a.phase == RedPhase::Shuffle && a.pending.contains(&m))
+                    && ((a.phase == RedPhase::Shuffle && a.pending.contains(m))
                         || a.phase == RedPhase::FcmWait)
             })
-            .map(|(id, _)| *id)
+            .map(|(id, _)| id)
             .collect();
         for r in waiting {
-            match self.red_atts[&r].phase {
+            match self.red_atts.get(&r).expect("waiting attempt exists").phase {
                 RedPhase::Shuffle => self.pump_fetches(r),
                 RedPhase::FcmWait => self.try_start_fcm(r),
                 _ => {}
@@ -832,7 +1002,7 @@ impl Simulation {
                 }
                 // First pending map whose MOF is registered and not already
                 // being retried on a timer.
-                let candidate = att.pending.iter().find_map(|&m| {
+                let candidate = att.pending.iter().find_map(|m| {
                     let src = self.mof_loc[m as usize]?;
                     let fetchable = !att.retry.contains_key(&m)
                         && if self.nodes[src as usize].alive {
@@ -866,7 +1036,7 @@ impl Simulation {
             // serves it at memory speed — the chunk goes straight onto the
             // network, skipping the Stage-1 disk read that makes shuffles
             // lag map completions. This is what the chain layer buys.
-            if self.resident_mofs.contains(&m) {
+            if self.resident_mofs.contains(m) {
                 self.report.resident_fetch_hits += 1;
                 let dst_rack = self.nodes[node as usize].rack;
                 let src_rack = self.nodes[src as usize].rack;
@@ -878,8 +1048,8 @@ impl Simulation {
                 };
                 let net = self.start_flow(pool, bytes, attempt, Purpose::Fetch { map: m, source: src });
                 let att = self.red_atts.get_mut(&attempt).expect("attempt exists");
-                att.pending.remove(&m);
-                att.active_fetches.insert(net, m);
+                att.pending.remove(m);
+                att.active_fetches.push((net, m));
                 continue;
             }
             // Stage 1: the source disk serves the chunk (this is what makes
@@ -892,8 +1062,8 @@ impl Simulation {
                 Purpose::FetchRead { map: m, source: src },
             );
             let att = self.red_atts.get_mut(&attempt).expect("attempt exists");
-            att.pending.remove(&m);
-            att.active_fetches.insert(flow, m);
+            att.pending.remove(m);
+            att.active_fetches.push((flow, m));
         }
     }
 
@@ -904,7 +1074,7 @@ impl Simulation {
             if att.dead {
                 return;
             }
-            att.active_fetches.remove(&flow);
+            att.active_fetches.retain(|&(f, _)| f != flow);
             att.node
         };
         let dst_rack = self.nodes[node as usize].rack;
@@ -919,7 +1089,7 @@ impl Simulation {
         };
         let net = self.start_flow(pool, bytes, attempt, Purpose::Fetch { map: m, source: src });
         let att = self.red_atts.get_mut(&attempt).expect("attempt exists");
-        att.active_fetches.insert(net, m);
+        att.active_fetches.push((net, m));
     }
 
     fn fetch_failed(&mut self, attempt: AttemptId, m: u32, src: u32) {
@@ -968,7 +1138,7 @@ impl Simulation {
 
     fn fetch_retry(&mut self, attempt: AttemptId, m: u32) {
         let Some(att) = self.red_atts.get(&attempt) else { return };
-        if att.dead || att.phase != RedPhase::Shuffle || !att.pending.contains(&m) {
+        if att.dead || att.phase != RedPhase::Shuffle || !att.pending.contains(m) {
             return;
         }
         let Some(src) = self.mof_loc[m as usize] else {
@@ -1011,7 +1181,7 @@ impl Simulation {
                     let label = format!("sim-degraded-loss/{attempt}/{m}/{k}");
                     let mut rng = alm_des::rng::stream(self.seed, &label);
                     if draw_ok && rng.random_range(0..1_000_000u64) < (loss * 1e6) as u64 {
-                        att.active_fetches.remove(&flow);
+                        att.active_fetches.retain(|&(f, _)| f != flow);
                         att.pending.insert(m);
                         true
                     } else {
@@ -1033,13 +1203,13 @@ impl Simulation {
         // A resident copy is exempt: it was CRC-framed into RAM at map
         // completion, before the rot landed on disk (mirroring the runtime
         // fetcher, which consults the resident cache before the disk path).
-        if self.corrupt_mofs.contains(&(m, attempt.task.index)) && !self.resident_mofs.contains(&m) {
+        if self.corrupt_mofs.contains(&(m, attempt.task.index)) && !self.resident_mofs.contains(m) {
             {
                 let Some(att) = self.red_atts.get_mut(&attempt) else { return };
                 if att.dead {
                     return;
                 }
-                att.active_fetches.remove(&flow);
+                att.active_fetches.retain(|&(f, _)| f != flow);
                 att.pending.insert(m);
             }
             self.corrupt_mofs.remove(&(m, attempt.task.index));
@@ -1058,7 +1228,7 @@ impl Simulation {
             if att.dead {
                 return;
             }
-            att.active_fetches.remove(&flow);
+            att.active_fetches.retain(|&(f, _)| f != flow);
             att.fetched.insert(m);
             att.retry.remove(&m);
             // Spill accounting: beyond the resident budget, fetched bytes
@@ -1121,13 +1291,13 @@ impl Simulation {
         // One merge pass = read + write the spilled data.
         let bytes = self.qty.spilled_bytes.saturating_mul(2).max(1);
         let flow = self.start_flow(PoolRef::Disk(node), bytes, attempt, Purpose::MergePass);
-        self.red_atts.get_mut(&attempt).expect("merge pass for dead attempt").flows.insert(flow);
+        self.red_atts.get_mut(&attempt).expect("merge pass for dead attempt").flows.push(flow);
     }
 
     fn merge_pass_done(&mut self, attempt: AttemptId, flow: FlowId) {
         let rounds = {
             let Some(att) = self.red_atts.get_mut(&attempt) else { return };
-            att.flows.remove(&flow);
+            att.flows.retain(|&f| f != flow);
             att.merge_rounds_left = att.merge_rounds_left.saturating_sub(1);
             att.merge_rounds_left
         };
@@ -1209,7 +1379,7 @@ impl Simulation {
     fn reduce_flow_done(&mut self, attempt: AttemptId, flow: FlowId) {
         let finished = {
             let Some(att) = self.red_atts.get_mut(&attempt) else { return };
-            att.flows.remove(&flow);
+            att.flows.retain(|&f| f != flow);
             att.flows.is_empty() && att.cpu_done && matches!(att.phase, RedPhase::Reduce | RedPhase::Fcm)
         };
         if finished {
@@ -1331,7 +1501,7 @@ impl Simulation {
 
     /// Flows owned by `attempt`, in FlowId order.
     fn flows_of(&self, attempt: AttemptId) -> Vec<FlowId> {
-        self.flows.iter().filter(|(_, i)| i.attempt == attempt).map(|(f, _)| *f).collect()
+        self.flows.iter().filter(|(_, i)| i.attempt == attempt).map(|(f, _)| f).collect()
     }
 
     fn kill_attempt_silently(&mut self, attempt: AttemptId) {
@@ -1457,9 +1627,9 @@ impl Simulation {
         // RAM does not survive a crash: wipe the node's resident MOF
         // copies so later fetches fall back to disk / regeneration.
         let lost: Vec<u32> =
-            self.resident_mofs.iter().copied().filter(|&m| self.mof_loc[m as usize] == Some(node)).collect();
+            self.resident_mofs.iter().filter(|&m| self.mof_loc[m as usize] == Some(node)).collect();
         for m in lost {
-            self.resident_mofs.remove(&m);
+            self.resident_mofs.remove(m);
             self.report.resident_invalidations += 1;
         }
 
@@ -1476,7 +1646,7 @@ impl Simulation {
                     PoolRef::Disk(n) | PoolRef::NicIn(n) | PoolRef::NicOut(n) if n == node
                 ) || matches!(i.purpose, Purpose::Fetch { source, .. } | Purpose::FetchRead { source, .. } | Purpose::FcmLocal { source } | Purpose::FcmNet { source } if source == node)
             })
-            .map(|(f, i)| (*f, i.attempt, i.purpose))
+            .map(|(f, i)| (f, i.attempt, i.purpose))
             .collect();
 
         let mut interrupted_fetches: Vec<(AttemptId, u32, u32)> = Vec::new();
@@ -1495,7 +1665,7 @@ impl Simulation {
             match purpose {
                 Purpose::Fetch { map, source } | Purpose::FetchRead { map, source } if source == node => {
                     if let Some(att) = self.red_atts.get_mut(&attempt) {
-                        att.active_fetches.remove(&f);
+                        att.active_fetches.retain(|&(af, _)| af != f);
                         att.pending.insert(map);
                     }
                     interrupted_fetches.push((attempt, map, source));
@@ -1513,12 +1683,12 @@ impl Simulation {
                     if let (Some(repl), Some(bytes)) = (replacement, remaining) {
                         let nf = self.start_flow(PoolRef::Disk(repl), bytes, attempt, Purpose::Output);
                         if let Some(att) = self.red_atts.get_mut(&attempt) {
-                            att.flows.remove(&f);
-                            att.flows.insert(nf);
+                            att.flows.retain(|&af| af != f);
+                            att.flows.push(nf);
                         }
                     } else if let Some(att) = self.red_atts.get_mut(&attempt) {
                         // No live replacement: drop to a single replica.
-                        att.flows.remove(&f);
+                        att.flows.retain(|&af| af != f);
                     }
                 }
                 _ => {}
@@ -1527,9 +1697,9 @@ impl Simulation {
 
         // Attempts hosted on the node die silently; the AM learns later.
         let dead_reds: Vec<AttemptId> =
-            self.red_atts.iter().filter(|(_, a)| a.node == node && !a.dead).map(|(id, _)| *id).collect();
+            self.red_atts.iter().filter(|(_, a)| a.node == node && !a.dead).map(|(id, _)| id).collect();
         let dead_maps: Vec<AttemptId> =
-            self.map_atts.iter().filter(|(_, a)| a.node == node && !a.dead).map(|(id, _)| *id).collect();
+            self.map_atts.iter().filter(|(_, a)| a.node == node && !a.dead).map(|(id, _)| id).collect();
         for &a in &dead_reds {
             let att = self.red_atts.get_mut(&a).expect("attempt vanished mid-crash");
             att.dead = true;
@@ -1615,7 +1785,7 @@ impl Simulation {
 
     // ---------------- progress / sampling / logging ----------------
 
-    fn red_progress(&self, attempt: AttemptId, att: &RedAtt) -> f64 {
+    fn red_progress(&self, att: &RedAtt) -> f64 {
         match att.phase {
             RedPhase::Launching => 0.0,
             RedPhase::Shuffle => {
@@ -1637,7 +1807,6 @@ impl Simulation {
                     ((self.q.now().as_secs_f64() - att.cpu_start) / att.cpu_dur).clamp(0.0, 1.0)
                 };
                 let frac = att.resume_reduce_frac + (1.0 - att.resume_reduce_frac) * frac_of_rest;
-                let _ = attempt;
                 2.0 / 3.0 + frac / 3.0
             }
             RedPhase::FcmWait => 0.0, // waiting for MOF regeneration
@@ -1652,7 +1821,7 @@ impl Simulation {
             .red_atts
             .iter()
             .filter(|(_, a)| !a.dead)
-            .map(|(id, a)| (*id, self.red_progress(*id, a), a.node))
+            .map(|(id, a)| (id, self.red_progress(a), a.node))
             .collect();
         for (id, p, _) in &atts {
             let e = progress.entry(id.task.index).or_insert(0.0);
@@ -1687,7 +1856,7 @@ impl Simulation {
                 }
             }
         }
-        for (&id, att) in self.map_atts.iter().filter(|(id, a)| id.number == 0 && !a.dead) {
+        for (id, att) in self.map_atts.iter().filter(|(id, a)| id.number == 0 && !a.dead) {
             if let Some(k) = self.maps[id.task.index as usize].kill_at {
                 let p = match att.phase {
                     MapPhase::Launching => 0.0,
@@ -1719,10 +1888,10 @@ impl Simulation {
                 .iter()
                 .filter(|(_, a)| !a.dead && now - a.last_log_secs >= interval)
                 .map(|(id, a)| {
-                    let overall = self.red_progress(*id, a);
+                    let overall = self.red_progress(a);
                     let reduce_frac = ((overall - 2.0 / 3.0) * 3.0).clamp(0.0, 1.0);
                     (
-                        *id,
+                        id,
                         LoggedState {
                             node: a.node,
                             fetched: a.fetched.clone(),
@@ -1779,7 +1948,7 @@ impl Simulation {
                 .red_atts
                 .iter()
                 .filter(|(_, a)| !a.dead && a.phase == RedPhase::Shuffle)
-                .map(|(id, _)| *id)
+                .map(|(id, _)| id)
                 .collect();
             for id in stuck {
                 self.pump_fetches(id);
@@ -1842,17 +2011,17 @@ impl Simulation {
                     && a.flows.is_empty();
                 let blocked_by_link = idle && {
                     let mut saw_severed = false;
-                    for m in &a.pending {
-                        match self.mof_loc[*m as usize] {
+                    for m in a.pending.iter() {
+                        match self.mof_loc[m as usize] {
                             None => {}                                         // map not finished yet: a normal wait
                             Some(src) if !self.nodes[src as usize].alive => {} // regeneration wait
                             Some(src) if self.link_severed(a.node, src) => saw_severed = true,
-                            Some(_) => return (*id, false), // a fetchable source exists
+                            Some(_) => return (id, false), // a fetchable source exists
                         }
                     }
                     saw_severed
                 };
-                (*id, blocked_by_link)
+                (id, blocked_by_link)
             })
             .collect();
         let mut timed_out: Vec<AttemptId> = Vec::new();
@@ -1894,13 +2063,13 @@ impl Simulation {
         let regenerating: Vec<usize> =
             self.regenerating.iter().enumerate().filter(|(_, r)| **r).map(|(m, _)| m).collect();
         eprintln!("regenerating: {regenerating:?}");
-        for (id, a) in &self.red_atts {
+        for (id, a) in self.red_atts.iter() {
             eprintln!(
                 "  red {id}: node={} mode={:?} phase={:?} pending={} active={} retry={:?} flows={} spill_out={} cpu_done={} dead={}",
                 a.node, a.mode, a.phase, a.pending.len(), a.active_fetches.len(), a.retry, a.flows.len(), a.spill_outstanding, a.cpu_done, a.dead
             );
         }
-        for (id, a) in &self.map_atts {
+        for (id, a) in self.map_atts.iter() {
             eprintln!("  map {id}: node={} phase={:?} dead={}", a.node, a.phase, a.dead);
         }
         let incomplete_m = self.maps.iter().filter(|m| !m.completed).count();
@@ -2034,6 +2203,124 @@ mod tests {
     use alm_types::units::GB;
     use alm_types::{Fault, FlapSchedule, LinkDirection, RecoveryMode};
     use alm_workloads::WorkloadKind;
+    use proptest::prelude::*;
+
+    fn flow_info(k: u32) -> FlowInfo {
+        FlowInfo {
+            attempt: TaskId::map(JobId(0), k).attempt(0),
+            purpose: Purpose::Spill,
+            pool: PoolRef::Disk(0),
+        }
+    }
+
+    proptest! {
+        /// `MapSet` answers as the `BTreeSet<u32>` it replaced after every
+        /// step, and a clone taken midway (an ALG snapshot) keeps its
+        /// members while the original moves on.
+        #[test]
+        fn map_set_matches_btree_set(
+            n in 1u32..300,
+            ops in proptest::collection::vec((0u8..3, 0u32..300), 0..400),
+        ) {
+            let mut set = MapSet::empty(n);
+            let mut oracle = BTreeSet::new();
+            let mut clones = Vec::new();
+            for (op, m) in ops {
+                let m = m % n;
+                match op {
+                    0 => prop_assert_eq!(set.insert(m), oracle.insert(m)),
+                    1 => prop_assert_eq!(set.remove(m), oracle.remove(&m)),
+                    _ => clones.push((set.clone(), oracle.clone())),
+                }
+                prop_assert_eq!(set.contains(m), oracle.contains(&m));
+                prop_assert_eq!(set.len(), oracle.len());
+                prop_assert_eq!(set.is_empty(), oracle.is_empty());
+                prop_assert_eq!(set.iter().collect::<Vec<_>>(), oracle.iter().copied().collect::<Vec<_>>());
+            }
+            for (set, oracle) in clones {
+                prop_assert_eq!(set.len(), oracle.len());
+                prop_assert_eq!(set.iter().collect::<Vec<_>>(), oracle.into_iter().collect::<Vec<_>>());
+            }
+            prop_assert!(!set.contains(n.next_multiple_of(64)), "an index past the last word is absent");
+            let full = MapSet::full(n);
+            prop_assert_eq!(full.len(), n as usize);
+            prop_assert_eq!(full.iter().collect::<Vec<_>>(), (0..n).collect::<Vec<_>>());
+        }
+
+        /// `AttemptTable` answers as the `BTreeMap<AttemptId, _>` it
+        /// replaced: inserts (overwrites included), removes, lookups,
+        /// in-place updates and iteration in key order.
+        #[test]
+        fn attempt_table_matches_btree_map(
+            ops in proptest::collection::vec((0u8..4, 0u32..12, 0u32..6), 0..300),
+        ) {
+            let mut table = AttemptTable::new(JobId(0), TaskKind::Reduce);
+            let mut oracle = BTreeMap::new();
+            for (step, (op, index, number)) in ops.into_iter().enumerate() {
+                let id = TaskId::reduce(JobId(0), index).attempt(number);
+                match op {
+                    0 | 1 => {
+                        table.insert(id, step);
+                        oracle.insert(id, step);
+                    }
+                    2 => prop_assert_eq!(table.remove(&id), oracle.remove(&id)),
+                    _ => match (table.get_mut(&id), oracle.get_mut(&id)) {
+                        (Some(a), Some(b)) => {
+                            *a += 1000;
+                            *b += 1000;
+                        }
+                        (a, b) => prop_assert_eq!(a.is_some(), b.is_some()),
+                    },
+                }
+                prop_assert_eq!(table.get(&id), oracle.get(&id));
+                prop_assert_eq!(
+                    table.iter().map(|(id, &v)| (id, v)).collect::<Vec<_>>(),
+                    oracle.iter().map(|(&id, &v)| (id, v)).collect::<Vec<_>>()
+                );
+                prop_assert_eq!(table.values().count(), oracle.len());
+            }
+        }
+
+        /// `FlowWindow` answers as the `BTreeMap<FlowId, FlowInfo>` it
+        /// replaced, whatever order flows retire in: fresh ids, removals
+        /// and iteration in id order.
+        #[test]
+        fn flow_window_matches_btree_map(ops in proptest::collection::vec((0u8..3, 0u32..64), 0..400)) {
+            let mut window = FlowWindow::default();
+            let mut oracle = BTreeMap::new();
+            for (op, k) in ops {
+                if op == 0 || oracle.is_empty() {
+                    let id = window.push(flow_info(k));
+                    prop_assert!(oracle.insert(id, flow_info(k).attempt).is_none(), "{id:?} reused");
+                } else {
+                    let id = *oracle.keys().nth(k as usize % oracle.len()).unwrap();
+                    prop_assert_eq!(window.remove(id).map(|i| i.attempt), oracle.remove(&id));
+                    prop_assert!(window.remove(id).is_none(), "{id:?} removed twice");
+                }
+                prop_assert_eq!(
+                    window.iter().map(|(id, i)| (id, i.attempt)).collect::<Vec<_>>(),
+                    oracle.iter().map(|(&id, &a)| (id, a)).collect::<Vec<_>>()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn flow_window_keeps_a_flow_that_outlives_ten_thousand_later_ones() {
+        let mut window = FlowWindow::default();
+        let old = window.push(flow_info(0));
+        for k in 1..=10_000 {
+            let id = window.push(flow_info(k));
+            assert_eq!(window.remove(id).map(|i| i.attempt), Some(flow_info(k).attempt));
+        }
+        let later = window.push(flow_info(1));
+        assert_eq!(later, FlowId(old.0 + 10_001));
+        let live: Vec<_> = window.iter().map(|(id, i)| (id, i.attempt)).collect();
+        assert_eq!(live, vec![(old, flow_info(0).attempt), (later, flow_info(1).attempt)]);
+        assert!(window.remove(old).is_some());
+        assert_eq!(window.slots.len(), 1, "the retired slots go once the old flow leaves");
+        assert!(window.remove(old).is_none());
+    }
 
     fn run(kind: WorkloadKind, gb: u64, reduces: u32, mode: RecoveryMode, faults: FaultPlan) -> SimReport {
         let spec = SimJobSpec::new(kind, gb * GB, reduces, 7);
