@@ -614,11 +614,15 @@ impl Simulation {
     fn reschedule_pool(&mut self, p: PoolRef) {
         let slot = self.pool_slot(p);
         let (pool, wake) = &mut self.pools[slot];
-        if let Some(tok) = wake.take() {
-            self.q.cancel(tok);
-        }
-        if let Some((_, when)) = pool.next_completion() {
-            *wake = Some(self.q.schedule_at(when, Ev::PoolWake(p)));
+        let Some((_, when)) = pool.next_completion() else {
+            if let Some(tok) = wake.take() {
+                self.q.cancel(tok);
+            }
+            return;
+        };
+        match *wake {
+            Some(tok) if self.q.reschedule(tok, when) => {}
+            _ => *wake = Some(self.q.schedule_at(when, Ev::PoolWake(p))),
         }
     }
 

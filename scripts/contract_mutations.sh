@@ -30,6 +30,8 @@
 #                                          a mode decides recovery)
 #   cargo clippy --workspace --all-targets -- -D warnings   (root clippy.toml)
 #     a HashMap field iterated in crates/sim -> clippy::disallowed_types
+#     a HashMap field in crates/des          -> clippy::disallowed_types (the
+#                                               kernel holds no exemption)
 #     an Instant::now() in crates/des        -> clippy::disallowed_methods
 #   cargo check --tests
 #     SmallRng::from_entropy() in a chaos test -> E0599 (the in-repo `rand`
@@ -43,7 +45,7 @@
 # (YarnConfig 14, MemConfig 4, SchedConfig 3); the YarnConfig mutation
 # anchors on the struct header, not on any one field.
 #
-# CI-only (not tier-1). Usage: scripts/contract_mutations.sh
+# 17 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -166,6 +168,10 @@ expect_fail "HashMap field iterated in the sim" clippy crates/sim/src/engine.rs 
     "use crate::trace::{SimFailure, SimReport};" \
     "pub struct Leak { pub m: std::collections::HashMap<u32, u32> } impl Leak { pub fn order(&self) -> Vec<u32> { self.m.keys().copied().collect() } }" \
     "use of a disallowed type" crates/sim/src/engine.rs
+expect_fail "HashMap field in the DES kernel" clippy crates/des/src/queue.rs \
+    "use crate::time::{SimDuration, SimTime};" \
+    "pub struct SideTable { pub payloads: std::collections::HashMap<u64, u64> }" \
+    "use of a disallowed type" crates/des/src/queue.rs
 expect_fail "Instant::now() in the DES kernel" clippy crates/des/src/queue.rs \
     "    pub fn now(&self) -> SimTime {" "        let _host = std::time::Instant::now();" \
     "use of a disallowed method" crates/des/src/queue.rs
