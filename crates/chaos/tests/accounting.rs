@@ -3,7 +3,6 @@
 //! record-presence (instead of commit-status) partition counting, and
 //! rack-count drift between the lowering profile and the real cluster.
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 use alm_chaos::{ChaosFault, ChaosScenario, RuntimeCampaign};
@@ -35,9 +34,6 @@ impl Workload for HolePartition {
         } else {
             0
         }
-    }
-    fn compare_keys(&self, a: &[u8], b: &[u8]) -> Ordering {
-        self.0.compare_keys(a, b)
     }
     fn model(&self) -> WorkloadModel {
         self.0.model()

@@ -8,15 +8,26 @@ use alm_chaos::{
     ChaosScenario, MatchedScale, ToleranceBands,
 };
 use alm_types::RecoveryMode;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const ALL_MODES: [RecoveryMode; 4] =
     [RecoveryMode::Baseline, RecoveryMode::Alg, RecoveryMode::Sfm, RecoveryMode::SfmAlg];
+
+/// The runtime's side of every calibration is a wall-clock job time, so two
+/// of these tests running jobs at once would time each other's load. Each
+/// test holds this lock for its whole body; a failed test poisons nothing.
+static WALL_CLOCK: Mutex<()> = Mutex::new(());
+
+fn measure_alone() -> MutexGuard<'static, ()> {
+    WALL_CLOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The tentpole invariant: per-mode normalized slowdown curves from both
 /// engines stay inside the measured tolerance bands recorded in
 /// `ToleranceBands::measured` / EXPERIMENTS.md.
 #[test]
 fn magnitude_invariants_hold_at_default_scale_for_all_modes() {
+    let _alone = measure_alone();
     let (report, calibration) = validate_calibrated(
         &calibration_suite(),
         "calibration-suite",
@@ -55,6 +66,7 @@ fn magnitude_invariants_hold_at_default_scale_for_all_modes() {
 /// / EXPERIMENTS.md.
 #[test]
 fn transient_magnitude_invariants_hold_at_default_scale_for_all_modes() {
+    let _alone = measure_alone();
     let (report, calibration) = validate_calibrated(
         &transient_calibration_suite(),
         "transient-calibration-suite",
@@ -84,6 +96,7 @@ fn transient_magnitude_invariants_hold_at_default_scale_for_all_modes() {
 /// Deliberately absurd bands must fail — the check is not vacuous.
 #[test]
 fn magnitude_check_is_not_vacuous() {
+    let _alone = measure_alone();
     let calibration = calibrate(&calibration_suite(), &[RecoveryMode::Sfm], &MatchedScale::default(), 2);
     let strict = calibration.check(&ToleranceBands::uniform(0.0));
     // With a zero band any nonzero gap fails; the engines' clocks differ,
@@ -101,6 +114,7 @@ fn magnitude_check_is_not_vacuous() {
 /// completes under SfmAlg.
 #[test]
 fn correlated_rack_crash_validates_differentially() {
+    let _alone = measure_alone();
     let scenario = ChaosScenario::new("diff-rack-loss").with(ChaosFault::CrashRack { rack: 1, at_secs: 0.5 });
     let report = alm_chaos::validate_scenario(&scenario, &[RecoveryMode::Baseline, RecoveryMode::SfmAlg]);
     let inv = report

@@ -140,8 +140,8 @@ pub struct Participant {
 }
 
 /// Run a participant's Local-MPQ, streaming merged chunks into `tx`.
-fn run_local_mpq(cmp: KeyCmp, segments: Vec<SegmentReader>, chunk_bytes: usize, tx: Sender<Result<Bytes>>) {
-    let mut q = MergeQueue::new(cmp, segments);
+fn run_local_mpq(segments: Vec<SegmentReader>, chunk_bytes: usize, tx: Sender<Result<Bytes>>) {
+    let mut q = MergeQueue::new(KeyCmp, segments);
     let mut buf = Vec::with_capacity(chunk_bytes + 256);
     loop {
         match q.pop_with(|k, v| codec::encode_into(&mut buf, k, v)) {
@@ -191,7 +191,7 @@ impl FcmPipeline {
 /// `alm-runtime`'s FCM-mode ReduceTask, which needs to own the merge loop
 /// (for grouping, logging and cancellation).
 pub fn spawn_participants(
-    cmp: &KeyCmp,
+    _order: &KeyCmp,
     participants: Vec<Participant>,
     chunk_bytes: usize,
 ) -> Result<FcmPipeline> {
@@ -200,9 +200,8 @@ pub fn spawn_participants(
     let mut runs = Vec::with_capacity(participants.len());
     for p in participants {
         let (tx, rx) = bounded::<Result<Bytes>>(PIPELINE_DEPTH);
-        let cmp_clone = cmp.clone();
         let segs = p.segments;
-        handles.push(std::thread::spawn(move || run_local_mpq(cmp_clone, segs, chunk_bytes, tx)));
+        handles.push(std::thread::spawn(move || run_local_mpq(segs, chunk_bytes, tx)));
         runs.push(ChannelRun::new(p.node, rx));
     }
     let runs: Result<Vec<ChannelRun>> = runs.into_iter().collect();
@@ -223,14 +222,13 @@ pub fn spawn_participants(
 /// segments on its own thread and streams to the Global-MPQ here, which
 /// drives `sink` with globally merged records.
 pub fn collective_merge(
-    cmp: &KeyCmp,
     participants: Vec<Participant>,
     chunk_bytes: usize,
     mut sink: impl FnMut(&[u8], &[u8]),
 ) -> Result<FcmStats> {
     let n = participants.len();
-    let runs = spawn_participants(cmp, participants, chunk_bytes)?.into_runs_and_detach();
-    let mut q = MergeQueue::new(cmp.clone(), runs);
+    let runs = spawn_participants(&KeyCmp, participants, chunk_bytes)?.into_runs_and_detach();
+    let mut q = MergeQueue::new(KeyCmp, runs);
     let mut stats = FcmStats { participants: n, records: 0, bytes: 0 };
     while let Some((k, v)) = q.pop()? {
         stats.records += 1;
@@ -270,8 +268,7 @@ mod tests {
             Participant { node: NodeId(1), segments: vec![reader(2, &["b", "d", "f"])] },
         ];
         let mut keys = Vec::new();
-        let stats =
-            collective_merge(&bytewise_cmp(), participants, 64, |k, _| keys.push(k.to_vec())).unwrap();
+        let stats = collective_merge(participants, 64, |k, _| keys.push(k.to_vec())).unwrap();
         assert_eq!(
             keys,
             vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec(), b"d".to_vec(), b"e".to_vec(), b"f".to_vec()]
@@ -282,15 +279,13 @@ mod tests {
 
     #[test]
     fn empty_participants_yield_empty_stats() {
-        let stats = collective_merge(&bytewise_cmp(), vec![], 1024, |_, _| panic!("no records")).unwrap();
+        let stats = collective_merge(vec![], 1024, |_, _| panic!("no records")).unwrap();
         assert_eq!(stats.records, 0);
-        let stats = collective_merge(
-            &bytewise_cmp(),
-            vec![Participant { node: NodeId(0), segments: vec![] }],
-            1024,
-            |_, _| panic!("no records"),
-        )
-        .unwrap();
+        let stats =
+            collective_merge(vec![Participant { node: NodeId(0), segments: vec![] }], 1024, |_, _| {
+                panic!("no records")
+            })
+            .unwrap();
         assert_eq!(stats.records, 0);
         assert_eq!(stats.participants, 1);
     }
@@ -310,7 +305,7 @@ mod tests {
             },
         ];
         let mut keys = Vec::new();
-        collective_merge(&bytewise_cmp(), participants, 1, |k, _| keys.push(k[0])).unwrap();
+        collective_merge(participants, 1, |k, _| keys.push(k[0])).unwrap();
         assert_eq!(keys, vec![b'a', b'b', b'c', b'd']);
     }
 
@@ -344,7 +339,7 @@ mod tests {
             let mut single = MergeQueue::new(bytewise_cmp(), single_readers);
             let expected: Vec<Vec<u8>> = single.drain().unwrap().into_iter().map(|(k, _)| k.to_vec()).collect();
             let mut got = Vec::new();
-            collective_merge(&bytewise_cmp(), participants, chunk, |k, _| got.push(k.to_vec())).unwrap();
+            collective_merge(participants, chunk, |k, _| got.push(k.to_vec())).unwrap();
             prop_assert_eq!(got, expected);
         }
     }

@@ -642,7 +642,6 @@ impl JobRunner {
                     self.report.reduce_timeline.entry(attempt.task.index).or_default().push((now, overall));
                     self.check_progress_faults(attempt.task.index, overall);
                 }
-                TaskEvent::MapProgress { .. } => {}
             }
         }
 

@@ -38,9 +38,9 @@ pub enum TaskEvent {
     /// A reduce attempt recovered from analytics logs; the report carries
     /// the truncation forensics (how much, if anything, was discarded).
     LogRecovered { attempt: AttemptId, report: RecoveryReport },
-    /// Periodic progress report from a reduce attempt (drives timelines,
-    /// progress-triggered fault injection, and straggler visibility).
+    /// Progress report from a reduce attempt (drives timelines and
+    /// progress-triggered fault injection): every shuffle round, the end of
+    /// the merge, and in the reduce stage each whole percent of overall
+    /// progress. Map attempts send none; the AM has no use for them.
     ReduceProgress { attempt: AttemptId, phase: ReducePhase, progress: f64 },
-    /// Periodic progress report from a map attempt.
-    MapProgress { attempt: AttemptId, progress: f64 },
 }

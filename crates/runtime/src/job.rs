@@ -29,10 +29,9 @@ impl JobDef {
         JobDef { id, workload, num_maps, num_reduces, seed, alm }
     }
 
-    /// The workload's key comparator as a shareable closure.
+    /// The job's key order: bytewise for every workload (see [`KeyCmp`]).
     pub fn key_cmp(&self) -> KeyCmp {
-        let w = self.workload.clone();
-        Arc::new(move |a: &[u8], b: &[u8]| w.compare_keys(a, b))
+        KeyCmp
     }
 
     /// The workload's combiner, if it has one.
@@ -62,16 +61,14 @@ mod tests {
     use super::*;
     use alm_types::RecoveryMode;
     use alm_workloads::{Terasort, Wordcount};
-    use std::cmp::Ordering;
 
     fn def(w: Arc<dyn Workload>) -> JobDef {
         JobDef::new(JobId(1), w, 4, 2, 7, AlmConfig::with_mode(RecoveryMode::Baseline))
     }
 
     #[test]
-    fn cmp_and_combiner_delegate() {
+    fn combiner_delegates() {
         let d = def(Arc::new(Terasort::small()));
-        assert_eq!((d.key_cmp())(b"a", b"b"), Ordering::Less);
         assert!(d.combiner().is_none(), "terasort has no combiner");
 
         let d = def(Arc::new(Wordcount::small()));

@@ -54,9 +54,8 @@ pub fn run_map(ctx: MapCtx) {
                 return;
             }
             ctx.node.throttle();
-            let progress = i as f64 / total as f64;
             if let Some(kill) = ctx.kill_at {
-                if progress >= kill {
+                if i as f64 / total as f64 >= kill {
                     let _ = ctx.events.send(TaskEvent::TaskFailed {
                         attempt: ctx.attempt,
                         node: ctx.node.id,
@@ -64,9 +63,6 @@ pub fn run_map(ctx: MapCtx) {
                     });
                     return;
                 }
-            }
-            if i % 1024 == 0 {
-                let _ = ctx.events.send(TaskEvent::MapProgress { attempt: ctx.attempt, progress });
             }
         }
         let job = &ctx.job;
@@ -136,26 +132,15 @@ mod tests {
         let c = MiniCluster::for_tests(2);
         let (ctx, rx) = ctx(&c, None);
         run_map(ctx);
+        // The commit is the attempt's only event.
         match rx.try_recv().unwrap() {
-            TaskEvent::MapProgress { .. } => {}
             TaskEvent::MapCompleted { mof, .. } => {
                 assert_eq!(mof.num_partitions(), 3);
                 assert!(mof.total_bytes() > 0);
-                return;
             }
             other => panic!("unexpected {other:?}"),
         }
-        // Skip progress events until completion.
-        loop {
-            match rx.try_recv().unwrap() {
-                TaskEvent::MapCompleted { mof, .. } => {
-                    assert_eq!(mof.num_partitions(), 3);
-                    break;
-                }
-                TaskEvent::MapProgress { .. } => continue,
-                other => panic!("unexpected {other:?}"),
-            }
-        }
+        assert!(rx.try_recv().is_err(), "a map attempt sends no progress events");
     }
 
     #[test]
@@ -180,9 +165,7 @@ mod tests {
         let (ctx, rx) = ctx(&c, None);
         c.crash_node(alm_types::NodeId(0));
         run_map(ctx);
-        while let Ok(ev) = rx.try_recv() {
-            assert!(matches!(ev, TaskEvent::MapProgress { .. }), "no completion/failure events, got {ev:?}");
-        }
+        assert!(rx.try_recv().is_err(), "no events from a map on a dead node");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use alm_core::{
 use alm_dfs::DfsCluster;
 use alm_shuffle::mpq::SortedRun;
 use alm_shuffle::LocalFs;
-use alm_shuffle::{MergeQueue, ReduceBuffers, SegmentReader, SegmentSource};
+use alm_shuffle::{KeyCmp, MergeQueue, ReduceBuffers, SegmentReader, SegmentSource};
 use alm_types::{AttemptId, FailureKind, ReducePhase, ReplicationLevel, YarnConfig};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -81,6 +81,18 @@ impl ReduceCtx {
         let _ = self.events.send(TaskEvent::ReduceProgress { attempt: self.attempt, phase, progress });
     }
 
+    /// A reduce-stage report, sent at the stage's first safe point and then
+    /// only when overall progress reaches a new whole percent, so an
+    /// attempt wakes the AM at most 35 times here (66 % to 100 %).
+    /// `reported` holds the last percent sent.
+    fn reduce_progress(&self, frac: f64, reported: &mut Option<u32>) {
+        let percent = (overall_progress(ReducePhase::Reduce, frac) * 100.0) as u32;
+        if reported.is_none_or(|last| percent > last) {
+            *reported = Some(percent);
+            self.progress(ReducePhase::Reduce, frac);
+        }
+    }
+
     fn should_self_kill(&self, phase: ReducePhase, frac: f64) -> bool {
         self.kill_at.is_some_and(|k| overall_progress(phase, frac) >= k)
     }
@@ -131,7 +143,6 @@ enum StartState {
 
 /// Run one reduce attempt on the current thread.
 pub fn run_reduce(ctx: ReduceCtx) {
-    let cmp = ctx.job.key_cmp();
     let logs_enabled = ctx.job.alm.mode.logs_enabled();
     let paths = LogPaths::for_task(ctx.attempt.task);
     let prefix = format!("reduce/{}/", ctx.attempt);
@@ -164,7 +175,6 @@ pub fn run_reduce(ctx: ReduceCtx) {
         RecoveredState::ShuffleStage { shuffled_bytes, fetched_mof_ids, intermediate_files, .. } => {
             if intermediate_files.iter().all(|p| ctx.node.fs.exists(p)) {
                 StartState::Shuffle(ReduceBuffers::restore(
-                    cmp.clone(),
                     prefix.clone(),
                     mem_budget,
                     ctx.config.merge_spill_fraction,
@@ -179,7 +189,6 @@ pub fn run_reduce(ctx: ReduceCtx) {
         RecoveredState::MergeStage { intermediate_files, .. } => {
             if intermediate_files.iter().all(|p| ctx.node.fs.exists(p)) {
                 StartState::MergeReady(ReduceBuffers::restore(
-                    cmp.clone(),
                     prefix.clone(),
                     mem_budget,
                     ctx.config.merge_spill_fraction,
@@ -219,14 +228,13 @@ pub fn run_reduce(ctx: ReduceCtx) {
 
     // ---- Execute ----
     match ctx.mode {
-        ExecMode::Fcm => run_fcm(&ctx, &cmp, start, &mut logger, &mut output),
-        ExecMode::Regular => run_regular(&ctx, &cmp, start, &mut logger, &mut output),
+        ExecMode::Fcm => run_fcm(&ctx, start, &mut logger, &mut output),
+        ExecMode::Regular => run_regular(&ctx, start, &mut logger, &mut output),
     }
 }
 
 fn run_regular(
     ctx: &ReduceCtx,
-    cmp: &alm_shuffle::KeyCmp,
     start: StartState,
     logger: &mut Option<AnalyticsLogger>,
     output: &mut PartialOutput,
@@ -235,7 +243,7 @@ fn run_regular(
         StartState::MpqResume(readers, _) => (readers, 0),
         StartState::Fresh => {
             let mut buffers = ReduceBuffers::new(
-                cmp.clone(),
+                KeyCmp,
                 format!("reduce/{}/", ctx.attempt),
                 ctx.config.shuffle_buffer_bytes().max(1024),
                 ctx.config.merge_spill_fraction,
@@ -265,7 +273,7 @@ fn run_regular(
         },
         StartState::SkipReplay(skip) => {
             let mut buffers = ReduceBuffers::new(
-                cmp.clone(),
+                KeyCmp,
                 format!("reduce/{}/", ctx.attempt),
                 ctx.config.shuffle_buffer_bytes().max(1024),
                 ctx.config.merge_spill_fraction,
@@ -281,7 +289,7 @@ fn run_regular(
         }
     };
 
-    let q = MergeQueue::new(cmp.clone(), readers);
+    let q = MergeQueue::new(KeyCmp, readers);
     if let Err(exit) = reduce_phase(ctx, q, skip, false, logger, output) {
         return exit.dispatch(ctx);
     }
@@ -290,7 +298,6 @@ fn run_regular(
 
 fn run_fcm(
     ctx: &ReduceCtx,
-    cmp: &alm_shuffle::KeyCmp,
     start: StartState,
     logger: &mut Option<AnalyticsLogger>,
     output: &mut PartialOutput,
@@ -320,11 +327,11 @@ fn run_fcm(
         }
     };
 
-    let pipeline = match spawn_participants(cmp, participants, alm_core::sfm::fcm::DEFAULT_CHUNK_BYTES) {
+    let pipeline = match spawn_participants(&KeyCmp, participants, alm_core::sfm::fcm::DEFAULT_CHUNK_BYTES) {
         Ok(p) => p,
         Err(_) => return ctx.fail(FailureKind::TaskTimeout),
     };
-    let q = MergeQueue::new(cmp.clone(), pipeline.into_runs_and_detach());
+    let q = MergeQueue::new(KeyCmp, pipeline.into_runs_and_detach());
     if let Err(exit) = reduce_phase(ctx, q, skip, true, logger, output) {
         return exit.dispatch(ctx);
     }
@@ -598,6 +605,7 @@ fn reduce_phase<R: SortedRun>(
 
     let initial_remaining = (q.remaining_bytes().max(1)) as f64;
     let mut groups: u64 = 0;
+    let mut reported = None;
     // The group's first key and its values, reused from group to group.
     let mut gk: Vec<u8> = Vec::new();
     let mut vals: Vec<Vec<u8>> = Vec::new();
@@ -636,7 +644,7 @@ fn reduce_phase<R: SortedRun>(
             if ctx.should_self_kill(ReducePhase::Reduce, frac) {
                 return Err(Exit::Failed(FailureKind::TaskOom));
             }
-            ctx.progress(ReducePhase::Reduce, frac);
+            ctx.reduce_progress(frac, &mut reported);
             if let Some(lg) = logger.as_mut() {
                 let snapshot = if streaming { Vec::new() } else { q.snapshot() };
                 if lg
@@ -653,7 +661,7 @@ fn reduce_phase<R: SortedRun>(
     if ctx.should_self_kill(ReducePhase::Reduce, 1.0) && ctx.kill_at.is_some_and(|k| k < 1.0) {
         return Err(Exit::Failed(FailureKind::TaskOom));
     }
-    ctx.progress(ReducePhase::Reduce, 1.0);
+    ctx.reduce_progress(1.0, &mut reported);
     Ok(())
 }
 

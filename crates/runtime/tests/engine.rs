@@ -388,6 +388,27 @@ fn speculative_duplicates_commit_identical_output() {
     }
 }
 
+/// The reduce stage reports progress at its first safe point and then only
+/// when overall progress reaches a new whole percent, not every 32 key
+/// groups: 6000 distinct Terasort keys on one reducer (≈ 190 safe points)
+/// leave at most 35 reduce-stage samples, ending at 100 %.
+#[test]
+fn reduce_stage_progress_is_sampled_per_whole_percent() {
+    let cluster = Arc::new(MiniCluster::for_tests(4));
+    let jd = job(60, Arc::new(Terasort::new(3000)), 2, 1, RecoveryMode::Baseline);
+    let report = run_job(cluster.clone(), jd.clone(), FaultPlan::none());
+    assert!(report.succeeded, "{report:?}");
+    assert_output_matches(&cluster, &jd);
+    let timeline = &report.reduce_timeline[&0];
+    // The merge stage's one report is overall 2/3; the reduce stage follows.
+    let merged =
+        timeline.iter().position(|&(_, p)| p >= 2.0 / 3.0 - 1e-9).expect("the merge stage reports its end");
+    let percents: Vec<u32> = timeline[merged + 1..].iter().map(|&(_, p)| (p * 100.0) as u32).collect();
+    assert!((1..=35).contains(&percents.len()), "{} reduce-stage samples: {percents:?}", percents.len());
+    assert!(percents.windows(2).all(|w| w[0] < w[1]), "one sample per whole percent: {percents:?}");
+    assert_eq!(percents.last(), Some(&100), "{percents:?}");
+}
+
 // ---------- transient faults: partitions, corruption, checksummed recovery ----------
 
 #[test]

@@ -27,7 +27,6 @@ const DIRECT_TO_DISK_FRACTION: f64 = 0.25;
 
 /// Reduce-side shuffle state for one ReduceTask attempt.
 pub struct ReduceBuffers {
-    cmp: KeyCmp,
     /// Node-local path prefix, e.g. `"reduce/{attempt}/"`.
     prefix: String,
     mem_budget: u64,
@@ -46,13 +45,12 @@ pub struct ReduceBuffers {
 
 impl ReduceBuffers {
     pub fn new(
-        cmp: KeyCmp,
+        _order: KeyCmp,
         prefix: impl Into<String>,
         mem_budget: u64,
         merge_trigger_fraction: f64,
     ) -> ReduceBuffers {
         ReduceBuffers {
-            cmp,
             prefix: prefix.into(),
             mem_budget: mem_budget.max(1),
             merge_trigger_fraction: merge_trigger_fraction.clamp(0.05, 1.0),
@@ -71,7 +69,6 @@ impl ReduceBuffers {
     /// the fetched-MOF set plus the on-disk segment paths. In-memory
     /// segments don't appear — ALG flushed them before logging.
     pub fn restore(
-        cmp: KeyCmp,
         prefix: impl Into<String>,
         mem_budget: u64,
         merge_trigger_fraction: f64,
@@ -85,7 +82,7 @@ impl ReduceBuffers {
             .filter_map(|p| p.rsplit('-').next()?.strip_suffix(".out")?.parse::<u64>().ok())
             .max()
             .map_or(0, |m| m + 1);
-        let mut b = ReduceBuffers::new(cmp, prefix, mem_budget, merge_trigger_fraction);
+        let mut b = ReduceBuffers::new(KeyCmp, prefix, mem_budget, merge_trigger_fraction);
         b.fetched = fetched;
         b.on_disk = on_disk;
         b.next_disk_id = next_disk_id;
@@ -134,7 +131,7 @@ impl ReduceBuffers {
         }
         let blobs: Vec<Bytes> = self.in_mem.drain(..).map(|(_, b)| b).collect();
         self.mem_used = 0;
-        let merged = merger::merge_memory_segments(&self.cmp, &blobs, None)?;
+        let merged = merger::merge_memory_segments(&blobs, None)?;
         let path = self.next_disk_path();
         fs.write(&path, merged)?;
         self.on_disk.push(path.clone());
@@ -177,7 +174,7 @@ impl ReduceBuffers {
     pub fn finalize(mut self, fs: &dyn LocalFs, factor: usize) -> Result<Vec<SegmentReader>> {
         let (disk_paths, _rounds) = merger::factor_merge(
             fs,
-            &self.cmp,
+            &KeyCmp,
             std::mem::take(&mut self.on_disk),
             factor.max(2),
             &format!("{}final-", self.prefix),
@@ -252,15 +249,7 @@ mod tests {
         let shuffled = b.shuffled_bytes();
         drop(b);
 
-        let restored = ReduceBuffers::restore(
-            bytewise_cmp(),
-            "r/",
-            10_000,
-            0.99,
-            snapshot_fetched,
-            snapshot_disk,
-            shuffled,
-        );
+        let restored = ReduceBuffers::restore("r/", 10_000, 0.99, snapshot_fetched, snapshot_disk, shuffled);
         assert!(restored.has_fetched(0) && restored.has_fetched(1));
         let readers = restored.finalize(&fs, 10).unwrap();
         let mut q = MergeQueue::new(bytewise_cmp(), readers);
@@ -271,15 +260,7 @@ mod tests {
     #[test]
     fn restore_continues_disk_numbering() {
         let fs = MemFs::new();
-        let mut b = ReduceBuffers::restore(
-            bytewise_cmp(),
-            "r/",
-            100,
-            0.9,
-            BTreeSet::new(),
-            vec!["r/seg-7.out".into()],
-            0,
-        );
+        let mut b = ReduceBuffers::restore("r/", 100, 0.9, BTreeSet::new(), vec!["r/seg-7.out".into()], 0);
         let big = seg(&["abcdefghijklmnopqrstuvwxyz0123456789"]);
         b.ingest(&fs, 3, big).unwrap();
         assert_eq!(b.on_disk_paths()[1], "r/seg-8.out");

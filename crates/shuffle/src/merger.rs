@@ -17,12 +17,8 @@ use crate::{Combiner, KeyCmp};
 /// Merge sorted segments into one encoded stream. When a combiner is given,
 /// runs of *byte-equal* keys are folded through it (map-side semantics).
 /// Records are copied straight from the input segments' slices.
-pub fn merge_readers(
-    cmp: &KeyCmp,
-    readers: Vec<SegmentReader>,
-    combiner: Option<&Combiner>,
-) -> Result<Vec<u8>> {
-    let mut q = MergeQueue::new(cmp.clone(), readers);
+pub fn merge_readers(readers: Vec<SegmentReader>, combiner: Option<&Combiner>) -> Result<Vec<u8>> {
+    let mut q = MergeQueue::new(KeyCmp, readers);
     let mut out = Vec::new();
     match combiner {
         None => {
@@ -55,19 +51,18 @@ pub fn merge_readers(
 }
 
 /// Merge in-memory segment blobs into a single blob.
-pub fn merge_memory_segments(cmp: &KeyCmp, segments: &[Bytes], combiner: Option<&Combiner>) -> Result<Bytes> {
+pub fn merge_memory_segments(segments: &[Bytes], combiner: Option<&Combiner>) -> Result<Bytes> {
     let readers: Vec<SegmentReader> = segments
         .iter()
         .enumerate()
         .map(|(i, b)| SegmentReader::new(SegmentSource::Memory { id: i as u64 }, b.clone()))
         .collect::<Result<_>>()?;
-    Ok(Bytes::from(merge_readers(cmp, readers, combiner)?))
+    Ok(Bytes::from(merge_readers(readers, combiner)?))
 }
 
 /// Merge a set of on-disk segments into one new file; returns its path.
 pub fn merge_files_to(
     fs: &dyn LocalFs,
-    cmp: &KeyCmp,
     inputs: &[String],
     output_path: &str,
     combiner: Option<&Combiner>,
@@ -77,7 +72,7 @@ pub fn merge_files_to(
         .iter()
         .map(|p| SegmentReader::new(SegmentSource::LocalFile { path: p.clone() }, fs.read(p)?))
         .collect::<Result<_>>()?;
-    let merged = merge_readers(cmp, readers, combiner)?;
+    let merged = merge_readers(readers, combiner)?;
     fs.write(output_path, Bytes::from(merged))?;
     if delete_inputs {
         for p in inputs {
@@ -93,7 +88,7 @@ pub fn merge_files_to(
 /// number of merge rounds performed.
 pub fn factor_merge(
     fs: &dyn LocalFs,
-    cmp: &KeyCmp,
+    _order: &KeyCmp,
     mut paths: Vec<String>,
     factor: usize,
     scratch_prefix: &str,
@@ -109,7 +104,7 @@ pub fn factor_merge(
         let take = factor.min(sized.len() - 1).max(2); // always leave progress room
         let batch: Vec<String> = sized.split_off(sized.len() - take).into_iter().map(|(_, p)| p).collect();
         let out_path = format!("{scratch_prefix}merged-{round}.out");
-        merge_files_to(fs, cmp, &batch, &out_path, None, true)?;
+        merge_files_to(fs, &batch, &out_path, None, true)?;
         paths = sized.into_iter().map(|(_, p)| p).collect();
         paths.push(out_path);
         round += 1;
@@ -158,7 +153,7 @@ mod tests {
     fn memory_merge_without_combiner() {
         let s1 = build_segment(&recs(&[("a", "1"), ("c", "3")]));
         let s2 = build_segment(&recs(&[("b", "2")]));
-        let merged = merge_memory_segments(&bytewise_cmp(), &[s1, s2], None).unwrap();
+        let merged = merge_memory_segments(&[s1, s2], None).unwrap();
         assert_eq!(decode_all(&merged), recs(&[("a", "1"), ("b", "2"), ("c", "3")]));
     }
 
@@ -171,7 +166,7 @@ mod tests {
         });
         let s1 = build_segment(&recs(&[("a", "1"), ("b", "5")]));
         let s2 = build_segment(&recs(&[("a", "2"), ("a", "3")]));
-        let merged = merge_memory_segments(&bytewise_cmp(), &[s1, s2], Some(&sum)).unwrap();
+        let merged = merge_memory_segments(&[s1, s2], Some(&sum)).unwrap();
         assert_eq!(decode_all(&merged), recs(&[("a", "6"), ("b", "5")]));
     }
 
@@ -180,7 +175,7 @@ mod tests {
         let fs = MemFs::new();
         fs.write("in1", build_segment(&recs(&[("a", "1")]))).unwrap();
         fs.write("in2", build_segment(&recs(&[("b", "2")]))).unwrap();
-        merge_files_to(&fs, &bytewise_cmp(), &["in1".into(), "in2".into()], "out", None, true).unwrap();
+        merge_files_to(&fs, &["in1".into(), "in2".into()], "out", None, true).unwrap();
         assert!(fs.exists("out"));
         assert!(!fs.exists("in1") && !fs.exists("in2"));
         assert_eq!(decode_all(&fs.read("out").unwrap()), recs(&[("a", "1"), ("b", "2")]));

@@ -1,5 +1,5 @@
-//! The Minimum Priority Queue (MPQ): a comparator-driven k-way merge heap
-//! over segment readers.
+//! The Minimum Priority Queue (MPQ): a k-way merge heap over segment
+//! readers, in bytewise key order.
 //!
 //! This is the structure the paper's reduce stage drains (§II-A) and the
 //! structure whose *shape* the reduce-stage analytics log preserves: for
@@ -8,9 +8,9 @@
 //! that list; rebuilding the MPQ from a snapshot is `SegmentReader::resume`
 //! per entry followed by `MergeQueue::new`.
 //!
-//! The heap is hand-rolled (rather than `BinaryHeap`) because the ordering
-//! is a runtime comparator, and ties break on reader index so merges are
-//! deterministic and stable.
+//! The heap is hand-rolled (rather than `BinaryHeap`) because its entries
+//! are reader indices ordered by the readers' current keys, and ties break
+//! on reader index so merges are deterministic and stable.
 
 use bytes::Bytes;
 
@@ -89,7 +89,6 @@ impl SortedRun for SegmentReader {
 
 /// K-way merge over sorted runs.
 pub struct MergeQueue<R: SortedRun = SegmentReader> {
-    cmp: KeyCmp,
     readers: Vec<R>,
     /// Indices into `readers` of non-exhausted readers, heap-ordered with
     /// the minimum key at `heap[0]`.
@@ -99,8 +98,8 @@ pub struct MergeQueue<R: SortedRun = SegmentReader> {
 impl<R: SortedRun> MergeQueue<R> {
     /// Build an MPQ from (already sorted) runs. Exhausted runs are dropped
     /// up front.
-    pub fn new(cmp: KeyCmp, readers: Vec<R>) -> MergeQueue<R> {
-        let mut q = MergeQueue { cmp, readers, heap: Vec::new() };
+    pub fn new(_order: KeyCmp, readers: Vec<R>) -> MergeQueue<R> {
+        let mut q = MergeQueue { readers, heap: Vec::new() };
         for i in 0..q.readers.len() {
             if !q.readers[i].is_exhausted() {
                 q.heap.push(i);
@@ -118,7 +117,7 @@ impl<R: SortedRun> MergeQueue<R> {
     fn before(&self, a: usize, b: usize) -> bool {
         let ka = self.readers[a].key().expect("heap members are non-exhausted");
         let kb = self.readers[b].key().expect("heap members are non-exhausted");
-        match (self.cmp)(ka, kb) {
+        match ka.cmp(kb) {
             std::cmp::Ordering::Less => true,
             std::cmp::Ordering::Greater => false,
             std::cmp::Ordering::Equal => a < b, // stable tie-break
@@ -252,6 +251,18 @@ mod tests {
         let mut q = MergeQueue::new(bytewise_cmp(), vec![r1, r2]);
         let vals: Vec<Vec<u8>> = q.drain().unwrap().into_iter().map(|(_, v)| v.to_vec()).collect();
         assert_eq!(vals, vec![b"first".to_vec(), b"second".to_vec()]);
+    }
+
+    #[test]
+    fn keys_sharing_an_eight_byte_prefix_merge_bytewise() {
+        let r1 = reader(1, &[(b"prefix00", b"1"), (b"prefix00\x00", b"2"), (b"prefix00b", b"3")]);
+        let r2 = reader(2, &[(b"prefix0", b"4"), (b"prefix00", b"5"), (b"prefix00a", b"6")]);
+        let r3 = reader(3, &[(b"prefix00\x00", b"7"), (b"prefix00a\xff", b"8")]);
+        let mut q = MergeQueue::new(bytewise_cmp(), vec![r1, r2, r3]);
+        let vals: Vec<Vec<u8>> = q.drain().unwrap().into_iter().map(|(_, v)| v.to_vec()).collect();
+        let want: Vec<Vec<u8>> =
+            ["4", "1", "5", "2", "7", "6", "8", "3"].iter().map(|v| v.as_bytes().to_vec()).collect();
+        assert_eq!(vals, want);
     }
 
     #[test]

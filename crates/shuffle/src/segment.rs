@@ -1,8 +1,8 @@
 //! Sorted runs ("segments") and resumable readers over them.
 //!
 //! A segment is a byte stream in the [`crate::codec`] format whose records
-//! are sorted by the job's key comparator. [`SegmentReader`] walks one
-//! record at a time and knows the byte offset of its *current* record —
+//! are sorted bytewise by key. [`SegmentReader`] walks one record at a
+//! time and knows the byte offset of its *current* record —
 //! the pair `(source, offset)` is exactly one entry of the reduce-stage
 //! analytics log (Fig. 6), and [`SegmentReader::resume`] is how a recovered
 //! ReduceTask re-opens the segment mid-stream.

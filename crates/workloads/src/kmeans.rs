@@ -6,7 +6,6 @@
 //! state carried between iterations is the flattened centroid matrix, in
 //! fixed-point micro-units.
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::iterative::{be_u32, mix64, IterativeWorkload, RANK_ONE_MICRO};
@@ -143,10 +142,6 @@ impl Workload for KMeans {
             return 0;
         }
         u32::from_be_bytes([key[0], key[1], key[2], key[3]]) % num_reduces
-    }
-
-    fn compare_keys(&self, a: &[u8], b: &[u8]) -> Ordering {
-        a.cmp(b)
     }
 
     fn combine(&self, _key: &[u8], values: &[Vec<u8>]) -> Option<Vec<u8>> {

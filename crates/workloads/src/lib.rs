@@ -2,7 +2,7 @@
 //! Secondarysort (§V-A) — in two complementary forms:
 //!
 //! 1. **Executable** ([`Workload`]): deterministic input generation plus the
-//!    map function, partitioner, key/grouping comparators and reduce
+//!    map function, partitioner, grouping predicate and reduce
 //!    function, consumed by the real threaded runtime (`alm-runtime`) which
 //!    actually sorts/merges/reduces the bytes.
 //! 2. **Analytic** ([`model::WorkloadModel`]): size ratios, record sizes and
@@ -37,13 +37,15 @@ pub use spec::{JobSpec, WorkloadKind};
 pub use terasort::Terasort;
 pub use wordcount::Wordcount;
 
-use std::cmp::Ordering;
-
 /// A MapReduce program: input generation + user functions.
 ///
 /// Implementations must be deterministic functions of `(split, seed)` so
 /// that a re-executed MapTask regenerates byte-identical output — the
 /// property YARN's recovery (and ours) relies on.
+///
+/// Intermediate keys sort bytewise: the data plane has one key order, so a
+/// workload that needs another encodes it into its key bytes (Secondarysort's
+/// big-endian composite key). There is no comparator to override.
 pub trait Workload: Send + Sync {
     fn name(&self) -> &'static str;
 
@@ -60,11 +62,6 @@ pub trait Workload: Send + Sync {
 
     /// Route an intermediate key to a reduce partition.
     fn partition(&self, key: &[u8], num_reduces: u32) -> u32;
-
-    /// Intermediate key ordering (Secondarysort orders by composite key).
-    fn compare_keys(&self, a: &[u8], b: &[u8]) -> Ordering {
-        a.cmp(b)
-    }
 
     /// Whether two adjacent sorted keys belong to the same reduce group
     /// (Secondarysort groups by the primary key only).

@@ -10,7 +10,6 @@
 //! All arithmetic is fixed-point (micro-units, `u64`) so iteration state is
 //! byte-stable across runs, engines and resident-cache capacities.
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::iterative::{be_u32, be_u64, mix64, IterativeWorkload, RANK_ONE_MICRO};
@@ -113,10 +112,6 @@ impl Workload for Pagerank {
             return 0;
         }
         u32::from_be_bytes([key[0], key[1], key[2], key[3]]) % num_reduces
-    }
-
-    fn compare_keys(&self, a: &[u8], b: &[u8]) -> Ordering {
-        a.cmp(b)
     }
 
     fn combine(&self, _key: &[u8], values: &[Vec<u8>]) -> Option<Vec<u8>> {

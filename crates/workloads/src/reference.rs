@@ -32,7 +32,7 @@ pub fn reference_output(
     intermediate
         .into_iter()
         .map(|mut part| {
-            part.sort_by(|a, b| workload.compare_keys(&a.key, &b.key).then_with(|| a.value.cmp(&b.value)));
+            part.sort_by(|a, b| a.key.cmp(&b.key).then_with(|| a.value.cmp(&b.value)));
             let mut out = Vec::new();
             let mut i = 0;
             while i < part.len() {

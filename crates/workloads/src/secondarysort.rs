@@ -7,13 +7,14 @@
 //! SFM+ALG gain, 25.8%, on Secondarysort — §V-E).
 
 use rand::{Rng, RngCore, SeedableRng};
-use std::cmp::Ordering;
 
 use crate::model::{constants::*, WorkloadModel};
 use crate::record::Record;
 use crate::Workload;
 
-/// Composite key layout: `primary: u32 (BE) | secondary: u32 (BE)`.
+/// Composite key layout: `primary: u32 (BE) | secondary: u32 (BE)`. Big-endian
+/// fields make the pipeline's bytewise key order the `(primary, secondary)`
+/// order.
 pub fn composite_key(primary: u32, secondary: u32) -> Vec<u8> {
     let mut k = Vec::with_capacity(8);
     k.extend_from_slice(&primary.to_be_bytes());
@@ -84,11 +85,6 @@ impl Workload for SecondarySort {
         primary % num_reduces
     }
 
-    /// Order by the full composite key: primary, then secondary.
-    fn compare_keys(&self, a: &[u8], b: &[u8]) -> Ordering {
-        split_key(a).cmp(&split_key(b))
-    }
-
     /// Group by primary only: adjacent keys with the same primary reduce
     /// together, receiving values in secondary order.
     fn same_group(&self, a: &[u8], b: &[u8]) -> bool {
@@ -123,17 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn composite_ordering_primary_then_secondary() {
-        let w = SecondarySort::small();
-        let a = composite_key(1, 500);
-        let b = composite_key(2, 0);
-        let c = composite_key(2, 1);
-        assert_eq!(w.compare_keys(&a, &b), Ordering::Less);
-        assert_eq!(w.compare_keys(&b, &c), Ordering::Less);
-        assert_eq!(w.compare_keys(&c, &c), Ordering::Equal);
-    }
-
-    #[test]
     fn grouping_ignores_secondary() {
         let w = SecondarySort::small();
         assert!(w.same_group(&composite_key(5, 1), &composite_key(5, 900)));
@@ -162,7 +147,8 @@ mod tests {
         }
 
         /// Byte-wise ordering of the BE composite key matches the semantic
-        /// composite ordering (so generic sorters can compare bytes).
+        /// composite ordering, so the pipeline's one bytewise key order
+        /// sorts by primary, then secondary.
         #[test]
         fn bytes_order_matches_semantic(p1 in proptest::num::u32::ANY, s1 in proptest::num::u32::ANY,
                                         p2 in proptest::num::u32::ANY, s2 in proptest::num::u32::ANY) {

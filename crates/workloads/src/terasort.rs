@@ -5,7 +5,6 @@
 //! replication experiments (its intermediate data equals its input data).
 
 use rand::{RngCore, SeedableRng};
-use std::cmp::Ordering;
 
 use crate::model::{constants::*, WorkloadModel};
 use crate::record::Record;
@@ -73,10 +72,6 @@ impl Workload for Terasort {
         ((x as u128 * num_reduces as u128) >> 64) as u32
     }
 
-    fn compare_keys(&self, a: &[u8], b: &[u8]) -> Ordering {
-        a.cmp(b)
-    }
-
     fn model(&self) -> WorkloadModel {
         WorkloadModel {
             name: "terasort",
@@ -95,6 +90,7 @@ impl Workload for Terasort {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cmp::Ordering;
 
     #[test]
     fn generation_is_deterministic() {

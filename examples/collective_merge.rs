@@ -73,7 +73,7 @@ fn main() {
         })
         .collect();
     let mut last_key: Option<Vec<u8>> = None;
-    let stats = collective_merge(&bytewise_cmp(), participants, 64 * 1024, |k, _| {
+    let stats = collective_merge(participants, 64 * 1024, |k, _| {
         if let Some(prev) = &last_key {
             assert!(prev.as_slice() <= k, "global order violated");
         }

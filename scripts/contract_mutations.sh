@@ -28,6 +28,11 @@
 #     new RecoveryMode variant          -> E0004 in crates/core/src/sfm/policy.rs
 #                                          (`schedule_recovery`, the one place
 #                                          a mode decides recovery)
+#   cargo check -p alm-workloads
+#     a compare_keys override           -> E0407 in crates/workloads/src/terasort.rs
+#                                          (keys sort bytewise: the sort buffer's
+#                                          8-byte prefix order relies on there
+#                                          being no comparator to override)
 #   cargo clippy --workspace --all-targets -- -D warnings   (root clippy.toml)
 #     a HashMap field iterated in crates/sim -> clippy::disallowed_types
 #     a HashMap field in crates/des          -> clippy::disallowed_types (the
@@ -45,7 +50,7 @@
 # (YarnConfig 14, MemConfig 4, SchedConfig 3); the YarnConfig mutation
 # anchors on the struct header, not on any one field.
 #
-# 17 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
+# 18 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -75,6 +80,10 @@ check_runtime() {
 
 check_core() {
     (cd "$work/ws" && cargo check --offline -p alm-core 2>&1)
+}
+
+check_workloads() {
+    (cd "$work/ws" && cargo check --offline -p alm-workloads 2>&1)
 }
 
 check_tests() {
@@ -157,6 +166,9 @@ expect_fail "SchedAction variant executed by the runtime" check_runtime crates/c
     "pub enum SchedAction {" "    SuspendReduce { task: TaskId }," "error\[E0004\]" crates/runtime/src/am.rs
 expect_fail "RecoveryMode variant decided once" check_core crates/types/src/config.rs \
     "pub enum RecoveryMode {" "    Lineage," "error\[E0004\]" crates/core/src/sfm/policy.rs
+expect_fail "compare_keys override in a Workload" check_workloads crates/workloads/src/terasort.rs \
+    "impl Workload for Terasort {" "    fn compare_keys(&self, a: &[u8], b: &[u8]) -> std::cmp::Ordering { a.cmp(b) }" \
+    "error\[E0407\]" crates/workloads/src/terasort.rs
 expect_fail "YarnConfig field" check crates/types/src/config.rs \
     "pub struct YarnConfig {" "    pub speculative_slots: u32," "error\[(E0063|E0027)\]" crates/types/src/config.rs
 expect_fail "JobReport counter" check crates/runtime/src/report.rs \
