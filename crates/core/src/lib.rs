@@ -20,10 +20,13 @@
 //! Both techniques are engine-agnostic: the threaded runtime
 //! (`alm-runtime`) executes them over real bytes, the discrete-event
 //! simulator (`alm-sim`) drives the same policy logic with modelled costs.
+//! Both engines' ApplicationMasters keep their attempts in one [`am`]
+//! ledger, which applies the attempt budget and asks the policy.
 
 #![forbid(unsafe_code)]
 
 pub mod alg;
+pub mod am;
 pub mod sfm;
 
 pub use alg::logger::PartialOutput;
@@ -33,5 +36,6 @@ pub use alg::recovery::{
     find_latest_log, find_latest_log_with_report, recover_attempt, recover_state, recover_state_with_report,
     RecoveredState, RecoveryReport,
 };
+pub use am::{Decision, Launched, Ledger};
 pub use sfm::fcm::{collective_merge, spawn_participants, ChannelRun, FcmPipeline, FcmStats, Participant};
 pub use sfm::policy::{schedule_recovery, ExecMode, PolicyCtx, SchedAction};

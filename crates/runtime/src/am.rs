@@ -2,9 +2,9 @@
 //!
 //! One `JobRunner` drives one job: it launches map/reduce attempts as
 //! threads, consumes their events, injects planned faults, and detects
-//! node failures after the liveness timeout. On a task or node failure it
-//! records the failures, builds one [`FailureReport`], and executes the
-//! actions `alm_core::schedule_recovery` decides for the configured
+//! node failures after the liveness timeout. Its attempts live in an
+//! [`alm_core::Ledger`]: on a task or node failure it records the failures
+//! and executes what the ledger decides for the configured
 //! [`alm_types::RecoveryMode`]:
 //!
 //! * **Baseline** (stock YARN): failed tasks are re-launched from scratch;
@@ -23,12 +23,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use alm_core::{schedule_recovery, ExecMode, LogPaths, PolicyCtx, SchedAction};
+use alm_core::{Decision, ExecMode, Ledger, LogPaths, SchedAction};
 use alm_shuffle::frame::FRAME_HEADER_LEN;
 use alm_shuffle::LocalFs;
 use alm_types::{
-    AttemptId, CorruptTarget, FailureKind, FailureReport, FaultTimeline, LinkChange, LinkOp, NodeId,
-    ReplicationLevel, TaskId,
+    AttemptId, CorruptTarget, FailureKind, FaultTimeline, LinkChange, LinkOp, NodeId, ReplicationLevel,
+    TaskId,
 };
 use bytes::Bytes;
 
@@ -49,21 +49,6 @@ const BASELINE_FETCH_REPORTS_TO_REEXECUTE: u32 = 3;
 /// run finishes in well under a second).
 const JOB_WALL_CAP: Duration = Duration::from_secs(60);
 
-struct TaskState {
-    completed: bool,
-    attempts: u32,
-    /// Running attempts: attempt -> (node, mode, cancel flag).
-    running: HashMap<AttemptId, (NodeId, ExecMode, Arc<AtomicBool>)>,
-    /// Reduce only: attempts made per node (Algorithm 1's limit_local).
-    attempts_on_node: HashMap<NodeId, u32>,
-}
-
-impl TaskState {
-    fn new() -> TaskState {
-        TaskState { completed: false, attempts: 0, running: HashMap::new(), attempts_on_node: HashMap::new() }
-    }
-}
-
 /// Drives one job to completion (or failure) on a mini-cluster.
 pub struct JobRunner {
     cluster: Arc<MiniCluster>,
@@ -72,12 +57,13 @@ pub struct JobRunner {
     events_tx: Sender<TaskEvent>,
     events_rx: Receiver<TaskEvent>,
     epoch: Instant,
-    maps: Vec<TaskState>,
-    reduces: Vec<TaskState>,
-    fetch_reports: HashMap<u32, u32>,
+    ledger: Ledger,
+    /// Every attempt's cancel flag, set to cancel a sibling and at teardown.
+    cancels: BTreeMap<AttemptId, Arc<AtomicBool>>,
+    job_failed: bool,
     /// Distinct reporters per map (baseline needs reports from distinct
     /// reducers, approximated by counting reports).
-    handled_node_failures: Vec<NodeId>,
+    fetch_reports: HashMap<u32, u32>,
     threads: Vec<std::thread::JoinHandle<()>>,
     report: JobReport,
     rr_next: u32,
@@ -99,8 +85,7 @@ pub struct JobRunner {
 impl JobRunner {
     pub fn new(cluster: Arc<MiniCluster>, job: JobDef, faults: FaultPlan) -> JobRunner {
         let (events_tx, events_rx) = unbounded();
-        let maps = (0..job.num_maps).map(|_| TaskState::new()).collect();
-        let reduces = (0..job.num_reduces).map(|_| TaskState::new()).collect();
+        let ledger = Ledger::new(&job.alm, &cluster.config, job.num_maps, job.num_reduces);
         let FaultTimeline { kills, crashes, crashes_at_progress, slowdowns, links, corruptions } =
             faults.arm();
         JobRunner {
@@ -110,10 +95,10 @@ impl JobRunner {
             events_tx,
             events_rx,
             epoch: Instant::now(),
-            maps,
-            reduces,
+            ledger,
+            cancels: BTreeMap::new(),
+            job_failed: false,
             fetch_reports: HashMap::new(),
-            handled_node_failures: Vec::new(),
             threads: Vec::new(),
             report: JobReport::default(),
             rr_next: 0,
@@ -128,10 +113,6 @@ impl JobRunner {
 
     fn now_ms(&self) -> u64 {
         self.epoch.elapsed().as_millis() as u64
-    }
-
-    fn alm_enabled(&self) -> bool {
-        self.job.alm.mode.sfm_enabled()
     }
 
     /// Round-robin over alive nodes, optionally avoiding one.
@@ -151,21 +132,14 @@ impl JobRunner {
         None
     }
 
-    fn launch_map(&mut self, task: TaskId, on: Option<NodeId>) {
+    /// (Re-)execute map `task`: every launch of a map opens it.
+    fn launch_map(&mut self, task: TaskId) {
         debug_assert!(task.is_map());
-        let idx = task.index as usize;
-        if self.maps[idx].completed && on.is_none() {
-            return;
-        }
-        let Some(node_id) = on.or_else(|| self.pick_node(None)) else {
+        self.ledger.reopen(task);
+        let Some(node_id) = self.pick_node(None) else {
             return;
         };
-        let state = &mut self.maps[idx];
-        let attempt = task.attempt(state.attempts);
-        state.attempts += 1;
-        self.report.map_attempts += 1;
-        let cancelled = Arc::new(AtomicBool::new(false));
-        state.running.insert(attempt, (node_id, ExecMode::Regular, cancelled.clone()));
+        let attempt = self.ledger.launch(task, node_id, ExecMode::Regular);
         let ctx = MapCtx {
             job: self.job.clone(),
             attempt,
@@ -173,30 +147,17 @@ impl JobRunner {
             events: self.events_tx.clone(),
             config: self.cluster.config.clone(),
             kill_at: self.kills.remove(&attempt),
-            cancelled,
+            cancelled: self.cancels.entry(attempt).or_default().clone(),
         };
         self.threads.push(std::thread::spawn(move || run_map(ctx)));
     }
 
     fn launch_reduce(&mut self, task: TaskId, on: Option<NodeId>, avoid: Option<NodeId>, mode: ExecMode) {
         debug_assert!(task.is_reduce());
-        let idx = task.index as usize;
-        if self.reduces[idx].completed {
-            return;
-        }
         let Some(node_id) = on.or_else(|| self.pick_node(avoid)) else {
             return;
         };
-        let state = &mut self.reduces[idx];
-        let attempt = task.attempt(state.attempts);
-        state.attempts += 1;
-        *state.attempts_on_node.entry(node_id).or_insert(0) += 1;
-        self.report.reduce_attempts += 1;
-        if mode == ExecMode::Fcm {
-            self.report.fcm_attempts += 1;
-        }
-        let cancelled = Arc::new(AtomicBool::new(false));
-        state.running.insert(attempt, (node_id, mode, cancelled.clone()));
+        let attempt = self.ledger.launch(task, node_id, mode);
         let nodes = Arc::new(self.cluster.nodes.clone());
         let ctx = ReduceCtx {
             job: self.job.clone(),
@@ -211,7 +172,7 @@ impl JobRunner {
             config: self.cluster.config.clone(),
             kill_at: self.kills.remove(&attempt),
             mode,
-            cancelled,
+            cancelled: self.cancels.entry(attempt).or_default().clone(),
             epoch: self.epoch,
         };
         self.threads.push(std::thread::spawn(move || run_reduce(ctx)));
@@ -227,34 +188,14 @@ impl JobRunner {
         });
     }
 
-    /// Count of running FCM attempts across the job (Algorithm 1 line 16).
-    fn fcm_running(&self) -> usize {
-        self.reduces.iter().flat_map(|t| t.running.values()).filter(|(_, m, _)| *m == ExecMode::Fcm).count()
-    }
-
-    /// Recover per the policy.
-    fn recover(&mut self, report: &FailureReport) {
-        let actions = schedule_recovery(report, &self.policy_ctx(report));
-        self.execute_actions(actions);
-    }
-
-    /// What the policy needs to know about the report's failed reduces.
-    /// A live source node holds the failed attempt's newest local log.
-    fn policy_ctx(&self, report: &FailureReport) -> PolicyCtx {
-        let mut ctx = PolicyCtx::new(&self.job.alm, self.fcm_running());
-        let source = report.source_node;
-        for &r in &report.failed_reduces {
-            let st = &self.reduces[r.index as usize];
-            ctx.attempts_on_source_node.insert(r, st.attempts_on_node.get(&source).copied().unwrap_or(0));
-            ctx.running_attempts.insert(r, st.running.len() as u32);
-            if report.node_alive {
-                ctx.resume_node.insert(r, source);
+    fn execute(&mut self, decision: Decision) {
+        let actions = match decision {
+            Decision::Recover(actions) => actions,
+            Decision::JobFailed => {
+                self.job_failed = true;
+                return;
             }
-        }
-        ctx
-    }
-
-    fn execute_actions(&mut self, actions: Vec<SchedAction>) {
+        };
         for a in actions {
             match a {
                 SchedAction::LaunchMap { task, high_priority } => {
@@ -264,8 +205,7 @@ impl JobRunner {
                     if high_priority {
                         self.registry.mark_regenerating(task.index);
                     }
-                    self.maps[task.index as usize].completed = false;
-                    self.launch_map(task, None);
+                    self.launch_map(task);
                 }
                 SchedAction::RelaunchReduceOnOrigin { task, node } => {
                     self.launch_reduce(task, Some(node), None, ExecMode::Regular);
@@ -280,67 +220,44 @@ impl JobRunner {
         }
     }
 
+    /// The failed node, while it lives, holds the attempt's local logs; the
+    /// runtime counts every running FCM attempt, wherever it runs.
     fn handle_task_failure(&mut self, attempt: AttemptId, node: NodeId, kind: FailureKind) {
-        let task = attempt.task;
         self.record_failure(attempt, kind);
-        // Drop the dead attempt from the running set.
-        let state = if task.is_map() {
-            &mut self.maps[task.index as usize]
-        } else {
-            &mut self.reduces[task.index as usize]
-        };
-        state.running.remove(&attempt);
-        if state.completed {
-            return;
-        }
-        self.recover(&FailureReport::task_failure(node, self.cluster.node(node).is_alive(), task));
+        let alive = self.cluster.node(node).is_alive();
+        let decision = self.ledger.fail(attempt, node, alive, alive.then_some(node), |_| true);
+        self.execute(decision);
     }
 
+    /// Attempts running on the dead node died silently; fail them now.
     fn handle_node_failure(&mut self, node: NodeId) {
-        self.handled_node_failures.push(node);
-        // Attempts running on the dead node died silently; fail them now.
-        let mut dead_attempts: Vec<AttemptId> = Vec::new();
-        for table in [&mut self.maps, &mut self.reduces] {
-            for st in table.iter_mut() {
-                let doomed: Vec<AttemptId> =
-                    st.running.iter().filter(|(_, (n, _, _))| *n == node).map(|(a, _)| *a).collect();
-                for a in doomed {
-                    st.running.remove(&a);
-                    if !st.completed {
-                        dead_attempts.push(a);
-                    }
-                }
-            }
-        }
-        for &a in &dead_attempts {
-            self.record_failure(a, FailureKind::NodeCrash);
-        }
-
         let lost_mofs: Vec<TaskId> =
             self.registry.mofs_on_node(node).into_iter().map(|m| self.job.map_task(m)).collect();
+        let (failed, decision) = self.ledger.expire(node, lost_mofs, |_| true);
+        for a in failed {
+            self.record_failure(a, FailureKind::NodeCrash);
+        }
         self.rerun_reduces_with_lost_output();
-        self.recover(&FailureReport::node_crash(node, dead_attempts.iter().map(|a| a.task), lost_mofs));
+        self.execute(decision);
     }
 
     fn handle_fetch_failure(&mut self, _reducer: AttemptId, map_index: u32, source: NodeId) {
         let count = self.fetch_reports.entry(map_index).or_insert(0);
         *count += 1;
         let count = *count;
-        if self.alm_enabled() {
+        if self.job.alm.mode.sfm_enabled() {
             // With proactive regeneration this rarely triggers (reducers
             // wait on regenerating MOFs); if it does (regen disabled or
             // raced), regenerate immediately.
             if !self.registry.is_regenerating(map_index) && !self.cluster.node(source).is_alive() {
                 self.registry.mark_regenerating(map_index);
-                self.maps[map_index as usize].completed = false;
-                self.launch_map(self.job.map_task(map_index), None);
+                self.launch_map(self.job.map_task(map_index));
             }
         } else if count == BASELINE_FETCH_REPORTS_TO_REEXECUTE {
             // Baseline: enough reports finally convince the AM the MOF is
             // gone; re-execute the map (normal priority).
             self.fetch_reports.remove(&map_index);
-            self.maps[map_index as usize].completed = false;
-            self.launch_map(self.job.map_task(map_index), None);
+            self.launch_map(self.job.map_task(map_index));
         }
     }
 
@@ -354,30 +271,23 @@ impl JobRunner {
     /// `output_lost`. Returns whether anything was lost.
     fn rerun_reduces_with_lost_output(&mut self) -> bool {
         let lost: Vec<u32> = (0..self.job.num_reduces)
-            .filter(|&r| self.reduces[r as usize].completed)
+            .filter(|&r| self.ledger.is_complete(self.job.reduce_task(r)))
             .filter(|&r| !self.cluster.dfs.has_live_replicas(&self.job.output_path(r)))
             .collect();
         for &r in &lost {
-            self.reduces[r as usize].completed = false;
+            self.ledger.reopen(self.job.reduce_task(r));
             self.report.output_records.remove(&r);
             self.launch_reduce(self.job.reduce_task(r), None, None, ExecMode::Regular);
         }
         !lost.is_empty()
     }
 
-    /// Cancel every running attempt of a task except `keep`.
-    fn cancel_others(&mut self, task: TaskId, keep: AttemptId) {
-        let state = if task.is_map() {
-            &mut self.maps[task.index as usize]
-        } else {
-            &mut self.reduces[task.index as usize]
-        };
-        for (a, (_, _, cancel)) in state.running.iter() {
-            if *a != keep {
-                cancel.store(true, Ordering::Relaxed);
-            }
+    /// Cancel the siblings of a task's first completion.
+    fn cancel(&mut self, siblings: Option<Vec<AttemptId>>) {
+        for a in siblings.into_iter().flatten() {
+            self.ledger.cancel(a);
+            self.cancels[&a].store(true, Ordering::Relaxed);
         }
-        state.running.clear();
     }
 
     fn check_time_faults(&mut self) {
@@ -470,29 +380,18 @@ impl JobRunner {
                 let mut hit = false;
                 // Reduce-stage records live on the DFS.
                 let dfs_path = paths.dfs_record(seq);
-                if let Ok(blob) = self.cluster.dfs.read(&dfs_path) {
-                    let mut bytes = blob.to_vec();
-                    if bytes.len() > FRAME_HEADER_LEN {
-                        bytes[FRAME_HEADER_LEN] ^= 0x55;
-                        if let Some(writer) = self.cluster.alive_nodes().first().copied() {
-                            hit |= self
-                                .cluster
-                                .dfs
-                                .write(&dfs_path, Bytes::from(bytes), writer, ReplicationLevel::Cluster)
-                                .is_ok();
-                        }
+                if let Some(rotten) = self.cluster.dfs.read(&dfs_path).ok().and_then(rot_payload) {
+                    if let Some(writer) = self.cluster.alive_nodes().first().copied() {
+                        let dfs = &self.cluster.dfs;
+                        hit |= dfs.write(&dfs_path, rotten, writer, ReplicationLevel::Cluster).is_ok();
                     }
                 }
                 // Shuffle/merge-stage records live on the node-local store
                 // of whichever node ran the attempt — rot every copy.
                 let local_path = paths.local_record(seq);
                 for n in &self.cluster.nodes {
-                    if let Ok(blob) = n.fs.read(&local_path) {
-                        let mut bytes = blob.to_vec();
-                        if bytes.len() > FRAME_HEADER_LEN {
-                            bytes[FRAME_HEADER_LEN] ^= 0x55;
-                            hit |= n.fs.write(&local_path, Bytes::from(bytes)).is_ok();
-                        }
+                    if let Some(rotten) = n.fs.read(&local_path).ok().and_then(rot_payload) {
+                        hit |= n.fs.write(&local_path, rotten).is_ok();
                     }
                 }
                 hit
@@ -514,7 +413,7 @@ impl JobRunner {
             .cluster
             .nodes
             .iter()
-            .filter(|n| !n.is_alive() && !self.handled_node_failures.contains(&n.id))
+            .filter(|n| !n.is_alive() && !self.ledger.is_expired(n.id))
             .filter(|n| n.crashed_for().is_some_and(|d| d >= timeout))
             .map(|n| n.id)
             .collect();
@@ -528,7 +427,7 @@ impl JobRunner {
         // Launch the first wave: all maps, then all reduces (reduces start
         // shuffling as MOFs appear — the paper's map/reduce overlap).
         for m in 0..self.job.num_maps {
-            self.launch_map(self.job.map_task(m), None);
+            self.launch_map(self.job.map_task(m));
         }
         for r in 0..self.job.num_reduces {
             self.launch_reduce(self.job.reduce_task(r), None, None, ExecMode::Regular);
@@ -536,31 +435,18 @@ impl JobRunner {
 
         let started = Instant::now();
         let mut succeeded = false;
-        loop {
-            if started.elapsed() > JOB_WALL_CAP {
-                break;
-            }
+        while !self.job_failed && started.elapsed() <= JOB_WALL_CAP {
             self.check_time_faults();
             self.check_node_detection();
-
-            // Job-level failure: a task ran out of attempts with nothing running.
-            let exhausted = self.reduces.iter().chain(self.maps.iter()).any(|t| {
-                !t.completed && t.running.is_empty() && t.attempts >= self.cluster.config.max_task_attempts
-            });
-            if exhausted {
+            if self.job_failed {
                 break;
             }
 
-            let ev = match self.events_rx.recv_timeout(Duration::from_millis(1)) {
-                Ok(ev) => ev,
-                Err(_) => continue,
-            };
+            let Ok(ev) = self.events_rx.recv_timeout(Duration::from_millis(1)) else { continue };
             match ev {
                 TaskEvent::MapCompleted { attempt, node, mof } => {
                     let map_index = attempt.task.index;
-                    let st = &mut self.maps[map_index as usize];
-                    st.running.remove(&attempt);
-                    st.completed = true;
+                    let siblings = self.ledger.complete(attempt);
                     // Apply any due corruption of this MOF *before* it
                     // becomes fetchable, so reducers can never race the
                     // injection to a clean read.
@@ -579,21 +465,18 @@ impl JobRunner {
                         .for_each(drop);
                     self.corruptions = pending;
                     self.registry.register(map_index, node, mof);
-                    self.cancel_others(attempt.task, attempt);
+                    self.cancel(siblings);
                 }
                 TaskEvent::ReduceCompleted { attempt, node: _, output_records } => {
-                    let idx = attempt.task.index;
-                    let st = &mut self.reduces[idx as usize];
-                    if !st.completed {
-                        st.completed = true;
-                        self.report.output_records.insert(idx, output_records);
+                    let siblings = self.ledger.complete(attempt);
+                    if siblings.is_some() {
+                        self.report.output_records.insert(attempt.task.index, output_records);
                     }
-                    st.running.remove(&attempt);
-                    self.cancel_others(attempt.task, attempt);
+                    self.cancel(siblings);
                     // A crash the liveness timeout has not surfaced yet may
                     // already have taken a committed partition: look before
                     // declaring the job done.
-                    if self.reduces.iter().all(|t| t.completed) && !self.rerun_reduces_with_lost_output() {
+                    if self.ledger.reduces_complete() && !self.rerun_reduces_with_lost_output() {
                         succeeded = true;
                         break;
                     }
@@ -612,8 +495,7 @@ impl JobRunner {
                     // copy already replaced regenerates nothing.
                     self.report.corruption_refetches += 1;
                     if self.registry.claim_regeneration(map_index, generation) {
-                        self.maps[map_index as usize].completed = false;
-                        self.launch_map(self.job.map_task(map_index), None);
+                        self.launch_map(self.job.map_task(map_index));
                     }
                 }
                 TaskEvent::FetchDegraded { reducer: _, map_index: _, source: _ } => {
@@ -657,21 +539,29 @@ impl JobRunner {
         }
 
         // Tear down: cancel all still-running attempts and reap threads.
-        for table in [&mut self.maps, &mut self.reduces] {
-            for st in table.iter_mut() {
-                for (_, (_, _, cancel)) in st.running.iter() {
-                    cancel.store(true, Ordering::Relaxed);
-                }
-            }
+        for cancel in self.cancels.values() {
+            cancel.store(true, Ordering::Relaxed);
         }
         for h in self.threads.drain(..) {
             let _ = h.join();
         }
 
+        let launched = self.ledger.launched();
+        self.report.map_attempts = launched.maps;
+        self.report.reduce_attempts = launched.reduces;
+        self.report.fcm_attempts = launched.fcm;
         self.report.succeeded = succeeded;
         self.report.job_time_ms = self.now_ms();
         self.report
     }
+}
+
+/// A framed blob with its first payload byte flipped; `None` if it has no
+/// payload.
+fn rot_payload(blob: Bytes) -> Option<Bytes> {
+    let mut bytes = blob.to_vec();
+    *bytes.get_mut(FRAME_HEADER_LEN)? ^= 0x55;
+    Some(Bytes::from(bytes))
 }
 
 /// Convenience: build + run.

@@ -9,7 +9,7 @@ use alm_core::LogPaths;
 use alm_runtime::am::run_job;
 use alm_runtime::{FaultPlan, JobDef, MiniCluster};
 use alm_shuffle::LocalFs;
-use alm_types::{AlmConfig, CorruptTarget, JobId, NodeId, RecoveryMode, TaskId};
+use alm_types::{AlmConfig, CorruptTarget, Fault, JobId, NodeId, RecoveryMode, TaskId};
 use alm_workloads::reference::{canonicalize, reference_output};
 use alm_workloads::{Record, SecondarySort, Terasort, Wordcount, Workload};
 
@@ -101,6 +101,23 @@ fn map_oom_recovers_quickly_baseline() {
     assert_eq!(report.failures.len(), 1);
     assert!(report.map_attempts >= 5, "the failed map re-ran");
     assert_output_matches(&cluster, &jd);
+}
+
+/// Recovery relaunches a failed task at once, so the attempt budget has to
+/// hold at the failure itself: with `max_task_attempts = 8`, a map killed
+/// on each of its eight attempts fails the job, and attempt 8 never runs.
+#[test]
+fn map_killed_on_every_attempt_fails_the_job_at_the_budget() {
+    let cluster = Arc::new(MiniCluster::for_tests(4));
+    assert_eq!(cluster.config.max_task_attempts, 8);
+    let jd = job(13, Arc::new(Terasort::new(600)), 4, 2, RecoveryMode::Baseline);
+    let task = TaskId::map(JobId(13), 1);
+    let kills = (0..8).map(|attempt_number| Fault::KillTask { task, attempt_number, at_progress: 0.5 });
+    let report = run_job(cluster, jd, FaultPlan { faults: kills.collect() });
+    assert!(!report.succeeded, "{report:?}");
+    let failed: Vec<u32> = report.failures.iter().map(|f| f.attempt_number).collect();
+    assert_eq!(failed, (0..8).collect::<Vec<_>>(), "{report:?}");
+    assert_eq!(report.map_attempts, 4 + 7, "no attempt after the eighth");
 }
 
 #[test]

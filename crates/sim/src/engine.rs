@@ -4,24 +4,24 @@
 //! four equal-share resources (disk, NIC-in, NIC-out, CPU) plus one shared
 //! uplink per rack; tasks are state machines whose phase transitions are
 //! driven by flow completions and timers from the `alm-des` kernel. The
-//! recovery policies are the *same code* the threaded runtime uses
-//! (`alm_core::schedule_recovery`), so the amplification dynamics emerge
-//! from mechanism, not curve fitting:
+//! AM's ledger and recovery policies are the *same code* the threaded
+//! runtime uses (`alm_core::Ledger`, `alm_core::schedule_recovery`), so the
+//! amplification dynamics emerge from mechanism, not curve fitting:
 //!
 //! * baseline reducers hammer fetch retries against lost MOFs, fail with
-//!   `FetchFailureLimit`, and only after enough reports does the AM
-//!   re-execute the map — temporal + spatial amplification;
+//!   `FetchFailureLimit`, and only once a reducer is preempted does the AM
+//!   re-execute the maps it was stuck on — temporal + spatial amplification;
 //! * ALM marks lost MOFs as regenerating (reducers wait), relaunches maps
 //!   at high priority, resumes reducers from logged progress, and migrates
 //!   with in-memory fast collective merging.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use alm_core::{schedule_recovery, ExecMode, PolicyCtx, SchedAction};
+use alm_core::{Decision, ExecMode, Ledger, SchedAction};
 use alm_des::{EventQueue, EventToken, FlowId, FlowPool, SimDuration};
 use alm_types::{
-    rack_of, AttemptId, CorruptTarget, FailureKind, FailureReport, FaultPlan, FaultTimeline, JobId,
-    LinkChange, LinkOp, NodeId, TaskId, TaskKind,
+    rack_of, AttemptId, CorruptTarget, FailureKind, FaultPlan, FaultTimeline, JobId, LinkChange, LinkOp,
+    NodeId, ReplicationLevel, TaskId, TaskKind,
 };
 use rand::Rng;
 
@@ -122,18 +122,15 @@ struct SimNode {
 }
 
 struct MapTask {
-    completed: bool,
-    /// Whether the task has EVER completed (regeneration resets
-    /// `completed` but not this) — drives first-wave accounting.
+    /// Whether the task has EVER completed (regeneration reopens it in the
+    /// ledger but does not reset this) — drives first-wave accounting.
     ever_completed: bool,
-    attempts: u32,
     kill_at: Option<f64>,
 }
 
 struct MapAtt {
     node: u32,
     phase: MapPhase,
-    dead: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,12 +142,7 @@ enum MapPhase {
 }
 
 struct RedTask {
-    completed: bool,
-    attempts: u32,
     kill_at: Option<f64>,
-    /// Attempts launched per node, indexed by node id.
-    attempts_on_node: Vec<u32>,
-    running: Vec<AttemptId>,
     /// Last ALG-logged snapshot (None until first log).
     logged: Option<LoggedState>,
     /// The snapshot before `logged` — what recovery falls back to when the
@@ -205,7 +197,6 @@ struct RedAtt {
     /// (None while it can make progress). Bounds never-healing partitions
     /// via `YarnConfig::shuffle_wait_cap_ms`.
     parked_since: Option<f64>,
-    dead: bool,
 }
 
 /// A reduce attempt's live flows (own + active fetches) merged into one
@@ -351,10 +342,6 @@ impl<T> AttemptTable<T> {
             attempts.iter().zip(0..).filter_map(move |(a, number)| Some((task.attempt(number), a.as_ref()?)))
         })
     }
-
-    fn values(&self) -> impl Iterator<Item = &T> + '_ {
-        self.iter().map(|(_, a)| a)
-    }
 }
 
 /// Live flows by `FlowId`. The window allocates the ids, monotonically,
@@ -404,6 +391,7 @@ pub struct Simulation {
     qty: Quantities,
     maps: Vec<MapTask>,
     reduces: Vec<RedTask>,
+    ledger: Ledger,
     map_atts: AttemptTable<MapAtt>,
     red_atts: AttemptTable<RedAtt>,
     /// Per map index: the node holding its registered MOF, if any.
@@ -414,7 +402,6 @@ pub struct Simulation {
     queued_reduces: VecDeque<QueuedReduce>,
     reduces_dispatched: bool,
     maps_done_once: u32,
-    dead_pending: Vec<(u32, Vec<AttemptId>)>,
     /// The armed plan's pending triggers (see [`FaultTimeline`]), drained
     /// by `sample`.
     crashes: Vec<(u64, NodeId)>,
@@ -486,20 +473,12 @@ impl Simulation {
             pools.push((FlowPool::new(env.cluster.rack_uplink_bandwidth), None));
         }
 
-        let mut maps: Vec<MapTask> = (0..qty.num_maps)
-            .map(|_| MapTask { completed: false, ever_completed: false, attempts: 0, kill_at: None })
-            .collect();
+        let mut maps: Vec<MapTask> =
+            (0..qty.num_maps).map(|_| MapTask { ever_completed: false, kill_at: None }).collect();
         let mut reduces: Vec<RedTask> = (0..qty.num_reduces)
-            .map(|_| RedTask {
-                completed: false,
-                attempts: 0,
-                kill_at: None,
-                attempts_on_node: vec![0; workers as usize],
-                running: Vec::new(),
-                logged: None,
-                logged_prev: None,
-            })
+            .map(|_| RedTask { kill_at: None, logged: None, logged_prev: None })
             .collect();
+        let ledger = Ledger::new(&env.alm, &env.yarn, qty.num_maps, qty.num_reduces);
 
         let FaultTimeline { kills, crashes, crashes_at_progress, slowdowns, links, corruptions } =
             faults.arm();
@@ -527,6 +506,7 @@ impl Simulation {
             qty,
             maps,
             reduces,
+            ledger,
             map_atts: AttemptTable::new(job, TaskKind::Map),
             red_atts: AttemptTable::new(job, TaskKind::Reduce),
             mof_loc: vec![None; num_maps],
@@ -535,7 +515,6 @@ impl Simulation {
             queued_reduces: VecDeque::new(),
             reduces_dispatched: false,
             maps_done_once: 0,
-            dead_pending: Vec::new(),
             crashes,
             crashes_at_progress,
             slowdowns,
@@ -567,6 +546,10 @@ impl Simulation {
 
     fn now_secs(&self) -> f64 {
         self.q.now().as_secs_f64()
+    }
+
+    fn reduce_done(&self, r: u32) -> bool {
+        self.ledger.is_complete(TaskId::reduce(self.job, r))
     }
 
     /// Whether `from` can currently not open a fetch connection to `to`
@@ -698,6 +681,18 @@ impl Simulation {
         None
     }
 
+    /// Queue a re-execution of map `m` unless one is queued or running
+    /// already; whether this queued one.
+    fn regenerate(&mut self, m: u32, high_priority: bool) -> bool {
+        if std::mem::replace(&mut self.regenerating[m as usize], true) {
+            return false;
+        }
+        let task = TaskId::map(self.job, m);
+        self.ledger.reopen(task);
+        self.enqueue_map(task, high_priority);
+        true
+    }
+
     fn enqueue_map(&mut self, task: TaskId, high_priority: bool) {
         if high_priority {
             self.queued_maps.push_front(task);
@@ -710,7 +705,7 @@ impl Simulation {
         // Maps first (they hold the job back), then reduces.
         let mut requeue = VecDeque::new();
         while let Some(task) = self.queued_maps.pop_front() {
-            if self.maps[task.index as usize].completed {
+            if self.ledger.is_complete(task) {
                 continue;
             }
             match self.pick_node(false, None, None) {
@@ -728,7 +723,7 @@ impl Simulation {
 
         let mut requeue = VecDeque::new();
         while let Some((task, pin, avoid, mode, drop_on_pin_fail)) = self.queued_reduces.pop_front() {
-            if self.reduces[task.index as usize].completed {
+            if self.ledger.is_complete(task) {
                 continue;
             }
             match self.pick_node(true, avoid, pin) {
@@ -756,26 +751,15 @@ impl Simulation {
     }
 
     fn launch_map(&mut self, task: TaskId, node: u32) {
-        let st = &mut self.maps[task.index as usize];
-        let attempt = task.attempt(st.attempts);
-        st.attempts += 1;
-        self.report.map_attempts += 1;
+        let attempt = self.ledger.launch(task, NodeId(node), ExecMode::Regular);
         self.nodes[node as usize].map_slots_free -= 1;
-        self.map_atts.insert(attempt, MapAtt { node, phase: MapPhase::Launching, dead: false });
+        self.map_atts.insert(attempt, MapAtt { node, phase: MapPhase::Launching });
         let d = SimDuration::from_ms(self.env.cluster.container_launch_ms);
         self.q.schedule_after(d, Ev::LaunchDone(attempt));
     }
 
     fn launch_reduce(&mut self, task: TaskId, node: u32, mode: ExecMode) {
-        let st = &mut self.reduces[task.index as usize];
-        let attempt = task.attempt(st.attempts);
-        st.attempts += 1;
-        st.attempts_on_node[node as usize] += 1;
-        st.running.push(attempt);
-        self.report.reduce_attempts += 1;
-        if mode == ExecMode::Fcm {
-            self.report.fcm_attempts += 1;
-        }
+        let attempt = self.ledger.launch(task, NodeId(node), mode);
         self.report.reduce_nodes.entry(task.index).or_default().push(node);
         self.nodes[node as usize].reduce_slots_free -= 1;
 
@@ -826,7 +810,6 @@ impl Simulation {
                 gen: 0,
                 last_log_secs: self.now_secs(),
                 parked_since: None,
-                dead: false,
             },
         );
         let d = SimDuration::from_ms(self.env.cluster.container_launch_ms);
@@ -837,9 +820,6 @@ impl Simulation {
 
     fn map_launch_done(&mut self, attempt: AttemptId) {
         let Some(att) = self.map_atts.get_mut(&attempt) else { return };
-        if att.dead {
-            return;
-        }
         att.phase = MapPhase::Reading;
         let node = att.node;
         let bytes = self.qty.split_bytes;
@@ -848,9 +828,6 @@ impl Simulation {
 
     fn map_flow_done(&mut self, attempt: AttemptId, purpose: Purpose) {
         let Some(att) = self.map_atts.get_mut(&attempt) else { return };
-        if att.dead {
-            return;
-        }
         match purpose {
             Purpose::MapRead => {
                 att.phase = MapPhase::Cpu;
@@ -865,7 +842,7 @@ impl Simulation {
 
     fn map_cpu_done(&mut self, attempt: AttemptId) {
         let Some(att) = self.map_atts.get_mut(&attempt) else { return };
-        if att.dead || att.phase != MapPhase::Cpu {
+        if att.phase != MapPhase::Cpu {
             return;
         }
         att.phase = MapPhase::Writing;
@@ -877,7 +854,7 @@ impl Simulation {
     fn red_cpu_done(&mut self, attempt: AttemptId, gen: u32) {
         let finished = {
             let Some(att) = self.red_atts.get_mut(&attempt) else { return };
-            if att.dead || att.gen != gen || !matches!(att.phase, RedPhase::Reduce | RedPhase::Fcm) {
+            if att.gen != gen || !matches!(att.phase, RedPhase::Reduce | RedPhase::Fcm) {
                 return;
             }
             att.cpu_done = true;
@@ -907,9 +884,10 @@ impl Simulation {
     fn map_completed(&mut self, attempt: AttemptId) {
         let att = self.map_atts.remove(&attempt).expect("attempt exists");
         self.nodes[att.node as usize].map_slots_free += 1;
+        // A map's siblings run on: each copy registers its MOF as it ends.
+        self.ledger.complete(attempt);
         let task = &mut self.maps[attempt.task.index as usize];
         let first = !task.ever_completed;
-        task.completed = true;
         task.ever_completed = true;
         self.mof_loc[attempt.task.index as usize] = Some(att.node);
         if self.mem_resident {
@@ -928,9 +906,7 @@ impl Simulation {
             .red_atts
             .iter()
             .filter(|(_, a)| {
-                !a.dead
-                    && ((a.phase == RedPhase::Shuffle && a.pending.contains(m))
-                        || a.phase == RedPhase::FcmWait)
+                (a.phase == RedPhase::Shuffle && a.pending.contains(m)) || a.phase == RedPhase::FcmWait
             })
             .map(|(id, _)| id)
             .collect();
@@ -969,9 +945,6 @@ impl Simulation {
 
     fn red_launch_done(&mut self, attempt: AttemptId) {
         let Some(att) = self.red_atts.get_mut(&attempt) else { return };
-        if att.dead {
-            return;
-        }
         match att.mode {
             ExecMode::Regular => {
                 att.phase = RedPhase::Shuffle;
@@ -998,7 +971,7 @@ impl Simulation {
         loop {
             let (node, candidate) = {
                 let Some(att) = self.red_atts.get(&attempt) else { return };
-                if att.dead || att.phase != RedPhase::Shuffle {
+                if att.phase != RedPhase::Shuffle {
                     return;
                 }
                 if att.active_fetches.len() >= MAX_PARALLEL_FETCHES {
@@ -1075,9 +1048,6 @@ impl Simulation {
     fn fetch_read_done(&mut self, attempt: AttemptId, flow: FlowId, m: u32, src: u32) {
         let node = {
             let Some(att) = self.red_atts.get_mut(&attempt) else { return };
-            if att.dead {
-                return;
-            }
             att.active_fetches.retain(|&(f, _)| f != flow);
             att.node
         };
@@ -1100,10 +1070,7 @@ impl Simulation {
         if self.env.alm.mode.sfm_enabled() {
             // SFM: the AM knows the cause; regenerate at high priority and
             // have the reducer wait (no retry treadmill, no preemption).
-            if !self.regenerating[m as usize] && !self.nodes[src as usize].alive {
-                self.regenerating[m as usize] = true;
-                self.maps[m as usize].completed = false;
-                self.enqueue_map(TaskId::map(self.job, m), true);
+            if !self.nodes[src as usize].alive && self.regenerate(m, true) {
                 self.dispatch();
             }
         }
@@ -1125,11 +1092,7 @@ impl Simulation {
                     .filter(|&m| self.mof_loc[m as usize].is_some_and(|s| !self.nodes[s as usize].alive))
                     .collect();
                 for m in stuck {
-                    if !self.regenerating[m as usize] {
-                        self.regenerating[m as usize] = true;
-                        self.maps[m as usize].completed = false;
-                        self.enqueue_map(TaskId::map(self.job, m), false);
-                    }
+                    self.regenerate(m, false);
                 }
             }
             self.fail_attempt(attempt, FailureKind::FetchFailureLimit);
@@ -1142,7 +1105,7 @@ impl Simulation {
 
     fn fetch_retry(&mut self, attempt: AttemptId, m: u32) {
         let Some(att) = self.red_atts.get(&attempt) else { return };
-        if att.dead || att.phase != RedPhase::Shuffle || !att.pending.contains(m) {
+        if att.phase != RedPhase::Shuffle || !att.pending.contains(m) {
             return;
         }
         let Some(src) = self.mof_loc[m as usize] else {
@@ -1176,9 +1139,6 @@ impl Simulation {
             if loss > 0.0 {
                 let dropped = {
                     let Some(att) = self.red_atts.get_mut(&attempt) else { return };
-                    if att.dead {
-                        return;
-                    }
                     let k = att.loss_draws.entry(m).or_insert(0);
                     let draw_ok = *k < MAX_GRAY_DROPS;
                     *k += 1;
@@ -1210,28 +1170,19 @@ impl Simulation {
         if self.corrupt_mofs.contains(&(m, attempt.task.index)) && !self.resident_mofs.contains(m) {
             {
                 let Some(att) = self.red_atts.get_mut(&attempt) else { return };
-                if att.dead {
-                    return;
-                }
                 att.active_fetches.retain(|&(f, _)| f != flow);
                 att.pending.insert(m);
             }
             self.corrupt_mofs.remove(&(m, attempt.task.index));
             self.report.corruption_refetches += 1;
-            if !self.regenerating[m as usize] {
-                self.regenerating[m as usize] = true;
+            if self.regenerate(m, true) {
                 self.mof_loc[m as usize] = None; // unregistered until regenerated
-                self.maps[m as usize].completed = false;
-                self.enqueue_map(TaskId::map(self.job, m), true);
                 self.dispatch();
             }
             return;
         }
         {
             let Some(att) = self.red_atts.get_mut(&attempt) else { return };
-            if att.dead {
-                return;
-            }
             att.active_fetches.retain(|&(f, _)| f != flow);
             att.fetched.insert(m);
             att.retry.remove(&m);
@@ -1344,16 +1295,22 @@ impl Simulation {
         }
     }
 
+    /// The level reduce output replicates at: ALG's log level, stock HDFS
+    /// placement without logs.
+    fn output_level(&self) -> ReplicationLevel {
+        if self.env.alm.mode.logs_enabled() {
+            self.env.alm.log_replication
+        } else {
+            ReplicationLevel::Cluster
+        }
+    }
+
     /// DFS output-replication flows for `bytes` at the configured level.
     fn output_flows(&mut self, attempt: AttemptId, node: u32, bytes: u64) -> Vec<FlowId> {
         if bytes == 0 {
             return Vec::new();
         }
-        let level = if self.env.alm.mode.logs_enabled() {
-            self.env.alm.log_replication
-        } else {
-            alm_types::ReplicationLevel::Cluster // stock HDFS placement
-        };
+        let level = self.output_level();
         let replicas = level.replica_count(self.env.yarn.dfs_replication) as u64;
         let mut flows = Vec::new();
         // Local replica: disk write.
@@ -1365,13 +1322,13 @@ impl Simulation {
             // Remote replica traffic leaves via our NIC...
             flows.push(self.start_flow(PoolRef::NicOut(node), remote_bytes, attempt, Purpose::Output));
             // ...lands on the replica node's disk...
-            let replica_node = if level == alm_types::ReplicationLevel::Cluster && racks > 1 {
+            let replica_node = if level == ReplicationLevel::Cluster && racks > 1 {
                 (node + 1) % workers // adjacent index = other rack (round-robin racks)
             } else {
                 (node + racks) % workers // same-rack peer
             };
             flows.push(self.start_flow(PoolRef::Disk(replica_node), remote_bytes, attempt, Purpose::Output));
-            if level == alm_types::ReplicationLevel::Cluster && racks > 1 {
+            if level == ReplicationLevel::Cluster && racks > 1 {
                 // ...and crosses the rack uplink at cluster level.
                 let rack = self.nodes[node as usize].rack;
                 flows.push(self.start_flow(PoolRef::Uplink(rack), remote_bytes, attempt, Purpose::Output));
@@ -1401,18 +1358,13 @@ impl Simulation {
     fn reduce_completed(&mut self, attempt: AttemptId) {
         let att = self.red_atts.remove(&attempt).expect("attempt exists");
         self.nodes[att.node as usize].reduce_slots_free += 1;
-        let task = &mut self.reduces[attempt.task.index as usize];
-        task.running.retain(|a| *a != attempt);
-        if task.completed {
-            return;
-        }
-        task.completed = true;
+        let Some(siblings) = self.ledger.complete(attempt) else { return };
         // Cancel sibling attempts (speculative duplicates).
-        let siblings: Vec<AttemptId> = task.running.drain(..).collect();
         for s in siblings {
+            self.ledger.cancel(s);
             self.kill_attempt_silently(s);
         }
-        if self.reduces.iter().all(|r| r.completed) {
+        if self.ledger.reduces_complete() {
             self.report.succeeded = true;
             self.report.job_secs = self.now_secs();
         }
@@ -1428,7 +1380,7 @@ impl Simulation {
         }
         {
             let Some(att) = self.red_atts.get_mut(&attempt) else { return };
-            if att.dead || att.phase != RedPhase::FcmWait {
+            if att.phase != RedPhase::FcmWait {
                 return;
             }
             att.phase = RedPhase::Fcm; // claimed; flows start after sync delay
@@ -1444,7 +1396,7 @@ impl Simulation {
     fn fcm_wait_timeout(&mut self, attempt: AttemptId, gen: u32) {
         {
             let Some(att) = self.red_atts.get(&attempt) else { return };
-            if att.dead || att.gen != gen || att.phase != RedPhase::FcmWait {
+            if att.gen != gen || att.phase != RedPhase::FcmWait {
                 return;
             }
         }
@@ -1452,11 +1404,7 @@ impl Simulation {
             .filter(|&m| !self.mof_loc[m as usize].is_some_and(|n| self.nodes[n as usize].alive))
             .collect();
         for m in missing {
-            if !self.regenerating[m as usize] {
-                self.regenerating[m as usize] = true;
-                self.maps[m as usize].completed = false;
-                self.enqueue_map(TaskId::map(self.job, m), false);
-            }
+            self.regenerate(m, false);
         }
         self.fail_attempt(attempt, FailureKind::TaskTimeout);
         self.dispatch();
@@ -1465,7 +1413,7 @@ impl Simulation {
     fn fcm_start(&mut self, attempt: AttemptId) {
         let (node, resume) = {
             let Some(att) = self.red_atts.get(&attempt) else { return };
-            if att.dead || att.phase != RedPhase::Fcm {
+            if att.phase != RedPhase::Fcm {
                 return;
             }
             (att.node, att.resume_reduce_frac)
@@ -1508,92 +1456,62 @@ impl Simulation {
         self.flows.iter().filter(|(_, i)| i.attempt == attempt).map(|(f, _)| f).collect()
     }
 
-    fn kill_attempt_silently(&mut self, attempt: AttemptId) {
-        if attempt.task.is_reduce() {
-            if let Some(att) = self.red_atts.remove(&attempt) {
-                for f in sorted_flows(&att) {
-                    self.abort_flow(f);
-                }
-                if self.nodes[att.node as usize].alive {
-                    self.nodes[att.node as usize].reduce_slots_free += 1;
-                }
-                self.reduces[attempt.task.index as usize].running.retain(|a| *a != attempt);
+    /// Stop `attempt` and free its slot; the node it ran on, if it was
+    /// running. (A crash already removed the attempts on a dead node.)
+    fn kill_attempt_silently(&mut self, attempt: AttemptId) -> Option<u32> {
+        let node = if attempt.task.is_reduce() {
+            let att = self.red_atts.remove(&attempt)?;
+            for f in sorted_flows(&att) {
+                self.abort_flow(f);
             }
-        } else if let Some(att) = self.map_atts.remove(&attempt) {
+            self.nodes[att.node as usize].reduce_slots_free += 1;
+            att.node
+        } else {
+            let att = self.map_atts.remove(&attempt)?;
             // Any flows of this attempt are aborted by scan.
             for f in self.flows_of(attempt) {
                 self.abort_flow(f);
             }
-            if self.nodes[att.node as usize].alive {
-                self.nodes[att.node as usize].map_slots_free += 1;
-            }
-        }
+            self.nodes[att.node as usize].map_slots_free += 1;
+            att.node
+        };
+        Some(node)
     }
 
     fn fail_attempt(&mut self, attempt: AttemptId, kind: FailureKind) {
         debug_assert!(!kind.is_transient(), "transient kind {kind:?} recorded as an attempt failure");
-        let node = if attempt.task.is_reduce() {
-            self.red_atts.get(&attempt).map(|a| a.node)
-        } else {
-            self.map_atts.get(&attempt).map(|a| a.node)
-        };
-        let Some(node) = node else { return };
-        self.kill_attempt_silently(attempt);
+        let Some(node) = self.kill_attempt_silently(attempt) else { return };
         self.report.failures.push(SimFailure {
             at_secs: self.now_secs(),
             task: attempt.task,
             attempt_number: attempt.number,
             kind,
         });
-        let report = FailureReport::task_failure(NodeId(node), self.nodes[node as usize].alive, attempt.task);
-        self.recover(&report, &[attempt.task]);
-    }
-
-    /// Recover per the policy, unless a task in `charged` has used up its
-    /// attempt budget, which fails the job.
-    fn recover(&mut self, report: &FailureReport, charged: &[TaskId]) {
-        let spent = |t: &TaskId| {
-            let attempts = if t.is_reduce() {
-                self.reduces[t.index as usize].attempts
-            } else {
-                self.maps[t.index as usize].attempts
-            };
-            attempts >= self.env.yarn.max_task_attempts
+        // ALG resumes a reduce where its newest logged snapshot lives. An
+        // FCM attempt on a crashed node no longer counts against the cap.
+        let logged = if attempt.task.is_reduce() {
+            self.reduces[attempt.task.index as usize].logged.as_ref()
+        } else {
+            None
         };
-        if charged.iter().any(spent) {
-            self.failed = true;
-            return;
-        }
-        let actions = schedule_recovery(report, &self.policy_ctx(report));
-        self.execute_actions(actions);
+        let alive = |n: NodeId| self.nodes[n.0 as usize].alive;
+        let resume = logged.map(|l| NodeId(l.node)).filter(|&n| alive(n));
+        let decision = self.ledger.fail(attempt, NodeId(node), alive(NodeId(node)), resume, alive);
+        self.execute(decision);
     }
 
-    /// What the policy needs to know about the report's failed reduces.
-    /// ALG resumes a reduce where its newest logged snapshot lives.
-    fn policy_ctx(&self, report: &FailureReport) -> PolicyCtx {
-        let mut ctx = PolicyCtx::new(&self.env.alm, self.fcm_running());
-        let source = report.source_node.0 as usize;
-        for &r in &report.failed_reduces {
-            let st = &self.reduces[r.index as usize];
-            ctx.attempts_on_source_node.insert(r, st.attempts_on_node[source]);
-            ctx.running_attempts.insert(r, st.running.len() as u32);
-            if let Some(l) = st.logged.as_ref().filter(|l| self.nodes[l.node as usize].alive) {
-                ctx.resume_node.insert(r, NodeId(l.node));
+    fn execute(&mut self, decision: Decision) {
+        let actions = match decision {
+            Decision::Recover(actions) => actions,
+            Decision::JobFailed => {
+                self.failed = true;
+                return;
             }
-        }
-        ctx
-    }
-
-    fn fcm_running(&self) -> usize {
-        self.red_atts.values().filter(|a| a.mode == ExecMode::Fcm && !a.dead).count()
-    }
-
-    fn execute_actions(&mut self, actions: Vec<SchedAction>) {
+        };
         for a in actions {
             match a {
                 SchedAction::LaunchMap { task, high_priority } => {
                     self.regenerating[task.index as usize] |= high_priority;
-                    self.maps[task.index as usize].completed = false;
                     self.enqueue_map(task, high_priority);
                 }
                 SchedAction::RelaunchReduceOnOrigin { task, node } => {
@@ -1699,28 +1617,24 @@ impl Simulation {
             }
         }
 
-        // Attempts hosted on the node die silently; the AM learns later.
+        // Attempts hosted on the node die silently; the AM's ledger keeps
+        // them running until the node expires.
         let dead_reds: Vec<AttemptId> =
-            self.red_atts.iter().filter(|(_, a)| a.node == node && !a.dead).map(|(id, _)| id).collect();
+            self.red_atts.iter().filter(|(_, a)| a.node == node).map(|(id, _)| id).collect();
         let dead_maps: Vec<AttemptId> =
-            self.map_atts.iter().filter(|(_, a)| a.node == node && !a.dead).map(|(id, _)| id).collect();
-        for &a in &dead_reds {
-            let att = self.red_atts.get_mut(&a).expect("attempt vanished mid-crash");
-            att.dead = true;
-            let flow_ids = sorted_flows(att);
-            for f in flow_ids {
+            self.map_atts.iter().filter(|(_, a)| a.node == node).map(|(id, _)| id).collect();
+        for a in dead_reds {
+            let att = self.red_atts.remove(&a).expect("attempt vanished mid-crash");
+            for f in sorted_flows(&att) {
                 self.abort_flow(f);
             }
         }
-        for &a in &dead_maps {
-            self.map_atts.get_mut(&a).expect("attempt vanished mid-crash").dead = true;
+        for a in dead_maps {
+            self.map_atts.remove(&a);
             for f in self.flows_of(a) {
                 self.abort_flow(f);
             }
         }
-        let mut dead: Vec<AttemptId> = dead_reds;
-        dead.extend(dead_maps);
-        self.dead_pending.push((node, dead));
 
         // Reducers that were fetching from the crashed node begin the retry
         // treadmill immediately (their connections broke).
@@ -1730,9 +1644,6 @@ impl Simulation {
         // FCM recoveries fed by the node restart their wait.
         for a in interrupted_fcm {
             if let Some(att) = self.red_atts.get_mut(&a) {
-                if att.dead {
-                    continue;
-                }
                 let drained = std::mem::take(&mut att.flows);
                 att.phase = RedPhase::FcmWait;
                 att.gen += 1; // invalidate the in-flight CPU timer
@@ -1749,42 +1660,24 @@ impl Simulation {
         self.q.schedule_after(d, Ev::DetectNode(node));
     }
 
+    /// The AM expires a crashed node: the attempts it ran there fail,
+    /// unless their task is complete.
     fn detect_node(&mut self, node: u32) {
-        let Some(pos) = self.dead_pending.iter().position(|(n, _)| *n == node) else { return };
-        let (_, dead) = self.dead_pending.remove(pos);
-
-        let mut failed = Vec::new();
-        for a in dead {
-            let done = if a.task.is_reduce() {
-                self.reduces[a.task.index as usize].completed
-            } else {
-                self.maps[a.task.index as usize].completed
-            };
-            // Clean up the dead attempt records.
-            if a.task.is_reduce() {
-                self.red_atts.remove(&a);
-                self.reduces[a.task.index as usize].running.retain(|x| *x != a);
-            } else {
-                self.map_atts.remove(&a);
-            }
-            if done {
-                continue;
-            }
+        let lost_mofs: Vec<TaskId> = (0..self.qty.num_maps)
+            .filter(|&m| self.mof_loc[m as usize] == Some(node))
+            .map(|m| TaskId::map(self.job, m))
+            .collect();
+        let (failed, decision) =
+            self.ledger.expire(NodeId(node), lost_mofs, |n| self.nodes[n.0 as usize].alive);
+        for a in failed {
             self.report.failures.push(SimFailure {
                 at_secs: self.now_secs(),
                 task: a.task,
                 attempt_number: a.number,
                 kind: FailureKind::NodeCrash,
             });
-            failed.push(a.task);
         }
-
-        let lost_mofs = (0..self.qty.num_maps)
-            .filter(|&m| self.mof_loc[m as usize] == Some(node))
-            .map(|m| TaskId::map(self.job, m));
-        let report = FailureReport::node_crash(NodeId(node), failed, lost_mofs);
-        // Only a reduce lost with its node is charged an attempt.
-        self.recover(&report, &report.failed_reduces);
+        self.execute(decision);
     }
 
     // ---------------- progress / sampling / logging ----------------
@@ -1821,18 +1714,14 @@ impl Simulation {
         let now = self.now_secs();
         // Progress per reduce task = best running attempt (0 if none).
         let mut progress: BTreeMap<u32, f64> = BTreeMap::new();
-        let atts: Vec<(AttemptId, f64, u32)> = self
-            .red_atts
-            .iter()
-            .filter(|(_, a)| !a.dead)
-            .map(|(id, a)| (id, self.red_progress(a), a.node))
-            .collect();
+        let atts: Vec<(AttemptId, f64, u32)> =
+            self.red_atts.iter().map(|(id, a)| (id, self.red_progress(a), a.node)).collect();
         for (id, p, _) in &atts {
             let e = progress.entry(id.task.index).or_insert(0.0);
             *e = e.max(*p);
         }
         for r in 0..self.qty.num_reduces {
-            let p = if self.reduces[r as usize].completed { 1.0 } else { *progress.get(&r).unwrap_or(&0.0) };
+            let p = if self.reduce_done(r) { 1.0 } else { *progress.get(&r).unwrap_or(&0.0) };
             self.report.reduce_progress.entry(r).or_default().push((now, p));
         }
 
@@ -1842,7 +1731,8 @@ impl Simulation {
         let due: Vec<(NodeId, u32, f64)> = self
             .crashes_at_progress
             .extract_if(.., |(_, r, p)| {
-                progress.get(r).copied().unwrap_or(0.0) >= *p || self.reduces[*r as usize].completed
+                progress.get(r).copied().unwrap_or(0.0) >= *p
+                    || self.ledger.is_complete(TaskId::reduce(self.job, *r))
             })
             .collect();
         for (n, _, _) in due {
@@ -1860,7 +1750,7 @@ impl Simulation {
                 }
             }
         }
-        for (id, att) in self.map_atts.iter().filter(|(id, a)| id.number == 0 && !a.dead) {
+        for (id, att) in self.map_atts.iter().filter(|(id, _)| id.number == 0) {
             if let Some(k) = self.maps[id.task.index as usize].kill_at {
                 let p = match att.phase {
                     MapPhase::Launching => 0.0,
@@ -1874,13 +1764,8 @@ impl Simulation {
             }
         }
         to_kill.sort_unstable(); // merges the reduce and map triggers into one order
+                                 // A killed attempt 0 leaves the tables, so its trigger fires once.
         for id in to_kill {
-            // Clear the trigger so recovery attempts are not re-killed.
-            if id.task.is_reduce() {
-                self.reduces[id.task.index as usize].kill_at = None;
-            } else {
-                self.maps[id.task.index as usize].kill_at = None;
-            }
             self.fail_attempt(id, FailureKind::TaskOom);
         }
 
@@ -1890,7 +1775,7 @@ impl Simulation {
             let snapshots: Vec<(AttemptId, LoggedState)> = self
                 .red_atts
                 .iter()
-                .filter(|(_, a)| !a.dead && now - a.last_log_secs >= interval)
+                .filter(|(_, a)| now - a.last_log_secs >= interval)
                 .map(|(id, a)| {
                     let overall = self.red_progress(a);
                     let reduce_frac = ((overall - 2.0 / 3.0) * 3.0).clamp(0.0, 1.0);
@@ -1951,7 +1836,7 @@ impl Simulation {
             let stuck: Vec<AttemptId> = self
                 .red_atts
                 .iter()
-                .filter(|(_, a)| !a.dead && a.phase == RedPhase::Shuffle)
+                .filter(|(_, a)| a.phase == RedPhase::Shuffle)
                 .map(|(id, _)| id)
                 .collect();
             for id in stuck {
@@ -1987,14 +1872,14 @@ impl Simulation {
                         }
                     }
                     CorruptTarget::DfsBlock { reduce_index, block } => {
-                        match self.reduces.get(reduce_index as usize) {
+                        if reduce_index >= self.qty.num_reduces {
+                            true
+                        } else if self.ledger.is_complete(TaskId::reduce(self.job, reduce_index)) {
                             // The output exists only once the reduce committed.
-                            Some(r) if r.completed => {
-                                self.corrupt_dfs_blocks.insert((reduce_index, block));
-                                true
-                            }
-                            Some(_) => false,
-                            None => true,
+                            self.corrupt_dfs_blocks.insert((reduce_index, block));
+                            true
+                        } else {
+                            false
                         }
                     }
                 }
@@ -2007,7 +1892,7 @@ impl Simulation {
         let parked: Vec<(AttemptId, bool)> = self
             .red_atts
             .iter()
-            .filter(|(_, a)| !a.dead && a.phase == RedPhase::Shuffle)
+            .filter(|(_, a)| a.phase == RedPhase::Shuffle)
             .map(|(id, a)| {
                 let idle = !a.pending.is_empty()
                     && a.active_fetches.is_empty()
@@ -2069,16 +1954,16 @@ impl Simulation {
         eprintln!("regenerating: {regenerating:?}");
         for (id, a) in self.red_atts.iter() {
             eprintln!(
-                "  red {id}: node={} mode={:?} phase={:?} pending={} active={} retry={:?} flows={} spill_out={} cpu_done={} dead={}",
-                a.node, a.mode, a.phase, a.pending.len(), a.active_fetches.len(), a.retry, a.flows.len(), a.spill_outstanding, a.cpu_done, a.dead
+                "  red {id}: node={} mode={:?} phase={:?} pending={} active={} retry={:?} flows={} spill_out={} cpu_done={}",
+                a.node, a.mode, a.phase, a.pending.len(), a.active_fetches.len(), a.retry, a.flows.len(), a.spill_outstanding, a.cpu_done
             );
         }
         for (id, a) in self.map_atts.iter() {
-            eprintln!("  map {id}: node={} phase={:?} dead={}", a.node, a.phase, a.dead);
+            eprintln!("  map {id}: node={} phase={:?}", a.node, a.phase);
         }
-        let incomplete_m = self.maps.iter().filter(|m| !m.completed).count();
-        let incomplete_r: Vec<usize> =
-            self.reduces.iter().enumerate().filter(|(_, r)| !r.completed).map(|(i, _)| i).collect();
+        let incomplete_m =
+            (0..self.qty.num_maps).filter(|&m| !self.ledger.is_complete(TaskId::map(self.job, m))).count();
+        let incomplete_r: Vec<u32> = (0..self.qty.num_reduces).filter(|&r| !self.reduce_done(r)).collect();
         eprintln!("incomplete maps: {incomplete_m}, incomplete reduces: {incomplete_r:?}");
     }
 
@@ -2109,7 +1994,7 @@ impl Simulation {
     fn settle_dfs_corruption(&mut self) {
         for (_, _, target) in std::mem::take(&mut self.corruptions) {
             if let CorruptTarget::DfsBlock { reduce_index, block } = target {
-                if self.reduces.get(reduce_index as usize).is_some_and(|r| r.completed) {
+                if reduce_index < self.qty.num_reduces && self.reduce_done(reduce_index) {
                     self.corrupt_dfs_blocks.insert((reduce_index, block));
                 }
             }
@@ -2117,13 +2002,7 @@ impl Simulation {
         if self.corrupt_dfs_blocks.is_empty() {
             return;
         }
-        // Committed output replicates at the same level `output_flows` used.
-        let level = if self.env.alm.mode.logs_enabled() {
-            self.env.alm.log_replication
-        } else {
-            alm_types::ReplicationLevel::Cluster
-        };
-        let replicas = level.replica_count(self.env.yarn.dfs_replication);
+        let replicas = self.output_level().replica_count(self.env.yarn.dfs_replication);
         let block_size = self.env.yarn.dfs_block_size.max(1);
         let out_bytes = self.qty.reduce_out_bytes;
         let nblocks = out_bytes.div_ceil(block_size).max(1);
@@ -2194,9 +2073,13 @@ impl Simulation {
         // Close out the timelines with the final state.
         let end = self.report.job_secs;
         for r in 0..self.qty.num_reduces {
-            let done = self.reduces[r as usize].completed;
-            self.report.reduce_progress.entry(r).or_default().push((end, if done { 1.0 } else { 0.0 }));
+            let done = if self.reduce_done(r) { 1.0 } else { 0.0 };
+            self.report.reduce_progress.entry(r).or_default().push((end, done));
         }
+        let launched = self.ledger.launched();
+        self.report.map_attempts = launched.maps;
+        self.report.reduce_attempts = launched.reduces;
+        self.report.fcm_attempts = launched.fcm;
         self.report
     }
 }
@@ -2281,7 +2164,7 @@ mod tests {
                     table.iter().map(|(id, &v)| (id, v)).collect::<Vec<_>>(),
                     oracle.iter().map(|(&id, &v)| (id, v)).collect::<Vec<_>>()
                 );
-                prop_assert_eq!(table.values().count(), oracle.len());
+                prop_assert_eq!(table.iter().count(), oracle.len());
             }
         }
 

@@ -23,7 +23,11 @@
 #                                          timeline with no `..`)
 #     new SchedAction variant           -> E0004 in crates/sim/src/engine.rs /
 #                                          crates/runtime/src/am.rs (each
-#                                          engine's one `execute_actions`)
+#                                          engine's one `execute`)
+#     new ledger Decision variant       -> E0004 in crates/sim/src/engine.rs /
+#                                          crates/runtime/src/am.rs (each
+#                                          driver's one `match` on what
+#                                          `alm_core::Ledger` decides)
 #   cargo check -p alm-core
 #     new RecoveryMode variant          -> E0004 in crates/core/src/sfm/policy.rs
 #                                          (`schedule_recovery`, the one place
@@ -37,6 +41,9 @@
 #     a HashMap field iterated in crates/sim -> clippy::disallowed_types
 #     a HashMap field in crates/des          -> clippy::disallowed_types (the
 #                                               kernel holds no exemption)
+#     a HashMap field in crates/core/src/am.rs -> clippy::disallowed_types (the
+#                                               ledger's order fixes the order
+#                                               of failure records and actions)
 #     an Instant::now() in crates/des        -> clippy::disallowed_methods
 #   cargo check --tests
 #     SmallRng::from_entropy() in a chaos test -> E0599 (the in-repo `rand`
@@ -50,7 +57,7 @@
 # (YarnConfig 14, MemConfig 4, SchedConfig 3); the YarnConfig mutation
 # anchors on the struct header, not on any one field.
 #
-# 18 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
+# 21 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -164,6 +171,10 @@ expect_fail "SchedAction variant executed by the sim" check_sim crates/core/src/
     "pub enum SchedAction {" "    SuspendReduce { task: TaskId }," "error\[E0004\]" crates/sim/src/engine.rs
 expect_fail "SchedAction variant executed by the runtime" check_runtime crates/core/src/sfm/policy.rs \
     "pub enum SchedAction {" "    SuspendReduce { task: TaskId }," "error\[E0004\]" crates/runtime/src/am.rs
+expect_fail "ledger Decision variant matched by the sim" check_sim crates/core/src/am.rs \
+    "pub enum Decision {" "    Suspend," "error\[E0004\]" crates/sim/src/engine.rs
+expect_fail "ledger Decision variant matched by the runtime" check_runtime crates/core/src/am.rs \
+    "pub enum Decision {" "    Suspend," "error\[E0004\]" crates/runtime/src/am.rs
 expect_fail "RecoveryMode variant decided once" check_core crates/types/src/config.rs \
     "pub enum RecoveryMode {" "    Lineage," "error\[E0004\]" crates/core/src/sfm/policy.rs
 expect_fail "compare_keys override in a Workload" check_workloads crates/workloads/src/terasort.rs \
@@ -184,6 +195,10 @@ expect_fail "HashMap field in the DES kernel" clippy crates/des/src/queue.rs \
     "use crate::time::{SimDuration, SimTime};" \
     "pub struct SideTable { pub payloads: std::collections::HashMap<u64, u64> }" \
     "use of a disallowed type" crates/des/src/queue.rs
+expect_fail "HashMap field in the AM ledger" clippy crates/core/src/am.rs \
+    "use crate::sfm::policy::{schedule_recovery, ExecMode, PolicyCtx, SchedAction};" \
+    "pub struct ByAttempt { pub nodes: std::collections::HashMap<AttemptId, NodeId> }" \
+    "use of a disallowed type" crates/core/src/am.rs
 expect_fail "Instant::now() in the DES kernel" clippy crates/des/src/queue.rs \
     "    pub fn now(&self) -> SimTime {" "        let _host = std::time::Instant::now();" \
     "use of a disallowed method" crates/des/src/queue.rs
