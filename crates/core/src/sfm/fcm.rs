@@ -144,7 +144,7 @@ fn run_local_mpq(segments: Vec<SegmentReader>, chunk_bytes: usize, tx: Sender<Re
     let mut q = MergeQueue::new(KeyCmp, segments);
     let mut buf = Vec::with_capacity(chunk_bytes + 256);
     loop {
-        match q.pop_with(|k, v| codec::encode_into(&mut buf, k, v)) {
+        match q.pop_encoded_with(|rec| buf.extend_from_slice(rec)) {
             Ok(Some(())) => {
                 if buf.len() >= chunk_bytes {
                     // Record-aligned flush; a closed channel means the

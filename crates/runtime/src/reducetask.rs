@@ -610,24 +610,13 @@ fn reduce_phase<R: SortedRun>(
     let mut gk: Vec<u8> = Vec::new();
     let mut vals: Vec<Vec<u8>> = Vec::new();
     loop {
-        vals.clear();
-        let first = q.pop_with(|k, v| {
-            gk.clear();
-            gk.extend_from_slice(k);
-            vals.push(v.to_vec());
-        });
-        match first {
-            Ok(Some(())) => {}
-            Ok(None) => break,
+        let n = match q.pop_group(&mut gk, &mut vals, |first, k| ctx.job.workload.same_group(first, k)) {
+            Ok(0) => break,
+            Ok(n) => n,
             Err(_) => return Err(Exit::Silent),
-        }
-        while q.peek().is_some_and(|(nk, _)| ctx.job.workload.same_group(&gk, nk)) {
-            if q.pop_with(|_, v| vals.push(v.to_vec())).is_err() {
-                return Err(Exit::Silent);
-            }
-        }
-        processed += vals.len() as u64;
-        ctx.job.workload.reduce(&gk, &vals, &mut |rec| {
+        };
+        processed += n as u64;
+        ctx.job.workload.reduce(&gk, &vals[..n], &mut |rec| {
             output.append(&rec.key, &rec.value);
         });
         groups += 1;

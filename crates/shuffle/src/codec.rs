@@ -24,6 +24,16 @@ pub fn encode_into(out: &mut Vec<u8>, key: &[u8], value: &[u8]) {
     out.extend_from_slice(value);
 }
 
+/// The key's first eight bytes as a big-endian integer, zero-padded. Bytewise
+/// key order never contradicts prefix order (`a <= b` implies
+/// `key_prefix(a) <= key_prefix(b)`), so only equal prefixes need the keys.
+pub(crate) fn key_prefix(key: &[u8]) -> u64 {
+    let mut prefix = [0u8; 8];
+    let n = key.len().min(8);
+    prefix[..n].copy_from_slice(&key[..n]);
+    u64::from_be_bytes(prefix)
+}
+
 /// Where the record starting at `offset` lies: `(key_start, value_start,
 /// end)`. `Ok(None)` at end-of-stream; `Err` on truncation. The one place
 /// that reads the header layout.

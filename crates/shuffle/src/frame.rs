@@ -159,11 +159,30 @@ pub fn crc32(data: &[u8]) -> u32 {
     update(c, tail) ^ 0xFFFF_FFFF
 }
 
+/// Append one checksummed frame to `out` whose payload `fill` appends: the
+/// header's place is reserved first and written over once the payload's
+/// length and CRC are known, so the payload is built where it is stored.
+/// Returns the payload length. When `fill` fails, `out` holds a partial
+/// frame and only the error is meaningful.
+pub fn frame_with<E>(
+    out: &mut Vec<u8>,
+    fill: impl FnOnce(&mut Vec<u8>) -> std::result::Result<(), E>,
+) -> std::result::Result<usize, E> {
+    let at = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    fill(out)?;
+    let (header, payload) = out[at..].split_at_mut(FRAME_HEADER_LEN);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_be_bytes());
+    Ok(payload.len())
+}
+
 /// Append one checksummed frame around `payload`.
 pub fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&crc32(payload).to_be_bytes());
-    out.extend_from_slice(payload);
+    let Ok(_) = frame_with(out, |out| {
+        out.extend_from_slice(payload);
+        Ok::<(), std::convert::Infallible>(())
+    });
 }
 
 /// A fresh buffer holding one checksummed frame around `payload`.

@@ -15,8 +15,9 @@
 //! * [`kvbuffer`] — the map-side sort buffer with spill-and-merge, producing
 //!   a Map Output File.
 //! * [`mof`] — the MOF: one data blob plus a per-partition index.
-//! * [`mpq`] — the Minimum Priority Queue: a k-way merge heap in bytewise
-//!   key order over segment readers, snapshottable for logging.
+//! * [`mpq`] — the Minimum Priority Queue: a k-way merge (a tree of
+//!   losers) in bytewise key order over segment readers, snapshottable for
+//!   logging.
 //! * [`merger`] — merge execution (with optional combiner) and merge
 //!   planning down to `io.sort.factor` inputs.
 //! * [`fetcher`] — the reduce-side shuffle buffers: in-memory vs on-disk

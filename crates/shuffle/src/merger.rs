@@ -14,40 +14,45 @@ use crate::mpq::MergeQueue;
 use crate::segment::{SegmentReader, SegmentSource};
 use crate::{Combiner, KeyCmp};
 
-/// Merge sorted segments into one encoded stream. When a combiner is given,
-/// runs of *byte-equal* keys are folded through it (map-side semantics).
-/// Records are copied straight from the input segments' slices.
+/// Merge sorted segments into one encoded stream.
 pub fn merge_readers(readers: Vec<SegmentReader>, combiner: Option<&Combiner>) -> Result<Vec<u8>> {
-    let mut q = MergeQueue::new(KeyCmp, readers);
     let mut out = Vec::new();
+    merge_into(&mut out, readers, combiner)?;
+    Ok(out)
+}
+
+/// Merge sorted segments, appending one encoded stream to `out`. When a
+/// combiner is given, runs of *byte-equal* keys are folded through it
+/// (map-side semantics). Without one, each record's encoded bytes are
+/// copied straight from its input segment.
+pub fn merge_into(out: &mut Vec<u8>, readers: Vec<SegmentReader>, combiner: Option<&Combiner>) -> Result<()> {
+    let mut q = MergeQueue::new(KeyCmp, readers);
     match combiner {
         None => {
             // Without a combiner the output is exactly the input.
-            out.reserve_exact(q.remaining_bytes());
-            while q.pop_with(|k, v| codec::encode_into(&mut out, k, v))?.is_some() {}
+            out.reserve(q.remaining_bytes());
+            while q.pop_encoded_with(|rec| out.extend_from_slice(rec))?.is_some() {}
         }
         Some(c) => {
             let mut key: Vec<u8> = Vec::new();
             let mut vals: Vec<Vec<u8>> = Vec::new();
-            while let Some((k, _)) = q.peek() {
-                key.clear();
-                key.extend_from_slice(k);
-                vals.clear();
-                while q.peek().is_some_and(|(k, _)| k == key) {
-                    q.pop_with(|_, v| vals.push(v.to_vec()))?;
+            loop {
+                let n = q.pop_group(&mut key, &mut vals, |a, b| a == b)?;
+                if n == 0 {
+                    break;
                 }
-                match c(&key, &vals) {
-                    Some(combined) => codec::encode_into(&mut out, &key, &combined),
+                match c(&key, &vals[..n]) {
+                    Some(combined) => codec::encode_into(out, &key, &combined),
                     None => {
-                        for v in &vals {
-                            codec::encode_into(&mut out, &key, v);
+                        for v in &vals[..n] {
+                            codec::encode_into(out, &key, v);
                         }
                     }
                 }
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Merge in-memory segment blobs into a single blob.

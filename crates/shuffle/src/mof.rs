@@ -73,19 +73,36 @@ impl MofData {
     }
 }
 
-/// Assemble and commit a MOF from per-partition encoded sorted runs, each
-/// wrapped in a CRC32 frame.
-pub fn write_mof<P: AsRef<[u8]>>(fs: &dyn LocalFs, path: &str, partitions: &[P]) -> Result<MofData> {
-    let mut blob =
-        Vec::with_capacity(partitions.iter().map(|p| frame::framed_len(p.as_ref().len())).sum::<usize>());
-    let mut index = Vec::with_capacity(partitions.len());
-    for part in partitions {
-        let part = part.as_ref();
-        index.push((blob.len() as u64, part.len() as u64));
-        frame::frame_into(&mut blob, part);
+/// Assemble and commit a MOF of `num_partitions` partitions. `fill(p,
+/// blob)` appends partition `p`'s encoded sorted run to the blob, which
+/// frames it in place ([`frame::frame_with`]); `payload_bytes` sizes the
+/// blob up front.
+pub fn build_mof(
+    fs: &dyn LocalFs,
+    path: &str,
+    num_partitions: usize,
+    payload_bytes: usize,
+    mut fill: impl FnMut(usize, &mut Vec<u8>) -> Result<()>,
+) -> Result<MofData> {
+    let mut blob = Vec::with_capacity(payload_bytes + num_partitions * frame::FRAME_HEADER_LEN);
+    let mut index = Vec::with_capacity(num_partitions);
+    for part in 0..num_partitions {
+        let offset = blob.len() as u64;
+        let len = frame::frame_with(&mut blob, |blob| fill(part, blob))?;
+        index.push((offset, len as u64));
     }
     fs.write(path, Bytes::from(blob))?;
     Ok(MofData { path: path.to_string(), index })
+}
+
+/// Assemble and commit a MOF from per-partition encoded sorted runs, each
+/// wrapped in a CRC32 frame.
+pub fn write_mof<P: AsRef<[u8]>>(fs: &dyn LocalFs, path: &str, partitions: &[P]) -> Result<MofData> {
+    let payload_bytes = partitions.iter().map(|p| p.as_ref().len()).sum();
+    build_mof(fs, path, partitions.len(), payload_bytes, |part, blob| {
+        blob.extend_from_slice(partitions[part].as_ref());
+        Ok(())
+    })
 }
 
 #[cfg(test)]

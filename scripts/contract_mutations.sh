@@ -50,6 +50,12 @@
 #                                                 has no entropy source)
 #   cargo test -p alm-shuffle   (debug: the parking_lot shim's lock check is on)
 #     a lock taken while MemFs holds its own  -> "nested lock" panic
+#     the MPQ's reader-index tie-break reversed -> equal_keys_pop_in_reader_order
+#                                                 fails (merges are stable)
+#     the spill's key-byte re-sort of prefix ties dropped
+#                                               -> keys_tied_on_their_prefix_sort_by_their_bytes
+#                                                 fails (the packed sort key
+#                                                 holds only 8 key bytes)
 #   cargo test -p alm-bench --test campaign_gate
 #     an unconditional canonical_json key     -> golden key-set assertion
 #
@@ -57,7 +63,7 @@
 # (YarnConfig 14, MemConfig 4, SchedConfig 3); the YarnConfig mutation
 # anchors on the struct header, not on any one field.
 #
-# 21 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
+# 23 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -210,6 +216,12 @@ expect_fail "from_entropy() in a chaos test" check_tests crates/chaos/tests/dete
 expect_fail "nested lock in MemFs" test_shuffle crates/shuffle/src/localfs.rs \
     "        let mut files = self.files.lock();" "        let _ = self.total_bytes();" \
     "nested lock: this thread already holds a parking_lot::Mutex"
+expect_fail "MPQ tie-break reversed" test_shuffle crates/shuffle/src/mpq.rs \
+    "        let tie = a.cmp(&b);" "        let tie = tie.reverse();" \
+    "test mpq::tests::equal_keys_pop_in_reader_order \.\.\. FAILED"
+expect_fail "spill tie re-sort dropped" test_shuffle crates/shuffle/src/kvbuffer.rs \
+    "            if tied.len() > 1 {" "                continue;" \
+    "test kvbuffer::tests::keys_tied_on_their_prefix_sort_by_their_bytes \.\.\. FAILED"
 expect_fail "unconditional canonical_json key" test_gate crates/chaos/src/campaign.rs \
     '                    ("corruption_refetches", Value::U64(o.corruption_refetches as u64)),' \
     '                    ("phantom_counter", Value::U64(0)),' \
