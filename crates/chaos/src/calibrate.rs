@@ -29,6 +29,8 @@
 //! The measured per-mode bands live in [`ToleranceBands::measured`] and
 //! are documented with the raw measurements in `EXPERIMENTS.md`.
 
+use std::cell::OnceCell;
+
 use alm_types::RecoveryMode;
 use serde::Serialize;
 
@@ -280,9 +282,11 @@ pub fn calibrate(
     let (sim, runtime) = matched_campaigns(modes, scale);
     let fault_free = ChaosScenario::new("cal-fault-free");
 
+    // Every runtime run of the pass computes the same job: one oracle.
+    let oracle = OnceCell::new();
     let runtime_secs = |scenario: &ChaosScenario, mode: RecoveryMode| -> f64 {
         (0..repeats)
-            .map(|_| runtime.run_scenario(scenario, mode).duration_secs)
+            .map(|_| runtime.run_checked(scenario, mode, &oracle).duration_secs)
             .fold(f64::INFINITY, f64::min)
             .max(MIN_WALL_SECS)
     };

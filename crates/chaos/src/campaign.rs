@@ -8,6 +8,7 @@
 //! oracle). Outcomes accumulate into a [`CampaignReport`] that renders as
 //! text/markdown and serialises to JSON.
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 use alm_metrics::TextTable;
@@ -126,7 +127,7 @@ impl RuntimeCampaign {
                 off = next;
             }
         }
-        all.sort();
+        all.sort_unstable();
         Some(all)
     }
 
@@ -142,6 +143,17 @@ impl RuntimeCampaign {
     /// Run one scenario under one mode, verifying committed bytes against
     /// the reference oracle.
     pub fn run_scenario(&self, scenario: &ChaosScenario, mode: RecoveryMode) -> ScenarioOutcome {
+        self.run_checked(scenario, mode, &OnceCell::new())
+    }
+
+    /// [`Self::run_scenario`] against an oracle shared by several runs: it
+    /// is computed at the first successful run and reused by the rest.
+    pub(crate) fn run_checked(
+        &self,
+        scenario: &ChaosScenario,
+        mode: RecoveryMode,
+        oracle: &OnceCell<Vec<Record>>,
+    ) -> ScenarioOutcome {
         let cluster = Arc::new(MiniCluster::for_tests(self.nodes));
         let mut alm = AlmConfig::with_mode(mode);
         alm.logging_interval_ms = 1; // log eagerly at test scale
@@ -155,8 +167,9 @@ impl RuntimeCampaign {
         // The oracle comparison reads every committed partition through the
         // verified path: rotten replicas are detected here, charged as read
         // failovers, and queued for repair...
-        let verified =
-            report.succeeded && Self::committed(&cluster, &job).is_some_and(|got| got == self.oracle());
+        let verified = report.succeeded
+            && Self::committed(&cluster, &job)
+                .is_some_and(|got| got == *oracle.get_or_init(|| self.oracle()));
         // ...then the background repair pipeline runs to quiescence, and
         // commit status is counted on the healed DFS.
         cluster.dfs.repair();
@@ -170,12 +183,13 @@ impl RuntimeCampaign {
         analyze_runtime(scenario, mode, &report, &profile, verified, partitions, dfs)
     }
 
-    /// Every scenario under every mode.
+    /// Every scenario under every mode, all checked against one oracle.
     pub fn run(&self, scenarios: &[ChaosScenario]) -> Vec<ScenarioOutcome> {
+        let oracle = OnceCell::new();
         let mut out = Vec::with_capacity(scenarios.len() * self.modes.len());
         for s in scenarios {
             for &m in &self.modes {
-                out.push(self.run_scenario(s, m));
+                out.push(self.run_checked(s, m, &oracle));
             }
         }
         out
@@ -391,12 +405,14 @@ mod tests {
             ms_per_scenario_sec: 5.0,
             modes: vec![RecoveryMode::Baseline],
         };
-        let outcomes = campaign.run(&[kill_reduce("k", 0, 0.5)]);
-        assert_eq!(outcomes.len(), 1);
-        let o = &outcomes[0];
-        assert!(o.succeeded, "{o:?}");
-        assert_eq!(o.engine, EngineKind::Runtime);
-        assert_eq!(o.output_verified, Some(true), "committed bytes must match the oracle");
+        // Both runs are checked against the one oracle `run` computes.
+        let outcomes = campaign.run(&[kill_reduce("k0", 0, 0.5), kill_reduce("k1", 1, 0.5)]);
+        assert_eq!(outcomes.len(), 2);
+        for o in &outcomes {
+            assert!(o.succeeded, "{o:?}");
+            assert_eq!(o.engine, EngineKind::Runtime);
+            assert_eq!(o.output_verified, Some(true), "committed bytes must match the oracle");
+        }
     }
 
     #[test]

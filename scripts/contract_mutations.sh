@@ -56,6 +56,11 @@
 #                                               -> keys_tied_on_their_prefix_sort_by_their_bytes
 #                                                 fails (the packed sort key
 #                                                 holds only 8 key bytes)
+#   cargo test -p alm-workloads
+#     the reference executor's sort made key-only (the line is replaced)
+#                                               -> values_tied_on_their_key_reduce_in_value_order
+#                                                 fails (the oracle's records
+#                                                 sort by key, then value)
 #   cargo test -p alm-bench --test campaign_gate
 #     an unconditional canonical_json key     -> golden key-set assertion
 #
@@ -63,7 +68,7 @@
 # (YarnConfig 14, MemConfig 4, SchedConfig 3); the YarnConfig mutation
 # anchors on the struct header, not on any one field.
 #
-# 23 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
+# 24 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -111,20 +116,34 @@ test_shuffle() {
     (cd "$work/ws" && cargo test --offline -p alm-shuffle 2>&1)
 }
 
+test_workloads() {
+    (cd "$work/ws" && cargo test --offline -p alm-workloads 2>&1)
+}
+
 test_gate() {
     (cd "$work/ws" && cargo test --offline -p alm-bench --test campaign_gate 2>&1)
 }
 
 # expect_fail <label> <runner> <file> <anchor line (fixed string)> <line inserted after it> <error (egrep)> [<path the error must name>]
 expect_fail() {
-    local label="$1" runner="$2" file="$3" anchor="$4" insert="$5" want="$6" site="${7:-}"
+    mutate_and_expect after "$@"
+}
+
+# expect_fail_replacing: as expect_fail, but the new line replaces the anchor.
+expect_fail_replacing() {
+    mutate_and_expect replace "$@"
+}
+
+mutate_and_expect() {
+    local how="$1" label="$2" runner="$3" file="$4" anchor="$5" insert="$6" want="$7" site="${8:-}"
     local target="$work/ws/$file"
     if [ "$(grep -cxF -- "$anchor" "$target")" != 1 ]; then
         echo "FAIL [$label]: anchor '$anchor' not found exactly once in $file" >&2
         exit 1
     fi
     cp "$target" "$target.orig"
-    awk -v a="$anchor" -v i="$insert" '{ print } $0 == a { print i }' "$target.orig" > "$target"
+    awk -v a="$anchor" -v i="$insert" -v how="$how" \
+        '$0 != a { print; next } how == "after" { print } { print i }' "$target.orig" > "$target"
     local out
     if out="$($runner)"; then
         echo "FAIL [$label]: $runner passed on the mutated tree" >&2
@@ -151,7 +170,7 @@ expect_fail() {
 # leaves a shared CARGO_TARGET_DIR holding no mutant artifact).
 expect_pass() {
     local runner out
-    for runner in check check_tests clippy test_shuffle test_gate; do
+    for runner in check check_tests clippy test_shuffle test_workloads test_gate; do
         if ! out="$($runner)"; then
             echo "FAIL [$1]: $runner fails on the unmutated copy:" >&2
             echo "$out" >&2
@@ -222,6 +241,9 @@ expect_fail "MPQ tie-break reversed" test_shuffle crates/shuffle/src/mpq.rs \
 expect_fail "spill tie re-sort dropped" test_shuffle crates/shuffle/src/kvbuffer.rs \
     "            if tied.len() > 1 {" "                continue;" \
     "test kvbuffer::tests::keys_tied_on_their_prefix_sort_by_their_bytes \.\.\. FAILED"
+expect_fail_replacing "reference sort made key-only" test_workloads crates/workloads/src/reference.rs \
+    "            part.sort_unstable();" "            part.sort_unstable_by(|a, b| a.key.cmp(&b.key));" \
+    "test reference::tests::values_tied_on_their_key_reduce_in_value_order \.\.\. FAILED"
 expect_fail "unconditional canonical_json key" test_gate crates/chaos/src/campaign.rs \
     '                    ("corruption_refetches", Value::U64(o.corruption_refetches as u64)),' \
     '                    ("phantom_counter", Value::U64(0)),' \
