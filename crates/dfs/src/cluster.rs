@@ -1,18 +1,21 @@
-//! The DFS itself: files → blocks → per-replica checksummed copies.
+//! The DFS itself: files → blocks → per-replica checksummed replicas.
 //!
-//! Every replica stores its *own* CRC32-framed copy of the block payload
-//! (the [`alm_shuffle::frame`] format), so corruption is a per-replica
-//! event: a verified read detects a rotten replica, fails over to a
-//! healthy one, and queues the block for re-replication; only when every
-//! live replica fails its checksum does the read surface an error — and a
-//! *distinct* one ([`DfsError::AllReplicasCorrupt`]) from the
+//! Every replica holds its *own* CRC32 ([`alm_shuffle::frame::crc32`]) and
+//! its own handle on the block's bytes. A write copies no payload: each
+//! replica's bytes are a slice of the writer's [`Bytes`], and a file pins
+//! the buffer it was written from, so writers hand over exact buffers.
+//! Corruption is still a per-replica event — rotting a replica copies that
+//! replica alone — so a verified read detects a rotten replica, fails over
+//! to a healthy one, and queues the block for re-replication; only when
+//! every live replica fails its checksum does the read surface an error —
+//! and a *distinct* one ([`DfsError::AllReplicasCorrupt`]) from the
 //! no-live-replica case ([`DfsError::BlockUnavailable`]). A background
 //! style [`DfsCluster::repair`] pipeline restores the configured
 //! replication level after node death or detected rot, rack-aware via the
 //! same placement policy writes use, with per-repair byte accounting for
 //! the Fig. 13 replication-cost axis.
 
-use alm_shuffle::frame::{frame, unframe, FRAME_HEADER_LEN};
+use alm_shuffle::frame::crc32;
 use alm_types::{NodeId, ReplicationLevel};
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -88,23 +91,27 @@ pub struct DfsStats {
     pub repair_bytes: u64,
 }
 
-/// One replica: its host node and its own framed copy of the payload.
-/// Validity is computed from the bytes, never cached — the frame is truth.
-#[derive(Debug)]
+/// One replica: its host node, the CRC it was stored with, and its bytes —
+/// a slice of the written buffer until rot gives it a copy of its own.
+/// Validity is computed from the bytes, never cached.
+#[derive(Debug, Clone)]
 struct Replica {
     node: NodeId,
-    framed: Bytes,
+    crc: u32,
+    payload: Bytes,
 }
 
 impl Replica {
-    fn healthy(&self) -> bool {
-        unframe(&self.framed).is_ok()
+    /// Whether the replica's bytes have the block's length `len` and the
+    /// CRC stored with it.
+    fn healthy(&self, len: u64) -> bool {
+        self.payload.len() as u64 == len && crc32(&self.payload) == self.crc
     }
 }
 
 #[derive(Debug)]
 struct Block {
-    /// Payload length (every replica frames the same logical bytes).
+    /// Payload length (every replica holds the same logical bytes).
     len: u64,
     /// The level the block was written at — repair restores *this* level's
     /// replica count, with the same rack-awareness.
@@ -115,7 +122,10 @@ struct Block {
 #[derive(Debug)]
 struct DfsFile {
     blocks: Vec<u64>,
-    len: u64,
+    /// The written buffer, which every replica's payload slices until it
+    /// rots: a verified read that served every block from a healthy
+    /// replica served exactly these bytes, so it returns this handle.
+    data: Bytes,
 }
 
 struct Inner {
@@ -209,7 +219,9 @@ impl DfsCluster {
 
     /// Write (or overwrite) a file from `writer` at the given replication
     /// level. Data is split into blocks; each block gets its own replica
-    /// set per the placement policy, and each replica its own framed copy.
+    /// set per the placement policy, and each replica a slice of `data`
+    /// with the block's CRC. No payload byte is copied, and the file keeps
+    /// `data`'s whole allocation alive: pass a buffer of exactly the file.
     ///
     /// The overwrite is atomic: every block is staged and placed first,
     /// and the previous version is swapped out only after the whole new
@@ -222,15 +234,17 @@ impl DfsCluster {
         writer: NodeId,
         level: ReplicationLevel,
     ) -> Result<DfsFileMeta, DfsError> {
-        // Checksum outside the lock: framing is the only per-byte work of a
+        // Checksum outside the lock: the CRC is the only per-byte work of a
         // write, and under the lock it would serialise every task's writes.
         let len = data.len() as u64;
         let nblocks = (len.div_ceil(self.block_size)).max(1) as usize;
-        let framed: Vec<(u64, Bytes)> = (0..nblocks)
+        let checked: Vec<(Bytes, u32)> = (0..nblocks)
             .map(|i| {
                 let start = (i as u64 * self.block_size) as usize;
                 let end = (((i + 1) as u64 * self.block_size) as usize).min(data.len());
-                ((end - start) as u64, Bytes::from(frame(&data[start..end])))
+                let payload = data.slice(start..end);
+                let crc = crc32(&payload);
+                (payload, crc)
             })
             .collect();
 
@@ -240,14 +254,16 @@ impl DfsCluster {
         }
         let mut staged: Vec<(u64, Block)> = Vec::with_capacity(nblocks);
         let mut replicas_meta = Vec::with_capacity(nblocks);
-        for (block_len, framed) in framed {
+        for (payload, crc) in checked {
             let id = self.next_block.fetch_add(1, Ordering::Relaxed);
             let nodes = choose_replicas(&self.topo, writer, level, self.replication, &inner.alive, id);
             if nodes.is_empty() {
                 // Nothing committed yet: the old version (if any) is intact.
                 return Err(DfsError::NoLiveReplicaTarget);
             }
-            let replicas = nodes.iter().map(|&node| Replica { node, framed: framed.clone() }).collect();
+            let block_len = payload.len() as u64;
+            let replicas =
+                nodes.iter().map(|&node| Replica { node, crc, payload: payload.clone() }).collect();
             replicas_meta.push(nodes);
             staged.push((id, Block { len: block_len, level, replicas }));
         }
@@ -264,7 +280,7 @@ impl DfsCluster {
             inner.blocks.insert(id, block);
             blocks.push(id);
         }
-        inner.files.insert(path.to_string(), DfsFile { blocks, len });
+        inner.files.insert(path.to_string(), DfsFile { blocks, data });
         inner.stats.bytes_written += len;
         Ok(DfsFileMeta { path: path.to_string(), len, num_blocks: nblocks, replicas: replicas_meta })
     }
@@ -275,14 +291,21 @@ impl DfsCluster {
     /// serves the block. Fails with [`DfsError::AllReplicasCorrupt`] only
     /// when every live replica of a block is rotten, and with
     /// [`DfsError::BlockUnavailable`] when a block has no live replica.
+    ///
+    /// A verified read returns the written buffer itself, not a copy: a
+    /// replica's bytes differ from the written slice only if it rotted,
+    /// and a rotten replica fails its CRC, so every block it served was
+    /// the written slice. The unverified ablation concatenates what the
+    /// first live replicas hold, rotten or not.
     pub fn read(&self, path: &str) -> Result<Bytes, DfsError> {
         let mut inner = self.inner.lock();
         let file = inner.files.get(path).ok_or_else(|| DfsError::NotFound(path.to_string()))?;
         let block_ids = file.blocks.clone();
-        let mut out = Vec::with_capacity(file.len as usize);
+        let data = file.data.clone();
+        let mut unverified = Vec::new();
         for (i, bid) in block_ids.iter().enumerate() {
             let block = inner.blocks.get(bid).expect("file block must exist");
-            let mut chosen: Option<Bytes> = None;
+            let mut served = false;
             let mut rotten_live = 0u64;
             let mut any_live = false;
             for r in &block.replicas {
@@ -294,24 +317,18 @@ impl DfsCluster {
                     // Verify every live replica, not just until one passes:
                     // serving from the first clean copy while skipping the
                     // scan would let rot on a later-ordered replica survive
-                    // unreported until the healthy copies die. The framed
-                    // bytes are already in memory, so the full scan is a
-                    // free read-triggered scrub.
-                    match unframe(&r.framed) {
-                        Ok(payload) => {
-                            if chosen.is_none() {
-                                chosen = Some(payload);
-                            }
-                        }
-                        Err(_) => rotten_live += 1,
+                    // unreported until the healthy copies die. The bytes
+                    // are already in memory, so the full scan is a free
+                    // read-triggered scrub.
+                    if r.healthy(block.len) {
+                        served = true;
+                    } else {
+                        rotten_live += 1;
                     }
                 } else {
                     // Ablation mode: trust the first live replica blindly.
-                    chosen = Some(if r.framed.len() >= FRAME_HEADER_LEN {
-                        r.framed.slice(FRAME_HEADER_LEN..)
-                    } else {
-                        Bytes::new()
-                    });
+                    unverified.extend_from_slice(&r.payload);
+                    served = true;
                     break;
                 }
             }
@@ -319,17 +336,17 @@ impl DfsCluster {
                 inner.stats.read_failovers += rotten_live;
                 inner.repair_queue.insert(*bid);
             }
-            match chosen {
-                Some(payload) => out.extend_from_slice(&payload),
-                None if any_live => {
+            match (served, any_live) {
+                (true, _) => {}
+                (false, true) => {
                     return Err(DfsError::AllReplicasCorrupt { path: path.to_string(), block: i });
                 }
-                None => {
+                (false, false) => {
                     return Err(DfsError::BlockUnavailable { path: path.to_string(), block: i });
                 }
             }
         }
-        Ok(Bytes::from(out))
+        Ok(if self.verify_on_read { data } else { Bytes::from(unverified) })
     }
 
     /// Whether every block of `path` is currently readable.
@@ -384,7 +401,7 @@ impl DfsCluster {
         inner
             .blocks
             .values()
-            .filter(|b| !b.replicas.iter().any(|r| inner.alive.contains(&r.node) && r.healthy()))
+            .filter(|b| !b.replicas.iter().any(|r| inner.alive.contains(&r.node) && r.healthy(b.len)))
             .count()
     }
 
@@ -399,18 +416,18 @@ impl DfsCluster {
             .values()
             .map(|b| {
                 let healthy =
-                    b.replicas.iter().filter(|r| inner.alive.contains(&r.node) && r.healthy()).count();
+                    b.replicas.iter().filter(|r| inner.alive.contains(&r.node) && r.healthy(b.len)).count();
                 b.len * healthy as u64
             })
             .sum()
     }
 
-    /// Stored replicas (on any node, live or dead) whose framed bytes fail
+    /// Stored replicas (on any node, live or dead) whose bytes fail
     /// verification — what the `dfs-verified-read` invariant checks is
     /// driven back to zero by repair.
     pub fn corrupt_replica_count(&self) -> usize {
         let inner = self.inner.lock();
-        inner.blocks.values().map(|b| b.replicas.iter().filter(|r| !r.healthy()).count()).sum()
+        inner.blocks.values().map(|b| b.replicas.iter().filter(|r| !r.healthy(b.len)).count()).sum()
     }
 
     /// Blocks currently queued for re-replication.
@@ -427,6 +444,8 @@ impl DfsCluster {
     /// `block_index` — the fault-injection hook behind
     /// `CorruptTarget::DfsBlock`. Prefers the replica hosted on
     /// `prefer_node` when one lives there, the first replica otherwise.
+    /// The rotten replica gets a copy of its own; the others keep sharing
+    /// the written bytes. An empty block's stored CRC is rotted instead.
     /// An out-of-range block index clamps to the last block so a sampled
     /// fault always lands once the file exists. Returns false when the
     /// file does not exist yet (the fault stays pending until commit).
@@ -441,18 +460,15 @@ impl DfsCluster {
             return false;
         }
         let idx = prefer_node.and_then(|n| block.replicas.iter().position(|r| r.node == n)).unwrap_or(0);
-        let mut bytes = block.replicas[idx].framed.to_vec();
-        if bytes.len() > FRAME_HEADER_LEN {
+        let replica = &mut block.replicas[idx];
+        if replica.payload.is_empty() {
+            // Empty payload: rot the stored CRC instead.
+            replica.crc ^= 0x40 << 24;
+        } else {
             // Rot a payload byte: detected as a checksum mismatch, and the
             // unverified-read ablation really does return rotten bytes.
-            bytes[FRAME_HEADER_LEN] ^= 0x40;
-        } else if bytes.len() >= FRAME_HEADER_LEN {
-            // Empty payload: rot the stored CRC instead.
-            bytes[4] ^= 0x40;
-        } else {
-            return false;
+            replica.payload = flip_byte(&replica.payload, 0);
         }
-        block.replicas[idx].framed = Bytes::from(bytes);
         true
     }
 
@@ -489,25 +505,25 @@ impl DfsCluster {
     fn repair_block(&self, inner: &mut Inner, id: u64) {
         let Inner { blocks, alive, stats, .. } = inner;
         let Some(block) = blocks.get_mut(&id) else { return };
-        if !block.replicas.iter().any(|r| alive.contains(&r.node) && r.healthy()) {
+        let len = block.len;
+        if !block.replicas.iter().any(|r| alive.contains(&r.node) && r.healthy(len)) {
             return; // no healthy live source — unrepairable for now
         }
-        block.replicas.retain(|r| alive.contains(&r.node) && r.healthy());
+        block.replicas.retain(|r| alive.contains(&r.node) && r.healthy(len));
         let want = block.level.replica_count(self.replication) as usize;
         if block.replicas.len() >= want {
             return;
         }
-        let src = block.replicas[0].node;
-        let src_framed = block.replicas[0].framed.clone();
+        let source = block.replicas[0].clone();
         let holders: BTreeSet<NodeId> = block.replicas.iter().map(|r| r.node).collect();
         let fresh: BTreeSet<NodeId> = alive.difference(&holders).copied().collect();
-        let targets = choose_replicas(&self.topo, src, block.level, self.replication, &fresh, id);
+        let targets = choose_replicas(&self.topo, source.node, block.level, self.replication, &fresh, id);
         let mut copied = 0u64;
         for node in targets {
             if block.replicas.len() >= want {
                 break;
             }
-            block.replicas.push(Replica { node, framed: src_framed.clone() });
+            block.replicas.push(Replica { node, ..source.clone() });
             copied += block.len;
         }
         if copied > 0 {
@@ -527,11 +543,43 @@ impl DfsCluster {
                 .iter()
                 .map(|bid| {
                     let block = inner.blocks.get(bid).expect("file block must exist");
-                    block.replicas.iter().filter(|r| inner.alive.contains(&r.node) && r.healthy()).count()
+                    block
+                        .replicas
+                        .iter()
+                        .filter(|r| inner.alive.contains(&r.node) && r.healthy(block.len))
+                        .count()
                 })
                 .collect(),
         )
     }
+
+    /// Every replica's bytes of every block of `path`, in block order.
+    #[cfg(test)]
+    fn replica_payloads(&self, path: &str) -> Vec<Vec<Bytes>> {
+        let inner = self.inner.lock();
+        inner.files[path]
+            .blocks
+            .iter()
+            .map(|bid| inner.blocks[bid].replicas.iter().map(|r| r.payload.clone()).collect())
+            .collect()
+    }
+
+    /// Replace the bytes of replica `replica` of `path`'s block `block`
+    /// with `damage` of them, keeping its stored CRC.
+    #[cfg(test)]
+    fn damage_replica(&self, path: &str, block: usize, replica: usize, damage: impl FnOnce(&Bytes) -> Bytes) {
+        let mut inner = self.inner.lock();
+        let bid = inner.files[path].blocks[block];
+        let r = &mut inner.blocks.get_mut(&bid).expect("file block must exist").replicas[replica];
+        r.payload = damage(&r.payload);
+    }
+}
+
+/// A copy of `bytes` with the byte at `at` flipped.
+fn flip_byte(bytes: &Bytes, at: usize) -> Bytes {
+    let mut rotten = bytes.to_vec();
+    rotten[at] ^= 0x40;
+    Bytes::from(rotten)
 }
 
 #[cfg(test)]
@@ -774,6 +822,112 @@ mod tests {
         let got = d.read("/f").unwrap();
         assert_ne!(got, data, "unverified read serves the rotten replica");
         assert_eq!(d.stats().read_failovers, 0);
+    }
+
+    /// Whether `part`'s bytes lie inside `whole`'s allocation.
+    fn shares(whole: &Bytes, part: &Bytes) -> bool {
+        let w = whole.as_ptr_range();
+        let p = part.as_ptr_range();
+        w.start <= p.start && p.end <= w.end
+    }
+
+    #[test]
+    fn writes_and_verified_reads_copy_no_payload() {
+        let d = dfs(6, 2, 10);
+        let data = Bytes::from((0..35u8).collect::<Vec<u8>>());
+        d.write("/f", data.clone(), NodeId(0), ReplicationLevel::Rack).unwrap();
+        let payloads = d.replica_payloads("/f");
+        assert_eq!(payloads.iter().map(Vec::len).collect::<Vec<_>>(), vec![2, 2, 2, 2]);
+        assert!(payloads.iter().flatten().all(|p| shares(&data, p)), "every replica is a slice of the write");
+
+        let got = d.read("/f").unwrap();
+        assert_eq!(got, data);
+        assert_eq!(got.as_ptr(), data.as_ptr(), "a verified read returns the written buffer");
+
+        // A rotten replica is skipped, not served, so the read still
+        // returns the written buffer.
+        assert!(d.corrupt_replica("/f", 1, Some(NodeId(0))));
+        let got = d.read("/f").unwrap();
+        assert_eq!(d.stats().read_failovers, 1);
+        assert_eq!(got, data);
+        assert_eq!(got.as_ptr(), data.as_ptr());
+    }
+
+    #[test]
+    fn damaged_bytes_at_every_offset_are_never_served() {
+        const BLOCK: usize = 8;
+        let data = Bytes::from((0..20u8).map(|b| b.wrapping_mul(37) ^ 0x5a).collect::<Vec<u8>>());
+        let flip: fn(&Bytes, usize) -> Bytes = flip_byte;
+        let truncate: fn(&Bytes, usize) -> Bytes = |b, at| b.slice(..at);
+        for replication in [2u16, 1] {
+            for block in 0..data.len().div_ceil(BLOCK) {
+                let block_len = BLOCK.min(data.len() - block * BLOCK);
+                for replica in 0..replication as usize {
+                    for at in 0..block_len {
+                        for (how, damage) in [("flip", flip), ("truncate", truncate)] {
+                            let case =
+                                format!("{how} replica {replica} of block {block} at {at}, R={replication}");
+                            let d = DfsCluster::new(Topology::even(6, 2), BLOCK as u64, replication);
+                            d.write("/f", data.clone(), NodeId(0), ReplicationLevel::Rack).unwrap();
+                            d.damage_replica("/f", block, replica, |b| damage(b, at));
+                            assert_eq!(d.corrupt_replica_count(), 1, "{case}");
+
+                            let read = d.read("/f");
+                            assert_eq!(d.stats().read_failovers, 1, "{case}");
+                            assert_eq!(d.repair_queue_len(), 1, "{case}");
+                            if replication == 1 {
+                                assert_eq!(
+                                    read,
+                                    Err(DfsError::AllReplicasCorrupt { path: "/f".into(), block }),
+                                    "{case}"
+                                );
+                            } else {
+                                assert_eq!(read.as_ref().map(|b| b.as_ptr()), Ok(data.as_ptr()), "{case}");
+                                assert_eq!(read, Ok(data.clone()), "{case}");
+                            }
+                            let payloads = d.replica_payloads("/f");
+                            for (b, replicas) in payloads.iter().enumerate() {
+                                for (r, p) in replicas.iter().enumerate() {
+                                    if (b, r) != (block, replica) {
+                                        assert!(
+                                            shares(&data, p),
+                                            "{case}: untouched replica {r} of block {b}"
+                                        );
+                                    }
+                                }
+                            }
+
+                            if replication == 2 {
+                                d.repair();
+                                assert_eq!(d.corrupt_replica_count(), 0, "{case}");
+                                assert_eq!(d.healthy_replica_counts("/f").unwrap(), vec![2; 3], "{case}");
+                                let payloads = d.replica_payloads("/f");
+                                assert!(payloads.iter().flatten().all(|p| shares(&data, p)), "{case}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rot_of_an_empty_block_is_its_stored_crc() {
+        for replication in [2u16, 1] {
+            let d = DfsCluster::new(Topology::even(6, 2), 8, replication);
+            d.write("/e", Bytes::new(), NodeId(0), ReplicationLevel::Rack).unwrap();
+            assert!(d.corrupt_replica("/e", 0, None));
+            assert_eq!(d.corrupt_replica_count(), 1, "R={replication}");
+            let read = d.read("/e");
+            assert_eq!(d.stats().read_failovers, 1, "R={replication}");
+            if replication == 1 {
+                assert_eq!(read, Err(DfsError::AllReplicasCorrupt { path: "/e".into(), block: 0 }));
+            } else {
+                assert_eq!(read, Ok(Bytes::new()));
+                d.repair();
+                assert_eq!(d.corrupt_replica_count(), 0);
+            }
+        }
     }
 
     #[test]

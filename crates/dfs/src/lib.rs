@@ -9,10 +9,12 @@
 //! * a rack [`topology::Topology`],
 //! * a rack-aware [`placement`] policy implementing the three levels,
 //! * a [`cluster::DfsCluster`] storing real bytes per block — each replica
-//!   holding its *own* CRC32-framed copy — with node-liveness-dependent
-//!   readability: crash a node and every block whose only replicas lived
-//!   there becomes unreadable — the condition a recovering ReduceTask
-//!   (and ALG's HDFS log lookup) runs into,
+//!   holding its *own* CRC32 and a slice of the writer's buffer, so a write
+//!   copies no payload and a file pins the buffer it was written from —
+//!   with node-liveness-dependent readability: crash a node and every
+//!   block whose only replicas lived there becomes unreadable — the
+//!   condition a recovering ReduceTask (and ALG's HDFS log lookup) runs
+//!   into,
 //! * a verified read path that detects a rotten replica, fails over to a
 //!   healthy one, and queues re-replication, plus a [`DfsCluster::repair`]
 //!   pipeline restoring the configured replication level after node death

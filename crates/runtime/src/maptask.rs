@@ -43,7 +43,10 @@ pub fn run_map(ctx: MapCtx) {
         prefix,
     );
 
-    for (i, rec) in records.iter().enumerate() {
+    // The split is consumed record by record: each input record is freed
+    // as soon as it is mapped, so the thread never holds the whole split
+    // beside the sort buffer it fills.
+    for (i, rec) in records.into_iter().enumerate() {
         // Safe point: die silently with the node; honour cancellation;
         // straggle if the node is degraded.
         if i % 64 == 0 {
@@ -68,7 +71,7 @@ pub fn run_map(ctx: MapCtx) {
         let job = &ctx.job;
         let node_fs = &ctx.node.fs;
         let mut failed = false;
-        job.workload.map(rec, &mut |out| {
+        job.workload.map(&rec, &mut |out| {
             if failed {
                 return;
             }

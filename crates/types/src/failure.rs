@@ -324,7 +324,7 @@ pub struct FaultTimeline {
 /// What a [`Fault::CorruptData`] injection flips bytes in: the durable
 /// artifacts the recovery paths read back — shuffle MOF partitions, ALG
 /// analytics-log records, and committed DFS output blocks. All three are
-/// CRC32-framed so corruption is *detected* (distinct checksum-mismatch
+/// CRC32-checked so corruption is *detected* (distinct checksum-mismatch
 /// error) and then *tolerated* (re-fetch / truncate-and-resume / replica
 /// failover + re-replication) instead of escalating.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]

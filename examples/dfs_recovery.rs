@@ -4,8 +4,8 @@
 //! cargo run --release --example dfs_recovery
 //! ```
 //!
-//! The DFS stores a CRC32-framed copy of every block *per replica*, so
-//! corruption is a per-replica event rather than a file-wide one. This
+//! Every replica of a DFS block carries its own CRC32, so corruption is a
+//! per-replica event rather than a file-wide one. This
 //! example walks the whole recovery story on real bytes:
 //!
 //! 1. rot one replica of a committed file — a verified read serves clean

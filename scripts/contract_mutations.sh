@@ -61,6 +61,11 @@
 #                                               -> values_tied_on_their_key_reduce_in_value_order
 #                                                 fails (the oracle's records
 #                                                 sort by key, then value)
+#   cargo test -p alm-dfs
+#     Replica::healthy made always true       -> damaged_bytes_at_every_offset_are_never_served
+#                                                 fails (replicas share the written
+#                                                 bytes, so the CRC check is all
+#                                                 that keeps a rotten one unserved)
 #   cargo test -p alm-bench --test campaign_gate
 #     an unconditional canonical_json key     -> golden key-set assertion
 #
@@ -68,7 +73,7 @@
 # (YarnConfig 14, MemConfig 4, SchedConfig 3); the YarnConfig mutation
 # anchors on the struct header, not on any one field.
 #
-# 24 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
+# 25 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -118,6 +123,10 @@ test_shuffle() {
 
 test_workloads() {
     (cd "$work/ws" && cargo test --offline -p alm-workloads 2>&1)
+}
+
+test_dfs() {
+    (cd "$work/ws" && cargo test --offline -p alm-dfs 2>&1)
 }
 
 test_gate() {
@@ -170,7 +179,7 @@ mutate_and_expect() {
 # leaves a shared CARGO_TARGET_DIR holding no mutant artifact).
 expect_pass() {
     local runner out
-    for runner in check check_tests clippy test_shuffle test_workloads test_gate; do
+    for runner in check check_tests clippy test_shuffle test_workloads test_dfs test_gate; do
         if ! out="$($runner)"; then
             echo "FAIL [$1]: $runner fails on the unmutated copy:" >&2
             echo "$out" >&2
@@ -244,6 +253,9 @@ expect_fail "spill tie re-sort dropped" test_shuffle crates/shuffle/src/kvbuffer
 expect_fail_replacing "reference sort made key-only" test_workloads crates/workloads/src/reference.rs \
     "            part.sort_unstable();" "            part.sort_unstable_by(|a, b| a.key.cmp(&b.key));" \
     "test reference::tests::values_tied_on_their_key_reduce_in_value_order \.\.\. FAILED"
+expect_fail_replacing "DFS replica health made unconditional" test_dfs crates/dfs/src/cluster.rs \
+    "        self.payload.len() as u64 == len && crc32(&self.payload) == self.crc" "        let _ = len; true" \
+    "test cluster::tests::damaged_bytes_at_every_offset_are_never_served \.\.\. FAILED"
 expect_fail "unconditional canonical_json key" test_gate crates/chaos/src/campaign.rs \
     '                    ("corruption_refetches", Value::U64(o.corruption_refetches as u64)),' \
     '                    ("phantom_counter", Value::U64(0)),' \
