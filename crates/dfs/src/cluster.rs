@@ -105,7 +105,13 @@ impl Replica {
     /// Whether the replica's bytes have the block's length `len` and the
     /// CRC stored with it.
     fn healthy(&self, len: u64) -> bool {
-        self.payload.len() as u64 == len && crc32(&self.payload) == self.crc
+        self.holds(len, crc32(&self.payload))
+    }
+
+    /// Whether the replica has the block's length `len` and, given that
+    /// `crc` is the CRC of its bytes, the CRC stored with it.
+    fn holds(&self, len: u64, crc: u32) -> bool {
+        self.payload.len() as u64 == len && crc == self.crc
     }
 }
 
@@ -308,6 +314,11 @@ impl DfsCluster {
             let mut served = false;
             let mut rotten_live = 0u64;
             let mut any_live = false;
+            // The CRC of each distinct slice (pointer and length) this
+            // block's replicas hold: replicas that share one slice share
+            // its bytes, so it is checksummed once, and each replica's own
+            // stored CRC is still compared with it.
+            let mut scrubbed: Vec<(&Bytes, u32)> = Vec::new();
             for r in &block.replicas {
                 if !inner.alive.contains(&r.node) {
                     continue;
@@ -320,7 +331,18 @@ impl DfsCluster {
                     // unreported until the healthy copies die. The bytes
                     // are already in memory, so the full scan is a free
                     // read-triggered scrub.
-                    if r.healthy(block.len) {
+                    let seen = scrubbed
+                        .iter()
+                        .find(|(p, _)| p.as_ptr() == r.payload.as_ptr() && p.len() == r.payload.len());
+                    let crc = match seen {
+                        Some(&(_, crc)) => crc,
+                        None => {
+                            let crc = crc32(&r.payload);
+                            scrubbed.push((&r.payload, crc));
+                            crc
+                        }
+                    };
+                    if r.holds(block.len, crc) {
                         served = true;
                     } else {
                         rotten_live += 1;
@@ -564,14 +586,12 @@ impl DfsCluster {
             .collect()
     }
 
-    /// Replace the bytes of replica `replica` of `path`'s block `block`
-    /// with `damage` of them, keeping its stored CRC.
+    /// Apply `damage` to replica `replica` of `path`'s block `block`.
     #[cfg(test)]
-    fn damage_replica(&self, path: &str, block: usize, replica: usize, damage: impl FnOnce(&Bytes) -> Bytes) {
+    fn damage_replica(&self, path: &str, block: usize, replica: usize, damage: impl FnOnce(&mut Replica)) {
         let mut inner = self.inner.lock();
         let bid = inner.files[path].blocks[block];
-        let r = &mut inner.blocks.get_mut(&bid).expect("file block must exist").replicas[replica];
-        r.payload = damage(&r.payload);
+        damage(&mut inner.blocks.get_mut(&bid).expect("file block must exist").replicas[replica]);
     }
 }
 
@@ -869,7 +889,7 @@ mod tests {
                                 format!("{how} replica {replica} of block {block} at {at}, R={replication}");
                             let d = DfsCluster::new(Topology::even(6, 2), BLOCK as u64, replication);
                             d.write("/f", data.clone(), NodeId(0), ReplicationLevel::Rack).unwrap();
-                            d.damage_replica("/f", block, replica, |b| damage(b, at));
+                            d.damage_replica("/f", block, replica, |r| r.payload = damage(&r.payload, at));
                             assert_eq!(d.corrupt_replica_count(), 1, "{case}");
 
                             let read = d.read("/f");
@@ -927,6 +947,30 @@ mod tests {
                 d.repair();
                 assert_eq!(d.corrupt_replica_count(), 0);
             }
+        }
+    }
+
+    #[test]
+    fn rot_of_a_stored_crc_on_a_shared_slice_charges_that_replica_alone() {
+        // The three replicas of a block are one slice of the write, so a
+        // verified read checksums that slice once; it must still compare
+        // the result with each replica's own stored CRC.
+        let data = Bytes::from((0..20u8).collect::<Vec<u8>>());
+        for replica in 0..3 {
+            let d = DfsCluster::new(Topology::even(6, 2), 8, 3);
+            let meta = d.write("/f", data.clone(), NodeId(0), ReplicationLevel::Rack).unwrap();
+            assert_eq!(meta.replicas[1].len(), 3);
+            let shared = &d.replica_payloads("/f")[1];
+            assert!(shared.iter().all(|p| p.as_ptr() == shared[0].as_ptr() && p.len() == 8));
+            d.damage_replica("/f", 1, replica, |r| r.crc ^= 1);
+
+            let read = d.read("/f");
+            assert_eq!(read.as_ref().map(|b| b.as_ptr()), Ok(data.as_ptr()), "replica {replica}");
+            assert_eq!(d.stats().read_failovers, 1, "replica {replica}");
+            assert_eq!(d.repair_queue_len(), 1, "replica {replica}");
+            assert_eq!(d.healthy_replica_counts("/f").unwrap(), vec![3, 2, 3], "replica {replica}");
+            d.repair();
+            assert_eq!(d.healthy_replica_counts("/f").unwrap(), vec![3; 3], "replica {replica}");
         }
     }
 

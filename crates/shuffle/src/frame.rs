@@ -58,50 +58,7 @@ const fn make_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-/// "Append `zeros` zero bytes" as four byte-indexed tables: the register
-/// moves from `c` to `shift(&table, c)`. The map is linear, so the entry
-/// for `b << 8k` is the entry without `b`'s lowest set bit XOR that bit's
-/// image.
-const fn make_shift_tables(zeros: usize) -> [[u32; 256]; 4] {
-    let byte = make_tables()[0];
-    let mut tables = [[0u32; 256]; 4];
-    let mut j = 0;
-    while j < 32 {
-        let mut c = 1u32 << j;
-        let mut n = 0;
-        while n < zeros {
-            c = byte[(c & 0xFF) as usize] ^ (c >> 8);
-            n += 1;
-        }
-        tables[j / 8][1 << (j % 8)] = c;
-        j += 1;
-    }
-    let mut k = 0;
-    while k < 4 {
-        let mut b = 3usize;
-        while b < 256 {
-            let low = b & b.wrapping_neg();
-            tables[k][b] = tables[k][b ^ low] ^ tables[k][low];
-            b += 1;
-        }
-        k += 1;
-    }
-    tables
-}
-
-/// Bytes per lane: [`crc32`] checksums blocks of three lanes.
-const LANE: usize = 1024;
-
 static CRC_TABLES: [[u32; 256]; 8] = make_tables();
-static SHIFT_LANE: [[u32; 256]; 4] = make_shift_tables(LANE);
-static SHIFT_2_LANES: [[u32; 256]; 4] = make_shift_tables(2 * LANE);
-
-fn shift(table: &[[u32; 256]; 4], c: u32) -> u32 {
-    table[0][(c & 0xFF) as usize]
-        ^ table[1][((c >> 8) & 0xFF) as usize]
-        ^ table[2][((c >> 16) & 0xFF) as usize]
-        ^ table[3][(c >> 24) as usize]
-}
 
 /// Fold eight bytes into the register.
 #[inline(always)]
@@ -135,28 +92,131 @@ fn update(mut c: u32, data: &[u8]) -> u32 {
 
 /// IEEE CRC-32 (the polynomial used by zip/zlib/Ethernet).
 ///
-/// Each block of three [`LANE`]s runs as three independent slicing-by-8
-/// chains, so their table lookups overlap instead of waiting on one
-/// register. The first lane starts from the running register, the other
-/// two from zero; the register is linear in its state and input, so for a
-/// block `A‖B‖C` it is `shift₂ₗ(a) ^ shiftₗ(b) ^ c`, where `shiftₙ` appends
-/// `n` zero bytes. Input after the last whole block goes through one chain.
+/// On an x86-64 CPU with PCLMULQDQ and SSE4.1 this runs the carry-less
+/// multiply kernel (`clmul`), anywhere else the portable table kernel.
+/// The two compute the same function.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    let (blocks, tail) = data.as_chunks::<{ 3 * LANE }>();
-    for block in blocks {
-        let (words, _) = block.as_chunks::<8>();
-        let (a, rest) = words.split_at(LANE / 8);
-        let (b, d) = rest.split_at(LANE / 8);
-        let (mut ca, mut cb, mut cc) = (c, 0u32, 0u32);
-        for ((x, y), z) in a.iter().zip(b).zip(d) {
-            ca = step8(ca, x);
-            cb = step8(cb, y);
-            cc = step8(cc, z);
-        }
-        c = shift(&SHIFT_2_LANES, ca) ^ shift(&SHIFT_LANE, cb) ^ cc;
+    crc32_clmul(data).unwrap_or_else(|| crc32_portable(data))
+}
+
+/// The portable kernel: one slicing-by-8 chain.
+fn crc32_portable(data: &[u8]) -> u32 {
+    update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
+}
+
+/// The carry-less multiply kernel, or `None` where the CPU lacks the
+/// features it is compiled for (always, off x86-64).
+fn crc32_clmul(data: &[u8]) -> Option<u32> {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("pclmulqdq") && std::arch::is_x86_feature_detected!("sse4.1") {
+        // SAFETY: `clmul::crc32` is safe code compiled for `pclmulqdq` and
+        // `sse4.1`, and this CPU has both: they were detected just above.
+        #[allow(
+            unsafe_code,
+            reason = "the one call into the target-feature kernel, after detecting its features"
+        )]
+        let crc = unsafe { clmul::crc32(data) };
+        return Some(crc);
     }
-    update(c, tail) ^ 0xFFFF_FFFF
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = data;
+    None
+}
+
+/// CRC-32 by carry-less multiplication: Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction"
+/// (Intel, 2009), bit-reflected for the IEEE polynomial, with the constants
+/// crc32fast and Linux publish.
+///
+/// Four 128-bit lanes take 64 bytes a round: multiplying a lane's halves by
+/// x^(512±32) mod P carries it 64 bytes on, where it meets the next input.
+/// The lanes then fold into one, which takes the remaining 16-byte blocks
+/// the same way with x^(128±32) mod P. The 128-bit remainder shrinks to 64
+/// bits and then, by Barrett reduction, to the 32-bit register. Fewer than
+/// 16 trailing bytes, and inputs too short for one round, go through the
+/// table kernel.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32, _mm_set_epi32,
+        _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    // Each constant is bit-reflected and shifted left by one.
+    /// x^(4·128+32) mod P and x^(4·128−32) mod P: fold across four lanes.
+    const K1: i64 = 0x1_5444_2BD4;
+    const K2: i64 = 0x1_C6E4_1596;
+    /// x^(128+32) mod P and x^(128−32) mod P: fold across one lane.
+    const K3: i64 = 0x1_7519_97D0;
+    const K4: i64 = 0x0_CCAA_009E;
+    /// x^64 mod P: 96 bits to 64.
+    const K5: i64 = 0x1_63CD_6124;
+    /// P(x) and μ = x^64 / P(x) for the Barrett reduction.
+    const P_X: i64 = 0x1_DB71_0641;
+    const MU: i64 = 0x1_F701_1641;
+
+    /// The bytes of one round of four lanes.
+    const ROUND: usize = 64;
+
+    /// Sixteen bytes as one lane, first byte lowest.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn load(block: &[u8; 16]) -> __m128i {
+        let w = u128::from_le_bytes(*block);
+        _mm_set_epi64x((w >> 64) as i64, w as i64)
+    }
+
+    /// `lane` carried 16 bytes (`k` = K3/K4) or 64 bytes (`k` = K1/K2) on,
+    /// plus `next`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold(lane: __m128i, next: __m128i, k: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(lane, k, 0x00);
+        let hi = _mm_clmulepi64_si128(lane, k, 0x11);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    /// IEEE CRC-32 of `data`. Code not compiled for both features may call
+    /// this only on a CPU that has them, which `crc32_clmul` checks.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn crc32(data: &[u8]) -> u32 {
+        if data.len() < ROUND {
+            return super::crc32_portable(data);
+        }
+        let (blocks, tail) = data.as_chunks::<16>();
+        let (first, blocks) = blocks.split_at(4);
+        let mut lanes = [load(&first[0]), load(&first[1]), load(&first[2]), load(&first[3])];
+        // The register's initial all-ones enters with the first four bytes.
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(!0));
+        let (rounds, blocks) = blocks.as_chunks::<4>();
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for round in rounds {
+            for (lane, block) in lanes.iter_mut().zip(round) {
+                *lane = fold(*lane, load(block), k1k2);
+            }
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let [a, b, c, d] = lanes;
+        let mut x = fold(fold(fold(a, b, k3k4), c, k3k4), d, k3k4);
+        for block in blocks {
+            x = fold(x, load(block), k3k4);
+        }
+
+        // 128 bits to 96, then to 64.
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        let x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett: T1 = (R mod x^32)·μ, T2 = (T1 mod x^32)·P; in reflected
+        // bit order the register is the second 32-bit word of R ^ T2.
+        let pu = _mm_set_epi64x(MU, P_X);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pu, 0x00);
+        let c = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
+        super::update(c, tail) ^ 0xFFFF_FFFF
+    }
 }
 
 /// Append one checksummed frame to `out` whose payload `fill` appends: the
@@ -231,14 +291,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    #[test]
-    fn crc32_known_vector() {
-        // The canonical IEEE CRC-32 check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    /// The textbook bit-at-a-time CRC-32, sharing nothing with the tables.
+    /// The textbook bit-at-a-time CRC-32, sharing nothing with the kernels.
     fn crc32_bitwise(data: &[u8]) -> u32 {
         let mut c = 0xFFFF_FFFFu32;
         for &b in data {
@@ -250,17 +303,19 @@ mod tests {
         c ^ 0xFFFF_FFFF
     }
 
-    #[test]
-    fn crc32_matches_reference_at_every_short_length_and_alignment() {
-        // Every (body, tail) split of the eight-byte step, from every start
-        // offset within an eight-byte word.
-        let buf: Vec<u8> = (0..80u32).map(|i| (i.wrapping_mul(167) ^ (i >> 2)) as u8).collect();
-        for start in 0..8 {
-            for len in 0..=64 {
-                let s = &buf[start..start + len];
-                assert_eq!(crc32(s), crc32_bitwise(s), "start {start}, len {len}");
-            }
+    /// A CRC-32 implementation under test, by name.
+    type Kernel = (&'static str, fn(&[u8]) -> u32);
+
+    /// The dispatching `crc32`, the portable kernel and, where this CPU has
+    /// its features, the carry-less multiply kernel.
+    fn kernels() -> Vec<Kernel> {
+        let mut kernels: Vec<Kernel> = vec![("crc32", crc32), ("portable", crc32_portable)];
+        if crc32_clmul(b"").is_some() {
+            kernels.push(("clmul", |data| crc32_clmul(data).expect("detected once, present always")));
+        } else {
+            eprintln!("skipping the carry-less multiply kernel: this CPU lacks pclmulqdq or sse4.1");
         }
+        kernels
     }
 
     /// `len` bytes of a fixed pseudo-random stream (xorshift64).
@@ -277,16 +332,27 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_reference_around_the_first_block_boundaries() {
-        // Every length within nine bytes of one and two three-lane blocks,
-        // from every start offset within an eight-byte word: the lanes'
-        // fold, the block loop's exit and the single-chain tail meet here.
-        let buf = noise(0x5EED, 2 * 3 * LANE + 32);
-        for boundary in [3 * LANE, 2 * 3 * LANE] {
-            for len in boundary - 9..=boundary + 9 {
-                for start in 0..8 {
+    fn crc32_known_vector() {
+        // The canonical IEEE CRC-32 check value.
+        for (name, kernel) in kernels() {
+            assert_eq!(kernel(b"123456789"), 0xCBF4_3926, "{name}");
+            assert_eq!(kernel(b""), 0, "{name}");
+        }
+    }
+
+    #[test]
+    fn crc32_matches_reference_at_every_length_and_alignment() {
+        // Every length up to four rounds of four lanes, from every start
+        // offset within a 16-byte lane: the table kernel's eight-byte step
+        // and byte tail, the carry-less kernel's 64-byte entry, its first
+        // four-lane round at 128 bytes, the one-lane folds and the tail all
+        // meet here.
+        let buf = noise(0x5EED, 256 + 16);
+        for (name, kernel) in kernels() {
+            for start in 0..16 {
+                for len in 0..=256 {
                     let s = &buf[start..start + len];
-                    assert_eq!(crc32(s), crc32_bitwise(s), "start {start}, len {len}");
+                    assert_eq!(kernel(s), crc32_bitwise(s), "{name}: start {start}, len {len}");
                 }
             }
         }
@@ -337,8 +403,8 @@ mod tests {
     }
 
     proptest! {
-        /// Buffers spanning several three-lane blocks, at any start
-        /// offset.
+        /// Buffers of many rounds, at any start offset, through every
+        /// kernel.
         #[test]
         fn crc32_matches_reference_on_random_buffers(
             seed in proptest::num::u64::ANY,
@@ -347,7 +413,10 @@ mod tests {
         ) {
             let data = noise(seed, len);
             let s = &data[start.min(len)..];
-            prop_assert_eq!(crc32(s), crc32_bitwise(s));
+            let want = crc32_bitwise(s);
+            for (name, kernel) in kernels() {
+                prop_assert_eq!(kernel(s), want, "{}", name);
+            }
         }
 
         /// Any single-byte flip is detected, and flips strictly inside the

@@ -23,7 +23,7 @@
 //! * [`fetcher`] — the reduce-side shuffle buffers: in-memory vs on-disk
 //!   segment management with the in-memory merge flush ALG piggybacks on.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod codec;
 pub mod error;

@@ -32,6 +32,11 @@
 #     new RecoveryMode variant          -> E0004 in crates/core/src/sfm/policy.rs
 #                                          (`schedule_recovery`, the one place
 #                                          a mode decides recovery)
+#   cargo check -p alm-shuffle
+#     an `unsafe {}` block in crates/shuffle/src/codec.rs
+#                                       -> unsafe_code (the crate denies it;
+#                                          its one allowance is the call into
+#                                          the CRC kernel in frame.rs)
 #   cargo check -p alm-workloads
 #     a compare_keys override           -> E0407 in crates/workloads/src/terasort.rs
 #                                          (keys sort bytewise: the sort buffer's
@@ -56,13 +61,16 @@
 #                                               -> keys_tied_on_their_prefix_sort_by_their_bytes
 #                                                 fails (the packed sort key
 #                                                 holds only 8 key bytes)
+#     a CRC fold constant changed              -> crc32_matches_reference_on_random_buffers
+#                                                 fails (the carry-less kernel
+#                                                 must equal the bitwise CRC)
 #   cargo test -p alm-workloads
 #     the reference executor's sort made key-only (the line is replaced)
 #                                               -> values_tied_on_their_key_reduce_in_value_order
 #                                                 fails (the oracle's records
 #                                                 sort by key, then value)
 #   cargo test -p alm-dfs
-#     Replica::healthy made always true       -> damaged_bytes_at_every_offset_are_never_served
+#     a replica's CRC check made always true  -> damaged_bytes_at_every_offset_are_never_served
 #                                                 fails (replicas share the written
 #                                                 bytes, so the CRC check is all
 #                                                 that keeps a rotten one unserved)
@@ -73,7 +81,7 @@
 # (YarnConfig 14, MemConfig 4, SchedConfig 3); the YarnConfig mutation
 # anchors on the struct header, not on any one field.
 #
-# 25 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
+# 27 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -103,6 +111,10 @@ check_runtime() {
 
 check_core() {
     (cd "$work/ws" && cargo check --offline -p alm-core 2>&1)
+}
+
+check_shuffle() {
+    (cd "$work/ws" && cargo check --offline -p alm-shuffle 2>&1)
 }
 
 check_workloads() {
@@ -211,6 +223,9 @@ expect_fail "ledger Decision variant matched by the runtime" check_runtime crate
     "pub enum Decision {" "    Suspend," "error\[E0004\]" crates/runtime/src/am.rs
 expect_fail "RecoveryMode variant decided once" check_core crates/types/src/config.rs \
     "pub enum RecoveryMode {" "    Lineage," "error\[E0004\]" crates/core/src/sfm/policy.rs
+expect_fail "unsafe block outside the CRC kernel" check_shuffle crates/shuffle/src/codec.rs \
+    "use crate::error::{Result, ShuffleError};" "pub fn unchecked() { unsafe {} }" \
+    "usage of an \`unsafe\` block" crates/shuffle/src/codec.rs
 expect_fail "compare_keys override in a Workload" check_workloads crates/workloads/src/terasort.rs \
     "impl Workload for Terasort {" "    fn compare_keys(&self, a: &[u8], b: &[u8]) -> std::cmp::Ordering { a.cmp(b) }" \
     "error\[E0407\]" crates/workloads/src/terasort.rs
@@ -250,11 +265,14 @@ expect_fail "MPQ tie-break reversed" test_shuffle crates/shuffle/src/mpq.rs \
 expect_fail "spill tie re-sort dropped" test_shuffle crates/shuffle/src/kvbuffer.rs \
     "            if tied.len() > 1 {" "                continue;" \
     "test kvbuffer::tests::keys_tied_on_their_prefix_sort_by_their_bytes \.\.\. FAILED"
+expect_fail_replacing "CRC fold constant changed" test_shuffle crates/shuffle/src/frame.rs \
+    "    const K1: i64 = 0x1_5444_2BD4;" "    const K1: i64 = 0x1_5444_2BD5;" \
+    "test frame::tests::crc32_matches_reference_on_random_buffers \.\.\. FAILED"
 expect_fail_replacing "reference sort made key-only" test_workloads crates/workloads/src/reference.rs \
     "            part.sort_unstable();" "            part.sort_unstable_by(|a, b| a.key.cmp(&b.key));" \
     "test reference::tests::values_tied_on_their_key_reduce_in_value_order \.\.\. FAILED"
 expect_fail_replacing "DFS replica health made unconditional" test_dfs crates/dfs/src/cluster.rs \
-    "        self.payload.len() as u64 == len && crc32(&self.payload) == self.crc" "        let _ = len; true" \
+    "        self.payload.len() as u64 == len && crc == self.crc" "        let _ = (len, crc); true" \
     "test cluster::tests::damaged_bytes_at_every_offset_are_never_served \.\.\. FAILED"
 expect_fail "unconditional canonical_json key" test_gate crates/chaos/src/campaign.rs \
     '                    ("corruption_refetches", Value::U64(o.corruption_refetches as u64)),' \
