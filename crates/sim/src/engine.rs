@@ -125,7 +125,6 @@ struct MapTask {
     /// Whether the task has EVER completed (regeneration reopens it in the
     /// ledger but does not reset this) — drives first-wave accounting.
     ever_completed: bool,
-    kill_at: Option<f64>,
 }
 
 struct MapAtt {
@@ -141,8 +140,19 @@ enum MapPhase {
     Writing,
 }
 
+impl MapPhase {
+    /// The progress a map kill trigger compares against.
+    fn progress(self) -> f64 {
+        match self {
+            MapPhase::Launching => 0.0,
+            MapPhase::Reading => 0.15,
+            MapPhase::Cpu => 0.5,
+            MapPhase::Writing => 0.85,
+        }
+    }
+}
+
 struct RedTask {
-    kill_at: Option<f64>,
     /// Last ALG-logged snapshot (None until first log).
     logged: Option<LoggedState>,
     /// The snapshot before `logged` — what recovery falls back to when the
@@ -405,6 +415,10 @@ pub struct Simulation {
     /// The armed plan's pending triggers (see [`FaultTimeline`]), drained
     /// by `sample`.
     crashes: Vec<(u64, NodeId)>,
+    /// Kill triggers on attempt 0 of in-range tasks, in `AttemptId` order:
+    /// `(attempt, progress at which it fails)`. An entry stays after it
+    /// fires; its attempt has left the tables by then, so it fires once.
+    kills: Vec<(AttemptId, f64)>,
     crashes_at_progress: Vec<(NodeId, u32, f64)>,
     slowdowns: Vec<(u64, NodeId, f64)>,
     /// In time order. Each change applies its `direction.directed_keys` —
@@ -473,26 +487,20 @@ impl Simulation {
             pools.push((FlowPool::new(env.cluster.rack_uplink_bandwidth), None));
         }
 
-        let mut maps: Vec<MapTask> =
-            (0..qty.num_maps).map(|_| MapTask { ever_completed: false, kill_at: None }).collect();
-        let mut reduces: Vec<RedTask> = (0..qty.num_reduces)
-            .map(|_| RedTask { kill_at: None, logged: None, logged_prev: None })
-            .collect();
+        let maps: Vec<MapTask> = (0..qty.num_maps).map(|_| MapTask { ever_completed: false }).collect();
+        let reduces: Vec<RedTask> =
+            (0..qty.num_reduces).map(|_| RedTask { logged: None, logged_prev: None }).collect();
         let ledger = Ledger::new(&env.alm, &env.yarn, qty.num_maps, qty.num_reduces);
 
         let FaultTimeline { kills, crashes, crashes_at_progress, slowdowns, links, corruptions } =
             faults.arm();
-        for (attempt, at_progress) in kills.into_iter().filter(|(attempt, _)| attempt.number == 0) {
-            let index = attempt.task.index as usize;
-            let kill_at = if attempt.task.is_reduce() {
-                reduces.get_mut(index).map(|r| &mut r.kill_at)
-            } else {
-                maps.get_mut(index).map(|m| &mut m.kill_at)
-            };
-            if let Some(kill_at) = kill_at {
-                *kill_at = Some(at_progress);
-            }
-        }
+        let kills = kills
+            .into_iter()
+            .filter(|(attempt, _)| {
+                let tasks = if attempt.task.is_reduce() { qty.num_reduces } else { qty.num_maps };
+                attempt.number == 0 && attempt.task.index < tasks
+            })
+            .collect();
 
         let num_maps = qty.num_maps as usize;
         let resident_mofs = MapSet::empty(qty.num_maps);
@@ -516,6 +524,7 @@ impl Simulation {
             reduces_dispatched: false,
             maps_done_once: 0,
             crashes,
+            kills,
             crashes_at_progress,
             slowdowns,
             links,
@@ -701,9 +710,10 @@ impl Simulation {
         }
     }
 
+    /// Launch queued maps, then queued reduces, in queue order until one
+    /// cannot be placed; that one goes back to the front of its queue.
     fn dispatch(&mut self) {
         // Maps first (they hold the job back), then reduces.
-        let mut requeue = VecDeque::new();
         while let Some(task) = self.queued_maps.pop_front() {
             if self.ledger.is_complete(task) {
                 continue;
@@ -711,17 +721,14 @@ impl Simulation {
             match self.pick_node(false, None, None) {
                 Some(node) => self.launch_map(task, node),
                 None => {
-                    requeue.push_back(task);
+                    self.queued_maps.push_front(task);
                     break;
                 }
             }
         }
-        while let Some(t) = self.queued_maps.pop_front() {
-            requeue.push_back(t);
-        }
-        self.queued_maps = requeue;
 
-        let mut requeue = VecDeque::new();
+        // ALG relaunches that lost their pin, in the order they fell back.
+        let mut unpinned = Vec::new();
         while let Some((task, pin, avoid, mode, drop_on_pin_fail)) = self.queued_reduces.pop_front() {
             if self.ledger.is_complete(task) {
                 continue;
@@ -735,19 +742,18 @@ impl Simulation {
                     Some(_) => {
                         // ALG relaunch: fall back to any node (losing the
                         // local files but keeping DFS-logged progress).
-                        requeue.push_back((task, None, avoid, mode, false));
+                        unpinned.push((task, None, avoid, mode, false));
                     }
                     None => {
-                        requeue.push_back((task, pin, avoid, mode, drop_on_pin_fail));
+                        self.queued_reduces.push_front((task, pin, avoid, mode, drop_on_pin_fail));
                         break;
                     }
                 },
             }
         }
-        while let Some(t) = self.queued_reduces.pop_front() {
-            requeue.push_back(t);
+        for entry in unpinned.into_iter().rev() {
+            self.queued_reduces.push_front(entry);
         }
-        self.queued_reduces = requeue;
     }
 
     fn launch_map(&mut self, task: TaskId, node: u32) {
@@ -1713,17 +1719,24 @@ impl Simulation {
     fn sample(&mut self) {
         let now = self.now_secs();
         // Progress per reduce task = best running attempt (0 if none).
-        let mut progress: BTreeMap<u32, f64> = BTreeMap::new();
-        let atts: Vec<(AttemptId, f64, u32)> =
-            self.red_atts.iter().map(|(id, a)| (id, self.red_progress(a), a.node)).collect();
-        for (id, p, _) in &atts {
-            let e = progress.entry(id.task.index).or_insert(0.0);
-            *e = e.max(*p);
+        let mut progress = vec![0.0_f64; self.qty.num_reduces as usize];
+        for (id, a) in self.red_atts.iter() {
+            let p = &mut progress[id.task.index as usize];
+            *p = p.max(self.red_progress(a));
         }
-        for r in 0..self.qty.num_reduces {
-            let p = if self.reduce_done(r) { 1.0 } else { *progress.get(&r).unwrap_or(&0.0) };
+        for (r, &p) in (0..).zip(&progress) {
+            let p = if self.reduce_done(r) { 1.0 } else { p };
             self.report.reduce_progress.entry(r).or_default().push((now, p));
         }
+        // A reduce's kill trigger reads its progress before this tick's
+        // crashes, a map's reads its phase after them.
+        let reduce_kills_due: Vec<bool> = self
+            .kills
+            .iter()
+            .map(|(id, k)| {
+                id.task.is_reduce() && self.red_atts.get(id).is_some_and(|a| self.red_progress(a) >= *k)
+            })
+            .collect();
 
         // Progress-triggered node crashes. A fired entry removes only
         // itself: a later one for the same node finds it down, and
@@ -1731,7 +1744,7 @@ impl Simulation {
         let due: Vec<(NodeId, u32, f64)> = self
             .crashes_at_progress
             .extract_if(.., |(_, r, p)| {
-                progress.get(r).copied().unwrap_or(0.0) >= *p
+                progress.get(*r as usize).copied().unwrap_or(0.0) >= *p
                     || self.ledger.is_complete(TaskId::reduce(self.job, *r))
             })
             .collect();
@@ -1739,32 +1752,19 @@ impl Simulation {
             self.crash_node(n.0);
         }
 
-        // Kill triggers (injected OOMs) on attempt 0.
-        let mut to_kill: Vec<AttemptId> = Vec::new();
-        for (id, p, _) in &atts {
-            if id.number == 0 {
-                if let Some(k) = self.reduces[id.task.index as usize].kill_at {
-                    if *p >= k {
-                        to_kill.push(*id);
-                    }
+        // Kill triggers (injected OOMs), fired in `AttemptId` order.
+        let to_kill: Vec<AttemptId> = self
+            .kills
+            .iter()
+            .zip(reduce_kills_due)
+            .filter(|&(&(id, k), reduce_due)| {
+                if id.task.is_reduce() {
+                    return reduce_due;
                 }
-            }
-        }
-        for (id, att) in self.map_atts.iter().filter(|(id, _)| id.number == 0) {
-            if let Some(k) = self.maps[id.task.index as usize].kill_at {
-                let p = match att.phase {
-                    MapPhase::Launching => 0.0,
-                    MapPhase::Reading => 0.15,
-                    MapPhase::Cpu => 0.5,
-                    MapPhase::Writing => 0.85,
-                };
-                if p >= k {
-                    to_kill.push(id);
-                }
-            }
-        }
-        to_kill.sort_unstable(); // merges the reduce and map triggers into one order
-                                 // A killed attempt 0 leaves the tables, so its trigger fires once.
+                self.map_atts.get(&id).is_some_and(|att| att.phase.progress() >= k)
+            })
+            .map(|(&(id, _), _)| id)
+            .collect();
         for id in to_kill {
             self.fail_attempt(id, FailureKind::TaskOom);
         }
@@ -2226,6 +2226,67 @@ mod tests {
     /// to a measured run.
     fn ms(secs: f64) -> u64 {
         (secs * 1000.0) as u64
+    }
+
+    fn paper_sim(mode: RecoveryMode) -> Simulation {
+        let spec = SimJobSpec::new(WorkloadKind::Terasort, 100 * GB, 20, 7);
+        Simulation::new(spec, ExperimentEnv::paper(mode), FaultPlan::none())
+    }
+
+    #[test]
+    fn dispatch_with_every_map_slot_taken_keeps_the_queue_in_place() {
+        let mut sim = paper_sim(RecoveryMode::Sfm);
+        let maps = |range: std::ops::Range<u32>| range.map(|m| TaskId::map(JobId(0), m)).collect::<Vec<_>>();
+        sim.queued_maps.extend(maps(0..800));
+        sim.dispatch();
+        let slots: u32 = sim.nodes.len() as u32 * sim.env.cluster.map_slots_per_node;
+        assert!(sim.nodes.iter().all(|n| n.map_slots_free == 0));
+        assert_eq!(sim.queued_maps, maps(slots..800));
+
+        // Completed entries ahead of the first unplaceable map are
+        // skipped; one behind it stays.
+        for m in [slots, slots + 1, 700] {
+            let attempt = sim.ledger.launch(TaskId::map(JobId(0), m), NodeId(0), ExecMode::Regular);
+            sim.ledger.complete(attempt);
+        }
+        sim.dispatch();
+        assert_eq!(sim.queued_maps, maps(slots + 2..800));
+
+        // A high-priority regeneration stays first.
+        let running = TaskId::map(JobId(0), 3).attempt(0);
+        sim.ledger.complete(running);
+        assert!(sim.regenerate(3, true));
+        sim.dispatch();
+        let mut expected = maps(3..4);
+        expected.extend(maps(slots + 2..800));
+        assert_eq!(sim.queued_maps, expected);
+    }
+
+    #[test]
+    fn dispatch_with_every_reduce_slot_taken_keeps_unpinned_fallbacks_ahead() {
+        let mut sim = paper_sim(RecoveryMode::Alg);
+        for node in &mut sim.nodes {
+            node.reduce_slots_free = 0;
+        }
+        let r = |index| TaskId::reduce(JobId(0), index);
+        let regular = ExecMode::Regular;
+        sim.queued_reduces.extend([
+            (r(0), Some(1), None, regular, false),
+            (r(1), Some(2), None, regular, true),
+            (r(2), Some(3), Some(4), regular, false),
+            (r(3), None, None, regular, false),
+            (r(4), Some(5), None, regular, false),
+        ]);
+        sim.dispatch();
+        // ALG relaunches fall back to any node in order, SFM's local resume
+        // is dropped, and the first unplaceable entry keeps its place.
+        let expected: VecDeque<QueuedReduce> = VecDeque::from([
+            (r(0), None, None, regular, false),
+            (r(2), None, Some(4), regular, false),
+            (r(3), None, None, regular, false),
+            (r(4), Some(5), None, regular, false),
+        ]);
+        assert_eq!(sim.queued_reduces, expected);
     }
 
     #[test]

@@ -20,8 +20,8 @@ use alm_workloads::WorkloadKind;
 /// CRC-32 of the report's JSON)`.
 type Pin = (u64, u64, u32, u32, usize, u32);
 
-/// Recorded at e395026.
-const PINNED: [(&str, Pin); 10] = [
+/// Recorded at e395026; the map and reduce kills at bda5a83.
+const PINNED: [(&str, Pin); 11] = [
     ("clean terasort", (803, 4626354383178525038, 80, 8, 0, 2896675147)),
     ("node crash, baseline", (19134, 4642159539171410529, 840, 23, 3, 3510556223)),
     ("node crash, alg", (15881, 4641583274456119364, 840, 23, 3, 959880646)),
@@ -32,6 +32,7 @@ const PINNED: [(&str, Pin); 10] = [
     ("mof corruption", (810, 4626354383178243563, 81, 8, 0, 1334286921)),
     ("alg record rot", (960, 4627685906037861442, 80, 9, 1, 3101671950)),
     ("resident mofs, node crash", (750, 4636202310752247382, 84, 9, 1, 3123603075)),
+    ("map and reduce kills, alg", (12676, 4639127392220713377, 801, 21, 2, 358096053)),
 ];
 
 fn sim(gb: u64, reduces: u32, mode: RecoveryMode, faults: FaultPlan) -> Simulation {
@@ -73,6 +74,10 @@ fn runs() -> Vec<(&'static str, Simulation)> {
     let alg_rot = FaultPlan::corrupt_data(NodeId(0), CorruptTarget::AlgRecord { reduce_index: 0, seq: 0 }, 0)
         .and(FaultPlan::kill_task(TaskId::reduce(JobId(0), 0), 0.9));
     let resident_crash = FaultPlan::crash_node_at_reduce_progress(NodeId(1), 0, 0.3);
+    // Map 500 is killed while the map slots are full, so its relaunch
+    // queues behind maps that cannot be placed yet.
+    let kills = FaultPlan::kill_task(TaskId::map(JobId(0), 500), 0.5)
+        .and(FaultPlan::kill_task(TaskId::reduce(JobId(0), 7), 0.5));
     vec![
         ("clean terasort", sim(10, 8, Baseline, FaultPlan::none())),
         ("node crash, baseline", sim(100, 20, Baseline, crash())),
@@ -84,6 +89,7 @@ fn runs() -> Vec<(&'static str, Simulation)> {
         ("mof corruption", sim(10, 8, Baseline, mof_rot)),
         ("alg record rot", sim(10, 8, Alg, alg_rot)),
         ("resident mofs, node crash", sim(10, 8, SfmAlg, resident_crash).with_resident_mofs()),
+        ("map and reduce kills, alg", sim(100, 20, Alg, kills)),
     ]
 }
 

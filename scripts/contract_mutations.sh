@@ -64,6 +64,12 @@
 #     a CRC fold constant changed              -> crc32_matches_reference_on_random_buffers
 #                                                 fails (the carry-less kernel
 #                                                 must equal the bitwise CRC)
+#   cargo test -p alm-sim
+#     dispatch pushing an unplaceable map to the back of the queue
+#                                               -> dispatch_with_every_map_slot_taken_keeps_the_queue_in_place
+#                                                 fails (the queue keeps its order)
+#     the armed kill list skipping map kills  -> reports_match_their_pinned_values
+#                                                 fails (a pinned run kills a map)
 #   cargo test -p alm-workloads
 #     the reference executor's sort made key-only (the line is replaced)
 #                                               -> values_tied_on_their_key_reduce_in_value_order
@@ -81,7 +87,7 @@
 # (YarnConfig 14, MemConfig 4, SchedConfig 3); the YarnConfig mutation
 # anchors on the struct header, not on any one field.
 #
-# 27 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
+# 29 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -131,6 +137,10 @@ clippy() {
 
 test_shuffle() {
     (cd "$work/ws" && cargo test --offline -p alm-shuffle 2>&1)
+}
+
+test_sim() {
+    (cd "$work/ws" && cargo test --offline -p alm-sim 2>&1)
 }
 
 test_workloads() {
@@ -191,7 +201,7 @@ mutate_and_expect() {
 # leaves a shared CARGO_TARGET_DIR holding no mutant artifact).
 expect_pass() {
     local runner out
-    for runner in check check_tests clippy test_shuffle test_workloads test_dfs test_gate; do
+    for runner in check check_tests clippy test_shuffle test_sim test_workloads test_dfs test_gate; do
         if ! out="$($runner)"; then
             echo "FAIL [$1]: $runner fails on the unmutated copy:" >&2
             echo "$out" >&2
@@ -268,6 +278,13 @@ expect_fail "spill tie re-sort dropped" test_shuffle crates/shuffle/src/kvbuffer
 expect_fail_replacing "CRC fold constant changed" test_shuffle crates/shuffle/src/frame.rs \
     "    const K1: i64 = 0x1_5444_2BD4;" "    const K1: i64 = 0x1_5444_2BD5;" \
     "test frame::tests::crc32_matches_reference_on_random_buffers \.\.\. FAILED"
+expect_fail_replacing "unplaceable map requeued at the back" test_sim crates/sim/src/engine.rs \
+    "                    self.queued_maps.push_front(task);" "                    self.queued_maps.push_back(task);" \
+    "test engine::tests::dispatch_with_every_map_slot_taken_keeps_the_queue_in_place \.\.\. FAILED"
+expect_fail_replacing "map kills left out of the armed list" test_sim crates/sim/src/engine.rs \
+    "                attempt.number == 0 && attempt.task.index < tasks" \
+    "                attempt.number == 0 && attempt.task.index < tasks && attempt.task.is_reduce()" \
+    "test reports_match_their_pinned_values \.\.\. FAILED"
 expect_fail_replacing "reference sort made key-only" test_workloads crates/workloads/src/reference.rs \
     "            part.sort_unstable();" "            part.sort_unstable_by(|a, b| a.key.cmp(&b.key));" \
     "test reference::tests::values_tied_on_their_key_reduce_in_value_order \.\.\. FAILED"
