@@ -70,6 +70,18 @@
 #                                                 fails (the queue keeps its order)
 #     the armed kill list skipping map kills  -> reports_match_their_pinned_values
 #                                                 fails (a pinned run kills a map)
+#   cargo test -p alm-sched
+#     dispatch keeping a drained head job at the head of its tenant's entry
+#                                               -> slots_left_when_the_head_job_drains_go_to_the_next_oldest_job
+#                                                 fails (the view is edited
+#                                                 per placement, not rebuilt)
+#     a task table iterated in reverse index order
+#                                               -> task_table_answers_as_the_btreemap_it_replaced
+#                                                 fails (crash handling walks
+#                                                 tasks in index order; no
+#                                                 report shows that order, as
+#                                                 a job's tasks of one kind
+#                                                 are interchangeable)
 #   cargo test -p alm-workloads
 #     the reference executor's sort made key-only (the line is replaced)
 #                                               -> values_tied_on_their_key_reduce_in_value_order
@@ -87,7 +99,7 @@
 # (YarnConfig 14, MemConfig 4, SchedConfig 3); the YarnConfig mutation
 # anchors on the struct header, not on any one field.
 #
-# 29 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
+# 31 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -141,6 +153,10 @@ test_shuffle() {
 
 test_sim() {
     (cd "$work/ws" && cargo test --offline -p alm-sim 2>&1)
+}
+
+test_sched() {
+    (cd "$work/ws" && cargo test --offline -p alm-sched 2>&1)
 }
 
 test_workloads() {
@@ -201,7 +217,7 @@ mutate_and_expect() {
 # leaves a shared CARGO_TARGET_DIR holding no mutant artifact).
 expect_pass() {
     local runner out
-    for runner in check check_tests clippy test_shuffle test_sim test_workloads test_dfs test_gate; do
+    for runner in check check_tests clippy test_shuffle test_sim test_sched test_workloads test_dfs test_gate; do
         if ! out="$($runner)"; then
             echo "FAIL [$1]: $runner fails on the unmutated copy:" >&2
             echo "$out" >&2
@@ -285,6 +301,13 @@ expect_fail_replacing "map kills left out of the armed list" test_sim crates/sim
     "                attempt.number == 0 && attempt.task.index < tasks" \
     "                attempt.number == 0 && attempt.task.index < tasks && attempt.task.is_reduce()" \
     "test reports_match_their_pinned_values \.\.\. FAILED"
+expect_fail_replacing "drained head job kept at the head" test_sched crates/sched/src/engine.rs \
+    "                } else if self.jobs[job_idx].runnable(kind) == 0 {" "                } else if false {" \
+    "test engine::tests::slots_left_when_the_head_job_drains_go_to_the_next_oldest_job \.\.\. FAILED"
+expect_fail_replacing "task table iterated in reverse" test_sched crates/sched/src/engine.rs \
+    "        self.slots.iter().enumerate().filter_map(|(i, t)| Some((i as u32, t.as_ref()?)))" \
+    "        self.slots.iter().enumerate().rev().filter_map(|(i, t)| Some((i as u32, t.as_ref()?)))" \
+    "test engine::tests::task_table_answers_as_the_btreemap_it_replaced \.\.\. FAILED"
 expect_fail_replacing "reference sort made key-only" test_workloads crates/workloads/src/reference.rs \
     "            part.sort_unstable();" "            part.sort_unstable_by(|a, b| a.key.cmp(&b.key));" \
     "test reference::tests::values_tied_on_their_key_reduce_in_value_order \.\.\. FAILED"
