@@ -31,12 +31,14 @@
 //! job-index-ordered set, with dense per-tenant counters beside it, and
 //! dispatch (run on every event) and crash handling walk only that set.
 //! A job's tasks live in [`TaskTable`]s, indexed by task, which only an
-//! admitted job holds. Dispatch builds each slot kind's policy view once
-//! and edits the winner's entry after each placement. Per-event work is
-//! O(tenants × admission cap) plus the event queue and O(1) per placed
-//! task; per-crash work is O(admitted jobs × tasks per job). An in-crate
-//! proptest recomputes the bookkeeping from the job table after every
-//! event.
+//! admitted job holds. Each slot kind's policy view is kept across events
+//! and edited where a job's runnable work or a tenant's held slots change,
+//! so dispatch builds no view. Per-event work is O(log tenants) per changed
+//! job plus the event queue and O(1) per placed task, plus a walk of the
+//! admitted set when a tenant's head job stops being runnable; per-crash
+//! work is O(admitted jobs × tasks per job). An in-crate proptest
+//! recomputes the bookkeeping and both views from the job table after
+//! every event.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -271,6 +273,9 @@ struct JobState {
     reduce_attempts: u32,
     failures: Vec<(f64, FailureKind)>,
     fcm_attempts: u32,
+    /// Runnable tasks of each kind, by [`SlotKind::index`], that this job
+    /// last put into the warehouse's kept views.
+    in_view: [u32; 2],
 }
 
 impl JobState {
@@ -344,6 +349,16 @@ enum SlotKind {
     Reduce,
 }
 
+impl SlotKind {
+    const ALL: [SlotKind; 2] = [SlotKind::Map, SlotKind::Reduce];
+
+    /// Position of the kind's view in `Warehouse::views` and its count in
+    /// `JobState::in_view`.
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
 #[derive(Debug, Clone, PartialEq)]
 enum Ev {
     Arrive(u32),
@@ -390,7 +405,14 @@ pub struct Warehouse {
     /// Admitted, unfinished jobs per tenant.
     running_jobs: Vec<u32>,
     /// Slots (map + reduce, parked reducers included) held per tenant.
+    /// Changed only through `set_held_slots`, which keeps the views'
+    /// `running_slots` equal to it.
     held_slots: Vec<u64>,
+    /// The policy's view of each slot kind, by [`SlotKind::index`]: what
+    /// `view_for` would build, kept across events. `sync_views` applies a
+    /// job's change of runnable work, `set_held_slots` a tenant's change
+    /// of held slots.
+    views: [BTreeMap<TenantId, TenantView>; 2],
     total_map_slots: u64,
     total_reduce_slots: u64,
     rr_cursor: u32,
@@ -463,6 +485,7 @@ impl Warehouse {
                     reduce_attempts: 0,
                     failures: Vec::new(),
                     fcm_attempts: 0,
+                    in_view: [0; 2],
                 }
             })
             .collect();
@@ -497,6 +520,7 @@ impl Warehouse {
             waiting: vec![VecDeque::new(); tenants],
             running_jobs: vec![0; tenants],
             held_slots: vec![0; tenants],
+            views: [BTreeMap::new(), BTreeMap::new()],
             policy: policy_for(&spec.sched),
             spec,
             seed,
@@ -584,6 +608,7 @@ impl Warehouse {
                 }
             }
         }
+        self.sync_views(job);
         self.dispatch();
     }
 
@@ -612,6 +637,7 @@ impl Warehouse {
             let r = &mut self.running_jobs[tenant.0 as usize];
             *r = r.saturating_sub(1);
         }
+        self.sync_views(job);
         self.dispatch();
     }
 
@@ -650,9 +676,8 @@ impl Warehouse {
         let crash_t = self.nodes[node as usize].crashed_at.unwrap_or(now);
         let sfm = self.spec.mode.sfm_enabled();
         let logs = self.spec.mode.logs_enabled();
-        let treadmill_secs = self.spec.yarn.node_liveness_timeout_ms as f64 / 1000.0;
-        // Job-index order: the `SourceLoss` events scheduled below tie on
-        // time, so their order is observable.
+        // Job-index order: the `SourceLoss` events `orphan_mofs` schedules
+        // tie on time, so their order is observable.
         let active: Vec<u32> = self.active.iter().copied().collect();
         for job in active {
             let job_idx = job as usize;
@@ -710,37 +735,46 @@ impl Warehouse {
             // and are still needed by unfinished reducers.
             let lost_mofs: Vec<u32> =
                 self.jobs[job_idx].map_home.iter().filter(|(_, n)| **n == node).map(|(i, _)| i).collect();
-            if lost_mofs.is_empty() {
-                continue;
+            if !lost_mofs.is_empty() {
+                self.orphan_mofs(job, lost_mofs, crash_t);
             }
-            let st = &mut self.jobs[job_idx];
-            for &i in &lost_mofs {
-                st.map_home.remove(i);
-            }
-            if sfm || !st.reduces_started {
-                // Proactive regeneration (or nothing is fetching yet):
-                // the maps re-queue immediately.
-                for i in lost_mofs {
-                    st.pending_maps.push_front(i);
-                }
-                if sfm && st.reduces_started {
-                    // Park the job's running reducers on the missing
-                    // source; they keep their containers.
-                    for (r, task) in st.running_reduces.drain() {
-                        self.q.cancel(task.token);
-                        st.suspended_reduces.insert(r, (task.node, task.remaining_at(now)));
-                        st.fcm_attempts += 1;
-                    }
-                }
-            } else {
-                // Baseline/ALG: the AM only learns through the reducers'
-                // fetch treadmill, one more liveness window from now.
-                st.deferred_maps.extend(lost_mofs);
-                st.deferred_since.get_or_insert(crash_t);
-                self.q.schedule_after(SimDuration::from_secs_f64(treadmill_secs), Ev::SourceLoss { job });
-            }
+            self.sync_views(job);
         }
         self.dispatch();
+    }
+
+    /// `job`'s completed maps `lost` lost their MOFs to a crash at
+    /// `crash_t`, detected now.
+    fn orphan_mofs(&mut self, job: u32, lost: Vec<u32>, crash_t: SimTime) {
+        let now = self.q.now();
+        let sfm = self.spec.mode.sfm_enabled();
+        let st = &mut self.jobs[job as usize];
+        for &i in &lost {
+            st.map_home.remove(i);
+        }
+        if sfm || !st.reduces_started {
+            // Proactive regeneration (or nothing is fetching yet): the
+            // maps re-queue immediately.
+            for i in lost {
+                st.pending_maps.push_front(i);
+            }
+            if sfm && st.reduces_started {
+                // Park the job's running reducers on the missing source;
+                // they keep their containers.
+                for (r, task) in st.running_reduces.drain() {
+                    self.q.cancel(task.token);
+                    st.suspended_reduces.insert(r, (task.node, task.remaining_at(now)));
+                    st.fcm_attempts += 1;
+                }
+            }
+        } else {
+            // Baseline/ALG: the AM only learns through the reducers' fetch
+            // treadmill, one more liveness window from now.
+            st.deferred_maps.extend(lost);
+            st.deferred_since.get_or_insert(crash_t);
+            let treadmill_secs = self.spec.yarn.node_liveness_timeout_ms as f64 / 1000.0;
+            self.q.schedule_after(SimDuration::from_secs_f64(treadmill_secs), Ev::SourceLoss { job });
+        }
     }
 
     fn on_source_loss(&mut self, job: u32) {
@@ -772,6 +806,7 @@ impl Warehouse {
         for i in lost {
             self.jobs[job_idx].pending_maps.push_front(i);
         }
+        self.sync_views(job);
         self.dispatch();
     }
 
@@ -785,8 +820,64 @@ impl Warehouse {
                 SlotKind::Reduce => self.nodes[n].free_reduce_slots += 1,
             }
         }
-        let h = &mut self.held_slots[tenant.0 as usize];
-        *h = h.saturating_sub(1);
+        let held = self.held_slots[tenant.0 as usize];
+        debug_assert!(held > 0, "tenant {} gives back a slot it does not hold", tenant.0);
+        self.set_held_slots(tenant, held.saturating_sub(1));
+    }
+
+    /// Every change to a tenant's held slots goes through here, so the
+    /// `running_slots` of its entries in the kept views follow it.
+    fn set_held_slots(&mut self, tenant: TenantId, held: u64) {
+        self.held_slots[tenant.0 as usize] = held;
+        for view in &mut self.views {
+            if let Some(entry) = view.get_mut(&tenant) {
+                entry.running_slots = held;
+            }
+        }
+    }
+
+    /// Bring the kept views up to `job`'s runnable work after a change to
+    /// it: admission, a launch, a map completion, the job's finish, a
+    /// detected crash or a source loss. `JobState::runnable` stays the one
+    /// definition of runnable work; the job's `in_view` records what it
+    /// last put into each view, and only the difference is applied.
+    fn sync_views(&mut self, job: u32) {
+        for kind in SlotKind::ALL {
+            let k = kind.index();
+            let st = &mut self.jobs[job as usize];
+            let (was, now) = (u64::from(st.in_view[k]), st.runnable(kind) as u64);
+            if was == now {
+                continue;
+            }
+            // Fits: a job's task counts are `u32`s.
+            st.in_view[k] = now as u32;
+            let (tenant, seq) = (st.tenant, st.seq);
+            let view = &mut self.views[k];
+            if was == 0 {
+                let spec = &self.spec.tenants[tenant.0 as usize];
+                let held = self.held_slots[tenant.0 as usize];
+                let entry = view.entry(tenant).or_insert_with(|| TenantView {
+                    runnable_tasks: 0,
+                    running_slots: held,
+                    weight: spec.weight,
+                    guaranteed_share_pct: spec.guaranteed_share_pct,
+                    head_arrival_seq: seq,
+                });
+                entry.runnable_tasks += now;
+                entry.head_arrival_seq = entry.head_arrival_seq.min(seq);
+                continue;
+            }
+            let entry =
+                view.get_mut(&tenant).expect("a job with runnable work in a view has its tenant's entry");
+            entry.runnable_tasks = entry.runnable_tasks - was + now;
+            if entry.runnable_tasks == 0 {
+                view.remove(&tenant);
+            } else if now == 0 && entry.head_arrival_seq == seq {
+                let head =
+                    self.head_seq_of(tenant, kind).expect("a tenant with runnable tasks has a runnable job");
+                self.views[k].get_mut(&tenant).expect("the entry was kept above").head_arrival_seq = head;
+            }
+        }
     }
 
     /// Round-robin placement over alive nodes with a free slot of `kind`.
@@ -816,13 +907,15 @@ impl Warehouse {
                 self.jobs[j as usize].admit();
                 self.active.insert(j);
                 self.running_jobs[t] += 1;
+                self.sync_views(j);
             }
         }
     }
 
-    /// The policy's view of `kind`: each tenant with runnable work, whose
-    /// `head_arrival_seq` names its head job, the earliest-arrived
-    /// admitted job with runnable work.
+    /// The policy's view of `kind` built from scratch: each tenant with
+    /// runnable work, whose `head_arrival_seq` names its head job, the
+    /// earliest-arrived admitted job with runnable work. The kept views
+    /// must always equal it; `dispatch` checks that in debug builds.
     fn view_for(&self, kind: SlotKind) -> BTreeMap<TenantId, TenantView> {
         let mut view: BTreeMap<TenantId, TenantView> = BTreeMap::new();
         for (_, st) in self.active_jobs() {
@@ -853,34 +946,35 @@ impl Warehouse {
             .min()
     }
 
-    /// Hand out free slots, map slots first, one policy decision per slot.
-    /// Each kind's view is built once: a placement changes only the
-    /// winner's entry (one task fewer runnable, one slot more held) and,
-    /// when it drains the winner's head job, which job heads it.
+    /// Hand out free slots, map slots first, one policy decision per slot,
+    /// each on the kept view of its kind. A placement launches the
+    /// winner's head job's next task and goes through the two helpers
+    /// that keep the views: `set_held_slots` and `sync_views`.
     fn dispatch(&mut self) {
         self.admit();
-        for kind in [SlotKind::Map, SlotKind::Reduce] {
+        for kind in SlotKind::ALL {
+            let k = kind.index();
             let total_slots = match kind {
                 SlotKind::Map => self.total_map_slots,
                 SlotKind::Reduce => self.total_reduce_slots,
             };
-            let mut view = self.view_for(kind);
-            while !view.is_empty() {
-                debug_assert_eq!(view, self.view_for(kind), "the edited view is stale");
-                let Some(winner) = self.policy.pick(&SchedView { tenants: &view, total_slots }) else {
+            while !self.views[k].is_empty() {
+                debug_assert_eq!(self.views[k], self.view_for(kind), "the kept view is stale");
+                let Some(winner) = self.policy.pick(&SchedView { tenants: &self.views[k], total_slots })
+                else {
                     break;
                 };
-                let Some(entry) = view.get_mut(&winner) else { break };
+                let Some(entry) = self.views[k].get(&winner) else { break };
+                let job = self.by_seq[entry.head_arrival_seq as usize];
                 let Some(node) = self.place(kind) else { break };
                 let now = self.q.now();
-                let job = self.by_seq[entry.head_arrival_seq as usize];
                 let job_idx = job as usize;
                 match kind {
                     SlotKind::Map => {
-                        let Some(index) = self.jobs[job_idx].pending_maps.pop_front() else {
-                            self.release_slot(node, kind, winner);
-                            break;
-                        };
+                        let index = self.jobs[job_idx]
+                            .pending_maps
+                            .pop_front()
+                            .expect("a view's head job is runnable");
                         let work = self.jobs[job_idx].model.map_secs;
                         let token = self
                             .q
@@ -891,10 +985,10 @@ impl Warehouse {
                         st.map_attempts += 1;
                     }
                     SlotKind::Reduce => {
-                        let Some((index, work)) = self.jobs[job_idx].pending_reduces.pop_front() else {
-                            self.release_slot(node, kind, winner);
-                            break;
-                        };
+                        let (index, work) = self.jobs[job_idx]
+                            .pending_reduces
+                            .pop_front()
+                            .expect("a view's head job is runnable");
                         let token = self
                             .q
                             .schedule_after(SimDuration::from_secs_f64(work), Ev::ReduceDone { job, index });
@@ -908,16 +1002,8 @@ impl Warehouse {
                 if st.started.is_none() {
                     st.started = Some(now);
                 }
-                self.held_slots[winner.0 as usize] += 1;
-                entry.running_slots += 1;
-                entry.runnable_tasks -= 1;
-                if entry.runnable_tasks == 0 {
-                    view.remove(&winner);
-                } else if self.jobs[job_idx].runnable(kind) == 0 {
-                    entry.head_arrival_seq = self
-                        .head_seq_of(winner, kind)
-                        .expect("a tenant with runnable tasks has a runnable job");
-                }
+                self.set_held_slots(winner, self.held_slots[winner.0 as usize] + 1);
+                self.sync_views(job);
             }
         }
     }
@@ -1032,10 +1118,22 @@ mod tests {
             }
         }
         let unfinished = w.jobs.iter().filter(|st| !st.is_finished()).count();
-        prop_assert_eq!(w.active, active, "active set");
+        prop_assert_eq!(&w.active, &active, "active set");
         prop_assert_eq!(w.unfinished, unfinished, "unfinished count");
-        prop_assert_eq!(w.running_jobs, running_jobs, "running jobs per tenant");
-        prop_assert_eq!(w.held_slots, held_slots, "held slots per tenant");
+        prop_assert_eq!(&w.running_jobs, &running_jobs, "running jobs per tenant");
+        prop_assert_eq!(&w.held_slots, &held_slots, "held slots per tenant");
+        for kind in SlotKind::ALL {
+            for (j, st) in w.jobs.iter().enumerate() {
+                prop_assert_eq!(
+                    st.in_view[kind.index()] as usize,
+                    st.runnable(kind),
+                    "job {}: {:?} tasks in the views against runnable ones",
+                    j,
+                    kind
+                );
+            }
+            prop_assert_eq!(&w.views[kind.index()], &w.view_for(kind), "kept {:?} view", kind);
+        }
         Ok(())
     }
 
@@ -1061,6 +1159,51 @@ mod tests {
         w.dispatch();
         let running: Vec<usize> = [1, 2, 0].iter().map(|&j| w.jobs[j].running_maps.len()).collect();
         assert_eq!(running, [4, 2, 0], "running maps of jobs 1, 2 and 0");
+    }
+
+    /// Under SFM, detection takes a reducing job's MOFs away: its pending
+    /// reduces stop being runnable, and as the tenant's only runnable job
+    /// its removal takes the tenant's reduce entry with it. The last
+    /// regenerated map brings the entry back, headed by the job.
+    #[test]
+    fn a_regenerated_map_brings_back_the_reduce_entry_detection_removed() {
+        // Six workers with one slot of each kind. Job 1 arrives first and
+        // runs alone (one job per tenant at a time); job 0, arrival
+        // sequence 1, then runs four maps and six of its eight reduces.
+        let mut sched = SchedConfig::with_policy(SchedPolicyKind::Fifo);
+        sched.max_concurrent_jobs_per_tenant = 1;
+        let tenant = vec![TenantSpec::new("t", 1, 100)];
+        let mut spec = WarehouseSpec::warehouse(7, sched, tenant, RecoveryMode::Sfm);
+        spec.cluster.map_slots_per_node = 1;
+        spec.cluster.reduce_slots_per_node = 1;
+        let input = 4 * spec.yarn.dfs_block_size;
+        let job = |arrival_secs, reduces| WarehouseJob {
+            tenant: 0,
+            arrival_secs,
+            job: SimJobSpec::new(WorkloadKind::Terasort, input, reduces, 1),
+        };
+        let mut w = Warehouse::new(spec, 1, &[job(5.0, 8), job(0.0, 1)], &[]).expect("valid spec");
+        let (reduce, t) = (SlotKind::Reduce.index(), TenantId(0));
+        while !(w.jobs[0].reduces_started && w.jobs[0].maps_done()) {
+            assert!(w.step(), "job 0 starts reducing");
+        }
+        assert_eq!((w.jobs[0].seq, w.jobs[0].pending_reduces.len()), (1, 2));
+        assert_eq!(w.views[reduce][&t].head_arrival_seq, 1);
+
+        // Crash a node that holds one of job 0's MOFs, and detect it at once.
+        let node = *w.jobs[0].map_home.iter().next().expect("a MOF").1;
+        w.on_crash(node);
+        w.on_detect(node);
+        assert!(!w.jobs[0].pending_reduces.is_empty() && w.jobs[0].runnable(SlotKind::Reduce) == 0);
+        assert!(!w.views[reduce].contains_key(&t), "detection removes the reduce entry");
+
+        while !w.jobs[0].maps_done() {
+            assert!(w.step(), "the lost map regenerates");
+        }
+        let entry = w.views[reduce].get(&t).expect("the map's completion brings the entry back");
+        assert_eq!(entry.head_arrival_seq, 1, "headed by job 0");
+        assert_eq!(entry.runnable_tasks, w.jobs[0].pending_reduces.len() as u64);
+        assert_eq!(w.views[reduce], w.view_for(SlotKind::Reduce));
     }
 
     proptest! {
@@ -1098,8 +1241,9 @@ mod tests {
             }
         }
 
-        /// After every event, the active set, the unfinished count and the
-        /// per-tenant counters equal a recomputation over `jobs`.
+        /// After every event, the active set, the unfinished count, the
+        /// per-tenant counters and both kept views equal a recomputation
+        /// over `jobs`.
         #[test]
         fn incremental_bookkeeping_matches_a_recomputation(
             (nodes, tenants, cap, seed) in (20u32..=60, 1u32..=4, 1u32..=8, 0u64..1_000_000),

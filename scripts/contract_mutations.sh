@@ -71,10 +71,17 @@
 #     the armed kill list skipping map kills  -> reports_match_their_pinned_values
 #                                                 fails (a pinned run kills a map)
 #   cargo test -p alm-sched
-#     dispatch keeping a drained head job at the head of its tenant's entry
+#     the view sync keeping a drained head job at the head of its tenant's entry
 #                                               -> slots_left_when_the_head_job_drains_go_to_the_next_oldest_job
-#                                                 fails (the view is edited
-#                                                 per placement, not rebuilt)
+#                                                 fails (the kept view's head
+#                                                 is looked up again only when
+#                                                 the head job stops being
+#                                                 runnable)
+#     the view sync dropped from crash detection
+#                                               -> incremental_bookkeeping_matches_a_recomputation
+#                                                 fails (the kept views must
+#                                                 equal fresh ones after every
+#                                                 event)
 #     a task table iterated in reverse index order
 #                                               -> task_table_answers_as_the_btreemap_it_replaced
 #                                                 fails (crash handling walks
@@ -99,17 +106,23 @@
 # (YarnConfig 14, MemConfig 4, SchedConfig 3); the YarnConfig mutation
 # anchors on the struct header, not on any one field.
 #
-# 31 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
+# 32 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 work="$(mktemp -d)"
-trap 'rm -rf "$work"' EXIT
+# The file a mutation is applied to, while it is; an exit before the undo
+# (a mutation that was not rejected) puts its original back.
+mutated=""
+trap 'if [ -n "$mutated" ]; then mv "$mutated.orig" "$mutated"; fi; rm -rf "$work"' EXIT
 # One copy and one target dir for the whole run: only the mutated crate and
 # its dependents rebuild between mutations.
 export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$work/target}"
 mkdir "$work/ws"
-(cd "$root" && tar -cf - --exclude=./target --exclude=./benchmark --exclude=./.git .) | tar -xf - -C "$work/ws"
+# Fresh mtimes (-m): a shared CARGO_TARGET_DIR may hold a mutant's artifacts
+# from a run that stopped before its undo, and cargo rebuilds only what is
+# newer than its last artifact.
+(cd "$root" && tar -cf - --exclude=./target --exclude=./benchmark --exclude=./.git .) | tar -xmf - -C "$work/ws"
 
 check() {
     (cd "$work/ws" && cargo check --offline --workspace 2>&1)
@@ -189,6 +202,7 @@ mutate_and_expect() {
         exit 1
     fi
     cp "$target" "$target.orig"
+    mutated="$target"
     awk -v a="$anchor" -v i="$insert" -v how="$how" \
         '$0 != a { print; next } how == "after" { print } { print i }' "$target.orig" > "$target"
     local out
@@ -210,6 +224,7 @@ mutate_and_expect() {
     # Undo, with a fresh mtime: cargo only rebuilds what is newer than its
     # last artifact, and a crate downstream of the error compiled the mutant.
     mv "$target.orig" "$target"
+    mutated=""
     touch "$target"
 }
 
@@ -302,8 +317,11 @@ expect_fail_replacing "map kills left out of the armed list" test_sim crates/sim
     "                attempt.number == 0 && attempt.task.index < tasks && attempt.task.is_reduce()" \
     "test reports_match_their_pinned_values \.\.\. FAILED"
 expect_fail_replacing "drained head job kept at the head" test_sched crates/sched/src/engine.rs \
-    "                } else if self.jobs[job_idx].runnable(kind) == 0 {" "                } else if false {" \
+    "            } else if now == 0 && entry.head_arrival_seq == seq {" "            } else if false {" \
     "test engine::tests::slots_left_when_the_head_job_drains_go_to_the_next_oldest_job \.\.\. FAILED"
+expect_fail_replacing "view sync dropped from detection" test_sched crates/sched/src/engine.rs \
+    "            self.sync_views(job);" "            // the view sync, dropped" \
+    "test engine::tests::incremental_bookkeeping_matches_a_recomputation \.\.\. FAILED"
 expect_fail_replacing "task table iterated in reverse" test_sched crates/sched/src/engine.rs \
     "        self.slots.iter().enumerate().filter_map(|(i, t)| Some((i as u32, t.as_ref()?)))" \
     "        self.slots.iter().enumerate().rev().filter_map(|(i, t)| Some((i as u32, t.as_ref()?)))" \
