@@ -1,7 +1,7 @@
 //! Pinned simulator reports. Each run below is fixed — spec, recovery mode
 //! and fault plan — and the test asserts what it produced when recorded:
-//! the event count, the job time to the bit, the attempt and failure counts
-//! and a CRC-32 of the whole report as JSON. A change to the engine's
+//! the event count, the job time to the bit, the attempt and failure counts,
+//! a CRC-32 of the failure list and a CRC-32 of the whole report as JSON. A change to the engine's
 //! bookkeeping that shifts one tie-break (which flow completes first, which
 //! attempt is pumped first, which id a flow gets) fails here by name, not
 //! only as a golden-campaign diff. The runs cover fault kinds the golden
@@ -17,27 +17,39 @@ use alm_types::{CorruptTarget, FaultPlan, JobId, LinkDirection, NodeId, Recovery
 use alm_workloads::WorkloadKind;
 
 /// `(events, job_secs bits, map attempts, reduce attempts, failures,
-/// CRC-32 of the report's JSON)`.
-type Pin = (u64, u64, u32, u32, usize, u32);
+/// CRC-32 of the failure list, CRC-32 of the report's JSON)`.
+type Pin = (u64, u64, u32, u32, usize, u32, u32);
 
-/// Recorded at e395026; the map and reduce kills at bda5a83.
+/// Recorded at e395026; the map and reduce kills at bda5a83; the failure
+/// digests at 662c715.
 const PINNED: [(&str, Pin); 11] = [
-    ("clean terasort", (803, 4626354383178525038, 80, 8, 0, 2896675147)),
-    ("node crash, baseline", (19134, 4642159539171410529, 840, 23, 3, 3510556223)),
-    ("node crash, alg", (15881, 4641583274456119364, 840, 23, 3, 959880646)),
-    ("node crash, sfm", (12763, 4640537708624276378, 840, 21, 1, 3179678640)),
-    ("node crash, sfm+alg", (12722, 4639834332585936666, 840, 21, 1, 4072836422)),
-    ("healed partition", (1184, 4634330558135809356, 80, 8, 0, 3019706015)),
-    ("degraded lossy links", (1057, 4628416290193917636, 80, 8, 0, 3963964357)),
-    ("mof corruption", (810, 4626354383178243563, 81, 8, 0, 1334286921)),
-    ("alg record rot", (960, 4627685906037861442, 80, 9, 1, 3101671950)),
-    ("resident mofs, node crash", (750, 4636202310752247382, 84, 9, 1, 3123603075)),
-    ("map and reduce kills, alg", (12676, 4639127392220713377, 801, 21, 2, 358096053)),
+    ("clean terasort", (803, 4626354383178525038, 80, 8, 0, 0, 2896675147)),
+    ("node crash, baseline", (19134, 4642159539171410529, 840, 23, 3, 132443855, 3510556223)),
+    ("node crash, alg", (15881, 4641583274456119364, 840, 23, 3, 2432099717, 959880646)),
+    ("node crash, sfm", (12763, 4640537708624276378, 840, 21, 1, 1031748158, 3179678640)),
+    ("node crash, sfm+alg", (12722, 4639834332585936666, 840, 21, 1, 1031748158, 4072836422)),
+    ("healed partition", (1184, 4634330558135809356, 80, 8, 0, 0, 3019706015)),
+    ("degraded lossy links", (1057, 4628416290193917636, 80, 8, 0, 0, 3963964357)),
+    ("mof corruption", (810, 4626354383178243563, 81, 8, 0, 0, 1334286921)),
+    ("alg record rot", (960, 4627685906037861442, 80, 9, 1, 618444459, 3101671950)),
+    ("resident mofs, node crash", (750, 4636202310752247382, 84, 9, 1, 936549449, 3123603075)),
+    ("map and reduce kills, alg", (12676, 4639127392220713377, 801, 21, 2, 3117696129, 358096053)),
 ];
 
 fn sim(gb: u64, reduces: u32, mode: RecoveryMode, faults: FaultPlan) -> Simulation {
     let spec = SimJobSpec::new(WorkloadKind::Terasort, gb * GB, reduces, 7);
     Simulation::new(spec, ExperimentEnv::paper(mode), faults)
+}
+
+/// The failures, one `(at_secs bits, task, attempt number, kind)` line
+/// each, in the order the report lists them.
+fn failure_digest(report: &SimReport) -> u32 {
+    let lines: String = report
+        .failures
+        .iter()
+        .map(|f| format!("{:?}\n", (f.at_secs.to_bits(), f.task, f.attempt_number, f.kind)))
+        .collect();
+    crc32(lines.as_bytes())
 }
 
 fn pin(report: &SimReport) -> Pin {
@@ -48,6 +60,7 @@ fn pin(report: &SimReport) -> Pin {
         report.map_attempts,
         report.reduce_attempts,
         report.failures.len(),
+        failure_digest(report),
         crc32(json.as_bytes()),
     )
 }
