@@ -1,24 +1,19 @@
 //! Amplification analysis over engine reports.
 //!
-//! Extracts the paper's two amplification phenomena from either engine's
-//! run report, normalised into one [`ScenarioOutcome`] shape:
-//!
-//! * **temporal amplification** (Figs. 3/10): repeated failures of the
-//!   *same* task — the longest repeat chain beyond a task's first failure;
-//! * **spatial amplification** (Fig. 4 / Table II): the distinct reduce
-//!   tasks with at least one `FetchFailureLimit` failure — reducers
-//!   preempted after losing a shuffle source. Every such task counts,
-//!   including one the scenario itself injected a fault into (a killed
-//!   reducer whose relaunch is then preempted). Table II's "additional
-//!   failures" (`SimReport::infected_reduces`) differs on both axes: it
-//!   counts reduce tasks that failed for *any* reason, and excludes the
-//!   injected ones.
+//! Normalises either engine's run report into one [`ScenarioOutcome`]
+//! shape. Every failure-derived field — the failure total, temporal and
+//! spatial amplification, node-loss declarations — comes from one query
+//! over the report's attempt trace
+//! ([`alm_types::Trace::failure_counts`]), where both amplification terms
+//! are defined (`alm_types::trace`). Spatial
+//! amplification counts reducers preempted by `FetchFailureLimit`,
+//! injected tasks included; Table II's "additional failures"
+//! ([`alm_types::Trace::additional_failures`]) differs on both axes.
 
 use alm_runtime::JobReport;
 use alm_sim::SimReport;
-use alm_types::{FailureKind, RecoveryMode, TaskId};
+use alm_types::{FailureCounts, RecoveryMode};
 use serde::Serialize;
-use std::collections::BTreeMap;
 
 use crate::scenario::{ChaosScenario, LoweringProfile};
 
@@ -108,40 +103,6 @@ pub struct DfsAudit {
     pub corrupt_replicas: u32,
 }
 
-fn spatial_of(failures: impl Iterator<Item = (TaskId, FailureKind)>) -> usize {
-    let mut infected: Vec<TaskId> = failures
-        .filter(|(t, k)| t.is_reduce() && *k == FailureKind::FetchFailureLimit)
-        .map(|(t, _)| t)
-        .collect();
-    infected.sort_unstable();
-    infected.dedup();
-    infected.len()
-}
-
-/// Classification of a recorded failure for the `node_loss_failures`
-/// counter. A wildcard-free `match`, so adding a `FailureKind` variant
-/// forces a decision here.
-fn counts_as_node_loss(kind: FailureKind) -> bool {
-    debug_assert!(!kind.is_transient(), "transient kind {kind:?} recorded as a failure");
-    match kind {
-        FailureKind::NodeCrash => true,
-        FailureKind::TaskOom
-        | FailureKind::FetchFailureLimit
-        | FailureKind::TaskTimeout
-        | FailureKind::SlowNode
-        | FailureKind::NetworkPartition
-        | FailureKind::DataCorruption => false,
-    }
-}
-
-fn temporal_of(failures: impl Iterator<Item = TaskId>) -> usize {
-    let mut per_task: BTreeMap<TaskId, usize> = BTreeMap::new();
-    for t in failures {
-        *per_task.entry(t).or_default() += 1;
-    }
-    per_task.values().map(|n| n.saturating_sub(1)).max().unwrap_or(0)
-}
-
 /// Analyze a simulator run of `scenario` under `mode`. `profile` is the
 /// lowering profile the run used; the injected-fault denominator is
 /// counted on the lowered plan so rack crashes weigh one per member node.
@@ -161,14 +122,13 @@ pub fn analyze_sim(
         succeeded,
         job_secs,
         map_phase_secs: _, // figure-only phase marker
-        failures,
+        trace,
         map_attempts,
         // Reduce recovery is validated through fcm_attempts and the
-        // per-failure list, not raw attempt totals.
+        // failure counts, not raw attempt totals.
         reduce_attempts: _,
         fcm_attempts,
         reduce_progress: _, // figure-only timeline samples
-        reduce_nodes: _,    // crash-targeting aid for experiments
         // The runtime's ALG unit is records in its log stores; snapshots
         // vs records are incommensurable, each engine asserts its own.
         alg_snapshots: _,
@@ -187,6 +147,8 @@ pub fn analyze_sim(
         resident_invalidations: _,
         events: _, // DES bookkeeping; the runtime has no event loop
     } = report;
+    let FailureCounts { total_failures, spatial_amplification, temporal_amplification, node_loss_failures } =
+        trace.failure_counts();
     ScenarioOutcome {
         scenario: scenario.name.clone(),
         engine: EngineKind::Simulator,
@@ -194,12 +156,12 @@ pub fn analyze_sim(
         succeeded: *succeeded,
         duration_secs: *job_secs,
         injected_faults: scenario.injected_failure_faults(profile),
-        total_failures: failures.len(),
-        spatial_amplification: spatial_of(failures.iter().map(|f| (f.task, f.kind))),
-        temporal_amplification: temporal_of(failures.iter().map(|f| f.task)),
+        total_failures,
+        spatial_amplification,
+        temporal_amplification,
         fcm_attempts: *fcm_attempts,
         map_attempts: *map_attempts,
-        node_loss_failures: failures.iter().filter(|f| counts_as_node_loss(f.kind)).count(),
+        node_loss_failures,
         corruption_refetches: *corruption_refetches,
         degraded_drops: *degraded_drops,
         recoveries_bounded: None,
@@ -232,7 +194,8 @@ pub fn analyze_runtime(
     let JobReport {
         succeeded,
         job_time_ms,
-        failures,
+        trace,
+        failures: _, // the trace's failure view
         map_attempts,
         reduce_attempts: _, // as in analyze_sim
         fcm_attempts,
@@ -246,6 +209,8 @@ pub fn analyze_runtime(
         resident_fetch_hits,
         log_recoveries: _, // consumed through recoveries_bounded()
     } = report;
+    let FailureCounts { total_failures, spatial_amplification, temporal_amplification, node_loss_failures } =
+        trace.failure_counts();
     ScenarioOutcome {
         scenario: scenario.name.clone(),
         engine: EngineKind::Runtime,
@@ -253,12 +218,12 @@ pub fn analyze_runtime(
         succeeded: *succeeded,
         duration_secs: *job_time_ms as f64 / 1000.0,
         injected_faults: scenario.injected_failure_faults(profile),
-        total_failures: failures.len(),
-        spatial_amplification: spatial_of(failures.iter().map(|f| (f.task, f.kind))),
-        temporal_amplification: temporal_of(failures.iter().map(|f| f.task)),
+        total_failures,
+        spatial_amplification,
+        temporal_amplification,
         fcm_attempts: *fcm_attempts,
         map_attempts: *map_attempts,
-        node_loss_failures: failures.iter().filter(|f| counts_as_node_loss(f.kind)).count(),
+        node_loss_failures,
         corruption_refetches: *corruption_refetches,
         degraded_drops: *degraded_drops,
         recoveries_bounded: Some(report.recoveries_bounded()),
@@ -269,38 +234,5 @@ pub fn analyze_runtime(
         dfs_corrupt_replicas: dfs.corrupt_replicas,
         chain_iteration: 0,
         resident_hits: *resident_fetch_hits,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use alm_types::JobId;
-
-    #[test]
-    fn spatial_counts_distinct_fetch_limited_reduces_only() {
-        let j = JobId(0);
-        let failures = vec![
-            (TaskId::reduce(j, 1), FailureKind::FetchFailureLimit),
-            (TaskId::reduce(j, 1), FailureKind::FetchFailureLimit),
-            (TaskId::reduce(j, 2), FailureKind::FetchFailureLimit),
-            (TaskId::reduce(j, 3), FailureKind::TaskOom),
-            (TaskId::map(j, 0), FailureKind::FetchFailureLimit),
-        ];
-        assert_eq!(spatial_of(failures.clone().into_iter()), 2);
-        // Reduce 3 was the injected task (its OOM); its relaunch is then
-        // preempted by fetch failures. That counts: spatial amplification
-        // does not exclude injected tasks, unlike Table II's count.
-        let relaunch_preempted =
-            failures.into_iter().chain([(TaskId::reduce(j, 3), FailureKind::FetchFailureLimit)]);
-        assert_eq!(spatial_of(relaunch_preempted), 3);
-    }
-
-    #[test]
-    fn temporal_is_the_longest_repeat_chain() {
-        let j = JobId(0);
-        let tasks = vec![TaskId::reduce(j, 0), TaskId::reduce(j, 0), TaskId::reduce(j, 0), TaskId::map(j, 1)];
-        assert_eq!(temporal_of(tasks.into_iter()), 2);
-        assert_eq!(temporal_of(std::iter::empty()), 0);
     }
 }

@@ -2,18 +2,21 @@
 //! decision, written once for both engines.
 //!
 //! A [`Ledger`] keeps, per task, whether it is complete and how many
-//! attempts it has had; per reduce, its attempts on each node; and which
-//! attempts run where in which [`ExecMode`]. It numbers attempts, applies
-//! the one attempt budget, and turns an attempt failure or a node's expiry
-//! into a [`FailureReport`] and a [`PolicyCtx`] for [`schedule_recovery`].
-//! It reads no cluster: what a driver observes of its own (a node's
-//! liveness, where a reduce's logs live, which FCM attempts still count)
-//! comes in as named arguments. Its state is ordered, so failure records
-//! and actions come out in task order.
+//! attempts it has had; which attempts run where in which [`ExecMode`];
+//! and the job's attempt [`Trace`], at the times the driver passes in. It
+//! numbers attempts, applies the one attempt budget, and turns an attempt
+//! failure or a node's expiry into a [`FailureReport`] and a [`PolicyCtx`]
+//! for [`schedule_recovery`]. It reads no cluster: what a driver observes
+//! of its own (a node's liveness, where a reduce's logs live, which FCM
+//! attempts still count) comes in as named arguments. Its state is
+//! ordered, so failure records and actions come out in task order.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use alm_types::{AlmConfig, AttemptId, FailureReport, NodeId, TaskId, YarnConfig};
+use alm_types::{
+    AlmConfig, AttemptId, FailureKind, FailureReport, NodeId, TaskId, Trace, TraceEvent, TraceKind,
+    YarnConfig,
+};
 
 use crate::sfm::policy::{schedule_recovery, ExecMode, PolicyCtx, SchedAction};
 
@@ -25,14 +28,6 @@ pub enum Decision {
     Recover(Vec<SchedAction>),
     /// A failed task had used up its attempt budget: the job fails.
     JobFailed,
-}
-
-/// Attempts launched so far, as the job reports count them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Launched {
-    pub maps: u32,
-    pub reduces: u32,
-    pub fcm: u32,
 }
 
 #[derive(Clone, Copy, Default)]
@@ -47,13 +42,11 @@ pub struct Ledger {
     max_task_attempts: u32,
     maps: Vec<TaskLedger>,
     reduces: Vec<TaskLedger>,
-    /// Reduce attempts launched per node (Algorithm 1's `limit_local`).
-    reduce_attempts_on: BTreeMap<(TaskId, NodeId), u32>,
     /// Running attempts in `AttemptId` order: by task, then number.
     running: BTreeMap<AttemptId, (NodeId, ExecMode)>,
     expired: BTreeSet<NodeId>,
-    launched: Launched,
     job_failed: bool,
+    trace: Trace,
 }
 
 impl Ledger {
@@ -63,11 +56,10 @@ impl Ledger {
             max_task_attempts: yarn.max_task_attempts,
             maps: vec![TaskLedger::default(); num_maps as usize],
             reduces: vec![TaskLedger::default(); num_reduces as usize],
-            reduce_attempts_on: BTreeMap::new(),
             running: BTreeMap::new(),
             expired: BTreeSet::new(),
-            launched: Launched::default(),
             job_failed: false,
+            trace: Trace::default(),
         }
     }
 
@@ -94,13 +86,12 @@ impl Ledger {
         self.expired.contains(&node)
     }
 
-    pub fn launched(&self) -> Launched {
-        self.launched
+    pub fn trace(&self) -> &Trace {
+        &self.trace
     }
 
-    /// Attempts of reduce `task` launched on `node`.
-    pub fn reduce_attempts_on(&self, task: TaskId, node: NodeId) -> u32 {
-        self.reduce_attempts_on.get(&(task, node)).copied().unwrap_or(0)
+    pub fn into_trace(self) -> Trace {
+        self.trace
     }
 
     /// The running attempts of `task`, by number.
@@ -108,28 +99,30 @@ impl Ledger {
         self.running.range(task.attempt(0)..=task.attempt(u32::MAX)).map(|(a, _)| *a)
     }
 
-    /// Number the next attempt of `task`, placed on `node`, and count it.
-    pub fn launch(&mut self, task: TaskId, node: NodeId, mode: ExecMode) -> AttemptId {
+    /// At `at_ns`, number the next attempt of `task`, placed on `node`.
+    pub fn launch(&mut self, at_ns: u64, task: TaskId, node: NodeId, mode: ExecMode) -> AttemptId {
         let t = self.task_mut(task);
         let attempt = task.attempt(t.attempts);
         t.attempts += 1;
         self.running.insert(attempt, (node, mode));
-        if task.is_map() {
-            self.launched.maps += 1;
-        } else {
-            self.launched.reduces += 1;
-            *self.reduce_attempts_on.entry((task, node)).or_insert(0) += 1;
-        }
-        self.launched.fcm += u32::from(mode == ExecMode::Fcm);
+        let kind = TraceKind::Launched { fcm: mode == ExecMode::Fcm };
+        self.trace.push(TraceEvent { at_ns, attempt, node, kind });
         attempt
+    }
+
+    /// `attempt` stops running with `kind`; where it ran, if it was running.
+    fn end(&mut self, at_ns: u64, attempt: AttemptId, kind: TraceKind) -> Option<NodeId> {
+        let (node, _) = self.running.remove(&attempt)?;
+        self.trace.push(TraceEvent { at_ns, attempt, node, kind });
+        Some(node)
     }
 
     /// `attempt` finished its task. On the task's first completion since
     /// it was last opened, returns its other running attempts, which stay
     /// running until the driver cancels them; `None` if the task was
     /// already complete.
-    pub fn complete(&mut self, attempt: AttemptId) -> Option<Vec<AttemptId>> {
-        self.cancel(attempt);
+    pub fn complete(&mut self, at_ns: u64, attempt: AttemptId) -> Option<Vec<AttemptId>> {
+        self.end(at_ns, attempt, TraceKind::Completed);
         if std::mem::replace(&mut self.task_mut(attempt.task).completed, true) {
             return None;
         }
@@ -137,8 +130,8 @@ impl Ledger {
     }
 
     /// The AM killed `attempt`: it no longer runs, and did not fail.
-    pub fn cancel(&mut self, attempt: AttemptId) {
-        self.running.remove(&attempt);
+    pub fn cancel(&mut self, at_ns: u64, attempt: AttemptId) {
+        self.end(at_ns, attempt, TraceKind::Cancelled);
     }
 
     /// Open `task` again: its MOF or committed output is to be redone.
@@ -146,21 +139,28 @@ impl Ledger {
         self.task_mut(task).completed = false;
     }
 
-    /// `attempt` failed on `node`. A failure of a complete task recovers
-    /// nothing. Otherwise the task is charged against the attempt budget
-    /// and the policy decides. `node_alive` is the driver's reading of
-    /// `node`; `resume_node` the live node holding a failed reduce's newest
-    /// local log; `counts_fcm_on` whether a running FCM attempt on a node
-    /// counts against `FCM_cap`.
+    /// At `at_ns`, `attempt` failed with `kind`. It is recorded even when
+    /// its task is complete (a finished map's still-running sibling), but
+    /// then recovers nothing; so does a report about an attempt that no
+    /// longer runs (cancelled, expired or ended), which records nothing
+    /// either. Otherwise the task is charged against the attempt budget and
+    /// the policy decides. `node_alive` is the driver's reading of the
+    /// attempt's node; `resume_node` the live node holding a failed
+    /// reduce's newest local log; `counts_fcm_on` whether a running FCM
+    /// attempt on a node counts against `FCM_cap`.
     pub fn fail(
         &mut self,
+        at_ns: u64,
         attempt: AttemptId,
-        node: NodeId,
+        kind: FailureKind,
         node_alive: bool,
         resume_node: Option<NodeId>,
         counts_fcm_on: impl Fn(NodeId) -> bool,
     ) -> Decision {
-        self.cancel(attempt);
+        debug_assert!(!kind.is_transient(), "transient kind {kind:?} recorded as an attempt failure");
+        let Some(node) = self.end(at_ns, attempt, TraceKind::Failed(kind)) else {
+            return Decision::Recover(Vec::new());
+        };
         if self.is_complete(attempt.task) {
             return Decision::Recover(Vec::new());
         }
@@ -168,27 +168,33 @@ impl Ledger {
         self.recover(&report, &[attempt.task], resume_node, counts_fcm_on)
     }
 
-    /// `node` expired: every attempt running there is gone. Returns the
-    /// attempts of incomplete tasks that failed with it, reduces by index
-    /// and attempt number, then maps, and the decision over them and
-    /// `lost_mofs`. Only a failed reduce is charged against the budget.
+    /// At `at_ns`, `node` expired: every attempt running there is gone.
+    /// Those of incomplete tasks fail with `NodeCrash`, reduces by index
+    /// and attempt number, then maps; the others are cancelled. Returns
+    /// the decision over the failed ones and `lost_mofs`. Only a failed
+    /// reduce is charged against the budget.
     pub fn expire(
         &mut self,
+        at_ns: u64,
         node: NodeId,
         lost_mofs: impl IntoIterator<Item = TaskId>,
         counts_fcm_on: impl Fn(NodeId) -> bool,
-    ) -> (Vec<AttemptId>, Decision) {
+    ) -> Decision {
         self.expired.insert(node);
-        let lost: Vec<AttemptId> =
+        let mut lost: Vec<AttemptId> =
             self.running.iter().filter(|(_, (n, _))| *n == node).map(|(a, _)| *a).collect();
-        for a in &lost {
-            self.running.remove(a);
+        lost.sort_by_key(|a| a.task.is_map());
+        let mut failed = Vec::new();
+        for a in lost {
+            if self.is_complete(a.task) {
+                self.end(at_ns, a, TraceKind::Cancelled);
+            } else {
+                self.end(at_ns, a, TraceKind::Failed(FailureKind::NodeCrash));
+                failed.push(a.task);
+            }
         }
-        let mut failed: Vec<AttemptId> = lost.into_iter().filter(|a| !self.is_complete(a.task)).collect();
-        failed.sort_by_key(|a| a.task.is_map());
-        let report = FailureReport::node_crash(node, failed.iter().map(|a| a.task), lost_mofs);
-        let decision = self.recover(&report, &report.failed_reduces, None, counts_fcm_on);
-        (failed, decision)
+        let report = FailureReport::node_crash(node, failed, lost_mofs);
+        self.recover(&report, &report.failed_reduces, None, counts_fcm_on)
     }
 
     /// The one budget rule, then the policy. Once the job has failed,
@@ -208,7 +214,8 @@ impl Ledger {
             self.running.values().filter(|&&(n, mode)| mode == ExecMode::Fcm && counts_fcm_on(n)).count();
         let mut ctx = PolicyCtx::new(&self.alm, fcm_running);
         for &r in &report.failed_reduces {
-            ctx.attempts_on_source_node.insert(r, self.reduce_attempts_on(r, report.source_node));
+            let on_source = self.trace.nodes_of(r).filter(|&n| n == report.source_node).count();
+            ctx.attempts_on_source_node.insert(r, on_source as u32);
             ctx.running_attempts.insert(r, self.running_of(r).count() as u32);
             if let Some(n) = resume_node {
                 ctx.resume_node.insert(r, n);

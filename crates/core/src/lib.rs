@@ -36,6 +36,6 @@ pub use alg::recovery::{
     find_latest_log, find_latest_log_with_report, recover_attempt, recover_state, recover_state_with_report,
     RecoveredState, RecoveryReport,
 };
-pub use am::{Decision, Launched, Ledger};
+pub use am::{Decision, Ledger};
 pub use sfm::fcm::{collective_merge, spawn_participants, ChannelRun, FcmPipeline, FcmStats, Participant};
 pub use sfm::policy::{schedule_recovery, ExecMode, PolicyCtx, SchedAction};

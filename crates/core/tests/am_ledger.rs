@@ -1,12 +1,16 @@
 //! Property tests of the AM ledger: random sequences of launches,
 //! completions, cancels, failures, node expiries and reopens, checked
-//! against a plain model of what the AM has launched and what still runs.
+//! against a plain model of what the AM has launched, what still runs and
+//! the attempt trace it should have appended.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 use alm_core::{Decision, ExecMode, Ledger, SchedAction};
-use alm_types::{AlmConfig, AttemptId, JobId, NodeId, RecoveryMode, TaskId, YarnConfig};
+use alm_types::{
+    AlmConfig, AttemptId, FailureKind, JobId, NodeId, RecoveryMode, TaskId, TaskKind, Trace, TraceEvent,
+    TraceKind, YarnConfig,
+};
 
 const MODES: [RecoveryMode; 4] =
     [RecoveryMode::Baseline, RecoveryMode::Alg, RecoveryMode::Sfm, RecoveryMode::SfmAlg];
@@ -36,7 +40,10 @@ struct Model {
     complete: BTreeMap<TaskId, bool>,
     /// Running attempts and their nodes.
     running: BTreeMap<AttemptId, NodeId>,
+    /// Attempts that ran and ended.
+    ended: Vec<AttemptId>,
     job_failed: bool,
+    trace: Trace,
 }
 
 impl Model {
@@ -51,6 +58,13 @@ impl Model {
     /// The `k`-th running attempt, wrapping; `None` when nothing runs.
     fn pick(&self, k: u32) -> Option<(AttemptId, NodeId)> {
         self.running.iter().nth(k as usize % self.running.len().max(1)).map(|(a, n)| (*a, *n))
+    }
+
+    /// `attempt` stops running at `at_ns` with `kind`.
+    fn end(&mut self, at_ns: u64, attempt: AttemptId, kind: TraceKind) {
+        let node = self.running.remove(&attempt).expect("a running attempt");
+        self.ended.push(attempt);
+        self.trace.push(TraceEvent { at_ns, attempt, node, kind });
     }
 }
 
@@ -92,13 +106,14 @@ proptest! {
     #[test]
     fn ledger_keeps_the_books(
         mode in 0usize..MODES.len(),
-        ops in proptest::collection::vec((0u8..8, 0u32..64, 0u32..NODES, proptest::bool::ANY, proptest::bool::ANY), 0..160),
+        ops in proptest::collection::vec((0u8..9, 0u32..64, 0u32..NODES, proptest::bool::ANY, proptest::bool::ANY), 0..160),
     ) {
         let alm = AlmConfig::with_mode(MODES[mode]);
         let yarn = YarnConfig { max_task_attempts: MAX_TASK_ATTEMPTS, ..YarnConfig::default() };
         let mut ledger = Ledger::new(&alm, &yarn, MAPS, REDUCES);
         let mut model = Model::default();
-        for (op, k, node, flag, flag2) in ops {
+        for (at_ns, (op, k, node, flag, flag2)) in ops.into_iter().enumerate() {
+            let at_ns = at_ns as u64;
             let node = NodeId(node);
             match op {
                 // Launch: attempt numbers are gapless from 0 per task.
@@ -106,34 +121,38 @@ proptest! {
                     let t = task(k);
                     let mode = if t.is_reduce() && flag { ExecMode::Fcm } else { ExecMode::Regular };
                     let number = model.launches.entry(t).or_insert(0);
-                    let attempt = ledger.launch(t, node, mode);
+                    let attempt = ledger.launch(at_ns, t, node, mode);
                     prop_assert_eq!(attempt, t.attempt(*number));
                     *number += 1;
                     *model.launches_on.entry((t, node)).or_insert(0) += 1;
                     model.running.insert(attempt, node);
+                    let kind = TraceKind::Launched { fcm: mode == ExecMode::Fcm };
+                    model.trace.push(TraceEvent { at_ns, attempt, node, kind });
                 }
                 // Completion: siblings come back on the first completion only.
                 2 => {
                     let Some((attempt, _)) = model.pick(k) else { continue };
                     let t = attempt.task;
-                    model.running.remove(&attempt);
-                    let siblings = ledger.complete(attempt);
+                    model.end(at_ns, attempt, TraceKind::Completed);
+                    let siblings = ledger.complete(at_ns, attempt);
                     let want: Vec<AttemptId> = model.running.keys().copied().filter(|a| a.task == t).collect();
                     prop_assert_eq!(siblings, (!model.is_complete(t)).then_some(want));
                     model.complete.insert(t, true);
                 }
                 3 => {
                     let Some((attempt, _)) = model.pick(k) else { continue };
-                    model.running.remove(&attempt);
-                    ledger.cancel(attempt);
+                    model.end(at_ns, attempt, TraceKind::Cancelled);
+                    ledger.cancel(at_ns, attempt);
                 }
-                // Attempt failure.
+                // Attempt failure, recorded also when its task is complete
+                // (a finished map's running sibling).
                 4 | 5 => {
-                    let Some((attempt, at)) = model.pick(k) else { continue };
-                    model.running.remove(&attempt);
+                    let Some((attempt, _)) = model.pick(k) else { continue };
+                    let kind = if op == 4 { FailureKind::TaskOom } else { FailureKind::FetchFailureLimit };
+                    model.end(at_ns, attempt, TraceKind::Failed(kind));
                     let t = attempt.task;
                     let resume = flag2.then_some(node);
-                    let decision = ledger.fail(attempt, at, flag, resume, |n| n != node);
+                    let decision = ledger.fail(at_ns, attempt, kind, flag, resume, |n| n != node);
                     if model.is_complete(t) {
                         prop_assert_eq!(decision, Decision::Recover(Vec::new()), "failure of complete {}", t);
                         continue;
@@ -142,20 +161,39 @@ proptest! {
                     check_decision(&mut model, &decision, &[t], &maps)?;
                 }
                 // Node expiry: exactly the incomplete tasks' attempts on
-                // the node fail, reduces by index and number, then maps.
+                // the node fail, reduces by index and number, then maps;
+                // the others are cancelled.
                 6 => {
                     let lost: Vec<TaskId> = (0..MAPS).filter(|m| (k >> m) & 1 == 1).map(|m| TaskId::map(JobId(0), m)).collect();
-                    let (failed, decision) = ledger.expire(node, lost, |_| true);
+                    let decision = ledger.expire(at_ns, node, lost, |_| true);
                     prop_assert!(ledger.is_expired(node));
-                    let mut want: Vec<AttemptId> =
+                    let mut gone: Vec<AttemptId> =
                         model.running.iter().filter(|(_, n)| **n == node).map(|(a, _)| *a).collect();
-                    model.running.retain(|_, n| *n != node);
-                    want.retain(|a| !model.is_complete(a.task));
-                    want.sort_by_key(|a| (a.task.is_map(), a.task.index, a.number));
-                    prop_assert_eq!(&failed, &want);
-                    let reduces: Vec<TaskId> = failed.iter().map(|a| a.task).filter(|t| t.is_reduce()).collect();
-                    let maps: Vec<TaskId> = failed.iter().map(|a| a.task).filter(|t| t.is_map()).collect();
+                    gone.sort_by_key(|a| (a.task.is_map(), a.task.index, a.number));
+                    let mut failed = Vec::new();
+                    for a in gone {
+                        if model.is_complete(a.task) {
+                            model.end(at_ns, a, TraceKind::Cancelled);
+                        } else {
+                            model.end(at_ns, a, TraceKind::Failed(FailureKind::NodeCrash));
+                            failed.push(a.task);
+                        }
+                    }
+                    let reduces: Vec<TaskId> = failed.iter().copied().filter(|t| t.is_reduce()).collect();
+                    let maps: Vec<TaskId> = failed.iter().copied().filter(|t| t.is_map()).collect();
                     check_decision(&mut model, &decision, &reduces, &maps)?;
+                }
+                // A stale report about an attempt that already ended
+                // records and recovers nothing.
+                7 => {
+                    if model.ended.is_empty() { continue }
+                    let attempt = model.ended[k as usize % model.ended.len()];
+                    if flag {
+                        let decision = ledger.fail(at_ns, attempt, FailureKind::TaskOom, true, None, |_| true);
+                        prop_assert_eq!(decision, Decision::Recover(Vec::new()), "stale failure of {}", attempt);
+                    } else {
+                        ledger.cancel(at_ns, attempt);
+                    }
                 }
                 _ => {
                     let t = task(k);
@@ -171,12 +209,14 @@ proptest! {
                 if t.is_reduce() {
                     for n in (0..NODES).map(NodeId) {
                         let want = model.launches_on.get(&(t, n)).copied().unwrap_or(0);
-                        prop_assert_eq!(ledger.reduce_attempts_on(t, n), want, "{} on {}", t, n);
+                        let on = ledger.trace().nodes_of(t).filter(|&m| m == n).count() as u32;
+                        prop_assert_eq!(on, want, "{} on {}", t, n);
                         on_nodes += want;
                     }
                 }
             }
-            prop_assert_eq!(ledger.launched().reduces, on_nodes);
+            prop_assert_eq!(ledger.trace().launches(TaskKind::Reduce), on_nodes);
+            prop_assert_eq!(ledger.trace(), &model.trace);
             prop_assert_eq!(ledger.reduces_complete(), tasks().filter(|t| t.is_reduce()).all(|t| model.is_complete(t)));
         }
     }

@@ -94,7 +94,7 @@ impl ChainEngine for SimChainEngine {
             .collect();
         EngineRun {
             job_secs: report.job_secs,
-            failures: report.failures.len() as u32,
+            failures: report.trace.failures().count() as u32,
             resident_hits: report.resident_fetch_hits,
             succeeded: report.succeeded,
             outputs,

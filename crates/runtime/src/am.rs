@@ -3,9 +3,9 @@
 //! One `JobRunner` drives one job: it launches map/reduce attempts as
 //! threads, consumes their events, injects planned faults, and detects
 //! node failures after the liveness timeout. Its attempts live in an
-//! [`alm_core::Ledger`]: on a task or node failure it records the failures
-//! and executes what the ledger decides for the configured
-//! [`alm_types::RecoveryMode`]:
+//! [`alm_core::Ledger`], which records a task or node failure in the
+//! job's attempt trace and decides; the AM executes the decision for the
+//! configured [`alm_types::RecoveryMode`]:
 //!
 //! * **Baseline** (stock YARN): failed tasks are re-launched from scratch;
 //!   lost MOFs are only re-executed after enough reducers *report* fetch
@@ -27,14 +27,13 @@ use alm_core::{Decision, ExecMode, Ledger, LogPaths, SchedAction};
 use alm_shuffle::frame::FRAME_HEADER_LEN;
 use alm_shuffle::LocalFs;
 use alm_types::{
-    AttemptId, CorruptTarget, FailureKind, FaultTimeline, LinkChange, LinkOp, NodeId, ReplicationLevel,
-    TaskId,
+    AttemptId, CorruptTarget, FailureKind, FaultPlan, FaultTimeline, LinkChange, LinkOp, NodeId,
+    ReplicationLevel, TaskId, TaskKind,
 };
 use bytes::Bytes;
 
 use crate::cluster::MiniCluster;
 use crate::events::TaskEvent;
-use crate::faults::FaultPlan;
 use crate::job::JobDef;
 use crate::maptask::{run_map, MapCtx};
 use crate::reducetask::{run_reduce, ReduceCtx};
@@ -111,8 +110,13 @@ impl JobRunner {
         }
     }
 
+    /// The ledger's clock: nanoseconds since the job started.
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
     fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
+        self.now_ns() / 1_000_000
     }
 
     /// Round-robin over alive nodes, optionally avoiding one.
@@ -139,7 +143,7 @@ impl JobRunner {
         let Some(node_id) = self.pick_node(None) else {
             return;
         };
-        let attempt = self.ledger.launch(task, node_id, ExecMode::Regular);
+        let attempt = self.ledger.launch(self.now_ns(), task, node_id, ExecMode::Regular);
         let ctx = MapCtx {
             job: self.job.clone(),
             attempt,
@@ -157,7 +161,7 @@ impl JobRunner {
         let Some(node_id) = on.or_else(|| self.pick_node(avoid)) else {
             return;
         };
-        let attempt = self.ledger.launch(task, node_id, mode);
+        let attempt = self.ledger.launch(self.now_ns(), task, node_id, mode);
         let nodes = Arc::new(self.cluster.nodes.clone());
         let ctx = ReduceCtx {
             job: self.job.clone(),
@@ -176,16 +180,6 @@ impl JobRunner {
             epoch: self.epoch,
         };
         self.threads.push(std::thread::spawn(move || run_reduce(ctx)));
-    }
-
-    fn record_failure(&mut self, attempt: AttemptId, kind: FailureKind) {
-        debug_assert!(!kind.is_transient(), "transient kind {kind:?} recorded as an attempt failure");
-        self.report.failures.push(FailureEvent {
-            at_ms: self.now_ms(),
-            task: attempt.task,
-            attempt_number: attempt.number,
-            kind,
-        });
     }
 
     fn execute(&mut self, decision: Decision) {
@@ -223,9 +217,8 @@ impl JobRunner {
     /// The failed node, while it lives, holds the attempt's local logs; the
     /// runtime counts every running FCM attempt, wherever it runs.
     fn handle_task_failure(&mut self, attempt: AttemptId, node: NodeId, kind: FailureKind) {
-        self.record_failure(attempt, kind);
         let alive = self.cluster.node(node).is_alive();
-        let decision = self.ledger.fail(attempt, node, alive, alive.then_some(node), |_| true);
+        let decision = self.ledger.fail(self.now_ns(), attempt, kind, alive, alive.then_some(node), |_| true);
         self.execute(decision);
     }
 
@@ -233,10 +226,7 @@ impl JobRunner {
     fn handle_node_failure(&mut self, node: NodeId) {
         let lost_mofs: Vec<TaskId> =
             self.registry.mofs_on_node(node).into_iter().map(|m| self.job.map_task(m)).collect();
-        let (failed, decision) = self.ledger.expire(node, lost_mofs, |_| true);
-        for a in failed {
-            self.record_failure(a, FailureKind::NodeCrash);
-        }
+        let decision = self.ledger.expire(self.now_ns(), node, lost_mofs, |_| true);
         self.rerun_reduces_with_lost_output();
         self.execute(decision);
     }
@@ -285,7 +275,7 @@ impl JobRunner {
     /// Cancel the siblings of a task's first completion.
     fn cancel(&mut self, siblings: Option<Vec<AttemptId>>) {
         for a in siblings.into_iter().flatten() {
-            self.ledger.cancel(a);
+            self.ledger.cancel(self.now_ns(), a);
             self.cancels[&a].store(true, Ordering::Relaxed);
         }
     }
@@ -446,7 +436,7 @@ impl JobRunner {
             match ev {
                 TaskEvent::MapCompleted { attempt, node, mof } => {
                     let map_index = attempt.task.index;
-                    let siblings = self.ledger.complete(attempt);
+                    let siblings = self.ledger.complete(self.now_ns(), attempt);
                     // Apply any due corruption of this MOF *before* it
                     // becomes fetchable, so reducers can never race the
                     // injection to a clean read.
@@ -468,7 +458,7 @@ impl JobRunner {
                     self.cancel(siblings);
                 }
                 TaskEvent::ReduceCompleted { attempt, node: _, output_records } => {
-                    let siblings = self.ledger.complete(attempt);
+                    let siblings = self.ledger.complete(self.now_ns(), attempt);
                     if siblings.is_some() {
                         self.report.output_records.insert(attempt.task.index, output_records);
                     }
@@ -546,12 +536,23 @@ impl JobRunner {
             let _ = h.join();
         }
 
-        let launched = self.ledger.launched();
-        self.report.map_attempts = launched.maps;
-        self.report.reduce_attempts = launched.reduces;
-        self.report.fcm_attempts = launched.fcm;
         self.report.succeeded = succeeded;
         self.report.job_time_ms = self.now_ms();
+        let trace = self.ledger.into_trace();
+        debug_assert_eq!(trace.check(), Ok(()));
+        self.report.map_attempts = trace.launches(TaskKind::Map);
+        self.report.reduce_attempts = trace.launches(TaskKind::Reduce);
+        self.report.fcm_attempts = trace.fcm_launches();
+        self.report.failures = trace
+            .failures()
+            .map(|f| FailureEvent {
+                at_ms: f.at_ns / 1_000_000,
+                task: f.attempt.task,
+                attempt_number: f.attempt.number,
+                kind: f.kind,
+            })
+            .collect();
+        self.report.trace = trace;
         self.report
     }
 }

@@ -32,7 +32,6 @@
 pub mod am;
 pub mod cluster;
 pub mod events;
-pub mod faults;
 pub mod job;
 pub mod maptask;
 pub mod reducetask;
@@ -40,10 +39,10 @@ pub mod registry;
 pub mod report;
 pub mod resident;
 
+pub use alm_types::failure::{Fault, FaultPlan};
 pub use am::JobRunner;
 pub use cluster::{LinkTable, MiniCluster, NodeHandle};
 pub use events::TaskEvent;
-pub use faults::{Fault, FaultPlan};
 pub use job::JobDef;
 pub use report::{FailureEvent, JobReport, LogRecoveryEvent};
 pub use resident::ResidentCache;

@@ -7,9 +7,11 @@ use std::sync::Arc;
 
 use alm_core::LogPaths;
 use alm_runtime::am::run_job;
-use alm_runtime::{FaultPlan, JobDef, MiniCluster};
+use alm_runtime::{FaultPlan, JobDef, JobReport, MiniCluster};
 use alm_shuffle::LocalFs;
-use alm_types::{AlmConfig, CorruptTarget, Fault, JobId, NodeId, RecoveryMode, TaskId};
+use alm_types::{
+    AlmConfig, CorruptTarget, FailureKind, Fault, JobId, NodeId, RecoveryMode, TaskId, TaskKind,
+};
 use alm_workloads::reference::{canonicalize, reference_output};
 use alm_workloads::{Record, SecondarySort, Terasort, Wordcount, Workload};
 
@@ -36,6 +38,26 @@ fn committed_outputs(cluster: &MiniCluster, job: &JobDef) -> Vec<Vec<Record>> {
             out
         })
         .collect()
+}
+
+fn failures_with(report: &JobReport, kind: FailureKind) -> usize {
+    report.failures.iter().filter(|f| f.kind == kind).count()
+}
+
+/// The attempt trace's invariants: time order, a launch first and at most
+/// one end per attempt, launches that add up to the report's attempt
+/// counts, and `failures` equal to the trace's failure view, element for
+/// element, in milliseconds.
+fn assert_trace_invariants(report: &JobReport) {
+    let trace = &report.trace;
+    assert_eq!(trace.check(), Ok(()), "{trace:?}");
+    let launches = (trace.launches(TaskKind::Map), trace.launches(TaskKind::Reduce), trace.fcm_launches());
+    assert_eq!(launches, (report.map_attempts, report.reduce_attempts, report.fcm_attempts));
+    assert_eq!(report.failures.len(), trace.failures().count());
+    for (event, f) in report.failures.iter().zip(trace.failures()) {
+        let view = (f.at_ns / 1_000_000, f.attempt.task, f.attempt.number, f.kind);
+        assert_eq!((event.at_ms, event.task, event.attempt_number, event.kind), view);
+    }
 }
 
 fn assert_output_matches(cluster: &MiniCluster, jd: &JobDef) {
@@ -99,6 +121,7 @@ fn map_oom_recovers_quickly_baseline() {
     let report = run_job(cluster.clone(), jd.clone(), plan);
     assert!(report.succeeded);
     assert_eq!(report.failures.len(), 1);
+    assert_trace_invariants(&report);
     assert!(report.map_attempts >= 5, "the failed map re-ran");
     assert_output_matches(&cluster, &jd);
 }
@@ -118,6 +141,7 @@ fn map_killed_on_every_attempt_fails_the_job_at_the_budget() {
     let failed: Vec<u32> = report.failures.iter().map(|f| f.attempt_number).collect();
     assert_eq!(failed, (0..8).collect::<Vec<_>>(), "{report:?}");
     assert_eq!(report.map_attempts, 4 + 7, "no attempt after the eighth");
+    assert_trace_invariants(&report);
 }
 
 #[test]
@@ -128,6 +152,7 @@ fn reduce_oom_recovers_baseline() {
     let report = run_job(cluster.clone(), jd.clone(), plan);
     assert!(report.succeeded, "{report:?}");
     assert!(report.failures.iter().any(|f| f.task == TaskId::reduce(JobId(11), 0)));
+    assert_trace_invariants(&report);
     assert_output_matches(&cluster, &jd);
 }
 
@@ -204,8 +229,9 @@ fn node_crash_baseline_recovers_with_amplification() {
     assert!(report.succeeded, "{report:?}");
     // Baseline cannot hide the loss: reducer 1 died with the node, and map
     // 1's stranded output had to be produced again.
-    assert!(report.failures_of_kind(alm_types::FailureKind::NodeCrash) >= 1, "{:?}", report.failures);
+    assert!(failures_with(&report, FailureKind::NodeCrash) >= 1, "{:?}", report.failures);
     assert!(report.map_attempts > jd.num_maps, "the stranded MOF was regenerated: {report:?}");
+    assert_trace_invariants(&report);
     assert_output_matches(&cluster, &jd);
 }
 
@@ -219,10 +245,11 @@ fn node_crash_sfm_no_reduce_amplification() {
     // SFM's proactive regeneration means no healthy reducer is preempted
     // for fetch failures: the only failures are tasks that died with the node.
     assert!(
-        report.failures.iter().all(|f| f.kind == alm_types::FailureKind::NodeCrash),
+        report.failures.iter().all(|f| f.kind == FailureKind::NodeCrash),
         "no fetch-failure amplification under SFM: {:?}",
         report.failures
     );
+    assert_trace_invariants(&report);
     assert_output_matches(&cluster, &jd);
 }
 
@@ -252,6 +279,7 @@ fn multiple_concurrent_node_crashes_sfm() {
         .and(FaultPlan::crash_node_at_reduce_progress(NodeId(2), 1, 0.05));
     let report = run_job(cluster.clone(), jd.clone(), plan);
     assert!(report.succeeded, "{report:?}");
+    assert_trace_invariants(&report);
     assert_output_matches(&cluster, &jd);
 }
 
@@ -376,7 +404,7 @@ fn late_node_crash_resumes_from_reduce_stage_logs() {
     let crashed =
         watcher.join().expect("watcher").expect("a reduce-stage record appeared before the job ended");
     assert!(report.succeeded, "{report:?}");
-    assert!(report.failures_of_kind(alm_types::FailureKind::NodeCrash) >= 1, "node {crashed}: {report:?}");
+    assert!(failures_with(&report, FailureKind::NodeCrash) >= 1, "node {crashed}: {report:?}");
     // The node's local logs died with it: a resumed record is a DFS one.
     assert!(
         report.log_recoveries.iter().any(|e| e.report.resumed_seq.is_some()),
@@ -446,8 +474,8 @@ fn partition_healing_before_liveness_causes_no_node_loss() {
         assert!(report.succeeded, "{mode:?}: {report:?}");
         // Zero node-lost declarations, zero fetch-failure preemptions and
         // zero map re-executions: parked fetches burn no retry budget.
-        assert_eq!(report.failures_of_kind(alm_types::FailureKind::NodeCrash), 0, "{mode:?}");
-        assert_eq!(report.failures_of_kind(alm_types::FailureKind::FetchFailureLimit), 0, "{mode:?}");
+        assert_eq!(failures_with(&report, FailureKind::NodeCrash), 0, "{mode:?}");
+        assert_eq!(failures_with(&report, FailureKind::FetchFailureLimit), 0, "{mode:?}");
         assert!(report.failures.is_empty(), "{mode:?}: {:?}", report.failures);
         assert_eq!(report.map_attempts, jd.num_maps, "no map re-execution under {mode:?}");
         assert_eq!(report.reduce_attempts, jd.num_reduces, "no reduce re-execution under {mode:?}");
@@ -499,7 +527,7 @@ fn corrupted_mof_partition_is_refetched_without_preemption() {
         // The reducer detected the rot and the AM regenerated the MOF; the
         // fetch-failure budget was never charged, so no task failed.
         assert!(report.corruption_refetches >= 1, "{mode:?}: rot must be reported: {report:?}");
-        assert_eq!(report.failures_of_kind(alm_types::FailureKind::FetchFailureLimit), 0, "{mode:?}");
+        assert_eq!(failures_with(&report, FailureKind::FetchFailureLimit), 0, "{mode:?}");
         assert!(report.failures.is_empty(), "{mode:?}: repair is failure-free: {:?}", report.failures);
         assert_eq!(report.map_attempts, jd.num_maps + 1, "exactly one regeneration under {mode:?}");
         assert_output_matches(&cluster, &jd);

@@ -27,7 +27,7 @@ use rand::Rng;
 
 use crate::quantities::Quantities;
 use crate::spec::{ExperimentEnv, SimJobSpec};
-use crate::trace::{SimFailure, SimReport};
+use crate::trace::SimReport;
 
 /// Hadoop's `mapreduce.reduce.shuffle.parallelcopies`.
 const MAX_PARALLEL_FETCHES: usize = 5;
@@ -557,6 +557,11 @@ impl Simulation {
         self.q.now().as_secs_f64()
     }
 
+    /// The ledger's clock.
+    fn now_ns(&self) -> u64 {
+        self.q.now().as_nanos()
+    }
+
     fn reduce_done(&self, r: u32) -> bool {
         self.ledger.is_complete(TaskId::reduce(self.job, r))
     }
@@ -757,7 +762,7 @@ impl Simulation {
     }
 
     fn launch_map(&mut self, task: TaskId, node: u32) {
-        let attempt = self.ledger.launch(task, NodeId(node), ExecMode::Regular);
+        let attempt = self.ledger.launch(self.now_ns(), task, NodeId(node), ExecMode::Regular);
         self.nodes[node as usize].map_slots_free -= 1;
         self.map_atts.insert(attempt, MapAtt { node, phase: MapPhase::Launching });
         let d = SimDuration::from_ms(self.env.cluster.container_launch_ms);
@@ -765,8 +770,7 @@ impl Simulation {
     }
 
     fn launch_reduce(&mut self, task: TaskId, node: u32, mode: ExecMode) {
-        let attempt = self.ledger.launch(task, NodeId(node), mode);
-        self.report.reduce_nodes.entry(task.index).or_default().push(node);
+        let attempt = self.ledger.launch(self.now_ns(), task, NodeId(node), mode);
         self.nodes[node as usize].reduce_slots_free -= 1;
 
         // Recovery state from logs, if any and usable from `node`.
@@ -891,7 +895,7 @@ impl Simulation {
         let att = self.map_atts.remove(&attempt).expect("attempt exists");
         self.nodes[att.node as usize].map_slots_free += 1;
         // A map's siblings run on: each copy registers its MOF as it ends.
-        self.ledger.complete(attempt);
+        self.ledger.complete(self.now_ns(), attempt);
         let task = &mut self.maps[attempt.task.index as usize];
         let first = !task.ever_completed;
         task.ever_completed = true;
@@ -1364,10 +1368,10 @@ impl Simulation {
     fn reduce_completed(&mut self, attempt: AttemptId) {
         let att = self.red_atts.remove(&attempt).expect("attempt exists");
         self.nodes[att.node as usize].reduce_slots_free += 1;
-        let Some(siblings) = self.ledger.complete(attempt) else { return };
+        let Some(siblings) = self.ledger.complete(self.now_ns(), attempt) else { return };
         // Cancel sibling attempts (speculative duplicates).
         for s in siblings {
-            self.ledger.cancel(s);
+            self.ledger.cancel(self.now_ns(), s);
             self.kill_attempt_silently(s);
         }
         if self.ledger.reduces_complete() {
@@ -1485,14 +1489,7 @@ impl Simulation {
     }
 
     fn fail_attempt(&mut self, attempt: AttemptId, kind: FailureKind) {
-        debug_assert!(!kind.is_transient(), "transient kind {kind:?} recorded as an attempt failure");
         let Some(node) = self.kill_attempt_silently(attempt) else { return };
-        self.report.failures.push(SimFailure {
-            at_secs: self.now_secs(),
-            task: attempt.task,
-            attempt_number: attempt.number,
-            kind,
-        });
         // ALG resumes a reduce where its newest logged snapshot lives. An
         // FCM attempt on a crashed node no longer counts against the cap.
         let logged = if attempt.task.is_reduce() {
@@ -1502,7 +1499,7 @@ impl Simulation {
         };
         let alive = |n: NodeId| self.nodes[n.0 as usize].alive;
         let resume = logged.map(|l| NodeId(l.node)).filter(|&n| alive(n));
-        let decision = self.ledger.fail(attempt, NodeId(node), alive(NodeId(node)), resume, alive);
+        let decision = self.ledger.fail(self.now_ns(), attempt, kind, alive(NodeId(node)), resume, alive);
         self.execute(decision);
     }
 
@@ -1673,16 +1670,8 @@ impl Simulation {
             .filter(|&m| self.mof_loc[m as usize] == Some(node))
             .map(|m| TaskId::map(self.job, m))
             .collect();
-        let (failed, decision) =
-            self.ledger.expire(NodeId(node), lost_mofs, |n| self.nodes[n.0 as usize].alive);
-        for a in failed {
-            self.report.failures.push(SimFailure {
-                at_secs: self.now_secs(),
-                task: a.task,
-                attempt_number: a.number,
-                kind: FailureKind::NodeCrash,
-            });
-        }
+        let decision =
+            self.ledger.expire(self.now_ns(), NodeId(node), lost_mofs, |n| self.nodes[n.0 as usize].alive);
         self.execute(decision);
     }
 
@@ -2076,10 +2065,12 @@ impl Simulation {
             let done = if self.reduce_done(r) { 1.0 } else { 0.0 };
             self.report.reduce_progress.entry(r).or_default().push((end, done));
         }
-        let launched = self.ledger.launched();
-        self.report.map_attempts = launched.maps;
-        self.report.reduce_attempts = launched.reduces;
-        self.report.fcm_attempts = launched.fcm;
+        let trace = self.ledger.into_trace();
+        debug_assert_eq!(trace.check(), Ok(()));
+        self.report.map_attempts = trace.launches(TaskKind::Map);
+        self.report.reduce_attempts = trace.launches(TaskKind::Reduce);
+        self.report.fcm_attempts = trace.fcm_launches();
+        self.report.trace = trace;
         self.report
     }
 }
@@ -2088,7 +2079,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use alm_types::units::GB;
-    use alm_types::{Fault, FlapSchedule, LinkDirection, RecoveryMode};
+    use alm_types::{Failure, Fault, FlapSchedule, LinkDirection, RecoveryMode};
     use alm_workloads::WorkloadKind;
     use proptest::prelude::*;
 
@@ -2214,6 +2205,15 @@ mod tests {
         Simulation::new(spec, ExperimentEnv::paper(mode), faults).run()
     }
 
+    fn failures(r: &SimReport) -> Vec<Failure> {
+        r.trace.failures().collect()
+    }
+
+    /// The node reduce 0's first attempt ran on.
+    fn first_reduce_node(r: &SimReport) -> u32 {
+        r.trace.nodes_of(TaskId::reduce(JobId(0), 0)).next().expect("reduce 0 launched").0
+    }
+
     fn kill_reduce(index: u32, at_progress: f64) -> FaultPlan {
         FaultPlan::kill_task(TaskId::reduce(JobId(0), index), at_progress)
     }
@@ -2246,15 +2246,15 @@ mod tests {
         // Completed entries ahead of the first unplaceable map are
         // skipped; one behind it stays.
         for m in [slots, slots + 1, 700] {
-            let attempt = sim.ledger.launch(TaskId::map(JobId(0), m), NodeId(0), ExecMode::Regular);
-            sim.ledger.complete(attempt);
+            let attempt = sim.ledger.launch(0, TaskId::map(JobId(0), m), NodeId(0), ExecMode::Regular);
+            sim.ledger.complete(0, attempt);
         }
         sim.dispatch();
         assert_eq!(sim.queued_maps, maps(slots + 2..800));
 
         // A high-priority regeneration stays first.
         let running = TaskId::map(JobId(0), 3).attempt(0);
-        sim.ledger.complete(running);
+        sim.ledger.complete(0, running);
         assert!(sim.regenerate(3, true));
         sim.dispatch();
         let mut expected = maps(3..4);
@@ -2293,7 +2293,7 @@ mod tests {
     fn clean_terasort_completes() {
         let r = run(WorkloadKind::Terasort, 10, 8, RecoveryMode::Baseline, FaultPlan::none());
         assert!(r.succeeded, "{r:?}");
-        assert!(r.failures.is_empty());
+        assert!(failures(&r).is_empty());
         assert!(r.job_secs > 1.0 && r.job_secs < 10_000.0, "time {}", r.job_secs);
         assert_eq!(r.map_attempts, 80);
         assert_eq!(r.reduce_attempts, 8);
@@ -2345,7 +2345,7 @@ mod tests {
     fn node_crash_wipes_resident_copies() {
         let fault = crash_at_reduce_progress(1, 0, 0.3);
         let r = run_resident(WorkloadKind::Terasort, 10, 8, RecoveryMode::SfmAlg, fault);
-        assert!(r.succeeded, "{:?}", r.failures);
+        assert!(r.succeeded, "{:?}", failures(&r));
         assert!(r.resident_invalidations > 0, "the crashed node held resident MOFs");
         assert!(r.resident_fetch_hits > 0, "survivors keep serving from RAM");
     }
@@ -2355,7 +2355,7 @@ mod tests {
         let fault = crash_at_reduce_progress(2, 1, 0.5);
         let a = run_resident(WorkloadKind::Pagerank, 10, 8, RecoveryMode::SfmAlg, fault.clone());
         let b = run_resident(WorkloadKind::Pagerank, 10, 8, RecoveryMode::SfmAlg, fault);
-        assert!(a.succeeded, "{:?}", a.failures);
+        assert!(a.succeeded, "{:?}", failures(&a));
         assert_eq!(a, b, "resident mode must stay fully deterministic");
     }
 
@@ -2364,7 +2364,7 @@ mod tests {
         let clean = run(WorkloadKind::Terasort, 10, 8, RecoveryMode::Baseline, FaultPlan::none());
         let faulty = run(WorkloadKind::Terasort, 10, 8, RecoveryMode::Baseline, kill_reduce(0, 0.8));
         assert!(faulty.succeeded, "{faulty:?}");
-        assert_eq!(faulty.failures.len(), 1);
+        assert_eq!(failures(&faulty).len(), 1);
         assert!(faulty.job_secs > clean.job_secs, "a late reduce failure must delay the job");
         assert_eq!(faulty.reduce_attempts, 9);
     }
@@ -2413,16 +2413,16 @@ mod tests {
         let fault = crash_at_reduce_progress(1, 0, 0.3);
         let yarn = run(WorkloadKind::Terasort, 100, 20, RecoveryMode::Baseline, fault.clone());
         let sfm = run(WorkloadKind::Terasort, 100, 20, RecoveryMode::Sfm, fault);
-        assert!(yarn.succeeded, "{:?}", yarn.failures);
-        assert!(sfm.succeeded, "{:?}", sfm.failures);
+        assert!(yarn.succeeded, "{:?}", failures(&yarn));
+        assert!(sfm.succeeded, "{:?}", failures(&sfm));
         let yarn_fetch_failures =
-            yarn.failures.iter().filter(|f| f.kind == FailureKind::FetchFailureLimit).count();
+            failures(&yarn).iter().filter(|f| f.kind == FailureKind::FetchFailureLimit).count();
         let sfm_fetch_failures =
-            sfm.failures.iter().filter(|f| f.kind == FailureKind::FetchFailureLimit).count();
+            failures(&sfm).iter().filter(|f| f.kind == FailureKind::FetchFailureLimit).count();
         assert!(
             yarn_fetch_failures > 0,
             "baseline: the recovered reducer must be preempted again over lost MOFs (temporal amplification): {:?}",
-            yarn.failures
+            failures(&yarn)
         );
         assert_eq!(sfm_fetch_failures, 0, "SFM: proactive regeneration prevents amplification");
         assert!(
@@ -2444,7 +2444,11 @@ mod tests {
             FaultPlan::slow_node(NodeId(0), 0, 40.0),
         );
         assert!(slowed.succeeded, "{slowed:?}");
-        assert!(slowed.failures.is_empty(), "a slow node degrades, it never fails: {:?}", slowed.failures);
+        assert!(
+            failures(&slowed).is_empty(),
+            "a slow node degrades, it never fails: {:?}",
+            failures(&slowed)
+        );
         assert!(
             slowed.job_secs > clean.job_secs * 1.05,
             "stragglers must delay the job: {:.1}s vs clean {:.1}s",
@@ -2460,11 +2464,11 @@ mod tests {
         let fault = FaultPlan::crash_node_at_ms(NodeId(0), 30_000);
         let r = run(WorkloadKind::Terasort, 20, 16, RecoveryMode::Sfm, fault);
         assert!(r.succeeded, "{r:?}");
-        if let Some(f) = r.failures.iter().find(|f| f.kind == FailureKind::NodeCrash) {
+        if let Some(f) = failures(&r).iter().find(|f| f.kind == FailureKind::NodeCrash) {
             assert!(
-                f.at_secs >= 30.0 + 69.0,
+                f.at_secs() >= 30.0 + 69.0,
                 "detection at {:.1}s must wait for the 70s liveness timeout",
-                f.at_secs
+                f.at_secs()
             );
         }
     }
@@ -2513,7 +2517,7 @@ mod tests {
         let fault = crash_at_reduce_progress(0, 0, 0.2);
         let r = run(WorkloadKind::Terasort, 20, 16, RecoveryMode::Sfm, fault);
         assert!(r.succeeded);
-        if r.failures.iter().any(|f| f.task.is_reduce()) {
+        if failures(&r).iter().any(|f| f.attempt.task.is_reduce()) {
             assert!(r.fcm_attempts > 0, "reduce migration should use FCM: {r:?}");
         }
     }
@@ -2525,7 +2529,7 @@ mod tests {
         // budget, never preempt a reducer, never re-execute a map.
         for mode in [RecoveryMode::Baseline, RecoveryMode::SfmAlg] {
             let clean = run(WorkloadKind::Terasort, 10, 8, mode, FaultPlan::none());
-            let red_node = clean.reduce_nodes[&0][0];
+            let red_node = first_reduce_node(&clean);
             let workers = ExperimentEnv::paper(mode).cluster.worker_nodes();
             let other = (red_node + 1) % workers;
             let heal = ms(clean.map_phase_secs) + 30_000;
@@ -2538,9 +2542,9 @@ mod tests {
             );
             assert!(faulty.succeeded, "{mode:?}: {faulty:?}");
             assert!(
-                faulty.failures.is_empty(),
+                failures(&faulty).is_empty(),
                 "{mode:?}: a healed partition must not fail anything: {:?}",
-                faulty.failures
+                failures(&faulty)
             );
             assert_eq!(faulty.map_attempts, clean.map_attempts, "{mode:?}: no map re-execution");
             assert_eq!(faulty.reduce_attempts, clean.reduce_attempts, "{mode:?}: no reducer preemption");
@@ -2562,7 +2566,7 @@ mod tests {
         // any reducer exists).
         let mode = RecoveryMode::Baseline;
         let clean = run(WorkloadKind::Terasort, 10, 8, mode, FaultPlan::none());
-        let red_node = clean.reduce_nodes[&0][0];
+        let red_node = first_reduce_node(&clean);
         let other = (red_node + 1) % ExperimentEnv::paper(mode).cluster.worker_nodes();
         let window =
             |from_ms, heal_ms| FaultPlan::partition_link(NodeId(red_node), NodeId(other), from_ms, heal_ms);
@@ -2583,7 +2587,7 @@ mod tests {
         // under the symmetric cut — and nothing may fail in either case.
         let mode = RecoveryMode::Baseline;
         let clean = run(WorkloadKind::Terasort, 10, 8, mode, FaultPlan::none());
-        let red_node = clean.reduce_nodes[&0][0];
+        let red_node = first_reduce_node(&clean);
         let workers = ExperimentEnv::paper(mode).cluster.worker_nodes();
         let other = (red_node + 1) % workers;
         let heal = ms(clean.map_phase_secs) + 30_000;
@@ -2594,7 +2598,7 @@ mod tests {
         let asym = part(LinkDirection::AToB);
         let sym = part(LinkDirection::Both);
         assert!(asym.succeeded && sym.succeeded);
-        assert!(asym.failures.is_empty(), "asymmetric cut must not fail anything: {:?}", asym.failures);
+        assert!(failures(&asym).is_empty(), "asymmetric cut must not fail anything: {:?}", failures(&asym));
         assert_eq!(asym.map_attempts, clean.map_attempts, "no map re-execution under a half-open link");
         assert!(
             asym.job_secs <= sym.job_secs,
@@ -2611,7 +2615,7 @@ mod tests {
         // re-fetched, and the retry budget is never charged.
         let mode = RecoveryMode::Baseline;
         let clean = run(WorkloadKind::Terasort, 10, 8, mode, FaultPlan::none());
-        let red_node = clean.reduce_nodes[&0][0];
+        let red_node = first_reduce_node(&clean);
         let workers = ExperimentEnv::paper(mode).cluster.worker_nodes();
         // Gray NIC on red_node: every fetch it issues is slow and lossy.
         let faults = (0..workers).filter(|n| *n != red_node).fold(FaultPlan::none(), |plan, other| {
@@ -2628,7 +2632,7 @@ mod tests {
         let faulty = run(WorkloadKind::Terasort, 10, 8, mode, faults);
         assert!(faulty.succeeded, "{faulty:?}");
         assert!(faulty.degraded_drops >= 1, "gray loss must be observed: {faulty:?}");
-        assert!(faulty.failures.is_empty(), "gray drops must never preempt: {:?}", faulty.failures);
+        assert!(failures(&faulty).is_empty(), "gray drops must never preempt: {:?}", failures(&faulty));
         assert_eq!(faulty.reduce_attempts, clean.reduce_attempts, "no reducer preemption");
         assert!(
             faulty.job_secs > clean.job_secs,
@@ -2649,9 +2653,9 @@ mod tests {
         assert_eq!(a, b, "flap windows must preserve full determinism");
         assert!(a.succeeded, "{a:?}");
         assert!(
-            a.failures.iter().all(|f| f.kind != FailureKind::FetchFailureLimit),
+            failures(&a).iter().all(|f| f.kind != FailureKind::FetchFailureLimit),
             "flap cycles must never exhaust the retry budget: {:?}",
-            a.failures
+            failures(&a)
         );
     }
 
@@ -2697,7 +2701,11 @@ mod tests {
         assert!(faulty.succeeded, "{faulty:?}");
         assert!(faulty.corruption_refetches >= 1, "the rot must be observed on arrival: {faulty:?}");
         assert_eq!(faulty.map_attempts, clean.map_attempts + 1, "exactly one regeneration: {faulty:?}");
-        assert!(faulty.failures.is_empty(), "checksummed re-fetch must never preempt: {:?}", faulty.failures);
+        assert!(
+            failures(&faulty).is_empty(),
+            "checksummed re-fetch must never preempt: {:?}",
+            failures(&faulty)
+        );
     }
 
     #[test]

@@ -24,7 +24,8 @@ pub fn run_one(spec: &SimJobSpec, env: &ExperimentEnv, faults: FaultPlan) -> Sim
 /// given the spec), by running the failure-free job once.
 pub fn node_of_reduce(spec: &SimJobSpec, env: &ExperimentEnv, reduce_index: u32) -> u32 {
     let clean = run_one(spec, env, FaultPlan::none());
-    clean.reduce_nodes.get(&reduce_index).and_then(|v| v.first()).copied().unwrap_or(0)
+    let first = clean.trace.nodes_of(TaskId::reduce(JobId(0), reduce_index)).next();
+    first.map_or(0, |n| n.0)
 }
 
 fn env(mode: RecoveryMode) -> ExperimentEnv {
@@ -116,7 +117,7 @@ pub fn fig3(seed: u64) -> ExperimentReport {
     let victim = node_of_reduce(&spec, &e, 0);
     let r = run_one(&spec, &e, crash_at_reduce_progress(victim, 0, 0.4));
     let reduce0 = TaskId::reduce(alm_types::JobId(0), 0);
-    let repeats = r.repeated_failures_of(reduce0);
+    let repeats = r.trace.repeats_of(reduce0);
     let mut tl = r.timeline_of(0, "wordcount reduce progress");
     tl.annotate(0.0, format!("node {victim} hosts the single reducer and its local MOFs"));
     rep.note(format!(
@@ -142,18 +143,16 @@ pub fn fig4(seed: u64) -> ExperimentReport {
     // Crash early in the reduce phase so healthy reducers are still
     // shuffling and depend on the lost MOFs.
     let r = run_one(&spec, &e, crash_at_reduce_progress(1, 5, 0.05));
-    let injected: Vec<TaskId> =
-        r.failures.iter().filter(|f| f.kind == alm_types::FailureKind::NodeCrash).map(|f| f.task).collect();
-    let infected = r.infected_reduces(&injected);
     rep.note(format!(
-        "one node crash additionally failed {infected} healthy ReduceTasks (paper observed 6); total failures {}",
-        r.failures.len()
+        "one node crash additionally failed {} healthy ReduceTasks (paper observed 6); total failures {}",
+        r.trace.additional_failures(),
+        r.trace.failures().count()
     ));
     let mut s = Series::new("failed-reduces-over-time", "time (s)", "cumulative reduce failures");
     let mut count = 0;
-    for f in r.failures.iter().filter(|f| f.task.is_reduce()) {
+    for f in r.trace.failures().filter(|f| f.attempt.task.is_reduce()) {
         count += 1;
-        s.push(f.at_secs, count as f64);
+        s.push(f.at_secs(), count as f64);
     }
     rep.series.push(s);
     rep.timelines.push(r.timeline_of(5, "reduce 5 progress"));
@@ -246,7 +245,7 @@ pub fn fig10(seed: u64, proactive: bool) -> ExperimentReport {
     let reduce0 = TaskId::reduce(alm_types::JobId(0), 0);
     rep.note(format!(
         "repeated failures of the reducer: {} (0 means temporal amplification eliminated); job {:.1}s",
-        r.repeated_failures_of(reduce0),
+        r.trace.repeats_of(reduce0),
         r.job_secs
     ));
     rep.timelines.push(r.timeline_of(0, "wordcount reduce progress under SFM"));
@@ -265,17 +264,10 @@ pub fn table2(seed: u64) -> ExperimentReport {
     for p in [0.05, 0.10, 0.15] {
         for (name, mode) in [("YARN", RecoveryMode::Baseline), ("SFM", RecoveryMode::Sfm)] {
             let r = run_one(&spec, &env(mode), crash_at_reduce_progress(1, 5, p));
-            let injected: Vec<TaskId> = r
-                .failures
-                .iter()
-                .filter(|f| f.kind == alm_types::FailureKind::NodeCrash)
-                .map(|f| f.task)
-                .collect();
-            let infected = r.infected_reduces(&injected);
             t.row(&[
                 name.to_string(),
                 format!("{:.0}%", p * 100.0),
-                infected.to_string(),
+                r.trace.additional_failures().to_string(),
                 format!("{:.0} seconds", r.job_secs),
             ]);
         }

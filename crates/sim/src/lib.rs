@@ -14,7 +14,7 @@
 //! | [`spec`] | experiment inputs: job spec and environment (faults arrive as `alm_types::FaultPlan`) |
 //! | [`quantities`] | derived byte/cost quantities from the workload model |
 //! | [`engine`] | the simulation itself: nodes, tasks, AM, failure handling |
-//! | [`trace`] | outputs: completion times, failures, progress timelines |
+//! | [`trace`] | outputs: completion times, the attempt trace, progress timelines |
 //! | [`experiment`] | per-figure runners used by the bench harness |
 
 #![forbid(unsafe_code)]

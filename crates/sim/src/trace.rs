@@ -1,18 +1,9 @@
 //! Simulation outputs.
 
 use alm_metrics::Timeline;
-use alm_types::{FailureKind, TaskId};
+use alm_types::Trace;
 use serde::Serialize;
 use std::collections::BTreeMap;
-
-/// One failure observed by the simulated AM.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct SimFailure {
-    pub at_secs: f64,
-    pub task: TaskId,
-    pub attempt_number: u32,
-    pub kind: FailureKind,
-}
 
 /// Everything one simulated run produced.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
@@ -21,15 +12,13 @@ pub struct SimReport {
     pub job_secs: f64,
     /// Virtual time the map phase finished (all maps' first completion).
     pub map_phase_secs: f64,
-    pub failures: Vec<SimFailure>,
+    /// Every attempt state change, in virtual nanoseconds.
+    pub trace: Trace,
     pub map_attempts: u32,
     pub reduce_attempts: u32,
     pub fcm_attempts: u32,
     /// Per reduce index: `(secs, overall progress)` samples.
     pub reduce_progress: BTreeMap<u32, Vec<(f64, f64)>>,
-    /// Per reduce index: the node each attempt ran on, in attempt order —
-    /// lets experiments target "the node hosting reducer r" for crashes.
-    pub reduce_nodes: BTreeMap<u32, Vec<u32>>,
     /// Analytics-log snapshots taken.
     pub alg_snapshots: u64,
     /// Fetched chunks that failed arrival checksum validation and were
@@ -62,26 +51,6 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Reduce failures of tasks other than those listed (spatial
-    /// amplification victims, Table II's "additional failures").
-    pub fn infected_reduces(&self, injected: &[TaskId]) -> usize {
-        let mut v: Vec<TaskId> = self
-            .failures
-            .iter()
-            .filter(|f| f.task.is_reduce() && !injected.contains(&f.task))
-            .map(|f| f.task)
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v.len()
-    }
-
-    /// Repeated failures of one task after its first (temporal
-    /// amplification).
-    pub fn repeated_failures_of(&self, task: TaskId) -> usize {
-        self.failures.iter().filter(|f| f.task == task).count().saturating_sub(1)
-    }
-
     /// Build an annotated timeline of one reduce task's progress for the
     /// profiling figures (3, 4, 10).
     pub fn timeline_of(&self, reduce_index: u32, name: impl Into<String>) -> Timeline {
@@ -91,8 +60,11 @@ impl SimReport {
                 tl.sample(t, p);
             }
         }
-        for f in &self.failures {
-            tl.annotate(f.at_secs, format!("{} attempt {} failed: {}", f.task, f.attempt_number, f.kind));
+        for f in self.trace.failures() {
+            tl.annotate(
+                f.at_secs(),
+                format!("{} attempt {} failed: {}", f.attempt.task, f.attempt.number, f.kind),
+            );
         }
         tl
     }
@@ -101,46 +73,19 @@ impl SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alm_types::JobId;
-
-    #[test]
-    fn amplification_queries() {
-        let j = JobId(0);
-        let (r0, r1) = (TaskId::reduce(j, 0), TaskId::reduce(j, 1));
-        let rep = SimReport {
-            failures: vec![
-                SimFailure { at_secs: 1.0, task: r0, attempt_number: 0, kind: FailureKind::NodeCrash },
-                SimFailure {
-                    at_secs: 2.0,
-                    task: r0,
-                    attempt_number: 1,
-                    kind: FailureKind::FetchFailureLimit,
-                },
-                SimFailure {
-                    at_secs: 3.0,
-                    task: r1,
-                    attempt_number: 0,
-                    kind: FailureKind::FetchFailureLimit,
-                },
-            ],
-            ..SimReport::default()
-        };
-        assert_eq!(rep.infected_reduces(&[r0]), 1);
-        assert_eq!(rep.repeated_failures_of(r0), 1);
-    }
+    use alm_types::{FailureKind, JobId, NodeId, TaskId, TraceEvent, TraceKind};
 
     #[test]
     fn timeline_collects_samples_and_annotations() {
         let mut rep = SimReport::default();
         rep.reduce_progress.insert(0, vec![(0.0, 0.0), (10.0, 0.5)]);
-        rep.failures.push(SimFailure {
-            at_secs: 5.0,
-            task: TaskId::reduce(JobId(0), 0),
-            attempt_number: 0,
-            kind: FailureKind::NodeCrash,
-        });
+        let attempt = TaskId::reduce(JobId(0), 0).attempt(0);
+        let event = |at_ns, kind| TraceEvent { at_ns, attempt, node: NodeId(0), kind };
+        rep.trace.push(event(0, TraceKind::Launched { fcm: false }));
+        rep.trace.push(event(5_000_000_000, TraceKind::Failed(FailureKind::NodeCrash)));
         let tl = rep.timeline_of(0, "reduce 0");
         assert_eq!(tl.samples.len(), 2);
         assert_eq!(tl.annotations.len(), 1);
+        assert_eq!(tl.annotations[0].at_secs, 5.0);
     }
 }

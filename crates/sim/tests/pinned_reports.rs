@@ -13,7 +13,7 @@
 use alm_shuffle::frame::crc32;
 use alm_sim::{ExperimentEnv, SimJobSpec, SimReport, Simulation};
 use alm_types::units::GB;
-use alm_types::{CorruptTarget, FaultPlan, JobId, LinkDirection, NodeId, RecoveryMode, TaskId};
+use alm_types::{CorruptTarget, FaultPlan, JobId, LinkDirection, NodeId, RecoveryMode, TaskId, TaskKind};
 use alm_workloads::WorkloadKind;
 
 /// `(events, job_secs bits, map attempts, reduce attempts, failures,
@@ -21,19 +21,21 @@ use alm_workloads::WorkloadKind;
 type Pin = (u64, u64, u32, u32, usize, u32, u32);
 
 /// Recorded at e395026; the map and reduce kills at bda5a83; the failure
-/// digests at 662c715.
+/// digests at 662c715. The report CRCs were re-recorded, every other
+/// column unchanged, when the report's failure list and per-reduce node
+/// list gave way to the attempt trace, which changed the JSON's shape.
 const PINNED: [(&str, Pin); 11] = [
-    ("clean terasort", (803, 4626354383178525038, 80, 8, 0, 0, 2896675147)),
-    ("node crash, baseline", (19134, 4642159539171410529, 840, 23, 3, 132443855, 3510556223)),
-    ("node crash, alg", (15881, 4641583274456119364, 840, 23, 3, 2432099717, 959880646)),
-    ("node crash, sfm", (12763, 4640537708624276378, 840, 21, 1, 1031748158, 3179678640)),
-    ("node crash, sfm+alg", (12722, 4639834332585936666, 840, 21, 1, 1031748158, 4072836422)),
-    ("healed partition", (1184, 4634330558135809356, 80, 8, 0, 0, 3019706015)),
-    ("degraded lossy links", (1057, 4628416290193917636, 80, 8, 0, 0, 3963964357)),
-    ("mof corruption", (810, 4626354383178243563, 81, 8, 0, 0, 1334286921)),
-    ("alg record rot", (960, 4627685906037861442, 80, 9, 1, 618444459, 3101671950)),
-    ("resident mofs, node crash", (750, 4636202310752247382, 84, 9, 1, 936549449, 3123603075)),
-    ("map and reduce kills, alg", (12676, 4639127392220713377, 801, 21, 2, 3117696129, 358096053)),
+    ("clean terasort", (803, 4626354383178525038, 80, 8, 0, 0, 1031365198)),
+    ("node crash, baseline", (19134, 4642159539171410529, 840, 23, 3, 132443855, 2678986615)),
+    ("node crash, alg", (15881, 4641583274456119364, 840, 23, 3, 2432099717, 3812991790)),
+    ("node crash, sfm", (12763, 4640537708624276378, 840, 21, 1, 1031748158, 1470787731)),
+    ("node crash, sfm+alg", (12722, 4639834332585936666, 840, 21, 1, 1031748158, 1502377969)),
+    ("healed partition", (1184, 4634330558135809356, 80, 8, 0, 0, 2035624150)),
+    ("degraded lossy links", (1057, 4628416290193917636, 80, 8, 0, 0, 2488267165)),
+    ("mof corruption", (810, 4626354383178243563, 81, 8, 0, 0, 25612793)),
+    ("alg record rot", (960, 4627685906037861442, 80, 9, 1, 618444459, 3327371817)),
+    ("resident mofs, node crash", (750, 4636202310752247382, 84, 9, 1, 936549449, 2810138764)),
+    ("map and reduce kills, alg", (12676, 4639127392220713377, 801, 21, 2, 3117696129, 2653881208)),
 ];
 
 fn sim(gb: u64, reduces: u32, mode: RecoveryMode, faults: FaultPlan) -> Simulation {
@@ -41,13 +43,13 @@ fn sim(gb: u64, reduces: u32, mode: RecoveryMode, faults: FaultPlan) -> Simulati
     Simulation::new(spec, ExperimentEnv::paper(mode), faults)
 }
 
-/// The failures, one `(at_secs bits, task, attempt number, kind)` line
-/// each, in the order the report lists them.
+/// The trace's failure view, one `(at_secs bits, task, attempt number,
+/// kind)` line each, in trace order.
 fn failure_digest(report: &SimReport) -> u32 {
     let lines: String = report
-        .failures
-        .iter()
-        .map(|f| format!("{:?}\n", (f.at_secs.to_bits(), f.task, f.attempt_number, f.kind)))
+        .trace
+        .failures()
+        .map(|f| format!("{:?}\n", (f.at_secs().to_bits(), f.attempt.task, f.attempt.number, f.kind)))
         .collect();
     crc32(lines.as_bytes())
 }
@@ -59,7 +61,7 @@ fn pin(report: &SimReport) -> Pin {
         report.job_secs.to_bits(),
         report.map_attempts,
         report.reduce_attempts,
-        report.failures.len(),
+        report.trace.failures().count(),
         failure_digest(report),
         crc32(json.as_bytes()),
     )
@@ -111,4 +113,19 @@ fn reports_match_their_pinned_values() {
     let actual: Vec<(&str, Pin)> = runs().into_iter().map(|(name, sim)| (name, pin(&sim.run()))).collect();
     let table: String = actual.iter().map(|row| format!("    {row:?},\n")).collect();
     assert!(actual == PINNED, "a pinned simulator report moved; the runs now give:\n{table}");
+}
+
+/// The attempt trace of every pinned run: time order, a launch first and at
+/// most one end per attempt, and launches that add up to the report's
+/// attempt counts.
+#[test]
+fn traces_keep_their_invariants() {
+    for (name, sim) in runs() {
+        let report = sim.run();
+        let trace = &report.trace;
+        assert_eq!(trace.check(), Ok(()), "{name}");
+        let launches =
+            (trace.launches(TaskKind::Map), trace.launches(TaskKind::Reduce), trace.fcm_launches());
+        assert_eq!(launches, (report.map_attempts, report.reduce_attempts, report.fcm_attempts), "{name}");
+    }
 }

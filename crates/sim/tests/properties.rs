@@ -78,12 +78,10 @@ proptest! {
         // Termination with a bounded event count (no livelock).
         prop_assert!(report.events < 10_000_000, "event explosion: {}", report.events);
 
-        // Failures are time-ordered and timestamped within the run.
-        for w in report.failures.windows(2) {
-            prop_assert!(w[0].at_secs <= w[1].at_secs);
-        }
-        for f in &report.failures {
-            prop_assert!(f.at_secs <= report.job_secs + 1e-6);
+        // The trace is time-ordered and its failures fall within the run.
+        prop_assert_eq!(report.trace.check(), Ok(()));
+        for f in report.trace.failures() {
+            prop_assert!(f.at_secs() <= report.job_secs + 1e-6);
         }
 
         // Progress samples stay in [0, 1].
@@ -99,7 +97,7 @@ proptest! {
 
         // Crashing at most 2 of 20 nodes must never sink the job.
         if crash_count <= 2 {
-            prop_assert!(report.succeeded, "job failed: {:?}", report.failures);
+            prop_assert!(report.succeeded, "job failed: {:?}", report.trace);
             for r in 0..reduces {
                 let samples = report.reduce_progress.get(&r).expect("sampled");
                 prop_assert!(samples.last().unwrap().1 >= 1.0 - 1e-9, "reduce {r} unfinished");
@@ -124,12 +122,8 @@ proptest! {
         };
         let spec = SimJobSpec::new(WorkloadKind::Terasort, 20 * GB, 8, 3);
         let report = Simulation::new(spec, ExperimentEnv::paper(mode), fault).run();
-        prop_assert!(report.succeeded, "{:?}", report.failures);
-        let fetch_deaths = report
-            .failures
-            .iter()
-            .filter(|f| f.kind == FailureKind::FetchFailureLimit)
-            .count();
-        prop_assert_eq!(fetch_deaths, 0, "SFM must prevent fetch-failure preemption: {:?}", report.failures);
+        prop_assert!(report.succeeded, "{:?}", report.trace);
+        let fetch_deaths = report.trace.failures().filter(|f| f.kind == FailureKind::FetchFailureLimit).count();
+        prop_assert_eq!(fetch_deaths, 0, "SFM must prevent fetch-failure preemption: {:?}", report.trace);
     }
 }

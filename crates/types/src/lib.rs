@@ -3,7 +3,8 @@
 //! This crate holds the types every other crate speaks: task/job/node
 //! identifiers, task kinds and reduce phases, the YARN configuration
 //! surface (the modelled part of the paper's Table I), failure descriptions (the input of the
-//! enhanced recovery scheduling policy, Algorithm 1), and progress values.
+//! enhanced recovery scheduling policy, Algorithm 1), progress values and
+//! the attempt trace, over which every amplification count is defined.
 //!
 //! Nothing in here performs I/O or simulation; it is pure data so that the
 //! real threaded runtime (`alm-runtime`) and the discrete-event simulator
@@ -16,6 +17,7 @@ pub mod failure;
 pub mod id;
 pub mod progress;
 pub mod state;
+pub mod trace;
 pub mod units;
 
 pub use config::{AlmConfig, ClusterSpec, MemConfig, MemMode, RecoveryMode, ReplicationLevel, YarnConfig};
@@ -26,3 +28,4 @@ pub use failure::{
 pub use id::{rack_members, rack_of, AttemptId, JobId, NodeId, RackId, TaskId};
 pub use progress::Progress;
 pub use state::{ReducePhase, TaskKind};
+pub use trace::{Failure, FailureCounts, Trace, TraceEvent, TraceKind};

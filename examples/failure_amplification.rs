@@ -29,15 +29,21 @@ fn main() {
             "job time: {:.1}s   reduce attempts: {}   failures: {}",
             report.job_secs,
             report.reduce_attempts,
-            report.failures.len()
+            report.trace.failures().count()
         );
-        for f in &report.failures {
-            println!("  {:6.1}s  {} attempt {} failed: {}", f.at_secs, f.task, f.attempt_number, f.kind);
+        for f in report.trace.failures() {
+            println!(
+                "  {:6.1}s  {} attempt {} failed: {}",
+                f.at_secs(),
+                f.attempt.task,
+                f.attempt.number,
+                f.kind
+            );
         }
         let repeats = report
-            .failures
-            .iter()
-            .filter(|f| f.task.is_reduce() && f.kind == FailureKind::FetchFailureLimit)
+            .trace
+            .failures()
+            .filter(|f| f.attempt.task.is_reduce() && f.kind == FailureKind::FetchFailureLimit)
             .count();
         match mode {
             RecoveryMode::Baseline => println!(

@@ -25,7 +25,7 @@ fn main() {
     let spec = SimJobSpec::paper(WorkloadKind::Terasort, seed);
     let env = ExperimentEnv::paper(RecoveryMode::Baseline);
     let clean = run_one(&spec, &env, FaultPlan::none());
-    let red_node = clean.reduce_nodes[&0][0];
+    let red_node = clean.trace.nodes_of(TaskId::reduce(JobId(0), 0)).next().expect("reduce 0 ran").0;
     let partner = (red_node + 1) % env.cluster.worker_nodes();
 
     // 1. Asymmetric partition: sever only the fetch direction
@@ -48,7 +48,7 @@ fn main() {
     let sym = dir_run(LinkDirection::Both);
     let asym = dir_run(LinkDirection::AToB);
     for (label, rep) in [("symmetric", &sym), ("asymmetric", &asym)] {
-        assert!(rep.succeeded && rep.failures.is_empty(), "{label} partition must be absorbed");
+        assert!(rep.succeeded && rep.trace.failures().next().is_none(), "{label} partition must be absorbed");
         assert_eq!(rep.map_attempts, clean.map_attempts, "{label}: no map re-execution");
     }
     println!(
@@ -70,7 +70,7 @@ fn main() {
     let windows = plan.partition_windows();
     assert_eq!(windows.len(), 3, "one severed window per cycle");
     let flap = run_one(&spec, &env, plan);
-    assert!(flap.succeeded && flap.failures.is_empty(), "flapping link must be absorbed");
+    assert!(flap.succeeded && flap.trace.failures().next().is_none(), "flapping link must be absorbed");
     println!(
         "flapping link (3 seeded cycles): windows {:?} -> {:.0}s, zero failures, budget intact",
         windows.iter().map(|w| (w.from_ms / 1000, w.heal_ms / 1000)).collect::<Vec<_>>(),
@@ -94,7 +94,7 @@ fn main() {
             ))
         });
     let gray = run_one(&spec, &env, degrade);
-    assert!(gray.succeeded && gray.failures.is_empty(), "degraded links must be absorbed");
+    assert!(gray.succeeded && gray.trace.failures().next().is_none(), "degraded links must be absorbed");
     assert!(gray.degraded_drops >= 1, "a 30% lossy link must drop at least one transfer");
     println!(
         "degraded links from node {red_node} (4x slow, 30% loss): {:.0}s vs clean {:.0}s, {} transparent drop(s), zero failures\n",

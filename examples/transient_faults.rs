@@ -31,20 +31,23 @@ fn main() {
     for mode in [RecoveryMode::Baseline, RecoveryMode::SfmAlg] {
         let env = ExperimentEnv::paper(mode);
         let clean = run_one(&spec, &env, FaultPlan::none());
-        let red_node = clean.reduce_nodes[&0][0];
+        let red_node = clean.trace.nodes_of(TaskId::reduce(JobId(0), 0)).next().expect("reduce 0 ran").0;
         let partner = (red_node + 1) % env.cluster.worker_nodes();
         let from_ms = (clean.map_phase_secs * 1000.0) as u64;
         let cut = FaultPlan::partition_link(NodeId(red_node), NodeId(partner), from_ms, from_ms + 30_000);
         let rep = run_one(&spec, &env, cut);
         assert!(rep.succeeded, "{mode:?}: job must complete through a healed partition");
-        assert!(rep.failures.is_empty(), "{mode:?}: a healed partition must not record failures");
+        assert!(
+            rep.trace.failures().next().is_none(),
+            "{mode:?}: a healed partition must not record failures"
+        );
         assert_eq!(rep.map_attempts, clean.map_attempts, "{mode:?}: no map re-execution");
         println!(
             "  {mode:?}: clean {:.0}s -> partitioned {:.0}s ({:+.0}s), {} failures, {} map attempts",
             clean.job_secs,
             rep.job_secs,
             rep.job_secs - clean.job_secs,
-            rep.failures.len(),
+            rep.trace.failures().count(),
             rep.map_attempts,
         );
     }
@@ -59,13 +62,13 @@ fn main() {
         &env,
         FaultPlan::corrupt_data(NodeId(0), CorruptTarget::MofPartition { map_index: 1, partition: 0 }, 0),
     );
-    assert!(rep.succeeded && rep.failures.is_empty());
+    assert!(rep.succeeded && rep.trace.failures().next().is_none());
     assert!(rep.corruption_refetches >= 1, "the corrupted chunk must be detected and re-fetched");
     assert_eq!(rep.map_attempts, clean.map_attempts + 1, "exactly the corrupted map regenerates");
     println!(
         "\ncorrupted MOF chunk: {} transparent re-fetch(es), {} failures, FetchFailureLimit untouched",
         rep.corruption_refetches,
-        rep.failures.len()
+        rep.trace.failures().count()
     );
 
     // 3. A rotted ALG log record under analytics logging: recovery

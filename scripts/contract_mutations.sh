@@ -70,6 +70,16 @@
 #                                                 fails (the queue keeps its order)
 #     the armed kill list skipping map kills  -> reports_match_their_pinned_values
 #                                                 fails (a pinned run kills a map)
+#     the ledger's expiry dropping attempts without recording their
+#     NodeCrash failures                      -> fig3_temporal_amplification_exists_in_baseline
+#                                                 fails (Fig. 3's repeats are
+#                                                 counted on the trace)
+#   cargo test -p alm-core
+#     the ledger's fail recording only failures of incomplete tasks
+#                                               -> ledger_keeps_the_books fails
+#                                                 (a finished map's running
+#                                                 sibling still fails on the
+#                                                 record)
 #   cargo test -p alm-sched
 #     the view sync keeping a drained head job at the head of its tenant's entry
 #                                               -> slots_left_when_the_head_job_drains_go_to_the_next_oldest_job
@@ -106,7 +116,7 @@
 # (YarnConfig 14, MemConfig 4, SchedConfig 3); the YarnConfig mutation
 # anchors on the struct header, not on any one field.
 #
-# 32 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
+# 34 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -166,6 +176,10 @@ test_shuffle() {
 
 test_sim() {
     (cd "$work/ws" && cargo test --offline -p alm-sim 2>&1)
+}
+
+test_core() {
+    (cd "$work/ws" && cargo test --offline -p alm-core 2>&1)
 }
 
 test_sched() {
@@ -232,7 +246,7 @@ mutate_and_expect() {
 # leaves a shared CARGO_TARGET_DIR holding no mutant artifact).
 expect_pass() {
     local runner out
-    for runner in check check_tests clippy test_shuffle test_sim test_sched test_workloads test_dfs test_gate; do
+    for runner in check check_tests clippy test_shuffle test_sim test_core test_sched test_workloads test_dfs test_gate; do
         if ! out="$($runner)"; then
             echo "FAIL [$1]: $runner fails on the unmutated copy:" >&2
             echo "$out" >&2
@@ -278,7 +292,7 @@ expect_fail "SimReport counter" check crates/sim/src/trace.rs \
     "pub struct SimReport {" "    pub phantom_completions: u32," "error\[E0027\]" crates/chaos/src/analyze.rs
 
 expect_fail "HashMap field iterated in the sim" clippy crates/sim/src/engine.rs \
-    "use crate::trace::{SimFailure, SimReport};" \
+    "use crate::trace::SimReport;" \
     "pub struct Leak { pub m: std::collections::HashMap<u32, u32> } impl Leak { pub fn order(&self) -> Vec<u32> { self.m.keys().copied().collect() } }" \
     "use of a disallowed type" crates/sim/src/engine.rs
 expect_fail "HashMap field in the DES kernel" clippy crates/des/src/queue.rs \
@@ -316,6 +330,14 @@ expect_fail_replacing "map kills left out of the armed list" test_sim crates/sim
     "                attempt.number == 0 && attempt.task.index < tasks" \
     "                attempt.number == 0 && attempt.task.index < tasks && attempt.task.is_reduce()" \
     "test reports_match_their_pinned_values \.\.\. FAILED"
+expect_fail_replacing "expiry records no NodeCrash failure" test_sim crates/core/src/am.rs \
+    "                self.end(at_ns, a, TraceKind::Failed(FailureKind::NodeCrash));" \
+    "                self.running.remove(&a);" \
+    "test experiment::tests::fig3_temporal_amplification_exists_in_baseline \.\.\. FAILED"
+expect_fail_replacing "failures of complete tasks go unrecorded" test_core crates/core/src/am.rs \
+    "        let Some(node) = self.end(at_ns, attempt, TraceKind::Failed(kind)) else {" \
+    "        let Some(node) = (if self.is_complete(attempt.task) { self.running.remove(&attempt).map(|(n, _)| n) } else { self.end(at_ns, attempt, TraceKind::Failed(kind)) }) else {" \
+    "test ledger_keeps_the_books \.\.\. FAILED"
 expect_fail_replacing "drained head job kept at the head" test_sched crates/sched/src/engine.rs \
     "            } else if now == 0 && entry.head_arrival_seq == seq {" "            } else if false {" \
     "test engine::tests::slots_left_when_the_head_job_drains_go_to_the_next_oldest_job \.\.\. FAILED"

@@ -60,10 +60,10 @@ fn alm_framework_cracks_down_amplification_at_paper_scale() {
     assert!(yarn.succeeded && alm.succeeded);
 
     let fetch_fails = |r: &alm_mapreduce::sim::SimReport| {
-        r.failures.iter().filter(|f| f.kind == FailureKind::FetchFailureLimit).count()
+        r.trace.failures().filter(|f| f.kind == FailureKind::FetchFailureLimit).count()
     };
-    assert!(fetch_fails(&yarn) > 0, "baseline must amplify: {:?}", yarn.failures);
-    assert_eq!(fetch_fails(&alm), 0, "ALM must not amplify: {:?}", alm.failures);
+    assert!(fetch_fails(&yarn) > 0, "baseline must amplify: {:?}", yarn.trace);
+    assert_eq!(fetch_fails(&alm), 0, "ALM must not amplify: {:?}", alm.trace);
     assert!(alm.job_secs < yarn.job_secs, "ALM {:.1}s vs YARN {:.1}s", alm.job_secs, yarn.job_secs);
 }
 
