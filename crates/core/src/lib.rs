@@ -20,8 +20,9 @@
 //! Both techniques are engine-agnostic: the threaded runtime
 //! (`alm-runtime`) executes them over real bytes, the discrete-event
 //! simulator (`alm-sim`) drives the same policy logic with modelled costs.
-//! Both engines' ApplicationMasters keep their attempts in one [`am`]
-//! ledger, which applies the attempt budget and asks the policy.
+//! Both engines run one ApplicationMaster, [`am::Am`]: it keeps the
+//! attempts and the run queues, applies the attempt budget, asks the
+//! policy and places what it decides; each engine only executes launches.
 
 #![forbid(unsafe_code)]
 
@@ -36,6 +37,6 @@ pub use alg::recovery::{
     find_latest_log, find_latest_log_with_report, recover_attempt, recover_state, recover_state_with_report,
     RecoveredState, RecoveryReport,
 };
-pub use am::{Decision, Ledger};
+pub use am::{Am, Command, Slots};
 pub use sfm::fcm::{collective_merge, spawn_participants, ChannelRun, FcmPipeline, FcmStats, Participant};
 pub use sfm::policy::{schedule_recovery, ExecMode, PolicyCtx, SchedAction};

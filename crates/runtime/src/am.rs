@@ -1,11 +1,11 @@
 //! The ApplicationMaster: scheduling, failure detection, and recovery.
 //!
-//! One `JobRunner` drives one job: it launches map/reduce attempts as
-//! threads, consumes their events, injects planned faults, and detects
-//! node failures after the liveness timeout. Its attempts live in an
-//! [`alm_core::Ledger`], which records a task or node failure in the
-//! job's attempt trace and decides; the AM executes the decision for the
-//! configured [`alm_types::RecoveryMode`]:
+//! One `JobRunner` drives one job: it feeds the job's [`alm_core::Am`]
+//! what it observes (task events, crashes, node expiry after the liveness
+//! timeout), injects planned faults, and runs what the AM dispatches:
+//! each launch is a thread. The AM keeps the attempts, the run queues and
+//! the placement, and decides recovery for the configured
+//! [`alm_types::RecoveryMode`]:
 //!
 //! * **Baseline** (stock YARN): failed tasks are re-launched from scratch;
 //!   lost MOFs are only re-executed after enough reducers *report* fetch
@@ -23,12 +23,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use alm_core::{Decision, ExecMode, Ledger, LogPaths, SchedAction};
+use alm_core::{Am, Command, ExecMode, LogPaths, Slots};
 use alm_shuffle::frame::FRAME_HEADER_LEN;
 use alm_shuffle::LocalFs;
 use alm_types::{
-    AttemptId, CorruptTarget, FailureKind, FaultPlan, FaultTimeline, LinkChange, LinkOp, NodeId,
-    ReplicationLevel, TaskId, TaskKind,
+    AttemptId, CorruptTarget, FaultPlan, FaultTimeline, LinkChange, LinkOp, NodeId, ReplicationLevel, TaskId,
+    TaskKind,
 };
 use bytes::Bytes;
 
@@ -56,16 +56,14 @@ pub struct JobRunner {
     events_tx: Sender<TaskEvent>,
     events_rx: Receiver<TaskEvent>,
     epoch: Instant,
-    ledger: Ledger,
+    am: Am,
     /// Every attempt's cancel flag, set to cancel a sibling and at teardown.
     cancels: BTreeMap<AttemptId, Arc<AtomicBool>>,
-    job_failed: bool,
     /// Distinct reporters per map (baseline needs reports from distinct
     /// reducers, approximated by counting reports).
     fetch_reports: HashMap<u32, u32>,
     threads: Vec<std::thread::JoinHandle<()>>,
     report: JobReport,
-    rr_next: u32,
     /// The armed plan's pending triggers (see [`FaultTimeline`]). A kill
     /// is taken when its attempt launches; the rest drain on the AM's
     /// millisecond clock or on reduce progress events.
@@ -84,7 +82,9 @@ pub struct JobRunner {
 impl JobRunner {
     pub fn new(cluster: Arc<MiniCluster>, job: JobDef, faults: FaultPlan) -> JobRunner {
         let (events_tx, events_rx) = unbounded();
-        let ledger = Ledger::new(&job.alm, &cluster.config, job.num_maps, job.num_reduces);
+        // Every attempt is a thread of its own: no slot limits placement.
+        let nodes = cluster.nodes.len() as u32;
+        let am = Am::new(&job.alm, &cluster.config, job.num_maps, job.num_reduces, nodes, Slots::UNBOUNDED);
         let FaultTimeline { kills, crashes, crashes_at_progress, slowdowns, links, corruptions } =
             faults.arm();
         JobRunner {
@@ -94,13 +94,11 @@ impl JobRunner {
             events_tx,
             events_rx,
             epoch: Instant::now(),
-            ledger,
+            am,
             cancels: BTreeMap::new(),
-            job_failed: false,
             fetch_reports: HashMap::new(),
             threads: Vec::new(),
             report: JobReport::default(),
-            rr_next: 0,
             kills,
             crashes,
             crashes_at_progress,
@@ -110,7 +108,7 @@ impl JobRunner {
         }
     }
 
-    /// The ledger's clock: nanoseconds since the job started.
+    /// The AM's clock: nanoseconds since the job started.
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
@@ -119,135 +117,70 @@ impl JobRunner {
         self.now_ns() / 1_000_000
     }
 
-    /// Round-robin over alive nodes, optionally avoiding one.
-    fn pick_node(&mut self, avoid: Option<NodeId>) -> Option<NodeId> {
-        let n = self.cluster.nodes.len() as u32;
-        for _ in 0..n {
-            let id = NodeId(self.rr_next % n);
-            self.rr_next += 1;
-            if !self.cluster.node(id).is_alive() {
-                continue;
-            }
-            if avoid == Some(id) && self.cluster.alive_nodes().len() > 1 {
-                continue;
-            }
-            return Some(id);
-        }
-        None
-    }
-
-    /// (Re-)execute map `task`: every launch of a map opens it.
-    fn launch_map(&mut self, task: TaskId) {
-        debug_assert!(task.is_map());
-        self.ledger.reopen(task);
-        let Some(node_id) = self.pick_node(None) else {
-            return;
-        };
-        let attempt = self.ledger.launch(self.now_ns(), task, node_id, ExecMode::Regular);
-        let ctx = MapCtx {
-            job: self.job.clone(),
-            attempt,
-            node: self.cluster.node(node_id).clone(),
-            events: self.events_tx.clone(),
-            config: self.cluster.config.clone(),
-            kill_at: self.kills.remove(&attempt),
-            cancelled: self.cancels.entry(attempt).or_default().clone(),
-        };
-        self.threads.push(std::thread::spawn(move || run_map(ctx)));
-    }
-
-    fn launch_reduce(&mut self, task: TaskId, on: Option<NodeId>, avoid: Option<NodeId>, mode: ExecMode) {
-        debug_assert!(task.is_reduce());
-        let Some(node_id) = on.or_else(|| self.pick_node(avoid)) else {
-            return;
-        };
-        let attempt = self.ledger.launch(self.now_ns(), task, node_id, mode);
-        let nodes = Arc::new(self.cluster.nodes.clone());
-        let ctx = ReduceCtx {
-            job: self.job.clone(),
-            attempt,
-            node: self.cluster.node(node_id).clone(),
-            nodes,
-            links: self.cluster.links.clone(),
-            dfs: self.cluster.dfs.clone(),
-            registry: self.registry.clone(),
-            resident: self.cluster.resident(),
-            events: self.events_tx.clone(),
-            config: self.cluster.config.clone(),
-            kill_at: self.kills.remove(&attempt),
-            mode,
-            cancelled: self.cancels.entry(attempt).or_default().clone(),
-            epoch: self.epoch,
-        };
-        self.threads.push(std::thread::spawn(move || run_reduce(ctx)));
-    }
-
-    fn execute(&mut self, decision: Decision) {
-        let actions = match decision {
-            Decision::Recover(actions) => actions,
-            Decision::JobFailed => {
-                self.job_failed = true;
-                return;
-            }
-        };
-        for a in actions {
-            match a {
-                SchedAction::LaunchMap { task, high_priority } => {
-                    // Every launch starts at once in this engine; high
-                    // priority marks the MOF regenerating, so reducers wait
-                    // instead of failing.
-                    if high_priority {
-                        self.registry.mark_regenerating(task.index);
-                    }
-                    self.launch_map(task);
-                }
-                SchedAction::RelaunchReduceOnOrigin { task, node } => {
-                    self.launch_reduce(task, Some(node), None, ExecMode::Regular);
-                }
-                SchedAction::LaunchSpeculativeReduce { task, mode, avoid } => {
-                    self.launch_reduce(task, None, avoid, mode);
-                }
-                SchedAction::RelaunchReduce { task, prefer } => {
-                    self.launch_reduce(task, prefer, None, ExecMode::Regular);
-                }
+    /// Ask the AM what to do, and do it: start a thread per launch, or
+    /// raise a cancelled attempt's flag. Whether the job failed.
+    fn dispatch(&mut self) -> bool {
+        let mut commands = Vec::new();
+        self.am.dispatch(self.now_ns(), &mut commands);
+        for command in commands {
+            match command {
+                Command::Launch { attempt, node, mode } => self.launch(attempt, node, mode),
+                Command::Cancel(attempt) => self.cancels[&attempt].store(true, Ordering::Relaxed),
+                Command::JobFailed => return true,
             }
         }
+        false
     }
 
-    /// The failed node, while it lives, holds the attempt's local logs; the
-    /// runtime counts every running FCM attempt, wherever it runs.
-    fn handle_task_failure(&mut self, attempt: AttemptId, node: NodeId, kind: FailureKind) {
-        let alive = self.cluster.node(node).is_alive();
-        let decision = self.ledger.fail(self.now_ns(), attempt, kind, alive, alive.then_some(node), |_| true);
-        self.execute(decision);
-    }
-
-    /// Attempts running on the dead node died silently; fail them now.
-    fn handle_node_failure(&mut self, node: NodeId) {
-        let lost_mofs: Vec<TaskId> =
-            self.registry.mofs_on_node(node).into_iter().map(|m| self.job.map_task(m)).collect();
-        let decision = self.ledger.expire(self.now_ns(), node, lost_mofs, |_| true);
-        self.rerun_reduces_with_lost_output();
-        self.execute(decision);
+    fn launch(&mut self, attempt: AttemptId, node: NodeId, mode: ExecMode) {
+        let node = self.cluster.node(node).clone();
+        let (events, config) = (self.events_tx.clone(), self.cluster.config.clone());
+        let (kill_at, cancelled) =
+            (self.kills.remove(&attempt), self.cancels.entry(attempt).or_default().clone());
+        let thread = if attempt.task.is_map() {
+            // This runtime regenerates only at high priority, and marks the
+            // MOF so that reducers wait for it instead of failing.
+            if self.am.is_regenerating(attempt.task) {
+                self.registry.mark_regenerating(attempt.task.index);
+            }
+            let ctx = MapCtx { job: self.job.clone(), attempt, node, events, config, kill_at, cancelled };
+            std::thread::spawn(move || run_map(ctx))
+        } else {
+            let ctx = ReduceCtx {
+                job: self.job.clone(),
+                attempt,
+                node,
+                nodes: Arc::new(self.cluster.nodes.clone()),
+                links: self.cluster.links.clone(),
+                dfs: self.cluster.dfs.clone(),
+                registry: self.registry.clone(),
+                resident: self.cluster.resident(),
+                events,
+                config,
+                kill_at,
+                mode,
+                cancelled,
+                epoch: self.epoch,
+            };
+            std::thread::spawn(move || run_reduce(ctx))
+        };
+        self.threads.push(thread);
     }
 
     fn handle_fetch_failure(&mut self, _reducer: AttemptId, map_index: u32, source: NodeId) {
         let count = self.fetch_reports.entry(map_index).or_insert(0);
         *count += 1;
         let count = *count;
+        let map = self.job.map_task(map_index);
         if self.job.alm.mode.sfm_enabled() {
-            // With proactive regeneration this rarely triggers (reducers
-            // wait on regenerating MOFs); if it does (regen disabled or
-            // raced), regenerate immediately.
-            if !self.registry.is_regenerating(map_index) && !self.cluster.node(source).is_alive() {
-                self.registry.mark_regenerating(map_index);
-                self.launch_map(self.job.map_task(map_index));
-            }
+            // The AM regenerates at once if it knows the source is down
+            // (with proactive regeneration, reducers mostly wait instead).
+            self.am.fetch_failed(map, source);
         } else if count == BASELINE_FETCH_REPORTS_TO_REEXECUTE {
             // Baseline: enough reports finally convince the AM the MOF is
             // gone; re-execute the map (normal priority).
             self.fetch_reports.remove(&map_index);
-            self.launch_map(self.job.map_task(map_index));
+            self.am.submit(map);
         }
     }
 
@@ -261,29 +194,21 @@ impl JobRunner {
     /// `output_lost`. Returns whether anything was lost.
     fn rerun_reduces_with_lost_output(&mut self) -> bool {
         let lost: Vec<u32> = (0..self.job.num_reduces)
-            .filter(|&r| self.ledger.is_complete(self.job.reduce_task(r)))
+            .filter(|&r| self.am.is_complete(self.job.reduce_task(r)))
             .filter(|&r| !self.cluster.dfs.has_live_replicas(&self.job.output_path(r)))
             .collect();
         for &r in &lost {
-            self.ledger.reopen(self.job.reduce_task(r));
             self.report.output_records.remove(&r);
-            self.launch_reduce(self.job.reduce_task(r), None, None, ExecMode::Regular);
+            self.am.submit(self.job.reduce_task(r));
         }
         !lost.is_empty()
-    }
-
-    /// Cancel the siblings of a task's first completion.
-    fn cancel(&mut self, siblings: Option<Vec<AttemptId>>) {
-        for a in siblings.into_iter().flatten() {
-            self.ledger.cancel(self.now_ns(), a);
-            self.cancels[&a].store(true, Ordering::Relaxed);
-        }
     }
 
     fn check_time_faults(&mut self) {
         let now = self.now_ms();
         for (_, n) in self.crashes.extract_if(.., |(at, _)| *at <= now) {
             self.cluster.crash_node(n);
+            self.am.node_down(n);
         }
         // Activate due slow-node degradations (the node stays alive). A
         // node slowed twice keeps the larger factor, as in the simulator.
@@ -394,6 +319,17 @@ impl JobRunner {
             self.crashes_at_progress.extract_if(.., |&mut (_, r, p)| r == reduce_index && progress >= p)
         {
             self.cluster.crash_node(n);
+            self.am.node_down(n);
+        }
+    }
+
+    /// Tell the AM about nodes crashed from outside this runner; it learns
+    /// of its own crashes as it makes them.
+    fn poll_liveness(&mut self) {
+        for node in &self.cluster.nodes {
+            if !node.is_alive() {
+                self.am.node_down(node.id);
+            }
         }
     }
 
@@ -403,32 +339,37 @@ impl JobRunner {
             .cluster
             .nodes
             .iter()
-            .filter(|n| !n.is_alive() && !self.ledger.is_expired(n.id))
+            .filter(|n| !self.am.is_live(n.id) && !self.am.is_expired(n.id))
             .filter(|n| n.crashed_for().is_some_and(|d| d >= timeout))
             .map(|n| n.id)
             .collect();
+        // Attempts running on a dead node died silently; fail them now.
         for n in newly_dead {
-            self.handle_node_failure(n);
+            let lost_mofs: Vec<TaskId> =
+                self.registry.mofs_on_node(n).into_iter().map(|m| self.job.map_task(m)).collect();
+            self.am.expire(self.now_ns(), n, lost_mofs);
+            self.rerun_reduces_with_lost_output();
         }
     }
 
     /// Run the job to completion; returns the report.
     pub fn run(mut self) -> JobReport {
-        // Launch the first wave: all maps, then all reduces (reduces start
+        // The first wave: all maps, then all reduces (reduces start
         // shuffling as MOFs appear — the paper's map/reduce overlap).
         for m in 0..self.job.num_maps {
-            self.launch_map(self.job.map_task(m));
+            self.am.submit(self.job.map_task(m));
         }
         for r in 0..self.job.num_reduces {
-            self.launch_reduce(self.job.reduce_task(r), None, None, ExecMode::Regular);
+            self.am.submit(self.job.reduce_task(r));
         }
 
         let started = Instant::now();
         let mut succeeded = false;
-        while !self.job_failed && started.elapsed() <= JOB_WALL_CAP {
+        while started.elapsed() <= JOB_WALL_CAP {
             self.check_time_faults();
+            self.poll_liveness();
             self.check_node_detection();
-            if self.job_failed {
+            if self.dispatch() {
                 break;
             }
 
@@ -436,7 +377,8 @@ impl JobRunner {
             match ev {
                 TaskEvent::MapCompleted { attempt, node, mof } => {
                     let map_index = attempt.task.index;
-                    let siblings = self.ledger.complete(self.now_ns(), attempt);
+                    // A map's siblings run on; each registers its MOF as it ends.
+                    self.am.complete(self.now_ns(), attempt);
                     // Apply any due corruption of this MOF *before* it
                     // becomes fetchable, so reducers can never race the
                     // injection to a clean read.
@@ -455,24 +397,23 @@ impl JobRunner {
                         .for_each(drop);
                     self.corruptions = pending;
                     self.registry.register(map_index, node, mof);
-                    self.cancel(siblings);
                 }
                 TaskEvent::ReduceCompleted { attempt, node: _, output_records } => {
-                    let siblings = self.ledger.complete(self.now_ns(), attempt);
-                    if siblings.is_some() {
+                    if self.am.complete(self.now_ns(), attempt) {
                         self.report.output_records.insert(attempt.task.index, output_records);
                     }
-                    self.cancel(siblings);
                     // A crash the liveness timeout has not surfaced yet may
                     // already have taken a committed partition: look before
                     // declaring the job done.
-                    if self.ledger.reduces_complete() && !self.rerun_reduces_with_lost_output() {
+                    if self.am.reduces_complete() && !self.rerun_reduces_with_lost_output() {
                         succeeded = true;
                         break;
                     }
                 }
+                // The failed node, while the AM believes it live, holds the
+                // attempt's local logs.
                 TaskEvent::TaskFailed { attempt, node, kind } => {
-                    self.handle_task_failure(attempt, node, kind);
+                    self.am.fail(self.now_ns(), attempt, kind, Some(node));
                 }
                 TaskEvent::FetchFailure { reducer, map_index, source } => {
                     self.handle_fetch_failure(reducer, map_index, source);
@@ -485,7 +426,7 @@ impl JobRunner {
                     // copy already replaced regenerates nothing.
                     self.report.corruption_refetches += 1;
                     if self.registry.claim_regeneration(map_index, generation) {
-                        self.launch_map(self.job.map_task(map_index));
+                        self.am.regenerate(self.job.map_task(map_index), true);
                     }
                 }
                 TaskEvent::FetchDegraded { reducer: _, map_index: _, source: _ } => {
@@ -538,7 +479,7 @@ impl JobRunner {
 
         self.report.succeeded = succeeded;
         self.report.job_time_ms = self.now_ms();
-        let trace = self.ledger.into_trace();
+        let trace = self.am.into_trace();
         debug_assert_eq!(trace.check(), Ok(()));
         self.report.map_attempts = trace.launches(TaskKind::Map);
         self.report.reduce_attempts = trace.launches(TaskKind::Reduce);

@@ -4,9 +4,9 @@
 //! four equal-share resources (disk, NIC-in, NIC-out, CPU) plus one shared
 //! uplink per rack; tasks are state machines whose phase transitions are
 //! driven by flow completions and timers from the `alm-des` kernel. The
-//! AM's ledger and recovery policies are the *same code* the threaded
-//! runtime uses (`alm_core::Ledger`, `alm_core::schedule_recovery`), so the
-//! amplification dynamics emerge from mechanism, not curve fitting:
+//! ApplicationMaster — attempt books, run queues, placement and recovery
+//! policy — is the *same code* the threaded runtime uses (`alm_core::Am`),
+//! so the amplification dynamics emerge from mechanism, not curve fitting:
 //!
 //! * baseline reducers hammer fetch retries against lost MOFs, fail with
 //!   `FetchFailureLimit`, and only once a reducer is preempted does the AM
@@ -17,7 +17,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use alm_core::{Decision, ExecMode, Ledger, SchedAction};
+use alm_core::{Am, Command, ExecMode, Slots};
 use alm_des::{EventQueue, EventToken, FlowId, FlowPool, SimDuration};
 use alm_types::{
     rack_of, AttemptId, CorruptTarget, FailureKind, FaultPlan, FaultTimeline, JobId, LinkChange, LinkOp,
@@ -105,17 +105,9 @@ struct FlowInfo {
     pool: PoolRef,
 }
 
-/// A queued reduce attempt: `(task, pinned node, avoided node, mode,
-/// drop_if_pin_unavailable)`. SFM's local-resume attempts are dropped when
-/// their pinned node is gone (the speculative attempt covers recovery);
-/// ALG-only relaunches fall back to any node instead.
-type QueuedReduce = (TaskId, Option<u32>, Option<u32>, ExecMode, bool);
-
 struct SimNode {
     alive: bool,
     rack: u32,
-    map_slots_free: u32,
-    reduce_slots_free: u32,
     /// Compute-slowdown factor (1.0 = healthy). Raised by an activated
     /// timeline slowdown; scales CPU phases started afterwards.
     slow: f64,
@@ -123,7 +115,7 @@ struct SimNode {
 
 struct MapTask {
     /// Whether the task has EVER completed (regeneration reopens it in the
-    /// ledger but does not reset this) — drives first-wave accounting.
+    /// AM but does not reset this) — drives first-wave accounting.
     ever_completed: bool,
 }
 
@@ -401,15 +393,13 @@ pub struct Simulation {
     qty: Quantities,
     maps: Vec<MapTask>,
     reduces: Vec<RedTask>,
-    ledger: Ledger,
+    am: Am,
+    /// `dispatch`'s command buffer, kept to reuse.
+    commands: Vec<Command>,
     map_atts: AttemptTable<MapAtt>,
     red_atts: AttemptTable<RedAtt>,
     /// Per map index: the node holding its registered MOF, if any.
     mof_loc: Vec<Option<u32>>,
-    /// Per map index: whether a re-execution of the map is queued or running.
-    regenerating: Vec<bool>,
-    queued_maps: VecDeque<TaskId>,
-    queued_reduces: VecDeque<QueuedReduce>,
     reduces_dispatched: bool,
     maps_done_once: u32,
     /// The armed plan's pending triggers (see [`FaultTimeline`]), drained
@@ -450,7 +440,6 @@ pub struct Simulation {
     resident_mofs: MapSet,
     seed: u64,
     report: SimReport,
-    rr: u32,
     failed: bool,
     job: JobId,
 }
@@ -467,15 +456,8 @@ impl Simulation {
         let qty = Quantities::derive(&spec, &model, &env.yarn);
         let workers = env.cluster.worker_nodes();
         let racks = env.cluster.racks.max(1);
-        let nodes: Vec<SimNode> = (0..workers)
-            .map(|n| SimNode {
-                alive: true,
-                rack: rack_of(n, racks),
-                map_slots_free: env.cluster.map_slots_per_node,
-                reduce_slots_free: env.cluster.reduce_slots_per_node,
-                slow: 1.0,
-            })
-            .collect();
+        let nodes: Vec<SimNode> =
+            (0..workers).map(|n| SimNode { alive: true, rack: rack_of(n, racks), slow: 1.0 }).collect();
         // Layout must match `pool_slot`.
         let mut pools = Vec::new();
         for _ in 0..workers {
@@ -490,7 +472,8 @@ impl Simulation {
         let maps: Vec<MapTask> = (0..qty.num_maps).map(|_| MapTask { ever_completed: false }).collect();
         let reduces: Vec<RedTask> =
             (0..qty.num_reduces).map(|_| RedTask { logged: None, logged_prev: None }).collect();
-        let ledger = Ledger::new(&env.alm, &env.yarn, qty.num_maps, qty.num_reduces);
+        let slots = Slots { map: env.cluster.map_slots_per_node, reduce: env.cluster.reduce_slots_per_node };
+        let am = Am::new(&env.alm, &env.yarn, qty.num_maps, qty.num_reduces, workers, slots);
 
         let FaultTimeline { kills, crashes, crashes_at_progress, slowdowns, links, corruptions } =
             faults.arm();
@@ -514,13 +497,11 @@ impl Simulation {
             qty,
             maps,
             reduces,
-            ledger,
+            am,
+            commands: Vec::new(),
             map_atts: AttemptTable::new(job, TaskKind::Map),
             red_atts: AttemptTable::new(job, TaskKind::Reduce),
             mof_loc: vec![None; num_maps],
-            regenerating: vec![false; num_maps],
-            queued_maps: VecDeque::new(),
-            queued_reduces: VecDeque::new(),
             reduces_dispatched: false,
             maps_done_once: 0,
             crashes,
@@ -537,7 +518,6 @@ impl Simulation {
             resident_mofs,
             seed,
             report: SimReport::default(),
-            rr: 0,
             failed: false,
             job,
         }
@@ -557,13 +537,13 @@ impl Simulation {
         self.q.now().as_secs_f64()
     }
 
-    /// The ledger's clock.
+    /// The AM's clock.
     fn now_ns(&self) -> u64 {
         self.q.now().as_nanos()
     }
 
     fn reduce_done(&self, r: u32) -> bool {
-        self.ledger.is_complete(TaskId::reduce(self.job, r))
+        self.am.is_complete(TaskId::reduce(self.job, r))
     }
 
     /// Whether `from` can currently not open a fetch connection to `to`
@@ -666,113 +646,37 @@ impl Simulation {
 
     // ---------------- scheduling ----------------
 
-    fn pick_node(&mut self, reduce: bool, avoid: Option<u32>, pin: Option<u32>) -> Option<u32> {
-        if let Some(p) = pin {
-            let n = &self.nodes[p as usize];
-            let free = if reduce { n.reduce_slots_free } else { n.map_slots_free };
-            if n.alive && free > 0 {
-                return Some(p);
-            }
-            return None;
-        }
-        let count = self.nodes.len() as u32;
-        let alive = self.nodes.iter().filter(|n| n.alive).count();
-        for _ in 0..count {
-            let id = self.rr % count;
-            self.rr += 1;
-            let n = &self.nodes[id as usize];
-            if !n.alive {
-                continue;
-            }
-            if avoid == Some(id) && alive > 1 {
-                continue;
-            }
-            let free = if reduce { n.reduce_slots_free } else { n.map_slots_free };
-            if free > 0 {
-                return Some(id);
-            }
-        }
-        None
-    }
-
-    /// Queue a re-execution of map `m` unless one is queued or running
-    /// already; whether this queued one.
-    fn regenerate(&mut self, m: u32, high_priority: bool) -> bool {
-        if std::mem::replace(&mut self.regenerating[m as usize], true) {
-            return false;
-        }
-        let task = TaskId::map(self.job, m);
-        self.ledger.reopen(task);
-        self.enqueue_map(task, high_priority);
-        true
-    }
-
-    fn enqueue_map(&mut self, task: TaskId, high_priority: bool) {
-        if high_priority {
-            self.queued_maps.push_front(task);
-        } else {
-            self.queued_maps.push_back(task);
-        }
-    }
-
-    /// Launch queued maps, then queued reduces, in queue order until one
-    /// cannot be placed; that one goes back to the front of its queue.
+    /// Ask the AM what to do, and do it: cancel, fail the job, or start
+    /// an attempt where the AM placed it.
     fn dispatch(&mut self) {
-        // Maps first (they hold the job back), then reduces.
-        while let Some(task) = self.queued_maps.pop_front() {
-            if self.ledger.is_complete(task) {
-                continue;
-            }
-            match self.pick_node(false, None, None) {
-                Some(node) => self.launch_map(task, node),
-                None => {
-                    self.queued_maps.push_front(task);
-                    break;
+        let mut commands = std::mem::take(&mut self.commands);
+        self.am.dispatch(self.now_ns(), &mut commands);
+        for command in commands.drain(..) {
+            match command {
+                Command::Launch { attempt, node, mode } => {
+                    if attempt.task.is_map() {
+                        self.launch_map(attempt, node.0);
+                    } else {
+                        self.launch_reduce(attempt, node.0, mode);
+                    }
                 }
+                Command::Cancel(attempt) => {
+                    self.kill_attempt_silently(attempt);
+                }
+                Command::JobFailed => self.failed = true,
             }
         }
-
-        // ALG relaunches that lost their pin, in the order they fell back.
-        let mut unpinned = Vec::new();
-        while let Some((task, pin, avoid, mode, drop_on_pin_fail)) = self.queued_reduces.pop_front() {
-            if self.ledger.is_complete(task) {
-                continue;
-            }
-            match self.pick_node(true, avoid, pin) {
-                Some(node) => self.launch_reduce(task, node, mode),
-                None => match pin {
-                    // SFM local resume with its node gone/busy: drop it;
-                    // the speculative attempt covers recovery.
-                    Some(_) if drop_on_pin_fail => continue,
-                    Some(_) => {
-                        // ALG relaunch: fall back to any node (losing the
-                        // local files but keeping DFS-logged progress).
-                        unpinned.push((task, None, avoid, mode, false));
-                    }
-                    None => {
-                        self.queued_reduces.push_front((task, pin, avoid, mode, drop_on_pin_fail));
-                        break;
-                    }
-                },
-            }
-        }
-        for entry in unpinned.into_iter().rev() {
-            self.queued_reduces.push_front(entry);
-        }
+        self.commands = commands;
     }
 
-    fn launch_map(&mut self, task: TaskId, node: u32) {
-        let attempt = self.ledger.launch(self.now_ns(), task, NodeId(node), ExecMode::Regular);
-        self.nodes[node as usize].map_slots_free -= 1;
+    fn launch_map(&mut self, attempt: AttemptId, node: u32) {
         self.map_atts.insert(attempt, MapAtt { node, phase: MapPhase::Launching });
         let d = SimDuration::from_ms(self.env.cluster.container_launch_ms);
         self.q.schedule_after(d, Ev::LaunchDone(attempt));
     }
 
-    fn launch_reduce(&mut self, task: TaskId, node: u32, mode: ExecMode) {
-        let attempt = self.ledger.launch(self.now_ns(), task, NodeId(node), mode);
-        self.nodes[node as usize].reduce_slots_free -= 1;
-
+    fn launch_reduce(&mut self, attempt: AttemptId, node: u32, mode: ExecMode) {
+        let task = attempt.task;
         // Recovery state from logs, if any and usable from `node`.
         let logs = self.env.alm.mode.logs_enabled();
         let logged = self.reduces[task.index as usize].logged.clone();
@@ -893,9 +797,8 @@ impl Simulation {
 
     fn map_completed(&mut self, attempt: AttemptId) {
         let att = self.map_atts.remove(&attempt).expect("attempt exists");
-        self.nodes[att.node as usize].map_slots_free += 1;
         // A map's siblings run on: each copy registers its MOF as it ends.
-        self.ledger.complete(self.now_ns(), attempt);
+        self.am.complete(self.now_ns(), attempt);
         let task = &mut self.maps[attempt.task.index as usize];
         let first = !task.ever_completed;
         task.ever_completed = true;
@@ -903,7 +806,6 @@ impl Simulation {
         if self.mem_resident {
             self.resident_mofs.insert(attempt.task.index);
         }
-        self.regenerating[attempt.task.index as usize] = false;
         if first {
             self.maps_done_once += 1;
             if self.maps_done_once == self.qty.num_maps {
@@ -939,13 +841,7 @@ impl Simulation {
         if self.maps_done_once >= wave {
             self.reduces_dispatched = true;
             for r in 0..self.qty.num_reduces {
-                self.queued_reduces.push_back((
-                    TaskId::reduce(self.job, r),
-                    None,
-                    None,
-                    ExecMode::Regular,
-                    false,
-                ));
+                self.am.submit(TaskId::reduce(self.job, r));
             }
             self.dispatch();
         }
@@ -999,7 +895,7 @@ impl Simulation {
                             // mistake. The heal event re-pumps us.
                             !self.link_severed(att.node, src)
                         } else {
-                            !self.regenerating[m as usize]
+                            !self.am.is_regenerating(TaskId::map(self.job, m))
                         };
                     fetchable.then_some((m, src))
                 });
@@ -1010,7 +906,7 @@ impl Simulation {
                 return;
             };
             if !self.nodes[src as usize].alive {
-                if self.regenerating[m as usize] {
+                if self.am.is_regenerating(TaskId::map(self.job, m)) {
                     // Wait for the high-priority regeneration; the map
                     // completion will re-pump us.
                     return;
@@ -1077,12 +973,10 @@ impl Simulation {
     }
 
     fn fetch_failed(&mut self, attempt: AttemptId, m: u32, src: u32) {
-        if self.env.alm.mode.sfm_enabled() {
-            // SFM: the AM knows the cause; regenerate at high priority and
-            // have the reducer wait (no retry treadmill, no preemption).
-            if !self.nodes[src as usize].alive && self.regenerate(m, true) {
-                self.dispatch();
-            }
+        // SFM: the AM knows the cause; it regenerates at high priority and
+        // the reducer waits (no retry treadmill, no preemption).
+        if self.am.fetch_failed(TaskId::map(self.job, m), NodeId(src)) {
+            self.dispatch();
         }
 
         let Some(att) = self.red_atts.get_mut(&attempt) else { return };
@@ -1102,7 +996,7 @@ impl Simulation {
                     .filter(|&m| self.mof_loc[m as usize].is_some_and(|s| !self.nodes[s as usize].alive))
                     .collect();
                 for m in stuck {
-                    self.regenerate(m, false);
+                    self.am.regenerate(TaskId::map(self.job, m), false);
                 }
             }
             self.fail_attempt(attempt, FailureKind::FetchFailureLimit);
@@ -1127,7 +1021,7 @@ impl Simulation {
         if self.nodes[src as usize].alive {
             self.red_atts.get_mut(&attempt).expect("fetch retry for dead attempt").retry.remove(&m);
             self.pump_fetches(attempt);
-        } else if self.regenerating[m as usize] {
+        } else if self.am.is_regenerating(TaskId::map(self.job, m)) {
             self.red_atts.get_mut(&attempt).expect("fetch retry for dead attempt").retry.remove(&m);
         } else {
             self.fetch_failed(attempt, m, src);
@@ -1185,7 +1079,7 @@ impl Simulation {
             }
             self.corrupt_mofs.remove(&(m, attempt.task.index));
             self.report.corruption_refetches += 1;
-            if self.regenerate(m, true) {
+            if self.am.regenerate(TaskId::map(self.job, m), true) {
                 self.mof_loc[m as usize] = None; // unregistered until regenerated
                 self.dispatch();
             }
@@ -1366,15 +1260,13 @@ impl Simulation {
     }
 
     fn reduce_completed(&mut self, attempt: AttemptId) {
-        let att = self.red_atts.remove(&attempt).expect("attempt exists");
-        self.nodes[att.node as usize].reduce_slots_free += 1;
-        let Some(siblings) = self.ledger.complete(self.now_ns(), attempt) else { return };
-        // Cancel sibling attempts (speculative duplicates).
-        for s in siblings {
-            self.ledger.cancel(self.now_ns(), s);
-            self.kill_attempt_silently(s);
+        self.red_atts.remove(&attempt).expect("attempt exists");
+        // The AM cancels sibling attempts (speculative duplicates), which
+        // the dispatch below stops.
+        if !self.am.complete(self.now_ns(), attempt) {
+            return;
         }
-        if self.ledger.reduces_complete() {
+        if self.am.reduces_complete() {
             self.report.succeeded = true;
             self.report.job_secs = self.now_secs();
         }
@@ -1414,7 +1306,7 @@ impl Simulation {
             .filter(|&m| !self.mof_loc[m as usize].is_some_and(|n| self.nodes[n as usize].alive))
             .collect();
         for m in missing {
-            self.regenerate(m, false);
+            self.am.regenerate(TaskId::map(self.job, m), false);
         }
         self.fail_attempt(attempt, FailureKind::TaskTimeout);
         self.dispatch();
@@ -1466,71 +1358,38 @@ impl Simulation {
         self.flows.iter().filter(|(_, i)| i.attempt == attempt).map(|(f, _)| f).collect()
     }
 
-    /// Stop `attempt` and free its slot; the node it ran on, if it was
-    /// running. (A crash already removed the attempts on a dead node.)
-    fn kill_attempt_silently(&mut self, attempt: AttemptId) -> Option<u32> {
-        let node = if attempt.task.is_reduce() {
-            let att = self.red_atts.remove(&attempt)?;
+    /// Stop `attempt` and abort its flows; whether it was running. (A
+    /// crash already removed the attempts on a dead node.)
+    fn kill_attempt_silently(&mut self, attempt: AttemptId) -> bool {
+        if attempt.task.is_reduce() {
+            let Some(att) = self.red_atts.remove(&attempt) else { return false };
             for f in sorted_flows(&att) {
                 self.abort_flow(f);
             }
-            self.nodes[att.node as usize].reduce_slots_free += 1;
-            att.node
         } else {
-            let att = self.map_atts.remove(&attempt)?;
+            if self.map_atts.remove(&attempt).is_none() {
+                return false;
+            }
             // Any flows of this attempt are aborted by scan.
             for f in self.flows_of(attempt) {
                 self.abort_flow(f);
             }
-            self.nodes[att.node as usize].map_slots_free += 1;
-            att.node
-        };
-        Some(node)
+        }
+        true
     }
 
     fn fail_attempt(&mut self, attempt: AttemptId, kind: FailureKind) {
-        let Some(node) = self.kill_attempt_silently(attempt) else { return };
-        // ALG resumes a reduce where its newest logged snapshot lives. An
-        // FCM attempt on a crashed node no longer counts against the cap.
+        if !self.kill_attempt_silently(attempt) {
+            return;
+        }
+        // ALG resumes a reduce where its newest logged snapshot lives.
         let logged = if attempt.task.is_reduce() {
             self.reduces[attempt.task.index as usize].logged.as_ref()
         } else {
             None
         };
-        let alive = |n: NodeId| self.nodes[n.0 as usize].alive;
-        let resume = logged.map(|l| NodeId(l.node)).filter(|&n| alive(n));
-        let decision = self.ledger.fail(self.now_ns(), attempt, kind, alive(NodeId(node)), resume, alive);
-        self.execute(decision);
-    }
-
-    fn execute(&mut self, decision: Decision) {
-        let actions = match decision {
-            Decision::Recover(actions) => actions,
-            Decision::JobFailed => {
-                self.failed = true;
-                return;
-            }
-        };
-        for a in actions {
-            match a {
-                SchedAction::LaunchMap { task, high_priority } => {
-                    self.regenerating[task.index as usize] |= high_priority;
-                    self.enqueue_map(task, high_priority);
-                }
-                SchedAction::RelaunchReduceOnOrigin { task, node } => {
-                    self.queued_reduces.push_front((task, Some(node.0), None, ExecMode::Regular, true));
-                }
-                SchedAction::LaunchSpeculativeReduce { task, mode, avoid } => {
-                    self.queued_reduces.push_back((task, None, avoid.map(|n| n.0), mode, false));
-                }
-                // A pinned relaunch whose node is gone or busy falls back
-                // to any node (see `dispatch`).
-                SchedAction::RelaunchReduce { task, prefer } => {
-                    let pin = prefer.map(|n| n.0);
-                    self.queued_reduces.push_back((task, pin, None, ExecMode::Regular, false));
-                }
-            }
-        }
+        let resume = logged.map(|l| NodeId(l.node));
+        self.am.fail(self.now_ns(), attempt, kind, resume);
         self.dispatch();
     }
 
@@ -1539,6 +1398,7 @@ impl Simulation {
             return;
         }
         self.nodes[node as usize].alive = false;
+        self.am.node_down(NodeId(node));
         if !self.nodes.iter().any(|n| n.alive) {
             // No worker is left to place anything on: fail the job here
             // rather than tick `Ev::Sample` up to `MAX_EVENTS`. The
@@ -1620,7 +1480,7 @@ impl Simulation {
             }
         }
 
-        // Attempts hosted on the node die silently; the AM's ledger keeps
+        // Attempts hosted on the node die silently; the AM keeps
         // them running until the node expires.
         let dead_reds: Vec<AttemptId> =
             self.red_atts.iter().filter(|(_, a)| a.node == node).map(|(id, _)| id).collect();
@@ -1670,9 +1530,8 @@ impl Simulation {
             .filter(|&m| self.mof_loc[m as usize] == Some(node))
             .map(|m| TaskId::map(self.job, m))
             .collect();
-        let decision =
-            self.ledger.expire(self.now_ns(), NodeId(node), lost_mofs, |n| self.nodes[n.0 as usize].alive);
-        self.execute(decision);
+        self.am.expire(self.now_ns(), NodeId(node), lost_mofs);
+        self.dispatch();
     }
 
     // ---------------- progress / sampling / logging ----------------
@@ -1734,7 +1593,7 @@ impl Simulation {
             .crashes_at_progress
             .extract_if(.., |(_, r, p)| {
                 progress.get(*r as usize).copied().unwrap_or(0.0) >= *p
-                    || self.ledger.is_complete(TaskId::reduce(self.job, *r))
+                    || self.am.is_complete(TaskId::reduce(self.job, *r))
             })
             .collect();
         for (n, _, _) in due {
@@ -1863,7 +1722,7 @@ impl Simulation {
                     CorruptTarget::DfsBlock { reduce_index, block } => {
                         if reduce_index >= self.qty.num_reduces {
                             true
-                        } else if self.ledger.is_complete(TaskId::reduce(self.job, reduce_index)) {
+                        } else if self.am.is_complete(TaskId::reduce(self.job, reduce_index)) {
                             // The output exists only once the reduce committed.
                             self.corrupt_dfs_blocks.insert((reduce_index, block));
                             true
@@ -1937,9 +1796,10 @@ impl Simulation {
     /// trips.
     fn dump_state(&self, why: &str) {
         eprintln!("--- sim stall dump ({why}) at t={:.1}s ---", self.now_secs());
-        eprintln!("queued maps: {}, queued reduces: {:?}", self.queued_maps.len(), self.queued_reduces);
-        let regenerating: Vec<usize> =
-            self.regenerating.iter().enumerate().filter(|(_, r)| **r).map(|(m, _)| m).collect();
+        let queued: Vec<String> = self.am.queued().map(|t| t.to_string()).collect();
+        eprintln!("queued: {queued:?}");
+        let regenerating: Vec<u32> =
+            (0..self.qty.num_maps).filter(|&m| self.am.is_regenerating(TaskId::map(self.job, m))).collect();
         eprintln!("regenerating: {regenerating:?}");
         for (id, a) in self.red_atts.iter() {
             eprintln!(
@@ -1951,7 +1811,7 @@ impl Simulation {
             eprintln!("  map {id}: node={} phase={:?}", a.node, a.phase);
         }
         let incomplete_m =
-            (0..self.qty.num_maps).filter(|&m| !self.ledger.is_complete(TaskId::map(self.job, m))).count();
+            (0..self.qty.num_maps).filter(|&m| !self.am.is_complete(TaskId::map(self.job, m))).count();
         let incomplete_r: Vec<u32> = (0..self.qty.num_reduces).filter(|&r| !self.reduce_done(r)).collect();
         eprintln!("incomplete maps: {incomplete_m}, incomplete reduces: {incomplete_r:?}");
     }
@@ -2013,7 +1873,7 @@ impl Simulation {
     pub fn run(mut self) -> SimReport {
         // Initial dispatch: all maps queued; reduces wait for the first wave.
         for m in 0..self.qty.num_maps {
-            self.queued_maps.push_back(TaskId::map(self.job, m));
+            self.am.submit(TaskId::map(self.job, m));
         }
         self.dispatch();
         self.q.schedule_after(SimDuration::from_nanos(SAMPLE_EVERY_NS), Ev::Sample);
@@ -2065,7 +1925,7 @@ impl Simulation {
             let done = if self.reduce_done(r) { 1.0 } else { 0.0 };
             self.report.reduce_progress.entry(r).or_default().push((end, done));
         }
-        let trace = self.ledger.into_trace();
+        let trace = self.am.into_trace();
         debug_assert_eq!(trace.check(), Ok(()));
         self.report.map_attempts = trace.launches(TaskKind::Map);
         self.report.reduce_attempts = trace.launches(TaskKind::Reduce);
@@ -2226,67 +2086,6 @@ mod tests {
     /// to a measured run.
     fn ms(secs: f64) -> u64 {
         (secs * 1000.0) as u64
-    }
-
-    fn paper_sim(mode: RecoveryMode) -> Simulation {
-        let spec = SimJobSpec::new(WorkloadKind::Terasort, 100 * GB, 20, 7);
-        Simulation::new(spec, ExperimentEnv::paper(mode), FaultPlan::none())
-    }
-
-    #[test]
-    fn dispatch_with_every_map_slot_taken_keeps_the_queue_in_place() {
-        let mut sim = paper_sim(RecoveryMode::Sfm);
-        let maps = |range: std::ops::Range<u32>| range.map(|m| TaskId::map(JobId(0), m)).collect::<Vec<_>>();
-        sim.queued_maps.extend(maps(0..800));
-        sim.dispatch();
-        let slots: u32 = sim.nodes.len() as u32 * sim.env.cluster.map_slots_per_node;
-        assert!(sim.nodes.iter().all(|n| n.map_slots_free == 0));
-        assert_eq!(sim.queued_maps, maps(slots..800));
-
-        // Completed entries ahead of the first unplaceable map are
-        // skipped; one behind it stays.
-        for m in [slots, slots + 1, 700] {
-            let attempt = sim.ledger.launch(0, TaskId::map(JobId(0), m), NodeId(0), ExecMode::Regular);
-            sim.ledger.complete(0, attempt);
-        }
-        sim.dispatch();
-        assert_eq!(sim.queued_maps, maps(slots + 2..800));
-
-        // A high-priority regeneration stays first.
-        let running = TaskId::map(JobId(0), 3).attempt(0);
-        sim.ledger.complete(0, running);
-        assert!(sim.regenerate(3, true));
-        sim.dispatch();
-        let mut expected = maps(3..4);
-        expected.extend(maps(slots + 2..800));
-        assert_eq!(sim.queued_maps, expected);
-    }
-
-    #[test]
-    fn dispatch_with_every_reduce_slot_taken_keeps_unpinned_fallbacks_ahead() {
-        let mut sim = paper_sim(RecoveryMode::Alg);
-        for node in &mut sim.nodes {
-            node.reduce_slots_free = 0;
-        }
-        let r = |index| TaskId::reduce(JobId(0), index);
-        let regular = ExecMode::Regular;
-        sim.queued_reduces.extend([
-            (r(0), Some(1), None, regular, false),
-            (r(1), Some(2), None, regular, true),
-            (r(2), Some(3), Some(4), regular, false),
-            (r(3), None, None, regular, false),
-            (r(4), Some(5), None, regular, false),
-        ]);
-        sim.dispatch();
-        // ALG relaunches fall back to any node in order, SFM's local resume
-        // is dropped, and the first unplaceable entry keeps its place.
-        let expected: VecDeque<QueuedReduce> = VecDeque::from([
-            (r(0), None, None, regular, false),
-            (r(2), None, Some(4), regular, false),
-            (r(3), None, None, regular, false),
-            (r(4), Some(5), None, regular, false),
-        ]);
-        assert_eq!(sim.queued_reduces, expected);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The attempt trace, which `alm_core::Ledger` appends to in both engines:
+//! The attempt trace, which `alm_core::Am` appends to in both engines:
 //! one [`TraceEvent`] per launch, completion, cancel and failure, in the
 //! engine's integer nanoseconds. Every failure count is a query here.
 //! *Temporal amplification* (Figs. 3/10) is the longest chain of repeated

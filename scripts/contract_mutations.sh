@@ -21,17 +21,19 @@
 #                                          crates/runtime/src/am.rs (each
 #                                          engine destructures the armed
 #                                          timeline with no `..`)
-#     new SchedAction variant           -> E0004 in crates/sim/src/engine.rs /
+#     new AM Command variant            -> E0004 in crates/sim/src/engine.rs /
 #                                          crates/runtime/src/am.rs (each
-#                                          engine's one `execute`)
-#     new ledger Decision variant       -> E0004 in crates/sim/src/engine.rs /
-#                                          crates/runtime/src/am.rs (each
-#                                          driver's one `match` on what
-#                                          `alm_core::Ledger` decides)
+#                                          engine's one `match` on what
+#                                          `alm_core::Am` dispatches)
 #   cargo check -p alm-core
 #     new RecoveryMode variant          -> E0004 in crates/core/src/sfm/policy.rs
 #                                          (`schedule_recovery`, the one place
 #                                          a mode decides recovery)
+#     new SchedAction variant /
+#     new AM Decision variant           -> E0004 in crates/core/src/am.rs
+#                                          (`Am::apply`, the one place a
+#                                          decision and its actions are
+#                                          queued)
 #   cargo check -p alm-shuffle
 #     an `unsafe {}` block in crates/shuffle/src/codec.rs
 #                                       -> unsafe_code (the crate denies it;
@@ -47,8 +49,8 @@
 #     a HashMap field in crates/des          -> clippy::disallowed_types (the
 #                                               kernel holds no exemption)
 #     a HashMap field in crates/core/src/am.rs -> clippy::disallowed_types (the
-#                                               ledger's order fixes the order
-#                                               of failure records and actions)
+#                                               AM's order fixes the order of
+#                                               failure records and launches)
 #     an Instant::now() in crates/des        -> clippy::disallowed_methods
 #   cargo check --tests
 #     SmallRng::from_entropy() in a chaos test -> E0599 (the in-repo `rand`
@@ -65,9 +67,6 @@
 #                                                 fails (the carry-less kernel
 #                                                 must equal the bitwise CRC)
 #   cargo test -p alm-sim
-#     dispatch pushing an unplaceable map to the back of the queue
-#                                               -> dispatch_with_every_map_slot_taken_keeps_the_queue_in_place
-#                                                 fails (the queue keeps its order)
 #     the armed kill list skipping map kills  -> reports_match_their_pinned_values
 #                                                 fails (a pinned run kills a map)
 #     the ledger's expiry dropping attempts without recording their
@@ -75,11 +74,21 @@
 #                                                 fails (Fig. 3's repeats are
 #                                                 counted on the trace)
 #   cargo test -p alm-core
-#     the ledger's fail recording only failures of incomplete tasks
+#     the AM's fail recording only failures of incomplete tasks
 #                                               -> ledger_keeps_the_books fails
 #                                                 (a finished map's running
 #                                                 sibling still fails on the
 #                                                 record)
+#     dispatch pushing an unplaceable map to the back of the queue, or
+#     placement ignoring a node's slot capacity
+#                                               -> dispatch_with_every_map_slot_taken_keeps_the_queue_in_place
+#                                                 fails (the queue keeps its
+#                                                 order; a full node takes
+#                                                 nothing)
+#     FCM attempts counted against FCM_cap on nodes the AM knows are down
+#                                               -> an_fcm_attempt_on_a_node_known_down_leaves_fcm_cap
+#                                                 fails (the AM's own view of
+#                                                 liveness decides)
 #   cargo test -p alm-sched
 #     the view sync keeping a drained head job at the head of its tenant's entry
 #                                               -> slots_left_when_the_head_job_drains_go_to_the_next_oldest_job
@@ -116,7 +125,7 @@
 # (YarnConfig 14, MemConfig 4, SchedConfig 3); the YarnConfig mutation
 # anchors on the struct header, not on any one field.
 #
-# 34 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
+# 36 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -268,14 +277,14 @@ expect_fail "FaultTimeline list drained by the sim" check_sim crates/types/src/f
     "pub struct FaultTimeline {" "    pub drains: Vec<(u64, NodeId)>," "error\[E0027\]" crates/sim/src/engine.rs
 expect_fail "FaultTimeline list drained by the runtime" check_runtime crates/types/src/failure.rs \
     "pub struct FaultTimeline {" "    pub drains: Vec<(u64, NodeId)>," "error\[E0027\]" crates/runtime/src/am.rs
-expect_fail "SchedAction variant executed by the sim" check_sim crates/core/src/sfm/policy.rs \
-    "pub enum SchedAction {" "    SuspendReduce { task: TaskId }," "error\[E0004\]" crates/sim/src/engine.rs
-expect_fail "SchedAction variant executed by the runtime" check_runtime crates/core/src/sfm/policy.rs \
-    "pub enum SchedAction {" "    SuspendReduce { task: TaskId }," "error\[E0004\]" crates/runtime/src/am.rs
-expect_fail "ledger Decision variant matched by the sim" check_sim crates/core/src/am.rs \
-    "pub enum Decision {" "    Suspend," "error\[E0004\]" crates/sim/src/engine.rs
-expect_fail "ledger Decision variant matched by the runtime" check_runtime crates/core/src/am.rs \
-    "pub enum Decision {" "    Suspend," "error\[E0004\]" crates/runtime/src/am.rs
+expect_fail "AM Command variant executed by the sim" check_sim crates/core/src/am.rs \
+    "pub enum Command {" "    Suspend(AttemptId)," "error\[E0004\]" crates/sim/src/engine.rs
+expect_fail "AM Command variant executed by the runtime" check_runtime crates/core/src/am.rs \
+    "pub enum Command {" "    Suspend(AttemptId)," "error\[E0004\]" crates/runtime/src/am.rs
+expect_fail "SchedAction variant queued once" check_core crates/core/src/sfm/policy.rs \
+    "pub enum SchedAction {" "    SuspendReduce { task: TaskId }," "error\[E0004\]" crates/core/src/am.rs
+expect_fail "AM Decision variant matched once" check_core crates/core/src/am.rs \
+    "enum Decision {" "    Suspend," "error\[E0004\]" crates/core/src/am.rs
 expect_fail "RecoveryMode variant decided once" check_core crates/types/src/config.rs \
     "pub enum RecoveryMode {" "    Lineage," "error\[E0004\]" crates/core/src/sfm/policy.rs
 expect_fail "unsafe block outside the CRC kernel" check_shuffle crates/shuffle/src/codec.rs \
@@ -299,7 +308,7 @@ expect_fail "HashMap field in the DES kernel" clippy crates/des/src/queue.rs \
     "use crate::time::{SimDuration, SimTime};" \
     "pub struct SideTable { pub payloads: std::collections::HashMap<u64, u64> }" \
     "use of a disallowed type" crates/des/src/queue.rs
-expect_fail "HashMap field in the AM ledger" clippy crates/core/src/am.rs \
+expect_fail "HashMap field in the AM" clippy crates/core/src/am.rs \
     "use crate::sfm::policy::{schedule_recovery, ExecMode, PolicyCtx, SchedAction};" \
     "pub struct ByAttempt { pub nodes: std::collections::HashMap<AttemptId, NodeId> }" \
     "use of a disallowed type" crates/core/src/am.rs
@@ -323,9 +332,16 @@ expect_fail "spill tie re-sort dropped" test_shuffle crates/shuffle/src/kvbuffer
 expect_fail_replacing "CRC fold constant changed" test_shuffle crates/shuffle/src/frame.rs \
     "    const K1: i64 = 0x1_5444_2BD4;" "    const K1: i64 = 0x1_5444_2BD5;" \
     "test frame::tests::crc32_matches_reference_on_random_buffers \.\.\. FAILED"
-expect_fail_replacing "unplaceable map requeued at the back" test_sim crates/sim/src/engine.rs \
+expect_fail_replacing "unplaceable map requeued at the back" test_core crates/core/src/am.rs \
     "                    self.queued_maps.push_front(task);" "                    self.queued_maps.push_back(task);" \
-    "test engine::tests::dispatch_with_every_map_slot_taken_keeps_the_queue_in_place \.\.\. FAILED"
+    "test am::tests::dispatch_with_every_map_slot_taken_keeps_the_queue_in_place \.\.\. FAILED"
+expect_fail_replacing "placement ignores slot capacity" test_core crates/core/src/am.rs \
+    "        self.is_live(node) && self.free_slots(node, kind) > 0" "        self.is_live(node)" \
+    "test am::tests::dispatch_with_every_map_slot_taken_keeps_the_queue_in_place \.\.\. FAILED"
+expect_fail_replacing "FCM_cap counts FCM attempts on nodes known down" test_core crates/core/src/am.rs \
+    "        self.running.values().filter(|&&(n, mode)| mode == ExecMode::Fcm && self.is_live(n)).count()" \
+    "        self.running.values().filter(|&&(_, mode)| mode == ExecMode::Fcm).count()" \
+    "test am::tests::an_fcm_attempt_on_a_node_known_down_leaves_fcm_cap \.\.\. FAILED"
 expect_fail_replacing "map kills left out of the armed list" test_sim crates/sim/src/engine.rs \
     "                attempt.number == 0 && attempt.task.index < tasks" \
     "                attempt.number == 0 && attempt.task.index < tasks && attempt.task.is_reduce()" \
