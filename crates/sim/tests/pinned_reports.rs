@@ -1,7 +1,8 @@
 //! Pinned simulator reports. Each run below is fixed — spec, recovery mode
 //! and fault plan — and the test asserts what it produced when recorded:
 //! the event count, the job time to the bit, the attempt and failure counts,
-//! a CRC-32 of the failure list and a CRC-32 of the whole report as JSON. A change to the engine's
+//! a CRC-32 each of the failure list, the progress samples and the scalar
+//! counters, and a CRC-32 of the whole report as JSON. A change to the engine's
 //! bookkeeping that shifts one tie-break (which flow completes first, which
 //! attempt is pumped first, which id a flow gets) fails here by name, not
 //! only as a golden-campaign diff. The runs cover fault kinds the golden
@@ -17,25 +18,44 @@ use alm_types::{CorruptTarget, FaultPlan, JobId, LinkDirection, NodeId, Recovery
 use alm_workloads::WorkloadKind;
 
 /// `(events, job_secs bits, map attempts, reduce attempts, failures,
-/// CRC-32 of the failure list, CRC-32 of the report's JSON)`.
-type Pin = (u64, u64, u32, u32, usize, u32, u32);
+/// CRC-32 of the failure list, of the progress samples, of the scalar
+/// counters, CRC-32 of the report's JSON)`.
+type Pin = (u64, u64, u32, u32, usize, u32, u32, u32, u32);
 
 /// Recorded at e395026; the map and reduce kills at bda5a83; the failure
-/// digests at 662c715. The report CRCs were re-recorded, every other
+/// digests at 662c715; the progress and counter digests at f4483d0. The report CRCs were re-recorded, every other
 /// column unchanged, when the report's failure list and per-reduce node
 /// list gave way to the attempt trace, which changed the JSON's shape.
 const PINNED: [(&str, Pin); 11] = [
-    ("clean terasort", (803, 4626354383178525038, 80, 8, 0, 0, 1031365198)),
-    ("node crash, baseline", (19134, 4642159539171410529, 840, 23, 3, 132443855, 2678986615)),
-    ("node crash, alg", (15881, 4641583274456119364, 840, 23, 3, 2432099717, 3812991790)),
-    ("node crash, sfm", (12763, 4640537708624276378, 840, 21, 1, 1031748158, 1470787731)),
-    ("node crash, sfm+alg", (12722, 4639834332585936666, 840, 21, 1, 1031748158, 1502377969)),
-    ("healed partition", (1184, 4634330558135809356, 80, 8, 0, 0, 2035624150)),
-    ("degraded lossy links", (1057, 4628416290193917636, 80, 8, 0, 0, 2488267165)),
-    ("mof corruption", (810, 4626354383178243563, 81, 8, 0, 0, 25612793)),
-    ("alg record rot", (960, 4627685906037861442, 80, 9, 1, 618444459, 3327371817)),
-    ("resident mofs, node crash", (750, 4636202310752247382, 84, 9, 1, 936549449, 2810138764)),
-    ("map and reduce kills, alg", (12676, 4639127392220713377, 801, 21, 2, 3117696129, 2653881208)),
+    ("clean terasort", (803, 4626354383178525038, 80, 8, 0, 0, 3745454851, 1293127523, 1031365198)),
+    (
+        "node crash, baseline",
+        (19134, 4642159539171410529, 840, 23, 3, 132443855, 2366423461, 2713777128, 2678986615),
+    ),
+    (
+        "node crash, alg",
+        (15881, 4641583274456119364, 840, 23, 3, 2432099717, 2527840191, 435566026, 3812991790),
+    ),
+    (
+        "node crash, sfm",
+        (12763, 4640537708624276378, 840, 21, 1, 1031748158, 720961713, 2322566962, 1470787731),
+    ),
+    (
+        "node crash, sfm+alg",
+        (12722, 4639834332585936666, 840, 21, 1, 1031748158, 4270193357, 4151671860, 1502377969),
+    ),
+    ("healed partition", (1184, 4634330558135809356, 80, 8, 0, 0, 2888973441, 1293127523, 2035624150)),
+    ("degraded lossy links", (1057, 4628416290193917636, 80, 8, 0, 0, 3191007065, 2108807716, 2488267165)),
+    ("mof corruption", (810, 4626354383178243563, 81, 8, 0, 0, 2986172297, 2078351248, 25612793)),
+    ("alg record rot", (960, 4627685906037861442, 80, 9, 1, 618444459, 1561625541, 3156467792, 3327371817)),
+    (
+        "resident mofs, node crash",
+        (750, 4636202310752247382, 84, 9, 1, 936549449, 446214601, 535318202, 2810138764),
+    ),
+    (
+        "map and reduce kills, alg",
+        (12676, 4639127392220713377, 801, 21, 2, 3117696129, 4171653870, 2448990387, 2653881208),
+    ),
 ];
 
 fn sim(gb: u64, reduces: u32, mode: RecoveryMode, faults: FaultPlan) -> Simulation {
@@ -54,6 +74,37 @@ fn failure_digest(report: &SimReport) -> u32 {
     crc32(lines.as_bytes())
 }
 
+/// Every progress sample, one `(reduce, secs bits, fraction bits)` line each.
+fn progress_digest(report: &SimReport) -> u32 {
+    let lines: String = report
+        .reduce_progress
+        .iter()
+        .flat_map(|(r, samples)| {
+            samples.iter().map(move |(t, p)| format!("{:?}\n", (r, t.to_bits(), p.to_bits())))
+        })
+        .collect();
+    crc32(lines.as_bytes())
+}
+
+/// Every scalar counter the other columns leave out.
+fn counter_digest(r: &SimReport) -> u32 {
+    let line = format!(
+        "{:?} {:?}",
+        (r.succeeded, r.map_phase_secs.to_bits(), r.fcm_attempts, r.alg_snapshots, r.log_truncations),
+        (
+            r.corruption_refetches,
+            r.degraded_drops,
+            r.uplink_bytes,
+            r.dfs_read_failovers,
+            r.dfs_repair_bytes,
+            r.dfs_corrupt_replicas,
+            r.resident_fetch_hits,
+            r.resident_invalidations,
+        ),
+    );
+    crc32(line.as_bytes())
+}
+
 fn pin(report: &SimReport) -> Pin {
     let json = serde_json::to_string(report).expect("a report serialises");
     (
@@ -63,6 +114,8 @@ fn pin(report: &SimReport) -> Pin {
         report.reduce_attempts,
         report.trace.failures().count(),
         failure_digest(report),
+        progress_digest(report),
+        counter_digest(report),
         crc32(json.as_bytes()),
     )
 }
