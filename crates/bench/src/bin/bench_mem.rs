@@ -60,7 +60,7 @@ fn timed_run() -> (u64, u64, u64) {
     let start = std::time::Instant::now();
     let report = run_once();
     let elapsed_us = start.elapsed().as_micros() as u64;
-    assert!(report.runs.iter().all(|r| r.succeeded), "bench chain must complete every job");
+    assert!(report.runs.iter().all(|r| r.run.succeeded), "bench chain must complete every job");
     assert_eq!(report.iterations_lost, 0, "ALG+FCM chain must lose nothing");
     (elapsed_us, report.store.hits, u64::from(report.iterations_completed))
 }

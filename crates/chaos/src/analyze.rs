@@ -1,18 +1,22 @@
-//! Amplification analysis over engine reports.
+//! Amplification analysis over one run.
 //!
-//! Normalises either engine's run report into one [`ScenarioOutcome`]
-//! shape. Every failure-derived field — the failure total, temporal and
-//! spatial amplification, node-loss declarations — comes from one query
-//! over the report's attempt trace
+//! Both engines report a run as one [`RunReport`], and [`analyze`] is the
+//! one place a [`ScenarioOutcome`] is built from it: the simulator
+//! campaign (through [`analyze_sim`]), the runtime campaign and the chain
+//! campaign all call it. Every failure-derived field (the failure total,
+//! temporal and spatial amplification, node-loss declarations) comes from
+//! one query over the run's attempt trace
 //! ([`alm_types::Trace::failure_counts`]), where both amplification terms
-//! are defined (`alm_types::trace`). Spatial
-//! amplification counts reducers preempted by `FetchFailureLimit`,
-//! injected tasks included; Table II's "additional failures"
-//! ([`alm_types::Trace::additional_failures`]) differs on both axes.
+//! are defined (`alm_types::trace`), and so do the map and FCM attempt
+//! counts. Spatial amplification counts reducers preempted by
+//! `FetchFailureLimit`, injected tasks included; Table II's "additional
+//! failures" ([`alm_types::Trace::additional_failures`]) differs on both
+//! axes. What only the runtime checks (its output against the oracle, its
+//! committed partitions, its log recoveries) the caller passes as an
+//! [`Oracle`].
 
-use alm_runtime::JobReport;
 use alm_sim::SimReport;
-use alm_types::{FailureCounts, RecoveryMode};
+use alm_types::{FailureCounts, RecoveryMode, RunCounters, RunReport, TaskKind};
 use serde::Serialize;
 
 use crate::scenario::{ChaosScenario, LoweringProfile};
@@ -60,11 +64,9 @@ pub struct ScenarioOutcome {
     /// Node-loss declarations (`NodeCrash` failure records). A partition
     /// that heals inside the liveness window must leave this at zero.
     pub node_loss_failures: usize,
-    /// Fetched chunks that failed arrival-checksum validation and were
-    /// transparently re-fetched (never charged to the retry budget).
+    /// This, `degraded_drops` and the `dfs_*` fields are the run's
+    /// [`RunCounters`], documented there.
     pub corruption_refetches: u32,
-    /// Fetch transfers dropped by gray-degraded links and transparently
-    /// re-fetched (never charged to the retry budget).
     pub degraded_drops: u32,
     /// Runtime only: every analytics-log recovery stayed within one
     /// logging interval of work (vacuously true with no recoveries).
@@ -77,40 +79,94 @@ pub struct ScenarioOutcome {
     /// whose blocks were later lost does not) — `num_reduces` here means
     /// no MOF loss went unrecovered.
     pub partitions_committed: Option<u32>,
-    /// Rotten committed-output replicas the verified DFS read path skipped
-    /// over (each charged to the faulted scenario and queued for repair).
     pub dfs_read_failovers: u32,
-    /// Payload bytes the DFS repair pipeline copied to restore the
-    /// replication level after corruption or node death.
     pub dfs_repair_bytes: u64,
-    /// Corrupt replicas still present after post-job repair — the
-    /// `dfs-verified-read` invariant requires zero on succeeded runs.
+    /// The `dfs-verified-read` invariant requires zero on succeeded runs.
     pub dfs_corrupt_replicas: u32,
     /// Chain campaigns only: which iteration of the job chain this outcome
     /// belongs to. Zero for ordinary single-job scenarios.
     pub chain_iteration: u32,
-    /// Resident-cache hits (shuffle MOFs + chain state stripes) served
-    /// from RAM during the run; nonzero only in the in-memory mode.
+    /// The run's `resident_fetch_hits`: shuffle fetches served from RAM,
+    /// nonzero only in the in-memory mode.
     pub resident_hits: u64,
 }
 
-/// DFS replica-management counters for one runtime run, collected by the
-/// campaign harness after its verification reads and `repair()` pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct DfsAudit {
-    pub read_failovers: u32,
-    pub repair_bytes: u64,
-    pub corrupt_replicas: u32,
+/// What the runtime campaign checks after a run, which the simulator has
+/// no counterpart of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Oracle {
+    /// Committed output byte-identical to the reference oracle's.
+    pub output_verified: bool,
+    /// See [`ScenarioOutcome::partitions_committed`].
+    pub partitions_committed: u32,
+    /// Every analytics-log recovery stayed within one logging interval.
+    pub recoveries_bounded: bool,
+}
+
+/// The one constructor of a [`ScenarioOutcome`]: the outcome of `run`,
+/// named `scenario`, under `mode` on `engine`, with `injected_faults` as
+/// its denominator and the runtime's `oracle` results if it has them.
+///
+/// The run and its counters are destructured with no `..` (and unused
+/// bindings denied), so a new field fails the build here until it is either
+/// mapped into the outcome or bound `_` with the reason it is not.
+#[deny(unused_variables)]
+pub fn analyze(
+    scenario: String,
+    injected_faults: usize,
+    engine: EngineKind,
+    mode: RecoveryMode,
+    run: &RunReport,
+    oracle: Option<Oracle>,
+) -> ScenarioOutcome {
+    let RunReport {
+        succeeded,
+        job_ns: _, // read as `run.job_secs()`
+        trace,
+        progress: _, // figure-only timeline samples
+        counters,
+    } = run;
+    let RunCounters {
+        corruption_refetches,
+        degraded_drops,
+        resident_fetch_hits,
+        dfs_read_failovers,
+        dfs_repair_bytes,
+        dfs_corrupt_replicas,
+    } = *counters;
+    let FailureCounts { total_failures, spatial_amplification, temporal_amplification, node_loss_failures } =
+        trace.failure_counts();
+    ScenarioOutcome {
+        scenario,
+        engine,
+        mode,
+        succeeded: *succeeded,
+        duration_secs: run.job_secs(),
+        injected_faults,
+        total_failures,
+        spatial_amplification,
+        temporal_amplification,
+        fcm_attempts: trace.fcm_launches(),
+        map_attempts: trace.launches(TaskKind::Map),
+        node_loss_failures,
+        corruption_refetches,
+        degraded_drops,
+        recoveries_bounded: oracle.map(|o| o.recoveries_bounded),
+        output_verified: oracle.map(|o| o.output_verified),
+        partitions_committed: oracle.map(|o| o.partitions_committed),
+        dfs_read_failovers,
+        dfs_repair_bytes,
+        dfs_corrupt_replicas,
+        chain_iteration: 0,
+        resident_hits: resident_fetch_hits,
+    }
 }
 
 /// Analyze a simulator run of `scenario` under `mode`. `profile` is the
 /// lowering profile the run used; the injected-fault denominator is
 /// counted on the lowered plan so rack crashes weigh one per member node.
-///
-/// The report is destructured with no `..` (and unused bindings denied),
-/// so a new `SimReport` field fails the build here until it is either
-/// mapped into [`ScenarioOutcome`] — which `analyze_runtime` must then fill
-/// too — or bound `_` with the reason the validator does not consume it.
+/// This is the one place the simulator's own fields are classified, each
+/// bound `_` with the reason the outcome does not read it.
 #[deny(unused_variables)]
 pub fn analyze_sim(
     scenario: &ChaosScenario,
@@ -119,120 +175,21 @@ pub fn analyze_sim(
     profile: &LoweringProfile,
 ) -> ScenarioOutcome {
     let SimReport {
-        succeeded,
-        job_secs,
+        run,
+        job_secs: _,       // `run.job_ns` in seconds, kept for `benchmark/`
         map_phase_secs: _, // figure-only phase marker
-        trace,
-        map_attempts,
-        // Reduce recovery is validated through fcm_attempts and the
-        // failure counts, not raw attempt totals.
-        reduce_attempts: _,
-        fcm_attempts,
-        reduce_progress: _, // figure-only timeline samples
         // The runtime's ALG unit is records in its log stores; snapshots
         // vs records are incommensurable, each engine asserts its own.
         alg_snapshots: _,
-        corruption_refetches,
-        degraded_drops,
         // The runtime reports truncation forensics structurally
-        // (log_recoveries → recoveries_bounded()), not as a scalar.
+        // (log_recoveries → recoveries_bounded), not as a scalar.
         log_truncations: _,
         uplink_bytes: _, // the runtime has no rack/uplink topology model
-        dfs_read_failovers,
-        dfs_repair_bytes,
-        dfs_corrupt_replicas,
-        resident_fetch_hits,
         // The runtime tracks invalidations in the chain layer's
-        // ResidentStore stats, outside JobReport.
+        // ResidentStore stats, outside its report.
         resident_invalidations: _,
         events: _, // DES bookkeeping; the runtime has no event loop
     } = report;
-    let FailureCounts { total_failures, spatial_amplification, temporal_amplification, node_loss_failures } =
-        trace.failure_counts();
-    ScenarioOutcome {
-        scenario: scenario.name.clone(),
-        engine: EngineKind::Simulator,
-        mode,
-        succeeded: *succeeded,
-        duration_secs: *job_secs,
-        injected_faults: scenario.injected_failure_faults(profile),
-        total_failures,
-        spatial_amplification,
-        temporal_amplification,
-        fcm_attempts: *fcm_attempts,
-        map_attempts: *map_attempts,
-        node_loss_failures,
-        corruption_refetches: *corruption_refetches,
-        degraded_drops: *degraded_drops,
-        recoveries_bounded: None,
-        output_verified: None,
-        partitions_committed: None,
-        dfs_read_failovers: *dfs_read_failovers,
-        dfs_repair_bytes: *dfs_repair_bytes,
-        dfs_corrupt_replicas: *dfs_corrupt_replicas,
-        chain_iteration: 0,
-        resident_hits: *resident_fetch_hits,
-    }
-}
-
-/// Analyze a threaded-runtime run of `scenario` under `mode`.
-/// `output_verified` carries the caller's oracle comparison,
-/// `partitions_committed` the caller's DFS commit-status count (see
-/// `RuntimeCampaign::committed_partitions`) and `dfs` the replica counters
-/// the harness collects from `SimDfs` — the runtime counterparts of the
-/// sim report's `dfs_*` fields. Destructured like [`analyze_sim`].
-#[deny(unused_variables)]
-pub fn analyze_runtime(
-    scenario: &ChaosScenario,
-    mode: RecoveryMode,
-    report: &JobReport,
-    profile: &LoweringProfile,
-    output_verified: bool,
-    partitions_committed: u32,
-    dfs: DfsAudit,
-) -> ScenarioOutcome {
-    let JobReport {
-        succeeded,
-        job_time_ms,
-        trace,
-        failures: _, // the trace's failure view
-        map_attempts,
-        reduce_attempts: _, // as in analyze_sim
-        fcm_attempts,
-        // Record counts, not commit durability: the map cannot see a
-        // committed file whose blocks were lost afterwards, hence the
-        // caller-supplied `partitions_committed`.
-        output_records: _,
-        reduce_timeline: _, // figure-only timeline samples
-        corruption_refetches,
-        degraded_drops,
-        resident_fetch_hits,
-        log_recoveries: _, // consumed through recoveries_bounded()
-    } = report;
-    let FailureCounts { total_failures, spatial_amplification, temporal_amplification, node_loss_failures } =
-        trace.failure_counts();
-    ScenarioOutcome {
-        scenario: scenario.name.clone(),
-        engine: EngineKind::Runtime,
-        mode,
-        succeeded: *succeeded,
-        duration_secs: *job_time_ms as f64 / 1000.0,
-        injected_faults: scenario.injected_failure_faults(profile),
-        total_failures,
-        spatial_amplification,
-        temporal_amplification,
-        fcm_attempts: *fcm_attempts,
-        map_attempts: *map_attempts,
-        node_loss_failures,
-        corruption_refetches: *corruption_refetches,
-        degraded_drops: *degraded_drops,
-        recoveries_bounded: Some(report.recoveries_bounded()),
-        output_verified: Some(output_verified),
-        partitions_committed: Some(partitions_committed),
-        dfs_read_failovers: dfs.read_failovers,
-        dfs_repair_bytes: dfs.repair_bytes,
-        dfs_corrupt_replicas: dfs.corrupt_replicas,
-        chain_iteration: 0,
-        resident_hits: *resident_fetch_hits,
-    }
+    let injected = scenario.injected_failure_faults(profile);
+    analyze(scenario.name.clone(), injected, EngineKind::Simulator, mode, run, None)
 }

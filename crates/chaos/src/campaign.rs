@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use alm_metrics::TextTable;
 use alm_runtime::am::run_job;
-use alm_runtime::{JobDef, MiniCluster};
+use alm_runtime::{JobDef, JobReport, MiniCluster};
 use alm_sim::experiment::run_one;
 use alm_sim::{ExperimentEnv, SimJobSpec};
 use alm_types::{AlmConfig, ClusterSpec, JobId, RecoveryMode, YarnConfig};
@@ -21,7 +21,7 @@ use alm_workloads::reference::{canonicalize, reference_output};
 use alm_workloads::{Record, Workload};
 use serde::Serialize;
 
-use crate::analyze::{analyze_runtime, analyze_sim, DfsAudit, EngineKind, ScenarioOutcome};
+use crate::analyze::{analyze, analyze_sim, EngineKind, Oracle, ScenarioOutcome};
 use crate::scenario::{ChaosScenario, LoweringProfile};
 use crate::space::FaultSpace;
 
@@ -163,24 +163,45 @@ impl RuntimeCampaign {
         // parallel reconstruction of it.
         let profile = LoweringProfile::runtime(self.nodes, cluster.racks(), self.ms_per_scenario_sec);
         let plan = scenario.lower(job.id, &profile);
-        let report = run_job(cluster.clone(), job.clone(), plan);
+        let mut report = run_job(cluster.clone(), job.clone(), plan);
         // The oracle comparison reads every committed partition through the
         // verified path: rotten replicas are detected here, charged as read
         // failovers, and queued for repair...
-        let verified = report.succeeded
+        let output_verified = report.run.succeeded
             && Self::committed(&cluster, &job)
                 .is_some_and(|got| got == *oracle.get_or_init(|| self.oracle()));
         // ...then the background repair pipeline runs to quiescence, and
         // commit status is counted on the healed DFS.
         cluster.dfs.repair();
-        let partitions = Self::committed_partitions(&cluster, &job);
-        let stats = cluster.dfs.stats();
-        let dfs = DfsAudit {
-            read_failovers: stats.read_failovers as u32,
-            repair_bytes: stats.repair_bytes,
-            corrupt_replicas: cluster.dfs.corrupt_replica_count() as u32,
+        let (stats, counters) = (cluster.dfs.stats(), &mut report.run.counters);
+        counters.dfs_read_failovers = stats.read_failovers as u32;
+        counters.dfs_repair_bytes = stats.repair_bytes;
+        counters.dfs_corrupt_replicas = cluster.dfs.corrupt_replica_count() as u32;
+        // The runtime's own fields, each classified once: read, or bound `_`
+        // with the reason the outcome does not read it.
+        #[deny(unused_variables)]
+        let JobReport {
+            run,
+            log_recoveries: _, // read through `recoveries_bounded()`
+            // Record counts, not commit durability: the map cannot see a
+            // committed file whose blocks were lost afterwards, hence
+            // `committed_partitions`.
+            output_records: _,
+            // Copies of what `run` says, kept for `benchmark/`.
+            succeeded: _,
+            job_time_ms: _,
+            map_attempts: _,
+            reduce_attempts: _,
+            fcm_attempts: _,
+            failures: _,
+        } = &report;
+        let oracle = Oracle {
+            output_verified,
+            partitions_committed: Self::committed_partitions(&cluster, &job),
+            recoveries_bounded: report.recoveries_bounded(),
         };
-        analyze_runtime(scenario, mode, &report, &profile, verified, partitions, dfs)
+        let injected = scenario.injected_failure_faults(&profile);
+        analyze(scenario.name.clone(), injected, EngineKind::Runtime, mode, run, Some(oracle))
     }
 
     /// Every scenario under every mode, all checked against one oracle.
@@ -369,9 +390,9 @@ impl CampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::EngineKind;
     use crate::scenario::ChaosFault;
     use alm_types::units::GB;
+    use alm_types::RunReport;
     use alm_workloads::{Terasort, WorkloadKind};
 
     fn kill_reduce(name: &str, index: u32, p: f64) -> ChaosScenario {
@@ -417,29 +438,11 @@ mod tests {
 
     #[test]
     fn report_aggregates_and_contrasts() {
-        let mk = |scenario: &str, mode, spatial| ScenarioOutcome {
-            scenario: scenario.into(),
-            engine: EngineKind::Simulator,
-            mode,
-            succeeded: true,
-            duration_secs: 100.0,
-            injected_faults: 1,
-            total_failures: spatial + 1,
-            spatial_amplification: spatial,
-            temporal_amplification: 0,
-            fcm_attempts: 0,
-            map_attempts: 5,
-            node_loss_failures: 0,
-            corruption_refetches: 0,
-            degraded_drops: 0,
-            recoveries_bounded: None,
-            output_verified: None,
-            partitions_committed: None,
-            dfs_read_failovers: 0,
-            dfs_repair_bytes: 0,
-            dfs_corrupt_replicas: 0,
-            chain_iteration: 0,
-            resident_hits: 0,
+        let mk = |scenario: &str, mode, spatial| {
+            let run = RunReport { succeeded: true, job_ns: 100_000_000_000, ..RunReport::default() };
+            let mut o = analyze(scenario.into(), 1, EngineKind::Simulator, mode, &run, None);
+            (o.total_failures, o.spatial_amplification, o.map_attempts) = (spatial + 1, spatial, 5);
+            o
         };
         let mut r = CampaignReport::new("unit", 1);
         r.extend(vec![

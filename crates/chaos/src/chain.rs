@@ -24,7 +24,7 @@ use alm_workloads::{Pagerank, WorkloadKind};
 use serde::Serialize;
 use std::sync::Arc;
 
-use crate::analyze::{EngineKind, ScenarioOutcome};
+use crate::analyze::{analyze, EngineKind, ScenarioOutcome};
 use crate::differential::Invariant;
 
 /// One fixed-seed iterative chain, crashed mid-flight, on both engines
@@ -131,37 +131,14 @@ impl ChainCampaign {
         report
             .runs
             .iter()
-            .map(|run| {
-                let crashed = !run.replay && run.iteration == self.crash_iteration;
-                ScenarioOutcome {
-                    scenario: format!(
-                        "mem/pagerank/{}/iter{:02}{}",
-                        mode,
-                        run.iteration,
-                        if run.replay { "-replay" } else { "" }
-                    ),
-                    engine,
-                    mode: mode.recovery_mode(),
-                    succeeded: run.succeeded,
-                    duration_secs: run.job_secs,
-                    injected_faults: usize::from(crashed),
-                    total_failures: run.failures as usize,
-                    spatial_amplification: 0,
-                    temporal_amplification: 0,
-                    fcm_attempts: 0,
-                    map_attempts: 0,
-                    node_loss_failures: 0,
-                    corruption_refetches: 0,
-                    degraded_drops: 0,
-                    recoveries_bounded: None,
-                    output_verified: None,
-                    partitions_committed: None,
-                    dfs_read_failovers: 0,
-                    dfs_repair_bytes: 0,
-                    dfs_corrupt_replicas: 0,
-                    chain_iteration: run.iteration,
-                    resident_hits: run.resident_hits,
-                }
+            .map(|o| {
+                let crashed = !o.replay && o.iteration == self.crash_iteration;
+                let replay = if o.replay { "-replay" } else { "" };
+                let name = format!("mem/pagerank/{mode}/iter{:02}{replay}", o.iteration);
+                let mut outcome =
+                    analyze(name, usize::from(crashed), engine, mode.recovery_mode(), &o.run, None);
+                outcome.chain_iteration = o.iteration;
+                outcome
             })
             .collect()
     }
@@ -301,6 +278,35 @@ mod tests {
         let md = report.render_markdown();
         assert!(md.contains("| sim | lineage-replay |"), "{md}");
         assert!(md.contains("| runtime | alg-fcm |"), "{md}");
+    }
+
+    /// Every outcome's failure-derived fields are its run's, replays on a
+    /// cluster already missing the crashed node included.
+    #[test]
+    fn chain_outcomes_carry_their_runs_failure_counts() {
+        let campaign = ChainCampaign::default();
+        let spec = campaign.spec(MemMode::LineageReplay);
+        let mut engine = SimChainEngine::paper(WorkloadKind::Pagerank, &spec);
+        let report = run_chain(&mut engine, &spec, Some(campaign.crash()));
+        let outcomes = campaign.outcomes_of(EngineKind::Simulator, MemMode::LineageReplay, &report);
+        assert_eq!(outcomes.len(), report.runs.len());
+        let mut failures = 0;
+        for (o, run) in outcomes.iter().zip(&report.runs) {
+            let want = run.run.trace.failure_counts();
+            let got =
+                (o.total_failures, o.spatial_amplification, o.temporal_amplification, o.node_loss_failures);
+            let counts = (
+                want.total_failures,
+                want.spatial_amplification,
+                want.temporal_amplification,
+                want.node_loss_failures,
+            );
+            assert_eq!(got, counts, "{}", o.scenario);
+            assert_eq!(o.map_attempts, run.run.trace.launches(alm_types::TaskKind::Map), "{}", o.scenario);
+            assert_eq!(o.fcm_attempts, run.run.trace.fcm_launches(), "{}", o.scenario);
+            failures += o.node_loss_failures;
+        }
+        assert!(failures > 0, "the crash and the replays on a smaller cluster lose nodes");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! | [`scenario`] | serde scenario spec: task kills, node crashes (timed, progress-triggered), slow nodes, correlated rack failures — lowered to both engines through the shared `alm_types::FaultPlan` |
 //! | [`space`]    | seeded randomized sweeps: a [`FaultSpace`] distribution sampled into N reproducible scenarios |
 //! | [`campaign`] | campaign runner: scenarios × recovery modes on either engine, runtime outputs checked against the reference oracle |
-//! | [`analyze`]  | amplification analyzer: temporal (repeated-failure chains, Figs. 3/10) and spatial (fetch-failure-infected reducers, Fig. 4 / Table II) metrics, JSON + text reports |
+//! | [`analyze`](mod@analyze)  | amplification analyzer: temporal (repeated-failure chains, Figs. 3/10) and spatial (fetch-failure-infected reducers, Fig. 4 / Table II) metrics, JSON + text reports |
 //! | [`differential`] | differential validator: the same scenario on both engines at matched scale, asserting invariant agreement |
 //! | [`calibrate`]    | magnitude calibration: per-mode normalized-slowdown curves across engines, checked against recorded tolerance bands |
 //! | [`triage`]       | ranked root-cause triage: outcomes grouped by failure signature (stuck → amplified → absorbed), ranked by severity × blast radius, each with a remediation |
@@ -27,7 +27,7 @@ pub mod scenario;
 pub mod space;
 pub mod triage;
 
-pub use analyze::{analyze_runtime, analyze_sim, DfsAudit, EngineKind, ScenarioOutcome};
+pub use analyze::{analyze, analyze_sim, EngineKind, Oracle, ScenarioOutcome};
 pub use calibrate::{
     calibrate, calibration_suite, transient_calibration_suite, validate_calibrated, CalibrationReport,
     ModeCurve, SlowdownPoint, ToleranceBands,

@@ -256,34 +256,14 @@ impl TriageReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::EngineKind;
-    use alm_types::RecoveryMode;
+    use crate::analyze::{analyze, EngineKind};
+    use alm_types::{RecoveryMode, RunReport};
 
     fn outcome(scenario: &str) -> ScenarioOutcome {
-        ScenarioOutcome {
-            scenario: scenario.into(),
-            engine: EngineKind::Simulator,
-            mode: RecoveryMode::Baseline,
-            succeeded: true,
-            duration_secs: 100.0,
-            injected_faults: 1,
-            total_failures: 0,
-            spatial_amplification: 0,
-            temporal_amplification: 0,
-            fcm_attempts: 0,
-            map_attempts: 5,
-            node_loss_failures: 0,
-            corruption_refetches: 0,
-            degraded_drops: 0,
-            recoveries_bounded: None,
-            output_verified: None,
-            partitions_committed: None,
-            dfs_read_failovers: 0,
-            dfs_repair_bytes: 0,
-            dfs_corrupt_replicas: 0,
-            chain_iteration: 0,
-            resident_hits: 0,
-        }
+        let run = RunReport { succeeded: true, job_ns: 100_000_000_000, ..RunReport::default() };
+        let mut o = analyze(scenario.into(), 1, EngineKind::Simulator, RecoveryMode::Baseline, &run, None);
+        o.map_attempts = 5;
+        o
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! trajectories for the same spec, which the differential tests assert.
 
 use crate::store::{ResidentStore, StoreStats};
-use alm_types::{JobId, MemConfig, MemMode, NodeId};
+use alm_types::{JobId, MemConfig, MemMode, NodeId, RunReport};
 use alm_workloads::{decode_state, encode_state, state_delta_micro, IterativeWorkload, Record, Workload};
 use serde::Serialize;
 use std::sync::Arc;
@@ -57,10 +57,7 @@ pub struct CrashPlan {
 
 /// What one engine job run reported back to the chain.
 pub struct EngineRun {
-    pub job_secs: f64,
-    pub failures: u32,
-    pub resident_hits: u64,
-    pub succeeded: bool,
+    pub run: RunReport,
     /// The job's reduce outputs (all partitions, flattened) — the bytes the
     /// chain folds into the next state generation.
     pub outputs: Vec<Record>,
@@ -73,10 +70,7 @@ pub struct IterationOutcome {
     /// True if this run re-executed an already-completed iteration to
     /// reconstruct lost resident state.
     pub replay: bool,
-    pub job_secs: f64,
-    pub failures: u32,
-    pub resident_hits: u64,
-    pub succeeded: bool,
+    pub run: RunReport,
 }
 
 /// Full account of a chain run.
@@ -102,7 +96,7 @@ pub struct ChainReport {
 impl ChainReport {
     /// Total engine time across all runs, replays included.
     pub fn total_job_secs(&self) -> f64 {
-        self.runs.iter().map(|r| r.job_secs).sum()
+        self.runs.iter().map(|r| r.run.job_secs()).sum()
     }
 
     /// Engine runs that were lineage replays.
@@ -205,16 +199,9 @@ fn recover_state<E: ChainEngine>(
     let mut state = spec.workload.initial_state();
     for i in 0..generation {
         let w = spec.workload.instantiate(&state);
-        let run = engine.run_iteration(i, &w, spec.workload.num_maps(), None);
-        report.runs.push(IterationOutcome {
-            iteration: i,
-            replay: true,
-            job_secs: run.job_secs,
-            failures: run.failures,
-            resident_hits: run.resident_hits,
-            succeeded: run.succeeded,
-        });
-        state = spec.workload.fold(&state, &run.outputs);
+        let EngineRun { run, outputs } = engine.run_iteration(i, &w, spec.workload.num_maps(), None);
+        report.runs.push(IterationOutcome { iteration: i, replay: true, run });
+        state = spec.workload.fold(&state, &outputs);
         report.iterations_lost += 1;
     }
     put_state(engine, spec, generation, &state);
@@ -254,18 +241,12 @@ pub fn run_chain<E: ChainEngine>(
         };
         let workload = spec.workload.instantiate(&state);
         let crash_now = crash.filter(|c| c.iteration == generation).map(|c| c.node);
-        let run = engine.run_iteration(generation, &workload, spec.workload.num_maps(), crash_now);
+        let EngineRun { run, outputs } =
+            engine.run_iteration(generation, &workload, spec.workload.num_maps(), crash_now);
         if let Some(node) = crash_now {
             engine.mark_dead(node);
         }
-        report.runs.push(IterationOutcome {
-            iteration: generation,
-            replay: false,
-            job_secs: run.job_secs,
-            failures: run.failures,
-            resident_hits: run.resident_hits,
-            succeeded: run.succeeded,
-        });
+        report.runs.push(IterationOutcome { iteration: generation, replay: false, run });
         // Post-run: fold from the *resident* copy, not a chain variable —
         // if the crash wiped stripes of this generation, recovery happens
         // here and is charged to the mode.
@@ -273,7 +254,7 @@ pub fn run_chain<E: ChainEngine>(
             Some(s) => s,
             None => recover_state(engine, spec, generation, &mut report),
         };
-        let next = spec.workload.fold(&base, &run.outputs);
+        let next = spec.workload.fold(&base, &outputs);
         let delta = state_delta_micro(&base, &next);
         generation += 1;
         put_state(engine, spec, generation, &next);
@@ -344,7 +325,8 @@ mod tests {
                 self.dead.push(n);
                 self.store.invalidate_node(NodeId(n));
             }
-            EngineRun { job_secs: 1.0, failures: 0, resident_hits: 0, succeeded: true, outputs }
+            let run = RunReport { succeeded: true, job_ns: 1_000_000_000, ..RunReport::default() };
+            EngineRun { run, outputs }
         }
 
         fn mark_dead(&mut self, node: u32) {

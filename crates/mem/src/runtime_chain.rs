@@ -95,16 +95,8 @@ impl ChainEngine for RuntimeChainEngine {
             Some(node) => FaultPlan::crash_node_at_reduce_progress(NodeId(node), 0, 0.5),
             None => FaultPlan::none(),
         };
-        let hits_before = self.store.stats().hits;
-        let report = run_job(self.cluster.clone(), job.clone(), plan);
-        let outputs = self.committed_outputs(&job);
-        EngineRun {
-            job_secs: report.job_time_ms as f64 / 1000.0,
-            failures: report.failures.len() as u32,
-            resident_hits: self.store.stats().hits - hits_before,
-            succeeded: report.succeeded,
-            outputs,
-        }
+        let run = run_job(self.cluster.clone(), job.clone(), plan).run;
+        EngineRun { run, outputs: self.committed_outputs(&job) }
     }
 
     fn mark_dead(&mut self, node: u32) {
@@ -170,7 +162,7 @@ mod tests {
         let mut engine = RuntimeChainEngine::new(5, &s);
         let report = run_chain(&mut engine, &s, None);
         assert_eq!(report.iterations_completed, 3);
-        assert!(report.runs.iter().all(|r| r.succeeded));
+        assert!(report.runs.iter().all(|r| r.run.succeeded));
         // Evolve the same chain through the reference executor.
         let mut state = s.workload.initial_state();
         for i in 0..3u32 {
@@ -200,8 +192,8 @@ mod tests {
         let mut e_alg = RuntimeChainEngine::new(5, &s_alg);
         let r_lineage = run_chain(&mut e_lineage, &s_lineage, crash);
         let r_alg = run_chain(&mut e_alg, &s_alg, crash);
-        assert!(r_lineage.runs.iter().all(|r| r.succeeded));
-        assert!(r_alg.runs.iter().all(|r| r.succeeded));
+        assert!(r_lineage.runs.iter().all(|r| r.run.succeeded));
+        assert!(r_alg.runs.iter().all(|r| r.run.succeeded));
         assert_eq!(r_lineage.final_state, r_alg.final_state);
         assert!(
             r_lineage.iterations_lost > r_alg.iterations_lost,

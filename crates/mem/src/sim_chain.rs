@@ -92,13 +92,7 @@ impl ChainEngine for SimChainEngine {
             .into_iter()
             .flatten()
             .collect();
-        EngineRun {
-            job_secs: report.job_secs,
-            failures: report.trace.failures().count() as u32,
-            resident_hits: report.resident_fetch_hits,
-            succeeded: report.succeeded,
-            outputs,
-        }
+        EngineRun { run: report.run, outputs }
     }
 
     fn mark_dead(&mut self, node: u32) {
@@ -189,7 +183,7 @@ mod tests {
         let report = run_chain(&mut engine, &s, None);
         assert_eq!(report.iterations_completed, 3);
         assert_eq!(report.iterations_lost, 0);
-        assert!(report.runs.iter().all(|r| r.succeeded));
+        assert!(report.runs.iter().all(|r| r.run.succeeded));
         assert!(report.store.hits > 0, "state stripes reload from RAM each iteration");
     }
 }

@@ -42,7 +42,8 @@ fn sim_chain(s: &IterativeSpec, crash: Option<CrashPlan>) -> ChainReport {
 /// The recovery protocol of a report — the part that must be deterministic
 /// even on the threaded runtime engine.
 fn protocol(r: &ChainReport) -> String {
-    let runs: Vec<(u32, bool, bool)> = r.runs.iter().map(|o| (o.iteration, o.replay, o.succeeded)).collect();
+    let runs: Vec<(u32, bool, bool)> =
+        r.runs.iter().map(|o| (o.iteration, o.replay, o.run.succeeded)).collect();
     format!(
         "completed={} lost={} restores={} replays={} runs={runs:?}",
         r.iterations_completed,

@@ -424,7 +424,7 @@ impl JobRunner {
                     // regenerate the MOF at once while reducers re-fetch —
                     // no fetch-failure budget is charged. A report about a
                     // copy already replaced regenerates nothing.
-                    self.report.corruption_refetches += 1;
+                    self.report.run.counters.corruption_refetches += 1;
                     if self.registry.claim_regeneration(map_index, generation) {
                         self.am.regenerate(self.job.map_task(map_index), true);
                     }
@@ -434,13 +434,13 @@ impl JobRunner {
                     // reducer re-fetch on its own backoff. Nothing is
                     // regenerated and no budget is charged — the source
                     // and its data are healthy, only the path is lossy.
-                    self.report.degraded_drops += 1;
+                    self.report.run.counters.degraded_drops += 1;
                 }
                 TaskEvent::FetchResident { reducer: _, map_index: _, source: _ } => {
                     // A fetch served from the resident in-memory cache:
                     // observational only — counted so the differential
                     // validator can compare resident hits across engines.
-                    self.report.resident_fetch_hits += 1;
+                    self.report.run.counters.resident_fetch_hits += 1;
                 }
                 TaskEvent::LogRecovered { attempt, report } => {
                     self.report.log_recoveries.push(LogRecoveryEvent {
@@ -451,8 +451,8 @@ impl JobRunner {
                 }
                 TaskEvent::ReduceProgress { attempt, phase, progress } => {
                     let overall = crate::reducetask::overall_progress(phase, progress);
-                    let now = self.now_ms();
-                    self.report.reduce_timeline.entry(attempt.task.index).or_default().push((now, overall));
+                    let now = self.now_ns();
+                    self.report.run.progress.entry(attempt.task.index).or_default().push((now, overall));
                     self.check_progress_faults(attempt.task.index, overall);
                 }
             }
@@ -477,14 +477,18 @@ impl JobRunner {
             let _ = h.join();
         }
 
-        self.report.succeeded = succeeded;
-        self.report.job_time_ms = self.now_ms();
-        let trace = self.am.into_trace();
+        self.report.run.succeeded = succeeded;
+        self.report.run.job_ns = self.now_ns();
+        self.report.run.trace = self.am.into_trace();
+        let report = &mut self.report;
+        let (run, trace) = (&report.run, &report.run.trace);
         debug_assert_eq!(trace.check(), Ok(()));
-        self.report.map_attempts = trace.launches(TaskKind::Map);
-        self.report.reduce_attempts = trace.launches(TaskKind::Reduce);
-        self.report.fcm_attempts = trace.fcm_launches();
-        self.report.failures = trace
+        report.succeeded = run.succeeded;
+        report.job_time_ms = run.job_ns / 1_000_000;
+        report.map_attempts = trace.launches(TaskKind::Map);
+        report.reduce_attempts = trace.launches(TaskKind::Reduce);
+        report.fcm_attempts = trace.fcm_launches();
+        report.failures = trace
             .failures()
             .map(|f| FailureEvent {
                 at_ms: f.at_ns / 1_000_000,
@@ -493,7 +497,6 @@ impl JobRunner {
                 kind: f.kind,
             })
             .collect();
-        self.report.trace = trace;
         self.report
     }
 }

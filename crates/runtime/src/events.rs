@@ -32,8 +32,8 @@ pub enum TaskEvent {
     FetchDegraded { reducer: AttemptId, map_index: u32, source: NodeId },
     /// A reducer's fetch of map `map_index` was served from the chain
     /// layer's resident in-memory MOF cache on `source` instead of disk.
-    /// Purely observational: the AM counts it so `JobReport` keeps
-    /// resident-hit parity with the simulator's `SimReport`.
+    /// Purely observational: the AM counts it in the run's
+    /// `resident_fetch_hits`, as the simulator does.
     FetchResident { reducer: AttemptId, map_index: u32, source: NodeId },
     /// A reduce attempt recovered from analytics logs; the report carries
     /// the truncation forensics (how much, if anything, was discarded).

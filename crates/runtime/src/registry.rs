@@ -110,7 +110,7 @@ pub enum FetchOutcome {
         node: NodeId,
         data: Bytes,
         /// Served from the chain layer's resident in-memory cache rather
-        /// than a disk read — the reducer reports it so `JobReport` counts
+        /// than a disk read — the reducer reports it so the run counts
         /// resident hits with the same semantics as the simulator.
         resident: bool,
     },

@@ -1,7 +1,7 @@
 //! Job execution reports.
 
 use alm_core::RecoveryReport;
-use alm_types::{FailureKind, TaskId, Trace};
+use alm_types::{FailureKind, RunReport, TaskId};
 use std::collections::BTreeMap;
 
 /// One observed task failure.
@@ -21,38 +21,25 @@ pub struct LogRecoveryEvent {
     pub report: RecoveryReport,
 }
 
-/// Everything a finished (or abandoned) job run produced.
+/// Everything a finished (or abandoned) job run produced: the run as both
+/// engines report it, and what only the runtime records.
 #[derive(Debug, Clone, Default)]
 pub struct JobReport {
-    pub succeeded: bool,
-    pub job_time_ms: u64,
-    /// Every attempt state change, in nanoseconds since the job started.
-    pub trace: Trace,
-    /// The trace's failure view in milliseconds, kept as a list for the
-    /// benchmark's readers until ROADMAP item 13's benchmark revision.
-    pub failures: Vec<FailureEvent>,
-    /// Total map / reduce attempts launched (first attempts included).
-    pub map_attempts: u32,
-    pub reduce_attempts: u32,
-    /// Attempts launched in FCM mode.
-    pub fcm_attempts: u32,
+    /// In nanoseconds since the job started.
+    pub run: RunReport,
     /// Output records committed per reduce partition.
     pub output_records: BTreeMap<u32, u64>,
-    /// Reduce-phase progress samples per reduce index: `(ms, progress)`.
-    pub reduce_timeline: BTreeMap<u32, Vec<(u64, f64)>>,
-    /// Checksum-mismatch fetches reported by reducers. Each one triggered
-    /// a map regeneration + transparent re-fetch — never a fetch-failure
-    /// report, never a `FetchFailureLimit` preemption.
-    pub corruption_refetches: u32,
-    /// Fetch transfers dropped by degraded (gray) links and transparently
-    /// retried — like `corruption_refetches`, never charged to the fetch
-    /// retry budget.
-    pub degraded_drops: u32,
-    /// Fetches served from the chain layer's resident in-memory MOF cache
-    /// instead of disk (zero unless `alm-mem` installed a cache).
-    pub resident_fetch_hits: u64,
     /// Every analytics-log recovery the AM observed, with forensics.
     pub log_recoveries: Vec<LogRecoveryEvent>,
+    // Copies of what `run` says, filled from it at the end of the run and
+    // kept for `benchmark/` until ROADMAP item 14 step 2 (with item 13).
+    pub succeeded: bool,
+    pub job_time_ms: u64,
+    pub map_attempts: u32,
+    pub reduce_attempts: u32,
+    pub fcm_attempts: u32,
+    /// The trace's failure view in milliseconds.
+    pub failures: Vec<FailureEvent>,
 }
 
 impl JobReport {

@@ -41,16 +41,18 @@ fn committed_outputs(cluster: &MiniCluster, job: &JobDef) -> Vec<Vec<Record>> {
 }
 
 fn failures_with(report: &JobReport, kind: FailureKind) -> usize {
-    report.failures.iter().filter(|f| f.kind == kind).count()
+    report.run.trace.failures().filter(|f| f.kind == kind).count()
 }
 
-/// The attempt trace's invariants: time order, a launch first and at most
-/// one end per attempt, launches that add up to the report's attempt
-/// counts, and `failures` equal to the trace's failure view, element for
-/// element, in milliseconds.
+/// The attempt trace's invariants (time order, a launch first and at most
+/// one end per attempt), and the fields the report keeps for `benchmark/`
+/// equal to what the run says: the outcome, the job time in milliseconds,
+/// the launches as attempt counts and `failures` as the trace's failure
+/// view, element for element, in milliseconds.
 fn assert_trace_invariants(report: &JobReport) {
-    let trace = &report.trace;
+    let (run, trace) = (&report.run, &report.run.trace);
     assert_eq!(trace.check(), Ok(()), "{trace:?}");
+    assert_eq!((report.succeeded, report.job_time_ms), (run.succeeded, run.job_ns / 1_000_000));
     let launches = (trace.launches(TaskKind::Map), trace.launches(TaskKind::Reduce), trace.fcm_launches());
     assert_eq!(launches, (report.map_attempts, report.reduce_attempts, report.fcm_attempts));
     assert_eq!(report.failures.len(), trace.failures().count());
@@ -76,8 +78,8 @@ fn run_clean(workload: Arc<dyn Workload>, maps: u32, reduces: u32, mode: Recover
     let cluster = Arc::new(MiniCluster::for_tests(4));
     let jd = job(id, workload, maps, reduces, mode);
     let report = run_job(cluster.clone(), jd.clone(), FaultPlan::none());
-    assert!(report.succeeded, "failure-free job must succeed: {report:?}");
-    assert!(report.failures.is_empty());
+    assert!(report.run.succeeded, "failure-free job must succeed: {report:?}");
+    assert!(report.run.trace.failures().next().is_none());
     assert_output_matches(&cluster, &jd);
 }
 
@@ -119,10 +121,10 @@ fn map_oom_recovers_quickly_baseline() {
     let jd = job(10, Arc::new(Terasort::new(600)), 4, 2, RecoveryMode::Baseline);
     let plan = FaultPlan::kill_task(TaskId::map(JobId(10), 1), 0.5);
     let report = run_job(cluster.clone(), jd.clone(), plan);
-    assert!(report.succeeded);
-    assert_eq!(report.failures.len(), 1);
+    assert!(report.run.succeeded);
+    assert_eq!(report.run.trace.failures().count(), 1);
     assert_trace_invariants(&report);
-    assert!(report.map_attempts >= 5, "the failed map re-ran");
+    assert!(report.run.trace.launches(TaskKind::Map) >= 5, "the failed map re-ran");
     assert_output_matches(&cluster, &jd);
 }
 
@@ -137,10 +139,10 @@ fn map_killed_on_every_attempt_fails_the_job_at_the_budget() {
     let task = TaskId::map(JobId(13), 1);
     let kills = (0..8).map(|attempt_number| Fault::KillTask { task, attempt_number, at_progress: 0.5 });
     let report = run_job(cluster, jd, FaultPlan { faults: kills.collect() });
-    assert!(!report.succeeded, "{report:?}");
-    let failed: Vec<u32> = report.failures.iter().map(|f| f.attempt_number).collect();
+    assert!(!report.run.succeeded, "{report:?}");
+    let failed: Vec<u32> = report.run.trace.failures().map(|f| f.attempt.number).collect();
     assert_eq!(failed, (0..8).collect::<Vec<_>>(), "{report:?}");
-    assert_eq!(report.map_attempts, 4 + 7, "no attempt after the eighth");
+    assert_eq!(report.run.trace.launches(TaskKind::Map), 4 + 7, "no attempt after the eighth");
     assert_trace_invariants(&report);
 }
 
@@ -150,8 +152,8 @@ fn reduce_oom_recovers_baseline() {
     let jd = job(11, Arc::new(Terasort::new(600)), 3, 2, RecoveryMode::Baseline);
     let plan = FaultPlan::kill_task(TaskId::reduce(JobId(11), 0), 0.9);
     let report = run_job(cluster.clone(), jd.clone(), plan);
-    assert!(report.succeeded, "{report:?}");
-    assert!(report.failures.iter().any(|f| f.task == TaskId::reduce(JobId(11), 0)));
+    assert!(report.run.succeeded, "{report:?}");
+    assert!(report.run.trace.failures().any(|f| f.attempt.task == TaskId::reduce(JobId(11), 0)));
     assert_trace_invariants(&report);
     assert_output_matches(&cluster, &jd);
 }
@@ -164,7 +166,7 @@ fn reduce_oom_resumes_from_logs_alg() {
     let jd = JobDef::new(JobId(12), Arc::new(Terasort::new(1500)), 3, 2, 42, alm);
     let plan = FaultPlan::kill_task(TaskId::reduce(JobId(12), 1), 0.9);
     let report = run_job(cluster.clone(), jd.clone(), plan);
-    assert!(report.succeeded, "{report:?}");
+    assert!(report.run.succeeded, "{report:?}");
     assert_output_matches(&cluster, &jd);
 }
 
@@ -180,7 +182,7 @@ fn alg_relaunch_resumes_shuffle_stage_logs_on_the_logging_node() {
     // Self-kill 60 % into the shuffle, after its first record was logged.
     let plan = throttled(5, FaultPlan::kill_task(jd.reduce_task(0), 0.2));
     let report = run_job(cluster.clone(), jd.clone(), plan);
-    assert!(report.succeeded, "{report:?}");
+    assert!(report.run.succeeded, "{report:?}");
     assert!(
         report
             .log_recoveries
@@ -206,7 +208,7 @@ fn reduce_oom_all_workloads_sfm_alg() {
         let jd = JobDef::new(JobId(id), w, 3, 2, 42, alm);
         let plan = FaultPlan::kill_task(TaskId::reduce(JobId(id), 0), 0.5);
         let report = run_job(cluster.clone(), jd.clone(), plan);
-        assert!(report.succeeded, "job {id}: {report:?}");
+        assert!(report.run.succeeded, "job {id}: {report:?}");
         assert_output_matches(&cluster, &jd);
     }
 }
@@ -226,11 +228,14 @@ fn node_crash_baseline_recovers_with_amplification() {
         plan.and(FaultPlan::partition_link(NodeId(1), NodeId(peer), 0, 60_000))
     });
     let report = run_job(cluster.clone(), jd.clone(), plan);
-    assert!(report.succeeded, "{report:?}");
+    assert!(report.run.succeeded, "{report:?}");
     // Baseline cannot hide the loss: reducer 1 died with the node, and map
     // 1's stranded output had to be produced again.
-    assert!(failures_with(&report, FailureKind::NodeCrash) >= 1, "{:?}", report.failures);
-    assert!(report.map_attempts > jd.num_maps, "the stranded MOF was regenerated: {report:?}");
+    assert!(failures_with(&report, FailureKind::NodeCrash) >= 1, "{:?}", report.run.trace);
+    assert!(
+        report.run.trace.launches(TaskKind::Map) > jd.num_maps,
+        "the stranded MOF was regenerated: {report:?}"
+    );
     assert_trace_invariants(&report);
     assert_output_matches(&cluster, &jd);
 }
@@ -241,13 +246,13 @@ fn node_crash_sfm_no_reduce_amplification() {
     let jd = job(21, Arc::new(Terasort::new(900)), 5, 3, RecoveryMode::Sfm);
     let plan = FaultPlan::crash_node_at_reduce_progress(NodeId(1), 0, 0.05);
     let report = run_job(cluster.clone(), jd.clone(), plan);
-    assert!(report.succeeded, "{report:?}");
+    assert!(report.run.succeeded, "{report:?}");
     // SFM's proactive regeneration means no healthy reducer is preempted
     // for fetch failures: the only failures are tasks that died with the node.
     assert!(
-        report.failures.iter().all(|f| f.kind == FailureKind::NodeCrash),
+        report.run.trace.failures().all(|f| f.kind == FailureKind::NodeCrash),
         "no fetch-failure amplification under SFM: {:?}",
-        report.failures
+        report.run.trace
     );
     assert_trace_invariants(&report);
     assert_output_matches(&cluster, &jd);
@@ -265,7 +270,7 @@ fn node_crash_sfm_alg_single_reducer_temporal_case() {
     // at 50% reduce progress (node 0 hosts MOFs and possibly the reducer).
     let plan = FaultPlan::crash_node_at_reduce_progress(NodeId(0), 0, 0.5);
     let report = run_job(cluster.clone(), jd.clone(), plan);
-    assert!(report.succeeded, "{report:?}");
+    assert!(report.run.succeeded, "{report:?}");
     assert_output_matches(&cluster, &jd);
 }
 
@@ -278,7 +283,7 @@ fn multiple_concurrent_node_crashes_sfm() {
     let plan = FaultPlan::crash_node_at_reduce_progress(NodeId(1), 0, 0.05)
         .and(FaultPlan::crash_node_at_reduce_progress(NodeId(2), 1, 0.05));
     let report = run_job(cluster.clone(), jd.clone(), plan);
-    assert!(report.succeeded, "{report:?}");
+    assert!(report.run.succeeded, "{report:?}");
     assert_trace_invariants(&report);
     assert_output_matches(&cluster, &jd);
 }
@@ -317,8 +322,11 @@ fn committed_partition_that_loses_every_replica_is_reduced_again() {
         let report = run_job(cluster.clone(), jd.clone(), FaultPlan::slow_node(NodeId(5), 0, 11.0));
         done.store(true, Ordering::Release);
         assert!(watcher.join().expect("watcher"), "{mode:?}: partition 0 lost every replica mid-job");
-        assert!(report.succeeded, "{mode:?}: {report:?}");
-        assert!(report.reduce_attempts > jd.num_reduces, "{mode:?}: reducer 0 ran again: {report:?}");
+        assert!(report.run.succeeded, "{mode:?}: {report:?}");
+        assert!(
+            report.run.trace.launches(TaskKind::Reduce) > jd.num_reduces,
+            "{mode:?}: reducer 0 ran again: {report:?}"
+        );
         assert!(cluster.dfs.has_live_replicas(&lost_path), "{mode:?}");
         assert_output_matches(&cluster, &jd);
     }
@@ -331,9 +339,9 @@ fn fcm_attempts_launched_on_node_failure_sfm() {
     // Crash a node hosting MOFs + possibly a reducer.
     let plan = FaultPlan::crash_node_at_reduce_progress(NodeId(0), 0, 0.05);
     let report = run_job(cluster.clone(), jd.clone(), plan);
-    assert!(report.succeeded, "{report:?}");
-    if report.failures.iter().any(|f| f.task.is_reduce()) {
-        assert!(report.fcm_attempts > 0, "reduce recovery under SFM uses FCM mode");
+    assert!(report.run.succeeded, "{report:?}");
+    if report.run.trace.failures().any(|f| f.attempt.task.is_reduce()) {
+        assert!(report.run.trace.fcm_launches() > 0, "reduce recovery under SFM uses FCM mode");
     }
     assert_output_matches(&cluster, &jd);
 }
@@ -364,7 +372,7 @@ fn late_reducer_kill_resumes_from_reduce_stage_logs() {
     // Self-kill 85 % into the reduce stage: a hundred-odd snapshots in.
     let plan = throttled(4, FaultPlan::kill_task(jd.reduce_task(0), 0.95));
     let report = run_job(cluster.clone(), jd.clone(), plan);
-    assert!(report.succeeded, "{report:?}");
+    assert!(report.run.succeeded, "{report:?}");
     assert!(reduce_stage_records(&cluster) > 0, "the reducer logged its reduce stage");
     assert!(
         report.log_recoveries.iter().any(|e| e.report.resumed_seq.is_some()),
@@ -403,7 +411,7 @@ fn late_node_crash_resumes_from_reduce_stage_logs() {
     done.store(true, Ordering::Release);
     let crashed =
         watcher.join().expect("watcher").expect("a reduce-stage record appeared before the job ended");
-    assert!(report.succeeded, "{report:?}");
+    assert!(report.run.succeeded, "{report:?}");
     assert!(failures_with(&report, FailureKind::NodeCrash) >= 1, "node {crashed}: {report:?}");
     // The node's local logs died with it: a resumed record is a DFS one.
     assert!(
@@ -428,7 +436,7 @@ fn speculative_duplicates_commit_identical_output() {
         let jd = JobDef::new(JobId(30 + seed as u32), Arc::new(Terasort::new(500)), 3, 2, seed, alm);
         let plan = FaultPlan::kill_task(TaskId::reduce(jd.id, 0), 0.4);
         let report = run_job(cluster.clone(), jd.clone(), plan);
-        assert!(report.succeeded, "seed {seed}: {report:?}");
+        assert!(report.run.succeeded, "seed {seed}: {report:?}");
         assert_output_matches(&cluster, &jd);
     }
 }
@@ -442,9 +450,9 @@ fn reduce_stage_progress_is_sampled_per_whole_percent() {
     let cluster = Arc::new(MiniCluster::for_tests(4));
     let jd = job(60, Arc::new(Terasort::new(3000)), 2, 1, RecoveryMode::Baseline);
     let report = run_job(cluster.clone(), jd.clone(), FaultPlan::none());
-    assert!(report.succeeded, "{report:?}");
+    assert!(report.run.succeeded, "{report:?}");
     assert_output_matches(&cluster, &jd);
-    let timeline = &report.reduce_timeline[&0];
+    let timeline = &report.run.progress[&0];
     // The merge stage's one report is overall 2/3; the reduce stage follows.
     let merged =
         timeline.iter().position(|&(_, p)| p >= 2.0 / 3.0 - 1e-9).expect("the merge stage reports its end");
@@ -471,14 +479,22 @@ fn partition_healing_before_liveness_causes_no_node_loss() {
             100,
         ));
         let report = run_job(cluster.clone(), jd.clone(), plan);
-        assert!(report.succeeded, "{mode:?}: {report:?}");
+        assert!(report.run.succeeded, "{mode:?}: {report:?}");
         // Zero node-lost declarations, zero fetch-failure preemptions and
         // zero map re-executions: parked fetches burn no retry budget.
         assert_eq!(failures_with(&report, FailureKind::NodeCrash), 0, "{mode:?}");
         assert_eq!(failures_with(&report, FailureKind::FetchFailureLimit), 0, "{mode:?}");
-        assert!(report.failures.is_empty(), "{mode:?}: {:?}", report.failures);
-        assert_eq!(report.map_attempts, jd.num_maps, "no map re-execution under {mode:?}");
-        assert_eq!(report.reduce_attempts, jd.num_reduces, "no reduce re-execution under {mode:?}");
+        assert!(report.run.trace.failures().next().is_none(), "{mode:?}: {:?}", report.run.trace);
+        assert_eq!(
+            report.run.trace.launches(TaskKind::Map),
+            jd.num_maps,
+            "no map re-execution under {mode:?}"
+        );
+        assert_eq!(
+            report.run.trace.launches(TaskKind::Reduce),
+            jd.num_reduces,
+            "no reduce re-execution under {mode:?}"
+        );
         assert_output_matches(&cluster, &jd);
     }
 }
@@ -495,9 +511,9 @@ fn inverted_partition_window_is_zero_length() {
         plan.and(FaultPlan::partition_link(NodeId(1), NodeId(peer), 1, 0))
     });
     let report = run_job(cluster.clone(), jd.clone(), plan);
-    assert!(report.succeeded, "{report:?}");
-    assert!(report.failures.is_empty(), "{:?}", report.failures);
-    assert_eq!(report.map_attempts, jd.num_maps, "{report:?}");
+    assert!(report.run.succeeded, "{report:?}");
+    assert!(report.run.trace.failures().next().is_none(), "{:?}", report.run.trace);
+    assert_eq!(report.run.trace.launches(TaskKind::Map), jd.num_maps, "{report:?}");
     assert_output_matches(&cluster, &jd);
 }
 
@@ -509,7 +525,7 @@ fn repeated_slow_faults_keep_the_largest_factor() {
     // and so must the runtime, whatever the plan order.
     let plan = FaultPlan::slow_node(NodeId(3), 0, 6.0).and(FaultPlan::slow_node(NodeId(3), 0, 2.0));
     let report = run_job(cluster.clone(), jd.clone(), plan);
-    assert!(report.succeeded, "{report:?}");
+    assert!(report.run.succeeded, "{report:?}");
     assert_eq!(cluster.node(NodeId(3)).slow_factor(), 6.0);
     assert_output_matches(&cluster, &jd);
 }
@@ -523,13 +539,21 @@ fn corrupted_mof_partition_is_refetched_without_preemption() {
         let plan =
             FaultPlan::corrupt_data(NodeId(0), CorruptTarget::MofPartition { map_index: 1, partition: 2 }, 0);
         let report = run_job(cluster.clone(), jd.clone(), plan);
-        assert!(report.succeeded, "{mode:?}: {report:?}");
+        assert!(report.run.succeeded, "{mode:?}: {report:?}");
         // The reducer detected the rot and the AM regenerated the MOF; the
         // fetch-failure budget was never charged, so no task failed.
-        assert!(report.corruption_refetches >= 1, "{mode:?}: rot must be reported: {report:?}");
+        assert!(report.run.counters.corruption_refetches >= 1, "{mode:?}: rot must be reported: {report:?}");
         assert_eq!(failures_with(&report, FailureKind::FetchFailureLimit), 0, "{mode:?}");
-        assert!(report.failures.is_empty(), "{mode:?}: repair is failure-free: {:?}", report.failures);
-        assert_eq!(report.map_attempts, jd.num_maps + 1, "exactly one regeneration under {mode:?}");
+        assert!(
+            report.run.trace.failures().next().is_none(),
+            "{mode:?}: repair is failure-free: {:?}",
+            report.run.trace
+        );
+        assert_eq!(
+            report.run.trace.launches(TaskKind::Map),
+            jd.num_maps + 1,
+            "exactly one regeneration under {mode:?}"
+        );
         assert_output_matches(&cluster, &jd);
     }
 }
@@ -552,7 +576,7 @@ fn corrupted_alg_log_recovery_is_bounded() {
         .and(FaultPlan::corrupt_data(NodeId(0), CorruptTarget::AlgRecord { reduce_index: 0, seq: 0 }, 0))
         .and(FaultPlan::kill_task(TaskId::reduce(JobId(44), 0), 0.34));
     let report = run_job(cluster.clone(), jd.clone(), plan);
-    assert!(report.succeeded, "{report:?}");
+    assert!(report.run.succeeded, "{report:?}");
     assert!(!report.log_recoveries.is_empty(), "the killed reducer must consult its logs: {report:?}");
     assert!(report.recoveries_bounded(), "at most one snapshot interval redone: {:?}", report.log_recoveries);
     assert!(

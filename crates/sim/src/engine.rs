@@ -906,12 +906,7 @@ impl Simulation {
                 return;
             };
             if !self.nodes[src as usize].alive {
-                if self.am.is_regenerating(TaskId::map(self.job, m)) {
-                    // Wait for the high-priority regeneration; the map
-                    // completion will re-pump us.
-                    return;
-                }
-                // Dead source: burn a retry.
+                // Dead source that is not regenerating: burn a retry.
                 self.fetch_failed(attempt, m, src);
                 continue;
             }
@@ -920,7 +915,7 @@ impl Simulation {
             // network, skipping the Stage-1 disk read that makes shuffles
             // lag map completions. This is what the chain layer buys.
             if self.resident_mofs.contains(m) {
-                self.report.resident_fetch_hits += 1;
+                self.report.run.counters.resident_fetch_hits += 1;
                 let dst_rack = self.nodes[node as usize].rack;
                 let src_rack = self.nodes[src as usize].rack;
                 let pool =
@@ -1057,7 +1052,7 @@ impl Simulation {
                     }
                 };
                 if dropped {
-                    self.report.degraded_drops += 1;
+                    self.report.run.counters.degraded_drops += 1;
                     self.pump_fetches(attempt);
                     return;
                 }
@@ -1078,7 +1073,7 @@ impl Simulation {
                 att.pending.insert(m);
             }
             self.corrupt_mofs.remove(&(m, attempt.task.index));
-            self.report.corruption_refetches += 1;
+            self.report.run.counters.corruption_refetches += 1;
             if self.am.regenerate(TaskId::map(self.job, m), true) {
                 self.mof_loc[m as usize] = None; // unregistered until regenerated
                 self.dispatch();
@@ -1267,8 +1262,8 @@ impl Simulation {
             return;
         }
         if self.am.reduces_complete() {
-            self.report.succeeded = true;
-            self.report.job_secs = self.now_secs();
+            self.report.run.succeeded = true;
+            self.report.run.job_ns = self.now_ns();
         }
         self.dispatch();
     }
@@ -1565,7 +1560,7 @@ impl Simulation {
     }
 
     fn sample(&mut self) {
-        let now = self.now_secs();
+        let (now, now_ns) = (self.now_secs(), self.now_ns());
         // Progress per reduce task = best running attempt (0 if none).
         let mut progress = vec![0.0_f64; self.qty.num_reduces as usize];
         for (id, a) in self.red_atts.iter() {
@@ -1574,7 +1569,7 @@ impl Simulation {
         }
         for (r, &p) in (0..).zip(&progress) {
             let p = if self.reduce_done(r) { 1.0 } else { p };
-            self.report.reduce_progress.entry(r).or_default().push((now, p));
+            self.report.run.progress.entry(r).or_default().push((now_ns, p));
         }
         // A reduce's kill trigger reads its progress before this tick's
         // crashes, a map's reads its phase after them.
@@ -1839,7 +1834,7 @@ impl Simulation {
     /// replica: one read failover, one block re-replicated (its payload
     /// bytes copied). A single-replica output has nowhere to fail over
     /// to, so its rotten copy stays corrupt and unrepaired. Background
-    /// work after job end: `job_secs` is never touched.
+    /// work after job end: the job time is never touched.
     fn settle_dfs_corruption(&mut self) {
         for (_, _, target) in std::mem::take(&mut self.corruptions) {
             if let CorruptTarget::DfsBlock { reduce_index, block } = target {
@@ -1861,10 +1856,10 @@ impl Simulation {
             let idx = (block as u64).min(nblocks - 1);
             let bytes = if idx == nblocks - 1 { out_bytes - idx * block_size } else { block_size };
             if replicas >= 2 {
-                self.report.dfs_read_failovers += 1;
-                self.report.dfs_repair_bytes += bytes;
+                self.report.run.counters.dfs_read_failovers += 1;
+                self.report.run.counters.dfs_repair_bytes += bytes;
             } else {
-                self.report.dfs_corrupt_replicas += 1;
+                self.report.run.counters.dfs_corrupt_replicas += 1;
             }
         }
     }
@@ -1884,7 +1879,7 @@ impl Simulation {
                 self.dump_state("MAX_EVENTS reached");
                 break;
             }
-            if self.report.succeeded || self.failed {
+            if self.report.run.succeeded || self.failed {
                 break;
             }
             match ev {
@@ -1909,28 +1904,25 @@ impl Simulation {
                 Ev::FcmStart(a) => self.fcm_start(a),
                 Ev::Sample => {
                     self.sample();
-                    if !(self.report.succeeded || self.failed) {
+                    if !(self.report.run.succeeded || self.failed) {
                         self.q.schedule_after(SimDuration::from_nanos(SAMPLE_EVERY_NS), Ev::Sample);
                     }
                 }
             }
         }
-        if !self.report.succeeded {
-            self.report.job_secs = self.now_secs();
+        if !self.report.run.succeeded {
+            self.report.run.job_ns = self.now_ns();
         }
         self.settle_dfs_corruption();
         // Close out the timelines with the final state.
-        let end = self.report.job_secs;
+        let end = self.report.run.job_ns;
         for r in 0..self.qty.num_reduces {
             let done = if self.reduce_done(r) { 1.0 } else { 0.0 };
-            self.report.reduce_progress.entry(r).or_default().push((end, done));
+            self.report.run.progress.entry(r).or_default().push((end, done));
         }
-        let trace = self.am.into_trace();
-        debug_assert_eq!(trace.check(), Ok(()));
-        self.report.map_attempts = trace.launches(TaskKind::Map);
-        self.report.reduce_attempts = trace.launches(TaskKind::Reduce);
-        self.report.fcm_attempts = trace.fcm_launches();
-        self.report.trace = trace;
+        self.report.run.trace = self.am.into_trace();
+        debug_assert_eq!(self.report.run.trace.check(), Ok(()));
+        self.report.job_secs = self.report.run.job_secs();
         self.report
     }
 }
@@ -2066,12 +2058,12 @@ mod tests {
     }
 
     fn failures(r: &SimReport) -> Vec<Failure> {
-        r.trace.failures().collect()
+        r.run.trace.failures().collect()
     }
 
     /// The node reduce 0's first attempt ran on.
     fn first_reduce_node(r: &SimReport) -> u32 {
-        r.trace.nodes_of(TaskId::reduce(JobId(0), 0)).next().expect("reduce 0 launched").0
+        r.run.trace.nodes_of(TaskId::reduce(JobId(0), 0)).next().expect("reduce 0 launched").0
     }
 
     fn kill_reduce(index: u32, at_progress: f64) -> FaultPlan {
@@ -2091,19 +2083,19 @@ mod tests {
     #[test]
     fn clean_terasort_completes() {
         let r = run(WorkloadKind::Terasort, 10, 8, RecoveryMode::Baseline, FaultPlan::none());
-        assert!(r.succeeded, "{r:?}");
+        assert!(r.run.succeeded, "{r:?}");
         assert!(failures(&r).is_empty());
-        assert!(r.job_secs > 1.0 && r.job_secs < 10_000.0, "time {}", r.job_secs);
-        assert_eq!(r.map_attempts, 80);
-        assert_eq!(r.reduce_attempts, 8);
+        assert!(r.run.job_secs() > 1.0 && r.run.job_secs() < 10_000.0, "time {}", r.run.job_secs());
+        assert_eq!(r.run.trace.launches(TaskKind::Map), 80);
+        assert_eq!(r.run.trace.launches(TaskKind::Reduce), 8);
     }
 
     #[test]
     fn clean_wordcount_single_reducer() {
         let r = run(WorkloadKind::Wordcount, 10, 1, RecoveryMode::Baseline, FaultPlan::none());
-        assert!(r.succeeded, "{r:?}");
+        assert!(r.run.succeeded, "{r:?}");
         // Map phase strictly precedes job completion.
-        assert!(r.map_phase_secs > 0.0 && r.map_phase_secs < r.job_secs);
+        assert!(r.map_phase_secs > 0.0 && r.map_phase_secs < r.run.job_secs());
     }
 
     #[test]
@@ -2128,15 +2120,15 @@ mod tests {
     fn resident_mofs_skip_disk_and_speed_up_shuffle() {
         let disk = run(WorkloadKind::Terasort, 10, 8, RecoveryMode::Baseline, FaultPlan::none());
         let resident = run_resident(WorkloadKind::Terasort, 10, 8, RecoveryMode::Baseline, FaultPlan::none());
-        assert!(resident.succeeded, "{resident:?}");
-        assert_eq!(disk.resident_fetch_hits, 0, "residency is opt-in");
-        assert!(resident.resident_fetch_hits > 0, "clean-run fetches must all hit RAM");
+        assert!(resident.run.succeeded, "{resident:?}");
+        assert_eq!(disk.run.counters.resident_fetch_hits, 0, "residency is opt-in");
+        assert!(resident.run.counters.resident_fetch_hits > 0, "clean-run fetches must all hit RAM");
         assert_eq!(resident.resident_invalidations, 0);
         assert!(
-            resident.job_secs < disk.job_secs,
+            resident.run.job_secs() < disk.run.job_secs(),
             "memory-served shuffle ({:.1}s) must beat disk-served ({:.1}s)",
-            resident.job_secs,
-            disk.job_secs
+            resident.run.job_secs(),
+            disk.run.job_secs()
         );
     }
 
@@ -2144,9 +2136,9 @@ mod tests {
     fn node_crash_wipes_resident_copies() {
         let fault = crash_at_reduce_progress(1, 0, 0.3);
         let r = run_resident(WorkloadKind::Terasort, 10, 8, RecoveryMode::SfmAlg, fault);
-        assert!(r.succeeded, "{:?}", failures(&r));
+        assert!(r.run.succeeded, "{:?}", failures(&r));
         assert!(r.resident_invalidations > 0, "the crashed node held resident MOFs");
-        assert!(r.resident_fetch_hits > 0, "survivors keep serving from RAM");
+        assert!(r.run.counters.resident_fetch_hits > 0, "survivors keep serving from RAM");
     }
 
     #[test]
@@ -2154,7 +2146,7 @@ mod tests {
         let fault = crash_at_reduce_progress(2, 1, 0.5);
         let a = run_resident(WorkloadKind::Pagerank, 10, 8, RecoveryMode::SfmAlg, fault.clone());
         let b = run_resident(WorkloadKind::Pagerank, 10, 8, RecoveryMode::SfmAlg, fault);
-        assert!(a.succeeded, "{:?}", failures(&a));
+        assert!(a.run.succeeded, "{:?}", failures(&a));
         assert_eq!(a, b, "resident mode must stay fully deterministic");
     }
 
@@ -2162,10 +2154,10 @@ mod tests {
     fn reduce_oom_baseline_restarts_and_delays() {
         let clean = run(WorkloadKind::Terasort, 10, 8, RecoveryMode::Baseline, FaultPlan::none());
         let faulty = run(WorkloadKind::Terasort, 10, 8, RecoveryMode::Baseline, kill_reduce(0, 0.8));
-        assert!(faulty.succeeded, "{faulty:?}");
+        assert!(faulty.run.succeeded, "{faulty:?}");
         assert_eq!(failures(&faulty).len(), 1);
-        assert!(faulty.job_secs > clean.job_secs, "a late reduce failure must delay the job");
-        assert_eq!(faulty.reduce_attempts, 9);
+        assert!(faulty.run.job_secs() > clean.run.job_secs(), "a late reduce failure must delay the job");
+        assert_eq!(faulty.run.trace.launches(TaskKind::Reduce), 9);
     }
 
     #[test]
@@ -2182,8 +2174,8 @@ mod tests {
             FaultPlan::kill_task(TaskId::map(JobId(0), 0), 0.5),
         );
         let red_fault = run(WorkloadKind::Terasort, 100, 20, RecoveryMode::Baseline, kill_reduce(0, 0.9));
-        let map_delay = map_fault.job_secs - clean.job_secs;
-        let red_delay = red_fault.job_secs - clean.job_secs;
+        let map_delay = map_fault.run.job_secs() - clean.run.job_secs();
+        let red_delay = red_fault.run.job_secs() - clean.run.job_secs();
         assert!(
             red_delay > map_delay.max(1.0) * 3.0,
             "reduce failure ({red_delay:.1}s) must hurt far more than a map failure ({map_delay:.1}s)"
@@ -2195,12 +2187,12 @@ mod tests {
         let kill = kill_reduce(0, 0.9);
         let yarn = run(WorkloadKind::Terasort, 20, 8, RecoveryMode::Baseline, kill.clone());
         let alg = run(WorkloadKind::Terasort, 20, 8, RecoveryMode::Alg, kill);
-        assert!(yarn.succeeded && alg.succeeded);
+        assert!(yarn.run.succeeded && alg.run.succeeded);
         assert!(
-            alg.job_secs < yarn.job_secs,
+            alg.run.job_secs() < yarn.run.job_secs(),
             "ALG resume ({:.1}s) must beat restart-from-scratch ({:.1}s)",
-            alg.job_secs,
-            yarn.job_secs
+            alg.run.job_secs(),
+            yarn.run.job_secs()
         );
         assert!(alg.alg_snapshots > 0);
     }
@@ -2212,8 +2204,8 @@ mod tests {
         let fault = crash_at_reduce_progress(1, 0, 0.3);
         let yarn = run(WorkloadKind::Terasort, 100, 20, RecoveryMode::Baseline, fault.clone());
         let sfm = run(WorkloadKind::Terasort, 100, 20, RecoveryMode::Sfm, fault);
-        assert!(yarn.succeeded, "{:?}", failures(&yarn));
-        assert!(sfm.succeeded, "{:?}", failures(&sfm));
+        assert!(yarn.run.succeeded, "{:?}", failures(&yarn));
+        assert!(sfm.run.succeeded, "{:?}", failures(&sfm));
         let yarn_fetch_failures =
             failures(&yarn).iter().filter(|f| f.kind == FailureKind::FetchFailureLimit).count();
         let sfm_fetch_failures =
@@ -2225,10 +2217,10 @@ mod tests {
         );
         assert_eq!(sfm_fetch_failures, 0, "SFM: proactive regeneration prevents amplification");
         assert!(
-            sfm.job_secs < yarn.job_secs,
+            sfm.run.job_secs() < yarn.run.job_secs(),
             "SFM ({:.1}s) must recover faster than baseline ({:.1}s)",
-            sfm.job_secs,
-            yarn.job_secs
+            sfm.run.job_secs(),
+            yarn.run.job_secs()
         );
     }
 
@@ -2242,17 +2234,17 @@ mod tests {
             RecoveryMode::Baseline,
             FaultPlan::slow_node(NodeId(0), 0, 40.0),
         );
-        assert!(slowed.succeeded, "{slowed:?}");
+        assert!(slowed.run.succeeded, "{slowed:?}");
         assert!(
             failures(&slowed).is_empty(),
             "a slow node degrades, it never fails: {:?}",
             failures(&slowed)
         );
         assert!(
-            slowed.job_secs > clean.job_secs * 1.05,
+            slowed.run.job_secs() > clean.run.job_secs() * 1.05,
             "stragglers must delay the job: {:.1}s vs clean {:.1}s",
-            slowed.job_secs,
-            clean.job_secs
+            slowed.run.job_secs(),
+            clean.run.job_secs()
         );
     }
 
@@ -2262,7 +2254,7 @@ mod tests {
         // only after the 70 s liveness timeout.
         let fault = FaultPlan::crash_node_at_ms(NodeId(0), 30_000);
         let r = run(WorkloadKind::Terasort, 20, 16, RecoveryMode::Sfm, fault);
-        assert!(r.succeeded, "{r:?}");
+        assert!(r.run.succeeded, "{r:?}");
         if let Some(f) = failures(&r).iter().find(|f| f.kind == FailureKind::NodeCrash) {
             assert!(
                 f.at_secs() >= 30.0 + 69.0,
@@ -2289,24 +2281,24 @@ mod tests {
                     .collect(),
             };
             let r = Simulation::new(spec(), small(mode), timed).run();
-            assert!(!r.succeeded, "{mode:?}: {r:?}");
+            assert!(!r.run.succeeded, "{mode:?}: {r:?}");
             assert!(r.events < MAX_EVENTS / 1000, "{mode:?}: {} events", r.events);
-            assert!((5.0..=7.0).contains(&r.job_secs), "{mode:?}: failed at {:.1}s", r.job_secs);
+            assert!((5.0..=7.0).contains(&r.run.job_secs()), "{mode:?}: failed at {:.1}s", r.run.job_secs());
 
             let on_progress =
                 (0..3).fold(FaultPlan::none(), |p, n| p.and(crash_at_reduce_progress(n, 0, 0.1)));
             let r = Simulation::new(spec(), small(mode), on_progress).run();
-            assert!(!r.succeeded, "{mode:?}: {r:?}");
+            assert!(!r.run.succeeded, "{mode:?}: {r:?}");
             assert!(r.events < MAX_EVENTS / 1000, "{mode:?}: {} events", r.events);
-            let crashed_at = r.reduce_progress[&0]
+            let crashed_at = r.run.progress[&0]
                 .iter()
                 .find(|(_, p)| *p >= 0.1)
-                .map(|(t, _)| *t)
+                .map(|&(t, _)| t as f64 / 1e9)
                 .expect("reduce 0 reached the trigger");
             assert!(
-                (crashed_at..=crashed_at + 2.0).contains(&r.job_secs),
+                (crashed_at..=crashed_at + 2.0).contains(&r.run.job_secs()),
                 "{mode:?}: crashed at {crashed_at:.1}s, failed at {:.1}s",
-                r.job_secs
+                r.run.job_secs()
             );
         }
     }
@@ -2315,9 +2307,9 @@ mod tests {
     fn fcm_attempts_used_for_migration() {
         let fault = crash_at_reduce_progress(0, 0, 0.2);
         let r = run(WorkloadKind::Terasort, 20, 16, RecoveryMode::Sfm, fault);
-        assert!(r.succeeded);
+        assert!(r.run.succeeded);
         if failures(&r).iter().any(|f| f.attempt.task.is_reduce()) {
-            assert!(r.fcm_attempts > 0, "reduce migration should use FCM: {r:?}");
+            assert!(r.run.trace.fcm_launches() > 0, "reduce migration should use FCM: {r:?}");
         }
     }
 
@@ -2339,19 +2331,27 @@ mod tests {
                 mode,
                 FaultPlan::partition_link(NodeId(red_node), NodeId(other), 0, heal),
             );
-            assert!(faulty.succeeded, "{mode:?}: {faulty:?}");
+            assert!(faulty.run.succeeded, "{mode:?}: {faulty:?}");
             assert!(
                 failures(&faulty).is_empty(),
                 "{mode:?}: a healed partition must not fail anything: {:?}",
                 failures(&faulty)
             );
-            assert_eq!(faulty.map_attempts, clean.map_attempts, "{mode:?}: no map re-execution");
-            assert_eq!(faulty.reduce_attempts, clean.reduce_attempts, "{mode:?}: no reducer preemption");
+            assert_eq!(
+                faulty.run.trace.launches(TaskKind::Map),
+                clean.run.trace.launches(TaskKind::Map),
+                "{mode:?}: no map re-execution"
+            );
+            assert_eq!(
+                faulty.run.trace.launches(TaskKind::Reduce),
+                clean.run.trace.launches(TaskKind::Reduce),
+                "{mode:?}: no reducer preemption"
+            );
             assert!(
-                faulty.job_secs > clean.job_secs,
+                faulty.run.job_secs() > clean.run.job_secs(),
                 "{mode:?}: the parked shuffle must delay the job: {:.1}s vs clean {:.1}s",
-                faulty.job_secs,
-                clean.job_secs
+                faulty.run.job_secs(),
+                clean.run.job_secs()
             );
         }
     }
@@ -2372,7 +2372,11 @@ mod tests {
         let heal = ms(clean.map_phase_secs) + 30_000;
         let both = run(WorkloadKind::Terasort, 10, 8, mode, window(500, 2_300).and(window(2_600, heal)));
         let second_only = run(WorkloadKind::Terasort, 10, 8, mode, window(2_600, heal));
-        assert!(both.job_secs > clean.job_secs, "window 2 must park the shuffle: {:.1}s", both.job_secs);
+        assert!(
+            both.run.job_secs() > clean.run.job_secs(),
+            "window 2 must park the shuffle: {:.1}s",
+            both.run.job_secs()
+        );
         assert_eq!(both, second_only);
         // A zero-length window still nets healed.
         let blip = run(WorkloadKind::Terasort, 10, 8, mode, window(2_000, 2_000));
@@ -2396,14 +2400,18 @@ mod tests {
         };
         let asym = part(LinkDirection::AToB);
         let sym = part(LinkDirection::Both);
-        assert!(asym.succeeded && sym.succeeded);
+        assert!(asym.run.succeeded && sym.run.succeeded);
         assert!(failures(&asym).is_empty(), "asymmetric cut must not fail anything: {:?}", failures(&asym));
-        assert_eq!(asym.map_attempts, clean.map_attempts, "no map re-execution under a half-open link");
+        assert_eq!(
+            asym.run.trace.launches(TaskKind::Map),
+            clean.run.trace.launches(TaskKind::Map),
+            "no map re-execution under a half-open link"
+        );
         assert!(
-            asym.job_secs <= sym.job_secs,
+            asym.run.job_secs() <= sym.run.job_secs(),
             "the half-open link must hurt no more than the full cut: {:.1}s vs {:.1}s",
-            asym.job_secs,
-            sym.job_secs
+            asym.run.job_secs(),
+            sym.run.job_secs()
         );
     }
 
@@ -2429,15 +2437,19 @@ mod tests {
             ))
         });
         let faulty = run(WorkloadKind::Terasort, 10, 8, mode, faults);
-        assert!(faulty.succeeded, "{faulty:?}");
-        assert!(faulty.degraded_drops >= 1, "gray loss must be observed: {faulty:?}");
+        assert!(faulty.run.succeeded, "{faulty:?}");
+        assert!(faulty.run.counters.degraded_drops >= 1, "gray loss must be observed: {faulty:?}");
         assert!(failures(&faulty).is_empty(), "gray drops must never preempt: {:?}", failures(&faulty));
-        assert_eq!(faulty.reduce_attempts, clean.reduce_attempts, "no reducer preemption");
+        assert_eq!(
+            faulty.run.trace.launches(TaskKind::Reduce),
+            clean.run.trace.launches(TaskKind::Reduce),
+            "no reducer preemption"
+        );
         assert!(
-            faulty.job_secs > clean.job_secs,
+            faulty.run.job_secs() > clean.run.job_secs(),
             "slow + lossy fetches must delay the job: {:.1}s vs {:.1}s",
-            faulty.job_secs,
-            clean.job_secs
+            faulty.run.job_secs(),
+            clean.run.job_secs()
         );
     }
 
@@ -2450,7 +2462,7 @@ mod tests {
         let a = run(WorkloadKind::Terasort, 5, 4, mode, plan.clone());
         let b = run(WorkloadKind::Terasort, 5, 4, mode, plan);
         assert_eq!(a, b, "flap windows must preserve full determinism");
-        assert!(a.succeeded, "{a:?}");
+        assert!(a.run.succeeded, "{a:?}");
         assert!(
             failures(&a).iter().all(|f| f.kind != FailureKind::FetchFailureLimit),
             "flap cycles must never exhaust the retry budget: {:?}",
@@ -2471,7 +2483,7 @@ mod tests {
         assert_eq!(cycles.faults.len(), 3);
         let flapping = run(WorkloadKind::Terasort, 5, 4, mode, plan);
         let separate = run(WorkloadKind::Terasort, 5, 4, mode, cycles);
-        assert_eq!(flapping.job_secs.to_bits(), separate.job_secs.to_bits());
+        assert_eq!(flapping.run.job_secs().to_bits(), separate.run.job_secs().to_bits());
         assert_eq!(flapping, separate);
     }
 
@@ -2483,7 +2495,7 @@ mod tests {
             Fault::KillTask { task: TaskId::reduce(JobId(0), 0), attempt_number: 1, at_progress: 0.5 };
         let clean = run(WorkloadKind::Terasort, 5, 4, RecoveryMode::Baseline, FaultPlan::none());
         let r = run(WorkloadKind::Terasort, 5, 4, RecoveryMode::Baseline, FaultPlan { faults: vec![later] });
-        assert_eq!(r.job_secs.to_bits(), clean.job_secs.to_bits());
+        assert_eq!(r.run.job_secs().to_bits(), clean.run.job_secs().to_bits());
         assert_eq!(r, clean);
     }
 
@@ -2497,9 +2509,16 @@ mod tests {
             RecoveryMode::Baseline,
             FaultPlan::corrupt_data(NodeId(0), CorruptTarget::MofPartition { map_index: 1, partition: 2 }, 0),
         );
-        assert!(faulty.succeeded, "{faulty:?}");
-        assert!(faulty.corruption_refetches >= 1, "the rot must be observed on arrival: {faulty:?}");
-        assert_eq!(faulty.map_attempts, clean.map_attempts + 1, "exactly one regeneration: {faulty:?}");
+        assert!(faulty.run.succeeded, "{faulty:?}");
+        assert!(
+            faulty.run.counters.corruption_refetches >= 1,
+            "the rot must be observed on arrival: {faulty:?}"
+        );
+        assert_eq!(
+            faulty.run.trace.launches(TaskKind::Map),
+            clean.run.trace.launches(TaskKind::Map) + 1,
+            "exactly one regeneration: {faulty:?}"
+        );
         assert!(
             failures(&faulty).is_empty(),
             "checksummed re-fetch must never preempt: {:?}",
@@ -2513,7 +2532,7 @@ mod tests {
             FaultPlan::corrupt_data(NodeId(0), CorruptTarget::AlgRecord { reduce_index: 0, seq: 0 }, 0)
                 .and(kill_reduce(0, 0.9));
         let r = run(WorkloadKind::Terasort, 10, 8, RecoveryMode::Alg, faults);
-        assert!(r.succeeded, "{r:?}");
+        assert!(r.run.succeeded, "{r:?}");
         assert_eq!(r.log_truncations, 1, "the rot must cost exactly one snapshot interval: {r:?}");
         assert!(r.alg_snapshots > 0, "logging must continue after the truncation");
     }
@@ -2537,7 +2556,7 @@ mod tests {
     #[test]
     fn progress_timelines_are_sampled() {
         let r = run(WorkloadKind::Wordcount, 10, 1, RecoveryMode::Baseline, FaultPlan::none());
-        let tl = r.reduce_progress.get(&0).expect("reduce 0 sampled");
+        let tl = r.run.progress.get(&0).expect("reduce 0 sampled");
         assert!(tl.len() > 3);
         assert!(tl.last().unwrap().1 >= 1.0 - 1e-9);
         // Monotone non-decreasing in a failure-free run.

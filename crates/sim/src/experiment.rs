@@ -24,7 +24,7 @@ pub fn run_one(spec: &SimJobSpec, env: &ExperimentEnv, faults: FaultPlan) -> Sim
 /// given the spec), by running the failure-free job once.
 pub fn node_of_reduce(spec: &SimJobSpec, env: &ExperimentEnv, reduce_index: u32) -> u32 {
     let clean = run_one(spec, env, FaultPlan::none());
-    let first = clean.trace.nodes_of(TaskId::reduce(JobId(0), reduce_index)).next();
+    let first = clean.run.trace.nodes_of(TaskId::reduce(JobId(0), reduce_index)).next();
     first.map_or(0, |n| n.0)
 }
 
@@ -51,16 +51,16 @@ pub fn fig1(seed: u64) -> ExperimentReport {
     let e = env(RecoveryMode::Baseline);
     rep.param("workload", "terasort").param("input", "100 GB").param("mode", "baseline").param("seed", seed);
 
-    let clean = run_one(&spec, &e, FaultPlan::none()).job_secs;
+    let clean = run_one(&spec, &e, FaultPlan::none()).run.job_secs();
     let mut maps = Series::new("map-failures", "failed MapTasks", "recovery time (s)");
     for n in [1u32, 50, 100, 150, 200] {
         let faults = (0..n).fold(FaultPlan::none(), |p, i| p.and(kill_map(i * 3, 0.5)));
         let r = run_one(&spec, &e, faults);
-        maps.push(n as f64, (r.job_secs - clean).max(0.0));
+        maps.push(n as f64, (r.run.job_secs() - clean).max(0.0));
     }
     let mut reduce = Series::new("one-reduce-failure", "failed ReduceTasks", "recovery time (s)");
     let r = run_one(&spec, &e, kill_reduce(0, 0.9));
-    reduce.push(1.0, (r.job_secs - clean).max(0.0));
+    reduce.push(1.0, (r.run.job_secs() - clean).max(0.0));
 
     let map200 = maps.y_at(200.0).unwrap_or(0.0);
     let red1 = reduce.y_at(1.0).unwrap_or(0.0);
@@ -86,15 +86,15 @@ pub fn fig2(seed: u64) -> ExperimentReport {
     let e = env(RecoveryMode::Baseline);
     for kind in [WorkloadKind::Terasort, WorkloadKind::Wordcount] {
         let spec = SimJobSpec::paper(kind, seed);
-        let clean = run_one(&spec, &e, FaultPlan::none()).job_secs;
+        let clean = run_one(&spec, &e, FaultPlan::none()).run.job_secs();
         let mut map_s = Series::new(format!("{kind}-map-failure"), "injection progress (%)", "slowdown (%)");
         let mut red_s =
             Series::new(format!("{kind}-reduce-failure"), "injection progress (%)", "slowdown (%)");
         for p in [0.1, 0.3, 0.5, 0.7, 0.9] {
             let rm = run_one(&spec, &e, kill_map(0, p));
-            map_s.push(p * 100.0, (rm.job_secs / clean - 1.0) * 100.0);
+            map_s.push(p * 100.0, (rm.run.job_secs() / clean - 1.0) * 100.0);
             let rr = run_one(&spec, &e, kill_reduce(0, p));
-            red_s.push(p * 100.0, (rr.job_secs / clean - 1.0) * 100.0);
+            red_s.push(p * 100.0, (rr.run.job_secs() / clean - 1.0) * 100.0);
         }
         rep.note(format!(
             "{kind}: map failure worst-case slowdown {:.1}%, reduce failure worst-case {:.1}%",
@@ -117,13 +117,13 @@ pub fn fig3(seed: u64) -> ExperimentReport {
     let victim = node_of_reduce(&spec, &e, 0);
     let r = run_one(&spec, &e, crash_at_reduce_progress(victim, 0, 0.4));
     let reduce0 = TaskId::reduce(alm_types::JobId(0), 0);
-    let repeats = r.trace.repeats_of(reduce0);
+    let repeats = r.run.trace.repeats_of(reduce0);
     let mut tl = r.timeline_of(0, "wordcount reduce progress");
     tl.annotate(0.0, format!("node {victim} hosts the single reducer and its local MOFs"));
     rep.note(format!(
         "the single injected node crash became {} failures of the same ReduceTask (temporal amplification); job took {:.1}s",
         repeats + 1,
-        r.job_secs
+        r.run.job_secs()
     ));
     rep.note(format!(
         "longest progress stall: {:.1}s (includes the {}s liveness timeout)",
@@ -145,12 +145,12 @@ pub fn fig4(seed: u64) -> ExperimentReport {
     let r = run_one(&spec, &e, crash_at_reduce_progress(1, 5, 0.05));
     rep.note(format!(
         "one node crash additionally failed {} healthy ReduceTasks (paper observed 6); total failures {}",
-        r.trace.additional_failures(),
-        r.trace.failures().count()
+        r.run.trace.additional_failures(),
+        r.run.trace.failures().count()
     ));
     let mut s = Series::new("failed-reduces-over-time", "time (s)", "cumulative reduce failures");
     let mut count = 0;
-    for f in r.trace.failures().filter(|f| f.attempt.task.is_reduce()) {
+    for f in r.run.trace.failures().filter(|f| f.attempt.task.is_reduce()) {
         count += 1;
         s.push(f.at_secs(), count as f64);
     }
@@ -166,7 +166,7 @@ pub fn fig8(seed: u64) -> ExperimentReport {
     let points: Vec<f64> = (1..=9).map(|i| i as f64 / 10.0).collect();
     for kind in WorkloadKind::ALL {
         let spec = SimJobSpec::paper(kind, seed);
-        let clean = run_one(&spec, &env(RecoveryMode::Baseline), FaultPlan::none()).job_secs;
+        let clean = run_one(&spec, &env(RecoveryMode::Baseline), FaultPlan::none()).run.job_secs();
         let mut yarn_s = Series::new(format!("{kind}-yarn"), "injection progress (%)", "execution time (s)");
         let mut alg_s = Series::new(format!("{kind}-alg"), "injection progress (%)", "execution time (s)");
         let mut gains = Vec::new();
@@ -174,9 +174,9 @@ pub fn fig8(seed: u64) -> ExperimentReport {
             let fault = kill_reduce(0, p);
             let yarn = run_one(&spec, &env(RecoveryMode::Baseline), fault.clone());
             let alg = run_one(&spec, &env(RecoveryMode::Alg), fault);
-            yarn_s.push(p * 100.0, yarn.job_secs);
-            alg_s.push(p * 100.0, alg.job_secs);
-            gains.push(improvement_pct(yarn.job_secs, alg.job_secs));
+            yarn_s.push(p * 100.0, yarn.run.job_secs());
+            alg_s.push(p * 100.0, alg.run.job_secs());
+            gains.push(improvement_pct(yarn.run.job_secs(), alg.run.job_secs()));
         }
         let avg = gains.iter().sum::<f64>() / gains.len() as f64;
         let at90 = *gains.last().expect("nine failure points sampled");
@@ -213,9 +213,9 @@ pub fn fig9(seed: u64) -> ExperimentReport {
             let fault = crash_at_reduce_progress(victim, 0, p);
             let yarn = run_one(&spec, &env(RecoveryMode::Baseline), fault.clone());
             let sfm = run_one(&spec, &env(RecoveryMode::Sfm), fault);
-            yarn_s.push(p * 100.0, yarn.job_secs);
-            sfm_s.push(p * 100.0, sfm.job_secs);
-            gains.push(improvement_pct(yarn.job_secs, sfm.job_secs));
+            yarn_s.push(p * 100.0, yarn.run.job_secs());
+            sfm_s.push(p * 100.0, sfm.run.job_secs());
+            gains.push(improvement_pct(yarn.run.job_secs(), sfm.run.job_secs()));
         }
         let avg = gains.iter().sum::<f64>() / gains.len() as f64;
         rep.note(format!("{kind}: SFM shortens migration+recovery by {avg:.1}% on average"));
@@ -245,8 +245,8 @@ pub fn fig10(seed: u64, proactive: bool) -> ExperimentReport {
     let reduce0 = TaskId::reduce(alm_types::JobId(0), 0);
     rep.note(format!(
         "repeated failures of the reducer: {} (0 means temporal amplification eliminated); job {:.1}s",
-        r.trace.repeats_of(reduce0),
-        r.job_secs
+        r.run.trace.repeats_of(reduce0),
+        r.run.job_secs()
     ));
     rep.timelines.push(r.timeline_of(0, "wordcount reduce progress under SFM"));
     rep
@@ -267,8 +267,8 @@ pub fn table2(seed: u64) -> ExperimentReport {
             t.row(&[
                 name.to_string(),
                 format!("{:.0}%", p * 100.0),
-                r.trace.additional_failures().to_string(),
-                format!("{:.0} seconds", r.job_secs),
+                r.run.trace.additional_failures().to_string(),
+                format!("{:.0} seconds", r.run.job_secs()),
             ]);
         }
     }
@@ -290,9 +290,9 @@ pub fn fig11(seed: u64, sizes_gb: &[u64]) -> ExperimentReport {
         let spec = SimJobSpec::new(WorkloadKind::Terasort, gb * GB, 20, seed);
         let y = run_one(&spec, &env(RecoveryMode::Baseline), FaultPlan::none());
         let a = run_one(&spec, &env(RecoveryMode::Alg), FaultPlan::none());
-        yarn_s.push(gb as f64, y.job_secs);
-        alg_s.push(gb as f64, a.job_secs);
-        worst = worst.max((a.job_secs / y.job_secs - 1.0) * 100.0);
+        yarn_s.push(gb as f64, y.run.job_secs());
+        alg_s.push(gb as f64, a.run.job_secs());
+        worst = worst.max((a.run.job_secs() / y.run.job_secs() - 1.0) * 100.0);
     }
     rep.note(format!("worst-case ALG overhead across sizes: {worst:.1}% (paper: negligible)"));
     rep.series.push(yarn_s);
@@ -311,7 +311,7 @@ pub fn fig12(seed: u64) -> ExperimentReport {
         let mut e = env(RecoveryMode::Alg);
         e.alm.logging_interval_ms = interval_s * 1000;
         let r = run_one(&spec, &e, FaultPlan::none());
-        s.push(interval_s as f64, r.job_secs);
+        s.push(interval_s as f64, r.run.job_secs());
         snaps.push(interval_s as f64, r.alg_snapshots as f64);
     }
     let spread = (s.max_y().unwrap_or(0.0) - s.min_y().unwrap_or(0.0)) / s.min_y().unwrap_or(1.0) * 100.0;
@@ -333,7 +333,7 @@ pub fn fig13(seed: u64, sizes_gb: &[u64]) -> ExperimentReport {
             let mut e = env(RecoveryMode::Alg);
             e.alm.log_replication = level;
             let r = run_one(&spec, &e, FaultPlan::none());
-            s.push(gb as f64, (r.job_secs - r.map_phase_secs).max(0.0));
+            s.push(gb as f64, (r.run.job_secs() - r.map_phase_secs).max(0.0));
         }
         rep.series.push(s);
     }
@@ -377,10 +377,10 @@ pub fn fig14(seed: u64, fcm_cap: Option<usize>) -> ExperimentReport {
                 }
                 e
             };
-            let clean = run_one(&spec, &mk_env(RecoveryMode::Baseline), FaultPlan::none()).job_secs;
+            let clean = run_one(&spec, &mk_env(RecoveryMode::Baseline), FaultPlan::none()).run.job_secs();
             let yarn = run_one(&spec, &mk_env(RecoveryMode::Baseline), faults.clone());
             let sfm = run_one(&spec, &mk_env(RecoveryMode::Sfm), faults);
-            let (ry, rs) = ((yarn.job_secs - clean).max(0.0), (sfm.job_secs - clean).max(0.0));
+            let (ry, rs) = ((yarn.run.job_secs() - clean).max(0.0), (sfm.run.job_secs() - clean).max(0.0));
             yarn_s.push(per_red_gb as f64, ry);
             sfm_s.push(per_red_gb as f64, rs);
             gains.push(improvement_pct(ry, rs));
@@ -413,11 +413,11 @@ pub fn fig15(seed: u64) -> ExperimentReport {
         let fault = crash_at_reduce_progress(victim, 0, 0.8);
         let sfm = run_one(&spec, &env(RecoveryMode::Sfm), fault.clone());
         let both = run_one(&spec, &env(RecoveryMode::SfmAlg), fault);
-        let gain = improvement_pct(sfm.job_secs, both.job_secs);
+        let gain = improvement_pct(sfm.run.job_secs(), both.run.job_secs());
         t.row(&[
             kind.name().to_string(),
-            format!("{:.1}", sfm.job_secs),
-            format!("{:.1}", both.job_secs),
+            format!("{:.1}", sfm.run.job_secs()),
+            format!("{:.1}", both.run.job_secs()),
             format!("{gain:.1}%"),
         ]);
         rep.note(format!("{kind}: SFM+ALG accelerates recovery by {gain:.1}% over SFM-only"));

@@ -14,7 +14,9 @@
 use alm_shuffle::frame::crc32;
 use alm_sim::{ExperimentEnv, SimJobSpec, SimReport, Simulation};
 use alm_types::units::GB;
-use alm_types::{CorruptTarget, FaultPlan, JobId, LinkDirection, NodeId, RecoveryMode, TaskId, TaskKind};
+use alm_types::{
+    CorruptTarget, FaultPlan, JobId, LinkDirection, NodeId, RecoveryMode, RunReport, TaskId, TaskKind,
+};
 use alm_workloads::WorkloadKind;
 
 /// `(events, job_secs bits, map attempts, reduce attempts, failures,
@@ -23,38 +25,41 @@ use alm_workloads::WorkloadKind;
 type Pin = (u64, u64, u32, u32, usize, u32, u32, u32, u32);
 
 /// Recorded at e395026; the map and reduce kills at bda5a83; the failure
-/// digests at 662c715; the progress and counter digests at f4483d0. The report CRCs were re-recorded, every other
-/// column unchanged, when the report's failure list and per-reduce node
-/// list gave way to the attempt trace, which changed the JSON's shape.
+/// digests at 662c715; the progress and counter digests at f4483d0. The
+/// report CRCs were re-recorded twice, every other column unchanged, each
+/// time the JSON's shape changed: when the report's failure list and
+/// per-reduce node list gave way to the attempt trace, and when the fields
+/// both engines share moved into `run: RunReport` (job time and progress
+/// in integer nanoseconds, attempt counts as trace queries).
 const PINNED: [(&str, Pin); 11] = [
-    ("clean terasort", (803, 4626354383178525038, 80, 8, 0, 0, 3745454851, 1293127523, 1031365198)),
+    ("clean terasort", (803, 4626354383178525038, 80, 8, 0, 0, 3745454851, 1293127523, 2327968616)),
     (
         "node crash, baseline",
-        (19134, 4642159539171410529, 840, 23, 3, 132443855, 2366423461, 2713777128, 2678986615),
+        (19134, 4642159539171410529, 840, 23, 3, 132443855, 2366423461, 2713777128, 1859823273),
     ),
     (
         "node crash, alg",
-        (15881, 4641583274456119364, 840, 23, 3, 2432099717, 2527840191, 435566026, 3812991790),
+        (15881, 4641583274456119364, 840, 23, 3, 2432099717, 2527840191, 435566026, 3300464930),
     ),
     (
         "node crash, sfm",
-        (12763, 4640537708624276378, 840, 21, 1, 1031748158, 720961713, 2322566962, 1470787731),
+        (12763, 4640537708624276378, 840, 21, 1, 1031748158, 720961713, 2322566962, 3567840146),
     ),
     (
         "node crash, sfm+alg",
-        (12722, 4639834332585936666, 840, 21, 1, 1031748158, 4270193357, 4151671860, 1502377969),
+        (12722, 4639834332585936666, 840, 21, 1, 1031748158, 4270193357, 4151671860, 3336739621),
     ),
-    ("healed partition", (1184, 4634330558135809356, 80, 8, 0, 0, 2888973441, 1293127523, 2035624150)),
-    ("degraded lossy links", (1057, 4628416290193917636, 80, 8, 0, 0, 3191007065, 2108807716, 2488267165)),
-    ("mof corruption", (810, 4626354383178243563, 81, 8, 0, 0, 2986172297, 2078351248, 25612793)),
-    ("alg record rot", (960, 4627685906037861442, 80, 9, 1, 618444459, 1561625541, 3156467792, 3327371817)),
+    ("healed partition", (1184, 4634330558135809356, 80, 8, 0, 0, 2888973441, 1293127523, 1938072084)),
+    ("degraded lossy links", (1057, 4628416290193917636, 80, 8, 0, 0, 3191007065, 2108807716, 2732928446)),
+    ("mof corruption", (810, 4626354383178243563, 81, 8, 0, 0, 2986172297, 2078351248, 1312287914)),
+    ("alg record rot", (960, 4627685906037861442, 80, 9, 1, 618444459, 1561625541, 3156467792, 3924017970)),
     (
         "resident mofs, node crash",
-        (750, 4636202310752247382, 84, 9, 1, 936549449, 446214601, 535318202, 2810138764),
+        (750, 4636202310752247382, 84, 9, 1, 936549449, 446214601, 535318202, 3932051378),
     ),
     (
         "map and reduce kills, alg",
-        (12676, 4639127392220713377, 801, 21, 2, 3117696129, 4171653870, 2448990387, 2653881208),
+        (12676, 4639127392220713377, 801, 21, 2, 3117696129, 4171653870, 2448990387, 3824585315),
     ),
 ];
 
@@ -65,8 +70,8 @@ fn sim(gb: u64, reduces: u32, mode: RecoveryMode, faults: FaultPlan) -> Simulati
 
 /// The trace's failure view, one `(at_secs bits, task, attempt number,
 /// kind)` line each, in trace order.
-fn failure_digest(report: &SimReport) -> u32 {
-    let lines: String = report
+fn failure_digest(run: &RunReport) -> u32 {
+    let lines: String = run
         .trace
         .failures()
         .map(|f| format!("{:?}\n", (f.at_secs().to_bits(), f.attempt.task, f.attempt.number, f.kind)))
@@ -75,12 +80,12 @@ fn failure_digest(report: &SimReport) -> u32 {
 }
 
 /// Every progress sample, one `(reduce, secs bits, fraction bits)` line each.
-fn progress_digest(report: &SimReport) -> u32 {
-    let lines: String = report
-        .reduce_progress
+fn progress_digest(run: &RunReport) -> u32 {
+    let lines: String = run
+        .progress
         .iter()
         .flat_map(|(r, samples)| {
-            samples.iter().map(move |(t, p)| format!("{:?}\n", (r, t.to_bits(), p.to_bits())))
+            samples.iter().map(move |&(t, p)| format!("{:?}\n", (r, (t as f64 / 1e9).to_bits(), p.to_bits())))
         })
         .collect();
     crc32(lines.as_bytes())
@@ -88,17 +93,19 @@ fn progress_digest(report: &SimReport) -> u32 {
 
 /// Every scalar counter the other columns leave out.
 fn counter_digest(r: &SimReport) -> u32 {
+    let (run, c) = (&r.run, &r.run.counters);
+    let fcm = run.trace.fcm_launches();
     let line = format!(
         "{:?} {:?}",
-        (r.succeeded, r.map_phase_secs.to_bits(), r.fcm_attempts, r.alg_snapshots, r.log_truncations),
+        (run.succeeded, r.map_phase_secs.to_bits(), fcm, r.alg_snapshots, r.log_truncations),
         (
-            r.corruption_refetches,
-            r.degraded_drops,
+            c.corruption_refetches,
+            c.degraded_drops,
             r.uplink_bytes,
-            r.dfs_read_failovers,
-            r.dfs_repair_bytes,
-            r.dfs_corrupt_replicas,
-            r.resident_fetch_hits,
+            c.dfs_read_failovers,
+            c.dfs_repair_bytes,
+            c.dfs_corrupt_replicas,
+            c.resident_fetch_hits,
             r.resident_invalidations,
         ),
     );
@@ -107,14 +114,15 @@ fn counter_digest(r: &SimReport) -> u32 {
 
 fn pin(report: &SimReport) -> Pin {
     let json = serde_json::to_string(report).expect("a report serialises");
+    let run = &report.run;
     (
         report.events,
         report.job_secs.to_bits(),
-        report.map_attempts,
-        report.reduce_attempts,
-        report.trace.failures().count(),
-        failure_digest(report),
-        progress_digest(report),
+        run.trace.launches(TaskKind::Map),
+        run.trace.launches(TaskKind::Reduce),
+        run.trace.failures().count(),
+        failure_digest(run),
+        progress_digest(run),
         counter_digest(report),
         crc32(json.as_bytes()),
     )
@@ -168,17 +176,14 @@ fn reports_match_their_pinned_values() {
     assert!(actual == PINNED, "a pinned simulator report moved; the runs now give:\n{table}");
 }
 
-/// The attempt trace of every pinned run: time order, a launch first and at
-/// most one end per attempt, and launches that add up to the report's
-/// attempt counts.
+/// The attempt trace of every pinned run (time order, a launch first and
+/// at most one end per attempt), and the job time the report keeps for
+/// `benchmark/` bit-equal to the run's.
 #[test]
 fn traces_keep_their_invariants() {
     for (name, sim) in runs() {
         let report = sim.run();
-        let trace = &report.trace;
-        assert_eq!(trace.check(), Ok(()), "{name}");
-        let launches =
-            (trace.launches(TaskKind::Map), trace.launches(TaskKind::Reduce), trace.fcm_launches());
-        assert_eq!(launches, (report.map_attempts, report.reduce_attempts, report.fcm_attempts), "{name}");
+        assert_eq!(report.run.trace.check(), Ok(()), "{name}");
+        assert_eq!(report.job_secs.to_bits(), (report.run.job_ns as f64 / 1e9).to_bits(), "{name}");
     }
 }

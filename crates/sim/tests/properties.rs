@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use alm_sim::{ExperimentEnv, SimJobSpec, Simulation};
 use alm_types::units::GB;
-use alm_types::{FailureKind, Fault, FaultPlan, JobId, NodeId, RecoveryMode, TaskId};
+use alm_types::{FailureKind, Fault, FaultPlan, JobId, NodeId, RecoveryMode, TaskId, TaskKind};
 use alm_workloads::WorkloadKind;
 
 fn arb_mode() -> impl Strategy<Value = RecoveryMode> {
@@ -79,27 +79,28 @@ proptest! {
         prop_assert!(report.events < 10_000_000, "event explosion: {}", report.events);
 
         // The trace is time-ordered and its failures fall within the run.
-        prop_assert_eq!(report.trace.check(), Ok(()));
-        for f in report.trace.failures() {
-            prop_assert!(f.at_secs() <= report.job_secs + 1e-6);
+        let run = &report.run;
+        prop_assert_eq!(run.trace.check(), Ok(()));
+        for f in run.trace.failures() {
+            prop_assert!(f.at_ns <= run.job_ns);
         }
 
         // Progress samples stay in [0, 1].
-        for samples in report.reduce_progress.values() {
+        for samples in run.progress.values() {
             for &(t, p) in samples {
                 prop_assert!((0.0..=1.0).contains(&p));
-                prop_assert!(t <= report.job_secs + 1e-6);
+                prop_assert!(t <= run.job_ns);
             }
         }
 
         // Attempt accounting: at least one attempt per task.
-        prop_assert!(report.reduce_attempts >= reduces);
+        prop_assert!(run.trace.launches(TaskKind::Reduce) >= reduces);
 
         // Crashing at most 2 of 20 nodes must never sink the job.
         if crash_count <= 2 {
-            prop_assert!(report.succeeded, "job failed: {:?}", report.trace);
+            prop_assert!(run.succeeded, "job failed: {:?}", run.trace);
             for r in 0..reduces {
-                let samples = report.reduce_progress.get(&r).expect("sampled");
+                let samples = run.progress.get(&r).expect("sampled");
                 prop_assert!(samples.last().unwrap().1 >= 1.0 - 1e-9, "reduce {r} unfinished");
             }
         }
@@ -121,9 +122,9 @@ proptest! {
             (false, _, p) => FaultPlan::crash_node_at_reduce_progress(NodeId(node), 0, p),
         };
         let spec = SimJobSpec::new(WorkloadKind::Terasort, 20 * GB, 8, 3);
-        let report = Simulation::new(spec, ExperimentEnv::paper(mode), fault).run();
-        prop_assert!(report.succeeded, "{:?}", report.trace);
-        let fetch_deaths = report.trace.failures().filter(|f| f.kind == FailureKind::FetchFailureLimit).count();
-        prop_assert_eq!(fetch_deaths, 0, "SFM must prevent fetch-failure preemption: {:?}", report.trace);
+        let run = Simulation::new(spec, ExperimentEnv::paper(mode), fault).run().run;
+        prop_assert!(run.succeeded, "{:?}", run.trace);
+        let fetch_deaths = run.trace.failures().filter(|f| f.kind == FailureKind::FetchFailureLimit).count();
+        prop_assert_eq!(fetch_deaths, 0, "SFM must prevent fetch-failure preemption: {:?}", run.trace);
     }
 }

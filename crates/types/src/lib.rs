@@ -28,4 +28,4 @@ pub use failure::{
 pub use id::{rack_members, rack_of, AttemptId, JobId, NodeId, RackId, TaskId};
 pub use progress::Progress;
 pub use state::{ReducePhase, TaskKind};
-pub use trace::{Failure, FailureCounts, Trace, TraceEvent, TraceKind};
+pub use trace::{Failure, FailureCounts, RunCounters, RunReport, Trace, TraceEvent, TraceKind};

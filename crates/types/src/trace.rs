@@ -6,6 +6,7 @@
 //! reduces preempted by `FetchFailureLimit`, injected tasks included;
 //! Table II's *additional failures* the distinct reduces that failed for
 //! any reason, except those that failed with the crashed node.
+//! [`RunReport`] is one run as both engines report it, the trace included.
 
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
@@ -144,6 +145,49 @@ impl Trace {
         }
         Ok(())
     }
+}
+
+/// One job run as both engines report it, in the trace's integer
+/// nanoseconds. Each engine's own report holds it beside the fields only
+/// that engine has.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+pub struct RunReport {
+    pub succeeded: bool,
+    /// When the last reduce committed, or when the run gave up.
+    pub job_ns: u64,
+    pub trace: Trace,
+    /// Per reduce index: `(ns, overall progress)` samples.
+    pub progress: BTreeMap<u32, Vec<(u64, f64)>>,
+    pub counters: RunCounters,
+}
+
+impl RunReport {
+    /// Bit-equal to the simulator's `SimTime::as_secs_f64` of the job time.
+    pub fn job_secs(&self) -> f64 {
+        self.job_ns as f64 / 1e9
+    }
+}
+
+/// The counters both engines keep. None of them is a failure: each event
+/// is absorbed without charging a retry budget.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+pub struct RunCounters {
+    /// Fetched chunks that failed their arrival checksum. Each one
+    /// regenerated the map's MOF and was fetched again.
+    pub corruption_refetches: u32,
+    /// Fetch transfers dropped by gray-degraded links and fetched again.
+    pub degraded_drops: u32,
+    /// Shuffle fetches served from the resident in-memory MOF cache
+    /// instead of disk (zero unless the chain layer installed one).
+    pub resident_fetch_hits: u64,
+    /// Rotten committed-output replicas a verified DFS read skipped over,
+    /// each queueing its block for re-replication.
+    pub dfs_read_failovers: u32,
+    /// Payload bytes the DFS repair pipeline copied to restore the
+    /// replication level (the Fig. 13 replica-management axis).
+    pub dfs_repair_bytes: u64,
+    /// Corrupt committed-output replicas still unrepaired after the run.
+    pub dfs_corrupt_replicas: u32,
 }
 
 #[cfg(test)]

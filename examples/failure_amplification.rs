@@ -27,11 +27,11 @@ fn main() {
         println!("===== {mode:?} =====");
         println!(
             "job time: {:.1}s   reduce attempts: {}   failures: {}",
-            report.job_secs,
-            report.reduce_attempts,
-            report.trace.failures().count()
+            report.run.job_secs(),
+            report.run.trace.launches(TaskKind::Reduce),
+            report.run.trace.failures().count()
         );
-        for f in report.trace.failures() {
+        for f in report.run.trace.failures() {
             println!(
                 "  {:6.1}s  {} attempt {} failed: {}",
                 f.at_secs(),
@@ -41,6 +41,7 @@ fn main() {
             );
         }
         let repeats = report
+            .run
             .trace
             .failures()
             .filter(|f| f.attempt.task.is_reduce() && f.kind == FailureKind::FetchFailureLimit)

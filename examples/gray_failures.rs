@@ -25,7 +25,7 @@ fn main() {
     let spec = SimJobSpec::paper(WorkloadKind::Terasort, seed);
     let env = ExperimentEnv::paper(RecoveryMode::Baseline);
     let clean = run_one(&spec, &env, FaultPlan::none());
-    let red_node = clean.trace.nodes_of(TaskId::reduce(JobId(0), 0)).next().expect("reduce 0 ran").0;
+    let red_node = clean.run.trace.nodes_of(TaskId::reduce(JobId(0), 0)).next().expect("reduce 0 ran").0;
     let partner = (red_node + 1) % env.cluster.worker_nodes();
 
     // 1. Asymmetric partition: sever only the fetch direction
@@ -48,12 +48,19 @@ fn main() {
     let sym = dir_run(LinkDirection::Both);
     let asym = dir_run(LinkDirection::AToB);
     for (label, rep) in [("symmetric", &sym), ("asymmetric", &asym)] {
-        assert!(rep.succeeded && rep.trace.failures().next().is_none(), "{label} partition must be absorbed");
-        assert_eq!(rep.map_attempts, clean.map_attempts, "{label}: no map re-execution");
+        assert!(
+            rep.run.succeeded && rep.run.trace.failures().next().is_none(),
+            "{label} partition must be absorbed"
+        );
+        assert_eq!(
+            rep.run.trace.launches(TaskKind::Map),
+            clean.run.trace.launches(TaskKind::Map),
+            "{label}: no map re-execution"
+        );
     }
     println!(
         "asymmetric partition ({red_node}->{partner}, 30s window): clean {:.0}s, sym {:.0}s, asym {:.0}s — zero failures in all three",
-        clean.job_secs, sym.job_secs, asym.job_secs
+        clean.run.job_secs(), sym.run.job_secs(), asym.run.job_secs()
     );
 
     // 2. Flapping link: a seeded schedule of sever/heal cycles, expanded
@@ -70,17 +77,20 @@ fn main() {
     let windows = plan.partition_windows();
     assert_eq!(windows.len(), 3, "one severed window per cycle");
     let flap = run_one(&spec, &env, plan);
-    assert!(flap.succeeded && flap.trace.failures().next().is_none(), "flapping link must be absorbed");
+    assert!(
+        flap.run.succeeded && flap.run.trace.failures().next().is_none(),
+        "flapping link must be absorbed"
+    );
     println!(
         "flapping link (3 seeded cycles): windows {:?} -> {:.0}s, zero failures, budget intact",
         windows.iter().map(|w| (w.from_ms / 1000, w.heal_ms / 1000)).collect::<Vec<_>>(),
-        flap.job_secs
+        flap.run.job_secs()
     );
 
     // 3. Degraded link: the canonical gray failure — the link is *up* but
     //    slow (4x) and lossy (30%). Dropped transfers are re-fetched
     //    without ever charging the FetchFailureLimit budget.
-    let heal_ms = (clean.job_secs * 3000.0) as u64;
+    let heal_ms = (clean.run.job_secs() * 3000.0) as u64;
     let degrade =
         (0..env.cluster.worker_nodes()).filter(|n| *n != red_node).fold(FaultPlan::none(), |p, n| {
             p.and(FaultPlan::degraded_link(
@@ -94,11 +104,14 @@ fn main() {
             ))
         });
     let gray = run_one(&spec, &env, degrade);
-    assert!(gray.succeeded && gray.trace.failures().next().is_none(), "degraded links must be absorbed");
-    assert!(gray.degraded_drops >= 1, "a 30% lossy link must drop at least one transfer");
+    assert!(
+        gray.run.succeeded && gray.run.trace.failures().next().is_none(),
+        "degraded links must be absorbed"
+    );
+    assert!(gray.run.counters.degraded_drops >= 1, "a 30% lossy link must drop at least one transfer");
     println!(
         "degraded links from node {red_node} (4x slow, 30% loss): {:.0}s vs clean {:.0}s, {} transparent drop(s), zero failures\n",
-        gray.job_secs, clean.job_secs, gray.degraded_drops
+        gray.run.job_secs(), clean.run.job_secs(), gray.run.counters.degraded_drops
     );
 
     // 4. Differential validation on BOTH engines: the gray invariants.

@@ -29,12 +29,13 @@ fn main() {
     println!("running wordcount with an injected ReduceTask failure...");
     let report = run_job(cluster.clone(), job.clone(), faults);
 
-    println!("succeeded        : {}", report.succeeded);
-    println!("job time         : {} ms (test-scaled)", report.job_time_ms);
-    println!("map attempts     : {}", report.map_attempts);
-    println!("reduce attempts  : {} (recovery attempts included)", report.reduce_attempts);
-    for f in &report.failures {
-        println!("observed failure : {} attempt {} — {}", f.task, f.attempt_number, f.kind);
+    let run = &report.run;
+    println!("succeeded        : {}", run.succeeded);
+    println!("job time         : {} ms (test-scaled)", run.job_ns / 1_000_000);
+    println!("map attempts     : {}", run.trace.launches(TaskKind::Map));
+    println!("reduce attempts  : {} (recovery attempts included)", run.trace.launches(TaskKind::Reduce));
+    for f in run.trace.failures() {
+        println!("observed failure : {} attempt {} — {}", f.attempt.task, f.attempt.number, f.kind);
     }
 
     // Read the committed output back from the DFS.

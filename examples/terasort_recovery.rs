@@ -26,7 +26,7 @@ fn run_mode(mode: RecoveryMode) -> (JobReport, Vec<Record>) {
     // vanish mid-shuffle.
     let faults = FaultPlan::crash_node_at_reduce_progress(NodeId(1), 0, 0.05);
     let report = run_job(cluster.clone(), job.clone(), faults);
-    assert!(report.succeeded, "{mode:?} run failed: {report:?}");
+    assert!(report.run.succeeded, "{mode:?} run failed: {report:?}");
 
     // Collect the committed output for comparison.
     let mut all = Vec::new();
@@ -48,17 +48,21 @@ fn main() {
     let (alm, alm_out) = run_mode(RecoveryMode::SfmAlg);
 
     let describe = |name: &str, r: &JobReport| {
+        let trace = &r.run.trace;
         println!(
             "{name:8}  time {:5} ms  failures {:2}  reduce attempts {}  fcm attempts {}",
-            r.job_time_ms,
-            r.failures.len(),
-            r.reduce_attempts,
-            r.fcm_attempts
+            r.run.job_ns / 1_000_000,
+            trace.failures().count(),
+            trace.launches(TaskKind::Reduce),
+            trace.fcm_launches()
         );
-        for f in &r.failures {
+        for f in trace.failures() {
             println!(
                 "          failure at {:4} ms: {} attempt {} — {}",
-                f.at_ms, f.task, f.attempt_number, f.kind
+                f.at_ns / 1_000_000,
+                f.attempt.task,
+                f.attempt.number,
+                f.kind
             );
         }
     };

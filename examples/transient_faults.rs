@@ -31,24 +31,28 @@ fn main() {
     for mode in [RecoveryMode::Baseline, RecoveryMode::SfmAlg] {
         let env = ExperimentEnv::paper(mode);
         let clean = run_one(&spec, &env, FaultPlan::none());
-        let red_node = clean.trace.nodes_of(TaskId::reduce(JobId(0), 0)).next().expect("reduce 0 ran").0;
+        let red_node = clean.run.trace.nodes_of(TaskId::reduce(JobId(0), 0)).next().expect("reduce 0 ran").0;
         let partner = (red_node + 1) % env.cluster.worker_nodes();
         let from_ms = (clean.map_phase_secs * 1000.0) as u64;
         let cut = FaultPlan::partition_link(NodeId(red_node), NodeId(partner), from_ms, from_ms + 30_000);
         let rep = run_one(&spec, &env, cut);
-        assert!(rep.succeeded, "{mode:?}: job must complete through a healed partition");
+        assert!(rep.run.succeeded, "{mode:?}: job must complete through a healed partition");
         assert!(
-            rep.trace.failures().next().is_none(),
+            rep.run.trace.failures().next().is_none(),
             "{mode:?}: a healed partition must not record failures"
         );
-        assert_eq!(rep.map_attempts, clean.map_attempts, "{mode:?}: no map re-execution");
+        assert_eq!(
+            rep.run.trace.launches(TaskKind::Map),
+            clean.run.trace.launches(TaskKind::Map),
+            "{mode:?}: no map re-execution"
+        );
         println!(
             "  {mode:?}: clean {:.0}s -> partitioned {:.0}s ({:+.0}s), {} failures, {} map attempts",
-            clean.job_secs,
-            rep.job_secs,
-            rep.job_secs - clean.job_secs,
-            rep.trace.failures().count(),
-            rep.map_attempts,
+            clean.run.job_secs(),
+            rep.run.job_secs(),
+            rep.run.job_secs() - clean.run.job_secs(),
+            rep.run.trace.failures().count(),
+            rep.run.trace.launches(TaskKind::Map),
         );
     }
 
@@ -62,13 +66,20 @@ fn main() {
         &env,
         FaultPlan::corrupt_data(NodeId(0), CorruptTarget::MofPartition { map_index: 1, partition: 0 }, 0),
     );
-    assert!(rep.succeeded && rep.trace.failures().next().is_none());
-    assert!(rep.corruption_refetches >= 1, "the corrupted chunk must be detected and re-fetched");
-    assert_eq!(rep.map_attempts, clean.map_attempts + 1, "exactly the corrupted map regenerates");
+    assert!(rep.run.succeeded && rep.run.trace.failures().next().is_none());
+    assert!(
+        rep.run.counters.corruption_refetches >= 1,
+        "the corrupted chunk must be detected and re-fetched"
+    );
+    assert_eq!(
+        rep.run.trace.launches(TaskKind::Map),
+        clean.run.trace.launches(TaskKind::Map) + 1,
+        "exactly the corrupted map regenerates"
+    );
     println!(
         "\ncorrupted MOF chunk: {} transparent re-fetch(es), {} failures, FetchFailureLimit untouched",
-        rep.corruption_refetches,
-        rep.trace.failures().count()
+        rep.run.counters.corruption_refetches,
+        rep.run.trace.failures().count()
     );
 
     // 3. A rotted ALG log record under analytics logging: recovery
@@ -81,7 +92,7 @@ fn main() {
         FaultPlan::corrupt_data(NodeId(0), CorruptTarget::AlgRecord { reduce_index: 0, seq: 0 }, 0)
             .and(FaultPlan::kill_task(TaskId::reduce(JobId(0), 0), 0.9)),
     );
-    assert!(rep.succeeded);
+    assert!(rep.run.succeeded);
     assert_eq!(rep.log_truncations, 1, "exactly one snapshot lost to the bad record");
     assert!(rep.alg_snapshots > 0, "recovery still resumed from analytics logs");
     println!(

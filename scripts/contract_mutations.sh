@@ -9,7 +9,15 @@
 #   cargo check
 #     new FailureKind / Fault variant   -> E0004 (non-exhaustive match)
 #     new YarnConfig field              -> E0063 / E0027 (literal / destructuring)
-#     new JobReport / SimReport counter -> E0027 in crates/chaos/src/analyze.rs
+#     new RunReport counter             -> E0027 in crates/chaos/src/analyze.rs
+#                                          (`analyze`, the one place an outcome
+#                                          is built from the run)
+#     new SimReport counter             -> E0027 in crates/chaos/src/analyze.rs
+#                                          (`analyze_sim` classifies the
+#                                          simulator's own fields)
+#     new JobReport counter             -> E0027 in crates/chaos/src/campaign.rs
+#                                          (the runtime campaign classifies the
+#                                          runtime's own fields)
 #   cargo check -p alm-types
 #     new Fault variant                 -> E0004 in crates/types/src/failure.rs
 #                                          (`FaultPlan::arm`, the one place a
@@ -125,7 +133,7 @@
 # (YarnConfig 14, MemConfig 4, SchedConfig 3); the YarnConfig mutation
 # anchors on the struct header, not on any one field.
 #
-# 36 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
+# 37 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -295,8 +303,10 @@ expect_fail "compare_keys override in a Workload" check_workloads crates/workloa
     "error\[E0407\]" crates/workloads/src/terasort.rs
 expect_fail "YarnConfig field" check crates/types/src/config.rs \
     "pub struct YarnConfig {" "    pub speculative_slots: u32," "error\[(E0063|E0027)\]" crates/types/src/config.rs
+expect_fail "RunReport counter" check crates/types/src/trace.rs \
+    "pub struct RunCounters {" "    pub phantom_completions: u32," "error\[E0027\]" crates/chaos/src/analyze.rs
 expect_fail "JobReport counter" check crates/runtime/src/report.rs \
-    "pub struct JobReport {" "    pub phantom_completions: u32," "error\[E0027\]" crates/chaos/src/analyze.rs
+    "pub struct JobReport {" "    pub phantom_completions: u32," "error\[E0027\]" crates/chaos/src/campaign.rs
 expect_fail "SimReport counter" check crates/sim/src/trace.rs \
     "pub struct SimReport {" "    pub phantom_completions: u32," "error\[E0027\]" crates/chaos/src/analyze.rs
 

@@ -38,8 +38,8 @@
 //! );
 //! let faults = FaultPlan::kill_task(TaskId::reduce(JobId(1), 0), 0.5);
 //! let report = run_job(cluster.clone(), job.clone(), faults);
-//! assert!(report.succeeded);
-//! assert_eq!(report.failures.len(), 1); // the injected OOM, recovered
+//! assert!(report.run.succeeded);
+//! assert_eq!(report.run.trace.failures().count(), 1); // the injected OOM, recovered
 //! ```
 //!
 //! ## Crate map
@@ -95,7 +95,7 @@ pub mod prelude {
     pub use alm_sim::{ExperimentEnv, SimJobSpec, Simulation};
     pub use alm_types::{
         AlmConfig, AttemptId, ClusterSpec, FailureKind, JobId, MemConfig, MemMode, NodeId, RecoveryMode,
-        ReplicationLevel, TaskId, YarnConfig,
+        ReplicationLevel, TaskId, TaskKind, YarnConfig,
     };
     pub use alm_workloads::{
         JobSpec, KMeans, Pagerank, Record, SecondarySort, Terasort, Wordcount, Workload, WorkloadKind,

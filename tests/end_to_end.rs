@@ -35,7 +35,7 @@ fn all_modes_agree_on_output_under_failure() {
         let job = JobDef::new(JobId(3), Arc::new(SecondarySort::new(800)), 3, 2, 11, alm);
         let faults = FaultPlan::kill_task(TaskId::reduce(JobId(3), 1), 0.7);
         let report = run_job(cluster.clone(), job.clone(), faults);
-        assert!(report.succeeded, "{mode:?}: {report:?}");
+        assert!(report.run.succeeded, "{mode:?}: {report:?}");
         outputs.push((mode, committed(&cluster, &job)));
     }
     let expected = canonicalize(&reference_output(&SecondarySort::new(800), 3, 2, 11));
@@ -57,14 +57,19 @@ fn alm_framework_cracks_down_amplification_at_paper_scale() {
 
     let yarn = run_one(&spec, &baseline_env, fault.clone());
     let alm = run_one(&spec, &alm_env, fault);
-    assert!(yarn.succeeded && alm.succeeded);
+    assert!(yarn.run.succeeded && alm.run.succeeded);
 
     let fetch_fails = |r: &alm_mapreduce::sim::SimReport| {
-        r.trace.failures().filter(|f| f.kind == FailureKind::FetchFailureLimit).count()
+        r.run.trace.failures().filter(|f| f.kind == FailureKind::FetchFailureLimit).count()
     };
-    assert!(fetch_fails(&yarn) > 0, "baseline must amplify: {:?}", yarn.trace);
-    assert_eq!(fetch_fails(&alm), 0, "ALM must not amplify: {:?}", alm.trace);
-    assert!(alm.job_secs < yarn.job_secs, "ALM {:.1}s vs YARN {:.1}s", alm.job_secs, yarn.job_secs);
+    assert!(fetch_fails(&yarn) > 0, "baseline must amplify: {:?}", yarn.run.trace);
+    assert_eq!(fetch_fails(&alm), 0, "ALM must not amplify: {:?}", alm.run.trace);
+    assert!(
+        alm.run.job_secs() < yarn.run.job_secs(),
+        "ALM {:.1}s vs YARN {:.1}s",
+        alm.run.job_secs(),
+        yarn.run.job_secs()
+    );
 }
 
 /// The threaded engine and the simulator agree qualitatively: a late
@@ -75,9 +80,9 @@ fn engines_agree_reduce_failures_dominate() {
     // Simulator, paper scale.
     let spec = SimJobSpec::paper(WorkloadKind::Terasort, 5);
     let e = ExperimentEnv::paper(RecoveryMode::Baseline);
-    let clean = run_one(&spec, &e, FaultPlan::none()).job_secs;
-    let map_f = run_one(&spec, &e, FaultPlan::kill_task(TaskId::map(JobId(0), 0), 0.5)).job_secs;
-    let red_f = run_one(&spec, &e, FaultPlan::kill_task(TaskId::reduce(JobId(0), 0), 0.9)).job_secs;
+    let clean = run_one(&spec, &e, FaultPlan::none()).run.job_secs();
+    let map_f = run_one(&spec, &e, FaultPlan::kill_task(TaskId::map(JobId(0), 0), 0.5)).run.job_secs();
+    let red_f = run_one(&spec, &e, FaultPlan::kill_task(TaskId::reduce(JobId(0), 0), 0.9)).run.job_secs();
     assert!(red_f - clean > (map_f - clean).max(1.0) * 2.0, "sim: {clean:.0}/{map_f:.0}/{red_f:.0}");
 
     // Threaded engine, test scale. Wall-clock deltas at this scale are
@@ -85,7 +90,7 @@ fn engines_agree_reduce_failures_dominate() {
     // a late reduce failure forces a full reduce re-execution (an extra
     // reduce attempt that redoes its shuffle), while a map failure costs
     // one extra map attempt and no reduce attempts.
-    let run = |fault: FaultPlan| {
+    let runtime_run = |fault: FaultPlan| {
         let cluster = Arc::new(MiniCluster::for_tests(4));
         let job = JobDef::new(
             JobId(5),
@@ -96,14 +101,14 @@ fn engines_agree_reduce_failures_dominate() {
             AlmConfig::with_mode(RecoveryMode::Baseline),
         );
         let r = run_job(cluster, job, fault);
-        assert!(r.succeeded);
+        assert!(r.run.succeeded);
         r
     };
-    let map_run = run(FaultPlan::kill_task(TaskId::map(JobId(5), 0), 0.5));
-    assert_eq!(map_run.map_attempts, 5, "one extra map attempt");
-    assert_eq!(map_run.reduce_attempts, 2, "no reduce recovery needed");
-    let red_run = run(FaultPlan::kill_task(TaskId::reduce(JobId(5), 0), 0.9));
-    assert!(red_run.reduce_attempts >= 3, "the failed reduce re-executes from scratch");
+    let map_run = runtime_run(FaultPlan::kill_task(TaskId::map(JobId(5), 0), 0.5));
+    assert_eq!(map_run.run.trace.launches(TaskKind::Map), 5, "one extra map attempt");
+    assert_eq!(map_run.run.trace.launches(TaskKind::Reduce), 2, "no reduce recovery needed");
+    let red_run = runtime_run(FaultPlan::kill_task(TaskId::reduce(JobId(5), 0), 0.9));
+    assert!(red_run.run.trace.launches(TaskKind::Reduce) >= 3, "the failed reduce re-executes from scratch");
 }
 
 /// ALG's logged analytics survive a node crash end to end: log records on
