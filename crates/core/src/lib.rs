@@ -23,11 +23,15 @@
 //! Both engines run one ApplicationMaster, [`am::Am`]: it keeps the
 //! attempts and the run queues, applies the attempt budget, asks the
 //! policy and places what it decides; each engine only executes launches.
+//! Both engines' reducers run one fetch loop, [`fetch::FetchCore`]: it
+//! decides retries, back-off, gray-link drops and the shuffle stall cap;
+//! each reducer only asks sources and moves bytes.
 
 #![forbid(unsafe_code)]
 
 pub mod alg;
 pub mod am;
+pub mod fetch;
 pub mod sfm;
 
 pub use alg::logger::PartialOutput;
@@ -38,5 +42,6 @@ pub use alg::recovery::{
     RecoveredState, RecoveryReport,
 };
 pub use am::{Am, Command, Slots};
+pub use fetch::{FetchCore, MapSet};
 pub use sfm::fcm::{collective_merge, spawn_participants, ChannelRun, FcmPipeline, FcmStats, Participant};
 pub use sfm::policy::{schedule_recovery, ExecMode, PolicyCtx, SchedAction};

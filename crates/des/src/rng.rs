@@ -14,10 +14,8 @@
 //!
 //! | label | drawn by |
 //! |---|---|
-//! | `sim-fetch-backoff/{attempt}/{map}/{round}` | `alm-sim`, dead-source fetch back-off jitter |
-//! | `sim-degraded-loss/{attempt}/{map}/{draw}` | `alm-sim`, gray-link transfer drops |
-//! | `fetch-backoff/{attempt}` | `alm-runtime`, a reducer's fetch back-off jitter |
-//! | `degraded-loss/{attempt}` | `alm-runtime`, a reducer's gray-link transfer drops |
+//! | `sim-fetch-backoff/{attempt}/{map}/{round}` | `alm-core`'s `FetchCore` (both engines), dead-source fetch back-off jitter |
+//! | `sim-degraded-loss/{attempt}/{map}/{draw}` | `alm-core`'s `FetchCore` (both engines), gray-link transfer drops |
 //! | `warehouse-input-sizes` | `alm-sched`, campaign job input sizes |
 //! | `warehouse-arrival-gaps` | `alm-sched`, campaign job arrival gaps |
 //!

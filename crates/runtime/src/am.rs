@@ -430,10 +430,10 @@ impl JobRunner {
                     }
                 }
                 TaskEvent::FetchDegraded { reducer: _, map_index: _, source: _ } => {
-                    // A gray link dropped a transfer: count it and let the
-                    // reducer re-fetch on its own backoff. Nothing is
-                    // regenerated and no budget is charged — the source
-                    // and its data are healthy, only the path is lossy.
+                    // A gray link dropped a transfer: count it; the reducer
+                    // fetches it again at once. Nothing is regenerated and
+                    // no budget is charged — the source and its data are
+                    // healthy, only the path is lossy.
                     self.report.run.counters.degraded_drops += 1;
                 }
                 TaskEvent::FetchResident { reducer: _, map_index: _, source: _ } => {

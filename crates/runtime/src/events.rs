@@ -26,9 +26,10 @@ pub enum TaskEvent {
     /// the fresh MOF registered starts nothing.
     FetchCorruption { reducer: AttemptId, map_index: u32, source: NodeId, generation: u64 },
     /// A reducer's transfer of map `map_index`'s partition from a healthy
-    /// `source` was dropped by a degraded (gray) link. The reducer backs
-    /// off and transparently re-fetches; this never counts toward the
-    /// fetch-failure limit and never marks the source dead.
+    /// `source` was dropped by a degraded (gray) link. The reducer fetches
+    /// it again at once (at most `MAX_GRAY_DROPS` drops per map); this never
+    /// counts toward the fetch-failure limit and never marks the source
+    /// dead.
     FetchDegraded { reducer: AttemptId, map_index: u32, source: NodeId },
     /// A reducer's fetch of map `map_index` was served from the chain
     /// layer's resident in-memory MOF cache on `source` instead of disk.

@@ -9,27 +9,26 @@
 //! behaviour whose consequences the paper analyses.
 
 use crossbeam::channel::Sender;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use alm_core::fetch::{Outcome, Step};
 use alm_core::{
-    recover_attempt, spawn_participants, AnalyticsLogger, ExecMode, LogPaths, PartialOutput, Participant,
-    RecoveredState, RecoveryReport,
+    recover_attempt, spawn_participants, AnalyticsLogger, ExecMode, FetchCore, LogPaths, MapSet,
+    PartialOutput, Participant, RecoveredState, RecoveryReport,
 };
 use alm_dfs::DfsCluster;
 use alm_shuffle::mpq::SortedRun;
 use alm_shuffle::LocalFs;
 use alm_shuffle::{KeyCmp, MergeQueue, ReduceBuffers, SegmentReader, SegmentSource};
-use alm_types::{AttemptId, FailureKind, ReducePhase, ReplicationLevel, YarnConfig};
-use rand::rngs::SmallRng;
-use rand::Rng;
+use alm_types::{AttemptId, FailureKind, NodeId, ReducePhase, ReplicationLevel, YarnConfig};
 
 use crate::cluster::{LinkTable, NodeHandle};
 use crate::events::TaskEvent;
 use crate::job::JobDef;
-use crate::registry::{try_fetch, FetchOutcome, MofRegistry, RegisteredMof};
+use crate::registry::{try_fetch, Fetched, MofRegistry, RegisteredMof};
 
 /// Everything a reduce attempt thread needs.
 pub struct ReduceCtx {
@@ -73,12 +72,17 @@ impl ReduceCtx {
         self.dead_or_cancelled()
     }
 
+    /// Tell the AM; a closed channel means the job is over.
+    fn send(&self, event: TaskEvent) {
+        let _ = self.events.send(event);
+    }
+
     fn fail(&self, kind: FailureKind) {
-        let _ = self.events.send(TaskEvent::TaskFailed { attempt: self.attempt, node: self.node.id, kind });
+        self.send(TaskEvent::TaskFailed { attempt: self.attempt, node: self.node.id, kind });
     }
 
     fn progress(&self, phase: ReducePhase, progress: f64) {
-        let _ = self.events.send(TaskEvent::ReduceProgress { attempt: self.attempt, phase, progress });
+        self.send(TaskEvent::ReduceProgress { attempt: self.attempt, phase, progress });
     }
 
     /// A reduce-stage report, sent at the stage's first safe point and then
@@ -96,24 +100,6 @@ impl ReduceCtx {
     fn should_self_kill(&self, phase: ReducePhase, frac: f64) -> bool {
         self.kill_at.is_some_and(|k| overall_progress(phase, frac) >= k)
     }
-
-    /// The attempt's fetch-backoff jitter stream: derived from the job
-    /// seed and the attempt identity (the same `(seed, label)` derivation
-    /// the simulator uses), never from the wall clock.
-    fn backoff_rng(&self) -> SmallRng {
-        alm_des::rng::stream(self.job.seed, &format!("fetch-backoff/{}", self.attempt))
-    }
-}
-
-/// Fetch-retry sleep for the `round`-th consecutive stalled round:
-/// exponential growth from the configured base delay, capped at half the
-/// node-liveness timeout, then jittered into `[cap/2, cap]` so competing
-/// reducers desynchronise deterministically.
-fn backoff_with_jitter(config: &YarnConfig, round: u32, rng: &mut SmallRng) -> u64 {
-    let base = config.fetch_retry_delay_ms.max(1);
-    let exp = base.saturating_mul(1u64 << round.saturating_sub(1).min(10));
-    let cap = exp.min((config.node_liveness_timeout_ms / 2).max(base));
-    cap / 2 + rng.random_range(0..=cap.div_ceil(2))
 }
 
 /// Overall task progress from a phase-local fraction (Hadoop's thirds:
@@ -156,7 +142,7 @@ pub fn run_reduce(ctx: ReduceCtx) {
         if rec_report != RecoveryReport::default() {
             // Surface the forensics (resume point, truncated/corrupt
             // records, lost output) so reports can assert bounded recovery.
-            let _ = ctx.events.send(TaskEvent::LogRecovered { attempt: ctx.attempt, report: rec_report });
+            ctx.send(TaskEvent::LogRecovered { attempt: ctx.attempt, report: rec_report });
         }
         (state, output)
     } else {
@@ -168,60 +154,38 @@ pub fn run_reduce(ctx: ReduceCtx) {
         lg.resume_after(seq);
     }
 
-    let mem_budget = ctx.config.shuffle_buffer_bytes().max(1024);
-
+    // Shuffle- and merge-stage logs resume only where their files are.
+    let restore = |fetched: Vec<u32>, files: Vec<String>, bytes| {
+        let (budget, frac) = (ctx.config.shuffle_buffer_bytes().max(1024), ctx.config.merge_spill_fraction);
+        let (here, fetched) = (files.iter().all(|p| ctx.node.fs.exists(p)), fetched.into_iter().collect());
+        here.then(|| ReduceBuffers::restore(prefix.clone(), budget, frac, fetched, files, bytes))
+    };
     let start = match recovered {
         RecoveredState::Fresh => StartState::Fresh,
         RecoveredState::ShuffleStage { shuffled_bytes, fetched_mof_ids, intermediate_files, .. } => {
-            if intermediate_files.iter().all(|p| ctx.node.fs.exists(p)) {
-                StartState::Shuffle(ReduceBuffers::restore(
-                    prefix.clone(),
-                    mem_budget,
-                    ctx.config.merge_spill_fraction,
-                    fetched_mof_ids.into_iter().collect(),
-                    intermediate_files,
-                    shuffled_bytes,
-                ))
-            } else {
-                StartState::Fresh // files are on another (dead) node
-            }
+            restore(fetched_mof_ids, intermediate_files, shuffled_bytes)
+                .map_or(StartState::Fresh, StartState::Shuffle)
         }
         RecoveredState::MergeStage { intermediate_files, .. } => {
-            if intermediate_files.iter().all(|p| ctx.node.fs.exists(p)) {
-                StartState::MergeReady(ReduceBuffers::restore(
-                    prefix.clone(),
-                    mem_budget,
-                    ctx.config.merge_spill_fraction,
-                    (0..ctx.job.num_maps).collect(),
-                    intermediate_files,
-                    0,
-                ))
-            } else {
-                StartState::Fresh
-            }
+            restore((0..ctx.job.num_maps).collect(), intermediate_files, 0)
+                .map_or(StartState::Fresh, StartState::MergeReady)
         }
         RecoveredState::ReduceStage { records_processed, mpq, .. } => {
             // Try the direct MPQ resume: every logged segment readable here.
-            let mut readers = Vec::with_capacity(mpq.len());
-            let mut ok = !mpq.is_empty();
-            for e in &mpq {
-                let data = match &e.source {
-                    SegmentSource::LocalFile { path } => ctx.node.fs.read(path).ok(),
-                    SegmentSource::Dfs { path } => ctx.dfs.read(path).ok(),
-                    SegmentSource::Memory { .. } => None,
-                };
-                match data.and_then(|d| SegmentReader::resume(e.source.clone(), d, e.offset as usize).ok()) {
-                    Some(r) => readers.push(r),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                StartState::MpqResume(readers, records_processed)
-            } else {
-                StartState::SkipReplay(records_processed)
+            let readers: Option<Vec<SegmentReader>> = mpq
+                .iter()
+                .map(|e| {
+                    let data = match &e.source {
+                        SegmentSource::LocalFile { path } => ctx.node.fs.read(path).ok(),
+                        SegmentSource::Dfs { path } => ctx.dfs.read(path).ok(),
+                        SegmentSource::Memory { .. } => None,
+                    };
+                    SegmentReader::resume(e.source.clone(), data?, e.offset as usize).ok()
+                })
+                .collect();
+            match readers {
+                Some(readers) if !readers.is_empty() => StartState::MpqResume(readers, records_processed),
+                _ => StartState::SkipReplay(records_processed),
             }
         }
     };
@@ -239,61 +203,32 @@ fn run_regular(
     logger: &mut Option<AnalyticsLogger>,
     output: &mut PartialOutput,
 ) {
-    let (readers, skip) = match start {
-        StartState::MpqResume(readers, _) => (readers, 0),
-        StartState::Fresh => {
-            let mut buffers = ReduceBuffers::new(
-                KeyCmp,
-                format!("reduce/{}/", ctx.attempt),
-                ctx.config.shuffle_buffer_bytes().max(1024),
-                ctx.config.merge_spill_fraction,
-            );
-            match shuffle_phase(ctx, &mut buffers, logger) {
-                Ok(()) => {}
-                Err(exit) => return exit.dispatch(ctx),
-            }
-            match merge_phase(ctx, buffers, logger) {
-                Ok(readers) => (readers, 0),
-                Err(exit) => return exit.dispatch(ctx),
-            }
-        }
-        StartState::Shuffle(mut buffers) => {
-            match shuffle_phase(ctx, &mut buffers, logger) {
-                Ok(()) => {}
-                Err(exit) => return exit.dispatch(ctx),
-            }
-            match merge_phase(ctx, buffers, logger) {
-                Ok(readers) => (readers, 0),
-                Err(exit) => return exit.dispatch(ctx),
-            }
-        }
-        StartState::MergeReady(buffers) => match merge_phase(ctx, buffers, logger) {
-            Ok(readers) => (readers, 0),
-            Err(exit) => return exit.dispatch(ctx),
-        },
-        StartState::SkipReplay(skip) => {
-            let mut buffers = ReduceBuffers::new(
-                KeyCmp,
-                format!("reduce/{}/", ctx.attempt),
-                ctx.config.shuffle_buffer_bytes().max(1024),
-                ctx.config.merge_spill_fraction,
-            );
-            match shuffle_phase(ctx, &mut buffers, logger) {
-                Ok(()) => {}
-                Err(exit) => return exit.dispatch(ctx),
-            }
-            match merge_phase(ctx, buffers, logger) {
-                Ok(readers) => (readers, skip),
-                Err(exit) => return exit.dispatch(ctx),
-            }
-        }
+    let fresh = || {
+        ReduceBuffers::new(
+            KeyCmp,
+            format!("reduce/{}/", ctx.attempt),
+            ctx.config.shuffle_buffer_bytes().max(1024),
+            ctx.config.merge_spill_fraction,
+        )
     };
-
-    let q = MergeQueue::new(KeyCmp, readers);
-    if let Err(exit) = reduce_phase(ctx, q, skip, false, logger, output) {
-        return exit.dispatch(ctx);
+    let stages = || {
+        let (readers, skip) = match start {
+            StartState::MpqResume(readers, _) => (readers, 0),
+            StartState::MergeReady(buffers) => (merge_phase(ctx, buffers, logger)?, 0),
+            StartState::Shuffle(buffers) => {
+                (merge_phase(ctx, shuffle_phase(ctx, buffers, logger)?, logger)?, 0)
+            }
+            StartState::Fresh => (merge_phase(ctx, shuffle_phase(ctx, fresh(), logger)?, logger)?, 0),
+            StartState::SkipReplay(skip) => {
+                (merge_phase(ctx, shuffle_phase(ctx, fresh(), logger)?, logger)?, skip)
+            }
+        };
+        reduce_phase(ctx, MergeQueue::new(KeyCmp, readers), skip, false, logger, output)
+    };
+    match stages() {
+        Ok(()) => commit(ctx, output),
+        Err(exit) => exit.dispatch(ctx),
     }
-    commit(ctx, output);
 }
 
 fn run_fcm(
@@ -341,7 +276,7 @@ fn run_fcm(
 /// Gather, per live node, the local segments of this reducer's partition —
 /// FCM's participant set. `None` until every map's MOF is fetchable.
 fn build_participants(ctx: &ReduceCtx) -> Option<Vec<Participant>> {
-    let mut by_node: HashMap<u32, Vec<SegmentReader>> = HashMap::new();
+    let mut by_node: BTreeMap<NodeId, Vec<SegmentReader>> = BTreeMap::new();
     let mut seg_id = 0u64;
     for m in 0..ctx.job.num_maps {
         let RegisteredMof { node: node_id, mof, .. } = ctx.registry.lookup(m)?;
@@ -360,19 +295,9 @@ fn build_participants(ctx: &ReduceCtx) -> Option<Vec<Participant>> {
         }
         let reader = SegmentReader::new(SegmentSource::Memory { id: seg_id }, data).ok()?;
         seg_id += 1;
-        by_node.entry(node_id.0).or_default().push(reader);
+        by_node.entry(node_id).or_default().push(reader);
     }
-    let mut nodes: Vec<u32> = by_node.keys().copied().collect();
-    nodes.sort_unstable();
-    Some(
-        nodes
-            .into_iter()
-            .map(|n| Participant {
-                node: alm_types::NodeId(n),
-                segments: by_node.remove(&n).expect("key just listed from this map"),
-            })
-            .collect(),
-    )
+    Some(by_node.into_iter().map(|(node, segments)| Participant { node, segments }).collect())
 }
 
 /// Why an attempt stopped without committing.
@@ -389,46 +314,37 @@ impl Exit {
     }
 }
 
-/// The shuffle stage: fetch every missing MOF partition.
-///
-/// Fetch-retry pacing is exponential backoff with deterministic seeded
-/// jitter (not the old uniform `fetch_retry_delay_ms` sleep). Only a
-/// *dead* source charges the retry budget; a partitioned-but-alive source
-/// parks the fetch, and a checksum-mismatching partition is reported for
-/// regeneration and transparently re-fetched — neither can ever push the
-/// reducer over `FetchFailureLimit` while the source heartbeats.
+/// The shuffle stage, as the attempt's [`FetchCore`] decides: each round
+/// asks the sources of ready maps and ended back-offs in map order, then
+/// reads the park timer. A round that fetched nothing sleeps until the
+/// earliest back-off ends, or 1 ms while a ready map waits.
 fn shuffle_phase(
     ctx: &ReduceCtx,
-    buffers: &mut ReduceBuffers,
+    mut buffers: ReduceBuffers,
     logger: &mut Option<AnalyticsLogger>,
-) -> Result<(), Exit> {
-    let mut pending: Vec<u32> = (0..ctx.job.num_maps).filter(|m| !buffers.has_fetched(*m)).collect();
-    let mut fail_counts: HashMap<u32, u32> = HashMap::new();
-    let total = ctx.job.num_maps.max(1) as f64;
-    let mut rng = ctx.backoff_rng();
-    // Deterministic per-attempt stream for degraded-link loss draws, on
-    // the same `(seed, label)` derivation as the backoff jitter.
-    let mut loss_rng = alm_des::rng::stream(ctx.job.seed, &format!("degraded-loss/{}", ctx.attempt));
-    // Consecutive no-progress rounds that met a dead or partitioned
-    // source — the exponent of the backoff.
-    let mut stall_rounds: u32 = 0;
-    let mut stalled_since: Option<Instant> = None;
+) -> Result<ReduceBuffers, Exit> {
+    let num_maps = ctx.job.num_maps;
+    let mut pending = MapSet::full(num_maps);
+    buffers.fetched().iter().for_each(|&m| _ = pending.remove(m));
+    let mut fetch = FetchCore::new(ctx.attempt, ctx.job.seed, &ctx.config, 1, pending);
+    // Each map's latest outcome, which the park timer reads.
+    let mut seen = vec![Outcome::NotReady; num_maps as usize];
 
-    while !pending.is_empty() {
+    while !fetch.is_done() {
         if ctx.safe_point() {
             return Err(Exit::Silent);
         }
-        let frac = (total - pending.len() as f64) / total;
+        let frac = buffers.fetched().len() as f64 / num_maps.max(1) as f64;
         if ctx.should_self_kill(ReducePhase::Shuffle, frac) {
             return Err(Exit::Failed(FailureKind::TaskOom));
         }
 
+        let now = ctx.now_ms();
         let mut progressed = false;
-        let mut backing_off = false;
-        let mut i = 0;
-        while i < pending.len() {
-            let m = pending[i];
-            match try_fetch(
+        let mut after = None;
+        while let Some(m) = fetch.next(after, Some(now)) {
+            after = Some(m);
+            let got = try_fetch(
                 &ctx.nodes,
                 &ctx.links,
                 &ctx.registry,
@@ -437,111 +353,84 @@ fn shuffle_phase(
                 ctx.job.id,
                 m,
                 ctx.partition(),
-            ) {
-                FetchOutcome::Data { node, data, resident } => {
-                    if resident {
-                        let _ = ctx.events.send(TaskEvent::FetchResident {
-                            reducer: ctx.attempt,
-                            map_index: m,
-                            source: node,
-                        });
-                    }
-                    if let Some((factor, loss)) = ctx.links.degradation(ctx.node.id, node) {
-                        // Gray link: the transfer may be dropped (seeded
-                        // deterministic draw) — park and re-fetch without
-                        // charging the retry budget, exactly like a
-                        // transient partition — and a surviving transfer
-                        // runs `factor`× slower.
-                        if loss > 0.0 && loss_rng.random_range(0..1_000_000u64) < (loss * 1e6) as u64 {
-                            let _ = ctx.events.send(TaskEvent::FetchDegraded {
-                                reducer: ctx.attempt,
-                                map_index: m,
-                                source: node,
-                            });
-                            backing_off = true;
-                            i += 1;
-                            continue;
-                        }
-                        if factor > 1.0 {
-                            let us = ((factor - 1.0) * 500.0).min(5_000.0) as u64;
-                            std::thread::sleep(Duration::from_micros(us));
-                        }
-                    }
-                    if buffers.ingest(&ctx.node.fs, m, data).is_err() {
-                        return Err(Exit::Silent); // our own store died
-                    }
-                    fail_counts.remove(&m);
-                    pending.swap_remove(i);
-                    progressed = true;
-                }
-                FetchOutcome::NotReady => {
-                    i += 1;
-                }
-                FetchOutcome::Unreachable { .. } => {
-                    // Transient partition: the source is alive and
-                    // heartbeating, so park with backoff — no fetch-failure
-                    // report, no retry-budget burn.
-                    backing_off = true;
-                    i += 1;
-                }
-                FetchOutcome::CorruptData { node, generation } => {
-                    // Healthy source, rotted bytes: ask the AM to
-                    // regenerate and keep polling for the fresh MOF.
-                    let _ = ctx.events.send(TaskEvent::FetchCorruption {
-                        reducer: ctx.attempt,
-                        map_index: m,
-                        source: node,
-                        generation,
-                    });
-                    i += 1;
-                }
-                FetchOutcome::SourceDead { node } => {
-                    let _ = ctx.events.send(TaskEvent::FetchFailure {
-                        reducer: ctx.attempt,
-                        map_index: m,
-                        source: node,
-                    });
-                    let c = fail_counts.entry(m).or_insert(0);
-                    *c += 1;
-                    if *c > ctx.config.fetch_retries_per_source {
-                        // Exhausted retries: the reducer is preempted as
-                        // faulty — the amplification trigger (§II-C).
-                        return Err(Exit::Failed(FailureKind::FetchFailureLimit));
-                    }
-                    backing_off = true;
-                    i += 1;
-                }
-            }
+            );
+            seen[m as usize] = got.0;
+            let step = fetch.observe(now, m, got.0);
+            progressed |= shuffle_step(ctx, &mut buffers, &mut fetch, now, step, Some(got))?;
         }
 
         if let Some(lg) = logger.as_mut() {
-            if lg.maybe_log_shuffle(ctx.now_ms(), &ctx.node.fs, buffers).is_err() {
+            if lg.maybe_log_shuffle(ctx.now_ms(), &ctx.node.fs, &mut buffers).is_err() {
                 return Err(Exit::Silent);
             }
         }
         ctx.progress(ReducePhase::Shuffle, frac);
+        let step = fetch.tick(now, |m| seen[m as usize]);
+        shuffle_step(ctx, &mut buffers, &mut fetch, now, step, None)?;
 
-        if progressed {
-            stall_rounds = 0;
-            stalled_since = None;
-        } else if !pending.is_empty() {
-            // A reducer cannot wait forever (e.g. a partition that never
-            // heals): a hard wall bounds the total stall.
-            let since = *stalled_since.get_or_insert_with(Instant::now);
-            if since.elapsed() > Duration::from_millis(ctx.config.shuffle_wait_cap_ms) {
-                return Err(Exit::Failed(FailureKind::TaskTimeout));
-            }
-            let sleep_ms = if backing_off {
-                stall_rounds += 1;
-                backoff_with_jitter(&ctx.config, stall_rounds, &mut rng)
-            } else {
-                1 // mere waiting (maps still running, regen in flight) polls fast
-            };
-            std::thread::sleep(Duration::from_millis(sleep_ms));
+        if !progressed {
+            let poll = if fetch.next(None, None).is_some() { 1 } else { u64::MAX };
+            let wake = fetch.next_retry().map_or(poll, |until| until.saturating_sub(now).clamp(1, poll));
+            std::thread::sleep(Duration::from_millis(wake));
         }
     }
     ctx.progress(ReducePhase::Shuffle, 1.0);
-    Ok(())
+    Ok(buffers)
+}
+
+/// Do what the fetch core decided; whether the shuffle moved on (a map
+/// fetched, or a dropped transfer to fetch again at once). `got` is the
+/// fetch the step answers, `None` for the park timer's.
+fn shuffle_step(
+    ctx: &ReduceCtx,
+    buffers: &mut ReduceBuffers,
+    fetch: &mut FetchCore,
+    now: u64,
+    step: Step,
+    got: Option<Fetched>,
+) -> Result<bool, Exit> {
+    match step {
+        Step::Fetch { map, source } => {
+            let (outcome, data) = got.as_ref().expect("a fetch follows a source's answer");
+            if let Some((_, true)) = data {
+                ctx.send(TaskEvent::FetchResident { reducer: ctx.attempt, map_index: map, source });
+            }
+            // A gray link runs the transfer `factor`× slower.
+            if let Some((factor, _)) = ctx.links.degradation(ctx.node.id, source).filter(|&(f, _)| f > 1.0) {
+                let us = ((factor - 1.0) * 500.0).min(5_000.0) as u64;
+                std::thread::sleep(Duration::from_micros(us));
+            }
+            let arrived = fetch.observe(now, map, *outcome);
+            shuffle_step(ctx, buffers, fetch, now, arrived, got)
+        }
+        Step::Keep { map, .. } => {
+            let Some((_, Some((data, _)))) = got else {
+                unreachable!("kept bytes come from a fetch that returned data")
+            };
+            // An error here means our own store died.
+            buffers.ingest(&ctx.node.fs, map, data).map(|_| true).map_err(|_| Exit::Silent)
+        }
+        Step::Dropped { map, source } => {
+            ctx.send(TaskEvent::FetchDegraded { reducer: ctx.attempt, map_index: map, source });
+            Ok(true)
+        }
+        Step::Wait => Ok(false),
+        Step::BackOff { map, source, .. } => {
+            ctx.send(TaskEvent::FetchFailure { reducer: ctx.attempt, map_index: map, source });
+            Ok(false)
+        }
+        Step::ReportCorruption { map, source, generation } => {
+            ctx.send(TaskEvent::FetchCorruption { reducer: ctx.attempt, map_index: map, source, generation });
+            Ok(false)
+        }
+        Step::FetchFailureLimit { map, source } => {
+            ctx.send(TaskEvent::FetchFailure { reducer: ctx.attempt, map_index: map, source });
+            // The reducer is preempted as faulty: the amplification
+            // trigger (§II-C).
+            Err(Exit::Failed(FailureKind::FetchFailureLimit))
+        }
+        Step::TaskTimeout => Err(Exit::Failed(FailureKind::TaskTimeout)),
+    }
 }
 
 /// The merge stage: factor-merge down to `io.sort.factor` inputs.
@@ -663,7 +552,7 @@ fn commit(ctx: &ReduceCtx, output: &mut PartialOutput) {
     let taken = std::mem::replace(output, PartialOutput::new(&LogPaths::for_task(ctx.attempt.task)));
     match taken.commit(&ctx.dfs, ctx.node.id, ReplicationLevel::Cluster, &final_path) {
         Ok(records) => {
-            let _ = ctx.events.send(TaskEvent::ReduceCompleted {
+            ctx.send(TaskEvent::ReduceCompleted {
                 attempt: ctx.attempt,
                 node: ctx.node.id,
                 output_records: records,

@@ -2,24 +2,13 @@
 //!
 //! The AM-side registry maps each map index to the node and MOF of its
 //! latest successful attempt; reducers fetch partitions through
-//! [`try_fetch`], which distinguishes the situations a reducer can meet
-//! (§II-C):
-//!
-//! * **NotReady** — the map hasn't committed yet (or SFM marked it as being
-//!   proactively regenerated, in which case the reducer *waits* instead of
-//!   burning fetch retries — the fix for failure amplification);
-//! * **Data** — the bytes arrived and verified;
-//! * **SourceDead** — the MOF is registered but its host is gone: the
-//!   fetch-retry treadmill starts, and with baseline recovery eventually
-//!   kills the reducer;
-//! * **Unreachable** — the host is alive and heartbeating but the link to
-//!   it is severed (transient partition): the reducer *parks* the fetch
-//!   with backoff instead of burning its retry budget;
-//! * **CorruptData** — the bytes arrived but failed the CRC32 frame check:
-//!   the data is bad while the source is healthy, so the reducer asks for
-//!   regeneration and re-fetches — this never counts against the
-//!   fetch-failure budget.
+//! [`try_fetch`], which tells them what they met as an
+//! `alm_core::fetch::Outcome` (§II-C): data, not ready (unregistered, or
+//! regenerating: the reducer waits instead of burning retries), corrupt
+//! bytes from a healthy source, or a refusal by a dead source or across a
+//! severed link. What the reducer does about it, `FetchCore` decides.
 
+use alm_core::fetch::Outcome;
 use alm_shuffle::{MofData, ShuffleError};
 use alm_types::{JobId, NodeId};
 use bytes::Bytes;
@@ -100,33 +89,10 @@ impl MofRegistry {
     }
 }
 
-/// Result of one fetch attempt.
-#[derive(Debug, Clone)]
-pub enum FetchOutcome {
-    /// The partition's bytes, CRC-verified, with the node that served
-    /// them — the caller consults the [`LinkTable`] degradation state for
-    /// this `fetcher → node` direction to model gray (slow/lossy) links.
-    Data {
-        node: NodeId,
-        data: Bytes,
-        /// Served from the chain layer's resident in-memory cache rather
-        /// than a disk read — the reducer reports it so the run counts
-        /// resident hits with the same semantics as the simulator.
-        resident: bool,
-    },
-    /// Not available yet; wait without penalty.
-    NotReady,
-    /// Registered but unreachable: the host node is dead/wiped.
-    SourceDead { node: NodeId },
-    /// The host is alive but the link to it is partitioned: park the fetch
-    /// (no fetch-failure report, no retry-budget burn) until it heals.
-    Unreachable { node: NodeId },
-    /// The bytes arrived but failed the frame checksum: the source is
-    /// healthy, the data is not. Report for regeneration (naming the
-    /// registration read) and re-fetch; never charged against the
-    /// fetch-failure budget.
-    CorruptData { node: NodeId, generation: u64 },
-}
+/// What one fetch found, with the partition's bytes when it read them
+/// (and whether the chain layer's resident cache served them: the reducer
+/// reports such hits, which the run counts as the simulator does).
+pub type Fetched = (Outcome, Option<(Bytes, bool)>);
 
 /// Fetch `partition` of map `map_index` of `job` for the reducer running
 /// on `fetcher`, honouring the cluster's data-plane link state.
@@ -146,53 +112,44 @@ pub fn try_fetch(
     job: JobId,
     map_index: u32,
     partition: u32,
-) -> FetchOutcome {
+) -> Fetched {
+    let loss = |source| links.degradation(fetcher, source).map_or(0.0, |(_, loss)| loss);
     if let Some(cache) = resident {
         if let Some((holder, data)) = cache.lookup(job, map_index, partition) {
             if nodes[holder.0 as usize].is_alive() && !links.is_severed(fetcher, holder) {
-                return FetchOutcome::Data { node: holder, data, resident: true };
+                return (Outcome::Data { source: holder, loss: loss(holder) }, Some((data, true)));
             }
         }
     }
-    let Some(RegisteredMof { node: node_id, mof, generation }) = registry.lookup(map_index) else {
-        return FetchOutcome::NotReady;
+    let Some(RegisteredMof { node: source, mof, generation }) = registry.lookup(map_index) else {
+        return (Outcome::NotReady, None);
     };
-    let node = &nodes[node_id.0 as usize];
+    // Unreadable bytes are a wait while a regeneration is underway.
+    let unless_regenerating =
+        |outcome| if registry.is_regenerating(map_index) { Outcome::NotReady } else { outcome };
+    let node = &nodes[source.0 as usize];
     if !node.is_alive() {
-        if registry.is_regenerating(map_index) {
-            return FetchOutcome::NotReady;
-        }
-        return FetchOutcome::SourceDead { node: node_id };
+        return (unless_regenerating(Outcome::Refused { source, source_dead: true }), None);
     }
-    if links.is_severed(fetcher, node_id) {
+    if links.is_severed(fetcher, source) {
         // Alive and heartbeating, just cut off in the fetcher → source
         // direction (an asymmetric partition leaves the reverse path — and
         // with it heartbeats — healthy): this must never look like a dead
         // source or the partition amplifies into task preemption.
-        return FetchOutcome::Unreachable { node: node_id };
+        return (Outcome::Refused { source, source_dead: false }, None);
     }
     match mof.read_partition(&node.fs, partition) {
         Ok(data) => {
             if let Some(cache) = resident {
-                cache.admit(node_id, job, map_index, partition, &data);
+                cache.admit(source, job, map_index, partition, &data);
             }
-            FetchOutcome::Data { node: node_id, data, resident: false }
+            (Outcome::Data { source, loss: loss(source) }, Some((data, false)))
         }
         Err(ShuffleError::ChecksumMismatch(_)) => {
-            if registry.is_regenerating(map_index) {
-                FetchOutcome::NotReady
-            } else {
-                FetchOutcome::CorruptData { node: node_id, generation }
-            }
+            (unless_regenerating(Outcome::Corrupt { source, generation, loss: loss(source) }), None)
         }
-        Err(_) => {
-            // Store wiped between liveness check and read, or MOF dropped.
-            if registry.is_regenerating(map_index) {
-                FetchOutcome::NotReady
-            } else {
-                FetchOutcome::SourceDead { node: node_id }
-            }
-        }
+        // Store wiped between liveness check and read, or MOF dropped.
+        Err(_) => (unless_regenerating(Outcome::Refused { source, source_dead: true }), None),
     }
 }
 
@@ -229,25 +186,25 @@ mod tests {
         // Unregistered: not ready.
         assert!(matches!(
             try_fetch(&c.nodes, &c.links, &reg, None, me, JobId(0), 0, 0),
-            FetchOutcome::NotReady
+            (Outcome::NotReady, None)
         ));
         // Registered + alive: data.
         reg.register(0, NodeId(1), mof);
         assert!(matches!(
             try_fetch(&c.nodes, &c.links, &reg, None, me, JobId(0), 0, 0),
-            FetchOutcome::Data { .. }
+            (Outcome::Data { .. }, Some(_))
         ));
         // Node crash: source dead.
         c.crash_node(NodeId(1));
         assert!(matches!(
             try_fetch(&c.nodes, &c.links, &reg, None, me, JobId(0),0, 0),
-            FetchOutcome::SourceDead { node } if node == NodeId(1)
+            (Outcome::Refused { source, source_dead: true }, None) if source == NodeId(1)
         ));
         // SFM marks regenerating: reducers wait instead of failing.
         reg.mark_regenerating(0);
         assert!(matches!(
             try_fetch(&c.nodes, &c.links, &reg, None, me, JobId(0), 0, 0),
-            FetchOutcome::NotReady
+            (Outcome::NotReady, None)
         ));
     }
 
@@ -260,23 +217,23 @@ mod tests {
         // Fetcher behind the partition parks; the source is NOT dead.
         assert!(matches!(
             try_fetch(&c.nodes, &c.links, &reg, None, NodeId(0), JobId(0),0, 0),
-            FetchOutcome::Unreachable { node } if node == NodeId(1)
+            (Outcome::Refused { source, source_dead: false }, None) if source == NodeId(1)
         ));
         // A reducer on an unaffected node still fetches normally.
         assert!(matches!(
             try_fetch(&c.nodes, &c.links, &reg, None, NodeId(2), JobId(0), 0, 0),
-            FetchOutcome::Data { .. }
+            (Outcome::Data { .. }, Some(_))
         ));
         // The map's own node always reaches itself.
         assert!(matches!(
             try_fetch(&c.nodes, &c.links, &reg, None, NodeId(1), JobId(0), 0, 0),
-            FetchOutcome::Data { .. }
+            (Outcome::Data { .. }, Some(_))
         ));
         // Healing restores the flow.
         assert!(c.links.heal(NodeId(0), NodeId(1), LinkDirection::Both));
         assert!(matches!(
             try_fetch(&c.nodes, &c.links, &reg, None, NodeId(0), JobId(0), 0, 0),
-            FetchOutcome::Data { .. }
+            (Outcome::Data { .. }, Some(_))
         ));
     }
 
@@ -295,12 +252,12 @@ mod tests {
         c.links.sever(NodeId(0), NodeId(1), LinkDirection::AToB);
         assert!(matches!(
             try_fetch(&c.nodes, &c.links, &reg, None, NodeId(0), JobId(0),0, 0),
-            FetchOutcome::Unreachable { node } if node == NodeId(1)
+            (Outcome::Refused { source, source_dead: false }, None) if source == NodeId(1)
         ));
         assert!(
             matches!(
                 try_fetch(&c.nodes, &c.links, &reg, None, NodeId(1), JobId(0), 1, 0),
-                FetchOutcome::Data { .. }
+                (Outcome::Data { .. }, Some(_))
             ),
             "reverse direction must stay fetchable"
         );
@@ -315,13 +272,13 @@ mod tests {
         // Healthy source, bad bytes: distinct from SourceDead.
         assert!(matches!(
             try_fetch(&c.nodes, &c.links, &reg, None, NodeId(0), JobId(0),0, 0),
-            FetchOutcome::CorruptData { node, .. } if node == NodeId(1)
+            (Outcome::Corrupt { source, .. }, None) if source == NodeId(1)
         ));
         // Once regeneration is underway, the reducer just waits.
         reg.mark_regenerating(0);
         assert!(matches!(
             try_fetch(&c.nodes, &c.links, &reg, None, NodeId(0), JobId(0), 0, 0),
-            FetchOutcome::NotReady
+            (Outcome::NotReady, None)
         ));
     }
 
@@ -333,7 +290,7 @@ mod tests {
         reg.register(0, NodeId(1), mof);
         let corrupt_generation =
             |fetcher| match try_fetch(&c.nodes, &c.links, &reg, None, fetcher, JobId(0), 0, 0) {
-                FetchOutcome::CorruptData { generation, .. } => generation,
+                (Outcome::Corrupt { generation, .. }, _) => generation,
                 other => panic!("expected CorruptData, got {other:?}"),
             };
         // Two reducers read the rotten copy before the AM hears from either.
@@ -354,7 +311,7 @@ mod tests {
         assert!(!reg.is_regenerating(0));
         assert!(matches!(
             try_fetch(&c.nodes, &c.links, &reg, None, NodeId(2), JobId(0), 0, 0),
-            FetchOutcome::Data { .. }
+            (Outcome::Data { .. }, Some(_))
         ));
         // Rot in the fresh copy is news: its report claims again.
         rot(&c, NodeId(2), &fresh);
@@ -406,7 +363,7 @@ mod tests {
         // First fetch reads disk (resident: false) and admits the bytes
         // into the cache.
         let first = try_fetch(&c.nodes, &c.links, &reg, Some(&cache), NodeId(0), job, 0, 0);
-        assert!(matches!(first, FetchOutcome::Data { node, resident: false, .. } if node == NodeId(1)));
+        assert!(matches!(first, (Outcome::Data { source, .. }, Some((_, false))) if source == NodeId(1)));
         assert_eq!(cache.len(), 1, "fetched partition must be admitted");
 
         // Rot the on-disk frame: the resident copy shields the fetch, and
@@ -414,7 +371,7 @@ mod tests {
         rot(&c, NodeId(1), &mof);
         assert!(matches!(
             try_fetch(&c.nodes, &c.links, &reg, Some(&cache), NodeId(0), job, 0, 0),
-            FetchOutcome::Data { resident: true, .. }
+            (Outcome::Data { .. }, Some((_, true)))
         ));
 
         // A severed fetcher → holder link skips the resident copy (and the
@@ -422,7 +379,7 @@ mod tests {
         c.links.sever(NodeId(0), NodeId(1), LinkDirection::AToB);
         assert!(matches!(
             try_fetch(&c.nodes, &c.links, &reg, Some(&cache), NodeId(0), job, 0, 0),
-            FetchOutcome::Unreachable { .. }
+            (Outcome::Refused { source_dead: false, .. }, None)
         ));
         assert!(c.links.heal(NodeId(0), NodeId(1), LinkDirection::AToB));
 
@@ -430,7 +387,7 @@ mod tests {
         cache.invalidate_node(NodeId(1));
         assert!(matches!(
             try_fetch(&c.nodes, &c.links, &reg, Some(&cache), NodeId(0), job, 0, 0),
-            FetchOutcome::CorruptData { node, .. } if node == NodeId(1)
+            (Outcome::Corrupt { source, .. }, None) if source == NodeId(1)
         ));
     }
 
@@ -450,7 +407,7 @@ mod tests {
         assert!(!reg.is_regenerating(0));
         assert!(matches!(
             try_fetch(&c.nodes, &c.links, &reg, None, NodeId(0), JobId(0), 0, 0),
-            FetchOutcome::Data { .. }
+            (Outcome::Data { .. }, Some(_))
         ));
         assert_eq!(reg.mofs_on_node(NodeId(2)), vec![0]);
         assert!(reg.mofs_on_node(NodeId(1)).is_empty());

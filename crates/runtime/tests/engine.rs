@@ -5,12 +5,14 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use alm_core::fetch::MAX_GRAY_DROPS;
 use alm_core::LogPaths;
 use alm_runtime::am::run_job;
 use alm_runtime::{FaultPlan, JobDef, JobReport, MiniCluster};
 use alm_shuffle::LocalFs;
 use alm_types::{
-    AlmConfig, CorruptTarget, FailureKind, Fault, JobId, NodeId, RecoveryMode, TaskId, TaskKind,
+    AlmConfig, CorruptTarget, FailureKind, Fault, JobId, LinkDirection, NodeId, RecoveryMode, TaskId,
+    TaskKind, YarnConfig,
 };
 use alm_workloads::reference::{canonicalize, reference_output};
 use alm_workloads::{Record, SecondarySort, Terasort, Wordcount, Workload};
@@ -426,6 +428,22 @@ fn late_node_crash_resumes_from_reduce_stage_logs() {
 // ---------- determinism / idempotence under duplicate attempts ----------
 
 #[test]
+fn a_reducer_waiting_for_a_straggling_map_does_not_time_out() {
+    // The shuffle wait cap bounds a shuffle parked behind cut links. Here
+    // nothing is cut: every map straggles well past the cap (8 000
+    // records at 1 ms per 64), and the reducers, launched with the maps,
+    // wait for outputs that are not ready yet. That wait is not a park.
+    let config = YarnConfig { shuffle_wait_cap_ms: 50, ..YarnConfig::scaled_for_tests() };
+    let cluster = Arc::new(MiniCluster::new(4, MiniCluster::test_racks(4), config));
+    let jd = job(49, Arc::new(Terasort::new(8_000)), 4, 2, RecoveryMode::Baseline);
+    let report = run_job(cluster.clone(), jd.clone(), throttled(4, FaultPlan::none()));
+    assert!(report.run.succeeded, "{report:?}");
+    let failures: Vec<FailureKind> = report.run.trace.failures().map(|f| f.kind).collect();
+    assert!(failures.is_empty(), "{failures:?}");
+    assert_output_matches(&cluster, &jd);
+}
+
+#[test]
 fn speculative_duplicates_commit_identical_output() {
     // SFM often runs a local resume AND an FCM migration concurrently; the
     // first to finish wins, and output must be correct either way.
@@ -556,6 +574,34 @@ fn corrupted_mof_partition_is_refetched_without_preemption() {
         );
         assert_output_matches(&cluster, &jd);
     }
+}
+
+#[test]
+fn a_link_that_drops_every_transfer_costs_no_failure() {
+    let cluster = Arc::new(MiniCluster::for_tests(4));
+    let jd = job(48, Arc::new(Terasort::new(800)), 3, 4, RecoveryMode::Baseline);
+    // Every link drops every transfer for the whole job. A reducer fetches
+    // each remote partition again after each drop, and the cap on drops
+    // per map lets the next transfer through: no retry budget is charged,
+    // no stall timer runs, and nothing fails.
+    let plan =
+        (0..4).flat_map(|a| (a + 1..4).map(move |b| (a, b))).fold(FaultPlan::none(), |plan, (a, b)| {
+            plan.and(FaultPlan::degraded_link(
+                NodeId(a),
+                NodeId(b),
+                LinkDirection::Both,
+                0,
+                600_000,
+                1.0,
+                1.0,
+            ))
+        });
+    let report = run_job(cluster.clone(), jd.clone(), plan);
+    assert!(report.run.succeeded, "{report:?}");
+    assert!(report.run.trace.failures().next().is_none(), "{:?}", report.run.trace);
+    let drops = report.run.counters.degraded_drops;
+    assert!(drops > 0 && drops.is_multiple_of(MAX_GRAY_DROPS), "each remote fetch drops the cap: {drops}");
+    assert_output_matches(&cluster, &jd);
 }
 
 #[test]

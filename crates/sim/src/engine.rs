@@ -17,13 +17,13 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use alm_core::{Am, Command, ExecMode, Slots};
-use alm_des::{EventQueue, EventToken, FlowId, FlowPool, SimDuration};
+use alm_core::fetch::{Outcome, Step};
+use alm_core::{Am, Command, ExecMode, FetchCore, MapSet, Slots};
+use alm_des::{EventQueue, EventToken, FlowId, FlowPool, SimDuration, SimTime};
 use alm_types::{
     rack_of, AttemptId, CorruptTarget, FailureKind, FaultPlan, FaultTimeline, JobId, LinkChange, LinkOp,
     NodeId, ReplicationLevel, TaskId, TaskKind,
 };
-use rand::Rng;
 
 use crate::quantities::Quantities;
 use crate::spec::{ExperimentEnv, SimJobSpec};
@@ -31,9 +31,6 @@ use crate::trace::SimReport;
 
 /// Hadoop's `mapreduce.reduce.shuffle.parallelcopies`.
 const MAX_PARALLEL_FETCHES: usize = 5;
-/// Deterministic cap on gray-link loss drops per (attempt, map): beyond
-/// this the transfer is let through, so `loss = 1.0` cannot livelock.
-const MAX_GRAY_DROPS: u32 = 16;
 /// Spill granularity during shuffle.
 const SPILL_FLOW_BYTES: u64 = 256 << 20;
 /// Progress-sampling / trigger-checking cadence.
@@ -119,6 +116,7 @@ struct MapTask {
     ever_completed: bool,
 }
 
+#[derive(Debug)]
 struct MapAtt {
     node: u32,
     phase: MapPhase,
@@ -162,22 +160,17 @@ struct LoggedState {
     reduce_frac: f64,
 }
 
+#[derive(Debug)]
 struct RedAtt {
     node: u32,
     mode: ExecMode,
     phase: RedPhase,
-    pending: MapSet,
-    /// `(flow, map)` of the fetches in flight, at most
-    /// `MAX_PARALLEL_FETCHES`, in FlowId order (ids are pushed as
-    /// allocated, so increasing).
-    active_fetches: Vec<(FlowId, u32)>,
+    /// What is left to fetch, and every decision about it.
+    fetch: FetchCore,
     fetched: MapSet,
-    retry: BTreeMap<u32, u32>,
-    /// Per map index: deterministic loss-draw counter for gray links (the
-    /// RNG stream label includes it so every draw is fresh but replayable).
-    loss_draws: BTreeMap<u32, u32>,
-    /// The attempt's own merge / reduce / FCM flows, in FlowId order (ids
-    /// are pushed as allocated).
+    /// The attempt's own flows, in FlowId order (ids are pushed as
+    /// allocated): in the shuffle its fetches in flight, at most
+    /// `MAX_PARALLEL_FETCHES`; later its merge, reduce or FCM flows.
     flows: Vec<FlowId>,
     spill_debt: u64,
     spill_emitted: u64,
@@ -195,19 +188,6 @@ struct RedAtt {
     /// ignored by comparing this.
     gen: u32,
     last_log_secs: f64,
-    /// Virtual time the shuffle became fully parked behind severed links
-    /// (None while it can make progress). Bounds never-healing partitions
-    /// via `YarnConfig::shuffle_wait_cap_ms`.
-    parked_since: Option<f64>,
-}
-
-/// A reduce attempt's live flows (own + active fetches) merged into one
-/// FlowId order.
-fn sorted_flows(att: &RedAtt) -> Vec<FlowId> {
-    let mut v: Vec<FlowId> =
-        att.flows.iter().copied().chain(att.active_fetches.iter().map(|&(f, _)| f)).collect();
-    v.sort_unstable();
-    v
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -218,75 +198,6 @@ enum RedPhase {
     Reduce,
     FcmWait,
     Fcm,
-}
-
-/// A set of map indices: one bit per map, with a kept count. It iterates
-/// in ascending index order, which fetch order depends on, and a clone (an
-/// ALG snapshot) copies `num_maps / 64` words.
-#[derive(Debug, Clone)]
-struct MapSet {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl MapSet {
-    /// The empty set over map indices `0..n`.
-    fn empty(n: u32) -> MapSet {
-        MapSet { words: vec![0; n.div_ceil(64) as usize], len: 0 }
-    }
-
-    /// Every map index in `0..n`.
-    fn full(n: u32) -> MapSet {
-        let mut set = MapSet::empty(n);
-        for m in 0..n {
-            set.insert(m);
-        }
-        set
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn contains(&self, m: u32) -> bool {
-        self.words.get(m as usize / 64).is_some_and(|&w| (w >> (m % 64)) & 1 == 1)
-    }
-
-    /// Add `m`; whether it was absent.
-    fn insert(&mut self, m: u32) -> bool {
-        let (word, bit) = (&mut self.words[m as usize / 64], 1u64 << (m % 64));
-        let absent = *word & bit == 0;
-        *word |= bit;
-        self.len += usize::from(absent);
-        absent
-    }
-
-    /// Drop `m`; whether it was present.
-    fn remove(&mut self, m: u32) -> bool {
-        let (word, bit) = (&mut self.words[m as usize / 64], 1u64 << (m % 64));
-        let present = *word & bit != 0;
-        *word &= !bit;
-        self.len -= usize::from(present);
-        present
-    }
-
-    /// The members in ascending order.
-    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().zip(0u32..).flat_map(|(&word, i)| {
-            let mut rest = word;
-            std::iter::from_fn(move || {
-                let bit = rest.trailing_zeros();
-                (rest != 0).then(|| {
-                    rest &= rest - 1;
-                    i * 64 + bit
-                })
-            })
-        })
-    }
 }
 
 /// Live attempts of one job's tasks of one kind, indexed by task index,
@@ -379,6 +290,41 @@ impl FlowWindow {
     /// Live flows in `FlowId` order.
     fn iter(&self) -> impl Iterator<Item = (FlowId, &FlowInfo)> + '_ {
         self.slots.iter().zip(self.front..).filter_map(|(info, id)| Some((FlowId(id), info.as_ref()?)))
+    }
+}
+
+/// The cluster state a reducer's fetch reads.
+struct Sources<'a> {
+    mof_loc: &'a [Option<u32>],
+    nodes: &'a [SimNode],
+    severed: &'a BTreeSet<(u32, u32)>,
+    am: &'a Am,
+    job: JobId,
+}
+
+impl Sources<'_> {
+    /// What a reducer on `node` meets when it asks for map `m`'s partition
+    /// (`loss` counts only where a transfer ends, in `fetch_flow_done`). A
+    /// link is cut in one direction, and a node always reaches itself.
+    fn outcome(&self, node: u32, m: u32) -> Outcome {
+        let Some(src) = self.mof_loc[m as usize] else { return Outcome::NotReady };
+        let source = NodeId(src);
+        if !self.nodes[src as usize].alive {
+            let regenerating = self.am.is_regenerating(TaskId::map(self.job, m));
+            return if regenerating {
+                Outcome::NotReady
+            } else {
+                Outcome::Refused { source, source_dead: true }
+            };
+        }
+        // A source behind a cut link still heartbeats: the fetch parks at
+        // no charge, and the heal event re-pumps us.
+        let cut = node != src && self.severed.contains(&(node, src));
+        if cut {
+            Outcome::Refused { source, source_dead: false }
+        } else {
+            Outcome::Data { source, loss: 0.0 }
+        }
     }
 }
 
@@ -546,11 +492,11 @@ impl Simulation {
         self.am.is_complete(TaskId::reduce(self.job, r))
     }
 
-    /// Whether `from` can currently not open a fetch connection to `to`
-    /// (directed; a node always reaches itself). Under an asymmetric
-    /// partition only the cut direction is severed.
-    fn link_severed(&self, from: u32, to: u32) -> bool {
-        from != to && self.severed.contains(&(from, to))
+    /// The reduce attempts and, borrowed apart, the cluster state their
+    /// fetches read: a fetch core asks it while its attempt is borrowed.
+    fn fetch_view(&mut self) -> (&mut AttemptTable<RedAtt>, Sources<'_>) {
+        let (mof_loc, nodes, severed, am) = (&self.mof_loc, &self.nodes, &self.severed, &self.am);
+        (&mut self.red_atts, Sources { mof_loc, nodes, severed, am, job: self.job })
     }
 
     /// The gray-link `(factor, loss)` for fetches `from → to`, when
@@ -560,19 +506,6 @@ impl Simulation {
             return None;
         }
         self.degraded.get(&(from, to)).copied()
-    }
-
-    /// Exponential backoff with deterministic seeded jitter for dead-source
-    /// fetch retries — the same shape as the threaded runtime's
-    /// `backoff_with_jitter`: doubles per round, capped at half the liveness
-    /// timeout, jittered into `[cap/2, cap]` from the engine RNG stream
-    /// (never wall clock, so runs stay replayable).
-    fn backoff_ms(&self, attempt: AttemptId, m: u32, round: u32) -> u64 {
-        let base = self.env.yarn.fetch_retry_delay_ms.max(1);
-        let exp = base.saturating_mul(1u64 << round.saturating_sub(1).min(10));
-        let cap = exp.min((self.env.yarn.node_liveness_timeout_ms / 2).max(base));
-        let mut rng = alm_des::rng::stream(self.seed, &format!("sim-fetch-backoff/{attempt}/{m}/{round}"));
-        cap / 2 + rng.random_range(0..=cap.div_ceil(2))
     }
 
     // ---------------- pools and flows ----------------
@@ -681,23 +614,18 @@ impl Simulation {
         let logs = self.env.alm.mode.logs_enabled();
         let logged = self.reduces[task.index as usize].logged.clone();
         let n = self.qty.num_maps;
-        let (pending, fetched, merge_done, resume_frac) = match (logs, logged) {
-            (true, Some(l)) => {
-                if l.node == node {
-                    // Local resume: shuffle/merge state on the local store
-                    // plus DFS reduce-stage progress.
-                    let mut pending = MapSet::full(n);
-                    for m in l.fetched.iter() {
-                        pending.remove(m);
-                    }
-                    (pending, l.fetched, l.merge_done, l.reduce_frac)
-                } else {
-                    // Migrated: only the DFS-held reduce-stage progress.
-                    (MapSet::full(n), MapSet::empty(n), false, l.reduce_frac)
-                }
-            }
-            _ => (MapSet::full(n), MapSet::empty(n), false, 0.0),
+        let (fetched, merge_done, resume_frac) = match (logs, logged) {
+            // Local resume: shuffle/merge state on the local store plus
+            // DFS reduce-stage progress.
+            (true, Some(l)) if l.node == node => (l.fetched, l.merge_done, l.reduce_frac),
+            // Migrated: only the DFS-held reduce-stage progress.
+            (true, Some(l)) => (MapSet::empty(n), false, l.reduce_frac),
+            _ => (MapSet::empty(n), false, 0.0),
         };
+        let mut pending = MapSet::full(n);
+        fetched.iter().for_each(|m| _ = pending.remove(m));
+        let fetch =
+            FetchCore::new(attempt, self.seed, &self.env.yarn, SimDuration::from_ms(1).as_nanos(), pending);
 
         let reduce_cpu_secs = self.qty.reduce_cpu_secs + self.qty.reduce_deser_secs;
         self.red_atts.insert(
@@ -706,11 +634,8 @@ impl Simulation {
                 node,
                 mode,
                 phase: RedPhase::Launching,
-                pending,
-                active_fetches: Vec::new(),
+                fetch,
                 fetched,
-                retry: BTreeMap::new(),
-                loss_draws: BTreeMap::new(),
                 flows: Vec::new(),
                 spill_debt: 0,
                 spill_emitted: 0,
@@ -723,7 +648,6 @@ impl Simulation {
                 cpu_dur: 0.0,
                 gen: 0,
                 last_log_secs: self.now_secs(),
-                parked_since: None,
             },
         );
         let d = SimDuration::from_ms(self.env.cluster.container_launch_ms);
@@ -818,7 +742,7 @@ impl Simulation {
             .red_atts
             .iter()
             .filter(|(_, a)| {
-                (a.phase == RedPhase::Shuffle && a.pending.contains(m)) || a.phase == RedPhase::FcmWait
+                (a.phase == RedPhase::Shuffle && a.fetch.is_pending(m)) || a.phase == RedPhase::FcmWait
             })
             .map(|(id, _)| id)
             .collect();
@@ -854,7 +778,7 @@ impl Simulation {
         match att.mode {
             ExecMode::Regular => {
                 att.phase = RedPhase::Shuffle;
-                if att.pending.is_empty() {
+                if att.fetch.is_done() {
                     self.maybe_finish_shuffle(attempt);
                 } else {
                     self.pump_fetches(attempt);
@@ -872,86 +796,123 @@ impl Simulation {
         }
     }
 
-    /// Start fetch flows up to the parallelism limit.
+    /// Ask the sources of ready maps in map order, starting transfers up to
+    /// the parallelism limit.
     fn pump_fetches(&mut self, attempt: AttemptId) {
+        let mut after = None;
         loop {
-            let (node, candidate) = {
-                let Some(att) = self.red_atts.get(&attempt) else { return };
-                if att.phase != RedPhase::Shuffle {
-                    return;
-                }
-                if att.active_fetches.len() >= MAX_PARALLEL_FETCHES {
-                    return;
-                }
-                // First pending map whose MOF is registered and not already
-                // being retried on a timer.
-                let candidate = att.pending.iter().find_map(|m| {
-                    let src = self.mof_loc[m as usize]?;
-                    let fetchable = !att.retry.contains_key(&m)
-                        && if self.nodes[src as usize].alive {
-                            // A severed link parks the fetch: the source
-                            // still heartbeats, so charging the wait to the
-                            // retry budget would be §II-C's amplification
-                            // mistake. The heal event re-pumps us.
-                            !self.link_severed(att.node, src)
-                        } else {
-                            !self.am.is_regenerating(TaskId::map(self.job, m))
-                        };
-                    fetchable.then_some((m, src))
-                });
-                (att.node, candidate)
-            };
-            let Some((m, src)) = candidate else {
+            let now = self.now_ns();
+            let (red_atts, sources) = self.fetch_view();
+            let Some(att) = red_atts.get_mut(&attempt) else { return };
+            if att.phase != RedPhase::Shuffle || att.flows.len() >= MAX_PARALLEL_FETCHES {
+                return;
+            }
+            let node = att.node;
+            let Some(step) = att.fetch.pump(now, &mut after, |m| sources.outcome(node, m)) else {
                 self.maybe_finish_shuffle(attempt);
                 return;
             };
-            if !self.nodes[src as usize].alive {
-                // Dead source that is not regenerating: burn a retry.
-                self.fetch_failed(attempt, m, src);
-                continue;
-            }
-            // Resident shortcut: a live source holding the MOF in RAM
-            // serves it at memory speed — the chunk goes straight onto the
-            // network, skipping the Stage-1 disk read that makes shuffles
-            // lag map completions. This is what the chain layer buys.
-            if self.resident_mofs.contains(m) {
-                self.report.run.counters.resident_fetch_hits += 1;
-                let dst_rack = self.nodes[node as usize].rack;
-                let src_rack = self.nodes[src as usize].rack;
-                let pool =
-                    if src_rack != dst_rack { PoolRef::Uplink(dst_rack) } else { PoolRef::NicIn(node) };
-                let bytes = match self.link_degradation(node, src) {
-                    Some((factor, _)) if factor > 1.0 => (self.qty.chunk_bytes as f64 * factor) as u64,
-                    _ => self.qty.chunk_bytes,
-                };
-                let net = self.start_flow(pool, bytes, attempt, Purpose::Fetch { map: m, source: src });
-                let att = self.red_atts.get_mut(&attempt).expect("attempt exists");
-                att.pending.remove(m);
-                att.active_fetches.push((net, m));
-                continue;
-            }
-            // Stage 1: the source disk serves the chunk (this is what makes
-            // the shuffle lag map completions under map-phase disk pressure,
-            // leaving un-fetched MOFs for a crash to strand — §II-C).
-            let flow = self.start_flow(
-                PoolRef::Disk(src),
-                self.qty.chunk_bytes,
-                attempt,
-                Purpose::FetchRead { map: m, source: src },
-            );
-            let att = self.red_atts.get_mut(&attempt).expect("attempt exists");
-            att.pending.remove(m);
-            att.active_fetches.push((flow, m));
+            self.fetch_step(attempt, step);
         }
     }
 
-    /// Stage 1 done: move the chunk onto the network.
-    fn fetch_read_done(&mut self, attempt: AttemptId, flow: FlowId, m: u32, src: u32) {
-        let node = {
-            let Some(att) = self.red_atts.get_mut(&attempt) else { return };
-            att.active_fetches.retain(|&(f, _)| f != flow);
-            att.node
-        };
+    /// Tell `attempt`'s fetch core what its reducer saw of map `m`, and do
+    /// what it decides.
+    fn observe(&mut self, attempt: AttemptId, m: u32, outcome: Outcome) {
+        let now = self.now_ns();
+        let step =
+            self.red_atts.get_mut(&attempt).expect("observing attempt exists").fetch.observe(now, m, outcome);
+        self.fetch_step(attempt, step);
+    }
+
+    /// Do what `attempt`'s fetch core decided.
+    fn fetch_step(&mut self, attempt: AttemptId, step: Step) {
+        match step {
+            Step::Fetch { map, source } => {
+                // A MOF resident in the source's RAM skips the Stage-1 disk
+                // read, which makes shuffles lag map completions (leaving
+                // un-fetched MOFs for a crash to strand — §II-C); this is
+                // what the chain layer buys.
+                let flow = if self.resident_mofs.contains(map) {
+                    self.report.run.counters.resident_fetch_hits += 1;
+                    let node = self.red_atts.get(&attempt).expect("fetching attempt exists").node;
+                    self.start_transfer(attempt, node, map, source.0)
+                } else {
+                    let read = Purpose::FetchRead { map, source: source.0 };
+                    self.start_flow(PoolRef::Disk(source.0), self.qty.chunk_bytes, attempt, read)
+                };
+                self.red_atts.get_mut(&attempt).expect("attempt exists").flows.push(flow);
+            }
+            Step::Keep { map, .. } => {
+                let att = self.red_atts.get_mut(&attempt).expect("attempt exists");
+                att.fetched.insert(map);
+                // Spill accounting: beyond the resident budget, fetched
+                // bytes belong on disk.
+                let total_fetched = att.fetched.len() as u64 * self.qty.chunk_bytes;
+                let resident = (self.qty.mem_budget as f64 * self.env.yarn.merge_spill_fraction) as u64;
+                att.spill_debt = total_fetched.saturating_sub(resident).min(self.qty.spilled_bytes);
+                self.start_due_spills(attempt);
+                self.pump_fetches(attempt);
+            }
+            Step::Dropped { .. } => {
+                self.report.run.counters.degraded_drops += 1;
+                self.pump_fetches(attempt);
+            }
+            Step::Wait => {}
+            Step::BackOff { map, source, until } => {
+                if self.report_fetch_failure(attempt, map, source) {
+                    self.q.schedule_at(SimTime::from_nanos(until), Ev::FetchRetry { attempt, map });
+                }
+            }
+            Step::ReportCorruption { map, .. } => {
+                // The AM regenerates the map at high priority; its
+                // completion re-pumps the parked fetch against clean bytes.
+                self.corrupt_mofs.remove(&(map, attempt.task.index));
+                self.report.run.counters.corruption_refetches += 1;
+                if self.am.regenerate(TaskId::map(self.job, map), true) {
+                    self.mof_loc[map as usize] = None; // unregistered until regenerated
+                    self.dispatch();
+                }
+            }
+            Step::FetchFailureLimit { map, source } => {
+                if !self.report_fetch_failure(attempt, map, source) {
+                    return;
+                }
+                // The reducer is preempted as faulty. Only now does
+                // baseline YARN learn which MOFs are gone ("YARN relies on
+                // running ReduceTasks to detect the lost MOFs", §II-C): the
+                // maps this attempt was stuck on are finally re-executed.
+                if !self.env.alm.mode.sfm_enabled() {
+                    let att = self.red_atts.get(&attempt).expect("attempt exists");
+                    let stuck: Vec<u32> = att
+                        .fetch
+                        .backing_off()
+                        .filter(|&m| self.mof_loc[m as usize].is_some_and(|s| !self.nodes[s as usize].alive))
+                        .collect();
+                    for m in stuck {
+                        self.am.regenerate(TaskId::map(self.job, m), false);
+                    }
+                }
+                self.fail_attempt(attempt, FailureKind::FetchFailureLimit);
+                self.dispatch();
+            }
+            Step::TaskTimeout => self.fail_attempt(attempt, FailureKind::TaskTimeout),
+        }
+    }
+
+    /// Report a failed fetch of `map` from `source` to the AM. SFM knows
+    /// the cause and regenerates at high priority, and the reducer waits
+    /// (no retry treadmill, no preemption). Whether `attempt` still runs.
+    fn report_fetch_failure(&mut self, attempt: AttemptId, map: u32, source: NodeId) -> bool {
+        if self.am.fetch_failed(TaskId::map(self.job, map), source) {
+            self.dispatch();
+        }
+        self.red_atts.get(&attempt).is_some()
+    }
+
+    /// Stage 2 of a fetch: the chunk of `map` crosses the network from
+    /// `src` to `node`.
+    fn start_transfer(&mut self, attempt: AttemptId, node: u32, map: u32, src: u32) -> FlowId {
         let dst_rack = self.nodes[node as usize].rack;
         let src_rack = self.nodes[src as usize].rack;
         let pool = if src_rack != dst_rack { PoolRef::Uplink(dst_rack) } else { PoolRef::NicIn(node) };
@@ -962,137 +923,51 @@ impl Simulation {
             Some((factor, _)) if factor > 1.0 => (self.qty.chunk_bytes as f64 * factor) as u64,
             _ => self.qty.chunk_bytes,
         };
-        let net = self.start_flow(pool, bytes, attempt, Purpose::Fetch { map: m, source: src });
-        let att = self.red_atts.get_mut(&attempt).expect("attempt exists");
-        att.active_fetches.push((net, m));
+        self.start_flow(pool, bytes, attempt, Purpose::Fetch { map, source: src })
     }
 
-    fn fetch_failed(&mut self, attempt: AttemptId, m: u32, src: u32) {
-        // SFM: the AM knows the cause; it regenerates at high priority and
-        // the reducer waits (no retry treadmill, no preemption).
-        if self.am.fetch_failed(TaskId::map(self.job, m), NodeId(src)) {
-            self.dispatch();
-        }
-
-        let Some(att) = self.red_atts.get_mut(&attempt) else { return };
-        let tries = att.retry.entry(m).or_insert(0);
-        *tries += 1;
-        let round = *tries;
-        if round > self.env.yarn.fetch_retries_per_source {
-            // Exhausted: the reducer is preempted as faulty. Only now does
-            // baseline YARN learn which MOFs are gone ("YARN relies on
-            // running ReduceTasks to detect the lost MOFs", §II-C): the
-            // maps this attempt was stuck on are finally re-executed.
-            if !self.env.alm.mode.sfm_enabled() {
-                let stuck: Vec<u32> = att
-                    .retry
-                    .keys()
-                    .copied()
-                    .filter(|&m| self.mof_loc[m as usize].is_some_and(|s| !self.nodes[s as usize].alive))
-                    .collect();
-                for m in stuck {
-                    self.am.regenerate(TaskId::map(self.job, m), false);
-                }
-            }
-            self.fail_attempt(attempt, FailureKind::FetchFailureLimit);
-            self.dispatch();
-            return;
-        }
-        let d = SimDuration::from_ms(self.backoff_ms(attempt, m, round));
-        self.q.schedule_after(d, Ev::FetchRetry { attempt, map: m });
+    /// A fetch flow of `attempt` ended: its node, while it runs.
+    fn fetch_flow_ended(&mut self, attempt: AttemptId, flow: FlowId) -> Option<u32> {
+        let att = self.red_atts.get_mut(&attempt)?;
+        att.flows.retain(|&f| f != flow);
+        Some(att.node)
     }
 
+    /// Stage 1 done: move the chunk onto the network.
+    fn fetch_read_done(&mut self, attempt: AttemptId, flow: FlowId, m: u32, src: u32) {
+        let Some(node) = self.fetch_flow_ended(attempt, flow) else { return };
+        let net = self.start_transfer(attempt, node, m, src);
+        self.red_atts.get_mut(&attempt).expect("attempt exists").flows.push(net);
+    }
+
+    /// A back-off ended: ask `m`'s source again. A live source re-pumps.
     fn fetch_retry(&mut self, attempt: AttemptId, m: u32) {
         let Some(att) = self.red_atts.get(&attempt) else { return };
-        if att.phase != RedPhase::Shuffle || !att.pending.contains(m) {
+        if att.phase != RedPhase::Shuffle || !att.fetch.is_pending(m) {
             return;
         }
-        let Some(src) = self.mof_loc[m as usize] else {
-            // MOF unregistered (regenerating): clear the retry state and
-            // wait for the map completion.
-            self.red_atts.get_mut(&attempt).expect("fetch retry for dead attempt").retry.remove(&m);
-            return;
-        };
-        if self.nodes[src as usize].alive {
-            self.red_atts.get_mut(&attempt).expect("fetch retry for dead attempt").retry.remove(&m);
+        let node = att.node;
+        let outcome = self.fetch_view().1.outcome(node, m);
+        self.observe(attempt, m, outcome);
+        if matches!(outcome, Outcome::Data { .. } | Outcome::Refused { source_dead: false, .. }) {
             self.pump_fetches(attempt);
-        } else if self.am.is_regenerating(TaskId::map(self.job, m)) {
-            self.red_atts.get_mut(&attempt).expect("fetch retry for dead attempt").retry.remove(&m);
-        } else {
-            self.fetch_failed(attempt, m, src);
         }
     }
 
+    /// Stage 2 done: the chunk arrived. An armed corruption of this MOF
+    /// partition fails the frame check, unless the copy is resident: it
+    /// was CRC-framed into RAM before the rot landed on disk (as the
+    /// runtime fetcher consults the resident cache before the disk).
     fn fetch_flow_done(&mut self, attempt: AttemptId, flow: FlowId, m: u32, src: u32) {
-        // Gray loss: a degraded fetcher → source direction drops the
-        // arriving transfer with probability `loss`. The source heartbeats
-        // and the cause is unambiguous, so the reducer transparently
-        // re-fetches — no fetch-failure report, no retry-budget burn (the
-        // mirror of the runtime's `FetchDegraded` path). The draw comes
-        // from a labelled engine RNG stream with a per-(attempt, map)
-        // counter, so replays are bit-identical; a deterministic drop cap
-        // keeps pathological `loss = 1` schedules from livelocking.
-        if let Some((_, loss)) =
-            self.link_degradation(self.red_atts.get(&attempt).map_or(src, |a| a.node), src)
-        {
-            if loss > 0.0 {
-                let dropped = {
-                    let Some(att) = self.red_atts.get_mut(&attempt) else { return };
-                    let k = att.loss_draws.entry(m).or_insert(0);
-                    let draw_ok = *k < MAX_GRAY_DROPS;
-                    *k += 1;
-                    let label = format!("sim-degraded-loss/{attempt}/{m}/{k}");
-                    let mut rng = alm_des::rng::stream(self.seed, &label);
-                    if draw_ok && rng.random_range(0..1_000_000u64) < (loss * 1e6) as u64 {
-                        att.active_fetches.retain(|&(f, _)| f != flow);
-                        att.pending.insert(m);
-                        true
-                    } else {
-                        false
-                    }
-                };
-                if dropped {
-                    self.report.run.counters.degraded_drops += 1;
-                    self.pump_fetches(attempt);
-                    return;
-                }
-            }
-        }
-        // Checksum validation on arrival: an armed corruption of this MOF
-        // partition fails the frame check. The reducer reports it (no retry
-        // budget burned — the source heartbeats, so the cause is
-        // unambiguous) and the AM regenerates the map at high priority;
-        // the completion re-pumps the parked fetch against clean bytes.
-        // A resident copy is exempt: it was CRC-framed into RAM at map
-        // completion, before the rot landed on disk (mirroring the runtime
-        // fetcher, which consults the resident cache before the disk path).
-        if self.corrupt_mofs.contains(&(m, attempt.task.index)) && !self.resident_mofs.contains(m) {
-            {
-                let Some(att) = self.red_atts.get_mut(&attempt) else { return };
-                att.active_fetches.retain(|&(f, _)| f != flow);
-                att.pending.insert(m);
-            }
-            self.corrupt_mofs.remove(&(m, attempt.task.index));
-            self.report.run.counters.corruption_refetches += 1;
-            if self.am.regenerate(TaskId::map(self.job, m), true) {
-                self.mof_loc[m as usize] = None; // unregistered until regenerated
-                self.dispatch();
-            }
-            return;
-        }
-        {
-            let Some(att) = self.red_atts.get_mut(&attempt) else { return };
-            att.active_fetches.retain(|&(f, _)| f != flow);
-            att.fetched.insert(m);
-            att.retry.remove(&m);
-            // Spill accounting: beyond the resident budget, fetched bytes
-            // belong on disk.
-            let total_fetched = att.fetched.len() as u64 * self.qty.chunk_bytes;
-            let resident = (self.qty.mem_budget as f64 * self.env.yarn.merge_spill_fraction) as u64;
-            att.spill_debt = total_fetched.saturating_sub(resident).min(self.qty.spilled_bytes);
-        }
-        self.start_due_spills(attempt);
-        self.pump_fetches(attempt);
+        let Some(node) = self.fetch_flow_ended(attempt, flow) else { return };
+        let (source, loss) = (NodeId(src), self.link_degradation(node, src).map_or(0.0, |(_, loss)| loss));
+        let outcome =
+            if self.corrupt_mofs.contains(&(m, attempt.task.index)) && !self.resident_mofs.contains(m) {
+                Outcome::Corrupt { source, generation: 0, loss }
+            } else {
+                Outcome::Data { source, loss }
+            };
+        self.observe(attempt, m, outcome);
     }
 
     /// Emit disk flows for any spill debt not yet covered, in
@@ -1107,7 +982,7 @@ impl Simulation {
                 let chunk = (att.spill_debt - att.spill_emitted).min(SPILL_FLOW_BYTES);
                 // Flush only full chunks mid-shuffle; the remainder flushes
                 // when the shuffle finishes.
-                if chunk < SPILL_FLOW_BYTES && !(att.pending.is_empty() && att.active_fetches.is_empty()) {
+                if chunk < SPILL_FLOW_BYTES && !att.fetch.is_done() {
                     return;
                 }
                 att.spill_emitted += chunk;
@@ -1122,10 +997,7 @@ impl Simulation {
         self.start_due_spills(attempt);
         let ready = {
             let Some(att) = self.red_atts.get(&attempt) else { return };
-            att.phase == RedPhase::Shuffle
-                && att.pending.is_empty()
-                && att.active_fetches.is_empty()
-                && att.flows.is_empty()
+            att.phase == RedPhase::Shuffle && att.fetch.is_done() && att.flows.is_empty()
         };
         if ready {
             self.enter_merge(attempt);
@@ -1358,7 +1230,7 @@ impl Simulation {
     fn kill_attempt_silently(&mut self, attempt: AttemptId) -> bool {
         if attempt.task.is_reduce() {
             let Some(att) = self.red_atts.remove(&attempt) else { return false };
-            for f in sorted_flows(&att) {
+            for &f in &att.flows {
                 self.abort_flow(f);
             }
         } else {
@@ -1445,8 +1317,7 @@ impl Simulation {
             match purpose {
                 Purpose::Fetch { map, source } | Purpose::FetchRead { map, source } if source == node => {
                     if let Some(att) = self.red_atts.get_mut(&attempt) {
-                        att.active_fetches.retain(|&(af, _)| af != f);
-                        att.pending.insert(map);
+                        att.flows.retain(|&af| af != f);
                     }
                     interrupted_fetches.push((attempt, map, source));
                 }
@@ -1483,7 +1354,7 @@ impl Simulation {
             self.map_atts.iter().filter(|(_, a)| a.node == node).map(|(id, _)| id).collect();
         for a in dead_reds {
             let att = self.red_atts.remove(&a).expect("attempt vanished mid-crash");
-            for f in sorted_flows(&att) {
+            for &f in &att.flows {
                 self.abort_flow(f);
             }
         }
@@ -1497,7 +1368,9 @@ impl Simulation {
         // Reducers that were fetching from the crashed node begin the retry
         // treadmill immediately (their connections broke).
         for (attempt, map, source) in interrupted_fetches {
-            self.fetch_failed(attempt, map, source);
+            if self.red_atts.get(&attempt).is_some() {
+                self.observe(attempt, map, Outcome::Refused { source: NodeId(source), source_dead: true });
+            }
         }
         // FCM recoveries fed by the node restart their wait.
         for a in interrupted_fcm {
@@ -1729,47 +1602,20 @@ impl Simulation {
             })
             .for_each(drop);
 
-        // Shuffles fully parked behind severed links time out at the
-        // shuffle wait cap — the bound on never-healing partitions.
-        let cap_secs = self.env.yarn.shuffle_wait_cap_ms as f64 / 1000.0;
-        let parked: Vec<(AttemptId, bool)> = self
-            .red_atts
-            .iter()
-            .filter(|(_, a)| a.phase == RedPhase::Shuffle)
-            .map(|(id, a)| {
-                let idle = !a.pending.is_empty()
-                    && a.active_fetches.is_empty()
-                    && a.retry.is_empty()
-                    && a.flows.is_empty();
-                let blocked_by_link = idle && {
-                    let mut saw_severed = false;
-                    for m in a.pending.iter() {
-                        match self.mof_loc[m as usize] {
-                            None => {}                                         // map not finished yet: a normal wait
-                            Some(src) if !self.nodes[src as usize].alive => {} // regeneration wait
-                            Some(src) if self.link_severed(a.node, src) => saw_severed = true,
-                            Some(_) => return (id, false), // a fetchable source exists
-                        }
-                    }
-                    saw_severed
-                };
-                (id, blocked_by_link)
+        // Shuffles parked behind severed links time out at the shuffle
+        // wait cap — the bound on never-healing partitions.
+        let shuffling: Vec<AttemptId> =
+            self.red_atts.iter().filter(|(_, a)| a.phase == RedPhase::Shuffle).map(|(id, _)| id).collect();
+        let (red_atts, sources) = self.fetch_view();
+        let steps: Vec<(AttemptId, Step)> = shuffling
+            .into_iter()
+            .map(|id| {
+                let att = red_atts.get_mut(&id).expect("shuffling attempt exists");
+                (id, att.fetch.tick(now_ns, |m| sources.outcome(att.node, m)))
             })
             .collect();
-        let mut timed_out: Vec<AttemptId> = Vec::new();
-        for (id, blocked) in parked {
-            let att = self.red_atts.get_mut(&id).expect("parked attempt vanished");
-            if blocked {
-                let since = *att.parked_since.get_or_insert(now);
-                if now - since > cap_secs {
-                    timed_out.push(id);
-                }
-            } else {
-                att.parked_since = None;
-            }
-        }
-        for id in timed_out {
-            self.fail_attempt(id, FailureKind::TaskTimeout);
+        for (id, step) in steps {
+            self.fetch_step(id, step);
         }
 
         // Time-based crash faults.
@@ -1797,13 +1643,10 @@ impl Simulation {
             (0..self.qty.num_maps).filter(|&m| self.am.is_regenerating(TaskId::map(self.job, m))).collect();
         eprintln!("regenerating: {regenerating:?}");
         for (id, a) in self.red_atts.iter() {
-            eprintln!(
-                "  red {id}: node={} mode={:?} phase={:?} pending={} active={} retry={:?} flows={} spill_out={} cpu_done={}",
-                a.node, a.mode, a.phase, a.pending.len(), a.active_fetches.len(), a.retry, a.flows.len(), a.spill_outstanding, a.cpu_done
-            );
+            eprintln!("  red {id}: {a:?}");
         }
         for (id, a) in self.map_atts.iter() {
-            eprintln!("  map {id}: node={} phase={:?}", a.node, a.phase);
+            eprintln!("  map {id}: {a:?}");
         }
         let incomplete_m =
             (0..self.qty.num_maps).filter(|&m| !self.am.is_complete(TaskId::map(self.job, m))).count();
@@ -1944,39 +1787,6 @@ mod tests {
     }
 
     proptest! {
-        /// `MapSet` answers as the `BTreeSet<u32>` it replaced after every
-        /// step, and a clone taken midway (an ALG snapshot) keeps its
-        /// members while the original moves on.
-        #[test]
-        fn map_set_matches_btree_set(
-            n in 1u32..300,
-            ops in proptest::collection::vec((0u8..3, 0u32..300), 0..400),
-        ) {
-            let mut set = MapSet::empty(n);
-            let mut oracle = BTreeSet::new();
-            let mut clones = Vec::new();
-            for (op, m) in ops {
-                let m = m % n;
-                match op {
-                    0 => prop_assert_eq!(set.insert(m), oracle.insert(m)),
-                    1 => prop_assert_eq!(set.remove(m), oracle.remove(&m)),
-                    _ => clones.push((set.clone(), oracle.clone())),
-                }
-                prop_assert_eq!(set.contains(m), oracle.contains(&m));
-                prop_assert_eq!(set.len(), oracle.len());
-                prop_assert_eq!(set.is_empty(), oracle.is_empty());
-                prop_assert_eq!(set.iter().collect::<Vec<_>>(), oracle.iter().copied().collect::<Vec<_>>());
-            }
-            for (set, oracle) in clones {
-                prop_assert_eq!(set.len(), oracle.len());
-                prop_assert_eq!(set.iter().collect::<Vec<_>>(), oracle.into_iter().collect::<Vec<_>>());
-            }
-            prop_assert!(!set.contains(n.next_multiple_of(64)), "an index past the last word is absent");
-            let full = MapSet::full(n);
-            prop_assert_eq!(full.len(), n as usize);
-            prop_assert_eq!(full.iter().collect::<Vec<_>>(), (0..n).collect::<Vec<_>>());
-        }
-
         /// `AttemptTable` answers as the `BTreeMap<AttemptId, _>` it
         /// replaced: inserts (overwrites included), removes, lookups,
         /// in-place updates and iteration in key order.

@@ -33,6 +33,11 @@
 #                                          crates/runtime/src/am.rs (each
 #                                          engine's one `match` on what
 #                                          `alm_core::Am` dispatches)
+#   cargo check -p alm-sim and cargo check -p alm-runtime, both
+#     new fetch Step variant            -> E0004 in crates/sim/src/engine.rs and
+#                                          crates/runtime/src/reducetask.rs
+#                                          (each reducer's one `match` on what
+#                                          `alm_core::FetchCore` decides)
 #   cargo check -p alm-core
 #     new RecoveryMode variant          -> E0004 in crates/core/src/sfm/policy.rs
 #                                          (`schedule_recovery`, the one place
@@ -42,6 +47,9 @@
 #                                          (`Am::apply`, the one place a
 #                                          decision and its actions are
 #                                          queued)
+#     new fetch Outcome variant         -> E0004 in crates/core/src/fetch.rs
+#                                          (`FetchCore`, the one place what a
+#                                          reducer observes is decided on)
 #   cargo check -p alm-shuffle
 #     an `unsafe {}` block in crates/shuffle/src/codec.rs
 #                                       -> unsafe_code (the crate denies it;
@@ -133,7 +141,7 @@
 # (YarnConfig 14, MemConfig 4, SchedConfig 3); the YarnConfig mutation
 # anchors on the struct header, not on any one field.
 #
-# 37 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
+# 39 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -165,6 +173,16 @@ check_sim() {
 
 check_runtime() {
     (cd "$work/ws" && cargo check --offline -p alm-runtime 2>&1)
+}
+
+# The two reducers, each on its own: fails only when both fail.
+check_reducers() {
+    local out status=1
+    out="$(check_sim)" && status=0
+    echo "$out"
+    out="$(check_runtime)" && status=0
+    echo "$out"
+    return $status
 }
 
 check_core() {
@@ -215,7 +233,7 @@ test_gate() {
     (cd "$work/ws" && cargo test --offline -p alm-bench --test campaign_gate 2>&1)
 }
 
-# expect_fail <label> <runner> <file> <anchor line (fixed string)> <line inserted after it> <error (egrep)> [<path the error must name>]
+# expect_fail <label> <runner> <file> <anchor line (fixed string)> <line inserted after it> <error (egrep)> [<paths the error must name, space-separated>]
 expect_fail() {
     mutate_and_expect after "$@"
 }
@@ -246,11 +264,14 @@ mutate_and_expect() {
         echo "$out" >&2
         exit 1
     fi
-    if [ -n "$site" ] && ! grep -A4 -E "$want" <<<"$out" | grep -qF -- "$site"; then
-        echo "FAIL [$label]: no $want error points at $site:" >&2
-        echo "$out" >&2
-        exit 1
-    fi
+    local path
+    for path in $site; do
+        if ! grep -A4 -E "$want" <<<"$out" | grep -qF -- "$path"; then
+            echo "FAIL [$label]: no $want error points at $path:" >&2
+            echo "$out" >&2
+            exit 1
+        fi
+    done
     echo "ok   [$label]: $runner rejected it with $(grep -Eo "$want" <<<"$out" | sort -u | tr '\n' ' ')"
     # Undo, with a fresh mtime: cargo only rebuilds what is newer than its
     # last artifact, and a crate downstream of the error compiled the mutant.
@@ -289,6 +310,10 @@ expect_fail "AM Command variant executed by the sim" check_sim crates/core/src/a
     "pub enum Command {" "    Suspend(AttemptId)," "error\[E0004\]" crates/sim/src/engine.rs
 expect_fail "AM Command variant executed by the runtime" check_runtime crates/core/src/am.rs \
     "pub enum Command {" "    Suspend(AttemptId)," "error\[E0004\]" crates/runtime/src/am.rs
+expect_fail "fetch Step variant acted on by both reducers" check_reducers crates/core/src/fetch.rs \
+    "pub enum Step {" "    Pause," "error\[E0004\]" "crates/sim/src/engine.rs crates/runtime/src/reducetask.rs"
+expect_fail "fetch Outcome variant decided once" check_core crates/core/src/fetch.rs \
+    "pub enum Outcome {" "    TimedOut," "error\[E0004\]" crates/core/src/fetch.rs
 expect_fail "SchedAction variant queued once" check_core crates/core/src/sfm/policy.rs \
     "pub enum SchedAction {" "    SuspendReduce { task: TaskId }," "error\[E0004\]" crates/core/src/am.rs
 expect_fail "AM Decision variant matched once" check_core crates/core/src/am.rs \
