@@ -42,7 +42,7 @@ pub enum Step {
     /// Move `map`'s partition, then [`FetchCore::observe`] how it ended.
     Fetch { map: u32, source: NodeId },
     /// `map`'s bytes arrived intact: keep them.
-    Keep { map: u32, source: NodeId },
+    Keep { map: u32 },
     /// A lossy link dropped `map`'s transfer: count it; `map` is ready again.
     Dropped { map: u32, source: NodeId },
     /// Nothing to do now: the map is not ready, or its link is cut.
@@ -175,7 +175,7 @@ impl FetchCore {
             {
                 Step::Dropped { map, source }
             }
-            Outcome::Data { source, .. } => return Step::Keep { map, source },
+            Outcome::Data { .. } => return Step::Keep { map },
             Outcome::Corrupt { source, generation, .. } => Step::ReportCorruption { map, source, generation },
             Outcome::Refused { source, source_dead: true } => self.charge(now, map, source),
             Outcome::NotReady | Outcome::Refused { source_dead: false, .. } => Step::Wait,

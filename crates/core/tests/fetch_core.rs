@@ -129,7 +129,7 @@ proptest! {
                     let drop = lossy && drops[m as usize] < MAX_GRAY_DROPS;
                     let want = match seen {
                         _ if drop => Step::Dropped { map: m, source },
-                        Outcome::Data { .. } => Step::Keep { map: m, source },
+                        Outcome::Data { .. } => Step::Keep { map: m },
                         _ => Step::ReportCorruption { map: m, source, generation: 7 },
                     };
                     prop_assert_eq!(step, want);
@@ -251,7 +251,7 @@ fn gray_drops_stop_at_the_cap() {
         }
     }
     assert_eq!(steps.len() as u32, MAX_GRAY_DROPS + 1);
-    assert_eq!(steps.last(), Some(&Step::Keep { map: 0, source: NodeId(2) }));
+    assert_eq!(steps.last(), Some(&Step::Keep { map: 0 }));
     assert!(core.is_done());
 }
 

@@ -403,7 +403,7 @@ fn shuffle_step(
             let arrived = fetch.observe(now, map, *outcome);
             shuffle_step(ctx, buffers, fetch, now, arrived, got)
         }
-        Step::Keep { map, .. } => {
+        Step::Keep { map } => {
             let Some((_, Some((data, _)))) = got else {
                 unreachable!("kept bytes come from a fetch that returned data")
             };

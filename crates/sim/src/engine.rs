@@ -843,7 +843,7 @@ impl Simulation {
                 };
                 self.red_atts.get_mut(&attempt).expect("attempt exists").flows.push(flow);
             }
-            Step::Keep { map, .. } => {
+            Step::Keep { map } => {
                 let att = self.red_atts.get_mut(&attempt).expect("attempt exists");
                 att.fetched.insert(map);
                 // Spill accounting: beyond the resident budget, fetched
