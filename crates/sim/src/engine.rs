@@ -293,41 +293,6 @@ impl FlowWindow {
     }
 }
 
-/// The cluster state a reducer's fetch reads.
-struct Sources<'a> {
-    mof_loc: &'a [Option<u32>],
-    nodes: &'a [SimNode],
-    severed: &'a BTreeSet<(u32, u32)>,
-    am: &'a Am,
-    job: JobId,
-}
-
-impl Sources<'_> {
-    /// What a reducer on `node` meets when it asks for map `m`'s partition
-    /// (`loss` counts only where a transfer ends, in `fetch_flow_done`). A
-    /// link is cut in one direction, and a node always reaches itself.
-    fn outcome(&self, node: u32, m: u32) -> Outcome {
-        let Some(src) = self.mof_loc[m as usize] else { return Outcome::NotReady };
-        let source = NodeId(src);
-        if !self.nodes[src as usize].alive {
-            let regenerating = self.am.is_regenerating(TaskId::map(self.job, m));
-            return if regenerating {
-                Outcome::NotReady
-            } else {
-                Outcome::Refused { source, source_dead: true }
-            };
-        }
-        // A source behind a cut link still heartbeats: the fetch parks at
-        // no charge, and the heal event re-pumps us.
-        let cut = node != src && self.severed.contains(&(node, src));
-        if cut {
-            Outcome::Refused { source, source_dead: false }
-        } else {
-            Outcome::Data { source, loss: 0.0 }
-        }
-    }
-}
-
 /// One simulated job run.
 pub struct Simulation {
     q: EventQueue<Ev>,
@@ -492,11 +457,35 @@ impl Simulation {
         self.am.is_complete(TaskId::reduce(self.job, r))
     }
 
-    /// The reduce attempts and, borrowed apart, the cluster state their
-    /// fetches read: a fetch core asks it while its attempt is borrowed.
-    fn fetch_view(&mut self) -> (&mut AttemptTable<RedAtt>, Sources<'_>) {
-        let (mof_loc, nodes, severed, am) = (&self.mof_loc, &self.nodes, &self.severed, &self.am);
-        (&mut self.red_atts, Sources { mof_loc, nodes, severed, am, job: self.job })
+    /// The reduce attempts and, borrowed apart so that a fetch core can ask
+    /// it while its attempt is borrowed, what a reducer on `node` meets when
+    /// it asks for map `m`'s partition (`loss` counts only where a transfer
+    /// ends, in `fetch_flow_done`). A link is cut in one direction, and a
+    /// node always reaches itself.
+    fn fetch_view(&mut self) -> (&mut AttemptTable<RedAtt>, impl Fn(u32, u32) -> Outcome + Copy + '_) {
+        let (mof_loc, nodes, severed, am, job) =
+            (&self.mof_loc, &self.nodes, &self.severed, &self.am, self.job);
+        let outcome = move |node: u32, m: u32| {
+            let Some(src) = mof_loc[m as usize] else { return Outcome::NotReady };
+            let source = NodeId(src);
+            if !nodes[src as usize].alive {
+                let regenerating = am.is_regenerating(TaskId::map(job, m));
+                return if regenerating {
+                    Outcome::NotReady
+                } else {
+                    Outcome::Refused { source, source_dead: true }
+                };
+            }
+            // A source behind a cut link still heartbeats: the fetch parks
+            // at no charge, and the heal event re-pumps us.
+            let cut = node != src && severed.contains(&(node, src));
+            if cut {
+                Outcome::Refused { source, source_dead: false }
+            } else {
+                Outcome::Data { source, loss: 0.0 }
+            }
+        };
+        (&mut self.red_atts, outcome)
     }
 
     /// The gray-link `(factor, loss)` for fetches `from → to`, when
@@ -802,13 +791,13 @@ impl Simulation {
         let mut after = None;
         loop {
             let now = self.now_ns();
-            let (red_atts, sources) = self.fetch_view();
+            let (red_atts, outcome) = self.fetch_view();
             let Some(att) = red_atts.get_mut(&attempt) else { return };
             if att.phase != RedPhase::Shuffle || att.flows.len() >= MAX_PARALLEL_FETCHES {
                 return;
             }
             let node = att.node;
-            let Some(step) = att.fetch.pump(now, &mut after, |m| sources.outcome(node, m)) else {
+            let Some(step) = att.fetch.pump(now, &mut after, |m| outcome(node, m)) else {
                 self.maybe_finish_shuffle(attempt);
                 return;
             };
@@ -947,7 +936,7 @@ impl Simulation {
             return;
         }
         let node = att.node;
-        let outcome = self.fetch_view().1.outcome(node, m);
+        let outcome = self.fetch_view().1(node, m);
         self.observe(attempt, m, outcome);
         if matches!(outcome, Outcome::Data { .. } | Outcome::Refused { source_dead: false, .. }) {
             self.pump_fetches(attempt);
@@ -1606,12 +1595,12 @@ impl Simulation {
         // wait cap — the bound on never-healing partitions.
         let shuffling: Vec<AttemptId> =
             self.red_atts.iter().filter(|(_, a)| a.phase == RedPhase::Shuffle).map(|(id, _)| id).collect();
-        let (red_atts, sources) = self.fetch_view();
+        let (red_atts, outcome) = self.fetch_view();
         let steps: Vec<(AttemptId, Step)> = shuffling
             .into_iter()
             .map(|id| {
                 let att = red_atts.get_mut(&id).expect("shuffling attempt exists");
-                (id, att.fetch.tick(now_ns, |m| sources.outcome(att.node, m)))
+                (id, att.fetch.tick(now_ns, |m| outcome(att.node, m)))
             })
             .collect();
         for (id, step) in steps {
