@@ -15,11 +15,15 @@
 use std::collections::BTreeMap;
 
 use alm_types::{AttemptId, NodeId, YarnConfig};
-use rand::Rng;
 
 /// Gray-link drops drawn per map, at most: past this a transfer is let
 /// through, so a link with `loss = 1.0` cannot livelock a reducer.
 pub const MAX_GRAY_DROPS: u32 = 16;
+
+/// A seeded draw: uniform in `0..n`, the first of the stream keyed by
+/// `(seed, label)`. Both engines pass `alm_des::rng::below`; the core
+/// builds the labels and the rules around them, and links no RNG itself.
+pub type Draw = fn(seed: u64, label: &str, n: u64) -> u64;
 
 /// What a reducer observed about one map's partition. `loss` is the
 /// probability that the link from `source` drops a transfer.
@@ -63,6 +67,7 @@ pub enum Step {
 pub struct FetchCore {
     attempt: AttemptId,
     seed: u64,
+    draw: Draw,
     config: YarnConfig,
     /// The engine's clock ticks per millisecond.
     per_ms: u64,
@@ -80,12 +85,19 @@ pub struct FetchCore {
 
 impl FetchCore {
     /// A core for `attempt` that still has to fetch `pending`. `per_ms` is
-    /// the engine's clock ticks per millisecond; `seed` keys the seeded
-    /// back-off and gray-loss draws.
-    pub fn new(attempt: AttemptId, seed: u64, config: &YarnConfig, per_ms: u64, pending: MapSet) -> Self {
-        let config = config.clone();
+    /// the engine's clock ticks per millisecond; `draw` makes the back-off
+    /// and gray-loss draws, keyed by `seed`.
+    pub fn new(
+        attempt: AttemptId,
+        seed: u64,
+        draw: Draw,
+        cfg: &YarnConfig,
+        per_ms: u64,
+        pending: MapSet,
+    ) -> Self {
+        let config = cfg.clone();
         let (in_flight, backoffs, drops, parked_since) = (0, BTreeMap::new(), BTreeMap::new(), None);
-        FetchCore { attempt, seed, config, per_ms, pending, in_flight, backoffs, drops, parked_since }
+        FetchCore { attempt, seed, draw, config, per_ms, pending, in_flight, backoffs, drops, parked_since }
     }
 
     /// Whether `map` is pending (backing off included).
@@ -205,7 +217,7 @@ impl FetchCore {
         let exp = base.saturating_mul(1u64 << round.saturating_sub(1).min(10));
         let cap = exp.min((self.config.node_liveness_timeout_ms / 2).max(base));
         let label = format!("sim-fetch-backoff/{}/{map}/{round}", self.attempt);
-        cap / 2 + alm_des::rng::stream(self.seed, &label).random_range(0..=cap.div_ceil(2))
+        cap / 2 + (self.draw)(self.seed, &label, cap.div_ceil(2) + 1)
     }
 
     /// Whether a link with `loss` drops this transfer of `map`: the `k`-th
@@ -220,7 +232,7 @@ impl FetchCore {
         let k = *k;
         k <= MAX_GRAY_DROPS && {
             let label = format!("sim-degraded-loss/{}/{map}/{k}", self.attempt);
-            alm_des::rng::stream(self.seed, &label).random_range(0..1_000_000u64) < (loss * 1e6) as u64
+            (self.draw)(self.seed, &label, 1_000_000) < (loss * 1e6) as u64
         }
     }
 

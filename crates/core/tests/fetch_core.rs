@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 use alm_core::fetch::{FetchCore, MapSet, Outcome, Step, MAX_GRAY_DROPS};
+use alm_des::rng::below;
 use alm_types::{AttemptId, JobId, NodeId, TaskId, YarnConfig};
 
 const MAPS: u32 = 6;
@@ -61,7 +62,7 @@ proptest! {
         ops in proptest::collection::vec((0u8..8, 0u32..MAPS, 0u8..5, proptest::bool::ANY, 0u64..40), 0..300),
     ) {
         let cfg = config(retries, delay_ms, liveness_ms, wait_cap_ms);
-        let mut core = FetchCore::new(attempt(), 42, &cfg, 1, MapSet::full(MAPS));
+        let mut core = FetchCore::new(attempt(), 42, below, &cfg, 1, MapSet::full(MAPS));
         let mut model = [Model::Ready; MAPS as usize];
         let mut drops = [0u32; MAPS as usize];
         let mut parked_since: Option<u64> = None;
@@ -225,8 +226,8 @@ fn charged_as(
 /// `(seed, attempt, map, round)` at the paper's and the test config.
 #[test]
 fn backoff_draws_are_pinned() {
-    let paper = FetchCore::new(attempt(), 42, &YarnConfig::default(), 1_000_000, MapSet::full(MAPS));
-    let tests = FetchCore::new(attempt(), 7, &YarnConfig::scaled_for_tests(), 1, MapSet::full(MAPS));
+    let paper = FetchCore::new(attempt(), 42, below, &YarnConfig::default(), 1_000_000, MapSet::full(MAPS));
+    let tests = FetchCore::new(attempt(), 7, below, &YarnConfig::scaled_for_tests(), 1, MapSet::full(MAPS));
     let draws: Vec<(u64, u64)> = [(0, 1), (0, 2), (0, 3), (5, 1), (5, 4)]
         .iter()
         .map(|&(m, r)| (paper.backoff_ms(m, r), tests.backoff_ms(m, r)))
@@ -239,7 +240,7 @@ fn backoff_draws_are_pinned() {
 /// the budget.
 #[test]
 fn gray_drops_stop_at_the_cap() {
-    let mut core = FetchCore::new(attempt(), 42, &config(1, 20, 250, 100), 1, MapSet::full(1));
+    let mut core = FetchCore::new(attempt(), 42, below, &config(1, 20, 250, 100), 1, MapSet::full(1));
     let data = Outcome::Data { source: NodeId(2), loss: 1.0 };
     let mut steps = Vec::new();
     loop {
@@ -259,7 +260,7 @@ fn gray_drops_stop_at_the_cap() {
 /// than `shuffle_wait_cap_ms`, and an answering source restarts it.
 #[test]
 fn task_timeout_comes_only_past_the_cap() {
-    let mut core = FetchCore::new(attempt(), 42, &config(1, 20, 250, 100), 1_000_000, MapSet::full(2));
+    let mut core = FetchCore::new(attempt(), 42, below, &config(1, 20, 250, 100), 1_000_000, MapSet::full(2));
     let cut = |_| Outcome::Refused { source: NodeId(2), source_dead: false };
     let ms = 1_000_000;
     assert_eq!(core.tick(5 * ms, cut), Step::Wait);
@@ -267,13 +268,13 @@ fn task_timeout_comes_only_past_the_cap() {
     assert_eq!(core.tick(105 * ms + 1, cut), Step::TaskTimeout);
     // One map not ready and one cut is still a park; an answer ends it.
     let mixed = |m| if m == 0 { Outcome::NotReady } else { cut(m) };
-    let mut core = FetchCore::new(attempt(), 42, &config(1, 20, 250, 100), 1, MapSet::full(2));
+    let mut core = FetchCore::new(attempt(), 42, below, &config(1, 20, 250, 100), 1, MapSet::full(2));
     assert_eq!(core.tick(0, mixed), Step::Wait);
     assert_eq!(core.tick(100, |_| Outcome::Data { source: NodeId(2), loss: 0.0 }), Step::Wait);
     assert_eq!(core.tick(150, mixed), Step::Wait, "the answer restarted the park");
     assert_eq!(core.tick(251, mixed), Step::TaskTimeout);
     // Maps that are only not ready never park.
-    let mut core = FetchCore::new(attempt(), 42, &config(1, 20, 250, 100), 1, MapSet::full(2));
+    let mut core = FetchCore::new(attempt(), 42, below, &config(1, 20, 250, 100), 1, MapSet::full(2));
     assert_eq!(core.tick(0, |_| Outcome::NotReady), Step::Wait);
     assert_eq!(core.tick(1_000, |_| Outcome::NotReady), Step::Wait);
 }

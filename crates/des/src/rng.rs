@@ -14,8 +14,8 @@
 //!
 //! | label | drawn by |
 //! |---|---|
-//! | `sim-fetch-backoff/{attempt}/{map}/{round}` | `alm-core`'s `FetchCore` (both engines), dead-source fetch back-off jitter |
-//! | `sim-degraded-loss/{attempt}/{map}/{draw}` | `alm-core`'s `FetchCore` (both engines), gray-link transfer drops |
+//! | `sim-fetch-backoff/{attempt}/{map}/{round}` | `alm-core`'s `FetchCore` through `below` (both engines), dead-source fetch back-off jitter |
+//! | `sim-degraded-loss/{attempt}/{map}/{draw}` | `alm-core`'s `FetchCore` through `below` (both engines), gray-link transfer drops |
 //! | `warehouse-input-sizes` | `alm-sched`, campaign job input sizes |
 //! | `warehouse-arrival-gaps` | `alm-sched`, campaign job arrival gaps |
 //!
@@ -23,7 +23,7 @@
 //! reuse a label on purpose (replay checks).
 
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Derive an independent RNG stream from `(seed, label)`.
 ///
@@ -38,6 +38,11 @@ pub fn stream(seed: u64, label: &str) -> SmallRng {
     }
     let mixed = splitmix64(seed ^ h);
     SmallRng::seed_from_u64(mixed)
+}
+
+/// The first draw of the `(seed, label)` stream, uniform in `0..n`.
+pub fn below(seed: u64, label: &str, n: u64) -> u64 {
+    stream(seed, label).random_range(0..n)
 }
 
 /// SplitMix64 finalizer.

@@ -9,7 +9,7 @@
 //! behaviour whose consequences the paper analyses.
 
 use crossbeam::channel::Sender;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -23,7 +23,7 @@ use alm_dfs::DfsCluster;
 use alm_shuffle::mpq::SortedRun;
 use alm_shuffle::LocalFs;
 use alm_shuffle::{KeyCmp, MergeQueue, ReduceBuffers, SegmentReader, SegmentSource};
-use alm_types::{AttemptId, FailureKind, NodeId, ReducePhase, ReplicationLevel, YarnConfig};
+use alm_types::{AttemptId, FailureKind, ReducePhase, ReplicationLevel, YarnConfig};
 
 use crate::cluster::{LinkTable, NodeHandle};
 use crate::events::TaskEvent;
@@ -72,17 +72,12 @@ impl ReduceCtx {
         self.dead_or_cancelled()
     }
 
-    /// Tell the AM; a closed channel means the job is over.
-    fn send(&self, event: TaskEvent) {
-        let _ = self.events.send(event);
-    }
-
     fn fail(&self, kind: FailureKind) {
-        self.send(TaskEvent::TaskFailed { attempt: self.attempt, node: self.node.id, kind });
+        let _ = self.events.send(TaskEvent::TaskFailed { attempt: self.attempt, node: self.node.id, kind });
     }
 
     fn progress(&self, phase: ReducePhase, progress: f64) {
-        self.send(TaskEvent::ReduceProgress { attempt: self.attempt, phase, progress });
+        let _ = self.events.send(TaskEvent::ReduceProgress { attempt: self.attempt, phase, progress });
     }
 
     /// A reduce-stage report, sent at the stage's first safe point and then
@@ -142,7 +137,7 @@ pub fn run_reduce(ctx: ReduceCtx) {
         if rec_report != RecoveryReport::default() {
             // Surface the forensics (resume point, truncated/corrupt
             // records, lost output) so reports can assert bounded recovery.
-            ctx.send(TaskEvent::LogRecovered { attempt: ctx.attempt, report: rec_report });
+            let _ = ctx.events.send(TaskEvent::LogRecovered { attempt: ctx.attempt, report: rec_report });
         }
         (state, output)
     } else {
@@ -154,38 +149,60 @@ pub fn run_reduce(ctx: ReduceCtx) {
         lg.resume_after(seq);
     }
 
-    // Shuffle- and merge-stage logs resume only where their files are.
-    let restore = |fetched: Vec<u32>, files: Vec<String>, bytes| {
-        let (budget, frac) = (ctx.config.shuffle_buffer_bytes().max(1024), ctx.config.merge_spill_fraction);
-        let (here, fetched) = (files.iter().all(|p| ctx.node.fs.exists(p)), fetched.into_iter().collect());
-        here.then(|| ReduceBuffers::restore(prefix.clone(), budget, frac, fetched, files, bytes))
-    };
+    let mem_budget = ctx.config.shuffle_buffer_bytes().max(1024);
+
     let start = match recovered {
         RecoveredState::Fresh => StartState::Fresh,
         RecoveredState::ShuffleStage { shuffled_bytes, fetched_mof_ids, intermediate_files, .. } => {
-            restore(fetched_mof_ids, intermediate_files, shuffled_bytes)
-                .map_or(StartState::Fresh, StartState::Shuffle)
+            if intermediate_files.iter().all(|p| ctx.node.fs.exists(p)) {
+                StartState::Shuffle(ReduceBuffers::restore(
+                    prefix.clone(),
+                    mem_budget,
+                    ctx.config.merge_spill_fraction,
+                    fetched_mof_ids.into_iter().collect(),
+                    intermediate_files,
+                    shuffled_bytes,
+                ))
+            } else {
+                StartState::Fresh // files are on another (dead) node
+            }
         }
         RecoveredState::MergeStage { intermediate_files, .. } => {
-            restore((0..ctx.job.num_maps).collect(), intermediate_files, 0)
-                .map_or(StartState::Fresh, StartState::MergeReady)
+            if intermediate_files.iter().all(|p| ctx.node.fs.exists(p)) {
+                StartState::MergeReady(ReduceBuffers::restore(
+                    prefix.clone(),
+                    mem_budget,
+                    ctx.config.merge_spill_fraction,
+                    (0..ctx.job.num_maps).collect(),
+                    intermediate_files,
+                    0,
+                ))
+            } else {
+                StartState::Fresh
+            }
         }
         RecoveredState::ReduceStage { records_processed, mpq, .. } => {
             // Try the direct MPQ resume: every logged segment readable here.
-            let readers: Option<Vec<SegmentReader>> = mpq
-                .iter()
-                .map(|e| {
-                    let data = match &e.source {
-                        SegmentSource::LocalFile { path } => ctx.node.fs.read(path).ok(),
-                        SegmentSource::Dfs { path } => ctx.dfs.read(path).ok(),
-                        SegmentSource::Memory { .. } => None,
-                    };
-                    SegmentReader::resume(e.source.clone(), data?, e.offset as usize).ok()
-                })
-                .collect();
-            match readers {
-                Some(readers) if !readers.is_empty() => StartState::MpqResume(readers, records_processed),
-                _ => StartState::SkipReplay(records_processed),
+            let mut readers = Vec::with_capacity(mpq.len());
+            let mut ok = !mpq.is_empty();
+            for e in &mpq {
+                let data = match &e.source {
+                    SegmentSource::LocalFile { path } => ctx.node.fs.read(path).ok(),
+                    SegmentSource::Dfs { path } => ctx.dfs.read(path).ok(),
+                    SegmentSource::Memory { .. } => None,
+                };
+                match data.and_then(|d| SegmentReader::resume(e.source.clone(), d, e.offset as usize).ok()) {
+                    Some(r) => readers.push(r),
+                    None => {
+                        ok = false;
+                        break;
+                    }
+                }
+            }
+            if ok {
+                StartState::MpqResume(readers, records_processed)
+            } else {
+                StartState::SkipReplay(records_processed)
             }
         }
     };
@@ -203,32 +220,61 @@ fn run_regular(
     logger: &mut Option<AnalyticsLogger>,
     output: &mut PartialOutput,
 ) {
-    let fresh = || {
-        ReduceBuffers::new(
-            KeyCmp,
-            format!("reduce/{}/", ctx.attempt),
-            ctx.config.shuffle_buffer_bytes().max(1024),
-            ctx.config.merge_spill_fraction,
-        )
-    };
-    let stages = || {
-        let (readers, skip) = match start {
-            StartState::MpqResume(readers, _) => (readers, 0),
-            StartState::MergeReady(buffers) => (merge_phase(ctx, buffers, logger)?, 0),
-            StartState::Shuffle(buffers) => {
-                (merge_phase(ctx, shuffle_phase(ctx, buffers, logger)?, logger)?, 0)
+    let (readers, skip) = match start {
+        StartState::MpqResume(readers, _) => (readers, 0),
+        StartState::Fresh => {
+            let mut buffers = ReduceBuffers::new(
+                KeyCmp,
+                format!("reduce/{}/", ctx.attempt),
+                ctx.config.shuffle_buffer_bytes().max(1024),
+                ctx.config.merge_spill_fraction,
+            );
+            match shuffle_phase(ctx, &mut buffers, logger) {
+                Ok(()) => {}
+                Err(exit) => return exit.dispatch(ctx),
             }
-            StartState::Fresh => (merge_phase(ctx, shuffle_phase(ctx, fresh(), logger)?, logger)?, 0),
-            StartState::SkipReplay(skip) => {
-                (merge_phase(ctx, shuffle_phase(ctx, fresh(), logger)?, logger)?, skip)
+            match merge_phase(ctx, buffers, logger) {
+                Ok(readers) => (readers, 0),
+                Err(exit) => return exit.dispatch(ctx),
             }
-        };
-        reduce_phase(ctx, MergeQueue::new(KeyCmp, readers), skip, false, logger, output)
+        }
+        StartState::Shuffle(mut buffers) => {
+            match shuffle_phase(ctx, &mut buffers, logger) {
+                Ok(()) => {}
+                Err(exit) => return exit.dispatch(ctx),
+            }
+            match merge_phase(ctx, buffers, logger) {
+                Ok(readers) => (readers, 0),
+                Err(exit) => return exit.dispatch(ctx),
+            }
+        }
+        StartState::MergeReady(buffers) => match merge_phase(ctx, buffers, logger) {
+            Ok(readers) => (readers, 0),
+            Err(exit) => return exit.dispatch(ctx),
+        },
+        StartState::SkipReplay(skip) => {
+            let mut buffers = ReduceBuffers::new(
+                KeyCmp,
+                format!("reduce/{}/", ctx.attempt),
+                ctx.config.shuffle_buffer_bytes().max(1024),
+                ctx.config.merge_spill_fraction,
+            );
+            match shuffle_phase(ctx, &mut buffers, logger) {
+                Ok(()) => {}
+                Err(exit) => return exit.dispatch(ctx),
+            }
+            match merge_phase(ctx, buffers, logger) {
+                Ok(readers) => (readers, skip),
+                Err(exit) => return exit.dispatch(ctx),
+            }
+        }
     };
-    match stages() {
-        Ok(()) => commit(ctx, output),
-        Err(exit) => exit.dispatch(ctx),
+
+    let q = MergeQueue::new(KeyCmp, readers);
+    if let Err(exit) = reduce_phase(ctx, q, skip, false, logger, output) {
+        return exit.dispatch(ctx);
     }
+    commit(ctx, output);
 }
 
 fn run_fcm(
@@ -276,7 +322,7 @@ fn run_fcm(
 /// Gather, per live node, the local segments of this reducer's partition —
 /// FCM's participant set. `None` until every map's MOF is fetchable.
 fn build_participants(ctx: &ReduceCtx) -> Option<Vec<Participant>> {
-    let mut by_node: BTreeMap<NodeId, Vec<SegmentReader>> = BTreeMap::new();
+    let mut by_node: HashMap<u32, Vec<SegmentReader>> = HashMap::new();
     let mut seg_id = 0u64;
     for m in 0..ctx.job.num_maps {
         let RegisteredMof { node: node_id, mof, .. } = ctx.registry.lookup(m)?;
@@ -295,9 +341,19 @@ fn build_participants(ctx: &ReduceCtx) -> Option<Vec<Participant>> {
         }
         let reader = SegmentReader::new(SegmentSource::Memory { id: seg_id }, data).ok()?;
         seg_id += 1;
-        by_node.entry(node_id).or_default().push(reader);
+        by_node.entry(node_id.0).or_default().push(reader);
     }
-    Some(by_node.into_iter().map(|(node, segments)| Participant { node, segments }).collect())
+    let mut nodes: Vec<u32> = by_node.keys().copied().collect();
+    nodes.sort_unstable();
+    Some(
+        nodes
+            .into_iter()
+            .map(|n| Participant {
+                node: alm_types::NodeId(n),
+                segments: by_node.remove(&n).expect("key just listed from this map"),
+            })
+            .collect(),
+    )
 }
 
 /// Why an attempt stopped without committing.
@@ -320,13 +376,13 @@ impl Exit {
 /// earliest back-off ends, or 1 ms while a ready map waits.
 fn shuffle_phase(
     ctx: &ReduceCtx,
-    mut buffers: ReduceBuffers,
+    buffers: &mut ReduceBuffers,
     logger: &mut Option<AnalyticsLogger>,
-) -> Result<ReduceBuffers, Exit> {
+) -> Result<(), Exit> {
     let num_maps = ctx.job.num_maps;
     let mut pending = MapSet::full(num_maps);
     buffers.fetched().iter().for_each(|&m| _ = pending.remove(m));
-    let mut fetch = FetchCore::new(ctx.attempt, ctx.job.seed, &ctx.config, 1, pending);
+    let mut fetch = FetchCore::new(ctx.attempt, ctx.job.seed, alm_des::rng::below, &ctx.config, 1, pending);
     // Each map's latest outcome, which the park timer reads.
     let mut seen = vec![Outcome::NotReady; num_maps as usize];
 
@@ -356,17 +412,17 @@ fn shuffle_phase(
             );
             seen[m as usize] = got.0;
             let step = fetch.observe(now, m, got.0);
-            progressed |= shuffle_step(ctx, &mut buffers, &mut fetch, now, step, Some(got))?;
+            progressed |= shuffle_step(ctx, buffers, &mut fetch, now, step, Some(got))?;
         }
 
         if let Some(lg) = logger.as_mut() {
-            if lg.maybe_log_shuffle(ctx.now_ms(), &ctx.node.fs, &mut buffers).is_err() {
+            if lg.maybe_log_shuffle(ctx.now_ms(), &ctx.node.fs, buffers).is_err() {
                 return Err(Exit::Silent);
             }
         }
         ctx.progress(ReducePhase::Shuffle, frac);
         let step = fetch.tick(now, |m| seen[m as usize]);
-        shuffle_step(ctx, &mut buffers, &mut fetch, now, step, None)?;
+        shuffle_step(ctx, buffers, &mut fetch, now, step, None)?;
 
         if !progressed {
             let poll = if fetch.next(None, None).is_some() { 1 } else { u64::MAX };
@@ -375,7 +431,7 @@ fn shuffle_phase(
         }
     }
     ctx.progress(ReducePhase::Shuffle, 1.0);
-    Ok(buffers)
+    Ok(())
 }
 
 /// Do what the fetch core decided; whether the shuffle moved on (a map
@@ -393,7 +449,11 @@ fn shuffle_step(
         Step::Fetch { map, source } => {
             let (outcome, data) = got.as_ref().expect("a fetch follows a source's answer");
             if let Some((_, true)) = data {
-                ctx.send(TaskEvent::FetchResident { reducer: ctx.attempt, map_index: map, source });
+                let _ = ctx.events.send(TaskEvent::FetchResident {
+                    reducer: ctx.attempt,
+                    map_index: map,
+                    source,
+                });
             }
             // A gray link runs the transfer `factor`× slower.
             if let Some((factor, _)) = ctx.links.degradation(ctx.node.id, source).filter(|&(f, _)| f > 1.0) {
@@ -411,20 +471,26 @@ fn shuffle_step(
             buffers.ingest(&ctx.node.fs, map, data).map(|_| true).map_err(|_| Exit::Silent)
         }
         Step::Dropped { map, source } => {
-            ctx.send(TaskEvent::FetchDegraded { reducer: ctx.attempt, map_index: map, source });
+            let _ =
+                ctx.events.send(TaskEvent::FetchDegraded { reducer: ctx.attempt, map_index: map, source });
             Ok(true)
         }
         Step::Wait => Ok(false),
         Step::BackOff { map, source, .. } => {
-            ctx.send(TaskEvent::FetchFailure { reducer: ctx.attempt, map_index: map, source });
+            let _ = ctx.events.send(TaskEvent::FetchFailure { reducer: ctx.attempt, map_index: map, source });
             Ok(false)
         }
         Step::ReportCorruption { map, source, generation } => {
-            ctx.send(TaskEvent::FetchCorruption { reducer: ctx.attempt, map_index: map, source, generation });
+            let _ = ctx.events.send(TaskEvent::FetchCorruption {
+                reducer: ctx.attempt,
+                map_index: map,
+                source,
+                generation,
+            });
             Ok(false)
         }
         Step::FetchFailureLimit { map, source } => {
-            ctx.send(TaskEvent::FetchFailure { reducer: ctx.attempt, map_index: map, source });
+            let _ = ctx.events.send(TaskEvent::FetchFailure { reducer: ctx.attempt, map_index: map, source });
             // The reducer is preempted as faulty: the amplification
             // trigger (§II-C).
             Err(Exit::Failed(FailureKind::FetchFailureLimit))
@@ -552,7 +618,7 @@ fn commit(ctx: &ReduceCtx, output: &mut PartialOutput) {
     let taken = std::mem::replace(output, PartialOutput::new(&LogPaths::for_task(ctx.attempt.task)));
     match taken.commit(&ctx.dfs, ctx.node.id, ReplicationLevel::Cluster, &final_path) {
         Ok(records) => {
-            ctx.send(TaskEvent::ReduceCompleted {
+            let _ = ctx.events.send(TaskEvent::ReduceCompleted {
                 attempt: ctx.attempt,
                 node: ctx.node.id,
                 output_records: records,

@@ -613,8 +613,8 @@ impl Simulation {
         };
         let mut pending = MapSet::full(n);
         fetched.iter().for_each(|m| _ = pending.remove(m));
-        let fetch =
-            FetchCore::new(attempt, self.seed, &self.env.yarn, SimDuration::from_ms(1).as_nanos(), pending);
+        let per_ms = SimDuration::from_ms(1).as_nanos();
+        let fetch = FetchCore::new(attempt, self.seed, alm_des::rng::below, &self.env.yarn, per_ms, pending);
 
         let reduce_cpu_secs = self.qty.reduce_cpu_secs + self.qty.reduce_deser_secs;
         self.red_atts.insert(
