@@ -399,6 +399,7 @@ mod tests {
         let suite = transient_calibration_suite();
         assert!(suite.iter().any(|s| s.name.contains("partition")));
         assert!(suite.iter().any(|s| s.name.contains("corrupt")));
+        let profile = crate::scenario::LoweringProfile::simulator(&alm_types::ClusterSpec::default());
         for s in suite {
             assert!(!s.faults.is_empty(), "{} is fault-free", s.name);
             for f in &s.faults {
@@ -406,8 +407,13 @@ mod tests {
                     matches!(f, ChaosFault::PartitionLink { .. } | ChaosFault::CorruptData { .. }),
                     "transient suite must hold only absorbed faults: {f:?}"
                 );
-                assert!(!f.produces_failures(), "absorbed fault may not produce failures: {f:?}");
             }
+            assert_eq!(
+                s.injected_failure_faults(&profile),
+                0,
+                "{}: absorbed faults may not produce failures",
+                s.name
+            );
         }
     }
 

@@ -156,6 +156,8 @@ pub fn validate_at(
     scale: &MatchedScale,
 ) -> DifferentialReport {
     let (sim, runtime) = matched_campaigns(modes, scale);
+    // Whether nothing in the scenario, as lowered, can legitimately fail.
+    let nothing_fails = scenario.injected_failure_faults(&sim.profile()) == 0;
 
     let mut outcomes = sim.run(std::slice::from_ref(scenario));
     outcomes.extend(runtime.run(std::slice::from_ref(scenario)));
@@ -342,7 +344,7 @@ pub fn validate_at(
         .faults
         .iter()
         .any(|f| matches!(f, crate::scenario::ChaosFault::PartitionLink { flap: Some(_), .. }));
-    if has_flap && scenario.faults.iter().all(|f| !f.produces_failures()) {
+    if has_flap && nothing_fails {
         let bad: Vec<String> = outcomes
             .iter()
             .filter(|o| !o.succeeded || o.spatial_amplification > 0 || o.total_failures > 0)
@@ -369,7 +371,6 @@ pub fn validate_at(
     let has_corruption =
         scenario.faults.iter().any(|f| matches!(f, crate::scenario::ChaosFault::CorruptData { .. }));
     if has_corruption {
-        let nothing_else_fails = scenario.faults.iter().all(|f| !f.produces_failures());
         let bad: Vec<String> = outcomes
             .iter()
             .filter(|o| {
@@ -379,7 +380,7 @@ pub fn validate_at(
                     }
                     EngineKind::Simulator => o.succeeded,
                 };
-                !engine_ok || (nothing_else_fails && o.spatial_amplification > 0)
+                !engine_ok || (nothing_fails && o.spatial_amplification > 0)
             })
             .map(|o| {
                 format!(

@@ -82,23 +82,6 @@ pub enum ChaosFault {
     CorruptData { node: u32, target: CorruptTarget, at_secs: f64 },
 }
 
-impl ChaosFault {
-    /// Whether this fault is expected to surface as at least one recorded
-    /// task failure. Slow nodes only degrade, and the transient faults
-    /// (healing partitions, checksummed corruption) are precisely the ones
-    /// recovery must absorb *without* a failure record — none of the three
-    /// count toward the amplification denominator.
-    pub fn produces_failures(&self) -> bool {
-        !matches!(
-            self,
-            ChaosFault::SlowNode { .. }
-                | ChaosFault::PartitionLink { .. }
-                | ChaosFault::DegradedLink { .. }
-                | ChaosFault::CorruptData { .. }
-        )
-    }
-}
-
 /// How a scenario maps onto one engine's cluster and clock.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LoweringProfile {
@@ -346,10 +329,10 @@ mod tests {
             .with(ChaosFault::KillMap { index: 1, at_progress: 0.5 })
             .with(ChaosFault::SlowNode { node: 0, at_secs: 0.0, factor: 4.0 });
         assert_eq!(s.injected_failure_faults(&profile()), 2);
-        let armed = s.lower(JobId(9), &profile()).arm();
+        let mut armed = s.lower(JobId(9), &profile()).arm();
         assert_eq!(armed.kills[&TaskId::reduce(JobId(9), 3).attempt(0)], 0.8);
         assert_eq!(armed.kills[&TaskId::map(JobId(9), 1).attempt(0)], 0.5);
-        assert_eq!(armed.slowdowns.len(), 1);
+        assert_eq!(armed.fire(0), vec![alm_types::Trigger::Slow { node: NodeId(0), factor: 4.0 }]);
     }
 
     #[test]
@@ -467,7 +450,6 @@ mod tests {
                 target: CorruptTarget::AlgRecord { reduce_index: 0, seq: 0 },
                 at_secs: 3.0,
             });
-        assert!(s.faults.iter().all(|f| !f.produces_failures()));
         assert_eq!(s.injected_failure_faults(&profile()), 0);
     }
 

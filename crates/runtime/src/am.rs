@@ -27,8 +27,7 @@ use alm_core::{Am, Command, ExecMode, LogPaths, Slots};
 use alm_shuffle::frame::FRAME_HEADER_LEN;
 use alm_shuffle::LocalFs;
 use alm_types::{
-    AttemptId, CorruptTarget, FaultPlan, FaultTimeline, LinkChange, LinkOp, NodeId, ReplicationLevel, TaskId,
-    TaskKind,
+    AttemptId, CorruptTarget, FaultPlan, FaultTimeline, NodeId, ReplicationLevel, TaskId, TaskKind, Trigger,
 };
 use bytes::Bytes;
 
@@ -64,19 +63,10 @@ pub struct JobRunner {
     fetch_reports: HashMap<u32, u32>,
     threads: Vec<std::thread::JoinHandle<()>>,
     report: JobReport,
-    /// The armed plan's pending triggers (see [`FaultTimeline`]). A kill
-    /// is taken when its attempt launches; the rest drain on the AM's
-    /// millisecond clock or on reduce progress events.
-    kills: BTreeMap<AttemptId, f64>,
-    crashes: Vec<(u64, NodeId)>,
-    crashes_at_progress: Vec<(NodeId, u32, f64)>,
-    slowdowns: Vec<(u64, NodeId, f64)>,
-    /// In time order; the changes due in one tick apply in list order.
-    links: Vec<(u64, LinkChange)>,
-    /// A corruption whose target has not materialised yet (MOF not
-    /// committed, log record not written) stays pending and is retried
-    /// each scheduling tick.
-    corruptions: Vec<(u64, NodeId, CorruptTarget)>,
+    /// The armed plan. A kill is taken when its attempt launches; the rest
+    /// fire on the AM's millisecond clock, on reduce progress reports and
+    /// on reduce completions.
+    faults: FaultTimeline,
 }
 
 impl JobRunner {
@@ -85,8 +75,6 @@ impl JobRunner {
         // Every attempt is a thread of its own: no slot limits placement.
         let nodes = cluster.nodes.len() as u32;
         let am = Am::new(&job.alm, &cluster.config, job.num_maps, job.num_reduces, nodes, Slots::UNBOUNDED);
-        let FaultTimeline { kills, crashes, crashes_at_progress, slowdowns, links, corruptions } =
-            faults.arm();
         JobRunner {
             cluster,
             job: Arc::new(job),
@@ -99,12 +87,7 @@ impl JobRunner {
             fetch_reports: HashMap::new(),
             threads: Vec::new(),
             report: JobReport::default(),
-            kills,
-            crashes,
-            crashes_at_progress,
-            slowdowns,
-            links,
-            corruptions,
+            faults: faults.arm(),
         }
     }
 
@@ -136,7 +119,7 @@ impl JobRunner {
         let node = self.cluster.node(node).clone();
         let (events, config) = (self.events_tx.clone(), self.cluster.config.clone());
         let (kill_at, cancelled) =
-            (self.kills.remove(&attempt), self.cancels.entry(attempt).or_default().clone());
+            (self.faults.kills.remove(&attempt), self.cancels.entry(attempt).or_default().clone());
         let thread = if attempt.task.is_map() {
             // This runtime regenerates only at high priority, and marks the
             // MOF so that reducers wait for it instead of failing.
@@ -204,42 +187,37 @@ impl JobRunner {
         !lost.is_empty()
     }
 
-    fn check_time_faults(&mut self) {
-        let now = self.now_ms();
-        for (_, n) in self.crashes.extract_if(.., |(at, _)| *at <= now) {
-            self.cluster.crash_node(n);
-            self.am.node_down(n);
+    /// Fire the progress crashes due now that reduce `reduce_index` reports
+    /// `progress`, or any reduce has completed. A reduce out of range
+    /// never completes.
+    fn fire_progress_faults(&mut self, reduce_index: u32, progress: Option<f64>) {
+        let (am, job) = (&self.am, &self.job);
+        let progress_of = |r| if r == reduce_index { progress } else { None };
+        let complete = |r| r < job.num_reduces && am.is_complete(job.reduce_task(r));
+        for trigger in self.faults.progress(progress_of, complete) {
+            self.carry_out(trigger);
         }
-        // Activate due slow-node degradations (the node stays alive). A
-        // node slowed twice keeps the larger factor, as in the simulator.
-        for (_, n, factor) in self.slowdowns.extract_if(.., |(at, ..)| *at <= now) {
-            let node = self.cluster.node(n);
-            node.set_slow(node.slow_factor().max(factor));
-        }
-        // Apply the due link changes in time order. A flap's up-span can be
-        // shorter than one AM poll, so a window's heal and the next window's
-        // sever of the same link may both be due here: replayed in order the
-        // link ends severed, where sever-all-then-heal-all would erase the
-        // later window. A heal of an already-healed link is LinkTable's
-        // explicit no-op.
-        let links = &self.cluster.links;
-        for (_, LinkChange { a, b, direction, op }) in self.links.extract_if(.., |(at, _)| *at <= now) {
-            match op {
-                LinkOp::Sever => links.sever(a, b, direction),
-                LinkOp::Heal => {
-                    links.heal(a, b, direction);
+    }
+
+    /// Carry out a fault trigger the timeline fired.
+    fn carry_out(&mut self, trigger: Trigger) {
+        match trigger {
+            Trigger::Crash(node) => {
+                self.cluster.crash_node(node);
+                self.am.node_down(node);
+            }
+            // The node stays alive.
+            Trigger::Slow { node, factor } => {
+                let node = self.cluster.node(node);
+                node.set_slow(node.slow_factor().max(factor));
+            }
+            Trigger::Link(change) => self.cluster.links.lock().apply(&change),
+            Trigger::Corrupt { node, target } => {
+                if !self.apply_corruption(node, target) {
+                    self.faults.pend(node, target);
                 }
-                LinkOp::Degrade { factor, loss } => links.degrade(a, b, direction, factor, loss),
-                LinkOp::ClearDegrade => links.clear_degrade(a, b, direction),
             }
         }
-        // Flip bytes for due corruptions; targets that have not
-        // materialised yet stay pending for the next tick.
-        let mut pending = std::mem::take(&mut self.corruptions);
-        pending
-            .extract_if(.., |&mut (at, node, target)| at <= now && self.apply_corruption(node, target))
-            .for_each(drop);
-        self.corruptions = pending;
     }
 
     /// Flip a byte of `partition` inside `mof`'s stored CRC32 frame on
@@ -314,15 +292,6 @@ impl JobRunner {
         }
     }
 
-    fn check_progress_faults(&mut self, reduce_index: u32, progress: f64) {
-        for (n, _, _) in
-            self.crashes_at_progress.extract_if(.., |&mut (_, r, p)| r == reduce_index && progress >= p)
-        {
-            self.cluster.crash_node(n);
-            self.am.node_down(n);
-        }
-    }
-
     /// Tell the AM about nodes crashed from outside this runner; it learns
     /// of its own crashes as it makes them.
     fn poll_liveness(&mut self) {
@@ -366,7 +335,9 @@ impl JobRunner {
         let started = Instant::now();
         let mut succeeded = false;
         while started.elapsed() <= JOB_WALL_CAP {
-            self.check_time_faults();
+            for trigger in self.faults.fire(self.now_ms()) {
+                self.carry_out(trigger);
+            }
             self.poll_liveness();
             self.check_node_detection();
             if self.dispatch() {
@@ -382,20 +353,9 @@ impl JobRunner {
                     // Apply any due corruption of this MOF *before* it
                     // becomes fetchable, so reducers can never race the
                     // injection to a clean read.
-                    let now = self.now_ms();
-                    let mut pending = std::mem::take(&mut self.corruptions);
-                    pending
-                        .extract_if(.., |&mut (at, _, target)| match target {
-                            CorruptTarget::MofPartition { map_index: mi, partition }
-                                if mi == map_index && at <= now =>
-                            {
-                                self.corrupt_mof_blob(node, &mof, partition);
-                                true
-                            }
-                            _ => false,
-                        })
-                        .for_each(drop);
-                    self.corruptions = pending;
+                    for partition in self.faults.fire_mof_rot(self.now_ms(), map_index) {
+                        self.corrupt_mof_blob(node, &mof, partition);
+                    }
                     self.registry.register(map_index, node, mof);
                 }
                 TaskEvent::ReduceCompleted { attempt, node: _, output_records } => {
@@ -409,6 +369,7 @@ impl JobRunner {
                         succeeded = true;
                         break;
                     }
+                    self.fire_progress_faults(attempt.task.index, None);
                 }
                 // The failed node, while the AM believes it live, holds the
                 // attempt's local logs.
@@ -450,23 +411,18 @@ impl JobRunner {
                     });
                 }
                 TaskEvent::ReduceProgress { attempt, phase, progress } => {
-                    let overall = crate::reducetask::overall_progress(phase, progress);
+                    let overall = phase.overall(progress);
                     let now = self.now_ns();
                     self.report.run.progress.entry(attempt.task.index).or_default().push((now, overall));
-                    self.check_progress_faults(attempt.task.index, overall);
+                    self.fire_progress_faults(attempt.task.index, Some(overall));
                 }
             }
         }
 
-        // The loop breaks the instant the last reduce commits, so a
-        // DfsBlock corruption aimed at committed output may still be
-        // pending — flush those now (and only those: firing leftover
-        // crash/partition faults after the job ended would change
-        // outcomes the job itself already decided).
-        for (_, node, target) in std::mem::take(&mut self.corruptions) {
-            if matches!(target, CorruptTarget::DfsBlock { .. }) {
-                let _ = self.apply_corruption(node, target);
-            }
+        // The loop breaks the instant the last reduce commits, so rot
+        // aimed at committed output may still be pending.
+        for trigger in self.faults.fire_output_rot() {
+            self.carry_out(trigger);
         }
 
         // Tear down: cancel all still-running attempts and reap threads.

@@ -2,96 +2,13 @@
 
 use alm_dfs::{DfsCluster, Topology};
 use alm_shuffle::MemFs;
-use alm_types::{LinkDirection, NodeId, YarnConfig};
+use alm_types::{LinkState, NodeId, YarnConfig};
 
 use crate::resident::ResidentCache;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The cluster's data-plane reachability table: which *directed* node
-/// pairs currently cannot exchange shuffle traffic (injected
-/// `Fault::PartitionLink`) and which run degraded (`Fault::DegradedLink`).
-///
-/// A severed link models a transient network partition — both endpoints
-/// stay alive and keep heartbeating to the AM (the control plane is
-/// unaffected), but fetches and FCM participant reads across the cut
-/// direction must *park* until the link heals instead of being treated as
-/// a dead source. Entries are directed `(from, to)` pairs derived by the
-/// shared [`LinkDirection::directed_keys`] helper (the simulator's severed
-/// set stores the identical pairs): an asymmetric partition blocks
-/// `is_severed(a, b)` while `is_severed(b, a)` stays reachable.
-#[derive(Default)]
-pub struct LinkTable {
-    severed: Mutex<BTreeSet<(NodeId, NodeId)>>,
-    /// Directed `(from, to)` → `(slowdown factor, loss probability)` for
-    /// degraded-but-alive links.
-    degraded: Mutex<BTreeMap<(NodeId, NodeId), (f64, f64)>>,
-}
-
-impl LinkTable {
-    /// Sever the link between `a` and `b` across `direction` (idempotent).
-    pub fn sever(&self, a: NodeId, b: NodeId, direction: LinkDirection) {
-        let mut severed = self.severed.lock();
-        for key in direction.directed_keys(a, b) {
-            severed.insert(key);
-        }
-    }
-
-    /// Heal the link between `a` and `b` across `direction`. Healing an
-    /// already-healed (or never-severed) link is an explicit no-op — heal
-    /// events from overlapping or repeated windows must not be able to
-    /// corrupt state. Returns whether any directed entry was actually
-    /// removed, so callers can tell a real heal from the no-op.
-    pub fn heal(&self, a: NodeId, b: NodeId, direction: LinkDirection) -> bool {
-        let mut severed = self.severed.lock();
-        let mut removed = false;
-        for key in direction.directed_keys(a, b) {
-            removed |= severed.remove(&key);
-        }
-        removed
-    }
-
-    /// Is data-plane traffic from `from` to `to` blocked right now?
-    pub fn is_severed(&self, from: NodeId, to: NodeId) -> bool {
-        from != to && self.severed.lock().contains(&(from, to))
-    }
-
-    /// Number of currently-severed directed entries (a symmetric partition
-    /// counts two).
-    #[cfg(test)]
-    fn severed_count(&self) -> usize {
-        self.severed.lock().len()
-    }
-
-    /// Degrade the link between `a` and `b` across `direction`: transfers
-    /// run `factor`× slower and each is dropped with probability `loss`
-    /// (`FaultPlan::arm` has clamped both).
-    pub fn degrade(&self, a: NodeId, b: NodeId, direction: LinkDirection, factor: f64, loss: f64) {
-        let mut degraded = self.degraded.lock();
-        for key in direction.directed_keys(a, b) {
-            degraded.insert(key, (factor, loss));
-        }
-    }
-
-    /// Restore the link to healthy. No-op if it was never degraded.
-    pub fn clear_degrade(&self, a: NodeId, b: NodeId, direction: LinkDirection) {
-        let mut degraded = self.degraded.lock();
-        for key in direction.directed_keys(a, b) {
-            degraded.remove(&key);
-        }
-    }
-
-    /// The `(factor, loss)` degradation on `from → to` traffic, if any.
-    pub fn degradation(&self, from: NodeId, to: NodeId) -> Option<(f64, f64)> {
-        if from == to {
-            return None;
-        }
-        self.degraded.lock().get(&(from, to)).copied()
-    }
-}
 
 /// One compute node: a local store, a liveness flag, and crash bookkeeping.
 pub struct NodeHandle {
@@ -163,8 +80,9 @@ impl NodeHandle {
 pub struct MiniCluster {
     pub nodes: Vec<Arc<NodeHandle>>,
     pub dfs: Arc<DfsCluster>,
-    /// Data-plane link state consulted by the shuffle fetch path.
-    pub links: Arc<LinkTable>,
+    /// Which links are cut or degraded, as the AM's injected faults left
+    /// them; the shuffle fetch path and FCM's participant reads consult it.
+    pub links: Arc<Mutex<LinkState>>,
     pub config: YarnConfig,
     /// Chain-layer resident MOF cache, installed by `alm-mem` when a job
     /// chain drives this cluster; [`MiniCluster::crash_node`] wipes a dead
@@ -184,7 +102,7 @@ impl MiniCluster {
             config.dfs_repair_concurrency,
         ));
         let nodes = (0..n).map(|i| Arc::new(NodeHandle::new(NodeId(i)))).collect();
-        MiniCluster { nodes, dfs, links: Arc::new(LinkTable::default()), config, resident: Mutex::new(None) }
+        MiniCluster { nodes, dfs, links: Arc::default(), config, resident: Mutex::new(None) }
     }
 
     /// Test-scaled cluster (fast timeouts, small buffers).
@@ -273,74 +191,6 @@ mod tests {
             let c = MiniCluster::for_tests(n);
             assert_eq!(c.racks(), MiniCluster::test_racks(n), "n = {n}");
         }
-    }
-
-    #[test]
-    fn symmetric_sever_blocks_both_directions_and_is_idempotent() {
-        let c = MiniCluster::for_tests(3);
-        assert!(!c.links.is_severed(NodeId(0), NodeId(1)));
-        c.links.sever(NodeId(1), NodeId(0), LinkDirection::Both);
-        c.links.sever(NodeId(0), NodeId(1), LinkDirection::Both); // same link, either order
-        assert_eq!(c.links.severed_count(), 2, "one directed entry per direction");
-        assert!(c.links.is_severed(NodeId(0), NodeId(1)));
-        assert!(c.links.is_severed(NodeId(1), NodeId(0)));
-        assert!(!c.links.is_severed(NodeId(0), NodeId(2)));
-        // A node always reaches itself.
-        assert!(!c.links.is_severed(NodeId(0), NodeId(0)));
-        assert!(c.links.heal(NodeId(0), NodeId(1), LinkDirection::Both));
-        assert!(!c.links.is_severed(NodeId(0), NodeId(1)));
-        assert_eq!(c.links.severed_count(), 0);
-    }
-
-    #[test]
-    fn asymmetric_sever_leaves_the_reverse_direction_healthy() {
-        let c = MiniCluster::for_tests(3);
-        c.links.sever(NodeId(0), NodeId(2), LinkDirection::AToB);
-        assert!(c.links.is_severed(NodeId(0), NodeId(2)), "cut direction blocked");
-        assert!(!c.links.is_severed(NodeId(2), NodeId(0)), "reverse path must stay healthy");
-        assert_eq!(c.links.severed_count(), 1);
-        // Healing only the reverse direction is a no-op on the cut one.
-        assert!(!c.links.heal(NodeId(0), NodeId(2), LinkDirection::BToA));
-        assert!(c.links.is_severed(NodeId(0), NodeId(2)));
-        assert!(c.links.heal(NodeId(0), NodeId(2), LinkDirection::AToB));
-        assert_eq!(c.links.severed_count(), 0);
-        // BToA on (a, b) is the same directed entry as AToB on (b, a).
-        c.links.sever(NodeId(2), NodeId(0), LinkDirection::BToA);
-        assert!(c.links.is_severed(NodeId(0), NodeId(2)));
-        assert!(!c.links.is_severed(NodeId(2), NodeId(0)));
-    }
-
-    #[test]
-    fn healing_a_healed_link_is_an_explicit_no_op() {
-        let c = MiniCluster::for_tests(2);
-        // Never severed: heal reports the no-op and changes nothing.
-        assert!(!c.links.heal(NodeId(0), NodeId(1), LinkDirection::Both));
-        assert_eq!(c.links.severed_count(), 0);
-        c.links.sever(NodeId(0), NodeId(1), LinkDirection::Both);
-        assert!(c.links.heal(NodeId(0), NodeId(1), LinkDirection::Both));
-        // Already healed: the second heal is a no-op, not an error or a
-        // re-sever — repeated heal events from flap windows are harmless.
-        assert!(!c.links.heal(NodeId(0), NodeId(1), LinkDirection::Both));
-        assert!(!c.links.is_severed(NodeId(0), NodeId(1)));
-    }
-
-    #[test]
-    fn degraded_links_are_directed_and_clear_cleanly() {
-        let c = MiniCluster::for_tests(3);
-        assert_eq!(c.links.degradation(NodeId(0), NodeId(1)), None);
-        c.links.degrade(NodeId(0), NodeId(1), LinkDirection::AToB, 3.0, 0.25);
-        assert_eq!(c.links.degradation(NodeId(0), NodeId(1)), Some((3.0, 0.25)));
-        assert_eq!(c.links.degradation(NodeId(1), NodeId(0)), None, "reverse direction healthy");
-        assert_eq!(c.links.degradation(NodeId(0), NodeId(0)), None, "self-fetch never degraded");
-        c.links.degrade(NodeId(1), NodeId(2), LinkDirection::Both, 2.0, 1.0);
-        assert_eq!(c.links.degradation(NodeId(1), NodeId(2)), Some((2.0, 1.0)));
-        assert_eq!(c.links.degradation(NodeId(2), NodeId(1)), Some((2.0, 1.0)));
-        c.links.clear_degrade(NodeId(0), NodeId(1), LinkDirection::AToB);
-        c.links.clear_degrade(NodeId(1), NodeId(2), LinkDirection::Both);
-        assert_eq!(c.links.degradation(NodeId(0), NodeId(1)), None);
-        assert_eq!(c.links.degradation(NodeId(1), NodeId(2)), None);
-        // Clearing a healthy link is a no-op.
-        c.links.clear_degrade(NodeId(0), NodeId(2), LinkDirection::Both);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod resident;
 
 pub use alm_types::failure::{Fault, FaultPlan};
 pub use am::JobRunner;
-pub use cluster::{LinkTable, MiniCluster, NodeHandle};
+pub use cluster::{MiniCluster, NodeHandle};
 pub use events::TaskEvent;
 pub use job::JobDef;
 pub use report::{FailureEvent, JobReport, LogRecoveryEvent};

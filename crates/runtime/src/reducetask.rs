@@ -9,6 +9,7 @@
 //! behaviour whose consequences the paper analyses.
 
 use crossbeam::channel::Sender;
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -23,9 +24,9 @@ use alm_dfs::DfsCluster;
 use alm_shuffle::mpq::SortedRun;
 use alm_shuffle::LocalFs;
 use alm_shuffle::{KeyCmp, MergeQueue, ReduceBuffers, SegmentReader, SegmentSource};
-use alm_types::{AttemptId, FailureKind, ReducePhase, ReplicationLevel, YarnConfig};
+use alm_types::{AttemptId, FailureKind, LinkState, ReducePhase, ReplicationLevel, YarnConfig};
 
-use crate::cluster::{LinkTable, NodeHandle};
+use crate::cluster::NodeHandle;
 use crate::events::TaskEvent;
 use crate::job::JobDef;
 use crate::registry::{try_fetch, Fetched, MofRegistry, RegisteredMof};
@@ -36,7 +37,7 @@ pub struct ReduceCtx {
     pub attempt: AttemptId,
     pub node: Arc<NodeHandle>,
     pub nodes: Arc<Vec<Arc<NodeHandle>>>,
-    pub links: Arc<LinkTable>,
+    pub links: Arc<Mutex<LinkState>>,
     pub dfs: Arc<DfsCluster>,
     pub registry: Arc<MofRegistry>,
     /// Chain-layer resident MOF cache, when a job chain drives the cluster.
@@ -85,7 +86,7 @@ impl ReduceCtx {
     /// attempt wakes the AM at most 35 times here (66 % to 100 %).
     /// `reported` holds the last percent sent.
     fn reduce_progress(&self, frac: f64, reported: &mut Option<u32>) {
-        let percent = (overall_progress(ReducePhase::Reduce, frac) * 100.0) as u32;
+        let percent = (ReducePhase::Reduce.overall(frac) * 100.0) as u32;
         if reported.is_none_or(|last| percent > last) {
             *reported = Some(percent);
             self.progress(ReducePhase::Reduce, frac);
@@ -93,17 +94,7 @@ impl ReduceCtx {
     }
 
     fn should_self_kill(&self, phase: ReducePhase, frac: f64) -> bool {
-        self.kill_at.is_some_and(|k| overall_progress(phase, frac) >= k)
-    }
-}
-
-/// Overall task progress from a phase-local fraction (Hadoop's thirds:
-/// shuffle, merge and reduce each contribute a third).
-pub fn overall_progress(phase: ReducePhase, frac: f64) -> f64 {
-    match phase {
-        ReducePhase::Shuffle => frac / 3.0,
-        ReducePhase::Merge => 1.0 / 3.0 + frac / 3.0,
-        ReducePhase::Reduce => 2.0 / 3.0 + frac / 3.0,
+        self.kill_at.is_some_and(|k| phase.overall(frac) >= k)
     }
 }
 
@@ -330,7 +321,7 @@ fn build_participants(ctx: &ReduceCtx) -> Option<Vec<Participant>> {
         if !node.is_alive() {
             return None;
         }
-        if ctx.links.is_severed(ctx.node.id, node_id) {
+        if ctx.links.lock().is_severed(ctx.node.id, node_id) {
             // A partitioned participant is alive — wait for the heal
             // rather than treating its segments as lost.
             return None;
@@ -456,7 +447,8 @@ fn shuffle_step(
                 });
             }
             // A gray link runs the transfer `factor`× slower.
-            if let Some((factor, _)) = ctx.links.degradation(ctx.node.id, source).filter(|&(f, _)| f > 1.0) {
+            let degradation = ctx.links.lock().degradation(ctx.node.id, source);
+            if let Some((factor, _)) = degradation.filter(|&(f, _)| f > 1.0) {
                 let us = ((factor - 1.0) * 500.0).min(5_000.0) as u64;
                 std::thread::sleep(Duration::from_micros(us));
             }

@@ -10,13 +10,13 @@
 
 use alm_core::fetch::Outcome;
 use alm_shuffle::{MofData, ShuffleError};
-use alm_types::{JobId, NodeId};
+use alm_types::{JobId, LinkState, NodeId};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use crate::cluster::{LinkTable, NodeHandle};
+use crate::cluster::NodeHandle;
 use crate::resident::ResidentCache;
 
 /// One map's registered MOF: where it lives, and which registration of
@@ -105,7 +105,7 @@ pub type Fetched = (Outcome, Option<(Bytes, bool)>);
 #[allow(clippy::too_many_arguments)]
 pub fn try_fetch(
     nodes: &[Arc<NodeHandle>],
-    links: &LinkTable,
+    links: &Mutex<LinkState>,
     registry: &MofRegistry,
     resident: Option<&dyn ResidentCache>,
     fetcher: NodeId,
@@ -113,10 +113,10 @@ pub fn try_fetch(
     map_index: u32,
     partition: u32,
 ) -> Fetched {
-    let loss = |source| links.degradation(fetcher, source).map_or(0.0, |(_, loss)| loss);
+    let loss = |source| links.lock().degradation(fetcher, source).map_or(0.0, |(_, loss)| loss);
     if let Some(cache) = resident {
         if let Some((holder, data)) = cache.lookup(job, map_index, partition) {
-            if nodes[holder.0 as usize].is_alive() && !links.is_severed(fetcher, holder) {
+            if nodes[holder.0 as usize].is_alive() && !links.lock().is_severed(fetcher, holder) {
                 return (Outcome::Data { source: holder, loss: loss(holder) }, Some((data, true)));
             }
         }
@@ -131,7 +131,7 @@ pub fn try_fetch(
     if !node.is_alive() {
         return (unless_regenerating(Outcome::Refused { source, source_dead: true }), None);
     }
-    if links.is_severed(fetcher, source) {
+    if links.lock().is_severed(fetcher, source) {
         // Alive and heartbeating, just cut off in the fetcher → source
         // direction (an asymmetric partition leaves the reverse path — and
         // with it heartbeats — healthy): this must never look like a dead
@@ -159,7 +159,7 @@ mod tests {
     use crate::cluster::MiniCluster;
     use alm_shuffle::mof::write_mof;
     use alm_shuffle::LocalFs;
-    use alm_types::LinkDirection;
+    use alm_types::{LinkChange, LinkDirection, LinkOp};
 
     /// Flip one payload byte inside partition 0's stored frame.
     fn rot(c: &MiniCluster, host: NodeId, mof: &MofData) {
@@ -168,6 +168,10 @@ mod tests {
         let mut blob = fs.read(&mof.path).unwrap().to_vec();
         blob[off as usize + alm_shuffle::frame::FRAME_HEADER_LEN] ^= 0x55;
         fs.write(&mof.path, Bytes::from(blob)).unwrap();
+    }
+
+    fn link(c: &MiniCluster, a: NodeId, b: NodeId, direction: LinkDirection, op: LinkOp) {
+        c.links.lock().apply(&LinkChange { a, b, direction, op });
     }
 
     fn mini() -> (MiniCluster, MofData) {
@@ -213,7 +217,7 @@ mod tests {
         let (c, mof) = mini();
         let reg = MofRegistry::new();
         reg.register(0, NodeId(1), mof);
-        c.links.sever(NodeId(0), NodeId(1), LinkDirection::Both);
+        link(&c, NodeId(0), NodeId(1), LinkDirection::Both, LinkOp::Sever);
         // Fetcher behind the partition parks; the source is NOT dead.
         assert!(matches!(
             try_fetch(&c.nodes, &c.links, &reg, None, NodeId(0), JobId(0),0, 0),
@@ -230,7 +234,7 @@ mod tests {
             (Outcome::Data { .. }, Some(_))
         ));
         // Healing restores the flow.
-        assert!(c.links.heal(NodeId(0), NodeId(1), LinkDirection::Both));
+        link(&c, NodeId(0), NodeId(1), LinkDirection::Both, LinkOp::Heal);
         assert!(matches!(
             try_fetch(&c.nodes, &c.links, &reg, None, NodeId(0), JobId(0), 0, 0),
             (Outcome::Data { .. }, Some(_))
@@ -249,7 +253,7 @@ mod tests {
         alm_shuffle::codec::encode_into(&mut p0, b"k2", b"v2");
         let mof0 = write_mof(&c.node(NodeId(0)).fs, "mof/m1", &[p0]).unwrap();
         reg.register(1, NodeId(0), mof0);
-        c.links.sever(NodeId(0), NodeId(1), LinkDirection::AToB);
+        link(&c, NodeId(0), NodeId(1), LinkDirection::AToB, LinkOp::Sever);
         assert!(matches!(
             try_fetch(&c.nodes, &c.links, &reg, None, NodeId(0), JobId(0),0, 0),
             (Outcome::Refused { source, source_dead: false }, None) if source == NodeId(1)
@@ -376,12 +380,12 @@ mod tests {
 
         // A severed fetcher → holder link skips the resident copy (and the
         // disk path behind it): parked, never declared dead.
-        c.links.sever(NodeId(0), NodeId(1), LinkDirection::AToB);
+        link(&c, NodeId(0), NodeId(1), LinkDirection::AToB, LinkOp::Sever);
         assert!(matches!(
             try_fetch(&c.nodes, &c.links, &reg, Some(&cache), NodeId(0), job, 0, 0),
             (Outcome::Refused { source_dead: false, .. }, None)
         ));
-        assert!(c.links.heal(NodeId(0), NodeId(1), LinkDirection::AToB));
+        link(&c, NodeId(0), NodeId(1), LinkDirection::AToB, LinkOp::Heal);
 
         // Invalidation exposes the rotten disk bytes again.
         cache.invalidate_node(NodeId(1));

@@ -549,6 +549,25 @@ fn repeated_slow_faults_keep_the_largest_factor() {
 }
 
 #[test]
+fn a_progress_crash_fires_when_its_reduce_completes() {
+    let cluster = Arc::new(MiniCluster::for_tests(4));
+    let jd = job(47, Arc::new(Terasort::new(300)), 4, 2, RecoveryMode::Baseline);
+    // No progress report reaches 2.0, so only a completion can fire these.
+    // The first reduce to complete fires its crash; the second ends the
+    // job. The simulator fires a progress crash on completion too.
+    let at_completion = |r| FaultPlan::crash_node_at_reduce_progress(NodeId(3), r, 2.0);
+    // A reduce out of range never completes, so its crash never fires.
+    let out_of_range = FaultPlan::crash_node_at_reduce_progress(NodeId(2), 9, 0.5);
+    let report =
+        run_job(cluster.clone(), jd.clone(), at_completion(0).and(at_completion(1)).and(out_of_range));
+    assert!(report.run.succeeded, "{report:?}");
+    assert!(!cluster.node(NodeId(3)).is_alive(), "{report:?}");
+    assert!(cluster.node(NodeId(2)).is_alive(), "{report:?}");
+    assert_trace_invariants(&report);
+    assert_output_matches(&cluster, &jd);
+}
+
+#[test]
 fn corrupted_mof_partition_is_refetched_without_preemption() {
     for (id, mode) in [(42, RecoveryMode::Baseline), (43, RecoveryMode::SfmAlg)] {
         let cluster = Arc::new(MiniCluster::for_tests(4));

@@ -22,7 +22,7 @@ use alm_core::{Am, Command, ExecMode, FetchCore, MapSet, Slots};
 use alm_des::{EventQueue, EventToken, FlowId, FlowPool, SimDuration, SimTime};
 use alm_types::{
     rack_of, AttemptId, CorruptTarget, FailureKind, FaultPlan, FaultTimeline, JobId, LinkChange, LinkOp,
-    NodeId, ReplicationLevel, TaskId, TaskKind,
+    LinkState, NodeId, ReducePhase, ReplicationLevel, TaskId, TaskKind, Trigger,
 };
 
 use crate::quantities::Quantities;
@@ -88,12 +88,6 @@ enum Purpose {
     FcmNet {
         source: u32,
     },
-}
-
-/// Whether a timeline trigger at `at_ms` is due at virtual time `now`
-/// (seconds).
-fn is_due(at_ms: u64, now: f64) -> bool {
-    at_ms as f64 / 1000.0 <= now
 }
 
 struct FlowInfo {
@@ -313,28 +307,12 @@ pub struct Simulation {
     mof_loc: Vec<Option<u32>>,
     reduces_dispatched: bool,
     maps_done_once: u32,
-    /// The armed plan's pending triggers (see [`FaultTimeline`]), drained
-    /// by `sample`.
-    crashes: Vec<(u64, NodeId)>,
-    /// Kill triggers on attempt 0 of in-range tasks, in `AttemptId` order:
-    /// `(attempt, progress at which it fails)`. An entry stays after it
-    /// fires; its attempt has left the tables by then, so it fires once.
-    kills: Vec<(AttemptId, f64)>,
-    crashes_at_progress: Vec<(NodeId, u32, f64)>,
-    slowdowns: Vec<(u64, NodeId, f64)>,
-    /// In time order. Each change applies its `direction.directed_keys` —
-    /// the runtime's `LinkTable` stores the same directed pairs — and the
-    /// changes due in one sample tick apply in list order, so a heal never
-    /// erases a later window's sever.
-    links: Vec<(u64, LinkChange)>,
-    /// A corruption whose target does not exist yet stays pending.
-    corruptions: Vec<(u64, NodeId, CorruptTarget)>,
-    /// Currently severed directed links: `(from, to)` means `from` cannot
-    /// open a fetch to `to`; an asymmetric partition leaves the reverse
-    /// entry absent so heartbeats and reverse fetches stay healthy.
-    severed: BTreeSet<(u32, u32)>,
-    /// Currently degraded directed links: `(from, to)` → `(factor, loss)`.
-    degraded: BTreeMap<(u32, u32), (f64, f64)>,
+    /// The armed plan, fired by `sample`. Its kills are those of attempt
+    /// 0 of in-range tasks; an entry stays after it fires, but its attempt
+    /// has left the tables by then, so it fires once.
+    faults: FaultTimeline,
+    /// Which links are cut or degraded.
+    links: LinkState,
     /// Armed MOF rot: `(map_index, reduce partition)` whose next arriving
     /// chunk fails checksum validation. Consumed on observation (the
     /// high-priority regeneration rewrites clean bytes).
@@ -357,10 +335,9 @@ pub struct Simulation {
 
 impl Simulation {
     /// Arm `faults` through [`FaultPlan::arm`] on a fresh run of `spec`.
-    /// The timeline's millisecond triggers are read as virtual seconds
-    /// (`at_ms / 1000`) where `sample` drains them. A kill of an attempt
-    /// other than 0 has no simulator equivalent (the kill triggers fire
-    /// once, on the first attempt) and arms nothing.
+    /// The timeline's milliseconds are virtual milliseconds. A kill of an
+    /// attempt other than 0 has no simulator equivalent (the kill triggers
+    /// fire once, on the first attempt) and arms nothing.
     pub fn new(spec: SimJobSpec, env: ExperimentEnv, faults: FaultPlan) -> Simulation {
         let model = spec.workload.model();
         let seed = spec.seed;
@@ -386,15 +363,11 @@ impl Simulation {
         let slots = Slots { map: env.cluster.map_slots_per_node, reduce: env.cluster.reduce_slots_per_node };
         let am = Am::new(&env.alm, &env.yarn, qty.num_maps, qty.num_reduces, workers, slots);
 
-        let FaultTimeline { kills, crashes, crashes_at_progress, slowdowns, links, corruptions } =
-            faults.arm();
-        let kills = kills
-            .into_iter()
-            .filter(|(attempt, _)| {
-                let tasks = if attempt.task.is_reduce() { qty.num_reduces } else { qty.num_maps };
-                attempt.number == 0 && attempt.task.index < tasks
-            })
-            .collect();
+        let mut faults = faults.arm();
+        faults.kills.retain(|attempt, _| {
+            let tasks = if attempt.task.is_reduce() { qty.num_reduces } else { qty.num_maps };
+            attempt.number == 0 && attempt.task.index < tasks
+        });
 
         let num_maps = qty.num_maps as usize;
         let resident_mofs = MapSet::empty(qty.num_maps);
@@ -415,14 +388,8 @@ impl Simulation {
             mof_loc: vec![None; num_maps],
             reduces_dispatched: false,
             maps_done_once: 0,
-            crashes,
-            kills,
-            crashes_at_progress,
-            slowdowns,
-            links,
-            corruptions,
-            severed: BTreeSet::new(),
-            degraded: BTreeMap::new(),
+            faults,
+            links: LinkState::default(),
             corrupt_mofs: BTreeSet::new(),
             corrupt_dfs_blocks: BTreeSet::new(),
             mem_resident: false,
@@ -463,8 +430,7 @@ impl Simulation {
     /// ends, in `fetch_flow_done`). A link is cut in one direction, and a
     /// node always reaches itself.
     fn fetch_view(&mut self) -> (&mut AttemptTable<RedAtt>, impl Fn(u32, u32) -> Outcome + Copy + '_) {
-        let (mof_loc, nodes, severed, am, job) =
-            (&self.mof_loc, &self.nodes, &self.severed, &self.am, self.job);
+        let (mof_loc, nodes, links, am, job) = (&self.mof_loc, &self.nodes, &self.links, &self.am, self.job);
         let outcome = move |node: u32, m: u32| {
             let Some(src) = mof_loc[m as usize] else { return Outcome::NotReady };
             let source = NodeId(src);
@@ -478,23 +444,13 @@ impl Simulation {
             }
             // A source behind a cut link still heartbeats: the fetch parks
             // at no charge, and the heal event re-pumps us.
-            let cut = node != src && severed.contains(&(node, src));
-            if cut {
+            if links.is_severed(NodeId(node), source) {
                 Outcome::Refused { source, source_dead: false }
             } else {
                 Outcome::Data { source, loss: 0.0 }
             }
         };
         (&mut self.red_atts, outcome)
-    }
-
-    /// The gray-link `(factor, loss)` for fetches `from → to`, when
-    /// degraded (a node's path to itself is never degraded).
-    fn link_degradation(&self, from: u32, to: u32) -> Option<(f64, f64)> {
-        if from == to {
-            return None;
-        }
-        self.degraded.get(&(from, to)).copied()
     }
 
     // ---------------- pools and flows ----------------
@@ -908,7 +864,7 @@ impl Simulation {
         // A gray-degraded fetcher → source direction stretches the transfer
         // by its factor (flow bytes scale; spill accounting keys off
         // `fetched.len()`, so the stretch never inflates spills).
-        let bytes = match self.link_degradation(node, src) {
+        let bytes = match self.links.degradation(NodeId(node), NodeId(src)) {
             Some((factor, _)) if factor > 1.0 => (self.qty.chunk_bytes as f64 * factor) as u64,
             _ => self.qty.chunk_bytes,
         };
@@ -949,7 +905,8 @@ impl Simulation {
     /// runtime fetcher consults the resident cache before the disk).
     fn fetch_flow_done(&mut self, attempt: AttemptId, flow: FlowId, m: u32, src: u32) {
         let Some(node) = self.fetch_flow_ended(attempt, flow) else { return };
-        let (source, loss) = (NodeId(src), self.link_degradation(node, src).map_or(0.0, |(_, loss)| loss));
+        let source = NodeId(src);
+        let loss = self.links.degradation(NodeId(node), source).map_or(0.0, |(_, loss)| loss);
         let outcome =
             if self.corrupt_mofs.contains(&(m, attempt.task.index)) && !self.resident_mofs.contains(m) {
                 Outcome::Corrupt { source, generation: 0, loss }
@@ -1397,13 +1354,12 @@ impl Simulation {
         match att.phase {
             RedPhase::Launching => 0.0,
             RedPhase::Shuffle => {
-                let f = att.fetched.len() as f64 / self.qty.num_maps.max(1) as f64;
-                f / 3.0
+                ReducePhase::Shuffle.overall(att.fetched.len() as f64 / self.qty.num_maps.max(1) as f64)
             }
             RedPhase::Merge => {
                 let total = self.qty.merge_rounds.max(1) as f64;
                 let done = (self.qty.merge_rounds - att.merge_rounds_left) as f64;
-                1.0 / 3.0 + (done / total) / 3.0
+                ReducePhase::Merge.overall(done / total)
             }
             RedPhase::Reduce | RedPhase::Fcm => {
                 // The CPU timer drives reduce-stage progress.
@@ -1414,8 +1370,8 @@ impl Simulation {
                 } else {
                     ((self.q.now().as_secs_f64() - att.cpu_start) / att.cpu_dur).clamp(0.0, 1.0)
                 };
-                let frac = att.resume_reduce_frac + (1.0 - att.resume_reduce_frac) * frac_of_rest;
-                2.0 / 3.0 + frac / 3.0
+                ReducePhase::Reduce
+                    .overall(att.resume_reduce_frac + (1.0 - att.resume_reduce_frac) * frac_of_rest)
             }
             RedPhase::FcmWait => 0.0, // waiting for MOF regeneration
         }
@@ -1436,39 +1392,37 @@ impl Simulation {
         // A reduce's kill trigger reads its progress before this tick's
         // crashes, a map's reads its phase after them.
         let reduce_kills_due: Vec<bool> = self
+            .faults
             .kills
             .iter()
-            .map(|(id, k)| {
-                id.task.is_reduce() && self.red_atts.get(id).is_some_and(|a| self.red_progress(a) >= *k)
+            .map(|(id, &k)| {
+                id.task.is_reduce() && self.red_atts.get(id).is_some_and(|a| self.red_progress(a) >= k)
             })
             .collect();
 
-        // Progress-triggered node crashes. A fired entry removes only
-        // itself: a later one for the same node finds it down, and
-        // `crash_node` on a dead node returns at once (no node revives).
-        let due: Vec<(NodeId, u32, f64)> = self
-            .crashes_at_progress
-            .extract_if(.., |(_, r, p)| {
-                progress.get(*r as usize).copied().unwrap_or(0.0) >= *p
-                    || self.am.is_complete(TaskId::reduce(self.job, *r))
-            })
-            .collect();
-        for (n, _, _) in due {
-            self.crash_node(n.0);
+        // Progress-triggered node crashes. A later one for the same node
+        // finds it down, and `crash_node` on a dead node returns at once (no
+        // node revives). A reduce out of range never completes.
+        let (am, job, reduces) = (&self.am, self.job, self.qty.num_reduces);
+        let progress_of = |r: u32| Some(progress.get(r as usize).copied().unwrap_or(0.0));
+        let complete = |r: u32| r < reduces && am.is_complete(TaskId::reduce(job, r));
+        for trigger in self.faults.progress(progress_of, complete) {
+            self.carry_out(trigger);
         }
 
         // Kill triggers (injected OOMs), fired in `AttemptId` order.
         let to_kill: Vec<AttemptId> = self
+            .faults
             .kills
             .iter()
             .zip(reduce_kills_due)
-            .filter(|&(&(id, k), reduce_due)| {
+            .filter(|&((id, &k), reduce_due)| {
                 if id.task.is_reduce() {
                     return reduce_due;
                 }
-                self.map_atts.get(&id).is_some_and(|att| att.phase.progress() >= k)
+                self.map_atts.get(id).is_some_and(|att| att.phase.progress() >= k)
             })
-            .map(|(&(id, _), _)| id)
+            .map(|((&id, _), _)| id)
             .collect();
         for id in to_kill {
             self.fail_attempt(id, FailureKind::TaskOom);
@@ -1510,32 +1464,19 @@ impl Simulation {
             }
         }
 
-        // Transient partitions and gray links: apply the due link changes
-        // in time order, then re-pump the shuffles a heal may have
-        // unparked. Degraded links never park a fetch (bytes still flow),
-        // so they need no re-pump.
+        // What falls due on the clock comes in tick order: link changes,
+        // then corruptions, then crashes and slowdowns. Samples fall on
+        // whole virtual seconds, which the millisecond clock reads exactly.
+        let mut due = self.faults.fire(now_ns / 1_000_000).into_iter().peekable();
+
+        // Transient partitions and gray links: apply the due link changes,
+        // then re-pump the shuffles a heal may have unparked. Degraded
+        // links never park a fetch (bytes still flow), so they need no
+        // re-pump.
         let mut healed = false;
-        for (_, LinkChange { a, b, direction, op }) in self.links.extract_if(.., |(at, _)| is_due(*at, now)) {
-            for key in direction.directed_keys(a.0, b.0) {
-                match op {
-                    LinkOp::Sever => {
-                        self.severed.insert(key);
-                    }
-                    LinkOp::Degrade { factor, loss } => {
-                        self.degraded.insert(key, (factor, loss));
-                    }
-                    LinkOp::Heal => {
-                        // Healing an already-healed (or never-severed)
-                        // direction is an explicit no-op, same as the
-                        // runtime's `LinkTable::heal`.
-                        self.severed.remove(&key);
-                        healed = true;
-                    }
-                    LinkOp::ClearDegrade => {
-                        self.degraded.remove(&key);
-                    }
-                }
-            }
+        while let Some(trigger) = due.next_if(|t| matches!(t, Trigger::Link(_))) {
+            healed |= matches!(trigger, Trigger::Link(LinkChange { op: LinkOp::Heal, .. }));
+            self.carry_out(trigger);
         }
         if healed {
             let stuck: Vec<AttemptId> = self
@@ -1549,47 +1490,9 @@ impl Simulation {
             }
         }
 
-        // Data corruption: arm MOF rot for arrival-time checksum failures;
-        // an ALG-record rot truncates the newest snapshot (recovery falls
-        // back one logging interval). Corruptions of records that do not
-        // exist yet stay pending and retry next tick, like the runtime's:
-        // the filter applies each due corruption and extracts it once
-        // applied. The MOF's host is implied by `mof_loc`.
-        self.corruptions
-            .extract_if(.., |&mut (at, _, target)| {
-                if !is_due(at, now) {
-                    return false;
-                }
-                match target {
-                    CorruptTarget::MofPartition { map_index, partition } => {
-                        self.corrupt_mofs.insert((map_index, partition));
-                        true
-                    }
-                    CorruptTarget::AlgRecord { reduce_index, .. } => {
-                        match self.reduces.get_mut(reduce_index as usize) {
-                            Some(r) if r.logged.is_some() => {
-                                r.logged = r.logged_prev.take();
-                                self.report.log_truncations += 1;
-                                true
-                            }
-                            Some(_) => false,
-                            None => true,
-                        }
-                    }
-                    CorruptTarget::DfsBlock { reduce_index, block } => {
-                        if reduce_index >= self.qty.num_reduces {
-                            true
-                        } else if self.am.is_complete(TaskId::reduce(self.job, reduce_index)) {
-                            // The output exists only once the reduce committed.
-                            self.corrupt_dfs_blocks.insert((reduce_index, block));
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                }
-            })
-            .for_each(drop);
+        while let Some(trigger) = due.next_if(|t| matches!(t, Trigger::Corrupt { .. })) {
+            self.carry_out(trigger);
+        }
 
         // Shuffles parked behind severed links time out at the shuffle
         // wait cap — the bound on never-healing partitions.
@@ -1607,17 +1510,62 @@ impl Simulation {
             self.fetch_step(id, step);
         }
 
-        // Time-based crash faults.
-        let due: Vec<(u64, NodeId)> = self.crashes.extract_if(.., |(at, _)| is_due(*at, now)).collect();
-        for (_, n) in due {
-            self.crash_node(n.0);
+        // Crashes and slowdowns, after the park tick.
+        for trigger in due {
+            self.carry_out(trigger);
         }
+    }
 
-        // Slow-node degradations: activate once due; CPU phases scheduled
-        // from then on are stretched by the factor.
-        for (_, n, factor) in self.slowdowns.extract_if(.., |(at, ..)| is_due(*at, now)) {
-            if let Some(node) = self.nodes.get_mut(n.0 as usize) {
-                node.slow = node.slow.max(factor);
+    /// Carry out a fault trigger the timeline fired.
+    fn carry_out(&mut self, trigger: Trigger) {
+        match trigger {
+            Trigger::Crash(node) => self.crash_node(node.0),
+            // CPU phases scheduled from now on are stretched by the factor.
+            Trigger::Slow { node, factor } => {
+                if let Some(node) = self.nodes.get_mut(node.0 as usize) {
+                    node.slow = node.slow.max(factor);
+                }
+            }
+            Trigger::Link(change) => self.links.apply(&change),
+            Trigger::Corrupt { node, target } => {
+                if !self.corrupt(target) {
+                    self.faults.pend(node, target);
+                }
+            }
+        }
+    }
+
+    /// Rot `target`, or say that it does not exist yet. MOF rot arms an
+    /// arrival-time checksum failure (the MOF's host is implied by
+    /// `mof_loc`); ALG-record rot truncates the newest snapshot, so
+    /// recovery falls back one logging interval.
+    fn corrupt(&mut self, target: CorruptTarget) -> bool {
+        match target {
+            CorruptTarget::MofPartition { map_index, partition } => {
+                self.corrupt_mofs.insert((map_index, partition));
+                true
+            }
+            CorruptTarget::AlgRecord { reduce_index, .. } => {
+                match self.reduces.get_mut(reduce_index as usize) {
+                    Some(r) if r.logged.is_some() => {
+                        r.logged = r.logged_prev.take();
+                        self.report.log_truncations += 1;
+                        true
+                    }
+                    Some(_) => false,
+                    None => true,
+                }
+            }
+            CorruptTarget::DfsBlock { reduce_index, block } => {
+                if reduce_index >= self.qty.num_reduces {
+                    true
+                } else if self.reduce_done(reduce_index) {
+                    // The output exists only once the reduce committed.
+                    self.corrupt_dfs_blocks.insert((reduce_index, block));
+                    true
+                } else {
+                    false
+                }
             }
         }
     }
@@ -1657,23 +1605,18 @@ impl Simulation {
         }
     }
 
-    /// Mirror the runtime's post-job handling of committed-output rot.
+    /// Settle committed-output rot as the run ends.
     ///
     /// The event loop breaks the instant the last reduce commits, so a
-    /// `DfsBlock` corruption may still be pending — flush those whose
-    /// reduce did commit (like the runtime AM's post-loop flush), then
-    /// charge what the verified read + repair pipeline does per rotten
-    /// replica: one read failover, one block re-replicated (its payload
-    /// bytes copied). A single-replica output has nowhere to fail over
+    /// `DfsBlock` corruption may still be pending — carry out what the
+    /// timeline still holds of it, then charge what the verified read +
+    /// repair pipeline does per rotten replica: one read failover, one
+    /// block re-replicated (its payload bytes copied). A single-replica output has nowhere to fail over
     /// to, so its rotten copy stays corrupt and unrepaired. Background
     /// work after job end: the job time is never touched.
     fn settle_dfs_corruption(&mut self) {
-        for (_, _, target) in std::mem::take(&mut self.corruptions) {
-            if let CorruptTarget::DfsBlock { reduce_index, block } = target {
-                if reduce_index < self.qty.num_reduces && self.reduce_done(reduce_index) {
-                    self.corrupt_dfs_blocks.insert((reduce_index, block));
-                }
-            }
+        for trigger in self.faults.fire_output_rot() {
+            self.carry_out(trigger);
         }
         if self.corrupt_dfs_blocks.is_empty() {
             return;
@@ -2284,6 +2227,15 @@ mod tests {
         let separate = run(WorkloadKind::Terasort, 5, 4, mode, cycles);
         assert_eq!(flapping.run.job_secs().to_bits(), separate.run.job_secs().to_bits());
         assert_eq!(flapping, separate);
+    }
+
+    #[test]
+    fn a_progress_crash_of_a_reduce_out_of_range_arms_nothing() {
+        let clean = run(WorkloadKind::Terasort, 5, 4, RecoveryMode::Baseline, FaultPlan::none());
+        let r =
+            run(WorkloadKind::Terasort, 5, 4, RecoveryMode::Baseline, crash_at_reduce_progress(1, 9, 0.5));
+        assert_eq!(r.run.job_secs().to_bits(), clean.run.job_secs().to_bits());
+        assert_eq!(r, clean);
     }
 
     #[test]

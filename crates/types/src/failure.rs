@@ -12,12 +12,15 @@
 //! the threaded runtime (real-time millisecond clock) and the
 //! discrete-event simulator (virtual seconds). [`FaultPlan::arm`] is the
 //! one place a fault becomes a trigger: it turns the plan into a
-//! [`FaultTimeline`] of per-kind trigger lists, which both engines
-//! destructure and drain on their own clocks. Scenario tooling such as
-//! `alm-chaos` speaks only this vocabulary and stays engine-agnostic.
+//! [`FaultTimeline`], which decides when each trigger falls due on an
+//! engine's millisecond clock and yields it as a [`Trigger`] for the
+//! engine to carry out. Link changes act on a [`LinkState`], the one
+//! model of which directed links are cut or degraded. Scenario tooling
+//! such as `alm-chaos` speaks only this vocabulary and stays
+//! engine-agnostic.
 
 use serde::Serialize;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::id::{AttemptId, NodeId, TaskId};
@@ -191,10 +194,7 @@ impl LinkDirection {
     }
 
     /// The concrete directed `(from, to)` keys this direction cuts on the
-    /// endpoint pair `(a, b)`. This is the ONE place directed-link keys
-    /// are derived: the runtime's `LinkTable` and the simulator's severed
-    /// set both store exactly these pairs, so the two engines' key
-    /// normalisation cannot drift.
+    /// endpoint pair `(a, b)`.
     pub fn directed_keys<N: Copy>(&self, a: N, b: N) -> Vec<(N, N)> {
         match self {
             LinkDirection::Both => vec![(a, b), (b, a)],
@@ -299,26 +299,159 @@ pub struct LinkChange {
     pub op: LinkOp,
 }
 
-/// A [`FaultPlan`] armed as per-kind trigger lists, all times in the
-/// plan's milliseconds. Each engine destructures it without `..` and
-/// drains each list on its own clock, so a list added here fails to
-/// compile in both engines until each one fires it.
+/// Which directed links are cut and which run degraded: the state every
+/// [`LinkChange`] acts on, in either engine. A cut or degraded link is
+/// still up on the control plane; only data-plane traffic across the
+/// affected direction is blocked or slowed.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LinkState {
+    /// `(from, to)`: `from` cannot open a fetch to `to`.
+    severed: BTreeSet<(NodeId, NodeId)>,
+    /// `(from, to)` → `(factor, loss)`.
+    degraded: BTreeMap<(NodeId, NodeId), (f64, f64)>,
+}
+
+impl LinkState {
+    /// Apply `change` to each of its `direction.directed_keys(a, b)`.
+    /// Severing a cut link or healing a healthy one changes nothing.
+    pub fn apply(&mut self, change: &LinkChange) {
+        let LinkChange { a, b, direction, op } = *change;
+        for key in direction.directed_keys(a, b) {
+            match op {
+                LinkOp::Sever => _ = self.severed.insert(key),
+                LinkOp::Heal => _ = self.severed.remove(&key),
+                LinkOp::Degrade { factor, loss } => _ = self.degraded.insert(key, (factor, loss)),
+                LinkOp::ClearDegrade => _ = self.degraded.remove(&key),
+            }
+        }
+    }
+
+    /// Is data-plane traffic from `from` to `to` blocked? A node always
+    /// reaches itself.
+    pub fn is_severed(&self, from: NodeId, to: NodeId) -> bool {
+        from != to && self.severed.contains(&(from, to))
+    }
+
+    /// The `(factor, loss)` degradation of `from → to` traffic, if any. A
+    /// node's path to itself is never degraded.
+    pub fn degradation(&self, from: NodeId, to: NodeId) -> Option<(f64, f64)> {
+        if from == to {
+            return None;
+        }
+        self.degraded.get(&(from, to)).copied()
+    }
+}
+
+/// One armed fault falling due, for an engine to carry out. Each engine
+/// carries triggers out in one wildcard-free `match`, so a new variant
+/// fails to compile in both until each one handles it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Trigger {
+    /// The node crashes.
+    Crash(NodeId),
+    /// The node's compute runs `factor`× slower (>= 1); a node slowed
+    /// twice keeps the larger factor.
+    Slow { node: NodeId, factor: f64 },
+    /// The change applies to the engine's [`LinkState`].
+    Link(LinkChange),
+    /// Bytes of `target` rot; `node` names the intended victim. An engine
+    /// whose target does not exist yet hands the trigger back with
+    /// [`FaultTimeline::pend`].
+    Corrupt { node: NodeId, target: CorruptTarget },
+}
+
+/// A [`FaultPlan`] armed as triggers, all times in the plan's
+/// milliseconds: the one place a trigger falls due. An engine asks it
+/// what is due on its own millisecond clock ([`FaultTimeline::fire`]) and
+/// as its reduces progress ([`FaultTimeline::progress`]), and carries out
+/// what it yields in the order it yields it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultTimeline {
     /// Self-kill progress point per attempt; the last `KillTask` in plan
-    /// order wins.
+    /// order wins. Each engine looks its attempts up here.
     pub kills: BTreeMap<AttemptId, f64>,
     /// `(at_ms, node)` in plan order.
-    pub crashes: Vec<(u64, NodeId)>,
+    crashes: Vec<(u64, NodeId)>,
     /// `(node, reduce_index, at_progress)` in plan order.
-    pub crashes_at_progress: Vec<(NodeId, u32, f64)>,
+    progress_crashes: Vec<(NodeId, u32, f64)>,
     /// `(at_ms, node, factor >= 1)` in plan order.
-    pub slowdowns: Vec<(u64, NodeId, f64)>,
+    slowdowns: Vec<(u64, NodeId, f64)>,
     /// `(at_ms, change)`, stable-sorted by time: equal times keep plan
     /// order, so a window's sever comes before its heal.
-    pub links: Vec<(u64, LinkChange)>,
-    /// `(at_ms, node, target)` in plan order.
-    pub corruptions: Vec<(u64, NodeId, CorruptTarget)>,
+    links: Vec<(u64, LinkChange)>,
+    /// `(at_ms, node, target)` in plan order; a handed-back corruption
+    /// follows, due from then on.
+    corruptions: Vec<(u64, NodeId, CorruptTarget)>,
+}
+
+impl FaultTimeline {
+    /// The progress crashes now due, as crash triggers in plan order: each
+    /// whose reduce has completed, or whose progress (`None` when unknown)
+    /// has reached the crash's point. Each fires once; a later one for a
+    /// node already down finds it down.
+    pub fn progress(
+        &mut self,
+        progress: impl Fn(u32) -> Option<f64>,
+        complete: impl Fn(u32) -> bool,
+    ) -> Vec<Trigger> {
+        self.progress_crashes
+            .extract_if(.., |&mut (_, r, at)| progress(r).is_some_and(|p| p >= at) || complete(r))
+            .map(|(node, ..)| Trigger::Crash(node))
+            .collect()
+    }
+
+    /// Everything due at `now_ms`, in the order a tick carries it out: link
+    /// changes in time order, so a heal never erases the sever of a later
+    /// window due in the same tick; then corruptions, crashes and
+    /// slowdowns, each in plan order. Each trigger is yielded once, except
+    /// a corruption handed back with [`FaultTimeline::pend`].
+    pub fn fire(&mut self, now_ms: u64) -> Vec<Trigger> {
+        let due = |at: u64| at <= now_ms;
+        let links = self.links.extract_if(.., |l| due(l.0)).map(|(_, change)| Trigger::Link(change));
+        let corruptions = self
+            .corruptions
+            .extract_if(.., |c| due(c.0))
+            .map(|(_, node, target)| Trigger::Corrupt { node, target });
+        let crashes = self.crashes.extract_if(.., |c| due(c.0)).map(|(_, node)| Trigger::Crash(node));
+        let slowdowns = self
+            .slowdowns
+            .extract_if(.., |s| due(s.0))
+            .map(|(_, node, factor)| Trigger::Slow { node, factor });
+        links.chain(corruptions).chain(crashes).chain(slowdowns).collect()
+    }
+
+    /// Hand back a corruption whose target does not exist yet (a MOF not
+    /// committed, a log record not written): it stays pending and is
+    /// yielded again by every later [`FaultTimeline::fire`].
+    pub fn pend(&mut self, node: NodeId, target: CorruptTarget) {
+        self.corruptions.push((0, node, target));
+    }
+
+    /// The partitions of map `map_index`'s MOF whose rot is due at
+    /// `now_ms`, taken out of the timeline: for an engine that rots a
+    /// MOF's bytes as it commits, before any reducer can read them.
+    pub fn fire_mof_rot(&mut self, now_ms: u64, map_index: u32) -> Vec<u32> {
+        let mut partitions = Vec::new();
+        self.corruptions.retain(|&(at, _, target)| match target {
+            CorruptTarget::MofPartition { map_index: m, partition } if m == map_index && at <= now_ms => {
+                partitions.push(partition);
+                false
+            }
+            _ => true,
+        });
+        partitions
+    }
+
+    /// Every pending rot of committed output, due or not, taken out of the
+    /// timeline: what a run carries out as it ends, since it stops the
+    /// moment its last reduce commits. Leftover crashes and link faults
+    /// stay unfired: they would change outcomes the job already decided.
+    pub fn fire_output_rot(&mut self) -> Vec<Trigger> {
+        self.corruptions
+            .extract_if(.., |(.., target)| matches!(target, CorruptTarget::DfsBlock { .. }))
+            .map(|(_, node, target)| Trigger::Corrupt { node, target })
+            .collect()
+    }
 }
 
 /// What a [`Fault::CorruptData`] injection flips bytes in: the durable
@@ -541,7 +674,7 @@ impl FaultPlan {
                 }
                 Fault::CrashNodeAtMs { node, at_ms } => t.crashes.push((at_ms, node)),
                 Fault::CrashNodeAtReduceProgress { node, reduce_index, at_progress } => {
-                    t.crashes_at_progress.push((node, reduce_index, at_progress))
+                    t.progress_crashes.push((node, reduce_index, at_progress))
                 }
                 Fault::SlowNode { node, at_ms, factor } => t.slowdowns.push((at_ms, node, factor.max(1.0))),
                 Fault::PartitionLink { .. } => {
@@ -576,6 +709,7 @@ impl FaultPlan {
 mod tests {
     use super::*;
     use crate::id::JobId;
+    use proptest::prelude::*;
 
     fn job() -> JobId {
         JobId(1)
@@ -703,7 +837,7 @@ mod tests {
 
         // Crashes, slowdowns and corruptions keep plan order, not time order.
         assert_eq!(armed.crashes, vec![(200, n2), (100, n1)]);
-        assert_eq!(armed.crashes_at_progress, vec![(n0, 3, 0.5)]);
+        assert_eq!(armed.progress_crashes, vec![(n0, 3, 0.5)]);
         assert_eq!(armed.slowdowns, vec![(90, n1, 1.0), (10, n0, 4.0)], "factor clamps to >= 1");
         assert_eq!(armed.corruptions, vec![(80, n2, rot(1)), (20, n1, rot(0))]);
 
@@ -820,5 +954,249 @@ mod tests {
             other => panic!("unexpected fault {other:?}"),
         }
         assert_eq!(plan.injected_count(), 0, "a flapping partition is still transient");
+    }
+
+    fn change(a: u32, b: u32, direction: LinkDirection, op: LinkOp) -> LinkChange {
+        LinkChange { a: NodeId(a), b: NodeId(b), direction, op }
+    }
+
+    /// The severed directed pairs among nodes 0..3.
+    fn severed(links: &LinkState) -> Vec<(u32, u32)> {
+        let pairs = (0..3).flat_map(|a| (0..3).map(move |b| (a, b)));
+        pairs.filter(|&(a, b)| links.is_severed(NodeId(a), NodeId(b))).collect()
+    }
+
+    #[test]
+    fn symmetric_sever_blocks_both_directions_and_is_idempotent() {
+        let mut links = LinkState::default();
+        assert!(!links.is_severed(NodeId(0), NodeId(1)));
+        links.apply(&change(1, 0, LinkDirection::Both, LinkOp::Sever));
+        let once = links.clone();
+        links.apply(&change(0, 1, LinkDirection::Both, LinkOp::Sever)); // same link, either order
+        assert_eq!(links, once, "severing a cut link changes nothing");
+        assert_eq!(severed(&links), vec![(0, 1), (1, 0)], "one directed entry per direction");
+        // A node always reaches itself.
+        links.apply(&change(0, 0, LinkDirection::Both, LinkOp::Sever));
+        assert!(!links.is_severed(NodeId(0), NodeId(0)));
+        links.apply(&change(0, 1, LinkDirection::Both, LinkOp::Heal));
+        assert_eq!(severed(&links), vec![]);
+    }
+
+    #[test]
+    fn asymmetric_sever_leaves_the_reverse_direction_healthy() {
+        let mut links = LinkState::default();
+        links.apply(&change(0, 2, LinkDirection::AToB, LinkOp::Sever));
+        assert!(links.is_severed(NodeId(0), NodeId(2)), "cut direction blocked");
+        assert!(!links.is_severed(NodeId(2), NodeId(0)), "reverse path must stay healthy");
+        assert_eq!(severed(&links), vec![(0, 2)]);
+        // Healing only the reverse direction is a no-op on the cut one.
+        let cut = links.clone();
+        links.apply(&change(0, 2, LinkDirection::BToA, LinkOp::Heal));
+        assert_eq!(links, cut);
+        links.apply(&change(0, 2, LinkDirection::AToB, LinkOp::Heal));
+        assert_eq!(links, LinkState::default(), "the heal removes what the sever cut");
+        // BToA on (a, b) is the same directed entry as AToB on (b, a).
+        links.apply(&change(2, 0, LinkDirection::BToA, LinkOp::Sever));
+        assert_eq!(severed(&links), vec![(0, 2)]);
+    }
+
+    #[test]
+    fn healing_a_healed_link_is_an_explicit_no_op() {
+        let mut links = LinkState::default();
+        // Never severed: the heal changes nothing.
+        links.apply(&change(0, 1, LinkDirection::Both, LinkOp::Heal));
+        assert_eq!(links, LinkState::default());
+        links.apply(&change(0, 1, LinkDirection::Both, LinkOp::Sever));
+        links.apply(&change(0, 1, LinkDirection::Both, LinkOp::Heal));
+        assert_eq!(links, LinkState::default(), "the heal removes both directions");
+        // Already healed: the second heal is a no-op, not an error or a
+        // re-sever — repeated heal events from flap windows are harmless.
+        links.apply(&change(0, 1, LinkDirection::Both, LinkOp::Heal));
+        assert_eq!(links, LinkState::default());
+        assert!(!links.is_severed(NodeId(0), NodeId(1)));
+    }
+
+    #[test]
+    fn degraded_links_are_directed_and_clear_cleanly() {
+        let mut links = LinkState::default();
+        let degrade = |factor, loss| LinkOp::Degrade { factor, loss };
+        assert_eq!(links.degradation(NodeId(0), NodeId(1)), None);
+        links.apply(&change(0, 1, LinkDirection::AToB, degrade(3.0, 0.25)));
+        assert_eq!(links.degradation(NodeId(0), NodeId(1)), Some((3.0, 0.25)));
+        assert_eq!(links.degradation(NodeId(1), NodeId(0)), None, "reverse direction healthy");
+        links.apply(&change(0, 0, LinkDirection::Both, degrade(3.0, 0.25)));
+        assert_eq!(links.degradation(NodeId(0), NodeId(0)), None, "self-fetch never degraded");
+        links.apply(&change(1, 2, LinkDirection::Both, degrade(2.0, 1.0)));
+        assert_eq!(links.degradation(NodeId(1), NodeId(2)), Some((2.0, 1.0)));
+        assert_eq!(links.degradation(NodeId(2), NodeId(1)), Some((2.0, 1.0)));
+        links.apply(&change(0, 1, LinkDirection::AToB, LinkOp::ClearDegrade));
+        links.apply(&change(1, 2, LinkDirection::Both, LinkOp::ClearDegrade));
+        assert_eq!(links.degradation(NodeId(0), NodeId(1)), None);
+        assert_eq!(links.degradation(NodeId(1), NodeId(2)), None);
+        // Clearing a healthy link is a no-op; a degraded link is not cut.
+        let before = links.clone();
+        links.apply(&change(0, 2, LinkDirection::Both, LinkOp::ClearDegrade));
+        assert_eq!(links, before);
+        assert_eq!(severed(&links), vec![]);
+    }
+
+    #[test]
+    fn progress_crashes_fire_on_progress_or_completion() {
+        let plan = FaultPlan::crash_node_at_reduce_progress(NodeId(1), 0, 0.5)
+            .and(FaultPlan::crash_node_at_reduce_progress(NodeId(2), 1, 2.0))
+            .and(FaultPlan::crash_node_at_reduce_progress(NodeId(3), 0, 0.25));
+        let mut timeline = plan.arm();
+        assert_eq!(timeline.progress(|_| Some(0.2), |_| false), vec![]);
+        assert_eq!(timeline.fire(u64::MAX), vec![], "progress crashes are not on the clock");
+        // Plan order, not threshold order; an unknown progress fires nothing.
+        let reduce_0 = |r: u32| (r == 0).then_some(0.6);
+        assert_eq!(
+            timeline.progress(reduce_0, |_| false),
+            vec![Trigger::Crash(NodeId(1)), Trigger::Crash(NodeId(3))]
+        );
+        assert_eq!(timeline.progress(reduce_0, |_| false), vec![], "each fires once");
+        // A completed reduce fires its crash whatever the threshold.
+        assert_eq!(timeline.progress(|_| None, |r| r == 1), vec![Trigger::Crash(NodeId(2))]);
+    }
+
+    #[test]
+    fn rot_fires_when_its_target_exists() {
+        let mof = |map_index, partition| CorruptTarget::MofPartition { map_index, partition };
+        let block = CorruptTarget::DfsBlock { reduce_index: 0, block: 1 };
+        let plan = FaultPlan::corrupt_data(NodeId(0), mof(3, 1), 10)
+            .and(FaultPlan::corrupt_data(NodeId(0), mof(4, 0), 10))
+            .and(FaultPlan::corrupt_data(NodeId(1), block, 500))
+            .and(FaultPlan::corrupt_data(NodeId(0), mof(3, 2), 50));
+        let mut timeline = plan.arm();
+        // A committing map takes only its own due rot.
+        assert_eq!(timeline.fire_mof_rot(5, 3), Vec::<u32>::new());
+        assert_eq!(timeline.fire_mof_rot(20, 3), vec![1]);
+        assert_eq!(timeline.fire(20), vec![Trigger::Corrupt { node: NodeId(0), target: mof(4, 0) }]);
+        // Handed back, it is offered again at every later firing.
+        timeline.pend(NodeId(0), mof(4, 0));
+        assert_eq!(timeline.fire(21), vec![Trigger::Corrupt { node: NodeId(0), target: mof(4, 0) }]);
+        // The end of a run takes committed-output rot whether due or not,
+        // and leaves the rest.
+        assert_eq!(timeline.fire_output_rot(), vec![Trigger::Corrupt { node: NodeId(1), target: block }]);
+        assert_eq!(timeline.fire(u64::MAX), vec![Trigger::Corrupt { node: NodeId(0), target: mof(3, 2) }]);
+    }
+
+    fn node() -> impl Strategy<Value = NodeId> {
+        (0u32..4).prop_map(NodeId)
+    }
+
+    fn direction() -> impl Strategy<Value = LinkDirection> {
+        (0usize..3).prop_map(|i| LinkDirection::ALL[i])
+    }
+
+    /// Any fault but a corruption; the property below plants its own.
+    fn fault() -> impl Strategy<Value = Fault> {
+        let link = || (node(), node(), direction(), 0u64..200, 0u64..200);
+        prop_oneof![
+            (node(), 0u64..200).prop_map(|(node, at_ms)| Fault::CrashNodeAtMs { node, at_ms }),
+            (node(), 0u64..200, 0.0f64..4.0).prop_map(|(node, at_ms, factor)| Fault::SlowNode {
+                node,
+                at_ms,
+                factor
+            }),
+            (node(), 0u32..3, 0.0f64..1.0).prop_map(|(node, reduce_index, at_progress)| {
+                Fault::CrashNodeAtReduceProgress { node, reduce_index, at_progress }
+            }),
+            (link(), 0u32..4, 0u64..100).prop_map(|((a, b, direction, from_ms, heal_ms), cycles, seed)| {
+                let flap = (cycles > 0).then_some(FlapSchedule { seed, cycles, period_ms: 30, down_ms: 20 });
+                Fault::PartitionLink { a, b, direction, from_ms, heal_ms, flap }
+            }),
+            (link(), 1.0f64..3.0, 0.0f64..1.0).prop_map(
+                |((a, b, direction, from_ms, heal_ms), factor, loss)| {
+                    Fault::DegradedLink { a, b, direction, from_ms, heal_ms, factor, loss }
+                }
+            ),
+        ]
+    }
+
+    /// Where each kind of trigger comes in a tick.
+    fn rank(trigger: &Trigger) -> u8 {
+        match trigger {
+            Trigger::Link(_) => 0,
+            Trigger::Corrupt { .. } => 1,
+            Trigger::Crash(_) => 2,
+            Trigger::Slow { .. } => 3,
+        }
+    }
+
+    proptest! {
+        /// Over arbitrary armed plans fired at arbitrary increasing ticks:
+        /// each tick yields exactly the armed entries due since the last
+        /// one, never earlier; the link state after each tick is the state
+        /// one firing at that time reaches, so a heal never erases a later
+        /// window's sever, and once everything is due every window has
+        /// healed; and a pending corruption fires exactly once, on the
+        /// first tick its applier accepts it.
+        #[test]
+        fn firing_in_steps_matches_firing_once(
+            faults in proptest::collection::vec(fault(), 0..8),
+            rots in proptest::collection::vec((node(), 0u64..200, 0usize..10), 0..4),
+            ticks in proptest::collection::vec(0u64..260, 1..10),
+        ) {
+            let mut ticks = ticks;
+            ticks.sort_unstable();
+            ticks.push(u64::MAX);
+            let rot = |j: usize| CorruptTarget::MofPartition { map_index: j as u32, partition: 0 };
+            let mut plan = FaultPlan { faults };
+            for (j, &(node, at_ms, _)) in rots.iter().enumerate() {
+                plan.faults.push(Fault::CorruptData { node, target: rot(j), at_ms });
+            }
+            let armed = plan.arm();
+            let mut timeline = armed.clone();
+            let mut links = LinkState::default();
+            let mut accepted = vec![None; rots.len()];
+            let mut since = None;
+            for (i, &now) in ticks.iter().enumerate() {
+                let fired = timeline.fire(now);
+                prop_assert!(fired.windows(2).all(|w| rank(&w[0]) <= rank(&w[1])), "out of tick order: {fired:?}");
+                let due = |at: u64| since.is_none_or(|s| s < at) && at <= now;
+                let mut want: Vec<Trigger> =
+                    armed.links.iter().filter(|l| due(l.0)).map(|&(_, c)| Trigger::Link(c)).collect();
+                want.extend(armed.crashes.iter().filter(|c| due(c.0)).map(|&(_, n)| Trigger::Crash(n)));
+                want.extend(
+                    armed.slowdowns.iter().filter(|s| due(s.0)).map(|&(_, node, factor)| Trigger::Slow { node, factor }),
+                );
+                let got: Vec<Trigger> = fired.iter().filter(|t| rank(t) != 1).copied().collect();
+                prop_assert_eq!(got, want, "tick {} at {} ms", i, now);
+
+                let mut once = LinkState::default();
+                for trigger in armed.clone().fire(now) {
+                    if let Trigger::Link(c) = trigger {
+                        once.apply(&c);
+                    }
+                }
+                for trigger in fired {
+                    match trigger {
+                        Trigger::Link(c) => links.apply(&c),
+                        Trigger::Corrupt { node, target } => {
+                            let CorruptTarget::MofPartition { map_index: j, .. } = target else {
+                                return Err(format!("unplanned rot {target:?}"));
+                            };
+                            let (j, (_, at_ms, ready)) = (j as usize, rots[j as usize]);
+                            prop_assert!(at_ms <= now, "rot {} due at {} fired at {}", j, at_ms, now);
+                            prop_assert!(accepted[j].is_none(), "rot {} fired again after it took", j);
+                            if i >= ready {
+                                accepted[j] = Some(i);
+                            } else {
+                                timeline.pend(node, target);
+                            }
+                        }
+                        Trigger::Crash(_) | Trigger::Slow { .. } => {}
+                    }
+                }
+                prop_assert_eq!(&links, &once, "tick {} at {} ms", i, now);
+                since = Some(now);
+            }
+            prop_assert_eq!(links, LinkState::default(), "every window heals");
+            for (j, &(_, at_ms, ready)) in rots.iter().enumerate() {
+                let first = ticks.iter().enumerate().position(|(i, &now)| now >= at_ms && i >= ready);
+                prop_assert_eq!(accepted[j], first, "rot {}", j);
+            }
+        }
     }
 }

@@ -46,15 +46,13 @@ impl fmt::Display for ReducePhase {
 }
 
 impl ReducePhase {
-    /// Phases in execution order.
-    pub const ALL: [ReducePhase; 3] = [ReducePhase::Shuffle, ReducePhase::Merge, ReducePhase::Reduce];
-
-    /// The phase following this one, if any.
-    pub fn next(&self) -> Option<ReducePhase> {
+    /// Overall task progress from a fraction of this phase (Hadoop's
+    /// thirds: shuffle, merge and reduce each contribute a third).
+    pub fn overall(self, frac: f64) -> f64 {
         match self {
-            ReducePhase::Shuffle => Some(ReducePhase::Merge),
-            ReducePhase::Merge => Some(ReducePhase::Reduce),
-            ReducePhase::Reduce => None,
+            ReducePhase::Shuffle => frac / 3.0,
+            ReducePhase::Merge => 1.0 / 3.0 + frac / 3.0,
+            ReducePhase::Reduce => 2.0 / 3.0 + frac / 3.0,
         }
     }
 }
@@ -64,10 +62,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reduce_phases_progress_in_order() {
-        assert_eq!(ReducePhase::Shuffle.next(), Some(ReducePhase::Merge));
-        assert_eq!(ReducePhase::Merge.next(), Some(ReducePhase::Reduce));
-        assert_eq!(ReducePhase::Reduce.next(), None);
-        assert!(ReducePhase::Shuffle < ReducePhase::Reduce);
+    fn each_phase_is_a_third_of_overall_progress() {
+        assert_eq!(ReducePhase::Shuffle.overall(0.0), 0.0);
+        assert_eq!(ReducePhase::Shuffle.overall(1.0), 1.0 / 3.0);
+        assert_eq!(ReducePhase::Merge.overall(0.0), 1.0 / 3.0);
+        assert_eq!(ReducePhase::Merge.overall(1.0), 2.0 / 3.0);
+        assert_eq!(ReducePhase::Reduce.overall(0.5), 2.0 / 3.0 + 0.5 / 3.0);
+        assert_eq!(ReducePhase::Reduce.overall(1.0), 1.0);
     }
 }

@@ -25,10 +25,10 @@
 #                                          workspace-wide case may stop at
 #                                          whichever crate errors first)
 #   cargo check -p alm-sim / cargo check -p alm-runtime
-#     new FaultTimeline list            -> E0027 in crates/sim/src/engine.rs /
+#     new fault Trigger variant         -> E0004 in crates/sim/src/engine.rs /
 #                                          crates/runtime/src/am.rs (each
-#                                          engine destructures the armed
-#                                          timeline with no `..`)
+#                                          engine's one `match` on what
+#                                          `FaultTimeline` fires)
 #     new AM Command variant            -> E0004 in crates/sim/src/engine.rs /
 #                                          crates/runtime/src/am.rs (each
 #                                          engine's one `match` on what
@@ -82,6 +82,12 @@
 #     a CRC fold constant changed              -> crc32_matches_reference_on_random_buffers
 #                                                 fails (the carry-less kernel
 #                                                 must equal the bitwise CRC)
+#   cargo test -p alm-types
+#     a `Both` heal that removes only the (a, b) direction
+#                                               -> firing_in_steps_matches_firing_once
+#                                                 fails (once everything is
+#                                                 due, every window has
+#                                                 healed)
 #   cargo test -p alm-sim
 #     the armed kill list skipping map kills  -> reports_match_their_pinned_values
 #                                                 fails (a pinned run kills a map)
@@ -141,7 +147,7 @@
 # (YarnConfig 14, MemConfig 4, SchedConfig 3); the YarnConfig mutation
 # anchors on the struct header, not on any one field.
 #
-# 39 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
+# 40 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -207,6 +213,10 @@ clippy() {
 
 test_shuffle() {
     (cd "$work/ws" && cargo test --offline -p alm-shuffle 2>&1)
+}
+
+test_types() {
+    (cd "$work/ws" && cargo test --offline -p alm-types 2>&1)
 }
 
 test_sim() {
@@ -284,7 +294,7 @@ mutate_and_expect() {
 # leaves a shared CARGO_TARGET_DIR holding no mutant artifact).
 expect_pass() {
     local runner out
-    for runner in check check_tests clippy test_shuffle test_sim test_core test_sched test_workloads test_dfs test_gate; do
+    for runner in check check_tests clippy test_shuffle test_types test_sim test_core test_sched test_workloads test_dfs test_gate; do
         if ! out="$($runner)"; then
             echo "FAIL [$1]: $runner fails on the unmutated copy:" >&2
             echo "$out" >&2
@@ -302,10 +312,10 @@ expect_fail "Fault variant" check crates/types/src/failure.rs \
     "pub enum Fault {" "    DrainNode { node: NodeId }," "error\[E0004\]"
 expect_fail "Fault variant armed once" check_types crates/types/src/failure.rs \
     "pub enum Fault {" "    DrainNode { node: NodeId }," "error\[E0004\]" crates/types/src/failure.rs
-expect_fail "FaultTimeline list drained by the sim" check_sim crates/types/src/failure.rs \
-    "pub struct FaultTimeline {" "    pub drains: Vec<(u64, NodeId)>," "error\[E0027\]" crates/sim/src/engine.rs
-expect_fail "FaultTimeline list drained by the runtime" check_runtime crates/types/src/failure.rs \
-    "pub struct FaultTimeline {" "    pub drains: Vec<(u64, NodeId)>," "error\[E0027\]" crates/runtime/src/am.rs
+expect_fail "fault Trigger variant carried out by the sim" check_sim crates/types/src/failure.rs \
+    "pub enum Trigger {" "    Drain(NodeId)," "error\[E0004\]" crates/sim/src/engine.rs
+expect_fail "fault Trigger variant carried out by the runtime" check_runtime crates/types/src/failure.rs \
+    "pub enum Trigger {" "    Drain(NodeId)," "error\[E0004\]" crates/runtime/src/am.rs
 expect_fail "AM Command variant executed by the sim" check_sim crates/core/src/am.rs \
     "pub enum Command {" "    Suspend(AttemptId)," "error\[E0004\]" crates/sim/src/engine.rs
 expect_fail "AM Command variant executed by the runtime" check_runtime crates/core/src/am.rs \
@@ -378,9 +388,12 @@ expect_fail_replacing "FCM_cap counts FCM attempts on nodes known down" test_cor
     "        self.running.values().filter(|&&(_, mode)| mode == ExecMode::Fcm).count()" \
     "test am::tests::an_fcm_attempt_on_a_node_known_down_leaves_fcm_cap \.\.\. FAILED"
 expect_fail_replacing "map kills left out of the armed list" test_sim crates/sim/src/engine.rs \
-    "                attempt.number == 0 && attempt.task.index < tasks" \
-    "                attempt.number == 0 && attempt.task.index < tasks && attempt.task.is_reduce()" \
+    "            attempt.number == 0 && attempt.task.index < tasks" \
+    "            attempt.number == 0 && attempt.task.index < tasks && attempt.task.is_reduce()" \
     "test reports_match_their_pinned_values \.\.\. FAILED"
+expect_fail "Both heal that keeps the reverse direction cut" test_types crates/types/src/failure.rs \
+    "            match op {" "                LinkOp::Heal if direction == LinkDirection::Both && key == (b, a) => {}" \
+    "test failure::tests::firing_in_steps_matches_firing_once \.\.\. FAILED"
 expect_fail_replacing "expiry records no NodeCrash failure" test_sim crates/core/src/am.rs \
     "                self.end(at_ns, a, TraceKind::Failed(FailureKind::NodeCrash));" \
     "                self.running.remove(&a);" \
