@@ -5,15 +5,17 @@
 //! the same instant pop in scheduling order, which makes whole simulations
 //! reproducible bit-for-bit.
 //!
-//! The queue is an indexed binary min-heap of `(time, seq, slot)` keys. The
-//! payloads sit in a slab of slots, reused through a free list, and every
-//! occupied slot records where its key sits in the heap. `cancel` and
-//! `reschedule` therefore find their entry directly and repair the heap in
-//! one sift, O(log n), and the heap holds exactly the live events. The
-//! callers lean on this: `alm-sim` moves a pool's wake-up every time a flow
-//! starts or ends on it (1.66 moves per popped event on the seed-42
-//! benchmark campaign, beside 1.00 fresh schedules), and the warehouse
-//! engine cancels every task a crashed node was running.
+//! The queue is an indexed binary min-heap of `(time, seq, slot)` keys,
+//! which compare as the one 128-bit number `time << 64 | seq`: the pair's
+//! order, without a branch per field. The payloads sit in a slab of slots,
+//! reused through a free list, and every occupied slot records where its
+//! key sits in the heap. `cancel` and `reschedule` therefore find their
+//! entry directly and repair the heap in one sift, O(log n), and the heap
+//! holds exactly the live events. The callers lean on this: `alm-sim` moves
+//! a pool's wake-up every time a flow starts or ends on it (1.66 moves per
+//! popped event on the seed-42 benchmark campaign, beside 1.00 fresh
+//! schedules), and the warehouse engine cancels every task a crashed node
+//! was running.
 //!
 //! Pop order is a pure function of `(time, seq)`. A `seq` is drawn once per
 //! [`EventQueue::schedule_at`] and once per [`EventQueue::reschedule`], so
@@ -46,7 +48,12 @@ impl Key {
     /// Earlier time first; FIFO among equals. `seq`s are unique, so two
     /// keys never tie.
     fn before(&self, other: &Key) -> bool {
-        (self.time, self.seq) < (other.time, other.seq)
+        self.order() < other.order()
+    }
+
+    /// `(time, seq)` as one number, which compares without a branch.
+    fn order(&self) -> u128 {
+        (u128::from(self.time.as_nanos()) << 64) | u128::from(self.seq)
     }
 }
 

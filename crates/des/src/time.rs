@@ -83,21 +83,29 @@ impl SimDuration {
     }
 }
 
+/// `s` seconds in whole nanoseconds, rounded half away from zero as
+/// `f64::round` rounds; NaN and anything not above zero read 0, and
+/// anything from 2^64 ns up (`+inf` too) saturates.
 fn secs_to_nanos(s: f64) -> u64 {
-    if !s.is_finite() || s <= 0.0 {
-        if s > 0.0 {
-            u64::MAX // +inf
-        } else {
-            0
-        }
-    } else {
-        let ns = s * 1e9;
-        if ns >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            ns.round() as u64
-        }
+    if s.is_nan() || s <= 0.0 {
+        return 0;
     }
+    let ns = s * 1e9;
+    if ns >= u64::MAX as f64 {
+        return u64::MAX;
+    }
+    if ns >= (1u64 << 52) as f64 {
+        return ns as u64; // a whole number already
+    }
+    // Truncate, then round the fraction up from one half. Below 2^52 the
+    // truncation is exact, and so is `ns - whole`, so the half test reads
+    // the true fraction: 0.49999999999999994 stays down, where adding 0.5
+    // first would round it up. This is `ns.round() as u64` without the
+    // libm call, and through `i64`, whose conversions are one instruction
+    // each way.
+    let whole = ns as i64;
+    let up = ns - whole as f64 >= 0.5;
+    whole as u64 + u64::from(up)
 }
 
 impl Add<SimDuration> for SimTime {
@@ -150,6 +158,73 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The rounding `secs_to_nanos` had before it truncated, kept as its
+    /// oracle.
+    fn secs_to_nanos_by_round(s: f64) -> u64 {
+        if !s.is_finite() || s <= 0.0 {
+            if s > 0.0 {
+                u64::MAX // +inf
+            } else {
+                0
+            }
+        } else {
+            let ns = s * 1e9;
+            if ns >= u64::MAX as f64 {
+                u64::MAX
+            } else {
+                ns.round() as u64
+            }
+        }
+    }
+
+    /// Nanosecond counts at which the rounding's edges fall: the largest
+    /// double below one half, exact halves, and the ends of the
+    /// integer-exact range and of `u64`. `ns / 1e9` seconds times 1e9 is
+    /// each of them again exactly (`secs_to_nanos_edges` checks it).
+    const EDGE_NS: [f64; 9] = [
+        0.49999999999999994,
+        0.5,
+        1.5,
+        2.5,
+        4_503_599_627_370_495.5,      // 2^52 - 1/2
+        4_503_599_627_370_496.0,      // 2^52
+        9_007_199_254_740_992.0,      // 2^53
+        9_223_372_036_854_775_808.0,  // 2^63
+        18_446_744_073_709_551_616.0, // 2^64
+    ];
+
+    /// Edge inputs in seconds: the edges above, then zeros, subnormals,
+    /// negatives, the largest double, infinities and NaN.
+    fn edge_secs() -> impl Iterator<Item = f64> {
+        EDGE_NS.into_iter().map(|ns| ns / 1e9).chain([
+            0.0,
+            -0.0,
+            5e-324, // the smallest subnormal
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            -1.5e-9,
+            -5e-324,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ])
+    }
+
+    #[test]
+    fn secs_to_nanos_edges() {
+        for ns in EDGE_NS {
+            assert_eq!(ns / 1e9 * 1e9, ns, "the edge {ns:e} ns is reached");
+        }
+        for s in edge_secs() {
+            assert_eq!(secs_to_nanos(s), secs_to_nanos_by_round(s), "s = {s:e}");
+        }
+        assert_eq!(secs_to_nanos(0.49999999999999994 / 1e9), 0);
+        assert_eq!(secs_to_nanos(2.5 / 1e9), 3, "a half rounds away from zero");
+        assert_eq!(secs_to_nanos(9_223_372_036_854_775_808.0 / 1e9), 1 << 63);
+    }
+
     #[test]
     fn conversions_round_trip() {
         assert_eq!(SimTime::from_ms(1500).as_millis(), 1500);
@@ -181,6 +256,26 @@ mod tests {
             let t0 = SimTime::from_ms(base_ms);
             let t1 = t0 + SimDuration::from_ms(d_ms);
             prop_assert_eq!(t1.since(t0).as_millis(), d_ms);
+        }
+
+        /// `secs_to_nanos` gives exactly what the `round()`-based form
+        /// it replaced gives: for any bit pattern, any time in a wide
+        /// range, any exact half nanosecond, and within a few ulps of each
+        /// edge input.
+        #[test]
+        fn secs_to_nanos_matches_round(
+            bits in proptest::num::u64::ANY,
+            secs in -1e12f64..1e12,
+            halves in 0u64..(1 << 40),
+            edge in 0usize..edge_secs().count(),
+            ulps in -4i64..=4,
+        ) {
+            let edge = edge_secs().nth(edge).expect("in range");
+            let near_edge = f64::from_bits(edge.to_bits().wrapping_add_signed(ulps));
+            let half = (halves as f64 + 0.5) / 1e9;
+            for s in [f64::from_bits(bits), secs, half, edge, near_edge] {
+                prop_assert_eq!(secs_to_nanos(s), secs_to_nanos_by_round(s), "s = {:e} ({:#x})", s, s.to_bits());
+            }
         }
 
         #[test]

@@ -301,6 +301,10 @@ pub struct Simulation {
     am: Am,
     /// `dispatch`'s command buffer, kept to reuse.
     commands: Vec<Command>,
+    /// `pool_wake`'s buffer of completed flows, kept to reuse.
+    drained: Vec<FlowId>,
+    /// `map_completed`'s buffer of reducers to wake, kept to reuse.
+    waiting: Vec<AttemptId>,
     map_atts: AttemptTable<MapAtt>,
     red_atts: AttemptTable<RedAtt>,
     /// Per map index: the node holding its registered MOF, if any.
@@ -383,6 +387,8 @@ impl Simulation {
             reduces,
             am,
             commands: Vec::new(),
+            drained: Vec::new(),
+            waiting: Vec::new(),
             map_atts: AttemptTable::new(job, TaskKind::Map),
             red_atts: AttemptTable::new(job, TaskKind::Reduce),
             mof_loc: vec![None; num_maps],
@@ -513,12 +519,14 @@ impl Simulation {
         let (pool, wake) = &mut self.pools[slot];
         *wake = None;
         pool.advance_to(now);
-        let done = pool.drain_completed();
-        for id in done {
+        let mut drained = std::mem::take(&mut self.drained);
+        drained.extend_from_slice(pool.drain_completed());
+        for id in drained.drain(..) {
             if let Some(info) = self.flows.remove(id) {
                 self.flow_done(id, info);
             }
         }
+        self.drained = drained;
         self.reschedule_pool(p);
     }
 
@@ -683,21 +691,23 @@ impl Simulation {
         }
         // Wake reducers waiting on this MOF.
         let m = attempt.task.index;
-        let waiting: Vec<AttemptId> = self
-            .red_atts
-            .iter()
-            .filter(|(_, a)| {
-                (a.phase == RedPhase::Shuffle && a.fetch.is_pending(m)) || a.phase == RedPhase::FcmWait
-            })
-            .map(|(id, _)| id)
-            .collect();
-        for r in waiting {
+        let mut waiting = std::mem::take(&mut self.waiting);
+        waiting.extend(
+            self.red_atts
+                .iter()
+                .filter(|(_, a)| {
+                    (a.phase == RedPhase::Shuffle && a.fetch.is_pending(m)) || a.phase == RedPhase::FcmWait
+                })
+                .map(|(id, _)| id),
+        );
+        for r in waiting.drain(..) {
             match self.red_atts.get(&r).expect("waiting attempt exists").phase {
                 RedPhase::Shuffle => self.pump_fetches(r),
                 RedPhase::FcmWait => self.try_start_fcm(r),
                 _ => {}
             }
         }
+        self.waiting = waiting;
         self.launch_reduces_if_due();
         self.dispatch();
     }

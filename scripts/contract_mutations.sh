@@ -82,6 +82,19 @@
 #     a CRC fold constant changed              -> crc32_matches_reference_on_random_buffers
 #                                                 fails (the carry-less kernel
 #                                                 must equal the bitwise CRC)
+#   cargo test -p alm-des
+#     virtual time's rounding tie taken downward (`> 0.5`)
+#                                               -> secs_to_nanos_edges and
+#                                                 secs_to_nanos_matches_round
+#                                                 fail (the truncating
+#                                                 conversion must equal
+#                                                 f64::round, halves included)
+#     FlowPool::add's back-scan stopping one slot early
+#                                               -> matches_tree_pool_bit_for_bit
+#                                                 fails (a short flow added
+#                                                 behind long ones must land
+#                                                 at the head, as in the
+#                                                 B-tree pool)
 #   cargo test -p alm-types
 #     a `Both` heal that removes only the (a, b) direction
 #                                               -> firing_in_steps_matches_firing_once
@@ -147,7 +160,7 @@
 # (YarnConfig 14, MemConfig 4, SchedConfig 3); the YarnConfig mutation
 # anchors on the struct header, not on any one field.
 #
-# 40 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
+# 42 mutations. CI-only (not tier-1). Usage: scripts/contract_mutations.sh
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -217,6 +230,10 @@ test_shuffle() {
 
 test_types() {
     (cd "$work/ws" && cargo test --offline -p alm-types 2>&1)
+}
+
+test_des() {
+    (cd "$work/ws" && cargo test --offline -p alm-des 2>&1)
 }
 
 test_sim() {
@@ -294,7 +311,7 @@ mutate_and_expect() {
 # leaves a shared CARGO_TARGET_DIR holding no mutant artifact).
 expect_pass() {
     local runner out
-    for runner in check check_tests clippy test_shuffle test_types test_sim test_core test_sched test_workloads test_dfs test_gate; do
+    for runner in check check_tests clippy test_shuffle test_types test_des test_sim test_core test_sched test_workloads test_dfs test_gate; do
         if ! out="$($runner)"; then
             echo "FAIL [$1]: $runner fails on the unmutated copy:" >&2
             echo "$out" >&2
@@ -391,6 +408,13 @@ expect_fail_replacing "map kills left out of the armed list" test_sim crates/sim
     "            attempt.number == 0 && attempt.task.index < tasks" \
     "            attempt.number == 0 && attempt.task.index < tasks && attempt.task.is_reduce()" \
     "test reports_match_their_pinned_values \.\.\. FAILED"
+expect_fail_replacing "rounding tie taken downward" test_des crates/des/src/time.rs \
+    "    let up = ns - whole as f64 >= 0.5;" "    let up = ns - whole as f64 > 0.5;" \
+    "test time::tests::secs_to_nanos_(edges|matches_round) \.\.\. FAILED"
+expect_fail_replacing "flow slot back-scan stopping one slot early" test_des crates/des/src/flow.rs \
+    "        while at > 0 && !self.flows[at - 1].before(entry.target, id) {" \
+    "        while at > 1 && !self.flows[at - 1].before(entry.target, id) {" \
+    "test flow::tests::matches_tree_pool_bit_for_bit \.\.\. FAILED"
 expect_fail "Both heal that keeps the reverse direction cut" test_types crates/types/src/failure.rs \
     "            match op {" "                LinkOp::Heal if direction == LinkDirection::Both && key == (b, a) => {}" \
     "test failure::tests::firing_in_steps_matches_firing_once \.\.\. FAILED"
